@@ -30,7 +30,7 @@ double WeightOf(const RoleConfig& config, const WeightScheme& scheme, ReplicaId 
   return is_max ? scheme.v_max : scheme.v_min;
 }
 
-double WeightedQuorumTime(std::vector<std::pair<double, double>> arrivals_weights,
+double WeightedQuorumTime(std::span<std::pair<double, double>> arrivals_weights,
                           double quorum_weight, uint32_t skip_fastest) {
   std::sort(arrivals_weights.begin(), arrivals_weights.end());
   double acc = 0.0;
@@ -48,40 +48,45 @@ double WeightedQuorumTime(std::vector<std::pair<double, double>> arrivals_weight
   return kInf;
 }
 
-double AwareRoundDurationMs(const RoleConfig& config, const WeightScheme& scheme,
-                            const LatencyMatrix& latency, uint32_t u) {
+AwareTimeouts ComputeAwareTimeouts(const RoleConfig& config, const WeightScheme& scheme,
+                                   const LatencyMatrix& latency, uint32_t u) {
   const uint32_t n = scheme.n;
   const ReplicaId leader = config.leader;
+  AwareTimeouts t;
+  // Every arrival sum below has the form x + L(a, b), with L(a, a) = 0: the
+  // same arithmetic as the per-message functions, so the table matches them
+  // bit for bit.
+  std::vector<std::pair<double, double>> arrivals(n);
+  std::vector<double> weight(n);
 
   // Phase 1: Propose (Pre-Prepare) arrival at each replica.
-  std::vector<double> propose(n);
+  t.propose.resize(n);
   for (ReplicaId a = 0; a < n; ++a) {
-    propose[a] = a == leader ? 0.0 : latency.Rtt(leader, a);
+    t.propose[a] = AwareProposeTimeoutMs(config, latency, a);
+    weight[a] = WeightOf(config, scheme, a);
   }
 
   // Phase 2: Write (Prepare): prepared(B) = weighted quorum of writes.
-  std::vector<double> prepared(n);
+  t.prepared.resize(n);
   for (ReplicaId b = 0; b < n; ++b) {
-    std::vector<std::pair<double, double>> arrivals;
-    arrivals.reserve(n);
     for (ReplicaId a = 0; a < n; ++a) {
-      const double write_arrival =
-          a == b ? propose[a] : propose[a] + latency.Rtt(a, b);
-      arrivals.emplace_back(write_arrival, WeightOf(config, scheme, a));
+      arrivals[a] = {t.propose[a] + latency.Rtt(a, b), weight[a]};
     }
-    prepared[b] = WeightedQuorumTime(std::move(arrivals), scheme.quorum_weight, u);
+    t.prepared[b] = WeightedQuorumTime(arrivals, scheme.quorum_weight, u);
   }
 
   // Phase 3: Accept (Commit): the round concludes when the leader holds a
   // weighted quorum of accepts (TR3).
-  std::vector<std::pair<double, double>> accepts;
-  accepts.reserve(n);
   for (ReplicaId b = 0; b < n; ++b) {
-    const double accept_arrival =
-        b == leader ? prepared[b] : prepared[b] + latency.Rtt(b, leader);
-    accepts.emplace_back(accept_arrival, WeightOf(config, scheme, b));
+    arrivals[b] = {t.prepared[b] + latency.Rtt(b, leader), weight[b]};
   }
-  return WeightedQuorumTime(std::move(accepts), scheme.quorum_weight, u);
+  t.round_ms = WeightedQuorumTime(arrivals, scheme.quorum_weight, u);
+  return t;
+}
+
+double AwareRoundDurationMs(const RoleConfig& config, const WeightScheme& scheme,
+                            const LatencyMatrix& latency, uint32_t u) {
+  return ComputeAwareTimeouts(config, scheme, latency, u).round_ms;
 }
 
 double AwareProposeTimeoutMs(const RoleConfig& config, const LatencyMatrix& latency,
@@ -104,8 +109,7 @@ double AwareAcceptTimeoutMs(const RoleConfig& config, const WeightScheme& scheme
     arrivals.emplace_back(AwareWriteTimeoutMs(config, latency, a, from),
                           WeightOf(config, scheme, a));
   }
-  const double prepared =
-      WeightedQuorumTime(std::move(arrivals), scheme.quorum_weight, u);
+  const double prepared = WeightedQuorumTime(arrivals, scheme.quorum_weight, u);
   return prepared + (from == to ? 0.0 : latency.Rtt(from, to));
 }
 

@@ -20,6 +20,8 @@
 // assuming the u fastest non-leader contributions never arrive.
 #pragma once
 
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "src/core/config_search.h"
@@ -44,14 +46,32 @@ double WeightOf(const RoleConfig& config, const WeightScheme& scheme, ReplicaId 
 // Earliest time a weighted quorum accumulates, given per-replica arrival
 // times and weights, assuming the `skip_fastest` earliest contributions are
 // lost to misbehaving replicas. Returns +inf if no quorum is reachable.
-double WeightedQuorumTime(std::vector<std::pair<double, double>> arrivals_weights,
+// Sorts the caller's buffer in place.
+double WeightedQuorumTime(std::span<std::pair<double, double>> arrivals_weights,
                           double quorum_weight, uint32_t skip_fastest);
 
-// Predicted round duration for a (leader, Vmax-set) configuration.
+// The TR1-TR3 deadline table of one (config, L, u), relative to the proposal
+// timestamp. The per-message deadlines follow from it:
+//   Pre-Prepare to A:  propose[A]                    (TR1)
+//   Write A -> B:      propose[A] + L(A, B)          (TR2)
+//   Accept B -> C:     prepared[B] + L(B, C)         (TR2)
+//   round:             round_ms                      (TR3)
+struct AwareTimeouts {
+  std::vector<double> propose;   // d_propose, by receiver
+  std::vector<double> prepared;  // fastest weighted Write quorum, by replica
+  double round_ms = 0.0;         // d_rnd: fastest weighted Accept quorum at the leader
+};
+
+AwareTimeouts ComputeAwareTimeouts(const RoleConfig& config, const WeightScheme& scheme,
+                                   const LatencyMatrix& latency, uint32_t u);
+
+// Predicted round duration for a (leader, Vmax-set) configuration: the
+// round_ms of ComputeAwareTimeouts.
 double AwareRoundDurationMs(const RoleConfig& config, const WeightScheme& scheme,
                             const LatencyMatrix& latency, uint32_t u);
 
-// Per-message timeouts d_m relative to the proposal timestamp (TR1-TR3).
+// Per-message timeouts d_m relative to the proposal timestamp (TR1-TR3), one
+// at a time: the reference ComputeAwareTimeouts is tested against.
 double AwareProposeTimeoutMs(const RoleConfig& config, const LatencyMatrix& latency,
                              ReplicaId to);
 double AwareWriteTimeoutMs(const RoleConfig& config, const LatencyMatrix& latency,

@@ -2,23 +2,6 @@
 
 namespace optilog {
 
-double LatencyMatrix::Coverage() const {
-  if (n_ < 2) {
-    return 1.0;
-  }
-  size_t known = 0;
-  size_t total = 0;
-  for (uint32_t a = 0; a < n_; ++a) {
-    for (uint32_t b = a + 1; b < n_; ++b) {
-      ++total;
-      if (Known(a, b)) {
-        ++known;
-      }
-    }
-  }
-  return static_cast<double>(known) / static_cast<double>(total);
-}
-
 void LatencyMonitor::OnLatencyVector(const LatencyVectorRecord& rec) {
   if (rec.reporter >= matrix_.size()) {
     return;  // Byzantine garbage: ignore but keep the log record for forensics.

@@ -22,11 +22,13 @@ class LatencyMatrix {
 
   void Reset(uint32_t n) {
     n_ = n;
-    recorded_.assign(n, std::vector<double>(n, kUnknown));
+    recorded_.clear();  // allocated by the first Record
+    known_pairs_ = 0;
     city_index_.clear();
     city_rtt_ms_.clear();
     city_stride_ = 0;
     overrides_.clear();
+    ++version_;
   }
 
   // Complete-probe-round initialization, city-compressed. Every ordered
@@ -39,22 +41,40 @@ class LatencyMatrix {
                              std::vector<double> city_rtt_ms, size_t stride) {
     n_ = n;
     recorded_.clear();
+    known_pairs_ = 0;
     city_index_ = std::move(index_of);
     city_rtt_ms_ = std::move(city_rtt_ms);
     city_stride_ = stride;
     overrides_.clear();
+    ++version_;
   }
 
   uint32_t size() const { return n_; }
 
+  // Changes on every Reset and every in-range Record, so a value derived
+  // from the matrix can be cached against it.
+  uint64_t version() const { return version_; }
+
   void Record(ReplicaId reporter, ReplicaId peer, double rtt_ms) {
-    if (reporter < n_ && peer < n_) {
-      if (city_stride_ != 0) {
-        overrides_[Pack(reporter, peer)] = rtt_ms;
-      } else {
-        recorded_[reporter][peer] = rtt_ms;
-      }
+    if (reporter >= n_ || peer >= n_) {
+      return;
     }
+    ++version_;
+    if (city_stride_ != 0) {
+      overrides_[Pack(reporter, peer)] = rtt_ms;
+      return;
+    }
+    if (recorded_.empty()) {
+      recorded_.assign(size_t{n_} * n_, kUnknown);
+    }
+    double& slot = recorded_[Index(reporter, peer)];
+    // The unordered pair is known while either direction is; only a change
+    // of this direction with the other one unknown moves the count.
+    if (reporter != peer && recorded_[Index(peer, reporter)] == kUnknown) {
+      known_pairs_ += rtt_ms != kUnknown;
+      known_pairs_ -= slot != kUnknown;
+    }
+    slot = rtt_ms;
   }
 
   // Symmetric matrix entry per the paper's max rule. Unknown pairs return
@@ -63,7 +83,7 @@ class LatencyMatrix {
     if (a == b) {
       return 0.0;
     }
-    if (a >= n_ || b >= n_) {
+    if (a >= n_ || b >= n_ || NothingRecorded()) {
       return std::numeric_limits<double>::infinity();
     }
     const double ab = RecordedAt(a, b);
@@ -84,17 +104,24 @@ class LatencyMatrix {
     if (a == b) {
       return true;
     }
-    if (a >= n_ || b >= n_) {
+    if (a >= n_ || b >= n_ || NothingRecorded()) {
       return false;
     }
     if (city_stride_ != 0) {
       return true;  // the baseline covers every pair
     }
-    return recorded_[a][b] != kUnknown || recorded_[b][a] != kUnknown;
+    return recorded_[Index(a, b)] != kUnknown || recorded_[Index(b, a)] != kUnknown;
   }
 
-  // Fraction of ordered pairs with at least one report; 1.0 = complete.
-  double Coverage() const;
+  // Fraction of unordered pairs {a, b}, a != b, with at least one report;
+  // 1.0 = complete. O(1): Record keeps the count of known pairs.
+  double Coverage() const {
+    if (n_ < 2 || city_stride_ != 0) {
+      return 1.0;
+    }
+    const size_t total = size_t{n_} * (n_ - 1) / 2;
+    return static_cast<double>(known_pairs_) / static_cast<double>(total);
+  }
 
  private:
   static constexpr double kUnknown = -1.0;
@@ -103,9 +130,15 @@ class LatencyMatrix {
     return (static_cast<uint64_t>(a) << 32) | b;
   }
 
+  size_t Index(ReplicaId a, ReplicaId b) const { return size_t{a} * n_ + b; }
+
+  // Dense mode before its storage exists: every pair is unknown.
+  bool NothingRecorded() const { return city_stride_ == 0 && recorded_.empty(); }
+
+  // Requires !NothingRecorded().
   double RecordedAt(ReplicaId a, ReplicaId b) const {
     if (city_stride_ == 0) {
-      return recorded_[a][b];
+      return recorded_[Index(a, b)];
     }
     if (!overrides_.empty()) {
       auto it = overrides_.find(Pack(a, b));
@@ -119,14 +152,17 @@ class LatencyMatrix {
   }
 
   uint32_t n_ = 0;
-  // Dense mode (tests, incremental monitors): every ordered pair.
-  std::vector<std::vector<double>> recorded_;
+  // Dense mode (tests, incremental monitors): every ordered pair, row-major,
+  // empty until the first Record.
+  std::vector<double> recorded_;
   // City-baseline mode (deployments): replica -> city, u×u RTTs, sparse
   // post-baseline reports.
   std::vector<uint32_t> city_index_;
   std::vector<double> city_rtt_ms_;
   size_t city_stride_ = 0;
   std::unordered_map<uint64_t, double> overrides_;
+  size_t known_pairs_ = 0;  // unordered pairs with a report in either direction
+  uint64_t version_ = 0;
 };
 
 class LatencyMonitor {

@@ -62,21 +62,14 @@ void PbftReplica::HandlePrePrepare(ReplicaId from, const PrePrepareMsg& msg,
   inst.batch = msg.batch;
   inst.have_preprepare = true;
 
-  if (sensor_) {
-    const LatencyMatrix& matrix = harness_->pipeline_->latency_monitor().matrix();
-    const uint32_t u = harness_->pipeline_->suspicion_monitor().Current().u;
-    if (matrix.Known(msg.leader, id_) && id_ != msg.leader) {
-      // Condition (b) on the Pre-Prepare itself: d_m = Lr(L, A) (TR1).
-      const double d_rnd_ms = AwareRoundDurationMs(
-          harness_->config_, harness_->scheme(), matrix, u);
-      if (std::isfinite(d_rnd_ms)) {
-        sensor_->OnProposalTimestamp(msg.seq, msg.leader, msg.timestamp,
-                                     FromMs(d_rnd_ms));
-        sensor_->ObserveArrival(
-            msg.seq, msg.leader, PhaseTag::kProposal,
-            FromMs(AwareProposeTimeoutMs(harness_->config_, matrix, id_)),
-            msg.timestamp, at);
-      }
+  if (sensor_ && harness_->matrix().Known(msg.leader, id_) && id_ != msg.leader) {
+    // Condition (b) on the Pre-Prepare itself: d_m = Lr(L, A) (TR1).
+    const AwareTimeouts& t = harness_->aware_timeouts();
+    if (std::isfinite(t.round_ms)) {
+      sensor_->OnProposalTimestamp(msg.seq, msg.leader, msg.timestamp,
+                                   FromMs(t.round_ms));
+      sensor_->ObserveArrival(msg.seq, msg.leader, PhaseTag::kProposal,
+                              FromMs(t.propose[id_]), msg.timestamp, at);
     }
   }
 
@@ -92,11 +85,7 @@ void PbftReplica::HandlePrePrepare(ReplicaId from, const PrePrepareMsg& msg,
   if (CpuMeter* cpu = harness_->net_->cpu()) {
     cpu->ChargeSign(id_, at);
   }
-  std::vector<ReplicaId> all(harness_->opts_.n);
-  for (ReplicaId id = 0; id < harness_->opts_.n; ++id) {
-    all[id] = id;
-  }
-  harness_->net_->Multicast(id_, all, std::move(write));
+  harness_->net_->Multicast(id_, harness_->replica_ids_, std::move(write));
   MaybeAdvance(msg.seq);
 }
 
@@ -120,14 +109,13 @@ void PbftReplica::HandlePhase(ReplicaId from, const PhaseMsg& msg, SimTime at) {
   }
 
   if (sensor_ && inst.have_preprepare && from != id_) {
-    const LatencyMatrix& matrix = harness_->pipeline_->latency_monitor().matrix();
+    const LatencyMatrix& matrix = harness_->matrix();
     if (matrix.Known(from, id_) && matrix.Coverage() >= 1.0) {
-      const uint32_t u = harness_->pipeline_->suspicion_monitor().Current().u;
+      // TR2: the sender's Pre-Prepare (Write) or prepared (Accept) deadline
+      // plus the sender-to-receiver latency.
+      const AwareTimeouts& t = harness_->aware_timeouts();
       const double d_m_ms =
-          msg.accept
-              ? AwareAcceptTimeoutMs(harness_->config_, harness_->scheme(), matrix,
-                                     from, id_, u)
-              : AwareWriteTimeoutMs(harness_->config_, matrix, from, id_);
+          (msg.accept ? t.prepared[from] : t.propose[from]) + matrix.Rtt(from, id_);
       if (std::isfinite(d_m_ms)) {
         sensor_->ObserveArrival(msg.seq, from,
                                 msg.accept ? PhaseTag::kSecondVote : PhaseTag::kFirstVote,
@@ -174,11 +162,7 @@ void PbftReplica::MaybeAdvance(uint64_t seq) {
     if (CpuMeter* cpu = harness_->net_->cpu()) {
       cpu->ChargeSign(id_, harness_->sim_->now());
     }
-    std::vector<ReplicaId> all(harness_->opts_.n);
-    for (ReplicaId id = 0; id < harness_->opts_.n; ++id) {
-      all[id] = id;
-    }
-    harness_->net_->Multicast(id_, all, std::move(accept));
+    harness_->net_->Multicast(id_, harness_->replica_ids_, std::move(accept));
   }
   if (!inst.committed && inst.accepted && inst.accept_weight >= quorum) {
     Commit(seq);
@@ -310,6 +294,7 @@ PbftHarness::PbftHarness(Simulator* sim, Network* net, const KeyStore* keys,
 
   for (ReplicaId id = 0; id < opts_.n; ++id) {
     replicas_.push_back(std::make_unique<PbftReplica>(id, this));
+    replica_ids_.push_back(id);
     net_->Register(id, replicas_.back().get());
     if (opts_.mode == PbftMode::kOptiAware) {
       replicas_.back()->sensor_ = std::make_unique<SuspicionSensor>(
@@ -373,7 +358,21 @@ void PbftHarness::SetTopologyOrConfig(const RoleConfig& config) {
   if (config_.weight_max.size() != opts_.n) {
     config_.weight_max.assign(opts_.n, 0);
   }
+  timeouts_config_stale_ = true;
   pipeline_->config_monitor_mutable().SetActive(config_, 0.0);
+}
+
+const AwareTimeouts& PbftHarness::aware_timeouts() {
+  const LatencyMatrix& latency = matrix();
+  const uint32_t u = pipeline_->suspicion_monitor().Current().u;
+  if (timeouts_config_stale_ || latency.version() != timeouts_matrix_version_ ||
+      u != timeouts_u_) {
+    timeouts_ = ComputeAwareTimeouts(config_, scheme(), latency, u);
+    timeouts_config_stale_ = false;
+    timeouts_matrix_version_ = latency.version();
+    timeouts_u_ = u;
+  }
+  return timeouts_;
 }
 
 MetricsReport PbftHarness::Metrics() const {
@@ -471,11 +470,7 @@ void PbftHarness::ProposeNext(SimTime now) {
     cpu->ChargeHash(config_.leader, now, msg->WireSize());
     cpu->ChargeSign(config_.leader, now);
   }
-  std::vector<ReplicaId> all(opts_.n);
-  for (ReplicaId id = 0; id < opts_.n; ++id) {
-    all[id] = id;
-  }
-  net_->Multicast(config_.leader, all, std::move(msg));
+  net_->Multicast(config_.leader, replica_ids_, std::move(msg));
 }
 
 void PbftHarness::OnCommitAtLeader(uint64_t seq, uint32_t batch_size) {
@@ -638,6 +633,7 @@ void PbftHarness::OnReconfigure(const RoleConfig& config, double score) {
   if (config_.weight_max.size() != opts_.n) {
     config_.weight_max.assign(opts_.n, 0);
   }
+  timeouts_config_stale_ = true;
   reconfig_times_.push_back(sim_->now());
   pipeline_->config_monitor_mutable().SetActive(config_, score);
   instance_open_ = false;

@@ -139,6 +139,12 @@ class PbftHarness : public ConsensusEngine, public TimerTarget {
   const Pipeline& pipeline() const { return *pipeline_; }
   const Log& log() const { return log_; }
 
+  // The TR1-TR3 deadline table the OptiAware sensors check arrivals against.
+  // It depends only on the active config, the committed matrix and u — the
+  // shared deterministic monitor state — so one table serves every replica.
+  // Rebuilt here when one of the three has changed since the last call.
+  const AwareTimeouts& aware_timeouts();
+
  private:
   friend class PbftReplica;
 
@@ -169,6 +175,13 @@ class PbftHarness : public ConsensusEngine, public TimerTarget {
   AwareConfigSpace space_;
   RoleConfig config_;
   std::vector<std::unique_ptr<PbftReplica>> replicas_;
+  std::vector<ReplicaId> replica_ids_;  // 0..n-1: every multicast's recipients
+
+  // aware_timeouts() and the inputs it was built from.
+  AwareTimeouts timeouts_;
+  bool timeouts_config_stale_ = true;
+  uint64_t timeouts_matrix_version_ = 0;
+  uint32_t timeouts_u_ = 0;
   // The client side and the leader's request queue come from the shared
   // workload layer; only the propose-on-idle trigger below is PBFT's own.
   std::unique_ptr<RequestQueue> queue_;

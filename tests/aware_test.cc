@@ -18,6 +18,21 @@ LatencyMatrix UniformMatrix(uint32_t n, double rtt_ms) {
   return m;
 }
 
+// Every ordered pair recorded with the cities' RTT.
+LatencyMatrix CityMatrix(const std::vector<City>& cities) {
+  const uint32_t n = static_cast<uint32_t>(cities.size());
+  const auto rtts = RttMatrixMs(cities);
+  LatencyMatrix m(n);
+  for (ReplicaId a = 0; a < n; ++a) {
+    for (ReplicaId b = 0; b < n; ++b) {
+      if (a != b) {
+        m.Record(a, b, rtts[a][b]);
+      }
+    }
+  }
+  return m;
+}
+
 CandidateSet AllCandidates(uint32_t n) {
   CandidateSet k;
   for (ReplicaId id = 0; id < n; ++id) {
@@ -95,16 +110,7 @@ TEST(AwareScore, UniformMatrixIsThreePhases) {
 
 TEST(AwareScore, LeaderPlacementMatters) {
   // Leader in the EU cluster beats a leader in an outlier city.
-  const auto cities = NaEu43();
-  const auto rtts = RttMatrixMs(cities);
-  LatencyMatrix m(43);
-  for (ReplicaId a = 0; a < 43; ++a) {
-    for (ReplicaId b = 0; b < 43; ++b) {
-      if (a != b) {
-        m.Record(a, b, rtts[a][b]);
-      }
-    }
-  }
+  const LatencyMatrix m = CityMatrix(NaEu43());
   // f = 10 leaves Delta = 12 spare replicas, so weighted quorums can form
   // from well-placed Vmax holders — the regime Aware/WHEAT target.
   const uint32_t f = 10;
@@ -133,16 +139,7 @@ TEST(AwareScore, LeaderPlacementMatters) {
 TEST(AwareScore, UEstimateIncreasesPrediction) {
   const uint32_t n = 21, f = 6;
   const WeightScheme s = WeightScheme::For(n, f);
-  const auto cities = Europe21();
-  const auto rtts = RttMatrixMs(cities);
-  LatencyMatrix m(n);
-  for (ReplicaId a = 0; a < n; ++a) {
-    for (ReplicaId b = 0; b < n; ++b) {
-      if (a != b) {
-        m.Record(a, b, rtts[a][b]);
-      }
-    }
-  }
+  const LatencyMatrix m = CityMatrix(Europe21());
   const RoleConfig cfg = BasicConfig(n, f, 0);
   double prev = 0;
   for (uint32_t u = 0; u <= 4; ++u) {
@@ -175,6 +172,82 @@ TEST(AwareScore, Tr3RoundEqualsLeaderAcceptQuorum) {
   // Accept from any non-leader B to the leader: prepared(B) + L(B, L) = 30.
   EXPECT_DOUBLE_EQ(AwareAcceptTimeoutMs(cfg, s, m, 1, 0, 0), 30.0);
   EXPECT_DOUBLE_EQ(AwareRoundDurationMs(cfg, s, m, 0), 30.0);
+}
+
+// ComputeAwareTimeouts against the per-message reference functions, bit for
+// bit, on random valid configurations and u = 0..3.
+void ExpectTableMatchesReference(const LatencyMatrix& m, uint32_t f, uint64_t seed) {
+  const uint32_t n = m.size();
+  const AwareConfigSpace space(n, f);
+  const WeightScheme& s = space.scheme();
+  Rng rng(seed);
+  for (uint32_t trial = 0; trial < 3; ++trial) {
+    // Shrinking candidate sets; the last one is smaller than 2f, so fewer
+    // replicas hold Vmax.
+    const CandidateSet k = AllCandidates(n - trial * (n / 3));
+    RoleConfig cfg = space.RandomConfig(k, rng);
+    for (uint64_t i = rng.Below(8); i > 0; --i) {
+      cfg = space.Mutate(cfg, k, rng);
+    }
+    ASSERT_TRUE(space.Valid(cfg, k));
+    for (uint32_t u = 0; u <= 3; ++u) {
+      SCOPED_TRACE(testing::Message() << "trial " << trial << " leader "
+                                      << cfg.leader << " u " << u);
+      const AwareTimeouts t = ComputeAwareTimeouts(cfg, s, m, u);
+      ASSERT_EQ(t.propose.size(), n);
+      ASSERT_EQ(t.prepared.size(), n);
+      std::vector<std::pair<double, double>> accepts_at_leader;
+      for (ReplicaId to = 0; to < n; ++to) {
+        EXPECT_EQ(t.propose[to], AwareProposeTimeoutMs(cfg, m, to));
+        for (ReplicaId from = 0; from < n; ++from) {
+          EXPECT_EQ(t.propose[from] + m.Rtt(from, to),
+                    AwareWriteTimeoutMs(cfg, m, from, to));
+          EXPECT_EQ(t.prepared[from] + m.Rtt(from, to),
+                    AwareAcceptTimeoutMs(cfg, s, m, from, to, u));
+        }
+        accepts_at_leader.emplace_back(
+            AwareAcceptTimeoutMs(cfg, s, m, to, cfg.leader, u), WeightOf(cfg, s, to));
+      }
+      // TR3: the round ends at the leader's weighted quorum of Accepts.
+      EXPECT_EQ(t.round_ms,
+                WeightedQuorumTime(accepts_at_leader, s.quorum_weight, u));
+    }
+  }
+}
+
+TEST(AwareTimeoutTable, MatchesReferenceEurope21) {
+  ExpectTableMatchesReference(CityMatrix(Europe21()), 6, 11);
+}
+
+TEST(AwareTimeoutTable, MatchesReferenceNaEu43) {
+  ExpectTableMatchesReference(CityMatrix(NaEu43()), 10, 12);
+}
+
+TEST(AwareTimeoutTable, MatchesReferenceWithColocatedReplicas) {
+  // Seven cities, three replicas each: equal rows, so arrivals tie.
+  const auto europe = Europe21();
+  std::vector<City> cities;
+  for (size_t i = 0; i < 21; ++i) {
+    cities.push_back(europe[i / 3]);
+  }
+  const LatencyMatrix m = CityMatrix(cities);
+  ASSERT_EQ(m.Rtt(0, 5), m.Rtt(1, 5));
+  ExpectTableMatchesReference(m, 6, 13);
+}
+
+TEST(AwareTimeoutTable, MatchesReferenceWithUnknownPair) {
+  // Every pair but {0, 1} recorded: that one stays unknown, L = +inf.
+  const LatencyMatrix full = CityMatrix(Europe21());
+  LatencyMatrix m(21);
+  for (ReplicaId a = 0; a < 21; ++a) {
+    for (ReplicaId b = 0; b < 21; ++b) {
+      if (a != b && a + b != 1) {
+        m.Record(a, b, full.Rtt(a, b));
+      }
+    }
+  }
+  ASSERT_TRUE(std::isinf(m.Rtt(0, 1)));
+  ExpectTableMatchesReference(m, 6, 14);
 }
 
 TEST(AwareSpace, RandomConfigsValid) {

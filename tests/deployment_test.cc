@@ -251,6 +251,70 @@ TEST(DeploymentBuilder, OptiAwareMatchesHandWiredCounts) {
   EXPECT_EQ(d->pbft().log().head(), wired_head);
 }
 
+// The harness's TR1-TR3 table equals one computed from scratch.
+void ExpectDeadlineTableFresh(PbftHarness& h) {
+  const AwareTimeouts fresh =
+      ComputeAwareTimeouts(h.config(), h.scheme(), h.matrix(),
+                           h.pipeline().suspicion_monitor().Current().u);
+  const AwareTimeouts& table = h.aware_timeouts();
+  EXPECT_EQ(table.propose, fresh.propose);
+  EXPECT_EQ(table.prepared, fresh.prepared);
+  EXPECT_EQ(table.round_ms, fresh.round_ms);
+}
+
+TEST(DeploymentBuilder, OptiAwareDeadlineTableFollowsItsInputs) {
+  // Each check follows a change of exactly one of the table's inputs since
+  // the table was last read: the matrix, then the config, then u.
+  PbftOptions opts;
+  opts.delta = 1.5;
+  opts.optimize_at = 7500 * kMsec;  // between two 5 s probe rounds
+  const SimTime attack_at = 12 * kSec;
+  auto d = Deployment::Builder()
+               .WithGeo(Europe21())
+               .WithProtocol(Protocol::kOptiAware)
+               .WithPbftOptions(opts)
+               .Build();
+  PbftHarness& h = d->pbft();
+  d->sim().ScheduleAt(attack_at, [&] {
+    auto& f = d->faults().Mutable(h.config().leader);
+    f.proposal_delay = 600 * kMsec;
+    f.fast_probes = true;
+  });
+  auto u = [&] { return h.pipeline().suspicion_monitor().Current().u; };
+
+  // Before the first probe round nothing is known: no finite deadline.
+  EXPECT_TRUE(std::isinf(h.aware_timeouts().round_ms));
+  d->Start();  // runs the first probe round
+  ExpectDeadlineTableFresh(h);
+  EXPECT_TRUE(std::isfinite(h.aware_timeouts().round_ms));
+
+  d->RunUntil(opts.optimize_at - 100 * kMsec);
+  ExpectDeadlineTableFresh(h);
+  const RoleConfig initial = h.config();
+  const uint64_t version = h.matrix().version();
+  const uint32_t u0 = u();
+  d->RunUntil(opts.optimize_at);  // Aware's scheduled optimization
+  ASSERT_EQ(h.reconfigure_times().size(), 1u);
+  ASSERT_TRUE(h.config().leader != initial.leader ||
+              h.config().weight_max != initial.weight_max);
+  ASSERT_EQ(h.matrix().version(), version);
+  ASSERT_EQ(u(), u0);
+  ExpectDeadlineTableFresh(h);
+
+  // Under the attack, step until u moves between two probe rounds.
+  SimTime t = attack_at;
+  bool u_moved_alone = false;
+  while (!u_moved_alone && t < 60 * kSec) {
+    const uint64_t step_version = h.matrix().version();
+    const uint32_t step_u = u();
+    t += 100 * kMsec;
+    d->RunUntil(t);
+    u_moved_alone = u() != step_u && h.matrix().version() == step_version;
+    ExpectDeadlineTableFresh(h);
+  }
+  EXPECT_TRUE(u_moved_alone);
+}
+
 // --- Builder defaults and the ConsensusEngine interface ----------------------
 
 TEST(DeploymentBuilder, DefaultsFillGeoAndFaultBudget) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <set>
+#include <utility>
 
 #include "src/core/latency_monitor.h"
 #include "src/util/rng.h"
@@ -43,6 +46,70 @@ TEST(LatencyMatrix, CoverageProgresses) {
   m.Record(0, 2, 1.0);
   m.Record(1, 2, 1.0);
   EXPECT_DOUBLE_EQ(m.Coverage(), 1.0);
+}
+
+TEST(LatencyMatrix, CoverageAndVersionFollowEveryRecord) {
+  // A seeded mix of first reports, re-reports, self pairs, out-of-range ids
+  // and unreachable (+inf) peers. After every step Coverage() equals a count
+  // of known unordered pairs kept beside the matrix, and version() has moved
+  // iff the Record was in range.
+  constexpr uint32_t n = 9;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  LatencyMatrix m(n);
+  std::set<std::pair<ReplicaId, ReplicaId>> reported;  // (reporter, peer)
+  auto brute_force = [&] {
+    size_t known = 0;
+    for (ReplicaId a = 0; a < n; ++a) {
+      for (ReplicaId b = a + 1; b < n; ++b) {
+        known += reported.count({a, b}) + reported.count({b, a}) > 0 ? 1 : 0;
+      }
+    }
+    return static_cast<double>(known) / static_cast<double>(n * (n - 1) / 2);
+  };
+  EXPECT_EQ(m.Coverage(), 0.0);
+  EXPECT_FALSE(m.Known(0, 1));
+  EXPECT_TRUE(std::isinf(m.Rtt(0, 1)));
+  Rng rng(2024);
+  for (int step = 0; step < 1000; ++step) {
+    const auto a = static_cast<ReplicaId>(rng.Below(n + 2));  // n, n+1: out of range
+    const auto b = rng.Below(4) == 0 ? a : static_cast<ReplicaId>(rng.Below(n + 2));
+    const double rtt = rng.Below(5) == 0 ? kInf : rng.Uniform(1.0, 200.0);
+    const uint64_t before = m.version();
+    m.Record(a, b, rtt);
+    if (a < n && b < n) {
+      reported.insert({a, b});
+      EXPECT_NE(m.version(), before) << "step " << step;
+    } else {
+      EXPECT_EQ(m.version(), before) << "step " << step;
+    }
+    ASSERT_EQ(m.Coverage(), brute_force()) << "step " << step;
+  }
+  EXPECT_EQ(m.Coverage(), 1.0);
+
+  const uint64_t before_reset = m.version();
+  m.Reset(n);
+  EXPECT_NE(m.version(), before_reset);
+  EXPECT_EQ(m.Coverage(), 0.0);
+  EXPECT_FALSE(m.Known(2, 3));
+  m.Record(2, 3, 5.0);
+  EXPECT_EQ(m.Coverage(), 1.0 / 36.0);
+  EXPECT_DOUBLE_EQ(m.Rtt(3, 2), 5.0);
+}
+
+TEST(LatencyMatrix, CityBaselineIsCompleteAndVersioned) {
+  LatencyMatrix m(4);
+  const uint64_t v0 = m.version();
+  // Replicas 0, 1 in city 0 and 2, 3 in city 1, 30 ms apart.
+  m.ResetWithCityBaseline(4, {0, 0, 1, 1}, {0.0, 30.0, 30.0, 0.0}, 2);
+  EXPECT_NE(m.version(), v0);
+  EXPECT_EQ(m.Coverage(), 1.0);
+  EXPECT_DOUBLE_EQ(m.Rtt(0, 1), 1.0);  // colocated: the datacenter base delay
+  EXPECT_DOUBLE_EQ(m.Rtt(0, 2), 30.0);
+  const uint64_t v1 = m.version();
+  m.Record(2, 0, 45.0);
+  EXPECT_NE(m.version(), v1);
+  EXPECT_DOUBLE_EQ(m.Rtt(0, 2), 45.0);
+  EXPECT_EQ(m.Coverage(), 1.0);
 }
 
 TEST(LatencyMonitor, AppliesVectors) {
