@@ -29,4 +29,12 @@ Digest HmacSha256(const HmacKeySchedule& ks, const uint8_t* message,
 Digest HmacSha256Short(const HmacKeySchedule& ks, const uint8_t* message,
                        size_t len);
 
+// Two short-message HMACs under one key (len_a, len_b <= 55), written to
+// out[0, 32) and out[32, 64). The two inner compressions run as one
+// Sha256::CompressBlock2, then the two outer ones, so both chains overlap
+// on one core. Byte-identical to two HmacSha256Short calls.
+void HmacSha256ShortPair(const HmacKeySchedule& ks, const uint8_t* msg_a,
+                         size_t len_a, const uint8_t* msg_b, size_t len_b,
+                         uint8_t out[64]);
+
 }  // namespace optilog

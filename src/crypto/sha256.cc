@@ -1,6 +1,7 @@
 #include "src/crypto/sha256.h"
 
 #include <cstring>
+#include <utility>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define OPTILOG_SHA_NI_DISPATCH 1
@@ -29,208 +30,108 @@ inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 // Hardware compression via the x86 SHA extensions — the same FIPS 180-4
 // function, so every digest in the repository is unchanged to the bit; the
 // scalar path below remains both the portable fallback and the reference.
-// Round constants and shuffles follow the canonical Intel schedule: state
-// is carried as ABEF/CDGH lane pairs and each _mm_sha256rnds2_epu32 retires
-// two rounds.
+// The schedule follows the canonical Intel code: state is carried as
+// ABEF/CDGH lane pairs, each _mm_sha256rnds2_epu32 retires two rounds, and
+// four message registers roll through the schedule. It is written once per
+// lane so that CompressShaNi2 can interleave two independent compressions
+// group by group: each rnds2 waits on the one before it in its own lane, so
+// a second lane fills the pipeline slots one lane leaves idle.
+#define OPTILOG_SHA_NI_TARGET \
+  __attribute__((target("sha,sse4.1,ssse3"), always_inline)) inline
+
+struct ShaNiLane {
+  const uint8_t* block;
+  __m128i abef, cdgh;    // working state
+  __m128i abef0, cdgh0;  // state at entry, added back at the end
+  __m128i w[4];          // rolling message schedule, four words each
+};
+
+OPTILOG_SHA_NI_TARGET void LaneBegin(ShaNiLane& s, const uint32_t* state,
+                                     const uint8_t* block) {
+  const __m128i dcba =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  const __m128i hgfe =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  s.block = block;
+  s.abef = s.abef0 = _mm_alignr_epi8(cdab, efgh, 8);
+  s.cdgh = s.cdgh0 = _mm_blend_epi16(efgh, cdab, 0xF0);
+}
+
+// Rounds 4G..4G+3 of one lane. Groups 0-3 load their schedule words from
+// the block; groups 1-12 start the words of group G+3 (msg1) and groups
+// 3-14 finish those of group G+1 (msg2).
+template <int G>
+OPTILOG_SHA_NI_TARGET void LaneRounds(ShaNiLane& s) {
+  constexpr int kCur = G % 4;
+  if constexpr (G < 4) {
+    const __m128i kShuffle =
+        _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+    s.w[kCur] = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(s.block + 16 * G)),
+        kShuffle);
+  }
+  __m128i msg = _mm_add_epi32(
+      s.w[kCur], _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[4 * G])));
+  s.cdgh = _mm_sha256rnds2_epu32(s.cdgh, s.abef, msg);
+  if constexpr (G >= 3 && G <= 14) {
+    constexpr int kNext = (G + 1) % 4;
+    const __m128i tmp = _mm_alignr_epi8(s.w[kCur], s.w[(G + 3) % 4], 4);
+    s.w[kNext] =
+        _mm_sha256msg2_epu32(_mm_add_epi32(s.w[kNext], tmp), s.w[kCur]);
+  }
+  msg = _mm_shuffle_epi32(msg, 0x0E);
+  s.abef = _mm_sha256rnds2_epu32(s.abef, s.cdgh, msg);
+  if constexpr (G >= 1 && G <= 12) {
+    constexpr int kAhead = (G + 3) % 4;
+    s.w[kAhead] = _mm_sha256msg1_epu32(s.w[kAhead], s.w[kCur]);
+  }
+}
+
+OPTILOG_SHA_NI_TARGET void LaneEnd(ShaNiLane& s, uint32_t* state) {
+  const __m128i abef = _mm_add_epi32(s.abef, s.abef0);
+  const __m128i cdgh = _mm_add_epi32(s.cdgh, s.cdgh0);
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(feba, dchg, 0xF0));  // DCBA
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(dchg, feba, 8));  // HGFE
+}
+
+template <int G, typename... Lanes>
+OPTILOG_SHA_NI_TARGET void GroupRounds(Lanes&... lanes) {
+  (LaneRounds<G>(lanes), ...);
+}
+
+// All 64 rounds over every lane, lanes interleaved within each group.
+template <typename... Lanes, int... G>
+OPTILOG_SHA_NI_TARGET void AllRounds(std::integer_sequence<int, G...>,
+                                     Lanes&... lanes) {
+  (GroupRounds<G>(lanes...), ...);
+}
+
 __attribute__((target("sha,sse4.1,ssse3"))) void CompressShaNi(
     uint32_t* state, const uint8_t* block) {
-  const __m128i kShuffle =
-      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
-
-  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
-  __m128i state1 =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
-  tmp = _mm_shuffle_epi32(tmp, 0xB1);              // CDAB
-  state1 = _mm_shuffle_epi32(state1, 0x1B);        // EFGH
-  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);  // ABEF
-  state1 = _mm_blend_epi16(state1, tmp, 0xF0);     // CDGH
-
-  const __m128i abef_save = state0;
-  const __m128i cdgh_save = state1;
-  __m128i msg;
-
-  // Rounds 0-3
-  msg = _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 0));
-  __m128i msg0 = _mm_shuffle_epi8(msg, kShuffle);
-  msg = _mm_add_epi32(
-      msg0, _mm_set_epi64x(0xE9B5DBA5B5C0FBCFULL, 0x71374491428A2F98ULL));
-  state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-  msg = _mm_shuffle_epi32(msg, 0x0E);
-  state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-
-  // Rounds 4-7
-  __m128i msg1 =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16));
-  msg1 = _mm_shuffle_epi8(msg1, kShuffle);
-  msg = _mm_add_epi32(
-      msg1, _mm_set_epi64x(0xAB1C5ED5923F82A4ULL, 0x59F111F13956C25BULL));
-  state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-  msg = _mm_shuffle_epi32(msg, 0x0E);
-  state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-  msg0 = _mm_sha256msg1_epu32(msg0, msg1);
-
-  // Rounds 8-11
-  __m128i msg2 =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 32));
-  msg2 = _mm_shuffle_epi8(msg2, kShuffle);
-  msg = _mm_add_epi32(
-      msg2, _mm_set_epi64x(0x550C7DC3243185BEULL, 0x12835B01D807AA98ULL));
-  state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-  msg = _mm_shuffle_epi32(msg, 0x0E);
-  state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-  msg1 = _mm_sha256msg1_epu32(msg1, msg2);
-
-  // Rounds 12-15
-  __m128i msg3 =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 48));
-  msg3 = _mm_shuffle_epi8(msg3, kShuffle);
-  msg = _mm_add_epi32(
-      msg3, _mm_set_epi64x(0xC19BF1749BDC06A7ULL, 0x80DEB1FE72BE5D74ULL));
-  state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-  tmp = _mm_alignr_epi8(msg3, msg2, 4);
-  msg0 = _mm_add_epi32(msg0, tmp);
-  msg0 = _mm_sha256msg2_epu32(msg0, msg3);
-  msg = _mm_shuffle_epi32(msg, 0x0E);
-  state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-  msg2 = _mm_sha256msg1_epu32(msg2, msg3);
-
-  // Rounds 16-19
-  msg = _mm_add_epi32(
-      msg0, _mm_set_epi64x(0x240CA1CC0FC19DC6ULL, 0xEFBE4786E49B69C1ULL));
-  state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-  tmp = _mm_alignr_epi8(msg0, msg3, 4);
-  msg1 = _mm_add_epi32(msg1, tmp);
-  msg1 = _mm_sha256msg2_epu32(msg1, msg0);
-  msg = _mm_shuffle_epi32(msg, 0x0E);
-  state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-  msg3 = _mm_sha256msg1_epu32(msg3, msg0);
-
-  // Rounds 20-23
-  msg = _mm_add_epi32(
-      msg1, _mm_set_epi64x(0x76F988DA5CB0A9DCULL, 0x4A7484AA2DE92C6FULL));
-  state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-  tmp = _mm_alignr_epi8(msg1, msg0, 4);
-  msg2 = _mm_add_epi32(msg2, tmp);
-  msg2 = _mm_sha256msg2_epu32(msg2, msg1);
-  msg = _mm_shuffle_epi32(msg, 0x0E);
-  state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-  msg0 = _mm_sha256msg1_epu32(msg0, msg1);
-
-  // Rounds 24-27
-  msg = _mm_add_epi32(
-      msg2, _mm_set_epi64x(0xBF597FC7B00327C8ULL, 0xA831C66D983E5152ULL));
-  state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-  tmp = _mm_alignr_epi8(msg2, msg1, 4);
-  msg3 = _mm_add_epi32(msg3, tmp);
-  msg3 = _mm_sha256msg2_epu32(msg3, msg2);
-  msg = _mm_shuffle_epi32(msg, 0x0E);
-  state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-  msg1 = _mm_sha256msg1_epu32(msg1, msg2);
-
-  // Rounds 28-31
-  msg = _mm_add_epi32(
-      msg3, _mm_set_epi64x(0x1429296706CA6351ULL, 0xD5A79147C6E00BF3ULL));
-  state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-  tmp = _mm_alignr_epi8(msg3, msg2, 4);
-  msg0 = _mm_add_epi32(msg0, tmp);
-  msg0 = _mm_sha256msg2_epu32(msg0, msg3);
-  msg = _mm_shuffle_epi32(msg, 0x0E);
-  state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-  msg2 = _mm_sha256msg1_epu32(msg2, msg3);
-
-  // Rounds 32-35
-  msg = _mm_add_epi32(
-      msg0, _mm_set_epi64x(0x53380D134D2C6DFCULL, 0x2E1B213827B70A85ULL));
-  state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-  tmp = _mm_alignr_epi8(msg0, msg3, 4);
-  msg1 = _mm_add_epi32(msg1, tmp);
-  msg1 = _mm_sha256msg2_epu32(msg1, msg0);
-  msg = _mm_shuffle_epi32(msg, 0x0E);
-  state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-  msg3 = _mm_sha256msg1_epu32(msg3, msg0);
-
-  // Rounds 36-39
-  msg = _mm_add_epi32(
-      msg1, _mm_set_epi64x(0x92722C8581C2C92EULL, 0x766A0ABB650A7354ULL));
-  state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-  tmp = _mm_alignr_epi8(msg1, msg0, 4);
-  msg2 = _mm_add_epi32(msg2, tmp);
-  msg2 = _mm_sha256msg2_epu32(msg2, msg1);
-  msg = _mm_shuffle_epi32(msg, 0x0E);
-  state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-  msg0 = _mm_sha256msg1_epu32(msg0, msg1);
-
-  // Rounds 40-43
-  msg = _mm_add_epi32(
-      msg2, _mm_set_epi64x(0xC76C51A3C24B8B70ULL, 0xA81A664BA2BFE8A1ULL));
-  state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-  tmp = _mm_alignr_epi8(msg2, msg1, 4);
-  msg3 = _mm_add_epi32(msg3, tmp);
-  msg3 = _mm_sha256msg2_epu32(msg3, msg2);
-  msg = _mm_shuffle_epi32(msg, 0x0E);
-  state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-  msg1 = _mm_sha256msg1_epu32(msg1, msg2);
-
-  // Rounds 44-47
-  msg = _mm_add_epi32(
-      msg3, _mm_set_epi64x(0x106AA070F40E3585ULL, 0xD6990624D192E819ULL));
-  state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-  tmp = _mm_alignr_epi8(msg3, msg2, 4);
-  msg0 = _mm_add_epi32(msg0, tmp);
-  msg0 = _mm_sha256msg2_epu32(msg0, msg3);
-  msg = _mm_shuffle_epi32(msg, 0x0E);
-  state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-  msg2 = _mm_sha256msg1_epu32(msg2, msg3);
-
-  // Rounds 48-51
-  msg = _mm_add_epi32(
-      msg0, _mm_set_epi64x(0x34B0BCB52748774CULL, 0x1E376C0819A4C116ULL));
-  state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-  tmp = _mm_alignr_epi8(msg0, msg3, 4);
-  msg1 = _mm_add_epi32(msg1, tmp);
-  msg1 = _mm_sha256msg2_epu32(msg1, msg0);
-  msg = _mm_shuffle_epi32(msg, 0x0E);
-  state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-  msg3 = _mm_sha256msg1_epu32(msg3, msg0);
-
-  // Rounds 52-55
-  msg = _mm_add_epi32(
-      msg1, _mm_set_epi64x(0x682E6FF35B9CCA4FULL, 0x4ED8AA4A391C0CB3ULL));
-  state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-  tmp = _mm_alignr_epi8(msg1, msg0, 4);
-  msg2 = _mm_add_epi32(msg2, tmp);
-  msg2 = _mm_sha256msg2_epu32(msg2, msg1);
-  msg = _mm_shuffle_epi32(msg, 0x0E);
-  state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-
-  // Rounds 56-59
-  msg = _mm_add_epi32(
-      msg2, _mm_set_epi64x(0x8CC7020884C87814ULL, 0x78A5636F748F82EEULL));
-  state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-  tmp = _mm_alignr_epi8(msg2, msg1, 4);
-  msg3 = _mm_add_epi32(msg3, tmp);
-  msg3 = _mm_sha256msg2_epu32(msg3, msg2);
-  msg = _mm_shuffle_epi32(msg, 0x0E);
-  state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-
-  // Rounds 60-63
-  msg = _mm_add_epi32(
-      msg3, _mm_set_epi64x(0xC67178F2BEF9A3F7ULL, 0xA4506CEB90BEFFFAULL));
-  state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-  msg = _mm_shuffle_epi32(msg, 0x0E);
-  state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-
-  state0 = _mm_add_epi32(state0, abef_save);
-  state1 = _mm_add_epi32(state1, cdgh_save);
-
-  tmp = _mm_shuffle_epi32(state0, 0x1B);        // FEBA
-  state1 = _mm_shuffle_epi32(state1, 0xB1);     // DCHG
-  state0 = _mm_blend_epi16(tmp, state1, 0xF0);  // DCBA
-  state1 = _mm_alignr_epi8(state1, tmp, 8);     // HGFE
-
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), state0);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), state1);
+  ShaNiLane a;
+  LaneBegin(a, state, block);
+  AllRounds(std::make_integer_sequence<int, 16>{}, a);
+  LaneEnd(a, state);
 }
+
+__attribute__((target("sha,sse4.1,ssse3"))) void CompressShaNi2(
+    uint32_t* state_a, const uint8_t* block_a, uint32_t* state_b,
+    const uint8_t* block_b) {
+  ShaNiLane a;
+  ShaNiLane b;
+  LaneBegin(a, state_a, block_a);
+  LaneBegin(b, state_b, block_b);
+  AllRounds(std::make_integer_sequence<int, 16>{}, a, b);
+  LaneEnd(a, state_a);
+  LaneEnd(b, state_b);
+}
+#undef OPTILOG_SHA_NI_TARGET
 
 bool HasShaNi() {
   static const bool has = __builtin_cpu_supports("sha") != 0;
@@ -301,6 +202,18 @@ void Sha256::CompressBlock(uint32_t state[8], const uint8_t block[64]) {
   state[7] += h;
 }
 
+void Sha256::CompressBlock2(uint32_t state_a[8], const uint8_t block_a[64],
+                            uint32_t state_b[8], const uint8_t block_b[64]) {
+#ifdef OPTILOG_SHA_NI_DISPATCH
+  if (HasShaNi()) {
+    CompressShaNi2(state_a, block_a, state_b, block_b);
+    return;
+  }
+#endif
+  CompressBlock(state_a, block_a);
+  CompressBlock(state_b, block_b);
+}
+
 void Sha256::Update(const uint8_t* data, size_t len) {
   total_len_ += len;
   while (len > 0) {
@@ -324,18 +237,18 @@ void Sha256::Update(const uint8_t* data, size_t len) {
 
 Digest Sha256::Finish() {
   const uint64_t bit_len = total_len_ * 8;
-  const uint8_t pad = 0x80;
-  Update(&pad, 1);
-  const uint8_t zero = 0x00;
-  while (buf_len_ != 56) {
-    Update(&zero, 1);
+  // Padding: 0x80, zeros up to byte 56 of a block (spilling into one more
+  // block when fewer than 8 bytes remain), then the big-endian bit length.
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > 56) {
+    std::memset(buf_ + buf_len_, 0, 64 - buf_len_);
+    Compress(buf_);
+    buf_len_ = 0;
   }
-  uint8_t len_be[8];
+  std::memset(buf_ + buf_len_, 0, 56 - buf_len_);
   for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<uint8_t>(bit_len >> (8 * (7 - i)));
+    buf_[56 + i] = static_cast<uint8_t>(bit_len >> (8 * (7 - i)));
   }
-  // Bypass Update for the length field so total_len_ is not disturbed.
-  std::memcpy(buf_ + buf_len_, len_be, 8);
   Compress(buf_);
 
   Digest out;

@@ -53,6 +53,13 @@ class Sha256 {
   // skips the streaming buffer entirely.
   static void CompressBlock(uint32_t state[8], const uint8_t block[64]);
 
+  // Two independent compressions, state_a by block_a and state_b by
+  // block_b: equal to two CompressBlock calls. The SHA-NI path interleaves
+  // them so one core runs both dependency chains at once; the scalar
+  // fallback is the two calls.
+  static void CompressBlock2(uint32_t state_a[8], const uint8_t block_a[64],
+                             uint32_t state_b[8], const uint8_t block_b[64]);
+
  private:
   void Compress(const uint8_t block[64]) { CompressBlock(h_, block); }
 

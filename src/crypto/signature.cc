@@ -9,17 +9,13 @@ namespace optilog {
 
 void Signature::Serialize(ByteWriter& w) const {
   w.U32(signer);
-  for (uint8_t b : bytes) {
-    w.U8(b);
-  }
+  w.Raw(bytes.data(), bytes.size());
 }
 
 Signature Signature::Deserialize(ByteReader& r) {
   Signature sig;
   sig.signer = r.U32();
-  for (auto& b : sig.bytes) {
-    b = r.U8();
-  }
+  r.Raw(sig.bytes.data(), sig.bytes.size());
   return sig;
 }
 
@@ -44,15 +40,15 @@ SigBytes KeyStore::ComputeSig(ReplicaId signer, const uint8_t* msg,
   const HmacKeySchedule& ks = schedules_[signer];
   SigBytes out;
   if (len <= 54) {
-    // The dominant case — protocol signatures cover 32-byte digests. Both
-    // halves fit HmacSha256Short's single final block, msg || 0x01 included.
+    // The dominant case — protocol signatures cover 32-byte digests and
+    // 40-byte vote prefixes. Both halves fit a single final block, msg ||
+    // 0x01 included, and are independent, so they run as one pair.
     uint8_t ext[55];
-    std::memcpy(ext, msg, len);
+    if (len > 0) {  // an empty Bytes may hand us a null pointer
+      std::memcpy(ext, msg, len);
+    }
     ext[len] = 0x01;
-    const Digest first = HmacSha256Short(ks, msg, len);
-    const Digest second = HmacSha256Short(ks, ext, len + 1);
-    std::memcpy(out.data(), first.data(), 32);
-    std::memcpy(out.data() + 32, second.data(), 32);
+    HmacSha256ShortPair(ks, msg, len, ext, len + 1, out.data());
     return out;
   }
   const Digest first = HmacSha256(ks, msg, len);
@@ -74,7 +70,12 @@ SigBytes KeyStore::ComputeSig(ReplicaId signer, const uint8_t* msg,
 }
 
 Signature KeyStore::Sign(ReplicaId signer, const Bytes& message) const {
-  return Signature{signer, ComputeSig(signer, message.data(), message.size())};
+  return Sign(signer, message.data(), message.size());
+}
+
+Signature KeyStore::Sign(ReplicaId signer, const uint8_t* message,
+                         size_t len) const {
+  return Signature{signer, ComputeSig(signer, message, len)};
 }
 
 Signature KeyStore::Sign(ReplicaId signer, const Digest& digest) const {

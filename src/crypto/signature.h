@@ -52,6 +52,9 @@ class KeyStore {
 
   Signature Sign(ReplicaId signer, const Bytes& message) const;
   Signature Sign(ReplicaId signer, const Digest& digest) const;
+  // Signs the `len` bytes at `message`: for callers that lay out the signed
+  // bytes in a stack buffer instead of a Bytes.
+  Signature Sign(ReplicaId signer, const uint8_t* message, size_t len) const;
 
   bool Verify(const Signature& sig, const Bytes& message) const;
   bool Verify(const Signature& sig, const Digest& digest) const;

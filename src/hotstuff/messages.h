@@ -16,6 +16,8 @@
 // missing children (the §6.3 b+1 rule).
 #pragma once
 
+#include <array>
+#include <cstring>
 #include <vector>
 
 #include "src/core/measurement.h"
@@ -90,9 +92,11 @@ struct ProposeMsg : Message {
 };
 
 // Body: view u64 | block 32 | signer u32 | signature 64. The signature is
-// real (KeyStore HMAC scheme) over SigningBytes() — the body prefix — so
-// signed bytes == wire bytes.
+// real (KeyStore HMAC scheme) over the body prefix before the signer id
+// (SignedPrefix), so signed bytes == wire bytes.
 struct VoteMsg : Message {
+  static constexpr size_t kSignedPrefixSize = 8 + sizeof(Digest);
+
   uint64_t view = 0;
   Digest block{};
   Signature sig;
@@ -100,16 +104,24 @@ struct VoteMsg : Message {
   int type() const override { return kMsgVote; }
   MsgFamily family() const override { return MsgFamily::kHotStuff; }
   void EncodeTo(ByteWriter& w) const override {
-    EncodeSignedPrefix(w);
+    const std::array<uint8_t, kSignedPrefixSize> prefix = SignedPrefix();
+    w.Raw(prefix.data(), prefix.size());
     sig.Serialize(w);
   }
-  // The canonical bytes the vote signature covers: everything before the
-  // signature field.
-  Bytes SigningBytes() const {
-    Bytes out;
-    ByteWriter w(&out);
-    EncodeSignedPrefix(w);
+  // The canonical bytes the vote signature covers, laid out on the stack:
+  // view (little-endian) then block — everything before the signer id.
+  std::array<uint8_t, kSignedPrefixSize> SignedPrefix() const {
+    std::array<uint8_t, kSignedPrefixSize> out;
+    for (size_t i = 0; i < 8; ++i) {
+      out[i] = static_cast<uint8_t>(view >> (8 * i));
+    }
+    std::memcpy(out.data() + 8, block.data(), block.size());
     return out;
+  }
+  // SignedPrefix as a Bytes.
+  Bytes SigningBytes() const {
+    const std::array<uint8_t, kSignedPrefixSize> prefix = SignedPrefix();
+    return Bytes(prefix.begin(), prefix.end());
   }
   static IntrusivePtr<VoteMsg> Decode(int /*type*/, ByteReader& r) {
     auto m = MakeMessage<VoteMsg>();
@@ -119,12 +131,6 @@ struct VoteMsg : Message {
     return m;
   }
   std::string Name() const override { return "Vote"; }
-
- private:
-  void EncodeSignedPrefix(ByteWriter& w) const {
-    w.U64(view);
-    w.Raw(block.data(), block.size());
-  }
 };
 
 // Body: view u64 | block 32 | voter count u32 | voter ids u32 each |

@@ -64,7 +64,8 @@ void TreeReplica::HandlePropose(ReplicaId from, const ProposeMsg& msg, SimTime a
     auto vote = harness_->sim_->pool().Make<VoteMsg>();
     vote->view = msg.view;
     vote->block = msg.block;
-    vote->sig = harness_->keys_->Sign(id_, vote->SigningBytes());
+    const auto prefix = vote->SignedPrefix();
+    vote->sig = harness_->keys_->Sign(id_, prefix.data(), prefix.size());
     if (CpuMeter* cpu = harness_->net_->cpu()) {
       cpu->ChargeSign(id_, at);
     }
@@ -124,7 +125,7 @@ void TreeReplica::HandleVote(ReplicaId from, const VoteMsg& msg) {
     return;
   }
   auto it = aggregating_.find(msg.view);
-  if (it == aggregating_.end() || it->second.sent) {
+  if (it == aggregating_.end()) {
     return;
   }
   it->second.votes.Insert(from);
@@ -145,13 +146,17 @@ void TreeReplica::HandleVote(ReplicaId from, const VoteMsg& msg) {
   }
 }
 
+// Reached from the all-votes-in path and from the Lagg timer, whichever
+// comes first. The view's entry is erased once its aggregate is out: late
+// votes and a cancelled timer then find nothing, so a replica holds state
+// only for views still in flight.
 void TreeReplica::MaybeSendAggregate(uint64_t view) {
   auto it = aggregating_.find(view);
-  if (it == aggregating_.end() || it->second.sent) {
+  if (it == aggregating_.end()) {
     return;
   }
-  PendingAggregation& agg = it->second;
-  agg.sent = true;
+  const PendingAggregation agg = std::move(it->second);
+  aggregating_.erase(it);
   harness_->sim_->Cancel(agg.timer);
 
   const TreeTopology& tree = harness_->tree_;

@@ -105,7 +105,6 @@ class TreeReplica : public Actor {
   struct PendingAggregation {
     Digest block{};
     DenseIdSet votes;
-    bool sent = false;
     EventId timer = kNoEvent;
   };
 
@@ -113,6 +112,7 @@ class TreeReplica : public Actor {
 
   const ReplicaId id_;
   TreeRsm* harness_;
+  // Views this replica is aggregating and has not yet sent upward.
   std::map<uint64_t, PendingAggregation> aggregating_;
 };
 
@@ -175,6 +175,12 @@ class TreeRsm : public ConsensusEngine, public TimerTarget {
 
   // Votes needed to commit a block under the current settings.
   uint32_t CommitThreshold() const;
+
+  // Views replica `id` is still aggregating: bounded by the views in
+  // flight, not by the length of the run.
+  size_t PendingAggregations(ReplicaId id) const {
+    return replicas_[id]->aggregating_.size();
+  }
 
   // Typed timers: the tag is the view of a round-failure timer, or
   // kTimerResumeProposals for the end of a PauseProposals window.

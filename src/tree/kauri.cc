@@ -79,22 +79,21 @@ TreeTopology AnnealTree(uint32_t n, const std::vector<ReplicaId>& internal_candi
   rng.Shuffle(leaves);
   TreeTopology initial = TreeTopology::Build(internals, leaves);
 
-  const std::set<ReplicaId> candidate_set(internal_candidates.begin(),
-                                          internal_candidates.end());
+  // Candidate membership by replica id: mutate tests every leaf against it.
+  std::vector<bool> is_candidate(n, false);
+  for (ReplicaId id : internal_candidates) {
+    OL_CHECK(id < n);
+    is_candidate[id] = true;
+  }
   auto score = [&](const TreeTopology& t) { return TreeScore(t, latency, k); };
   auto mutate = [&](const TreeTopology& t, Rng& r) {
     std::vector<ReplicaId> ints = t.Internals();
-    std::vector<ReplicaId> lvs;
-    for (ReplicaId id : t.Members()) {
-      if (!t.IsInternal(id)) {
-        lvs.push_back(id);
-      }
-    }
+    std::vector<ReplicaId> lvs = t.Leaves();
     const uint64_t move = r.Below(3);
     if (move == 0) {
       std::vector<size_t> eligible;
       for (size_t i = 0; i < lvs.size(); ++i) {
-        if (candidate_set.count(lvs[i]) > 0) {
+        if (is_candidate[lvs[i]]) {
           eligible.push_back(i);
         }
       }

@@ -135,4 +135,21 @@ std::vector<ReplicaId> TreeTopology::Internals() const {
   return out;
 }
 
+std::vector<ReplicaId> TreeTopology::Leaves() const {
+  std::vector<bool> internal(parent_.size(), false);
+  if (root_ < internal.size()) {
+    internal[root_] = true;
+  }
+  for (ReplicaId id : intermediates_) {
+    internal[id] = true;
+  }
+  std::vector<ReplicaId> out;
+  for (ReplicaId id = 0; id < parent_.size(); ++id) {
+    if (parent_[id] != kNoReplica && !internal[id]) {
+      out.push_back(id);
+    }
+  }
+  return out;
+}
+
 }  // namespace optilog

@@ -49,6 +49,10 @@ class TreeTopology {
   // Internal nodes: root + intermediates.
   std::vector<ReplicaId> Internals() const;
 
+  // Members that are not internal, ascending: one pass over the parent
+  // table instead of an IsInternal scan per member.
+  std::vector<ReplicaId> Leaves() const;
+
  private:
   ReplicaId root_ = kNoReplica;
   std::vector<ReplicaId> intermediates_;

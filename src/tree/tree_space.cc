@@ -34,12 +34,7 @@ RoleConfig TreeConfigSpace::Mutate(const RoleConfig& config,
                                    const CandidateSet& candidates, Rng& rng) const {
   const TreeTopology tree = TreeTopology::FromConfig(config);
   std::vector<ReplicaId> internals = tree.Internals();
-  std::vector<ReplicaId> leaves;
-  for (ReplicaId id : tree.Members()) {
-    if (!tree.IsInternal(id)) {
-      leaves.push_back(id);
-    }
-  }
+  std::vector<ReplicaId> leaves = tree.Leaves();
   // §4.2.4: randomly swap two replicas; internal positions may only receive
   // replicas from K.
   //   move 0: swap an internal with a candidate leaf

@@ -6,7 +6,12 @@ namespace optilog {
 
 RequestQueue::Admit RequestQueue::Push(const RequestRef& req, SimTime now) {
   ClientWindow& w = windows_[{req.client, req.shard}];
-  if (req.request_id < w.floor || w.seen.count(req.request_id) > 0) {
+  const uint64_t id = req.request_id;
+  auto pos = w.ids.end();  // an id above every windowed one appends
+  if (w.head < w.ids.size() && id <= w.ids.back()) {
+    pos = std::lower_bound(w.ids.begin() + w.head, w.ids.end(), id);
+  }
+  if (id < w.floor || (pos != w.ids.end() && *pos == id)) {
     ++duplicates_;
     return Admit::kDuplicate;
   }
@@ -14,12 +19,15 @@ RequestQueue::Admit RequestQueue::Push(const RequestRef& req, SimTime now) {
     ++dropped_;
     return Admit::kDropped;
   }
-  w.seen.insert(req.request_id);
+  w.ids.insert(pos, id);
   // Keep the window bounded: requests commit roughly FIFO per client, so the
   // smallest ids are the ones whose retries can no longer be in flight.
-  while (w.seen.size() > 1024) {
-    w.floor = *w.seen.begin() + 1;
-    w.seen.erase(w.seen.begin());
+  if (w.ids.size() - w.head > kWindowSize) {
+    w.floor = w.ids[w.head] + 1;
+    if (++w.head == kWindowSize) {
+      w.ids.erase(w.ids.begin(), w.ids.begin() + kWindowSize);
+      w.head = 0;
+    }
   }
   queue_.push_back(Entry{req, now});
   ++accepted_;

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -80,10 +79,10 @@ class RequestQueue {
     SimTime enqueued_at = 0;
   };
   // Per-(client, shard) duplicate window: ids below `floor` are long done;
-  // ids in `seen` were admitted and not yet pruned. Clients issue
-  // monotonically increasing ids per shard, so pruning the smallest keeps
-  // the window tight without letting a late retry of a served request back
-  // in. Keying on the shard as well as the client matters for sharded
+  // ids[head, end) were admitted and not yet pruned, ascending. Clients
+  // issue monotonically increasing ids per shard, so pruning the smallest
+  // keeps the window tight without letting a late retry of a served request
+  // back in. Keying on the shard as well as the client matters for sharded
   // deployments: one client (or one transaction coordinator) fans the same
   // id out to several shards, and a client-only window would falsely dedup
   // the later arrivals. The safe side of the trade-off: an id that ages
@@ -91,10 +90,18 @@ class RequestQueue {
   // if it was originally dropped — the client-side retry cap
   // (WorkloadOptions::max_retries) turns that corner into accounted
   // abandonment instead of an eternal retry loop.
+  //
+  // Layout: one sorted vector. The common case, a new id above every
+  // windowed one, is a push_back; a retry or an out-of-order id is a binary
+  // search (and, if admitted, an insert). Pruning advances `head`; the dead
+  // prefix is erased once it reaches the window size, so each id is moved
+  // O(1) times on average.
   struct ClientWindow {
     uint64_t floor = 0;
-    std::set<uint64_t> seen;
+    std::vector<uint64_t> ids;
+    size_t head = 0;
   };
+  static constexpr size_t kWindowSize = 1024;
 
   BatchPolicy policy_;
   std::deque<Entry> queue_;

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/crypto/hmac.h"
 #include "src/crypto/quorum_cert.h"
 #include "src/crypto/sha256.h"
 #include "src/crypto/signature.h"
+#include "src/util/rng.h"
 
 namespace optilog {
 namespace {
@@ -54,6 +57,67 @@ TEST(Sha256, BoundaryLengths) {
     h2.Update(msg.substr(0, len / 2));
     h2.Update(msg.substr(len / 2));
     EXPECT_EQ(one, h2.Finish()) << "len=" << len;
+  }
+}
+
+// Finish's padding against a hand-laid FIPS 180-4 padding run block by
+// block through CompressBlock, at every length across two block boundaries.
+TEST(Sha256, FinishPaddingMatchesManualPadding) {
+  for (size_t len = 0; len <= 130; ++len) {
+    Bytes msg(len);
+    for (size_t i = 0; i < len; ++i) {
+      msg[i] = static_cast<uint8_t>(i * 13 + len);
+    }
+    Bytes padded = msg;
+    padded.push_back(0x80);
+    while (padded.size() % 64 != 56) {
+      padded.push_back(0);
+    }
+    for (int i = 7; i >= 0; --i) {
+      padded.push_back(static_cast<uint8_t>((uint64_t{len} * 8) >> (8 * i)));
+    }
+    uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                         0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+    for (size_t off = 0; off < padded.size(); off += 64) {
+      Sha256::CompressBlock(state, padded.data() + off);
+    }
+    Digest expected;
+    for (int i = 0; i < 8; ++i) {
+      for (int b = 0; b < 4; ++b) {
+        expected[4 * i + b] = static_cast<uint8_t>(state[i] >> (24 - 8 * b));
+      }
+    }
+    EXPECT_EQ(Sha256::Hash(msg), expected) << "len=" << len;
+  }
+}
+
+// The two-lane compression is two independent CompressBlock calls: seeded
+// random states and blocks, distinct and shared blocks.
+TEST(Sha256, CompressBlock2MatchesTwoCompressBlockCalls) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    uint32_t a[8];
+    uint32_t b[8];
+    uint8_t block_a[64];
+    uint8_t block_b[64];
+    for (int i = 0; i < 8; ++i) {
+      a[i] = static_cast<uint32_t>(rng.Next());
+      b[i] = static_cast<uint32_t>(rng.Next());
+    }
+    for (int i = 0; i < 64; ++i) {
+      block_a[i] = static_cast<uint8_t>(rng.Next());
+      block_b[i] = static_cast<uint8_t>(rng.Next());
+    }
+    const uint8_t* second = trial % 4 == 0 ? block_a : block_b;
+    uint32_t ref_a[8];
+    uint32_t ref_b[8];
+    std::memcpy(ref_a, a, sizeof(a));
+    std::memcpy(ref_b, b, sizeof(b));
+    Sha256::CompressBlock(ref_a, block_a);
+    Sha256::CompressBlock(ref_b, second);
+    Sha256::CompressBlock2(a, block_a, b, second);
+    EXPECT_EQ(0, std::memcmp(a, ref_a, sizeof(a))) << "trial " << trial;
+    EXPECT_EQ(0, std::memcmp(b, ref_b, sizeof(b))) << "trial " << trial;
   }
 }
 
@@ -137,8 +201,18 @@ TEST(Signature, SerializeRoundTrip) {
   ByteWriter w(&buf);
   sig.Serialize(w);
   EXPECT_EQ(buf.size(), Signature::kWireSize);
+  // Wire layout: signer u32 little-endian, then the 64 signature bytes.
+  EXPECT_EQ(Bytes(buf.begin(), buf.begin() + 4), (Bytes{1, 0, 0, 0}));
+  EXPECT_TRUE(std::equal(sig.bytes.begin(), sig.bytes.end(), buf.begin() + 4));
   ByteReader r(buf);
   EXPECT_EQ(Signature::Deserialize(r), sig);
+  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.Done());
+
+  buf.pop_back();
+  ByteReader truncated(buf);
+  Signature::Deserialize(truncated);
+  EXPECT_FALSE(truncated.ok());
 }
 
 TEST(QuorumCert, AggregateAndVerify) {
@@ -237,27 +311,61 @@ TEST(Hmac, ScheduleAndShortPathsMatchStreaming) {
     if (len <= 55) {
       EXPECT_EQ(HmacSha256Short(ks, msg.data(), msg.size()), ref)
           << "len=" << len;
+      // Paired with a message of another length, in either lane.
+      const Bytes other(55 - len, 0x17);
+      const Digest other_ref = HmacSha256(key, other);
+      uint8_t pair[64];
+      HmacSha256ShortPair(ks, msg.data(), msg.size(), other.data(),
+                          other.size(), pair);
+      EXPECT_TRUE(std::equal(ref.begin(), ref.end(), pair)) << "len=" << len;
+      EXPECT_TRUE(std::equal(other_ref.begin(), other_ref.end(), pair + 32))
+          << "len=" << len;
+      HmacSha256ShortPair(ks, other.data(), other.size(), msg.data(),
+                          msg.size(), pair);
+      EXPECT_TRUE(std::equal(ref.begin(), ref.end(), pair + 32))
+          << "len=" << len;
     }
   }
 }
 
+// KeyStore's key derivation, restated: replica i's secret is the i-th run
+// of four SplitMix64 words from seed ^ 0x5ec2e75a11ce5eed.
+Bytes KeyStoreSecret(uint64_t seed, ReplicaId id) {
+  uint64_t sm = seed ^ 0x5ec2e75a11ce5eedULL;
+  Bytes secret(32);
+  for (ReplicaId i = 0; i <= id; ++i) {
+    for (int word = 0; word < 4; ++word) {
+      const uint64_t v = SplitMix64(sm);
+      std::memcpy(secret.data() + 8 * word, &v, 8);
+    }
+  }
+  return secret;
+}
+
 TEST(Signature, ShortPathMatchesLongMessagePath) {
-  // Sign() over a 54-byte message takes the stack fast path, 55+ the
-  // streaming path; both must agree with a from-scratch computation of
-  // HMAC(m) || HMAC(m || 0x01).
+  // Sign() over up to 54 bytes takes the paired single-block path, 55+ the
+  // streaming path; every length must equal a from-scratch HMAC(m) ||
+  // HMAC(m || 0x01) under the signer's secret, an empty Bytes (null data)
+  // included.
   KeyStore keys(2, 9);
-  for (size_t len : {size_t{32}, size_t{54}, size_t{55}, size_t{100}}) {
-    Bytes msg(len, 0x5a);
-    const Signature sig = keys.Sign(1, msg);
-    EXPECT_TRUE(keys.Verify(sig, msg));
-    // KeyStore secrets are private; cross-check the two halves against each
-    // other instead: first half is HMAC(m), second HMAC(m || 0x01), so
-    // signing `ext` must reproduce the second half as ITS first half.
+  const Bytes secret = KeyStoreSecret(9, 1);
+  for (size_t len = 0; len <= 120; ++len) {
+    Bytes msg;
+    for (size_t i = 0; i < len; ++i) {
+      msg.push_back(static_cast<uint8_t>(0x5a + 7 * i));
+    }
     Bytes ext = msg;
     ext.push_back(0x01);
-    const Signature sig_ext = keys.Sign(1, ext);
-    EXPECT_TRUE(std::equal(sig.bytes.begin() + 32, sig.bytes.end(),
-                           sig_ext.bytes.begin()));
+    const Digest first = HmacSha256(secret, msg);
+    const Digest second = HmacSha256(secret, ext);
+    SigBytes expected;
+    std::memcpy(expected.data(), first.data(), 32);
+    std::memcpy(expected.data() + 32, second.data(), 32);
+
+    const Signature sig = keys.Sign(1, msg);
+    EXPECT_EQ(sig.bytes, expected) << "len=" << len;
+    EXPECT_EQ(keys.Sign(1, msg.data(), msg.size()), sig) << "len=" << len;
+    EXPECT_TRUE(keys.Verify(sig, msg)) << "len=" << len;
   }
 }
 

@@ -315,6 +315,40 @@ TEST(AnnealTree, BeatsRandomTreeOnGeoMatrix) {
       << "SA should find markedly better trees than random selection";
 }
 
+// Leaves() against the member-by-member definition it replaces, on random
+// and annealing-style trees, a star, and trees decoded from configs with
+// ids missing from the parent table.
+TEST(TreeTopology, LeavesAreNonInternalMembersAscending) {
+  auto reference = [](const TreeTopology& t) {
+    std::vector<ReplicaId> out;
+    for (ReplicaId id : t.Members()) {
+      if (!t.IsInternal(id)) {
+        out.push_back(id);
+      }
+    }
+    return out;
+  };
+  Rng rng(77);
+  for (uint32_t n : {4u, 13u, 21u, 73u, 200u}) {
+    const TreeTopology t = RandomTree(n, rng);
+    EXPECT_EQ(t.Leaves(), reference(t)) << "n=" << n;
+    EXPECT_EQ(t.Leaves().size(), n - t.Internals().size()) << "n=" << n;
+
+    RoleConfig partial = t.ToConfig();
+    for (ReplicaId id = 0; id < n; id += 5) {
+      if (!t.IsInternal(id)) {
+        partial.parent[id] = kNoReplica;  // drop some leaves
+      }
+    }
+    const TreeTopology decoded = TreeTopology::FromConfig(partial);
+    EXPECT_EQ(decoded.Leaves(), reference(decoded)) << "n=" << n;
+  }
+  std::vector<ReplicaId> leaves = {5, 1, 3};
+  const TreeTopology star = TreeTopology::Build({2}, leaves);
+  EXPECT_EQ(star.Leaves(), (std::vector<ReplicaId>{1, 3, 5}));
+  EXPECT_TRUE(TreeTopology().Leaves().empty());
+}
+
 class TreeSizeSweep : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(TreeSizeSweep, RandomTreeWellFormed) {

@@ -4,6 +4,9 @@
 // thread-count determinism of workload-driven sweeps.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "src/api/deployment.h"
 #include "src/runner/runner.h"
 #include "src/workload/request_queue.h"
@@ -65,6 +68,143 @@ TEST(RequestQueueTest, RequeuePreservesOrderWithoutRecounting) {
   EXPECT_EQ(again[1].request_id, 1u);
   EXPECT_EQ(again[2].request_id, 2u);
   EXPECT_EQ(again[3].request_id, 3u);
+}
+
+// The flat dedup window against the std::set model it replaced: a floor
+// plus the 1024 newest admitted ids per (client, shard). Seeded sequences
+// mix in-order ids, gaps, retries, duplicates, out-of-order and far-future
+// ids, overflow drops and requeues, with thousands of ids per window; the
+// Admit result and every counter must agree at every step.
+class ReferenceQueue {
+ public:
+  explicit ReferenceQueue(BatchPolicy policy) : policy_(policy) {}
+
+  RequestQueue::Admit Push(ReplicaId client, uint32_t shard, uint64_t id) {
+    Window& w = windows_[{client, shard}];
+    if (id < w.floor || w.seen.count(id) > 0) {
+      ++duplicates;
+      return RequestQueue::Admit::kDuplicate;
+    }
+    if (depth >= policy_.max_queue) {
+      ++dropped;
+      return RequestQueue::Admit::kDropped;
+    }
+    w.seen.insert(id);
+    while (w.seen.size() > 1024) {
+      w.floor = *w.seen.begin() + 1;
+      w.seen.erase(w.seen.begin());
+    }
+    ++accepted;
+    ++depth;
+    peak_depth = std::max(peak_depth, depth);
+    return RequestQueue::Admit::kAccepted;
+  }
+  size_t Pop() {
+    const size_t take = std::min<size_t>(depth, policy_.max_batch);
+    depth -= take;
+    return take;
+  }
+  void Requeue(size_t count) {
+    depth += count;
+    peak_depth = std::max(peak_depth, depth);
+  }
+  uint64_t floor(ReplicaId client, uint32_t shard) const {
+    const auto it = windows_.find({client, shard});
+    return it == windows_.end() ? 0 : it->second.floor;
+  }
+  uint64_t max_floor() const {
+    uint64_t out = 0;
+    for (const auto& [key, w] : windows_) {
+      out = std::max(out, w.floor);
+    }
+    return out;
+  }
+
+  uint64_t accepted = 0;
+  uint64_t dropped = 0;
+  uint64_t duplicates = 0;
+  size_t depth = 0;
+  size_t peak_depth = 0;
+
+ private:
+  struct Window {
+    uint64_t floor = 0;
+    std::set<uint64_t> seen;
+  };
+  BatchPolicy policy_;
+  std::map<std::pair<ReplicaId, uint32_t>, Window> windows_;
+};
+
+TEST(RequestQueueTest, DedupWindowMatchesSetModel) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    BatchPolicy policy;
+    policy.max_batch = 2 + static_cast<uint32_t>(rng.Below(8));
+    policy.max_queue = 16 + rng.Below(64);
+    RequestQueue q(policy);
+    ReferenceQueue ref(policy);
+    constexpr uint32_t kClients = 3;
+    constexpr uint32_t kShards = 2;
+    uint64_t next[kClients][kShards] = {};
+    uint64_t last[kClients][kShards] = {};
+    std::vector<std::vector<RequestRef>> popped;
+    for (int step = 0; step < 60000; ++step) {
+      // Alternate draining and flooding phases so the queue both empties
+      // and overflows.
+      const uint64_t pop_percent = (step / 2000) % 2 == 0 ? 25 : 2;
+      const uint64_t action = rng.Below(100);
+      if (action < pop_percent) {
+        std::vector<RequestRef> batch = q.PopBatch(step, BatchTrigger::kSize);
+        ASSERT_EQ(batch.size(), ref.Pop()) << "seed " << seed << " step " << step;
+        popped.push_back(std::move(batch));
+      } else if (action < pop_percent + 1 && !popped.empty()) {
+        ref.Requeue(popped.back().size());
+        q.Requeue(std::move(popped.back()), step);
+        popped.pop_back();
+      } else {
+        const ReplicaId c = static_cast<ReplicaId>(rng.Below(kClients));
+        const uint32_t s = static_cast<uint32_t>(rng.Below(kShards));
+        uint64_t& n = next[c][s];
+        const uint64_t kind = rng.Below(100);
+        uint64_t id;
+        if (kind < 45 || n == 0) {
+          id = n++;  // in order
+        } else if (kind < 55) {
+          n += 1 + rng.Below(40);  // gap
+          id = n++;
+        } else if (kind < 65) {
+          id = n - 1 - rng.Below(std::min<uint64_t>(n, 8));  // recent retry
+        } else if (kind < 72) {
+          id = last[c][s];  // back-to-back duplicate
+        } else if (kind < 82) {
+          id = n - 1 - rng.Below(std::min<uint64_t>(n, 3000));  // out of order
+        } else if (kind < 88) {
+          // Around the floor: pruned ids, the oldest windowed ones, and
+          // never-admitted ids in between.
+          id = std::max<uint64_t>(ref.floor(c, s), 3) - 3 + rng.Below(8);
+        } else if (kind < 94) {
+          id = rng.Below(n);  // anywhere in the client's history
+        } else {
+          id = n + rng.Below(2000);  // far future; in-order ids reach it later
+        }
+        last[c][s] = id;
+        const RequestQueue::Admit got = q.Push({c, id, 0, {}, s}, step);
+        ASSERT_EQ(got, ref.Push(c, s, id))
+            << "seed " << seed << " step " << step << " id " << id;
+      }
+      ASSERT_EQ(q.accepted(), ref.accepted) << "seed " << seed << " step " << step;
+      ASSERT_EQ(q.duplicates(), ref.duplicates) << "seed " << seed << " step " << step;
+      ASSERT_EQ(q.dropped(), ref.dropped) << "seed " << seed << " step " << step;
+      ASSERT_EQ(q.depth(), ref.depth) << "seed " << seed << " step " << step;
+      ASSERT_EQ(q.peak_depth(), ref.peak_depth) << "seed " << seed << " step " << step;
+    }
+    // The sequence reached every branch: admissions, both rejections, and
+    // windows that pruned past 1024 ids.
+    EXPECT_GT(ref.accepted, 0u);
+    EXPECT_GT(ref.duplicates, 0u);
+    EXPECT_GT(ref.dropped, 0u);
+    EXPECT_GT(ref.max_floor(), 1024u) << "seed " << seed;
+  }
 }
 
 // --- Closed-loop fleets on the tree family ------------------------------------
@@ -201,6 +341,44 @@ TEST(WorkloadTree, CrashedTargetReplicaReroutesWithoutDoubleCounting) {
   EXPECT_LE(m.total_commands, m.workload.requests_accepted);
   EXPECT_GE(m.total_commands, m.workload.requests_completed);
   EXPECT_EQ(m.event_core.closure_events, 0u);
+}
+
+// Intermediates drop a view's aggregation state once its aggregate is sent,
+// on the all-votes-in path and on the Lagg timer alike (a crashed leaf
+// forces the timer every view). Sampled after every event, no replica ever
+// holds more than a pipeline's worth of views, however many views the run
+// commits.
+TEST(WorkloadTree, PendingAggregationsStayBoundedByThePipeline) {
+  WorkloadOptions w;
+  w.clients = 16;
+  w.think_time = 0;
+  w.batch.max_batch = 8;
+  w.batch.max_delay = 5 * kMsec;
+  TreeRsmOptions topts;
+  topts.pipeline_depth = 3;
+  auto d = Deployment::Builder()
+               .WithGeo(Europe21())
+               .WithProtocol(Protocol::kKauri)
+               .WithSeed(9)
+               .WithTreeOptions(topts)
+               .WithWorkload(w)
+               .WithFaults([](Deployment& dep) {
+                 const ReplicaId leaf = dep.tree().topology().Leaves().front();
+                 dep.faults().Mutable(leaf).crash_at = 5 * kSec;
+               })
+               .Build();
+  d->Start();
+  size_t peak = 0;
+  while (d->sim().now() < 30 * kSec && d->sim().Step()) {
+    for (ReplicaId id = 0; id < d->n(); ++id) {
+      peak = std::max(peak, d->tree().PendingAggregations(id));
+    }
+  }
+  const MetricsReport m = d->Metrics();
+  EXPECT_GT(m.committed, 500u);
+  EXPECT_GT(m.suspicions, 0u);  // the crashed leaf's parent aggregated on its timer
+  EXPECT_GE(peak, 1u);
+  EXPECT_LE(peak, 2 * topts.pipeline_depth);
 }
 
 // --- PBFT family on the shared layer ------------------------------------------
