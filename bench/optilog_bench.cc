@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/api/deployment.h"
 #include "src/runner/runner.h"
 #include "src/runner/scenario.h"
 
@@ -42,10 +41,6 @@ int Usage(FILE* out) {
       "  --all           run every registered scenario\n"
       "  --threads N     worker threads for grid sweeps (default: hardware\n"
       "                  concurrency; results are identical at any N)\n"
-      "  --sim-threads N worker threads INSIDE each partitioned deployment\n"
-      "                  (conservative-lookahead PDES across shard\n"
-      "                  partitions; default 1 = merged sequential driver;\n"
-      "                  results are identical at any N)\n"
       "  --json DIR      write BENCH_<scenario>.json files into DIR\n"
       "  --trace SPEC    flight-recorder export: SPEC is\n"
       "                  <scenario>:<point index>:<output path>. Re-runs the\n"
@@ -203,17 +198,6 @@ int Main(int argc, char** argv) {
         return Usage(stderr);
       }
       threads = static_cast<unsigned>(parsed);
-    } else if (arg == "--sim-threads") {
-      const std::string v = value("--sim-threads");
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(v.c_str(), &end, 10);
-      if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0])) ||
-          *end != '\0' || parsed < 1 || parsed > 1024) {
-        std::fprintf(stderr, "optilog_bench: --sim-threads wants a number in "
-                             "1..1024, got '%s'\n\n", v.c_str());
-        return Usage(stderr);
-      }
-      SetGlobalSimThreads(static_cast<unsigned>(parsed));
     } else if (arg == "--json") {
       json_dir = value("--json");
     } else if (arg == "--trace") {

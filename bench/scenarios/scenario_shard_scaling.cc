@@ -1,8 +1,7 @@
-// Shard scaling (ISSUE 6): the sharded deployment's headline sweep. A
-// partitioned KV store of {1,2,4,8} consensus groups (HotStuff n=7 each,
-// Europe21 cities, one simulator partition per group at 2+ shards) serves
-// a closed-loop transaction fleet
-// whose cross-shard ratio sweeps {0%,10%,50%}. At 0% every transaction takes
+// Shard scaling: the sharded deployment's headline sweep. A partitioned KV
+// store of {1,2,4,8} consensus groups (HotStuff n=7 each, Europe21 cities,
+// all on one simulator) serves a closed-loop transaction fleet whose
+// cross-shard ratio sweeps {0%,10%,50%}. At 0% every transaction takes
 // the single-shard fast path — one kMulti record through one group's log —
 // and aggregate committed-transaction throughput should scale near-linearly
 // with the shard count (the baseline pins >= 3.2x at 4 shards). Raising the
@@ -58,14 +57,14 @@ PointResult RunPoint(const Params& p) {
                         .BuildSharded();
   deployment->Start();
   deployment->RunUntil(kRunTime / 4);
-  const size_t warm_slab = deployment->SlabCapacity();
+  const size_t warm_slab = deployment->sim().slab_capacity();
   deployment->RunUntil(kRunTime);
   if (shards >= 4) {
-    // Every partition's ReserveHint was sized from its own shard's topology
-    // (4 * (n + clients) + 64 slots); at scale the warm-up quarter must have
-    // touched everything the steady state needs — zero slab growth after it,
-    // summed across partitions.
-    OL_CHECK(deployment->SlabCapacity() == warm_slab);
+    // Every group adds a ReserveHint sized from its own topology
+    // (4 * (n + clients) + 64 slots) to the shared simulator; at scale the
+    // warm-up quarter must have touched everything the steady state needs —
+    // zero slab growth after it.
+    OL_CHECK(deployment->sim().slab_capacity() == warm_slab);
   }
 
   const MetricsReport m = deployment->Metrics();

@@ -1,5 +1,4 @@
-// Flight-recorder breakdown (ISSUE 10): the observability tentpole's own
-// tier-1 gate. Two representative points — a pipelined-Kauri open-loop
+// Flight-recorder breakdown: the observability layer's own tier-1 gate. Two representative points — a pipelined-Kauri open-loop
 // saturation point and a 2-shard 50%-cross 2PC transaction point — each run
 // three times from the same seed:
 //
@@ -8,7 +7,7 @@
 //                            recorder's schedule-neutrality contract; the
 //                            run OL_CHECKs it and exports fp_stable = 1)
 //   3. WithGaugeSampling  -> the measured run: per-committed-request stage
-//                            breakdown folded from the merged trace
+//                            breakdown folded from the trace
 //                            (client_net / queue / consensus / apply /
 //                            reply), gauge time-series into the JSON body,
 //                            and this run's own fingerprint as the digest
@@ -79,7 +78,8 @@ TracedRun RunKauri(TraceMode mode) {
 }
 
 // The sharded point: 2 HotStuff groups, 50% cross-shard 2PC — the trace
-// spans three event-core partitions and the chains cross them.
+// covers both groups, the coordinators and the clients, and the chains cross
+// between them.
 TracedRun RunShardTxn(TraceMode mode) {
   WorkloadOptions w;
   w.arrival = ArrivalProcess::kClosedLoop;

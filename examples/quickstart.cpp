@@ -253,7 +253,7 @@ int main() {
   // 7) Where did the time go? The flight recorder stamped every committed
   //    transaction's lifecycle (client_send -> queue_admit -> batch_seal ->
   //    commit -> reply_sent -> client_complete), so the end-to-end latency
-  //    decomposes into named stages across all three event-core partitions.
+  //    decomposes into named stages across both groups and the 2PC layer.
   const StageBreakdown sb = ComputeStageBreakdown(sharded->TraceRecords());
   if (sb.requests > 0) {
     const double n = static_cast<double>(sb.requests);

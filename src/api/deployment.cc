@@ -7,13 +7,6 @@
 
 namespace optilog {
 
-namespace {
-unsigned g_sim_threads = 0;
-}  // namespace
-
-void SetGlobalSimThreads(unsigned threads) { g_sim_threads = threads; }
-unsigned GlobalSimThreads() { return g_sim_threads; }
-
 // --- Deployment --------------------------------------------------------------
 
 ConsensusEngine& Deployment::engine() {
@@ -51,10 +44,7 @@ MetricsReport Deployment::Metrics() {
 
 std::vector<TraceRecord> Deployment::TraceRecords() const {
   const TraceRecorder* tr = simp_->trace();
-  if (tr == nullptr) {
-    return {};
-  }
-  return MergeTraces({tr});
+  return tr != nullptr ? tr->records() : std::vector<TraceRecord>{};
 }
 
 void Deployment::ScheduleCrash(ReplicaId id, SimTime crash_at,
@@ -229,11 +219,11 @@ Deployment::Builder& Deployment::Builder::WithTxnWorkload(
 }
 
 std::unique_ptr<Deployment> Deployment::Builder::Build() {
-  return BuildInternal(nullptr);
+  return BuildInternal(nullptr, /*sim_gauges=*/true);
 }
 
 std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
-    Simulator* external) {
+    Simulator* external, bool sim_gauges) {
   auto d = std::unique_ptr<Deployment>(new Deployment());
   if (external != nullptr) {
     d->simp_ = external;
@@ -268,14 +258,15 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
   std::vector<City> model_cities =
       client_count > 0 ? WithColocatedClients(d->cities_, client_count)
                        : d->cities_;
-  if (heap_scheduler_) {
-    d->simp_->UseHeapScheduler();
-  }
-  if (trace_ || gauge_interval_ > 0) {
-    // Before anything schedules: the recorder's native-pending counter must
-    // see every Commit. Idempotent on a shared (sharded) simulator whose
-    // owner already enabled it.
-    d->simp_->EnableTrace();
+  if (external == nullptr) {
+    // A sharded owner configures its shared simulator itself, before any
+    // group schedules on it.
+    if (heap_scheduler_) {
+      d->simp_->UseHeapScheduler();
+    }
+    if (trace_ || gauge_interval_ > 0) {
+      d->simp_->EnableTrace();
+    }
   }
   // Topology-derived peak-pending estimate: every replica can have a few
   // in-flight deliveries per round plus a timer, and each client one
@@ -290,8 +281,6 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
   if (crypto_model_.has_value()) {
     d->net_->EnableCpuCost(*crypto_model_);
     if (d->simp_->trace() != nullptr) {
-      // Charges are home-partition work, so they report to this net's own
-      // (partition-confined) recorder.
       d->net_->cpu()->SetTrace(d->simp_->trace());
     }
   }
@@ -435,8 +424,7 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
     d->gauges_ = std::make_unique<GaugeSampler>(d->simp_, gauge_interval_);
     Deployment* dp = d.get();
     // Fixed registration order — it is the series order in the report, the
-    // JSON, and the fingerprint. Every read below touches only this
-    // deployment's own partition state (see gauge.h).
+    // JSON, and the fingerprint.
     if (d->rsm_group_ != nullptr) {
       for (ReplicaId id = 0; id < d->n_; ++id) {
         d->gauges_->Add("commit_frontier.r" + std::to_string(id), [dp, id] {
@@ -450,9 +438,11 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
                                   : dp->pbft_->request_queue();
       return q != nullptr ? static_cast<double>(q->depth()) : 0.0;
     });
-    d->gauges_->Add("pending_events", [dp] {
-      return static_cast<double>(dp->simp_->NativePending());
-    });
+    if (sim_gauges) {
+      d->gauges_->Add("pending_events", [dp] {
+        return static_cast<double>(dp->simp_->pending());
+      });
+    }
     if (d->net_->cpu() != nullptr) {
       d->gauges_->Add("crypto_backlog_ms", [dp] {
         return static_cast<double>(
@@ -460,9 +450,11 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
                1e6;
       });
     }
-    d->gauges_->Add("pool_hit_rate", [dp] {
-      return dp->simp_->event_core_stats().message_pool_hit_rate();
-    });
+    if (sim_gauges) {
+      d->gauges_->Add("pool_hit_rate", [dp] {
+        return dp->simp_->event_core_stats().message_pool_hit_rate();
+      });
+    }
     d->gauges_->Start();
   }
 

@@ -118,9 +118,9 @@ class Deployment {
 
   // --- observability ---------------------------------------------------------
   // This deployment's flight-recorder records (WithTrace /
-  // WithGaugeSampling), merged in the canonical (t, id) order; empty when
-  // tracing is off. Sharded deployments merge across partitions instead
-  // (ShardedDeployment::TraceRecords).
+  // WithGaugeSampling) in emission (t, id) order; empty when tracing is off.
+  // A shard of a ShardedDeployment shares its owner's recorder, so this
+  // returns every group's records (ShardedDeployment::TraceRecords).
   std::vector<TraceRecord> TraceRecords() const;
   // The gauge sampler, or nullptr without WithGaugeSampling.
   const GaugeSampler* gauges() const { return gauges_.get(); }
@@ -208,7 +208,7 @@ class Deployment::Builder {
   Builder& WithCryptoCostModel(const CryptoCostModel& model);
 
   // Attaches the flight recorder (src/obs/trace.h): every dispatch, send,
-  // timer fire, crypto charge, and protocol span lands in a per-partition
+  // timer fire, crypto charge, and protocol span lands in the simulator's
   // record buffer (Deployment::TraceRecords). Recording is schedule-neutral
   // — fingerprints are byte-identical with tracing on or off.
   Builder& WithTrace() {
@@ -218,9 +218,10 @@ class Deployment::Builder {
 
   // Samples gauge time-series (commit frontiers, queue depth, pending
   // events, crypto backlog, pool hit rate) every `interval` of sim time
-  // into MetricsReport::timeseries. Implies WithTrace — the native-pending
-  // gauge needs the recorder's per-event hook. Unlike tracing, sampling
-  // schedules real timers, so sampled runs have their own fingerprints.
+  // into MetricsReport::timeseries. Implies WithTrace, so a sampled run also
+  // carries the trace its stage breakdown is computed from. Unlike tracing,
+  // sampling schedules real timers, so sampled runs have their own
+  // fingerprints.
   Builder& WithGaugeSampling(SimTime interval) {
     OL_CHECK(interval > 0);
     trace_ = true;
@@ -292,12 +293,10 @@ class Deployment::Builder {
   // Transaction fleet configuration; clients_per_shard > 0 swaps the
   // per-shard ClientFleets for one multi-shard transaction fleet.
   Builder& WithTxnWorkload(TxnWorkloadOptions opts);
-  // Worker threads for intra-deployment parallel execution across shard
-  // partitions (src/shard/parallel_exec.h). 0 = use the process-wide value
-  // (SetGlobalSimThreads, the --sim-threads flag); <= 1 = the merged
-  // sequential driver. Results are byte-identical at every value.
+  // Every deployment runs on one simulator thread; only 0 and 1 are valid.
+  // Kept so existing callers of the former multi-thread knob still build.
   Builder& WithSimThreads(unsigned threads) {
-    sim_threads_ = threads;
+    OL_CHECK(threads <= 1);
     return *this;
   }
 
@@ -325,8 +324,12 @@ class Deployment::Builder {
   friend class optilog::ShardedDeployment;
 
   // Build() with the group's simulator swapped for `external` (the sharded
-  // deployment's shared one); nullptr = the deployment's own.
-  std::unique_ptr<Deployment> BuildInternal(Simulator* external);
+  // deployment's shared one); nullptr = the deployment's own. `sim_gauges`
+  // = false leaves the simulator-wide gauges (pending events, pool hit
+  // rate) out of the group's sampler, for groups that share a simulator
+  // whose owner samples them once.
+  std::unique_ptr<Deployment> BuildInternal(Simulator* external,
+                                            bool sim_gauges);
 
   std::optional<uint32_t> n_;
   std::optional<uint32_t> f_;
@@ -351,12 +354,6 @@ class Deployment::Builder {
   uint32_t shards_ = 1;
   double cross_shard_ratio_ = 0.0;
   TxnWorkloadOptions txn_workload_;
-  unsigned sim_threads_ = 0;  // 0 = defer to the process-wide setting
 };
-
-// Process-wide default for Builder::WithSimThreads (what the runner's
-// --sim-threads flag sets). 0/1 = merged sequential driver.
-void SetGlobalSimThreads(unsigned threads);
-unsigned GlobalSimThreads();
 
 }  // namespace optilog

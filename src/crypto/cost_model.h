@@ -26,7 +26,6 @@
 //     crypto_bench scenario reports these as advisory metrics).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -76,19 +75,6 @@ class CpuMeter {
 
   const CryptoCostModel& model() const { return model_; }
 
-  // Pre-sizes the per-replica tables to cover ids [0, count). Partitioned
-  // deployments call this at build time: ReadyAt() is then a pure read for
-  // every registered id, so a coordinator/client partition can compute its
-  // send base concurrently with the home partition charging its replicas
-  // (element-disjoint by the charge inventory — only a net's own replicas
-  // ever sign or hash on it).
-  void Reserve(size_t count) {
-    if (busy_until_ns_.size() < count) {
-      busy_until_ns_.resize(count, 0);
-      busy_ns_.resize(count, 0);
-    }
-  }
-
   // Op discriminators for kCryptoCharge trace records (the `type` field).
   enum CryptoOp : uint16_t {
     kOpSign = 1,
@@ -98,9 +84,8 @@ class CpuMeter {
     kOpQcVerify = 5,
   };
 
-  // Attaches the flight recorder every charge is reported to (the HOME
-  // partition's — only a net's own replicas and colocated coordinators ever
-  // charge on it, so recording stays partition-confined). Null disables.
+  // Attaches the flight recorder every charge is reported to. Null
+  // disables.
   void SetTrace(TraceRecorder* trace) { trace_ = trace; }
 
   void ChargeSign(ReplicaId id, SimTime now, uint64_t count = 1) {
@@ -163,8 +148,7 @@ class CpuMeter {
   }
 
   // Modeled CPU time still owed beyond `now`, summed over replicas — the
-  // crypto backlog gauge. A pure function of the charge history, so it is
-  // driver-invariant at any sample instant.
+  // crypto backlog gauge.
   uint64_t BacklogNsAt(SimTime now) const {
     const int64_t now_ns = now * 1000;
     uint64_t backlog = 0;

@@ -82,21 +82,6 @@ class FaultModel {
     return now >= f.crash_at && now < f.recover_at;
   }
 
-  // Smallest outbound delay factor configured on any replica (1.0 when the
-  // model is empty). The conservative-lookahead computation consults this: a
-  // factor below 1.0 could compress a cross-partition delay under the static
-  // minimum one-way latency, so such deployments fall back to the merged
-  // sequential driver (lookahead 0).
-  double MinOutboundDelayFactor() const {
-    double min_factor = 1.0;
-    for (const auto& [id, f] : faults_) {
-      if (f.outbound_delay_factor < min_factor) {
-        min_factor = f.outbound_delay_factor;
-      }
-    }
-    return min_factor;
-  }
-
   size_t num_byzantine() const {
     size_t count = 0;
     for (const auto& [id, f] : faults_) {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/wire/codec.h"
-
 namespace optilog {
 namespace {
 
@@ -15,28 +13,6 @@ uint16_t MsgTraceTag(const Message& msg) {
 }
 
 }  // namespace
-
-void Network::EnableParallel(PartitionPlan plan) {
-  partitioned_ = true;
-  part_ = std::move(plan);
-  // sims[home] must be the scheduler this net was built on: all
-  // replica-local traffic keeps resolving to sim_.
-  OL_CHECK(part_.home < part_.sims.size());
-  OL_CHECK(part_.sims[part_.home] == sim_);
-  OL_CHECK(part_.exchange != nullptr);
-  stats_lanes_.assign(part_.sims.size(), NetworkStats{});
-  // Pre-size the lazily-grown per-sender tables so no partition ever
-  // resizes them while another reads: uplink slots are per-sender disjoint
-  // and the CPU meter's ReadyAt becomes a pure read.
-  if (!actors_.empty()) {
-    if (uplink_free_at_.size() < actors_.size()) {
-      uplink_free_at_.resize(actors_.size(), 0);
-    }
-    if (cpu_ != nullptr) {
-      cpu_->Reserve(actors_.size());
-    }
-  }
-}
 
 Network::OutboundProfile Network::ClassifyOutbound(ReplicaId from,
                                                    const Message& msg) const {
@@ -85,7 +61,7 @@ void Network::OnDelivery(ReplicaId from, ReplicaId to, const MessagePtr& msg,
   if (actor == nullptr) {
     return;
   }
-  ++LaneOf(to).messages_delivered;
+  ++stats_.messages_delivered;
   actor->OnMessage(from, msg, at);
 }
 
@@ -103,54 +79,25 @@ void Network::LoopbackSink::OnDelivery(ReplicaId from, ReplicaId to,
 }
 
 void Network::Send(ReplicaId from, ReplicaId to, MessagePtr msg) {
-  Simulator& src = SrcSimOf(from);
-  if (faults_->IsCrashedAt(from, src.now())) {
+  if (faults_->IsCrashedAt(from, sim_->now())) {
     return;
   }
-  NetworkStats& lane = LaneOf(from);
-  ++lane.messages_sent;
-  lane.bytes_sent += msg->WireSize();
-  if (TraceRecorder* tr = src.trace()) {
-    tr->EmitHere(src.now(), TraceKind::kMsgSend, MsgTraceTag(*msg), from, to,
-                 msg->WireSize());
+  ++stats_.messages_sent;
+  stats_.bytes_sent += msg->WireSize();
+  if (TraceRecorder* tr = sim_->trace()) {
+    tr->EmitHere(sim_->now(), TraceKind::kMsgSend, MsgTraceTag(*msg), from,
+                 to, msg->WireSize());
   }
-  const SimTime sent_at =
-      OccupyUplink(from, msg->WireSize(), SendBase(from, src));
+  const SimTime sent_at = OccupyUplink(from, msg->WireSize(), SendBase(from));
   const OutboundProfile profile = ClassifyOutbound(from, *msg);
-  const SimTime delay = (sent_at - src.now()) +
+  const SimTime delay = (sent_at - sim_->now()) +
                         PerturbPropagation(profile, latency_->OneWay(from, to));
-  if (partitioned_) {
-    const uint32_t src_owner = OwnerOf(from);
-    const uint32_t dst_owner = OwnerOf(to);
-    if (src_owner != dst_owner) {
-      // Cross-partition: the message never crosses a thread boundary as an
-      // object. Stamp the full ordering key (schedule instant, source
-      // partition, source-sequence) at the sender, encode the canonical
-      // frame, and hand the record to the exchange; the destination decodes
-      // on its own thread at the next barrier (or eagerly under the merged
-      // sequential driver).
-      CrossRecord rec;
-      rec.key.at = src.now() + delay;
-      rec.key.sched = src.now();
-      rec.key.src = src_owner;
-      rec.key.seq = src.AllocSeq();
-      rec.key.overflow = Simulator::WouldOverflow(rec.key.at, rec.key.sched);
-      rec.key.sink = this;
-      rec.key.from = from;
-      rec.key.to = to;
-      rec.key.trace_parent = src.TraceContext();
-      rec.frame = EncodeMessage(*msg);
-      part_.exchange->Push(src_owner, dst_owner, std::move(rec));
-      return;
-    }
-  }
-  src.ScheduleDelivery(delay, this, from, to, std::move(msg));
+  sim_->ScheduleDelivery(delay, this, from, to, std::move(msg));
 }
 
 void Network::Multicast(ReplicaId from, const std::vector<ReplicaId>& to,
                         MessagePtr msg) {
-  Simulator& src = SrcSimOf(from);
-  if (faults_->IsCrashedAt(from, src.now())) {
+  if (faults_->IsCrashedAt(from, sim_->now())) {
     return;
   }
   // Sender-side fault profile and message classification are per-message
@@ -162,59 +109,13 @@ void Network::Multicast(ReplicaId from, const std::vector<ReplicaId>& to,
   // the uplink separately (the star-bottleneck effect).
   const OutboundProfile profile = ClassifyOutbound(from, *msg);
   const size_t wire = msg->WireSize();
-  const SimTime base = SendBase(from, src);
+  const SimTime base = SendBase(from);
   const std::vector<SimTime>* row = latency_->OneWayRow(from);
-  NetworkStats& lane = LaneOf(from);
-  if (TraceRecorder* tr = src.trace()) {
+  if (TraceRecorder* tr = sim_->trace()) {
     // One record per multicast; a = fan-out size (per-recipient flow is in
     // the delivery dispatch records, which parent back here).
-    tr->EmitHere(src.now(), TraceKind::kMsgSend, MsgTraceTag(*msg), from,
+    tr->EmitHere(sim_->now(), TraceKind::kMsgSend, MsgTraceTag(*msg), from,
                  to.size(), wire);
-  }
-  if (partitioned_) {
-    // Every protocol multicast today is replica-to-replicas (one partition);
-    // handle a mixed fan-out defensively with a per-entry loop that
-    // preserves array order for sequence parity with the batch path.
-    const uint32_t src_owner = OwnerOf(from);
-    bool mixed = false;
-    for (ReplicaId dest : to) {
-      if (OwnerOf(dest) != src_owner) {
-        mixed = true;
-        break;
-      }
-    }
-    if (mixed) {
-      for (ReplicaId dest : to) {
-        if (dest == from) {
-          src.ScheduleDelivery(0, &loopback_, from, from, msg);
-          continue;
-        }
-        ++lane.messages_sent;
-        lane.bytes_sent += wire;
-        const SimTime sent_at = OccupyUplink(from, wire, base);
-        const SimTime prop =
-            row != nullptr ? row->at(dest) : latency_->OneWay(from, dest);
-        const SimTime delay =
-            (sent_at - src.now()) + PerturbPropagation(profile, prop);
-        if (OwnerOf(dest) == src_owner) {
-          src.ScheduleDelivery(delay, this, from, dest, msg);
-          continue;
-        }
-        CrossRecord rec;
-        rec.key.at = src.now() + delay;
-        rec.key.sched = src.now();
-        rec.key.src = src_owner;
-        rec.key.seq = src.AllocSeq();
-        rec.key.overflow = Simulator::WouldOverflow(rec.key.at, rec.key.sched);
-        rec.key.sink = this;
-        rec.key.from = from;
-        rec.key.to = dest;
-        rec.key.trace_parent = src.TraceContext();
-        rec.frame = EncodeMessage(*msg);
-        part_.exchange->Push(src_owner, OwnerOf(dest), std::move(rec));
-      }
-      return;
-    }
   }
   scratch_.clear();
   for (ReplicaId dest : to) {
@@ -222,28 +123,27 @@ void Network::Multicast(ReplicaId from, const std::vector<ReplicaId>& to,
       scratch_.push_back({&loopback_, from, 0});
       continue;
     }
-    ++lane.messages_sent;
-    lane.bytes_sent += wire;
+    ++stats_.messages_sent;
+    stats_.bytes_sent += wire;
     const SimTime sent_at = OccupyUplink(from, wire, base);
     const SimTime prop =
         row != nullptr ? row->at(dest) : latency_->OneWay(from, dest);
     const SimTime delay =
-        (sent_at - src.now()) + PerturbPropagation(profile, prop);
+        (sent_at - sim_->now()) + PerturbPropagation(profile, prop);
     scratch_.push_back({this, dest, delay});
   }
-  src.ScheduleDeliveryBatch(from, scratch_.data(), scratch_.size(),
-                            std::move(msg));
+  sim_->ScheduleDeliveryBatch(from, scratch_.data(), scratch_.size(),
+                              std::move(msg));
 }
 
 void Network::SendSelf(ReplicaId id, MessagePtr msg) {
-  Simulator& src = SrcSimOf(id);
-  if (faults_->IsCrashedAt(id, src.now())) {
+  if (faults_->IsCrashedAt(id, sim_->now())) {
     return;
   }
   // Loopback skips the wire but not the CPU: a crypto-saturated replica
   // processes its own messages late too. Zero without a cost model.
-  const SimTime delay = SendBase(id, src) - src.now();
-  src.ScheduleDelivery(delay, &loopback_, id, id, std::move(msg));
+  const SimTime delay = SendBase(id) - sim_->now();
+  sim_->ScheduleDelivery(delay, &loopback_, id, id, std::move(msg));
 }
 
 }  // namespace optilog

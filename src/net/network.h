@@ -36,27 +36,6 @@ struct NetworkStats {
   uint64_t bytes_sent = 0;
 };
 
-// One cross-partition delivery in flight between two partitions: the
-// source-stamped ordering key plus the canonical wire bytes. The message
-// object itself never crosses — the destination decodes a fresh, pool-less
-// copy on its own thread (the MessagePool refcount transfer path).
-struct CrossRecord {
-  Simulator::ForeignDelivery key;
-  Bytes frame;
-};
-
-// Where a partitioned network hands cross-partition sends. Implemented by
-// the partition executor (src/shard/parallel_exec.*): per-(src, dst) lanes
-// drained at window barriers, or eagerly by the merged sequential driver.
-class CrossExchange {
- public:
-  virtual void Push(uint32_t src_partition, uint32_t dst_partition,
-                    CrossRecord rec) = 0;
-
- protected:
-  ~CrossExchange() = default;
-};
-
 class Network : private DeliverySink {
  public:
   Network(Simulator* sim, const LatencyModel* latency, const FaultModel* faults)
@@ -110,54 +89,7 @@ class Network : private DeliverySink {
   // is excluded from NetworkStats.
   void SendSelf(ReplicaId id, MessagePtr msg);
 
-  // Partition map for a net whose actors span partitions (a shard net in
-  // txn mode: its replicas live on the home partition, the per-shard 2PC
-  // coordinators on theirs, the TxnFleet clients on the client partition).
-  // Id layout is the ShardedDeployment contract: ids below coord_base are
-  // this net's replicas (home), [coord_base, client_base) are per-shard
-  // coordinators (id - coord_base), everything above is the client
-  // partition.
-  struct PartitionPlan {
-    uint32_t home = 0;
-    uint32_t coord_base = 0;
-    uint32_t client_base = 0;
-    uint32_t client_partition = 0;
-    CrossExchange* exchange = nullptr;
-    std::vector<Simulator*> sims;  // indexed by partition
-  };
-
-  // Switches the net into partitioned mode. Pre-sizes the uplink table and
-  // the CPU meter so the concurrent read paths (OccupyUplink by disjoint
-  // senders, ReadyAt by any partition) never resize; splits NetworkStats
-  // into one lane per partition so Send/OnDelivery touch only the acting
-  // partition's counters.
-  void EnableParallel(PartitionPlan plan);
-
-  // Partition that owns actor `id` under the plan (home when not
-  // partitioned).
-  uint32_t OwnerOf(ReplicaId id) const {
-    if (!partitioned_ || id < part_.coord_base) {
-      return part_.home;
-    }
-    if (id < part_.client_base) {
-      return id - part_.coord_base;
-    }
-    return part_.client_partition;
-  }
-  bool partitioned() const { return partitioned_; }
-
-  // Wire counters summed across partition lanes (a single lane when not
-  // partitioned). By value: partitioned runs have no single authoritative
-  // struct to reference.
-  NetworkStats stats() const {
-    NetworkStats total;
-    for (const NetworkStats& lane : stats_lanes_) {
-      total.messages_sent += lane.messages_sent;
-      total.messages_delivered += lane.messages_delivered;
-      total.bytes_sent += lane.bytes_sent;
-    }
-    return total;
-  }
+  const NetworkStats& stats() const { return stats_; }
   Simulator* sim() { return sim_; }
   const LatencyModel* latency() const { return latency_; }
   const FaultModel* faults() const { return faults_; }
@@ -194,21 +126,9 @@ class Network : private DeliverySink {
   SimTime OccupyUplink(ReplicaId from, size_t bytes, SimTime not_before);
 
   // Departure base for `from`'s next send: the CPU-ready instant under a
-  // cost model, now() without one. `src` is the clock of the partition that
-  // owns `from` (sim_ when not partitioned).
-  SimTime SendBase(ReplicaId from, const Simulator& src) const {
-    return cpu_ != nullptr ? cpu_->ReadyAt(from, src.now()) : src.now();
-  }
-
-  // Clock/scheduler of the partition that owns `id`. All partitions==1
-  // traffic resolves to sim_, keeping the legacy path branch-cheap.
-  Simulator& SrcSimOf(ReplicaId id) const {
-    return partitioned_ ? *part_.sims[OwnerOf(id)] : *sim_;
-  }
-
-  // Stats lane of the partition acting on behalf of `id`.
-  NetworkStats& LaneOf(ReplicaId id) {
-    return partitioned_ ? stats_lanes_[OwnerOf(id)] : stats_lanes_[0];
+  // cost model, now() without one.
+  SimTime SendBase(ReplicaId from) const {
+    return cpu_ != nullptr ? cpu_->ReadyAt(from, sim_->now()) : sim_->now();
   }
 
   // Dense actor table; a hole (nullptr) is an unregistered id.
@@ -229,11 +149,7 @@ class Network : private DeliverySink {
   std::function<bool(const Message&)> is_proposal_;
   std::function<bool(const Message&)> is_probe_;
   LoopbackSink loopback_;
-  bool partitioned_ = false;
-  PartitionPlan part_;
-  // One counter lane per partition (exactly one when not partitioned), so
-  // concurrently-executing partitions never share a cache line of counters.
-  std::vector<NetworkStats> stats_lanes_ = std::vector<NetworkStats>(1);
+  NetworkStats stats_;
 };
 
 }  // namespace optilog

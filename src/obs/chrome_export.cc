@@ -51,7 +51,7 @@ std::string ChromeTraceJson(const std::vector<TraceRecord>& records) {
     w.Key("name").String(TraceKindName(r.kind));
     w.Key("ph").String("i");
     w.Key("ts").Int(r.t);
-    w.Key("pid").Uint(r.id >> 48);
+    w.Key("pid").Uint(0);
     w.Key("tid").Uint(r.actor);
     w.Key("s").String("t");
     w.Key("args").BeginObject();

@@ -1,20 +1,18 @@
 // Periodic gauge sampling on simulated time.
 //
-// A GaugeSampler rides one partition's Simulator as a typed timer target:
-// every `interval` of sim time it reads each registered gauge callback and
-// appends the value to that gauge's series. Samplers are strictly
-// partition-confined — every registered callback must read only state owned
-// by the sampler's partition (protocol frontiers, queue depths, the
-// partition's own pool/CPU counters), which is what keeps the sampled series
-// byte-identical at any --sim-threads value. Driver-dependent quantities
-// (cross-partition lag, wall clock) stay out; the one subtle case, pending
-// event counts, uses the simulator's native-pending counter (foreign-record
-// insertion timing is driver-dependent, native scheduling is not).
+// A GaugeSampler rides a Simulator as a typed timer target: every `interval`
+// of sim time it reads each registered gauge callback and appends the value
+// to that gauge's series. Callbacks read simulated state only (protocol
+// frontiers, queue depths, the simulator's pending count and pool counters,
+// CPU backlogs) — never wall clock — so the sampled series are byte-identical
+// across reruns and --threads values. A sharded deployment's groups share
+// one simulator: each group samples its own state under an "s<i>." prefix,
+// and the simulator-wide gauges are sampled once for the whole deployment.
 //
 // Sampling schedules real timer events, so unlike the TraceRecorder it is
 // NOT schedule-neutral: runs with sampling on have their own fingerprints.
 // The trace_breakdown scenario pins both: the trace-only fingerprint equals
-// the untraced one, and the sampled run is byte-identical across drivers.
+// the untraced one, and the sampled run is byte-identical across reruns.
 #pragma once
 
 #include <functional>

@@ -19,8 +19,8 @@ struct Chain {
 
 StageBreakdown ComputeStageBreakdown(const std::vector<TraceRecord>& records) {
   // Keyed by (client id, request id). std::map keeps the fold order
-  // deterministic; first record of each kind wins (records arrive in merged
-  // trace order, so "first" is the earliest — retries and duplicate
+  // deterministic; first record of each kind wins (records arrive in trace
+  // order, so "first" is the earliest — retries and duplicate
   // deliveries fold away exactly as the leader's dedup folds them).
   std::map<std::pair<uint64_t, uint64_t>, Chain> chains;
   for (const TraceRecord& r : records) {

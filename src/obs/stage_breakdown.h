@@ -1,4 +1,4 @@
-// Per-committed-request critical-path decomposition over a merged trace.
+// Per-committed-request critical-path decomposition over a trace.
 //
 // A committed request leaves six lifecycle records keyed by
 // (request id, client id): client_send -> queue_admit -> batch_seal ->

@@ -1,35 +1,6 @@
 #include "src/obs/trace.h"
 
-#include <algorithm>
-
 namespace optilog {
-
-std::vector<TraceRecord> MergeTraces(
-    const std::vector<const TraceRecorder*>& parts) {
-  std::vector<TraceRecord> out;
-  size_t total = 0;
-  for (const TraceRecorder* p : parts) {
-    if (p != nullptr) {
-      total += p->size();
-    }
-  }
-  out.reserve(total);
-  for (const TraceRecorder* p : parts) {
-    if (p != nullptr) {
-      out.insert(out.end(), p->records().begin(), p->records().end());
-    }
-  }
-  // (t, partition, counter): partition and counter are both packed in `id`,
-  // so (t, id) is the full key. Each partition's stream is already
-  // t-monotone; stable_sort keeps equal keys impossible (ids are unique).
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceRecord& x, const TraceRecord& y) {
-                     if (x.t != y.t) return x.t < y.t;
-                     return x.id < y.id;
-                   });
-  return out;
-}
-
 namespace {
 
 void PutU64(std::string& s, uint64_t v) {

@@ -1,28 +1,28 @@
 // Deterministic flight recorder: fixed-width causal trace records.
 //
-// A TraceRecorder is a per-Simulator (per event-core partition) append-only
-// segment buffer of 48-byte records. It is off by default and costs one
-// null-pointer test per event when disabled; when enabled it is
-// schedule-neutral — recording never schedules events, never allocates from
-// the MessagePool, and never perturbs the simulator's (at, sched, src, seq)
-// key assignment — so every committed metrics fingerprint is byte-identical
-// with the recorder on or off (pinned by tests/obs_test.cc).
+// A TraceRecorder is a per-Simulator append-only buffer of 48-byte records.
+// It is off by default and costs one null-pointer test per event when
+// disabled; when enabled it is schedule-neutral — recording never schedules
+// events, never allocates from the MessagePool, and never perturbs the
+// simulator's (at, seq) key assignment — so every committed metrics
+// fingerprint is byte-identical with the recorder on or off (pinned by
+// tests/obs_test.cc).
 //
-// Record identity and causality: a record's id is (partition << 48) | k
-// where k is the partition's emission counter. The simulator stamps the
-// recorder's *current context* — the id of the dispatch record whose handler
-// is executing — into every event slot it commits (and into ForeignDelivery
-// keys for cross-partition sends), so each dispatch record's `parent` is the
-// dispatch that scheduled it and protocol span records parent to the
-// dispatch they were emitted under. The whole trace is a forest rooted at
-// externally scheduled work (Start() arming, initial timers).
+// Record identity and causality: a record's id is the recorder's 1-based
+// emission counter, so ids are unique and increase in emission order. The
+// simulator stamps the recorder's *current context* — the id of the dispatch
+// record whose handler is executing — into every event slot it commits, so
+// each dispatch record's `parent` is the dispatch that scheduled it and
+// protocol span records parent to the dispatch they were emitted under. The
+// whole trace is a forest rooted at externally scheduled work (Start()
+// arming, initial timers). A sharded deployment runs every shard group on
+// one simulator, so its trace is one stream whose causal edges cross shard
+// groups freely.
 //
-// Determinism contract: within one partition, execution order is driver-
-// invariant (the PDES conservative-lookahead guarantee), so each partition's
-// record stream is byte-identical at any --sim-threads value; the merged
-// trace orders records by (t, partition, k) — a pure function of the
-// records — and is therefore byte-identical too (pinned by obs_test and the
-// trace_breakdown scenario).
+// Determinism contract: a run's record stream is a pure function of the
+// deployment and its seed, and records are emitted in (t, id) order, so
+// TraceBytes is byte-identical across reruns and --threads values (pinned by
+// obs_test and the trace_breakdown scenario).
 #pragma once
 
 #include <cstdint>
@@ -62,7 +62,7 @@ enum class TraceKind : uint16_t {
 // serialization the determinism pins compare).
 struct TraceRecord {
   SimTime t = 0;        // sim time of emission
-  uint64_t id = 0;      // (partition << 48) | per-partition counter, 1-based
+  uint64_t id = 0;      // emission counter, 1-based
   uint64_t parent = 0;  // causal parent record id; 0 = root
   uint16_t kind = 0;    // TraceKind
   uint16_t type = 0;    // kind-specific discriminator (msg type, 2PC phase)
@@ -73,19 +73,16 @@ struct TraceRecord {
 
 class TraceRecorder {
  public:
-  explicit TraceRecorder(uint32_t partition) : partition_(partition) {}
+  TraceRecorder() = default;
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
-
-  uint32_t partition() const { return partition_; }
-  void SetPartition(uint32_t p) { partition_ = p; }
 
   // Appends a record and returns its id.
   uint64_t Emit(SimTime t, TraceKind kind, uint16_t type, uint32_t actor,
                 uint64_t a, uint64_t b, uint64_t parent) {
     TraceRecord r;
     r.t = t;
-    r.id = (static_cast<uint64_t>(partition_) << 48) | next_++;
+    r.id = next_++;
     r.parent = parent;
     r.kind = static_cast<uint16_t>(kind);
     r.type = type;
@@ -112,20 +109,13 @@ class TraceRecorder {
   size_t size() const { return records_.size(); }
 
  private:
-  uint32_t partition_;
   uint64_t next_ = 1;
   uint64_t current_ = 0;
   std::vector<TraceRecord> records_;
 };
 
-// Merges per-partition streams into the global trace order
-// (t, partition, counter) — a pure function of the records, identical under
-// every execution driver.
-std::vector<TraceRecord> MergeTraces(
-    const std::vector<const TraceRecorder*>& parts);
-
 // Canonical fixed-width little-endian serialization (48 bytes per record),
-// the byte string the determinism pins compare across --sim-threads values.
+// the byte string the determinism pins compare across reruns.
 std::string TraceBytes(const std::vector<TraceRecord>& records);
 
 // Human-readable kind name for exporters ("dispatch_delivery", "commit"...).

@@ -175,10 +175,10 @@ struct CryptoReport {
 
 // Gauge time-series sampled on simulated time (src/obs/gauge.h), filled when
 // the deployment enables gauge sampling; all empty with `enabled == false`.
-// Every series holds one value per elapsed `interval` of sim time, sampled
-// from partition-confined state only — byte-identical at any --sim-threads
-// value. Folded into the metrics fingerprint only when enabled, so
-// sampling-free runs keep their fingerprints.
+// Every series holds one value per elapsed `interval` of sim time —
+// byte-identical across reruns and --threads values. Folded into the metrics
+// fingerprint only when enabled, so sampling-free runs keep their
+// fingerprints.
 struct TimeseriesReport {
   bool enabled = false;
   SimTime interval = 0;  // sampling period (sim time)

@@ -50,8 +50,8 @@ void WriteBody(JsonWriter& w, const ScenarioRunResult& r, bool include_wall) {
     }
     w.EndObject();
     if (!p.timeseries.empty()) {
-      // Deterministic (partition-confined gauge reads on sim-time timers),
-      // so it lives in the digested body like metrics do.
+      // Deterministic (gauge reads on sim-time timers), so it lives in the
+      // digested body like metrics do.
       w.Key("timeseries").BeginObject();
       for (const auto& [name, values] : p.timeseries) {
         w.Key(name).BeginArray();
@@ -69,18 +69,8 @@ void WriteBody(JsonWriter& w, const ScenarioRunResult& r, bool include_wall) {
     w.Key("typed_timers").Uint(ec.typed_timers);
     w.Key("closure_events").Uint(ec.closure_events);
     w.Key("cancellations").Uint(ec.cancellations);
-    if (ec.partitions > 1) {
-      // Partitioned execution: the slab/pending high-water marks depend on
-      // when cross-partition records sit in executor lanes vs. destination
-      // queues, so they are driver-dependent (merged inserts eagerly,
-      // windowed at barriers) and leave the deterministic body; the
-      // partition count takes their place. Single-partition points emit
-      // the exact bytes they always did.
-      w.Key("partitions").Uint(ec.partitions);
-    } else {
-      w.Key("peak_slab_slots").Uint(ec.peak_slab_slots);
-      w.Key("peak_pending").Uint(ec.peak_pending);
-    }
+    w.Key("peak_slab_slots").Uint(ec.peak_slab_slots);
+    w.Key("peak_pending").Uint(ec.peak_pending);
     w.Key("wheel_overflow_events").Uint(ec.wheel_overflow_events);
     w.Key("message_pool_hits").Uint(ec.message_pool_hits);
     w.Key("message_pool_misses").Uint(ec.message_pool_misses);
@@ -88,19 +78,6 @@ void WriteBody(JsonWriter& w, const ScenarioRunResult& r, bool include_wall) {
     w.Key("digest").String(p.digest);
     if (include_wall) {
       w.Key("wall_ms").Double(p.wall_ms);
-      if (ec.partitions > 1) {
-        // Advisory parallel-execution block: wall-clock- and
-        // driver-dependent, full JSON only (never digested).
-        w.Key("parallel").BeginObject();
-        w.Key("lookahead_us").Uint(ec.lookahead_us);
-        w.Key("barrier_count").Uint(ec.barrier_count);
-        w.Key("partition_ev_per_sec").BeginArray();
-        for (double v : ec.partition_ev_per_sec) {
-          w.Double(v);
-        }
-        w.EndArray();
-        w.EndObject();
-      }
     }
     w.EndObject();
   }

@@ -179,20 +179,8 @@ std::string MetricsFingerprint(const MetricsReport& m) {
   u(m.event_core.typed_timers);
   u(m.event_core.closure_events);
   u(m.event_core.cancellations);
-  if (m.event_core.partitions > 1) {
-    // Partitioned execution: the slab/pending high-water marks depend on
-    // when cross-partition records sit in executor lanes vs. destination
-    // queues — merged driver inserts eagerly, windowed at barriers — so
-    // they are driver-dependent even though the executed event sequence is
-    // byte-identical. The partition count (a pure function of the
-    // deployment shape) takes their place in the blob. Single-partition
-    // runs hash the exact same blob as before partitioned execution.
-    blob += "par|";
-    u(m.event_core.partitions);
-  } else {
-    u(m.event_core.peak_slab_slots);
-    u(m.event_core.peak_pending);
-  }
+  u(m.event_core.peak_slab_slots);
+  u(m.event_core.peak_pending);
   blob += "|";
   u(m.workload.enabled ? 1 : 0);
   u(m.workload.requests_sent);

@@ -12,12 +12,6 @@ namespace optilog {
 ShardedDeployment::~ShardedDeployment() = default;
 
 ReplicaId ShardedDeployment::Route(uint32_t s) {
-  // Partitioned mode routes on the build-time anchor: a live read of the
-  // tree root / PBFT leader would cross partitions. Retries rotate through
-  // the shard's replicas, so a stale target only costs one forward hop.
-  if (!static_route_.empty()) {
-    return static_route_.at(s);
-  }
   Deployment& d = shard(s);
   if (IsTreeProtocol(d.protocol())) {
     return d.tree().topology().root();
@@ -41,31 +35,9 @@ void ShardedDeployment::Start() {
   }
 }
 
-void ShardedDeployment::RunUntil(SimTime t) {
-  if (exec_ != nullptr) {
-    exec_->RunUntil(t);
-  } else {
-    psims_[0]->RunUntil(t);
-  }
-  clock_ = t;
-}
-
 std::vector<TraceRecord> ShardedDeployment::TraceRecords() const {
-  std::vector<const TraceRecorder*> recorders;
-  for (const auto& sim : psims_) {
-    if (sim->trace() != nullptr) {
-      recorders.push_back(sim->trace());
-    }
-  }
-  return MergeTraces(recorders);
-}
-
-size_t ShardedDeployment::SlabCapacity() const {
-  size_t total = 0;
-  for (const auto& sim : psims_) {
-    total += sim->slab_capacity();
-  }
-  return total;
+  const TraceRecorder* tr = sim_.trace();
+  return tr != nullptr ? tr->records() : std::vector<TraceRecord>{};
 }
 
 MetricsReport ShardedDeployment::Metrics() {
@@ -160,8 +132,7 @@ MetricsReport ShardedDeployment::Metrics() {
 
     if (m.timeseries.enabled) {
       // Per-shard series side by side under "s<i>." prefixes (shard order =
-      // series order); each shard samples on its own partition clock, so the
-      // arrays are individually driver-invariant and concatenation is too.
+      // series order); the simulator-wide gauges follow, unprefixed.
       agg.timeseries.enabled = true;
       agg.timeseries.interval = m.timeseries.interval;
       const std::string prefix = "s" + std::to_string(si) + ".";
@@ -183,46 +154,12 @@ MetricsReport ShardedDeployment::Metrics() {
     agg.statemachine.state_digest_hex =
         digests_equal ? DigestHex(Sha256::Hash(digest_concat)) : "";
   }
-  if (partitions() > 1) {
-    // Deterministic counters summed across partitions (identical under the
-    // merged and windowed drivers — every partition executes the same event
-    // sequence either way). The peaks are per-partition high-water marks
-    // whose sum has no shared-simulator analogue, and the parallel fields
-    // are wall-clock advisories; the runner keeps all of those out of the
-    // fingerprint and the deterministic body.
-    EventCoreStats ec;
-    ec.partitions = partitions();
-    for (const auto& sim : psims_) {
-      const EventCoreStats s = sim->event_core_stats();
-      ec.events_executed += s.events_executed;
-      ec.typed_deliveries += s.typed_deliveries;
-      ec.typed_timers += s.typed_timers;
-      ec.closure_events += s.closure_events;
-      ec.cancellations += s.cancellations;
-      ec.peak_slab_slots += s.peak_slab_slots;
-      ec.peak_pending += s.peak_pending;
-      ec.wheel_overflow_events += s.wheel_overflow_events;
-      ec.message_pool_hits += s.message_pool_hits;
-      ec.message_pool_misses += s.message_pool_misses;
-      if (exec_->parallel()) {
-        ec.partition_ev_per_sec.push_back(
-            s.wall_seconds > 0.0
-                ? static_cast<double>(s.events_executed) / s.wall_seconds
-                : 0.0);
-      }
+  if (gauges_ != nullptr) {
+    for (const GaugeSampler::Series& ts : gauges_->series()) {
+      agg.timeseries.series.push_back({ts.name, ts.values});
     }
-    ec.wall_seconds = exec_->wall_seconds();
-    ec.lookahead_us =
-        exec_->lookahead() == PartitionExecutor::kUnboundedLookahead
-            ? 0
-            : static_cast<uint64_t>(exec_->lookahead());
-    ec.barrier_count = exec_->barrier_count();
-    agg.event_core = ec;
-  } else {
-    // Every shard schedules on the shared simulator, so any shard's
-    // event-core view is THE event-core view.
-    agg.event_core = shards_[0]->Metrics().event_core;
   }
+  agg.event_core = sim_.event_core_stats();
 
   if (fleet_ != nullptr) {
     fleet_->FillReport(agg.txn);
@@ -245,11 +182,10 @@ std::unique_ptr<ShardedDeployment> Deployment::Builder::BuildSharded() {
   const uint64_t base_seed = seed_.value_or(1);
   const uint32_t shards = shards_;
   const bool txn_mode = txn_workload_.clients_per_shard > 0;
-  // Position C: more than one shard always runs partitioned — one event
-  // core per shard group, plus a client partition in transaction mode. One
-  // shard keeps the single shared simulator and the legacy event order.
-  const uint32_t partitions =
-      shards == 1 ? 1 : shards + (txn_mode ? 1 : 0);
+  // A lone group without transactions reports verbatim (Metrics), so it
+  // keeps the simulator-wide gauges in its own sampler; otherwise the
+  // deployment samples them once instead of once per shard.
+  const bool sole_group = shards == 1 && !txn_mode;
   sd->router_ = KeyRouter(RouterKind::kHash, shards);
   sd->cross_pct_ = static_cast<uint32_t>(
       std::llround(cross_shard_ratio_ * 100.0));
@@ -259,16 +195,12 @@ std::unique_ptr<ShardedDeployment> Deployment::Builder::BuildSharded() {
     OL_CHECK_MSG(workload_.has_value() && statemachine_.has_value(),
                  "WithTxnWorkload requires WithWorkload + WithStateMachine");
   }
-
-  for (uint32_t p = 0; p < partitions; ++p) {
-    sd->psims_.push_back(std::make_unique<Simulator>());
-    sd->psims_[p]->SetPartition(p);
-    if (trace_ || gauge_interval_ > 0) {
-      // After SetPartition (record ids embed the partition) and before any
-      // scheduling. Covers the client partition too, which never goes
-      // through BuildInternal; the per-shard EnableTrace calls are no-ops.
-      sd->psims_[p]->EnableTrace();
-    }
+  // Shared-simulator setup that must precede any group's scheduling.
+  if (heap_scheduler_) {
+    sd->sim_.UseHeapScheduler();
+  }
+  if (trace_ || gauge_interval_ > 0) {
+    sd->sim_.EnableTrace();
   }
 
   const uint32_t total_clients = txn_workload_.clients_per_shard * shards;
@@ -288,7 +220,7 @@ std::unique_ptr<ShardedDeployment> Deployment::Builder::BuildSharded() {
       b.workload_->spawn_fleet = false;
       b.workload_->extra_client_slots = shards + total_clients;
     }
-    sd->shards_.push_back(b.BuildInternal(&sd->ShardSim(s)));
+    sd->shards_.push_back(b.BuildInternal(&sd->sim_, sole_group));
   }
   sd->n_ = sd->shards_[0]->n();
   for (auto& d : sd->shards_) {
@@ -296,17 +228,6 @@ std::unique_ptr<ShardedDeployment> Deployment::Builder::BuildSharded() {
   }
 
   if (txn_mode) {
-    if (partitions > 1) {
-      // The client partition's scheduler never goes through BuildInternal:
-      // mirror its configuration here, with the slab hint summed over the
-      // per-shard client populations (one outstanding transaction each,
-      // times the usual in-flight factor).
-      Simulator& csim = sd->ClientSim();
-      if (heap_scheduler_) {
-        csim.UseHeapScheduler();
-      }
-      csim.ReserveHint(4 * static_cast<size_t>(total_clients) + 64);
-    }
     for (uint32_t s = 0; s < shards; ++s) {
       const ReplicaId anchor = sd->Route(s);
       auto coord = std::make_unique<TxnCoordinator>(
@@ -336,78 +257,15 @@ std::unique_ptr<ShardedDeployment> Deployment::Builder::BuildSharded() {
     }
   }
 
-  if (partitions > 1) {
-    // Freeze the routing table before any partition starts executing: the
-    // anchors read here are the build-time leaders/roots.
-    std::vector<ReplicaId> routes;
-    routes.reserve(shards);
-    for (uint32_t s = 0; s < shards; ++s) {
-      routes.push_back(sd->Route(s));
-    }
-    sd->static_route_ = std::move(routes);
-
-    // Static conservative lookahead: the smallest one-way delay between any
-    // two ids owned by different partitions, over every shard network. Only
-    // transaction mode has cross-partition edges at all; a fault model that
-    // can compress outbound delays below the static minimum forces the
-    // merged sequential driver (lookahead 0).
-    SimTime lookahead = PartitionExecutor::kUnboundedLookahead;
-    if (txn_mode) {
-      const uint32_t n = sd->n_;
-      const uint32_t total_ids = n + shards + total_clients;
-      auto owner_of = [&](uint32_t home, uint32_t id) -> uint32_t {
-        if (id < n) {
-          return home;
-        }
-        if (id < n + shards) {
-          return id - n;
-        }
-        return shards;
-      };
-      for (uint32_t t = 0; t < shards; ++t) {
-        const LatencyModel* lat = sd->shards_[t]->net().latency();
-        for (uint32_t a = 0; a < total_ids; ++a) {
-          for (uint32_t b = 0; b < total_ids; ++b) {
-            if (a == b || owner_of(t, a) == owner_of(t, b)) {
-              continue;
-            }
-            lookahead = std::min(lookahead, lat->OneWay(a, b));
-          }
-        }
-      }
-      for (uint32_t s = 0; s < shards; ++s) {
-        if (sd->shards_[s]->faults().MinOutboundDelayFactor() < 1.0) {
-          lookahead = 0;
-        }
-      }
-    }
-
-    std::vector<Simulator*> sims;
-    sims.reserve(partitions);
-    for (auto& sim : sd->psims_) {
-      sims.push_back(sim.get());
-    }
-    unsigned threads = sim_threads_ != 0 ? sim_threads_ : GlobalSimThreads();
-    if (threads == 0) {
-      threads = 1;
-    }
-    sd->exec_ =
-        std::make_unique<PartitionExecutor>(sims, lookahead, threads);
-
-    if (txn_mode) {
-      // Only transaction-mode nets carry cross-partition actors; without a
-      // fleet every net is fully partition-local and needs no plan.
-      for (uint32_t t = 0; t < shards; ++t) {
-        Network::PartitionPlan plan;
-        plan.home = t;
-        plan.coord_base = sd->n_;
-        plan.client_base = sd->n_ + shards;
-        plan.client_partition = shards;
-        plan.exchange = sd->exec_.get();
-        plan.sims = sims;
-        sd->shards_[t]->net().EnableParallel(std::move(plan));
-      }
-    }
+  if (gauge_interval_ > 0 && !sole_group) {
+    Simulator* sim = &sd->sim_;
+    sd->gauges_ = std::make_unique<GaugeSampler>(sim, gauge_interval_);
+    sd->gauges_->Add("pending_events",
+                     [sim] { return static_cast<double>(sim->pending()); });
+    sd->gauges_->Add("pool_hit_rate", [sim] {
+      return sim->event_core_stats().message_pool_hit_rate();
+    });
+    sd->gauges_->Start();
   }
   return sd;
 }

@@ -13,7 +13,7 @@ namespace optilog {
 TxnCoordinator::TxnCoordinator(ShardedDeployment* owner, uint32_t shard,
                                ReplicaId id, ReplicaId anchor)
     : owner_(owner),
-      sim_(&owner->ShardSim(shard)),
+      sim_(&owner->sim()),
       shard_(shard),
       id_(id),
       anchor_(anchor) {}

@@ -123,10 +123,7 @@ class TxnCoordinator : public Actor {
   uint64_t NewTxnId();
 
   ShardedDeployment* owner_;
-  // The home shard's partition scheduler: the coordinator is colocated with
-  // its anchor replica, so its timers, pool, and state reads are all
-  // partition-local (the shared simulator for a 1-shard deployment).
-  Simulator* sim_;
+  Simulator* sim_;  // the deployment's shared simulator
   const uint32_t shard_;    // home shard this coordinator serves
   const ReplicaId id_;      // network id on every shard
   const ReplicaId anchor_;  // colocated replica whose crashes are ours

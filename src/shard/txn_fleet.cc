@@ -324,10 +324,7 @@ void TxnFleet::Start() {
   }
 }
 
-// The client partition's scheduler when the deployment is partitioned (all
-// client timers, pool allocations, and cancels stay partition-local); the
-// shared simulator otherwise.
-Simulator& TxnFleet::sim() { return owner_->ClientSim(); }
+Simulator& TxnFleet::sim() { return owner_->sim(); }
 
 uint32_t TxnFleet::owner_shards() const { return owner_->shards(); }
 

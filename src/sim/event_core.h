@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "src/sim/ids.h"
 #include "src/sim/message.h"
@@ -71,22 +70,10 @@ struct EventCoreStats {
   uint64_t message_pool_misses = 0;
   // Wall-clock seconds spent inside RunUntil/RunAll, for events/sec.
   double wall_seconds = 0.0;
-  // Partitioned execution (src/shard/parallel_exec.*): number of event-core
-  // partitions the deployment ran on. 1 for every single-simulator run.
-  // Deterministic (a pure function of the deployment shape), so it joins
-  // the fingerprint whenever it exceeds 1.
+  // Event-core partitions the deployment ran on: always 1, since every
+  // deployment (sharded ones included) schedules on one simulator. Kept for
+  // report readers that still print it; not fingerprinted.
   uint32_t partitions = 1;
-  // --- advisory parallel-execution fields: wall-clock- or driver-dependent,
-  // never fingerprinted and never in the deterministic JSON body. ----------
-  // Static conservative lookahead L between partitions, microseconds
-  // (0 = merged sequential driver forced; very large = no cross edges).
-  uint64_t lookahead_us = 0;
-  // Window barriers the parallel driver synchronized on (0 under the merged
-  // sequential driver — driver-dependent by construction).
-  uint64_t barrier_count = 0;
-  // Per-partition events/sec over that partition's own run-loop wall time
-  // (empty under the merged driver, which executes all partitions inline).
-  std::vector<double> partition_ev_per_sec;
 
   // Events that skipped the generic-closure lane — each would have paid a
   // type-erased std::function (with its possible heap allocation) plus a

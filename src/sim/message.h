@@ -17,27 +17,10 @@
 // never shares a message between them, so plain increments are safe and TSan
 // stays quiet. Anything that would move a message across simulators must
 // copy the payload instead.
-//
-// Partitioned execution (src/shard/parallel_exec.*) EXTENDS the contract
-// rather than relaxing it: a sharded deployment runs one Simulator — and one
-// MessagePool — per partition, and a message stays confined to the partition
-// whose pool (or whose MakeMessage call) created it. Cross-partition sends
-// never hand a Message over; the network serializes the canonical bytes into
-// the barrier queue and the destination partition decodes a fresh, pool-less
-// copy on its own thread (Network::Send cross path + Simulator::
-// InsertForeign). Debug and TSan builds latch each message to the partition
-// context that first touches its refcount (ScopedMessagePartition, set by
-// the partition drivers around every window and inbox drain) and abort on a
-// second-partition touch — the would-be data race caught as a determinism
-// bug even in single-threaded merged runs. Release builds compile the latch
-// out; under TSan the non-atomic count itself also stays visible to the race
-// detector, so a contract violation fires there twice over.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <new>
 #include <string>
 #include <type_traits>
@@ -46,62 +29,9 @@
 
 #include "src/util/bytes.h"
 
-// Owner-latch builds: debug, and every ThreadSanitizer build (where the
-// latch writes double as an annotation — a cross-partition refcount touch
-// races on owner_ itself, so TSan flags the contract violation even if the
-// interleaving happens to dodge the abort).
-#if defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define OPTILOG_TSAN 1
-#endif
-#elif defined(__SANITIZE_THREAD__)
-#define OPTILOG_TSAN 1
-#endif
-#if !defined(NDEBUG) || defined(OPTILOG_TSAN)
-#define OPTILOG_MESSAGE_OWNER_CHECKS 1
-#endif
-
 namespace optilog {
 
 class MessagePool;
-
-#ifdef OPTILOG_MESSAGE_OWNER_CHECKS
-namespace detail {
-// The partition context of the current thread: null outside partition
-// drivers (legacy single-simulator runs keep the latch dormant).
-inline thread_local const void* g_message_partition_ctx = nullptr;
-}  // namespace detail
-#endif
-
-// RAII partition context for the Message owner latch. The partition drivers
-// (src/shard/parallel_exec.*) install one — keyed on the partition's
-// Simulator — around every window body, merged-driver dispatch, and inbox
-// drain; refcount touches inside latch the message to that partition and
-// abort if it was already latched to another. Compiles to nothing in
-// release builds without TSan.
-class ScopedMessagePartition {
- public:
-  explicit ScopedMessagePartition(const void* ctx) {
-#ifdef OPTILOG_MESSAGE_OWNER_CHECKS
-    prev_ = detail::g_message_partition_ctx;
-    detail::g_message_partition_ctx = ctx;
-#else
-    (void)ctx;
-#endif
-  }
-  ScopedMessagePartition(const ScopedMessagePartition&) = delete;
-  ScopedMessagePartition& operator=(const ScopedMessagePartition&) = delete;
-  ~ScopedMessagePartition() {
-#ifdef OPTILOG_MESSAGE_OWNER_CHECKS
-    detail::g_message_partition_ctx = prev_;
-#endif
-  }
-
- private:
-#ifdef OPTILOG_MESSAGE_OWNER_CHECKS
-  const void* prev_ = nullptr;
-#endif
-};
 
 // Message namespace discriminator: protocol-scoped type tags (int type())
 // are only unique within a family — the statemachine and shard layers both
@@ -162,43 +92,12 @@ class Message {
   friend class MessagePool;
   friend class Simulator;  // bulk multicast: one AddRef(n-1) per fan-out
 
-  void AddRef(uint32_t k = 1) const {
-    LatchOwner();
-    refs_ += k;
-  }
+  void AddRef(uint32_t k = 1) const { refs_ += k; }
   void Release() const;  // defined after MessagePool
-
-  // Latches the message to the first partition context that touches its
-  // refcount and aborts on a touch from a second one — the extended
-  // confinement contract, enforced where a violation would otherwise be a
-  // silent data race on the non-atomic count. No-op outside partition
-  // drivers (context null) and in release builds without TSan.
-  void LatchOwner() const {
-#ifdef OPTILOG_MESSAGE_OWNER_CHECKS
-    const void* ctx = detail::g_message_partition_ctx;
-    if (ctx == nullptr) {
-      return;
-    }
-    if (owner_ == nullptr) {
-      owner_ = ctx;
-    } else if (owner_ != ctx) {
-      std::fprintf(stderr,
-                   "Message owner-latch violation: %s refcount touched from "
-                   "two partitions without a barrier handoff\n",
-                   Name().c_str());
-      std::abort();
-    }
-#endif
-  }
 
   // Mutable: refcounting happens through const Message (MessagePtr aliases
   // an immutable message). Single-threaded by the confinement contract.
   mutable uint32_t refs_ = 0;
-#ifdef OPTILOG_MESSAGE_OWNER_CHECKS
-  // Partition context the message is latched to (null until first touched
-  // inside a partition driver). Reset by construction on every pool recycle.
-  mutable const void* owner_ = nullptr;
-#endif
   // Pool that owns the storage, or nullptr for plain heap (MakeMessage
   // fallback used by tests and cold paths). Set by MessagePool::Make after
   // construction; never copied.
@@ -381,7 +280,6 @@ class MessagePool {
 };
 
 inline void Message::Release() const {
-  LatchOwner();
   if (--refs_ == 0) {
     if (pool_ != nullptr) {
       pool_->Recycle(this);

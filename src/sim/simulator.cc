@@ -83,18 +83,20 @@ void Simulator::InsertWheel(uint32_t index, uint64_t tick) {
   if (tail == kNil) {
     bucket_head_[b] = index;
     bucket_tail_[b] = index;
-  } else if (!SlotBefore(slot, slots_[tail])) {
-    // Native schedules carry the locally largest (sched, seq), so the chain
-    // order permits a tail append whenever the full key doesn't invert — the
-    // overwhelmingly common case (first comparison decides on `at`).
+  } else if (slots_[tail].at <= slot.at) {
+    // Fresh schedules carry the globally largest seq, so the chain order
+    // (at, seq) permits a tail append whenever the fire times don't invert —
+    // the overwhelmingly common case.
     slots_[tail].next = index;
     bucket_tail_[b] = index;
   } else {
-    // Out-of-order key within the tick (an overflow migration or a foreign
-    // insert landing behind younger residents): walk for the insertion point.
+    // Out-of-order fire time within the tick (or an overflow migration
+    // landing behind younger residents): walk for the insertion point.
     uint32_t prev = kNil;
     uint32_t cur = bucket_head_[b];
-    while (cur != kNil && SlotBefore(slots_[cur], slot)) {
+    while (cur != kNil &&
+           (slots_[cur].at < slot.at ||
+            (slots_[cur].at == slot.at && slots_[cur].seq < slot.seq))) {
       prev = cur;
       cur = slots_[cur].next;
     }
@@ -164,17 +166,14 @@ EventId Simulator::Commit(SimTime at, uint32_t index) {
   at = std::max(at, now_);
   Slot& slot = slots_[index];
   slot.at = at;
-  slot.sched = now_;
-  slot.src = partition_;
   slot.seq = next_seq_++;
   if (trace_ != nullptr) {
     slot.trace_parent = trace_->current();
-    ++native_pending_;
   }
   ++live_;
   stats_.peak_pending = std::max(stats_.peak_pending, live_);
   if (use_heap_) {
-    HeapPush(Key{at, slot.sched, slot.seq, slot.src, index, slot.gen});
+    HeapPush(Key{at, slot.seq, index, slot.gen});
   } else {
     EnsureWheel();
     const uint64_t tick = TickOf(at);
@@ -182,50 +181,11 @@ EventId Simulator::Commit(SimTime at, uint32_t index) {
       InsertWheel(index, tick);
     } else {
       slot.in_wheel = false;
-      HeapPush(Key{at, slot.sched, slot.seq, slot.src, index, slot.gen});
+      HeapPush(Key{at, slot.seq, index, slot.gen});
       ++stats_.wheel_overflow_events;
     }
   }
   return PackId(index, slot.gen);
-}
-
-void Simulator::InsertForeign(const ForeignDelivery& f, MessagePtr msg) {
-  OL_CHECK_MSG(f.at >= now_, "foreign delivery violates the lookahead bound");
-  const uint32_t index = AcquireSlot();
-  Slot& slot = slots_[index];
-  slot.kind = Kind::kDelivery;
-  slot.sink = f.sink;
-  slot.from = f.from;
-  slot.to = f.to;
-  slot.msg = std::move(msg);
-  slot.at = f.at;
-  slot.sched = f.sched;
-  slot.src = f.src;
-  slot.seq = f.seq;
-  if (trace_ != nullptr) {
-    slot.trace_parent = f.trace_parent;
-  }
-  ++live_;
-  stats_.peak_pending = std::max(stats_.peak_pending, live_);
-  ++stats_.typed_deliveries;
-  if (use_heap_) {
-    HeapPush(Key{slot.at, slot.sched, slot.seq, slot.src, index, slot.gen});
-    return;
-  }
-  // The overflow counter follows the source-computed flag, not the physical
-  // placement: the destination cursor position at insert time depends on the
-  // driver's barrier timing, while the flag is a pure function of the record.
-  if (f.overflow) {
-    ++stats_.wheel_overflow_events;
-  }
-  EnsureWheel();
-  const uint64_t tick = TickOf(slot.at);
-  if (tick < current_tick_ + kWheelBuckets) {
-    InsertWheel(index, tick);
-  } else {
-    slot.in_wheel = false;
-    HeapPush(Key{slot.at, slot.sched, slot.seq, slot.src, index, slot.gen});
-  }
 }
 
 EventId Simulator::ScheduleAt(SimTime at, std::function<void()> fn) {
@@ -309,9 +269,6 @@ void Simulator::Cancel(EventId id) {
   }
   // Heap/overflow residents just leave a generation-mismatched key that the
   // pop paths skip (without counting it as executed).
-  if (trace_ != nullptr && slots_[index].src == partition_) {
-    --native_pending_;
-  }
   ReleaseSlot(index);
   ++stats_.cancellations;
 }
@@ -351,13 +308,7 @@ void Simulator::Dispatch(uint32_t index) {
   now_ = slot.at;
   ++stats_.events_executed;
   TraceRecorder* const tr = trace_;
-  uint64_t tparent = 0;
-  if (tr != nullptr) {
-    tparent = slot.trace_parent;
-    if (slot.src == partition_) {
-      --native_pending_;
-    }
-  }
+  const uint64_t tparent = tr != nullptr ? slot.trace_parent : 0;
   // Move the payload out before releasing: the handler may schedule new
   // events, which can recycle this very slot (and grow the slab, so the
   // `slot` reference must not outlive ReleaseSlot either).
@@ -506,62 +457,6 @@ bool Simulator::PeekEarliest(SimTime* at) {
   }
   *at = slots_[index].at;
   return true;
-}
-
-bool Simulator::PeekNextKey(NextKey* key) {
-  uint32_t index;
-  bool from_wheel;
-  if (!PeekNext(&index, &from_wheel)) {
-    return false;
-  }
-  const Slot& s = slots_[index];
-  key->at = s.at;
-  key->sched = s.sched;
-  key->src = s.src;
-  key->seq = s.seq;
-  return true;
-}
-
-void Simulator::ExecuteEarliest() {
-  if (use_heap_) {
-    const bool ran = StepHeap();
-    OL_CHECK_MSG(ran, "ExecuteEarliest on an empty queue");
-    return;
-  }
-  uint32_t index;
-  bool from_wheel;
-  const bool ok = PeekNext(&index, &from_wheel);
-  OL_CHECK_MSG(ok, "ExecuteEarliest on an empty queue");
-  Execute(index, from_wheel);
-}
-
-void Simulator::RunWindowBefore(SimTime end) {
-  WallTimer timer(&stats_.wall_seconds);
-  if (use_heap_) {
-    while (!heap_.empty()) {
-      const Key& key = HeapTop();
-      if (slots_[key.index].gen != key.gen) {
-        HeapPop();
-        continue;
-      }
-      if (key.at >= end) {
-        break;
-      }
-      StepHeap();
-    }
-    return;
-  }
-  uint32_t index;
-  bool from_wheel;
-  while (PeekNext(&index, &from_wheel)) {
-    if (slots_[index].at >= end) {
-      break;
-    }
-    Execute(index, from_wheel);
-  }
-  // Deliberately no clock advance: now_ must track the last executed event
-  // so sched stamps match the merged sequential driver exactly; the driver
-  // advances all partitions together at the end of the top-level run.
 }
 
 }  // namespace optilog

@@ -31,21 +31,6 @@
 // every protocol message is carved from: the pool must outlive the pending
 // slots holding MessagePtrs, and sharded deployments scheduling many groups
 // on one simulator then share one pool (same confinement thread).
-//
-// Partitioned execution (src/shard/parallel_exec.*): several Simulators can
-// jointly execute one deployment, one partition each. Events are then
-// totally ordered by the widened key (at, sched, src, seq) where `sched` is
-// the schedule instant, `src` the originating partition, and `seq` comes
-// from the ORIGINATING partition's counter (cross-partition records call the
-// source's AllocSeq()). For a lone simulator this collapses to the classic
-// (at, seq) order: src is constant and sched is monotone non-decreasing in
-// seq, so the widened comparison never contradicts the seq tie-break —
-// single-simulator runs keep their pre-partitioning schedules bit-for-bit.
-// Cross-partition deliveries enter through InsertForeign, which carries the
-// source-stamped key (and a source-computed wheel-overflow flag, keeping
-// wheel_overflow_events identical under every driver); the parallel driver
-// executes windows via RunWindowBefore and the merged sequential driver
-// interleaves partitions via PeekNextKey/ExecuteEarliest.
 #pragma once
 
 #include <algorithm>
@@ -144,113 +129,26 @@ class Simulator {
   size_t pending() const { return live_; }
   uint64_t events_executed() const { return stats_.events_executed; }
 
-  // --- partitioned execution support (src/shard/parallel_exec.*) ---------
-
-  // Tags natively scheduled events with this partition id in the ordering
-  // key. Defaults to 0; single-simulator deployments never call it.
-  void SetPartition(uint32_t p) {
-    partition_ = p;
-    if (trace_ != nullptr) {
-      trace_->SetPartition(p);
-    }
-  }
-  uint32_t partition() const { return partition_; }
-
   // --- flight recorder (src/obs/trace.h) ---------------------------------
 
   // Attaches a TraceRecorder to this simulator. Off by default; when off the
   // event hot path pays exactly one null test per dispatch. Recording is
-  // schedule-neutral: it never schedules events or perturbs (at, sched, src,
-  // seq) assignment, so fingerprints are identical with tracing on or off.
-  // Must precede scheduling (the native-pending gauge counter starts at 0).
+  // schedule-neutral: it never schedules events or perturbs (at, seq)
+  // assignment, so fingerprints are identical with tracing on or off. Must
+  // precede scheduling, so that every dispatch record has its parent stamped.
   void EnableTrace() {
     if (trace_own_ != nullptr) {
-      return;  // idempotent: sharded builds enable once, per-shard no-ops
+      return;  // already on
     }
     OL_CHECK_MSG(live_ == 0, "tracing must be enabled before scheduling");
-    trace_own_ = std::make_unique<TraceRecorder>(partition_);
+    trace_own_ = std::make_unique<TraceRecorder>();
     trace_ = trace_own_.get();
   }
   TraceRecorder* trace() { return trace_; }
   const TraceRecorder* trace() const { return trace_; }
 
-  // Causal parent for work scheduled by the currently executing handler
-  // (0 when tracing is off or between events). The network stamps this into
-  // cross-partition records.
-  uint64_t TraceContext() const {
-    return trace_ != nullptr ? trace_->current() : 0;
-  }
-
-  // Live events scheduled by THIS partition's own handlers. Unlike
-  // pending(), excludes foreign records, whose insertion instant depends on
-  // the execution driver's barrier timing — this is the driver-invariant
-  // count the GaugeSampler samples. Falls back to pending() when tracing is
-  // off (the counter needs the per-event hook; without partitions the two
-  // are equal anyway).
-  size_t NativePending() const {
-    return trace_ != nullptr ? native_pending_ : live_;
-  }
-
-  // Reserves a tie-break sequence number from THIS simulator's counter for a
-  // cross-partition record created by one of its handlers. Allocation order
-  // is the handler execution order, which is identical under every driver.
-  uint64_t AllocSeq() { return next_seq_++; }
-
-  // Source-computed wheel-overflow classification for a cross record: true
-  // when the fire time lies beyond the wheel horizon as seen from the
-  // schedule instant. Equivalent to the native Commit() overflow test
-  // (current_tick_ == TickOf(now_) at every Commit), but a pure function of
-  // the record — so the count is driver- and barrier-timing-invariant.
-  static bool WouldOverflow(SimTime fire, SimTime sched) {
-    return TickOf(fire) >= TickOf(sched) + kWheelBuckets;
-  }
-
-  // A cross-partition delivery, key fields stamped by the source partition.
-  struct ForeignDelivery {
-    SimTime at = 0;       // fire time (source clock + full network delay)
-    SimTime sched = 0;    // source commit instant
-    uint32_t src = 0;     // originating partition
-    uint64_t seq = 0;     // from the source simulator's AllocSeq()
-    bool overflow = false;  // WouldOverflow(at, sched), stamped at the source
-    DeliverySink* sink = nullptr;
-    ReplicaId from = kNoReplica;
-    ReplicaId to = kNoReplica;
-    // Trace-record id of the dispatch that created this record (0 when the
-    // source partition is not tracing) — how causal parenting crosses the
-    // PDES lanes without touching Message layout.
-    uint64_t trace_parent = 0;
-  };
-
-  // Inserts a cross-partition delivery into this partition's queue. The
-  // message must be a fresh decode (never pooled by another partition); the
-  // caller guarantees f.at >= now() (the conservative-lookahead contract).
-  void InsertForeign(const ForeignDelivery& f, MessagePtr msg);
-
   // Fire time of the earliest live event; false when nothing is pending.
   bool PeekEarliest(SimTime* at);
-
-  // Full ordering key of the earliest live event, for the merged sequential
-  // driver's cross-partition argmin.
-  struct NextKey {
-    SimTime at = 0;
-    SimTime sched = 0;
-    uint32_t src = 0;
-    uint64_t seq = 0;
-    bool Before(const NextKey& o) const {
-      if (at != o.at) return at < o.at;
-      if (sched != o.sched) return sched < o.sched;
-      if (src != o.src) return src < o.src;
-      return seq < o.seq;
-    }
-  };
-  bool PeekNextKey(NextKey* key);
-  // Pops and runs exactly the event PeekNextKey reported.
-  void ExecuteEarliest();
-
-  // Runs all events with fire time strictly before `end` without advancing
-  // the clock past the last executed event — the parallel driver's
-  // conservative window body ([T, T+L) executes, T+L waits for the barrier).
-  void RunWindowBefore(SimTime end);
 
   // Snapshot of the run counters with the pool counters folded in.
   EventCoreStats event_core_stats() const {
@@ -274,8 +172,7 @@ class Simulator {
   // One slab slot. Payload members for the kinds overlap in spirit but stay
   // separate fields: the closure and message are cleared on release, so a
   // recycled slot carries no stale ownership. The wheel threads its bucket
-  // chains through `next` and orders them by the slot's own widened key
-  // (at, sched, src, seq) — see the partitioning note at the top.
+  // chains through `next` and orders them by the slot's own (at, seq).
   struct Slot {
     uint32_t gen = 1;
     Kind kind = Kind::kClosure;
@@ -284,9 +181,7 @@ class Simulator {
     ReplicaId to = kNoReplica;    // delivery
     uint64_t tag = 0;             // timer
     SimTime at = 0;               // fire time (wheel ordering + cancel unlink)
-    SimTime sched = 0;            // schedule instant (tie-break, 2nd field)
-    uint32_t src = 0;             // originating partition (tie-break, 3rd)
-    uint64_t seq = 0;             // source schedule order (tie-break, last)
+    uint64_t seq = 0;             // global schedule order (tie-break)
     uint32_t next = kNil;         // intrusive bucket chain link
     uint64_t trace_parent = 0;    // causal parent record id (tracing only)
     DeliverySink* sink = nullptr;
@@ -295,32 +190,18 @@ class Simulator {
     std::function<void()> fn;
   };
 
-  // Strict total order over live slots: (at, sched, src, seq), never equal
-  // because (src, seq) pairs are unique within one simulator's queue.
-  bool SlotBefore(const Slot& a, const Slot& b) const {
-    if (a.at != b.at) return a.at < b.at;
-    if (a.sched != b.sched) return a.sched < b.sched;
-    if (a.src != b.src) return a.src < b.src;
-    return a.seq < b.seq;
-  }
-
   // Heap/overflow keys are tiny; the payload stays put in the slab. `gen`
   // detects keys whose slot was cancelled (and possibly reused) since the
   // push.
   struct Key {
     SimTime at;
-    SimTime sched;
     uint64_t seq;
-    uint32_t src;
     uint32_t index;
     uint32_t gen;
   };
   struct Later {
     bool operator()(const Key& a, const Key& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      if (a.sched != b.sched) return a.sched > b.sched;
-      if (a.src != b.src) return a.src > b.src;
-      return a.seq > b.seq;
+      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
     }
   };
 
@@ -368,12 +249,10 @@ class Simulator {
   uint64_t next_seq_ = 1;
   size_t live_ = 0;
   bool use_heap_ = false;
-  uint32_t partition_ = 0;  // ordering-key source id for native events
 
   // Flight recorder (EnableTrace); null on the default, zero-cost path.
   std::unique_ptr<TraceRecorder> trace_own_;
   TraceRecorder* trace_ = nullptr;
-  size_t native_pending_ = 0;  // live events scheduled natively (tracing only)
 
   // Wheel state, allocated lazily on the first schedule (tests that only
   // poke the API shouldn't pay 128 KB per Simulator).

@@ -214,17 +214,7 @@ class Comparator:
             self.record_throughput(name, bp, cp, bec, cec)
             if bec != cec:
                 for key in sorted(set(bec) | set(cec)):
-                    if key not in bec or key not in cec:
-                        # A key present on only one side is a schema change
-                        # (e.g. partitioned points replace the peak_* keys
-                        # with "partitions"), not a drifted value: advisory,
-                        # so old baselines stay comparable across the
-                        # transition instead of tripping an exact 0-vs-N
-                        # failure.
-                        side = "baseline" if key in bec else "candidate"
-                        self.note(f"{where}.event_core: key '{key}' only in "
-                                  f"{side} (schema change, advisory)")
-                    elif bec.get(key) != cec.get(key):
+                    if bec.get(key) != cec.get(key):
                         self.check_value(f"{where}.event_core", key,
                                          bec.get(key, 0), cec.get(key, 0))
         bsum, csum = base.get("summary"), cand.get("summary")
@@ -256,17 +246,6 @@ class Comparator:
         self.throughput.append(
             (name, params, bev / bw * 1000.0, cev / cw * 1000.0)
         )
-        # Partitioned points carry an advisory "parallel" block in the full
-        # JSON (per-partition events/sec under the windowed driver); surface
-        # it next to the aggregate so partition imbalance is visible in the
-        # same diff. Never gated: wall-clock derived.
-        cpar = cp.get("parallel") or {}
-        per_part = cpar.get("partition_ev_per_sec") or []
-        if per_part:
-            cells = " ".join(f"p{i}={v:,.0f}" for i, v in enumerate(per_part))
-            self.note(f"{name}[{params}]: per-partition ev/s {cells} "
-                      f"(lookahead {cpar.get('lookahead_us', 0)} us, "
-                      f"{cpar.get('barrier_count', 0)} barriers, advisory)")
 
     def print_throughput(self):
         """Advisory events/sec table (baseline vs candidate). Wall-clock

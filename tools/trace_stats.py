@@ -17,8 +17,8 @@ wins) and reports:
     committed requests missing a lifecycle record;
   * per-stage latency (mean / p50 / p99) across complete chains:
     client_net, queue, consensus, apply, reply — plus end-to-end total;
-  * the causal forest shape: record count, root count, dangling-parent
-    count (must be 0), and cross-partition edge count.
+  * the causal forest shape: record count, root count, and dangling-parent
+    count (must be 0).
 
 Timestamps in the trace are microseconds of sim time (Chrome's native `ts`
 unit); stages print in ms.
@@ -99,18 +99,15 @@ def main(argv):
     ids = set()
     roots = 0
     dangling = 0
-    cross_partition = 0
     for _, rid, parent, _, _, _ in records:
         ids.add(rid)
         if parent == 0:
             roots += 1
         elif parent not in ids:
             dangling += 1
-        elif (parent >> 48) != (rid >> 48):
-            cross_partition += 1
 
     # Lifecycle chains keyed (client id, request id); first record of each
-    # kind wins — records are in merged (t, id) order in the file.
+    # kind wins — records are in (t, id) order in the file.
     chains = {}
     for t, _, _, kind, a, b in records:
         if kind not in LIFECYCLE:
@@ -147,7 +144,6 @@ def main(argv):
                   f"{percentile(vals, 0.5):.3f},{percentile(vals, 0.99):.3f}")
     else:
         print(f"records: {len(records)}  roots: {roots}  "
-              f"cross-partition edges: {cross_partition}  "
               f"dangling parents: {dangling}")
         print(f"committed requests: {committed}  complete chains: "
               f"{len(complete)} ({pct:.1f}%)  incomplete: {incomplete}")
