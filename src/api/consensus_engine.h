@@ -28,7 +28,9 @@ class ConsensusEngine {
   // The active configuration in RoleConfig form.
   virtual RoleConfig ActiveConfig() const = 0;
 
-  // Unified metrics snapshot (counts, latency, throughput series).
+  // Unified metrics snapshot: the protocol and client fields (counts,
+  // latency, throughput series, workload). The Deployment adds the
+  // substrate fields it owns: event core, wire, crypto and state machine.
   virtual MetricsReport Metrics() const = 0;
 };
 

@@ -29,6 +29,23 @@ PbftHarness& Deployment::pbft() {
 
 MetricsReport Deployment::Metrics() {
   MetricsReport m = engine().Metrics();
+  m.event_core = sim_->event_core_stats();
+  m.wire_messages = net_->stats().messages_sent;
+  m.wire_bytes = net_->stats().bytes_sent;
+  if (const CpuMeter* cpu = net_->cpu()) {
+    m.crypto.enabled = true;
+    m.crypto.signs = cpu->signs();
+    m.crypto.verifies = cpu->verifies();
+    m.crypto.hashes = cpu->hashes();
+    m.crypto.hashed_bytes = cpu->hashed_bytes();
+    m.crypto.qc_aggregated_shares = cpu->qc_aggregated_shares();
+    m.crypto.qc_verifies = cpu->qc_verifies();
+    m.crypto.busy_ns_total = cpu->busy_ns_total();
+    m.crypto.busy_ns_max_replica = cpu->busy_ns_max_replica();
+  }
+  if (rsm_group_ != nullptr) {
+    rsm_group_->FillReport(m.statemachine, sim_->now());
+  }
   if (m.log_head_hex.empty() && pipeline_ != nullptr) {
     m.log_head_hex = DigestHex(log_.head());
   }
@@ -43,7 +60,7 @@ MetricsReport Deployment::Metrics() {
 }
 
 std::vector<TraceRecord> Deployment::TraceRecords() const {
-  const TraceRecorder* tr = simp_->trace();
+  const TraceRecorder* tr = sim_->trace();
   return tr != nullptr ? tr->records() : std::vector<TraceRecord>{};
 }
 
@@ -219,14 +236,21 @@ Deployment::Builder& Deployment::Builder::WithTxnWorkload(
 }
 
 std::unique_ptr<Deployment> Deployment::Builder::Build() {
-  return BuildInternal(nullptr, /*sim_gauges=*/true);
+  return BuildInternal(nullptr);
 }
 
 std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
-    Simulator* external, bool sim_gauges) {
+    Simulator* external) {
   auto d = std::unique_ptr<Deployment>(new Deployment());
-  if (external != nullptr) {
-    d->simp_ = external;
+  const bool standalone = external == nullptr;
+  if (standalone) {
+    d->own_sim_ = std::make_unique<Simulator>();
+    d->sim_ = d->own_sim_.get();
+    if (trace_ || gauge_interval_ > 0) {
+      d->sim_->EnableTrace();
+    }
+  } else {
+    d->sim_ = external;  // the sharded owner configured it already
   }
   d->protocol_ = protocol_;
   const uint64_t seed = seed_.value_or(1);
@@ -258,30 +282,20 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
   std::vector<City> model_cities =
       client_count > 0 ? WithColocatedClients(d->cities_, client_count)
                        : d->cities_;
-  if (external == nullptr) {
-    // A sharded owner configures its shared simulator itself, before any
-    // group schedules on it.
-    if (heap_scheduler_) {
-      d->simp_->UseHeapScheduler();
-    }
-    if (trace_ || gauge_interval_ > 0) {
-      d->simp_->EnableTrace();
-    }
-  }
   // Topology-derived peak-pending estimate: every replica can have a few
   // in-flight deliveries per round plus a timer, and each client one
   // outstanding request — sized so steady state never grows the slab.
-  d->simp_->ReserveHint(4 * (static_cast<size_t>(d->n_) + client_count) + 64);
+  d->sim_->ReserveHint(4 * (static_cast<size_t>(d->n_) + client_count) + 64);
   d->latency_model_ = std::make_unique<GeoLatencyModel>(model_cities);
-  d->net_ = std::make_unique<Network>(d->simp_, d->latency_model_.get(),
+  d->net_ = std::make_unique<Network>(d->sim_, d->latency_model_.get(),
                                       &d->faults_);
   if (bandwidth_bps_ > 0) {
     d->net_->SetBandwidthBps(bandwidth_bps_);
   }
   if (crypto_model_.has_value()) {
     d->net_->EnableCpuCost(*crypto_model_);
-    if (d->simp_->trace() != nullptr) {
-      d->net_->cpu()->SetTrace(d->simp_->trace());
+    if (d->sim_->trace() != nullptr) {
+      d->net_->cpu()->SetTrace(d->sim_->trace());
     }
   }
   d->keys_ = std::make_unique<KeyStore>(d->n_, seed);
@@ -318,7 +332,7 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
     OL_CHECK_MSG(workload.has_value(),
                  "WithStateMachine requires WithWorkload");
     workload->kv.enabled = true;
-    d->rsm_group_ = std::make_unique<RsmGroup>(d->simp_, d->net_.get(),
+    d->rsm_group_ = std::make_unique<RsmGroup>(d->sim_, d->net_.get(),
                                                &d->faults_, d->n_,
                                                *statemachine_);
   }
@@ -328,7 +342,7 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
     topts.n = d->n_;
     topts.f = d->f_;
     topts.workload = workload;
-    d->tree_ = std::make_unique<TreeRsm>(d->simp_, d->net_.get(),
+    d->tree_ = std::make_unique<TreeRsm>(d->sim_, d->net_.get(),
                                          d->keys_.get(), &d->matrix_, topts);
 
     d->search_params_ = search_params_.value_or(AnnealingParams::ForBudget(5000));
@@ -399,7 +413,7 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
     if (workload.has_value()) {
       popts.workload = workload;
     }
-    d->pbft_ = std::make_unique<PbftHarness>(d->simp_, d->net_.get(),
+    d->pbft_ = std::make_unique<PbftHarness>(d->sim_, d->net_.get(),
                                              d->keys_.get(), popts);
   }
 
@@ -421,7 +435,7 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
   }
 
   if (gauge_interval_ > 0) {
-    d->gauges_ = std::make_unique<GaugeSampler>(d->simp_, gauge_interval_);
+    d->gauges_ = std::make_unique<GaugeSampler>(d->sim_, gauge_interval_);
     Deployment* dp = d.get();
     // Fixed registration order — it is the series order in the report, the
     // JSON, and the fingerprint.
@@ -438,21 +452,21 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
                                   : dp->pbft_->request_queue();
       return q != nullptr ? static_cast<double>(q->depth()) : 0.0;
     });
-    if (sim_gauges) {
+    if (standalone) {
       d->gauges_->Add("pending_events", [dp] {
-        return static_cast<double>(dp->simp_->pending());
+        return static_cast<double>(dp->sim_->pending());
       });
     }
     if (d->net_->cpu() != nullptr) {
       d->gauges_->Add("crypto_backlog_ms", [dp] {
         return static_cast<double>(
-                   dp->net_->cpu()->BacklogNsAt(dp->simp_->now())) /
+                   dp->net_->cpu()->BacklogNsAt(dp->sim_->now())) /
                1e6;
       });
     }
-    if (sim_gauges) {
+    if (standalone) {
       d->gauges_->Add("pool_hit_rate", [dp] {
-        return dp->simp_->event_core_stats().message_pool_hit_rate();
+        return dp->sim_->event_core_stats().message_pool_hit_rate();
       });
     }
     d->gauges_->Start();

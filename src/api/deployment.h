@@ -66,11 +66,11 @@ class Deployment {
   class Builder;
 
   // --- substrate -------------------------------------------------------------
-  // The simulator this deployment schedules on: its own by default, the
+  // The simulator this deployment schedules on: its own when standalone, the
   // shared one when it is a shard of a ShardedDeployment (src/shard/) —
   // sharing one (time, seq) event order is what keeps multi-group runs
   // byte-identical at any --threads value.
-  Simulator& sim() { return *simp_; }
+  Simulator& sim() { return *sim_; }
   Network& net() { return *net_; }
   FaultModel& faults() { return faults_; }
   const KeyStore& keys() const { return *keys_; }
@@ -110,10 +110,12 @@ class Deployment {
   void Start() { engine().Start(); }
   void RunFor(SimTime d) { sim().RunFor(d); }
   void RunUntil(SimTime t) { sim().RunUntil(t); }
-  // The engine's metrics, with log_head_hex filled from the deployment's
-  // measurement bus when the engine doesn't own one (tree protocols under
-  // WithOptiLogReconfig commit through the deployment log), and the gauge
-  // time-series folded in when WithGaugeSampling ran.
+  // The engine's protocol and client metrics plus the substrate fields the
+  // deployment owns: the simulator's event-core counters, the network's wire
+  // and crypto accounting, and the state-machine report. log_head_hex comes
+  // from the deployment's measurement bus when the engine doesn't own one
+  // (tree protocols under WithOptiLogReconfig commit through the deployment
+  // log), and the gauge time-series are folded in when WithGaugeSampling ran.
   MetricsReport Metrics();
 
   // --- observability ---------------------------------------------------------
@@ -137,12 +139,11 @@ class Deployment {
   std::vector<City> cities_;
 
   // Substrate. Declaration order doubles as construction order: engines
-  // reference everything above them. `simp_` is the simulator everything
-  // actually schedules on: `&sim_` for a standalone deployment, the shared
-  // simulator when this deployment is one shard of a ShardedDeployment (the
-  // owned `sim_` then sits idle).
-  Simulator sim_;
-  Simulator* simp_ = &sim_;
+  // reference everything above them. `sim_` is the simulator everything
+  // schedules on: `own_sim_` for a standalone deployment, the shared
+  // simulator when this deployment is one shard of a ShardedDeployment.
+  std::unique_ptr<Simulator> own_sim_;
+  Simulator* sim_ = nullptr;
   FaultModel faults_;
   std::unique_ptr<GeoLatencyModel> latency_model_;
   std::unique_ptr<Network> net_;
@@ -169,7 +170,7 @@ class Deployment {
   // (BindStateMachine) but never touch it during destruction.
   std::unique_ptr<RsmGroup> rsm_group_;
 
-  // Gauge sampler (WithGaugeSampling): rides simp_ as a timer target, so it
+  // Gauge sampler (WithGaugeSampling): rides sim_ as a timer target, so it
   // must outlive every scheduled sample — destroyed with the deployment.
   std::unique_ptr<GaugeSampler> gauges_;
 
@@ -203,8 +204,8 @@ class Deployment::Builder {
 
   // Attaches a modeled crypto/CPU cost (src/crypto/cost_model.h): protocol
   // sign/verify/hash work charges replica busy time that delays sends, and
-  // Metrics() gains a CryptoReport. Off by default; without it runs are
-  // byte-identical to pre-cost-model behavior (fingerprints included).
+  // Metrics() fills its CryptoReport. Off by default: then no work is
+  // charged and the report's crypto section stays disabled.
   Builder& WithCryptoCostModel(const CryptoCostModel& model);
 
   // Attaches the flight recorder (src/obs/trace.h): every dispatch, send,
@@ -238,7 +239,7 @@ class Deployment::Builder {
   Builder& WithPbftOptions(PbftOptions opts);
 
   // Client traffic (src/workload/): a ClientFleet drives the engine instead
-  // of self-driven proposals (tree family) or the legacy per-replica closed
+  // of self-driven proposals (tree family) or the default per-replica closed
   // loop (PBFT family). Clients are colocated with replica cities
   // round-robin and the latency model is extended to cover them; zeros in
   // `clients` / `replies_needed` resolve to protocol defaults at Build.
@@ -267,15 +268,6 @@ class Deployment::Builder {
   // SA budget for the initial OptiTree search (default ~1 s of search).
   Builder& WithInitialSearch(AnnealingParams params);
 
-  // Runs the deployment on the simulator's legacy binary-heap scheduler
-  // instead of the time wheel. The two are observably identical (pinned by
-  // the cross-scheduler parity test); this exists for that test and for
-  // bisecting scheduler suspicions.
-  Builder& WithHeapScheduler() {
-    heap_scheduler_ = true;
-    return *this;
-  }
-
   // Wire the full OptiLog loop for tree protocols: on every round failure
   // the harness's suspicions are committed to the measurement bus, the
   // monitors update C/G/K/u, proposals pause for `search_window`, and SA
@@ -285,13 +277,14 @@ class Deployment::Builder {
   // --- sharding (src/shard/; consumed by BuildSharded) -----------------------
   // Partition the KV keyspace across `shards` independent consensus groups
   // (each a full engine + RsmGroup on its own network) sharing one
-  // simulator. 1 = a single group, byte-identical to Build().
+  // simulator.
   Builder& WithShards(uint32_t shards);
   // Fraction of transactions that span >= 2 shards (2PC via the home
   // shard's coordinator); the rest take the single-shard fast path.
   Builder& WithCrossShardRatio(double ratio);
-  // Transaction fleet configuration; clients_per_shard > 0 swaps the
-  // per-shard ClientFleets for one multi-shard transaction fleet.
+  // Transaction fleet configuration: one multi-shard transaction fleet of
+  // clients_per_shard clients per shard drives every group in place of
+  // per-shard ClientFleets. BuildSharded requires clients_per_shard > 0.
   Builder& WithTxnWorkload(TxnWorkloadOptions opts);
   // Every deployment runs on one simulator thread; only 0 and 1 are valid.
   // Kept so existing callers of the former multi-thread knob still build.
@@ -316,20 +309,18 @@ class Deployment::Builder {
 
   // Builds WithShards groups on one shared simulator, with the KeyRouter,
   // transaction coordinators, and transaction fleet wired (src/shard/).
-  // With shards == 1 and no transaction workload the single group is
-  // byte-identical to Build() — same event sequence, same metrics.
+  // Requires WithTxnWorkload, WithWorkload and WithStateMachine.
   std::unique_ptr<ShardedDeployment> BuildSharded();
 
  private:
   friend class optilog::ShardedDeployment;
 
   // Build() with the group's simulator swapped for `external` (the sharded
-  // deployment's shared one); nullptr = the deployment's own. `sim_gauges`
-  // = false leaves the simulator-wide gauges (pending events, pool hit
-  // rate) out of the group's sampler, for groups that share a simulator
-  // whose owner samples them once.
-  std::unique_ptr<Deployment> BuildInternal(Simulator* external,
-                                            bool sim_gauges);
+  // deployment's shared one); nullptr = a standalone deployment with its
+  // own. Only a standalone deployment configures its simulator and samples
+  // the simulator-wide gauges (pending events, pool hit rate); a shard
+  // leaves both to the sharded owner.
+  std::unique_ptr<Deployment> BuildInternal(Simulator* external);
 
   std::optional<uint32_t> n_;
   std::optional<uint32_t> f_;
@@ -346,7 +337,6 @@ class Deployment::Builder {
   std::optional<StateMachineOptions> statemachine_;
   std::optional<TreeTopology> topology_;
   std::optional<AnnealingParams> search_params_;
-  bool heap_scheduler_ = false;
   bool trace_ = false;
   SimTime gauge_interval_ = 0;  // 0 = no gauge sampling
   bool optilog_reconfig_ = false;

@@ -45,6 +45,12 @@ void TreeReplica::OnMessage(ReplicaId from, const MessagePtr& msg, SimTime at) {
   }
 }
 
+// Extra slack on intermediates' aggregation timers beyond delta * Lagg. The
+// latency matrix records pure propagation, but real rounds also pay
+// serialization; without slack the slowest child's vote always misses the
+// aggregate by a hair.
+constexpr SimTime kAggregationSlack = 50 * kMsec;
+
 void TreeReplica::HandlePropose(ReplicaId from, const ProposeMsg& msg, SimTime at) {
   (void)from;
   const TreeTopology& tree = harness_->tree_;
@@ -100,7 +106,7 @@ void TreeReplica::HandlePropose(ReplicaId from, const ProposeMsg& msg, SimTime a
   const SimTime deadline =
       static_cast<SimTime>(harness_->opts_.delta *
                            static_cast<double>(FromMs(lagg_ms))) +
-      harness_->opts_.aggregation_slack;
+      kAggregationSlack;
   agg.timer = harness_->sim_->ScheduleTimer(this, msg.view, deadline);
 }
 
@@ -248,14 +254,17 @@ uint32_t TreeRsm::CommitThreshold() const {
   return opts_.votes_required != 0 ? opts_.votes_required : opts_.n - opts_.f;
 }
 
+// Extra slack on the root's round-failure timer, beyond delta * d_rnd.
+constexpr SimTime kRoundTimeoutSlack = 200 * kMsec;
+
 SimTime TreeRsm::RoundTimeout() const {
   const double d_rnd_ms =
       TreeScore(tree_, *latency_, CommitThreshold());
   if (!std::isfinite(d_rnd_ms)) {
-    return 2 * kSec + opts_.timeout_slack;
+    return 2 * kSec + kRoundTimeoutSlack;
   }
   return static_cast<SimTime>(opts_.delta * static_cast<double>(FromMs(d_rnd_ms))) +
-         opts_.timeout_slack;
+         kRoundTimeoutSlack;
 }
 
 void TreeRsm::SetTopologyOrConfig(const RoleConfig& config) {
@@ -283,29 +292,12 @@ MetricsReport TreeRsm::Metrics() const {
   report.throughput_per_sec = throughput_.per_second();
   report.reconfig_times = reconfig_times_;
   report.suspicion_times = suspicion_times_;
-  report.event_core = sim_->event_core_stats();
-  report.wire_messages = net_->stats().messages_sent;
-  report.wire_bytes = net_->stats().bytes_sent;
-  if (const CpuMeter* cpu = net_->cpu()) {
-    report.crypto.enabled = true;
-    report.crypto.signs = cpu->signs();
-    report.crypto.verifies = cpu->verifies();
-    report.crypto.hashes = cpu->hashes();
-    report.crypto.hashed_bytes = cpu->hashed_bytes();
-    report.crypto.qc_aggregated_shares = cpu->qc_aggregated_shares();
-    report.crypto.qc_verifies = cpu->qc_verifies();
-    report.crypto.busy_ns_total = cpu->busy_ns_total();
-    report.crypto.busy_ns_max_replica = cpu->busy_ns_max_replica();
-  }
   if (fleet_ != nullptr) {
     fleet_->FillReport(report.workload);
   }
   if (queue_ != nullptr) {
     report.workload.enabled = true;
     FillQueueReport(*queue_, report.workload);
-  }
-  if (group_ != nullptr) {
-    group_->FillReport(report.statemachine, sim_->now());
   }
   return report;
 }

@@ -59,17 +59,9 @@ struct TreeRsmOptions {
   double delta = 1.0;          // timing slack multiplier
   // Votes required to commit: 0 -> q = n - f. OptiTree adds u dynamically.
   uint32_t votes_required = 0;
-  // Extra slack on the root's round-failure timer, beyond delta * d_rnd.
-  SimTime timeout_slack = 200 * kMsec;
-  // Extra slack on intermediates' aggregation timers beyond delta * Lagg.
-  // The latency matrix records pure propagation, but real rounds also pay
-  // serialization; without slack the slowest child's vote always misses the
-  // aggregate by a hair.
-  SimTime aggregation_slack = 50 * kMsec;
   // Round-robin leader rotation (HotStuff-rr baseline). Only meaningful for
   // star topologies.
   bool rotate_root = false;
-  bool enable_suspicion_sensor = false;
   // Vote-authentication pricing under a CryptoCostModel; ignored without
   // one. Aggregate certificates are the family's default (Kauri/HotStuff).
   VoteVerification vote_verification = VoteVerification::kAggregateQc;

@@ -181,46 +181,33 @@ void PbftReplica::Commit(uint64_t seq) {
   // commit if an earlier instance is still undecided here — and the reply
   // carries this replica's committed result. Every replica emits its own
   // commit/reply records; the stage fold keys on the earliest (first-record-
-  // wins), which is the earliest replica to decide.
+  // wins), which is the earliest replica to decide. Without a state machine
+  // every reply carries an empty result.
+  auto reply_to = [this, seq](const RequestRef& req, const Bytes& result) {
+    if (TraceRecorder* tr = harness_->sim_->trace()) {
+      tr->EmitHere(harness_->sim_->now(), TraceKind::kCommit, 0, id_,
+                   req.request_id, req.client);
+    }
+    auto reply = harness_->sim_->pool().Make<ClientReplyMsg>();
+    reply->request_id = req.request_id;
+    reply->seq = seq;
+    reply->result = result;
+    if (CpuMeter* cpu = harness_->net_->cpu()) {
+      // Per-client reply MACs (hash-cost, not full signatures).
+      cpu->ChargeHash(id_, harness_->sim_->now(), reply->WireSize());
+    }
+    if (TraceRecorder* tr = harness_->sim_->trace()) {
+      tr->EmitHere(harness_->sim_->now(), TraceKind::kReplySent, 0, id_,
+                   req.request_id, req.client);
+    }
+    harness_->net_->Send(id_, req.client, std::move(reply));
+  };
   if (harness_->group_ != nullptr) {
-    harness_->group_->CommitAt(
-        id_, seq, inst.leader, inst.batch, harness_->sim_->now(),
-        [this, seq](const RequestRef& req, const Bytes& result) {
-          if (TraceRecorder* tr = harness_->sim_->trace()) {
-            tr->EmitHere(harness_->sim_->now(), TraceKind::kCommit, 0, id_,
-                         req.request_id, req.client);
-          }
-          auto reply = harness_->sim_->pool().Make<ClientReplyMsg>();
-          reply->request_id = req.request_id;
-          reply->seq = seq;
-          reply->result = result;
-          if (CpuMeter* cpu = harness_->net_->cpu()) {
-            // Per-client reply MACs (hash-cost, not full signatures).
-            cpu->ChargeHash(id_, harness_->sim_->now(), reply->WireSize());
-          }
-          if (TraceRecorder* tr = harness_->sim_->trace()) {
-            tr->EmitHere(harness_->sim_->now(), TraceKind::kReplySent, 0, id_,
-                         req.request_id, req.client);
-          }
-          harness_->net_->Send(id_, req.client, std::move(reply));
-        });
+    harness_->group_->CommitAt(id_, seq, inst.leader, inst.batch,
+                               harness_->sim_->now(), reply_to);
   } else {
     for (const RequestRef& req : inst.batch) {
-      if (TraceRecorder* tr = harness_->sim_->trace()) {
-        tr->EmitHere(harness_->sim_->now(), TraceKind::kCommit, 0, id_,
-                     req.request_id, req.client);
-      }
-      auto reply = harness_->sim_->pool().Make<ClientReplyMsg>();
-      reply->request_id = req.request_id;
-      reply->seq = seq;
-      if (CpuMeter* cpu = harness_->net_->cpu()) {
-        cpu->ChargeHash(id_, harness_->sim_->now(), reply->WireSize());
-      }
-      if (TraceRecorder* tr = harness_->sim_->trace()) {
-        tr->EmitHere(harness_->sim_->now(), TraceKind::kReplySent, 0, id_,
-                     req.request_id, req.client);
-      }
-      harness_->net_->Send(id_, req.client, std::move(reply));
+      reply_to(req, Bytes{});
     }
   }
   if (sensor_) {
@@ -240,17 +227,19 @@ void PbftReplica::Commit(uint64_t seq) {
 
 namespace {
 
-// The pre-workload-layer client behavior, kept as the default: one
-// closed-loop client per replica, one outstanding request, think time
-// between requests, completion on the f + 1-th reply, and a leader that
-// drains its whole queue into each batch.
-WorkloadOptions LegacyWorkload(const PbftOptions& opts) {
+// Client think time of the default fleet.
+constexpr SimTime kDefaultThinkTime = 50 * kMsec;
+
+// The default client fleet: one closed-loop client per replica, one
+// outstanding request, kDefaultThinkTime between requests, the workload
+// layer's default request size, completion on the f + 1-th reply, and a
+// leader that drains its whole queue into each batch.
+WorkloadOptions DefaultWorkload(const PbftOptions& opts) {
   WorkloadOptions w;
   w.clients = opts.n;
   w.arrival = ArrivalProcess::kClosedLoop;
   w.outstanding = 1;
-  w.think_time = opts.request_interval;
-  w.request_bytes = opts.request_bytes;
+  w.think_time = kDefaultThinkTime;
   w.seed = opts.seed;
   w.batch.max_batch = ~0u;
   w.batch.max_delay = 0;
@@ -303,7 +292,7 @@ PbftHarness::PbftHarness(Simulator* sim, Network* net, const KeyStore* keys,
           });
     }
   }
-  WorkloadOptions w = opts_.workload.value_or(LegacyWorkload(opts_));
+  WorkloadOptions w = opts_.workload.value_or(DefaultWorkload(opts_));
   if (w.clients == 0) {
     w.clients = opts_.n;
   }
@@ -386,28 +375,11 @@ MetricsReport PbftHarness::Metrics() const {
   report.reconfig_times = reconfig_times_;
   report.suspicion_times = suspicion_times_;
   report.log_head_hex = DigestHex(log_.head());
-  report.event_core = sim_->event_core_stats();
-  report.wire_messages = net_->stats().messages_sent;
-  report.wire_bytes = net_->stats().bytes_sent;
-  if (const CpuMeter* cpu = net_->cpu()) {
-    report.crypto.enabled = true;
-    report.crypto.signs = cpu->signs();
-    report.crypto.verifies = cpu->verifies();
-    report.crypto.hashes = cpu->hashes();
-    report.crypto.hashed_bytes = cpu->hashed_bytes();
-    report.crypto.qc_aggregated_shares = cpu->qc_aggregated_shares();
-    report.crypto.qc_verifies = cpu->qc_verifies();
-    report.crypto.busy_ns_total = cpu->busy_ns_total();
-    report.crypto.busy_ns_max_replica = cpu->busy_ns_max_replica();
-  }
   if (fleet_ != nullptr) {
     fleet_->FillReport(report.workload);
   }
   report.workload.enabled = true;
   FillQueueReport(*queue_, report.workload);
-  if (group_ != nullptr) {
-    group_->FillReport(report.statemachine, sim_->now());
-  }
   // End-to-end client latency — the metric the paper's PBFT figures plot.
   report.mean_latency_ms = report.workload.latency_mean_ms;
   return report;
@@ -527,6 +499,9 @@ void PbftHarness::OnLogCommit(const LogEntry& entry) {
   }
 }
 
+// Period of the probe rounds that refresh the latency matrix (§4.2.1).
+constexpr SimTime kProbeInterval = 5 * kSec;
+
 void PbftHarness::RunProbeRound() {
   // Probe-based latency vectors (§4.2.1). The RTT a prober observes is the
   // model RTT perturbed by both sides' outbound behavior — except that a
@@ -538,7 +513,7 @@ void PbftHarness::RunProbeRound() {
     }
     LatencyVectorRecord rec;
     rec.reporter = a;
-    rec.epoch = static_cast<uint64_t>(sim_->now() / opts_.probe_interval);
+    rec.epoch = static_cast<uint64_t>(sim_->now() / kProbeInterval);
     rec.rtt_units.resize(opts_.n, 0);
     for (ReplicaId b = 0; b < opts_.n; ++b) {
       if (a == b) {
@@ -572,7 +547,7 @@ void PbftHarness::RunProbeRound() {
     }
     CommitMeasurement(MakeLatencyMeasurement(rec, *keys_));
   }
-  sim_->ScheduleTimer(this, kTimerProbeRound, opts_.probe_interval);
+  sim_->ScheduleTimer(this, kTimerProbeRound, kProbeInterval);
 }
 
 void PbftHarness::RunAwareOptimization() {
@@ -600,6 +575,10 @@ void PbftHarness::RunAwareOptimization() {
   OnReconfigure(result.best, result.best_score);
 }
 
+// Suspicions must accumulate in this many distinct instances before the
+// monitor acts — Aware-style damping against one-off spikes.
+constexpr uint32_t kSuspicionThreshold = 3;
+
 void PbftHarness::MaybeReactToSuspicions() {
   if (opts_.mode != PbftMode::kOptiAware) {
     return;
@@ -610,7 +589,7 @@ void PbftHarness::MaybeReactToSuspicions() {
     return;
   }
   if (searched_after_invalid_ ||
-      suspicion_rounds_.size() < opts_.suspicion_threshold) {
+      suspicion_rounds_.size() < kSuspicionThreshold) {
     return;
   }
   searched_after_invalid_ = true;

@@ -51,20 +51,14 @@ struct PbftOptions {
   uint32_t f = 0;
   PbftMode mode = PbftMode::kPbft;
   double delta = 1.2;                  // suspicion timing slack
-  SimTime request_interval = 50 * kMsec;  // client think time
-  SimTime probe_interval = 5 * kSec;
   SimTime optimize_at = 40 * kSec;     // Aware's scheduled optimization
-  size_t request_bytes = 64;
   uint64_t seed = 7;
-  // Suspicions must accumulate in this many distinct instances before the
-  // monitor acts — Aware-style damping against one-off spikes.
-  uint32_t suspicion_threshold = 3;
   // Monitor-side knobs for the harness's shared pipeline. delta, rng_seed
   // and auto_reciprocate are overridden from the options above.
   Pipeline::Options pipeline;
-  // Client fleet override. Unset: the legacy closed loop — one client per
-  // replica, one outstanding request, request_interval think time, f + 1
-  // replies, unbounded batches (the BFT-SMaRt drain-the-queue behavior).
+  // Client fleet override. Unset: the default closed loop — one client per
+  // replica, one outstanding request, 50 ms think time, f + 1 replies,
+  // unbounded batches (the BFT-SMaRt drain-the-queue behavior).
   std::optional<WorkloadOptions> workload;
 };
 

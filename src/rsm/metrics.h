@@ -176,9 +176,7 @@ struct CryptoReport {
 // Gauge time-series sampled on simulated time (src/obs/gauge.h), filled when
 // the deployment enables gauge sampling; all empty with `enabled == false`.
 // Every series holds one value per elapsed `interval` of sim time —
-// byte-identical across reruns and --threads values. Folded into the metrics
-// fingerprint only when enabled, so sampling-free runs keep their
-// fingerprints.
+// byte-identical across reruns and --threads values.
 struct TimeseriesReport {
   bool enabled = false;
   SimTime interval = 0;  // sampling period (sim time)
@@ -228,9 +226,7 @@ struct MetricsReport {
   uint64_t wire_messages = 0;
   uint64_t wire_bytes = 0;
   // Modeled crypto/CPU accounting; enabled only under
-  // Deployment::Builder::WithCryptoCostModel. Folded into the metrics
-  // fingerprint only when enabled, so cost-model-free runs keep their
-  // pre-cost-model fingerprints.
+  // Deployment::Builder::WithCryptoCostModel.
   CryptoReport crypto;
   // Periodic gauge samples (src/obs/gauge.h); enabled only under
   // Deployment::Builder::WithGaugeSampling.

@@ -153,6 +153,9 @@ std::string FormatDouble(double v) {
   return std::string(buf, res.ptr);
 }
 
+// One schema for every run: each section is folded in with its `enabled`
+// flag whether or not the feature ran. Only host time (wall_seconds) and
+// the constant event-core partition count stay out.
 std::string MetricsFingerprint(const MetricsReport& m) {
   std::string blob;
   auto u = [&blob](uint64_t v) { blob += std::to_string(v) + "|"; };
@@ -181,6 +184,11 @@ std::string MetricsFingerprint(const MetricsReport& m) {
   u(m.event_core.cancellations);
   u(m.event_core.peak_slab_slots);
   u(m.event_core.peak_pending);
+  u(m.event_core.wheel_overflow_events);
+  u(m.event_core.message_pool_hits);
+  u(m.event_core.message_pool_misses);
+  u(m.wire_messages);
+  u(m.wire_bytes);
   blob += "|";
   u(m.workload.enabled ? 1 : 0);
   u(m.workload.requests_sent);
@@ -216,65 +224,51 @@ std::string MetricsFingerprint(const MetricsReport& m) {
   u(m.statemachine.transfer_reroutes);
   blob += FormatDouble(m.statemachine.catchup_ms_total) + "|";
   blob += FormatDouble(m.statemachine.catchup_ms_max) + "|";
-  // Transaction section: appended only when a sharded transaction workload
-  // ran, so every pre-sharding fingerprint (and the one-shard-equals-legacy
-  // pin) hashes the exact same blob as before.
-  if (m.txn.enabled) {
-    blob += "txn|";
-    u(m.txn.submitted);
-    u(m.txn.committed);
-    u(m.txn.aborted);
-    u(m.txn.retried);
-    u(m.txn.committed_single);
-    u(m.txn.committed_cross);
-    u(m.txn.prepares_sent);
-    u(m.txn.votes_no);
-    u(m.txn.coord_duplicates);
-    u(m.txn.recovered_commits);
-    u(m.txn.recovered_aborts);
-    u(m.txn.kv_checks);
-    u(m.txn.kv_mismatches);
-    for (uint64_t t : m.txn.committed_per_sec) {
-      u(t);
-    }
-    blob += "|" + FormatDouble(m.txn.single_mean_ms) + "|";
-    blob += FormatDouble(m.txn.single_p50_ms) + "|";
-    blob += FormatDouble(m.txn.single_p95_ms) + "|";
-    blob += FormatDouble(m.txn.single_p99_ms) + "|";
-    blob += FormatDouble(m.txn.cross_mean_ms) + "|";
-    blob += FormatDouble(m.txn.cross_shard_p50_ms) + "|";
-    blob += FormatDouble(m.txn.cross_shard_p95_ms) + "|";
-    blob += FormatDouble(m.txn.cross_shard_p99_ms) + "|";
+  blob += "txn|";
+  u(m.txn.enabled ? 1 : 0);
+  u(m.txn.submitted);
+  u(m.txn.committed);
+  u(m.txn.aborted);
+  u(m.txn.retried);
+  u(m.txn.committed_single);
+  u(m.txn.committed_cross);
+  u(m.txn.prepares_sent);
+  u(m.txn.votes_no);
+  u(m.txn.coord_duplicates);
+  u(m.txn.recovered_commits);
+  u(m.txn.recovered_aborts);
+  u(m.txn.kv_checks);
+  u(m.txn.kv_mismatches);
+  for (uint64_t t : m.txn.committed_per_sec) {
+    u(t);
   }
-  // Timeseries section: appended only when gauge sampling ran, so every
-  // sampling-free run (tracing included — the recorder is schedule-neutral)
-  // hashes the exact same blob as before the observability layer.
-  if (m.timeseries.enabled) {
-    blob += "ts|";
-    u(static_cast<uint64_t>(m.timeseries.interval));
-    for (const TimeseriesReport::Series& s : m.timeseries.series) {
-      blob += s.name + "|";
-      for (double v : s.values) {
-        blob += FormatDouble(v) + "|";
-      }
+  blob += "|" + FormatDouble(m.txn.single_mean_ms) + "|";
+  blob += FormatDouble(m.txn.single_p50_ms) + "|";
+  blob += FormatDouble(m.txn.single_p95_ms) + "|";
+  blob += FormatDouble(m.txn.single_p99_ms) + "|";
+  blob += FormatDouble(m.txn.cross_mean_ms) + "|";
+  blob += FormatDouble(m.txn.cross_shard_p50_ms) + "|";
+  blob += FormatDouble(m.txn.cross_shard_p95_ms) + "|";
+  blob += FormatDouble(m.txn.cross_shard_p99_ms) + "|";
+  blob += "ts|";
+  u(m.timeseries.enabled ? 1 : 0);
+  u(static_cast<uint64_t>(m.timeseries.interval));
+  for (const TimeseriesReport::Series& s : m.timeseries.series) {
+    blob += s.name + "|";
+    for (double v : s.values) {
+      blob += FormatDouble(v) + "|";
     }
   }
-  // Crypto/wire section: appended only under a CryptoCostModel, so every
-  // cost-model-free fingerprint hashes the exact same blob as before the
-  // wire/cost redesign — the acceptance gate for the canonical encodings.
-  if (m.crypto.enabled) {
-    blob += "crypto|";
-    u(m.wire_messages);
-    u(m.wire_bytes);
-    u(m.crypto.signs);
-    u(m.crypto.verifies);
-    u(m.crypto.hashes);
-    u(m.crypto.hashed_bytes);
-    u(m.crypto.qc_aggregated_shares);
-    u(m.crypto.qc_verifies);
-    u(m.crypto.busy_ns_total);
-    u(m.crypto.busy_ns_max_replica);
-  }
+  blob += "crypto|";
+  u(m.crypto.enabled ? 1 : 0);
+  u(m.crypto.signs);
+  u(m.crypto.verifies);
+  u(m.crypto.hashes);
+  u(m.crypto.hashed_bytes);
+  u(m.crypto.qc_aggregated_shares);
+  u(m.crypto.qc_verifies);
+  u(m.crypto.busy_ns_total);
+  u(m.crypto.busy_ns_max_replica);
   return DigestHex(Sha256::Hash(blob));
 }
 

@@ -132,9 +132,12 @@ struct ScenarioRegistrar {
   explicit ScenarioRegistrar(Scenario s);
 };
 
-// SHA-256 over every deterministic field of a MetricsReport (counts, the
+// SHA-256 over every deterministic field of a MetricsReport: counts, the
 // formatted latency, the per-second series, reconfig/suspicion times, the
-// log head, the event-core counters). Two runs with equal fingerprints
+// log head, the event-core and wire counters, and every section (workload,
+// state machine, transactions, time series, crypto) with its `enabled`
+// flag, in one schema whatever ran. Only host time (wall_seconds) and the
+// constant partition count stay out. Two runs with equal fingerprints
 // executed the same schedule; this is the digest sweeps pin when the
 // deployment has no measurement bus of its own.
 std::string MetricsFingerprint(const MetricsReport& m);

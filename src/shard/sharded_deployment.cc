@@ -30,9 +30,7 @@ void ShardedDeployment::Start() {
   for (auto& d : shards_) {
     d->Start();
   }
-  if (fleet_ != nullptr) {
-    fleet_->Start();
-  }
+  fleet_->Start();
 }
 
 std::vector<TraceRecord> ShardedDeployment::TraceRecords() const {
@@ -41,13 +39,6 @@ std::vector<TraceRecord> ShardedDeployment::TraceRecords() const {
 }
 
 MetricsReport ShardedDeployment::Metrics() {
-  // One shard, no transaction layer: this IS a legacy deployment driving a
-  // shared simulator — hand through its report verbatim so fingerprints
-  // match Build() exactly.
-  if (shards_.size() == 1 && fleet_ == nullptr) {
-    return shards_[0]->Metrics();
-  }
-
   MetricsReport agg;
   uint64_t latency_weight = 0;
   double latency_sum = 0.0;
@@ -89,46 +80,42 @@ MetricsReport ShardedDeployment::Metrics() {
           std::max(agg.crypto.busy_ns_max_replica, m.crypto.busy_ns_max_replica);
     }
 
+    // Every shard serves a workload and runs a state machine (BuildSharded
+    // requires both), so these two sections always aggregate.
     const WorkloadReport& w = m.workload;
-    if (w.enabled) {
-      agg.workload.enabled = true;
-      agg.workload.requests_sent += w.requests_sent;
-      agg.workload.requests_completed += w.requests_completed;
-      agg.workload.requests_retried += w.requests_retried;
-      agg.workload.requests_abandoned += w.requests_abandoned;
-      agg.workload.requests_accepted += w.requests_accepted;
-      agg.workload.requests_dropped += w.requests_dropped;
-      agg.workload.requests_deduped += w.requests_deduped;
-      agg.workload.batches_size_triggered += w.batches_size_triggered;
-      agg.workload.batches_deadline_triggered += w.batches_deadline_triggered;
-      agg.workload.batches_idle_triggered += w.batches_idle_triggered;
-      agg.workload.peak_queue_depth =
-          std::max(agg.workload.peak_queue_depth, w.peak_queue_depth);
-      agg.workload.kv_checks += w.kv_checks;
-      agg.workload.kv_mismatches += w.kv_mismatches;
-    }
+    agg.workload.requests_sent += w.requests_sent;
+    agg.workload.requests_completed += w.requests_completed;
+    agg.workload.requests_retried += w.requests_retried;
+    agg.workload.requests_abandoned += w.requests_abandoned;
+    agg.workload.requests_accepted += w.requests_accepted;
+    agg.workload.requests_dropped += w.requests_dropped;
+    agg.workload.requests_deduped += w.requests_deduped;
+    agg.workload.batches_size_triggered += w.batches_size_triggered;
+    agg.workload.batches_deadline_triggered += w.batches_deadline_triggered;
+    agg.workload.batches_idle_triggered += w.batches_idle_triggered;
+    agg.workload.peak_queue_depth =
+        std::max(agg.workload.peak_queue_depth, w.peak_queue_depth);
+    agg.workload.kv_checks += w.kv_checks;
+    agg.workload.kv_mismatches += w.kv_mismatches;
 
     const StateMachineReport& s = m.statemachine;
-    if (s.enabled) {
-      agg.statemachine.enabled = true;
-      agg.statemachine.applied += s.applied;
-      agg.statemachine.checkpoints += s.checkpoints;
-      agg.statemachine.truncations += s.truncations;
-      agg.statemachine.peak_log_entries =
-          std::max(agg.statemachine.peak_log_entries, s.peak_log_entries);
-      agg.statemachine.live_log_entries += s.live_log_entries;
-      digests_equal = digests_equal && s.digests_equal != 0;
-      digest_concat += s.state_digest_hex;
-      agg.statemachine.recoveries_started += s.recoveries_started;
-      agg.statemachine.recoveries_completed += s.recoveries_completed;
-      agg.statemachine.catchups_started += s.catchups_started;
-      agg.statemachine.transfer_bytes += s.transfer_bytes;
-      agg.statemachine.transfer_chunks += s.transfer_chunks;
-      agg.statemachine.transfer_reroutes += s.transfer_reroutes;
-      agg.statemachine.catchup_ms_total += s.catchup_ms_total;
-      agg.statemachine.catchup_ms_max =
-          std::max(agg.statemachine.catchup_ms_max, s.catchup_ms_max);
-    }
+    agg.statemachine.applied += s.applied;
+    agg.statemachine.checkpoints += s.checkpoints;
+    agg.statemachine.truncations += s.truncations;
+    agg.statemachine.peak_log_entries =
+        std::max(agg.statemachine.peak_log_entries, s.peak_log_entries);
+    agg.statemachine.live_log_entries += s.live_log_entries;
+    digests_equal = digests_equal && s.digests_equal != 0;
+    digest_concat += s.state_digest_hex;
+    agg.statemachine.recoveries_started += s.recoveries_started;
+    agg.statemachine.recoveries_completed += s.recoveries_completed;
+    agg.statemachine.catchups_started += s.catchups_started;
+    agg.statemachine.transfer_bytes += s.transfer_bytes;
+    agg.statemachine.transfer_chunks += s.transfer_chunks;
+    agg.statemachine.transfer_reroutes += s.transfer_reroutes;
+    agg.statemachine.catchup_ms_total += s.catchup_ms_total;
+    agg.statemachine.catchup_ms_max =
+        std::max(agg.statemachine.catchup_ms_max, s.catchup_ms_max);
 
     if (m.timeseries.enabled) {
       // Per-shard series side by side under "s<i>." prefixes (shard order =
@@ -147,13 +134,13 @@ MetricsReport ShardedDeployment::Metrics() {
   if (latency_weight > 0) {
     agg.mean_latency_ms = latency_sum / static_cast<double>(latency_weight);
   }
-  if (agg.statemachine.enabled) {
-    agg.statemachine.digests_equal = digests_equal ? 1 : 0;
-    // One digest over the ordered per-shard digests: the whole-deployment
-    // state identity the sharding tests pin.
-    agg.statemachine.state_digest_hex =
-        digests_equal ? DigestHex(Sha256::Hash(digest_concat)) : "";
-  }
+  agg.workload.enabled = true;
+  agg.statemachine.enabled = true;
+  agg.statemachine.digests_equal = digests_equal ? 1 : 0;
+  // One digest over the ordered per-shard digests: the whole-deployment
+  // state identity the sharding tests pin.
+  agg.statemachine.state_digest_hex =
+      digests_equal ? DigestHex(Sha256::Hash(digest_concat)) : "";
   if (gauges_ != nullptr) {
     for (const GaugeSampler::Series& ts : gauges_->series()) {
       agg.timeseries.series.push_back({ts.name, ts.values});
@@ -161,16 +148,14 @@ MetricsReport ShardedDeployment::Metrics() {
   }
   agg.event_core = sim_.event_core_stats();
 
-  if (fleet_ != nullptr) {
-    fleet_->FillReport(agg.txn);
-    for (auto& coord : coordinators_) {
-      const TxnCoordinator::Stats& cs = coord->stats();
-      agg.txn.prepares_sent += cs.prepares_sent;
-      agg.txn.votes_no += cs.votes_no;
-      agg.txn.coord_duplicates += cs.duplicates;
-      agg.txn.recovered_commits += cs.recovered_commits;
-      agg.txn.recovered_aborts += cs.recovered_aborts;
-    }
+  fleet_->FillReport(agg.txn);
+  for (auto& coord : coordinators_) {
+    const TxnCoordinator::Stats& cs = coord->stats();
+    agg.txn.prepares_sent += cs.prepares_sent;
+    agg.txn.votes_no += cs.votes_no;
+    agg.txn.coord_duplicates += cs.duplicates;
+    agg.txn.recovered_commits += cs.recovered_commits;
+    agg.txn.recovered_aborts += cs.recovered_aborts;
   }
   return agg;
 }
@@ -178,27 +163,19 @@ MetricsReport ShardedDeployment::Metrics() {
 // --- Builder::BuildSharded ---------------------------------------------------
 
 std::unique_ptr<ShardedDeployment> Deployment::Builder::BuildSharded() {
+  OL_CHECK_MSG(txn_workload_.clients_per_shard > 0 && workload_.has_value() &&
+                   statemachine_.has_value(),
+               "BuildSharded requires WithTxnWorkload (clients_per_shard > 0), "
+               "WithWorkload and WithStateMachine");
   auto sd = std::unique_ptr<ShardedDeployment>(new ShardedDeployment());
   const uint64_t base_seed = seed_.value_or(1);
   const uint32_t shards = shards_;
-  const bool txn_mode = txn_workload_.clients_per_shard > 0;
-  // A lone group without transactions reports verbatim (Metrics), so it
-  // keeps the simulator-wide gauges in its own sampler; otherwise the
-  // deployment samples them once instead of once per shard.
-  const bool sole_group = shards == 1 && !txn_mode;
   sd->router_ = KeyRouter(RouterKind::kHash, shards);
   sd->cross_pct_ = static_cast<uint32_t>(
       std::llround(cross_shard_ratio_ * 100.0));
   sd->txn_opts_ = txn_workload_;
 
-  if (txn_mode) {
-    OL_CHECK_MSG(workload_.has_value() && statemachine_.has_value(),
-                 "WithTxnWorkload requires WithWorkload + WithStateMachine");
-  }
   // Shared-simulator setup that must precede any group's scheduling.
-  if (heap_scheduler_) {
-    sd->sim_.UseHeapScheduler();
-  }
   if (trace_ || gauge_interval_ > 0) {
     sd->sim_.EnableTrace();
   }
@@ -206,58 +183,49 @@ std::unique_ptr<ShardedDeployment> Deployment::Builder::BuildSharded() {
   const uint32_t total_clients = txn_workload_.clients_per_shard * shards;
   for (uint32_t s = 0; s < shards; ++s) {
     Builder b = Clone();
-    // Shard 0 keeps the base seed so a 1-shard build replays Build()
-    // event-for-event; the rest fold the shard index in.
-    if (s > 0) {
-      b.seed_ = base_seed ^ 0x9e3779b97f4a7c15ULL * s;
-    } else {
-      b.seed_ = base_seed;
-    }
-    if (txn_mode) {
-      // The transaction fleet replaces the per-shard client fleets; the
-      // shard still needs latency-model slots for the coordinators and
-      // clients registered on its network (ids n .. n+shards+clients-1).
-      b.workload_->spawn_fleet = false;
-      b.workload_->extra_client_slots = shards + total_clients;
-    }
-    sd->shards_.push_back(b.BuildInternal(&sd->sim_, sole_group));
+    // Shard 0 keeps the base seed; the rest fold the shard index in.
+    b.seed_ = base_seed ^ 0x9e3779b97f4a7c15ULL * s;
+    // The transaction fleet replaces the per-shard client fleets; the shard
+    // still needs latency-model slots for the coordinators and clients
+    // registered on its network (ids n .. n+shards+clients-1).
+    b.workload_->spawn_fleet = false;
+    b.workload_->extra_client_slots = shards + total_clients;
+    sd->shards_.push_back(b.BuildInternal(&sd->sim_));
   }
   sd->n_ = sd->shards_[0]->n();
   for (auto& d : sd->shards_) {
     OL_CHECK(d->n() == sd->n_);
   }
 
-  if (txn_mode) {
-    for (uint32_t s = 0; s < shards; ++s) {
-      const ReplicaId anchor = sd->Route(s);
-      auto coord = std::make_unique<TxnCoordinator>(
-          sd.get(), s, sd->coordinator_id(s), anchor);
-      TxnCoordinator* cp = coord.get();
-      for (uint32_t t = 0; t < shards; ++t) {
-        sd->shards_[t]->net().Register(cp->id(), cp);
-      }
-      sd->shards_[s]->AddRecoveredHook([cp, anchor](ReplicaId id, SimTime at) {
-        if (id == anchor) {
-          cp->OnAnchorRecovered(at);
-        }
-      });
-      sd->coordinators_.push_back(std::move(coord));
+  for (uint32_t s = 0; s < shards; ++s) {
+    const ReplicaId anchor = sd->Route(s);
+    auto coord = std::make_unique<TxnCoordinator>(
+        sd.get(), s, sd->coordinator_id(s), anchor);
+    TxnCoordinator* cp = coord.get();
+    for (uint32_t t = 0; t < shards; ++t) {
+      sd->shards_[t]->net().Register(cp->id(), cp);
     }
-
-    TxnWorkloadOptions fopts = txn_workload_;
-    fopts.seed = fopts.seed * 0x9e3779b97f4a7c15ULL ^ base_seed;
-    sd->fleet_ = std::make_unique<TxnFleet>(
-        sd.get(), /*base_id=*/sd->n_ + shards, total_clients, sd->cross_pct_,
-        fopts);
-    for (uint32_t i = 0; i < sd->fleet_->size(); ++i) {
-      TxnClient& client = sd->fleet_->client(i);
-      for (uint32_t t = 0; t < shards; ++t) {
-        sd->shards_[t]->net().Register(client.id(), &client);
+    sd->shards_[s]->AddRecoveredHook([cp, anchor](ReplicaId id, SimTime at) {
+      if (id == anchor) {
+        cp->OnAnchorRecovered(at);
       }
+    });
+    sd->coordinators_.push_back(std::move(coord));
+  }
+
+  TxnWorkloadOptions fopts = txn_workload_;
+  fopts.seed = fopts.seed * 0x9e3779b97f4a7c15ULL ^ base_seed;
+  sd->fleet_ = std::make_unique<TxnFleet>(
+      sd.get(), /*base_id=*/sd->n_ + shards, total_clients, sd->cross_pct_,
+      fopts);
+  for (uint32_t i = 0; i < sd->fleet_->size(); ++i) {
+    TxnClient& client = sd->fleet_->client(i);
+    for (uint32_t t = 0; t < shards; ++t) {
+      sd->shards_[t]->net().Register(client.id(), &client);
     }
   }
 
-  if (gauge_interval_ > 0 && !sole_group) {
+  if (gauge_interval_ > 0) {
     Simulator* sim = &sd->sim_;
     sd->gauges_ = std::make_unique<GaugeSampler>(sim, gauge_interval_);
     sd->gauges_->Add("pending_events",

@@ -7,9 +7,9 @@
 // therefore drains through one (at, seq) order, and multi-group runs inherit
 // the single simulator's byte-identical-at-any---threads guarantee. The
 // KeyRouter partitions the u64 KV keyspace; the transaction layer
-// (TxnCoordinator per shard + one TxnFleet, when WithTxnWorkload names
-// clients) turns the groups into one sharded store with cross-shard 2PC
-// transactions.
+// (TxnCoordinator per shard + one TxnFleet, sized by WithTxnWorkload, which
+// BuildSharded requires) turns the groups into one sharded store with
+// cross-shard 2PC transactions.
 //
 // Id layout (every shard has the same n replicas): per shard network,
 // replicas are 0..n-1, coordinator of shard s is n+s, and transaction
@@ -17,9 +17,6 @@
 // shard's network under the same id — cross-shard sends are ordinary
 // Network::Send calls on the target shard's network. A coordinator is
 // colocated with its shard's anchor replica and shares its crash windows.
-//
-// A 1-shard deployment with no transaction workload delegates Metrics() to
-// its single group verbatim, which is what pins one-shard-equals-legacy.
 #pragma once
 
 #include <memory>
@@ -47,7 +44,7 @@ class ShardedDeployment {
   // The simulator every shard group, coordinator, and client schedules on.
   Simulator& sim() { return sim_; }
 
-  // --- transaction layer (nullptr / empty without WithTxnWorkload) -----------
+  // --- transaction layer -----------------------------------------------------
   TxnCoordinator* coordinator(uint32_t s) {
     return s < coordinators_.size() ? coordinators_[s].get() : nullptr;
   }
@@ -66,7 +63,6 @@ class ShardedDeployment {
 
   // Aggregate metrics: per-shard sums, element-wise throughput, the shared
   // event core, AND-of-shards digest agreement, and the transaction report.
-  // Exactly the single shard's report for a 1-shard, no-txn deployment.
   MetricsReport Metrics();
   MetricsReport ShardMetrics(uint32_t s) { return shards_.at(s)->Metrics(); }
 
@@ -88,7 +84,7 @@ class ShardedDeployment {
   std::vector<std::unique_ptr<TxnCoordinator>> coordinators_;
   std::unique_ptr<TxnFleet> fleet_;
   // Simulator-wide gauges (pending events, pool hit rate), sampled once for
-  // the whole deployment when the shards' own samplers leave them out.
+  // the whole deployment; the shards' own samplers leave them out.
   std::unique_ptr<GaugeSampler> gauges_;
 };
 

@@ -62,7 +62,7 @@ void TxnClient::OnTimer(uint64_t tag, SimTime at) {
     // forwards to whoever leads now.
     cur_->target = (cur_->target + 1) % fleet_->replicas_per_shard();
   }
-  SendAttempt(at);
+  SendAttempt();
 }
 
 void TxnClient::StartTxn(SimTime now) {
@@ -130,10 +130,10 @@ void TxnClient::StartTxn(SimTime now) {
     tr->EmitHere(now, TraceKind::kClientSend, cur_->cross ? 1 : 0, id_,
                  cur_->request_id, id_);
   }
-  SendAttempt(now);
+  SendAttempt();
 }
 
-void TxnClient::SendAttempt(SimTime now) {
+void TxnClient::SendAttempt() {
   Pending& p = *cur_;
   if (p.cross) {
     auto msg = fleet_->sim().pool().Make<TxnRequestMsg>();
@@ -188,6 +188,9 @@ void TxnClient::OnMessage(ReplicaId from, const MessagePtr& msg, SimTime at) {
   Complete(decoded && m.ok, reply.result, at);
 }
 
+// Back-off before an aborted transaction is retried.
+constexpr SimTime kAbortBackoff = 25 * kMsec;
+
 void TxnClient::Complete(bool committed, const Bytes& results, SimTime at) {
   Pending p = std::move(*cur_);
   cur_.reset();
@@ -201,7 +204,7 @@ void TxnClient::Complete(bool committed, const Bytes& results, SimTime at) {
 
   if (!committed) {
     ++fleet_->aborted_;
-    fleet_->sim().ScheduleTimer(this, kTagNext, fleet_->opts_.abort_backoff);
+    fleet_->sim().ScheduleTimer(this, kTagNext, kAbortBackoff);
     return;
   }
 

@@ -50,7 +50,7 @@ class TxnClient : public Actor {
 
   void Start(SimTime now);
   void StartTxn(SimTime now);
-  void SendAttempt(SimTime now);
+  void SendAttempt();
   void Complete(bool committed, const Bytes& results, SimTime at);
   // Oracle check + model update of one committed op (hot keys skipped).
   void VerifyOp(const KvOp& op, const KvResult& res);

@@ -13,9 +13,8 @@ namespace optilog {
 
 struct TxnWorkloadOptions {
   // Transaction clients per shard (total fleet = clients_per_shard *
-  // shards). 0 disables the transaction layer: each shard then runs its own
-  // ordinary ClientFleet, statically partitioned traffic with no cross-shard
-  // operations.
+  // shards). BuildSharded requires at least one; 0 means WithTxnWorkload was
+  // never called.
   uint32_t clients_per_shard = 0;
   uint32_t keys_per_txn = 2;
   // Private keys per (client, shard) bucket; like the single-group
@@ -32,7 +31,6 @@ struct TxnWorkloadOptions {
   uint32_t hot_keys = 8;
   SimTime think_time = 0;         // closed loop: pause after each completion
   SimTime retry_timeout = 400 * kMsec;  // unanswered attempt: re-send
-  SimTime abort_backoff = 25 * kMsec;   // aborted txn: back off, then retry
   // Stop issuing new transactions at this time (0 = never): lets tests
   // drain in-flight 2PC state to empty before digest comparison.
   SimTime stop_at = 0;

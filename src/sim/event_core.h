@@ -60,15 +60,14 @@ struct EventCoreStats {
   size_t peak_pending = 0;        // high-water mark of live events
   // Time-wheel scheduler: events whose fire time fell beyond the wheel
   // horizon at schedule time and took the overflow heap instead of a bucket.
-  // Zero under the legacy heap scheduler.
   uint64_t wheel_overflow_events = 0;
   // Message pool: Make() calls served from a recycled block vs. fresh
   // operator new. Deterministic (allocation order is the event order), so
-  // compare_bench gates them exactly like the lane counters. NOT part of
-  // MetricsFingerprint: pre-wheel digests must stay byte-identical.
+  // compare_bench gates them exactly like the lane counters.
   uint64_t message_pool_hits = 0;
   uint64_t message_pool_misses = 0;
-  // Wall-clock seconds spent inside RunUntil/RunAll, for events/sec.
+  // Wall-clock seconds spent inside RunUntil/RunAll, for events/sec. Host
+  // time, so not fingerprinted.
   double wall_seconds = 0.0;
   // Event-core partitions the deployment ran on: always 1, since every
   // deployment (sharded ones included) schedules on one simulator. Kept for

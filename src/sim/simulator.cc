@@ -28,9 +28,7 @@ void Simulator::ReserveHint(size_t expected_peak_events) {
   slots_.reserve(hint_total_);
   free_slots_.reserve(hint_total_);
   heap_.reserve(hint_total_);
-  if (!use_heap_) {
-    EnsureWheel();
-  }
+  EnsureWheel();
 }
 
 uint32_t Simulator::AcquireSlot() {
@@ -172,18 +170,14 @@ EventId Simulator::Commit(SimTime at, uint32_t index) {
   }
   ++live_;
   stats_.peak_pending = std::max(stats_.peak_pending, live_);
-  if (use_heap_) {
-    HeapPush(Key{at, slot.seq, index, slot.gen});
+  EnsureWheel();
+  const uint64_t tick = TickOf(at);
+  if (tick < current_tick_ + kWheelBuckets) {
+    InsertWheel(index, tick);
   } else {
-    EnsureWheel();
-    const uint64_t tick = TickOf(at);
-    if (tick < current_tick_ + kWheelBuckets) {
-      InsertWheel(index, tick);
-    } else {
-      slot.in_wheel = false;
-      HeapPush(Key{at, slot.seq, index, slot.gen});
-      ++stats_.wheel_overflow_events;
-    }
+    slot.in_wheel = false;
+    HeapPush(Key{at, slot.seq, index, slot.gen});
+    ++stats_.wheel_overflow_events;
   }
   return PackId(index, slot.gen);
 }
@@ -262,13 +256,10 @@ void Simulator::Cancel(EventId id) {
     return;  // already ran, already cancelled, or slot reused
   }
   if (slots_[index].in_wheel) {
-    // Unlink from the bucket chain and recycle on the spot — same slot-
-    // recycling order as a heap cancel, which leaves its stale key behind
-    // but releases the slot immediately too.
     UnlinkWheel(index);
   }
-  // Heap/overflow residents just leave a generation-mismatched key that the
-  // pop paths skip (without counting it as executed).
+  // Overflow residents just leave a generation-mismatched key that the pop
+  // paths skip (without counting it as executed).
   ReleaseSlot(index);
   ++stats_.cancellations;
 }
@@ -379,23 +370,7 @@ void Simulator::Execute(uint32_t index, bool from_wheel) {
   Dispatch(index);
 }
 
-bool Simulator::StepHeap() {
-  while (!heap_.empty()) {
-    const Key key = HeapTop();
-    HeapPop();
-    if (slots_[key.index].gen != key.gen) {
-      continue;  // cancelled (slot possibly reused under a newer generation)
-    }
-    Dispatch(key.index);
-    return true;
-  }
-  return false;
-}
-
 bool Simulator::Step() {
-  if (use_heap_) {
-    return StepHeap();
-  }
   uint32_t index;
   bool from_wheel;
   if (!PeekNext(&index, &from_wheel)) {
@@ -405,28 +380,8 @@ bool Simulator::Step() {
   return true;
 }
 
-void Simulator::RunUntilHeap(SimTime t) {
-  while (!heap_.empty()) {
-    // Peek past stale keys without executing.
-    const Key& key = HeapTop();
-    if (slots_[key.index].gen != key.gen) {
-      HeapPop();
-      continue;
-    }
-    if (key.at > t) {
-      break;
-    }
-    StepHeap();
-  }
-  now_ = std::max(now_, t);
-}
-
 void Simulator::RunUntil(SimTime t) {
   WallTimer timer(&stats_.wall_seconds);
-  if (use_heap_) {
-    RunUntilHeap(t);
-    return;
-  }
   uint32_t index;
   bool from_wheel;
   while (PeekNext(&index, &from_wheel)) {
@@ -448,8 +403,6 @@ void Simulator::RunAll() {
 }
 
 bool Simulator::PeekEarliest(SimTime* at) {
-  // PeekNext covers both schedulers: under the heap scheduler wheel_live_ is
-  // always 0, so it falls straight through to the stale-skipping heap scan.
   uint32_t index;
   bool from_wheel;
   if (!PeekNext(&index, &from_wheel)) {

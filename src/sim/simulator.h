@@ -1,17 +1,15 @@
 // Discrete-event simulation engine.
 //
 // The simulator owns a virtual clock, a slab of event slots, and a bucketed
-// time-wheel scheduler (with an overflow heap for far-future events; the
-// legacy binary heap survives behind UseHeapScheduler() as the parity
-// reference). Events scheduled at the same instant run in scheduling order
-// (a monotonically increasing sequence number breaks ties), which makes runs
-// bit-for-bit reproducible regardless of event kind or scheduler.
-// Cancellation bumps the slot's generation and returns the slot to the free
-// list; a wheel-resident event is unlinked from its bucket chain on the
-// spot, while an overflow/heap key is skipped at pop time by the generation
-// mismatch — either way pending() stays exact under any Cancel/Step/RunUntil
-// interleaving, and the slot-recycling order is identical across schedulers
-// (pinned by the cross-scheduler digest-parity test).
+// time-wheel scheduler (with an overflow heap for far-future events). Events
+// scheduled at the same instant run in scheduling order (a monotonically
+// increasing sequence number breaks ties), which makes runs bit-for-bit
+// reproducible regardless of event kind. Cancellation bumps the slot's
+// generation and returns the slot to the free list; a wheel-resident event
+// is unlinked from its bucket chain on the spot, while an overflow key is
+// skipped at pop time by the generation mismatch — either way pending()
+// stays exact under any Cancel/Step/RunUntil interleaving (pinned against a
+// sorted reference model by the time-wheel differential test).
 //
 // Time wheel geometry: kWheelBuckets buckets of kBucketWidth microseconds
 // cover a rolling horizon of ~1 simulated second. An event inside the
@@ -58,15 +56,6 @@ class Simulator {
 
   // The pool protocol messages scheduled on this simulator are carved from.
   MessagePool& pool() { return pool_; }
-
-  // Switches to the legacy binary-heap scheduler (the pre-wheel reference
-  // implementation, kept for the digest-parity test). Must be called before
-  // anything is scheduled.
-  void UseHeapScheduler() {
-    OL_CHECK_MSG(live_ == 0 && next_seq_ == 1,
-                 "scheduler choice must precede scheduling");
-    use_heap_ = true;
-  }
 
   // Capacity reservation from a topology-derived estimate of peak pending
   // events (Deployment::Builder calls this), eliminating mid-run vector
@@ -176,7 +165,7 @@ class Simulator {
   struct Slot {
     uint32_t gen = 1;
     Kind kind = Kind::kClosure;
-    bool in_wheel = false;        // bucket-chain resident (vs. heap/overflow)
+    bool in_wheel = false;        // bucket-chain resident (vs. overflow)
     ReplicaId from = kNoReplica;  // delivery
     ReplicaId to = kNoReplica;    // delivery
     uint64_t tag = 0;             // timer
@@ -190,9 +179,8 @@ class Simulator {
     std::function<void()> fn;
   };
 
-  // Heap/overflow keys are tiny; the payload stays put in the slab. `gen`
-  // detects keys whose slot was cancelled (and possibly reused) since the
-  // push.
+  // Overflow keys are tiny; the payload stays put in the slab. `gen` detects
+  // keys whose slot was cancelled (and possibly reused) since the push.
   struct Key {
     SimTime at;
     uint64_t seq;
@@ -213,8 +201,8 @@ class Simulator {
   uint32_t AcquireSlot();
   // Bumps the generation, drops owned payload, and recycles the slot.
   void ReleaseSlot(uint32_t index);
-  // Stamps (at, seq), routes the just-filled slot to the wheel / overflow /
-  // heap, and returns its EventId.
+  // Stamps (at, seq), routes the just-filled slot to the wheel or the
+  // overflow heap, and returns its EventId.
   EventId Commit(SimTime at, uint32_t index);
 
   // Wheel internals (see the design note at the top).
@@ -228,14 +216,11 @@ class Simulator {
   // Pops exactly the event PeekNext reported and runs it.
   void Execute(uint32_t index, bool from_wheel);
   // Advances the clock to the slot's fire time, counts it, moves the payload
-  // out, recycles the slot, and invokes the handler (shared by both
-  // schedulers — this is what keeps their observable order identical).
+  // out, recycles the slot, and invokes the handler.
   void Dispatch(uint32_t index);
-  bool StepHeap();
-  void RunUntilHeap(SimTime t);
 
-  // Min-heap over `heap_` (std::push_heap/pop_heap with Later), reservable —
-  // doubles as the legacy full scheduler and as the wheel's overflow store.
+  // Min-heap over `heap_` (std::push_heap/pop_heap with Later), reservable:
+  // the wheel's overflow store.
   void HeapPush(Key key);
   void HeapPop();
   const Key& HeapTop() const { return heap_.front(); }
@@ -248,7 +233,6 @@ class Simulator {
   SimTime now_ = 0;
   uint64_t next_seq_ = 1;
   size_t live_ = 0;
-  bool use_heap_ = false;
 
   // Flight recorder (EnableTrace); null on the default, zero-cost path.
   std::unique_ptr<TraceRecorder> trace_own_;
@@ -264,7 +248,7 @@ class Simulator {
   // stretches instead of rescanning from the cursor every pop.
   uint64_t min_tick_hint_ = 0;
 
-  std::vector<Key> heap_;  // legacy scheduler, or wheel overflow
+  std::vector<Key> heap_;  // wheel overflow
   // Declared before slots_: members are destroyed in reverse declaration
   // order, and pending slots hold MessagePtrs whose release recycles into
   // the pool — it must still be alive when slots_ is torn down.

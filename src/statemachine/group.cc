@@ -11,7 +11,6 @@ RsmGroup::RsmGroup(Simulator* sim, Network* net, const FaultModel* faults,
     : sim_(sim), net_(net), faults_(faults), n_(n), opts_(std::move(opts)) {
   OL_CHECK(n_ >= 1);
   OL_CHECK(opts_.transfer_chunk_bytes > 0);
-  OL_CHECK(opts_.suffix_chunk_entries > 0);
   rsms_.reserve(n_);
   for (ReplicaId id = 0; id < n_; ++id) {
     rsms_.push_back(std::make_unique<ReplicaRsm>(id, opts_.checkpoint));
@@ -133,12 +132,15 @@ void RsmGroup::SendCurrentRequest(ReplicaId id) {
   ArmTimeout(id);
 }
 
+// Donor silence longer than this re-routes the session to the next donor.
+constexpr SimTime kTransferTimeout = 500 * kMsec;
+
 void RsmGroup::ArmTimeout(ReplicaId id) {
   Session& s = sessions_[id];
   if (s.timeout != kNoEvent) {
     sim_->Cancel(s.timeout);
   }
-  s.timeout = sim_->ScheduleTimer(this, TimeoutTag(id), opts_.transfer_timeout);
+  s.timeout = sim_->ScheduleTimer(this, TimeoutTag(id), kTransferTimeout);
 }
 
 void RsmGroup::OnTimer(uint64_t tag, SimTime at) {
@@ -229,6 +231,9 @@ void RsmGroup::ServeStateFetch(ReplicaId donor, ReplicaId to,
   net_->Send(donor, to, std::move(reply));
 }
 
+// Log entries per LogSuffixChunk.
+constexpr uint32_t kSuffixChunkEntries = 64;
+
 void RsmGroup::ServeSuffixFetch(ReplicaId donor, ReplicaId to,
                                 const LogSuffixFetchMsg& req) {
   if (sessions_[donor].active) {
@@ -247,7 +252,7 @@ void RsmGroup::ServeSuffixFetch(ReplicaId donor, ReplicaId to,
     return;
   }
   const uint64_t end = std::min<uint64_t>(
-      log.next_index(), req.from_index + opts_.suffix_chunk_entries);
+      log.next_index(), req.from_index + kSuffixChunkEntries);
   for (uint64_t i = req.from_index; i < end; ++i) {
     reply->entries.push_back(log.EntryAt(i));
   }

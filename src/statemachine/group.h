@@ -39,10 +39,6 @@ struct StateMachineOptions {
   CheckpointPolicy checkpoint;
   // Snapshot transfer chunking (bytes of snapshot per StateChunk).
   size_t transfer_chunk_bytes = 4096;
-  // Log entries per LogSuffixChunk.
-  uint32_t suffix_chunk_entries = 64;
-  // Donor silence longer than this re-routes the session to the next donor.
-  SimTime transfer_timeout = 500 * kMsec;
 };
 
 class RsmGroup : public TimerTarget {

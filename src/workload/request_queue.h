@@ -87,9 +87,9 @@ class RequestQueue {
   // id out to several shards, and a client-only window would falsely dedup
   // the later arrivals. The safe side of the trade-off: an id that ages
   // past the floor can never be re-admitted (never double-committed) even
-  // if it was originally dropped — the client-side retry cap
-  // (WorkloadOptions::max_retries) turns that corner into accounted
-  // abandonment instead of an eternal retry loop.
+  // if it was originally dropped — the client-side retry cap (kMaxRetries
+  // in workload.cc) turns that corner into accounted abandonment instead of
+  // an eternal retry loop.
   //
   // Layout: one sorted vector. The common case, a new id above every
   // windowed one, is a push_back; a retry or an out-of-order id is a binary

@@ -148,10 +148,10 @@ void WorkloadClient::StartNewRequest(SimTime now) {
     // stage breakdowns measure from the original send, like sent_at does).
     tr->EmitHere(now, TraceKind::kClientSend, 0, id_, id, id_);
   }
-  SendAttempt(id, now);
+  SendAttempt(id);
 }
 
-void WorkloadClient::SendAttempt(uint64_t request_id, SimTime now) {
+void WorkloadClient::SendAttempt(uint64_t request_id) {
   Outstanding& o = outstanding_.at(request_id);
   auto req = fleet_->sim_->pool().Make<ClientRequestMsg>();
   req->client = id_;
@@ -166,8 +166,13 @@ void WorkloadClient::SendAttempt(uint64_t request_id, SimTime now) {
     o.retry = fleet_->sim_->ScheduleTimer(this, request_id + 1,
                                           fleet_->opts_.retry_timeout);
   }
-  (void)now;
 }
+
+// Re-sends per request before the client abandons it (counted in
+// requests_abandoned; a closed-loop client moves on to its next request).
+// Bounds the retry storm a dropped request can cause: once the leader's
+// dedup window has pruned past an id, its retries can never be admitted.
+constexpr uint32_t kMaxRetries = 16;
 
 void WorkloadClient::OnTimer(uint64_t tag, SimTime at) {
   if (tag == kTagArrival) {
@@ -184,7 +189,7 @@ void WorkloadClient::OnTimer(uint64_t tag, SimTime at) {
     return;  // completed or abandoned in the meantime
   }
   it->second.retry = kNoEvent;
-  if (it->second.attempts > fleet_->opts_.max_retries) {
+  if (it->second.attempts > kMaxRetries) {
     // Give up: the request was dropped (or its id aged out of the leader's
     // dedup window, where a late retry reads as a duplicate). Account for
     // it and, in a closed loop, free the slot for the next request.
@@ -198,7 +203,7 @@ void WorkloadClient::OnTimer(uint64_t tag, SimTime at) {
   ++it->second.attempts;
   it->second.target = (it->second.target + 1) % fleet_->n_;
   ++fleet_->retried_;
-  SendAttempt(request_id, at);
+  SendAttempt(request_id);
 }
 
 void WorkloadClient::OnMessage(ReplicaId from, const MessagePtr& msg,
@@ -216,7 +221,7 @@ void WorkloadClient::OnMessage(ReplicaId from, const MessagePtr& msg,
   if (++o.replies < fleet_->opts_.replies_needed) {
     return;
   }
-  if (fleet_->opts_.kv.enabled && fleet_->opts_.kv.verify) {
+  if (fleet_->opts_.kv.enabled) {
     VerifyResult(o.op, reply.result);
   }
   if (TraceRecorder* tr = fleet_->sim_->trace()) {

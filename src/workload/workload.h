@@ -58,7 +58,6 @@ struct KvWorkloadOptions {
   uint32_t keys_per_client = 16;
   uint32_t get_pct = 25;   // reads
   uint32_t put_pct = 50;   // blind writes; the remainder are read-modify-writes
-  bool verify = true;      // model-oracle cross-check on completions
 };
 
 // One scripted phase: the open-loop rate is scaled by `rate_scale` for
@@ -80,11 +79,6 @@ struct WorkloadOptions {
   size_t request_bytes = 64;
   uint32_t replies_needed = 0;  // 0 = protocol default (tree: 1, PBFT: f+1)
   SimTime retry_timeout = 0;    // 0 = never re-send
-  // Re-sends per request before the client abandons it (counted in
-  // requests_abandoned; a closed-loop client moves on to its next request).
-  // Bounds the retry storm a dropped request can cause: once the leader's
-  // dedup window has pruned past an id, its retries can never be admitted.
-  uint32_t max_retries = 16;
   bool record_samples = true;   // keep the per-client (at, latency) series
   uint64_t seed = 1;
   BatchPolicy batch;  // leader-side batching (see request_queue.h)
@@ -124,7 +118,7 @@ class WorkloadClient : public Actor {
 
   void Start(SimTime now);
   void StartNewRequest(SimTime now);
-  void SendAttempt(uint64_t request_id, SimTime now);
+  void SendAttempt(uint64_t request_id);
   void ScheduleNextArrival(SimTime now);
   SimTime Interarrival(SimTime now);
   // Draws this request's KV operation from the client's private key range.

@@ -2,15 +2,25 @@
 // Cancel/Step/RunUntil interleavings, generation-checked cancellation
 // across slot reuse, typed delivery/timer lanes, and the determinism
 // invariant that same-instant events run in scheduling order regardless of
-// event kind.
+// event kind — checked op by op against a sorted reference model, and on
+// full Kauri and PBFT runs across the Step and RunUntil drive paths.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <set>
+#include <string>
+#include <tuple>
 
 #include "src/api/deployment.h"
 #include "src/net/fault_model.h"
+#include "src/net/geo.h"
 #include "src/net/latency_model.h"
 #include "src/net/network.h"
 #include "src/runner/scenario.h"
 #include "src/sim/simulator.h"
+#include "src/util/rng.h"
 
 namespace optilog {
 namespace {
@@ -311,24 +321,14 @@ TEST(TimeWheel, OverflowHeapMigratesIntoWheel) {
 }
 
 TEST(TimeWheel, CancelledOverflowEventNotCountedAsExecuted) {
-  // Overflow (and legacy-heap) cancels leave a stale generation-mismatched
-  // key behind; skipping it at pop time must not increment
-  // events_executed. Regression: the skip used to count as a run.
+  // Overflow cancels leave a stale generation-mismatched key behind;
+  // skipping it at pop time must not increment events_executed.
+  // Regression: the skip used to count as a run.
   Simulator sim;
   const EventId far = sim.ScheduleAt(kWheelHorizon + kBucketUs, [] {});
   sim.ScheduleAt(5, [] {});
   sim.Cancel(far);
   EXPECT_EQ(sim.pending(), 1u);
-  sim.RunAll();
-  EXPECT_EQ(sim.events_executed(), 1u);
-}
-
-TEST(TimeWheel, HeapSchedulerCancelNotCountedAsExecuted) {
-  Simulator sim;
-  sim.UseHeapScheduler();
-  const EventId victim = sim.ScheduleAt(50, [] {});
-  sim.ScheduleAt(60, [] {});
-  sim.Cancel(victim);
   sim.RunAll();
   EXPECT_EQ(sim.events_executed(), 1u);
 }
@@ -344,40 +344,253 @@ TEST(TimeWheel, ReserveHintPreallocatesSlab) {
   EXPECT_EQ(sim.slab_capacity(), cap);  // no growth under the hint
 }
 
-// --- cross-scheduler determinism ---------------------------------------------
+// --- differential test against a sorted reference ---------------------------
 
-// The wheel and the legacy binary heap must produce identical executions:
-// same (time, seq) order, same slot recycling, same metrics fingerprint.
-// Exercised over both protocol families so delivery, timer, cancel, and
-// multicast paths all participate.
+// The scheduler's whole contract as a sorted set: live events keyed
+// (at, seq, tag), `at` clamped to now at schedule time; Step pops the
+// minimum; RunUntil pops every event at or before t, then moves the clock
+// to t.
+struct ReferenceScheduler {
+  using Key = std::tuple<SimTime, uint64_t, uint64_t>;  // (at, seq, tag)
+  SimTime now = 0;
+  uint64_t next_seq = 1;
+  std::set<Key> live;
+  std::map<uint64_t, Key> by_tag;
 
-std::string FingerprintFor(Protocol proto, bool heap) {
-  auto b = Deployment::Builder()
+  void Schedule(SimTime at, uint64_t tag) {
+    const Key key{std::max(at, now), next_seq++, tag};
+    live.insert(key);
+    by_tag[tag] = key;
+  }
+  void Cancel(uint64_t tag) {
+    const auto it = by_tag.find(tag);
+    if (it != by_tag.end()) {
+      live.erase(it->second);
+      by_tag.erase(it);
+    }
+  }
+  uint64_t Pop() {
+    const auto [at, seq, tag] = *live.begin();
+    live.erase(live.begin());
+    by_tag.erase(tag);
+    now = at;
+    return tag;
+  }
+};
+
+// Handlers schedule follow-ups (up to three deep, tag + kDepthUnit each) at
+// the same instant, inside the same tick, a few ms out, or past the wheel
+// horizon — a pure function of the tag, so the reference mirrors them.
+constexpr uint64_t kDepthUnit = uint64_t{1} << 32;
+
+bool SpawnsFollowUp(uint64_t tag) {
+  return tag % 4 == 0 && tag / kDepthUnit < 3;
+}
+
+SimTime FollowUpDelay(uint64_t tag) {
+  switch ((tag / 4 + tag / kDepthUnit) % 4) {
+    case 0:
+      return 0;
+    case 1:
+      return 17;
+    case 2:
+      return 3 * kMsec;
+    default:
+      return kWheelHorizon + 100;
+  }
+}
+
+// The simulator side: records every firing in order and schedules the same
+// follow-ups, on the timer lane or (every third tag) the closure lane.
+class DifferentialTarget : public TimerTarget {
+ public:
+  explicit DifferentialTarget(Simulator* sim) : sim_(sim) {}
+
+  void OnTimer(uint64_t tag, SimTime at) override {
+    EXPECT_EQ(at, sim_->now());
+    fired.push_back(tag);
+    if (SpawnsFollowUp(tag)) {
+      Schedule(sim_->now() + FollowUpDelay(tag), tag + kDepthUnit);
+    }
+  }
+
+  void Schedule(SimTime at, uint64_t tag) {
+    if (tag % 3 == 0) {
+      ids[tag] = sim_->ScheduleAt(at, [this, tag] { OnTimer(tag, sim_->now()); });
+    } else {
+      ids[tag] = sim_->ScheduleTimerAt(at, this, tag);
+    }
+    scheduled.push_back(tag);
+  }
+
+  std::vector<uint64_t> fired;
+  std::vector<uint64_t> scheduled;  // every tag ever scheduled
+  std::map<uint64_t, EventId> ids;  // latest handle per tag, live or stale
+
+ private:
+  Simulator* sim_;
+};
+
+TEST(TimeWheel, MatchesSortedReferenceUnderRandomOps) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Simulator sim;
+    DifferentialTarget target(&sim);
+    ReferenceScheduler ref;
+    std::vector<uint64_t> expected;
+    size_t checked = 0;
+    Rng rng(seed);
+    uint64_t next_tag = 1;
+    auto ref_pop = [&] {
+      const uint64_t tag = ref.Pop();
+      expected.push_back(tag);
+      if (SpawnsFollowUp(tag)) {
+        ref.Schedule(ref.now + FollowUpDelay(tag), tag + kDepthUnit);
+      }
+    };
+
+    for (int op = 0; op < 4000; ++op) {
+      const uint64_t kind = rng.Below(100);
+      if (kind < 45) {
+        SimTime at = sim.now();
+        switch (rng.Below(5)) {
+          case 0:  // near
+            at += rng.Range(0, 5 * kMsec);
+            break;
+          case 1:  // a live event's instant, or elsewhere in its tick
+            if (!ref.live.empty()) {
+              at = std::get<0>(
+                  *std::next(ref.live.begin(), rng.Below(ref.live.size())));
+              if (rng.Below(2) == 0) {
+                at = at - at % kBucketUs + rng.Range(0, kBucketUs - 1);
+              }
+            }
+            break;
+          case 2:  // in the past: clamped to now
+            at -= rng.Range(1, 10 * kMsec);
+            break;
+          case 3:  // beyond the horizon: overflow heap
+            at += kWheelHorizon + rng.Range(0, 3 * kWheelHorizon);
+            break;
+          default:
+            at += rng.Range(0, kWheelHorizon);
+            break;
+        }
+        const uint64_t tag = next_tag++;
+        target.Schedule(at, tag);
+        ref.Schedule(at, tag);
+      } else if (kind < 65) {
+        // Cancel a live event, or any tag ever scheduled (stale handles of
+        // executed, cancelled or recycled slots must be no-ops).
+        uint64_t tag;
+        if (kind < 55 && !ref.live.empty()) {
+          tag = std::get<2>(
+              *std::next(ref.live.begin(), rng.Below(ref.live.size())));
+        } else if (!target.scheduled.empty()) {
+          tag = target.scheduled[rng.Below(target.scheduled.size())];
+        } else {
+          continue;
+        }
+        sim.Cancel(target.ids.at(tag));
+        ref.Cancel(tag);
+      } else if (kind < 85) {
+        const bool ref_has_next = !ref.live.empty();
+        ASSERT_EQ(sim.Step(), ref_has_next) << "op " << op;
+        if (ref_has_next) {
+          ref_pop();
+        }
+      } else {
+        const SimTime t =
+            sim.now() + (rng.Below(2) == 0
+                             ? rng.Range(-kMsec, 2 * kMsec)
+                             : rng.Range(0, 2 * kWheelHorizon));
+        sim.RunUntil(t);
+        while (!ref.live.empty() && std::get<0>(*ref.live.begin()) <= t) {
+          ref_pop();
+        }
+        ref.now = std::max(ref.now, t);
+      }
+      ASSERT_EQ(target.fired.size(), expected.size()) << "op " << op;
+      for (; checked < expected.size(); ++checked) {
+        ASSERT_EQ(target.fired[checked], expected[checked])
+            << "op " << op << " firing " << checked;
+      }
+      ASSERT_EQ(sim.pending(), ref.live.size()) << "op " << op;
+      ASSERT_EQ(sim.now(), ref.now) << "op " << op;
+    }
+    EXPECT_EQ(sim.events_executed(), expected.size());
+  }
+}
+
+// --- scheduler-path parity on full deployments -------------------------------
+
+// One RunUntil over the whole horizon, the same horizon in odd-sized
+// RunUntil slices (the clock and wheel cursor stop mid-bucket, on idle
+// stretches and across the overflow horizon), and a Step-driven loop must
+// produce identical executions: same (time, seq) order, same slot recycling,
+// same metrics fingerprint, event-core counters included. Exercised over
+// both protocol families with a client workload whose retry timers land past
+// the wheel horizon and are mostly cancelled, so delivery, timer, cancel,
+// multicast and overflow paths all participate.
+
+enum class Drive { kOneRunUntil, kSlicedRunUntil, kStep };
+
+constexpr SimTime kParityHorizon = 3 * kSec;
+
+MetricsReport RunDriven(Protocol proto, Drive drive) {
+  constexpr SimTime kSliceUs = 997;  // prime: never aligned to a bucket
+  WorkloadOptions w;
+  w.outstanding = 2;
+  w.retry_timeout = 1500 * kMsec;  // beyond kWheelHorizon: overflow heap
+  w.batch.max_batch = 8;
+  w.batch.max_delay = 2 * kMsec;
+  auto d = Deployment::Builder()
+               .WithGeo(Europe21())
                .WithReplicas(7, 2)
                .WithProtocol(proto)
-               .WithSeed(11);
-  if (heap) {
-    b.WithHeapScheduler();
-  }
-  auto d = b.Build();
+               .WithSeed(11)
+               .WithWorkload(w)
+               .WithStateMachine()
+               .WithGaugeSampling(50 * kMsec)
+               .Build();
   d->Start();
-  d->RunUntil(3 * kSec);
-  return MetricsFingerprint(d->Metrics());
+  Simulator& sim = d->sim();
+  switch (drive) {
+    case Drive::kOneRunUntil:
+      d->RunUntil(kParityHorizon);
+      break;
+    case Drive::kSlicedRunUntil:
+      while (sim.now() < kParityHorizon) {
+        d->RunUntil(std::min(kParityHorizon, sim.now() + kSliceUs));
+      }
+      break;
+    case Drive::kStep: {
+      SimTime at;
+      while (sim.PeekEarliest(&at) && at <= kParityHorizon) {
+        sim.Step();
+      }
+      d->RunUntil(kParityHorizon);
+      break;
+    }
+  }
+  EXPECT_EQ(sim.now(), kParityHorizon);
+  return d->Metrics();
 }
 
-TEST(TimeWheel, SchedulerParityKauri) {
-  const std::string wheel = FingerprintFor(Protocol::kKauri, false);
-  const std::string heap = FingerprintFor(Protocol::kKauri, true);
-  EXPECT_FALSE(wheel.empty());
-  EXPECT_EQ(wheel, heap);
+void ExpectSchedulerParity(Protocol proto) {
+  const MetricsReport whole = RunDriven(proto, Drive::kOneRunUntil);
+  EXPECT_GT(whole.committed, 0u);
+  EXPECT_GT(whole.event_core.cancellations, 0u);
+  EXPECT_GT(whole.event_core.wheel_overflow_events, 0u);
+  const std::string expected = MetricsFingerprint(whole);
+  EXPECT_EQ(MetricsFingerprint(RunDriven(proto, Drive::kSlicedRunUntil)),
+            expected);
+  EXPECT_EQ(MetricsFingerprint(RunDriven(proto, Drive::kStep)), expected);
 }
 
-TEST(TimeWheel, SchedulerParityPbft) {
-  const std::string wheel = FingerprintFor(Protocol::kPbft, false);
-  const std::string heap = FingerprintFor(Protocol::kPbft, true);
-  EXPECT_FALSE(wheel.empty());
-  EXPECT_EQ(wheel, heap);
-}
+TEST(TimeWheel, SchedulerParityKauri) { ExpectSchedulerParity(Protocol::kKauri); }
+
+TEST(TimeWheel, SchedulerParityPbft) { ExpectSchedulerParity(Protocol::kPbft); }
 
 }  // namespace
 }  // namespace optilog

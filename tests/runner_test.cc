@@ -327,9 +327,41 @@ TEST(RunnerResult, FingerprintTracksEveryCountedField) {
   changed = m;
   changed.workload.kv_mismatches = 1;
   EXPECT_NE(MetricsFingerprint(changed), base);
-  // Wall clock must NOT move the fingerprint.
+  // One schema: the wire and pool counters and every section count even
+  // when its feature is off (every section of `m` is disabled).
+  changed = m;
+  changed.wire_messages = 1;
+  EXPECT_NE(MetricsFingerprint(changed), base);
+  changed = m;
+  changed.wire_bytes = 1;
+  EXPECT_NE(MetricsFingerprint(changed), base);
+  changed = m;
+  changed.event_core.wheel_overflow_events = 1;
+  EXPECT_NE(MetricsFingerprint(changed), base);
+  changed = m;
+  changed.event_core.message_pool_hits = 1;
+  EXPECT_NE(MetricsFingerprint(changed), base);
+  changed = m;
+  changed.event_core.message_pool_misses = 1;
+  EXPECT_NE(MetricsFingerprint(changed), base);
+  changed = m;
+  changed.txn.committed = 1;
+  EXPECT_NE(MetricsFingerprint(changed), base);
+  changed = m;
+  changed.crypto.signs = 1;
+  EXPECT_NE(MetricsFingerprint(changed), base);
+  changed = m;
+  changed.timeseries.interval = kSec;
+  EXPECT_NE(MetricsFingerprint(changed), base);
+  changed = m;
+  changed.timeseries.series.push_back({"queue_depth", {0.0}});
+  EXPECT_NE(MetricsFingerprint(changed), base);
+  // Host time and the constant partition count must NOT move it.
   changed = m;
   changed.event_core.wall_seconds = 123.0;
+  EXPECT_EQ(MetricsFingerprint(changed), base);
+  changed = m;
+  changed.event_core.partitions = 4;
   EXPECT_EQ(MetricsFingerprint(changed), base);
 }
 

@@ -123,27 +123,28 @@ TEST(ShardDeterminism, CoordinatorCrashAndRecovery) {
   ExpectDeterministic(Protocol::kHotStuff, /*crash_anchor=*/true);
 }
 
-TEST(ShardDeterminism, EveryShardSchedulesOnOneSimulator) {
+TxnWorkloadOptions SmallTxnFleet() {
   TxnWorkloadOptions txn;
   txn.clients_per_shard = 2;
   txn.think_time = 5 * kMsec;
+  return txn;
+}
+
+TEST(ShardDeterminism, EveryShardSchedulesOnOneSimulator) {
   for (uint32_t shards : {1u, 3u}) {
-    for (bool with_txn : {false, true}) {
-      Deployment::Builder b = ShardBuilder(31, Protocol::kHotStuff);
-      b.WithShards(shards).WithCrossShardRatio(0.5);
-      if (with_txn) {
-        b.WithTxnWorkload(txn);
-      }
-      auto sd = b.BuildSharded();
-      for (uint32_t s = 0; s < shards; ++s) {
-        EXPECT_EQ(&sd->shard(s).sim(), &sd->sim())
-            << "shards=" << shards << " txn=" << with_txn << " s=" << s;
-      }
-      sd->Start();
-      sd->RunUntil(2 * kSec);
-      EXPECT_EQ(sd->Metrics().event_core.partitions, 1u);
-      EXPECT_GT(sd->sim().events_executed(), 0u);
+    auto sd = ShardBuilder(31, Protocol::kHotStuff)
+                  .WithShards(shards)
+                  .WithCrossShardRatio(0.5)
+                  .WithTxnWorkload(SmallTxnFleet())
+                  .BuildSharded();
+    for (uint32_t s = 0; s < shards; ++s) {
+      EXPECT_EQ(&sd->shard(s).sim(), &sd->sim())
+          << "shards=" << shards << " s=" << s;
     }
+    sd->Start();
+    sd->RunUntil(2 * kSec);
+    EXPECT_EQ(sd->Metrics().event_core.partitions, 1u);
+    EXPECT_GT(sd->sim().events_executed(), 0u);
   }
 }
 
@@ -152,6 +153,7 @@ TEST(ShardDeterminism, EveryShardSchedulesOnOneSimulator) {
 TEST(ShardDeterminism, SimulatorGaugesAreSampledOncePerDeployment) {
   auto sd = ShardBuilder(31, Protocol::kHotStuff)
                 .WithShards(2)
+                .WithTxnWorkload(SmallTxnFleet())
                 .WithGaugeSampling(kSec)
                 .BuildSharded();
   sd->Start();

@@ -1,7 +1,6 @@
 // The sharding subsystem (src/shard/): key routing, the transactional KV
-// state-machine extension, per-(client, shard) request dedup, one-shard
-// fingerprint equivalence with a legacy deployment, cross-shard 2PC
-// atomicity and drain, coordinator crash recovery, and thread-count
+// state-machine extension, per-(client, shard) request dedup, cross-shard
+// 2PC atomicity and drain, coordinator crash recovery, and thread-count
 // invariance of the shard_scaling sweep.
 #include <gtest/gtest.h>
 
@@ -213,21 +212,6 @@ Deployment::Builder BaseBuilder(uint64_t seed) {
       .WithWorkload(w)
       .WithStateMachine(sm);
   return b;
-}
-
-TEST(ShardedDeployment, OneShardReproducesLegacyFingerprint) {
-  auto legacy = BaseBuilder(9).Build();
-  legacy->Start();
-  legacy->RunUntil(8 * kSec);
-
-  auto sharded = BaseBuilder(9).WithShards(1).BuildSharded();
-  sharded->Start();
-  sharded->RunUntil(8 * kSec);
-
-  const MetricsReport a = legacy->Metrics();
-  const MetricsReport b = sharded->Metrics();
-  EXPECT_GT(a.committed, 0u);
-  EXPECT_EQ(MetricsFingerprint(a), MetricsFingerprint(b));
 }
 
 void ExpectTxnTablesDrained(ShardedDeployment& sd) {

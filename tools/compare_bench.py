@@ -24,9 +24,13 @@ The gate, per the determinism contract (DESIGN.md, "Scenario runner"):
     unless NAME has an explicit --tol;
   * float-valued cells and metrics compare within the tolerance for their
     column/metric name (or --default-float-tol);
-  * wall_ms and the scenario digest are advisory: reported, never fatal
-    (the digest hashes the formatted rows, so it only drifts when some
-    tolerated float did).
+  * wall_ms and the digests are advisory: reported, never fatal. A point's
+    digest is its run's MetricsFingerprint (or measurement-log head), which
+    also covers counters the gate never sees (wire and message-pool counts,
+    the crypto, transaction and gauge sections); the notes name every point
+    whose digest moved. The scenario digest hashes the deterministic body,
+    point digests included, so it moves with any of them, with a tolerated
+    float, or with a host-timed metric.
 
 Exit status: 0 clean, 1 on any gated difference, 2 on usage errors.
 """
@@ -182,11 +186,15 @@ class Comparator:
         if len(bpoints) != len(cpoints):
             self.fail(name, f"point count {len(bpoints)} != {len(cpoints)}")
             return
+        moved = []  # points whose digest moved (advisory)
         for i, (bp, cp) in enumerate(zip(bpoints, cpoints)):
             where = f"{name}.points[{i}]"
             if bp.get("params") != cp.get("params"):
                 self.fail(where, f"params {bp.get('params')} != {cp.get('params')}")
                 continue
+            if bp.get("digest") != cp.get("digest"):
+                params = " ".join(f"{k}={v}" for k, v in bp.get("params", {}).items())
+                moved.append(f"[{i}]" + (f" {params}" if params else ""))
             self.check_table(f"{where}.rows", columns, bp.get("rows", []),
                              cp.get("rows", []))
             bm, cm = bp.get("metrics", {}), cp.get("metrics", {})
@@ -226,9 +234,14 @@ class Comparator:
             else:
                 self.check_table(f"{name}.summary", bsum.get("columns", []),
                                  bsum.get("rows", []), csum.get("rows", []))
+        if moved:
+            self.note(f"{name}: point digest moved at {len(moved)} of "
+                      f"{len(bpoints)} point(s): {'; '.join(moved)} (advisory; "
+                      f"the run's fingerprint or log head changed)")
         if base.get("digest") != cand.get("digest"):
-            self.note(f"{name}: digest differs (advisory; some tolerated "
-                      f"float moved)")
+            self.note(f"{name}: scenario digest differs (advisory; a point "
+                      f"digest, a tolerated float or a host-timed metric "
+                      f"moved)")
         bw, cw = base.get("wall_ms"), cand.get("wall_ms")
         if bw and cw:
             self.note(f"{name}: wall {bw:.0f} ms -> {cw:.0f} ms "
