@@ -48,47 +48,6 @@ double WeightedQuorumTime(std::span<std::pair<double, double>> arrivals_weights,
   return kInf;
 }
 
-AwareTimeouts ComputeAwareTimeouts(const RoleConfig& config, const WeightScheme& scheme,
-                                   const LatencyMatrix& latency, uint32_t u) {
-  const uint32_t n = scheme.n;
-  const ReplicaId leader = config.leader;
-  AwareTimeouts t;
-  // Every arrival sum below has the form x + L(a, b), with L(a, a) = 0: the
-  // same arithmetic as the per-message functions, so the table matches them
-  // bit for bit.
-  std::vector<std::pair<double, double>> arrivals(n);
-  std::vector<double> weight(n);
-
-  // Phase 1: Propose (Pre-Prepare) arrival at each replica.
-  t.propose.resize(n);
-  for (ReplicaId a = 0; a < n; ++a) {
-    t.propose[a] = AwareProposeTimeoutMs(config, latency, a);
-    weight[a] = WeightOf(config, scheme, a);
-  }
-
-  // Phase 2: Write (Prepare): prepared(B) = weighted quorum of writes.
-  t.prepared.resize(n);
-  for (ReplicaId b = 0; b < n; ++b) {
-    for (ReplicaId a = 0; a < n; ++a) {
-      arrivals[a] = {t.propose[a] + latency.Rtt(a, b), weight[a]};
-    }
-    t.prepared[b] = WeightedQuorumTime(arrivals, scheme.quorum_weight, u);
-  }
-
-  // Phase 3: Accept (Commit): the round concludes when the leader holds a
-  // weighted quorum of accepts (TR3).
-  for (ReplicaId b = 0; b < n; ++b) {
-    arrivals[b] = {t.prepared[b] + latency.Rtt(b, leader), weight[b]};
-  }
-  t.round_ms = WeightedQuorumTime(arrivals, scheme.quorum_weight, u);
-  return t;
-}
-
-double AwareRoundDurationMs(const RoleConfig& config, const WeightScheme& scheme,
-                            const LatencyMatrix& latency, uint32_t u) {
-  return ComputeAwareTimeouts(config, scheme, latency, u).round_ms;
-}
-
 double AwareProposeTimeoutMs(const RoleConfig& config, const LatencyMatrix& latency,
                              ReplicaId to) {
   return to == config.leader ? 0.0 : latency.Rtt(config.leader, to);
@@ -172,7 +131,126 @@ RoleConfig AwareConfigSpace::Mutate(const RoleConfig& config,
 
 double AwareConfigSpace::Score(const RoleConfig& config, const LatencyMatrix& latency,
                                uint32_t u) const {
-  return AwareRoundDurationMs(config, scheme_, latency, u);
+  ComputeTimeouts(config, latency, u, table_);
+  return table_.round_ms;
+}
+
+void AwareConfigSpace::Refresh(const LatencyMatrix& latency) const {
+  if (latency.version() == version_) {
+    return;
+  }
+  const uint32_t n = scheme_.n;
+  rtt_.resize(size_t{n} * n);
+  for (ReplicaId a = 0; a < n; ++a) {
+    for (ReplicaId b = 0; b < n; ++b) {
+      rtt_[size_t{a} * n + b] = latency.Rtt(a, b);
+    }
+  }
+  rows_.resize(n);
+  for (LeaderRows& rows : rows_) {
+    rows.arrival.clear();  // rebuilt on the leader's next use
+  }
+  version_ = latency.version();
+}
+
+const AwareConfigSpace::LeaderRows& AwareConfigSpace::RowsOf(ReplicaId leader) const {
+  LeaderRows& rows = rows_[leader];
+  if (!rows.arrival.empty()) {
+    return rows;
+  }
+  const uint32_t n = scheme_.n;
+  rows.sender.resize(size_t{n} * n);
+  rows.arrival.resize(size_t{n} * n);
+  rows.run_end.resize(size_t{n} * n);
+  std::vector<std::pair<double, ReplicaId>> row(n);
+  for (ReplicaId b = 0; b < n; ++b) {
+    // The arithmetic of AwareWriteTimeoutMs: propose(a) + L(a, b), L(a, a) = 0.
+    for (ReplicaId a = 0; a < n; ++a) {
+      row[a] = {(a == leader ? 0.0 : Rtt(leader, a)) + Rtt(a, b), a};
+    }
+    std::sort(row.begin(), row.end());
+    const size_t base = size_t{b} * n;
+    for (uint32_t i = 0; i < n;) {
+      uint32_t end = i + 1;
+      while (end < n && row[end].first == row[i].first) {
+        ++end;
+      }
+      rows.run_end[base + i] = end;
+      for (; i < end; ++i) {
+        rows.sender[base + i] = row[i].second;
+        rows.arrival[base + i] = row[i].first;
+      }
+    }
+  }
+  return rows;
+}
+
+void AwareConfigSpace::ComputeTimeouts(const RoleConfig& config,
+                                       const LatencyMatrix& latency, uint32_t u,
+                                       AwareTimeouts& out) const {
+  const uint32_t n = scheme_.n;
+  const ReplicaId leader = config.leader;
+  OL_CHECK(leader < n);  // callers score Valid configurations only
+  out.propose.resize(n);
+  out.prepared.resize(n);
+  Refresh(latency);
+  const LeaderRows& rows = RowsOf(leader);
+  weight_.resize(n);
+  for (ReplicaId a = 0; a < n; ++a) {
+    out.propose[a] = a == leader ? 0.0 : Rtt(leader, a);
+    weight_[a] = WeightOf(config, scheme_, a);
+  }
+
+  // prepared(B): walk B's sorted Write arrivals, accumulating weights exactly
+  // as WeightedQuorumTime does after its sort. std::sort on (arrival,
+  // weight) puts the lighter weight first among equal arrivals, so a run of
+  // equal arrivals contributes its Vmin senders, then its Vmax senders.
+  const double q = scheme_.quorum_weight;
+  const double v_max = scheme_.v_max;
+  for (ReplicaId b = 0; b < n; ++b) {
+    const size_t base = size_t{b} * n;
+    const ReplicaId* sender = &rows.sender[base];
+    const double* arrival = &rows.arrival[base];
+    const uint32_t* run_end = &rows.run_end[base];
+    double acc = 0.0;
+    uint32_t skipped = 0;
+    // Counts one contribution; true once the quorum is reached.
+    auto take = [&](double weight) {
+      if (skipped < u) {
+        ++skipped;  // adversarial worst case: the fastest voters stay silent
+        return false;
+      }
+      acc += weight;
+      return acc >= q;
+    };
+    double prepared = kInf;
+    for (uint32_t i = 0; i < n; i = run_end[i]) {
+      const uint32_t end = run_end[i];
+      bool reached = false;
+      if (end == i + 1) {
+        reached = take(weight_[sender[i]]);
+      } else {
+        for (uint32_t k = i; k < end && !reached; ++k) {
+          reached = weight_[sender[k]] != v_max && take(scheme_.v_min);
+        }
+        for (uint32_t k = i; k < end && !reached; ++k) {
+          reached = weight_[sender[k]] == v_max && take(v_max);
+        }
+      }
+      if (reached) {
+        prepared = arrival[i];
+        break;
+      }
+    }
+    out.prepared[b] = prepared;
+  }
+
+  // TR3: the leader's weighted quorum of Accepts, the one remaining sort.
+  accepts_.resize(n);
+  for (ReplicaId b = 0; b < n; ++b) {
+    accepts_[b] = {out.prepared[b] + Rtt(b, leader), weight_[b]};
+  }
+  out.round_ms = WeightedQuorumTime(accepts_, q, u);
 }
 
 bool AwareConfigSpace::Valid(const RoleConfig& config,

@@ -51,7 +51,8 @@ double WeightedQuorumTime(std::span<std::pair<double, double>> arrivals_weights,
                           double quorum_weight, uint32_t skip_fastest);
 
 // The TR1-TR3 deadline table of one (config, L, u), relative to the proposal
-// timestamp. The per-message deadlines follow from it:
+// timestamp (AwareConfigSpace::ComputeTimeouts). The per-message deadlines
+// follow from it:
 //   Pre-Prepare to A:  propose[A]                    (TR1)
 //   Write A -> B:      propose[A] + L(A, B)          (TR2)
 //   Accept B -> C:     prepared[B] + L(B, C)         (TR2)
@@ -62,16 +63,8 @@ struct AwareTimeouts {
   double round_ms = 0.0;         // d_rnd: fastest weighted Accept quorum at the leader
 };
 
-AwareTimeouts ComputeAwareTimeouts(const RoleConfig& config, const WeightScheme& scheme,
-                                   const LatencyMatrix& latency, uint32_t u);
-
-// Predicted round duration for a (leader, Vmax-set) configuration: the
-// round_ms of ComputeAwareTimeouts.
-double AwareRoundDurationMs(const RoleConfig& config, const WeightScheme& scheme,
-                            const LatencyMatrix& latency, uint32_t u);
-
 // Per-message timeouts d_m relative to the proposal timestamp (TR1-TR3), one
-// at a time: the reference ComputeAwareTimeouts is tested against.
+// at a time: the reference AwareConfigSpace's table is tested against.
 double AwareProposeTimeoutMs(const RoleConfig& config, const LatencyMatrix& latency,
                              ReplicaId to);
 double AwareWriteTimeoutMs(const RoleConfig& config, const LatencyMatrix& latency,
@@ -82,6 +75,13 @@ double AwareAcceptTimeoutMs(const RoleConfig& config, const WeightScheme& scheme
 
 // ConfigSpace over (leader, Vmax assignment) pairs: what OptiAware anneals /
 // enumerates. Special roles (leader + Vmax holders) must come from K.
+//
+// Scoring reads rows cached per latency-matrix version: a dense RTT table,
+// and per leader (built on first use) every receiver's Write arrivals sorted
+// once, with the runs of equal arrivals marked. A configuration only
+// changes the weights along those rows, so a score is one weighted
+// accumulate per receiver plus one sort at the leader. The cache is mutable
+// state behind const methods; a space must not be shared across threads.
 class AwareConfigSpace : public ConfigSpace {
  public:
   AwareConfigSpace(uint32_t n, uint32_t f) : scheme_(WeightScheme::For(n, f)) {}
@@ -89,14 +89,40 @@ class AwareConfigSpace : public ConfigSpace {
   RoleConfig RandomConfig(const CandidateSet& candidates, Rng& rng) const override;
   RoleConfig Mutate(const RoleConfig& config, const CandidateSet& candidates,
                     Rng& rng) const override;
+  // Predicted round duration: the round_ms of ComputeTimeouts.
   double Score(const RoleConfig& config, const LatencyMatrix& latency,
                uint32_t u) const override;
   bool Valid(const RoleConfig& config, const CandidateSet& candidates) const override;
 
+  // Writes the TR1-TR3 deadline table of (config, latency, u) into `out`,
+  // reusing its storage. config.leader must be < n.
+  void ComputeTimeouts(const RoleConfig& config, const LatencyMatrix& latency,
+                       uint32_t u, AwareTimeouts& out) const;
+
   const WeightScheme& scheme() const { return scheme_; }
 
  private:
+  // Write arrivals under one leader: n rows of n, row b for receiver b,
+  // entry a = propose(a) + L(a, b), ascending.
+  struct LeaderRows {
+    std::vector<ReplicaId> sender;  // who sent each sorted arrival
+    std::vector<double> arrival;
+    // At the first entry of each run of equal arrivals: one past its last.
+    std::vector<uint32_t> run_end;
+  };
+
+  // Re-keys the cache on a new matrix version.
+  void Refresh(const LatencyMatrix& latency) const;
+  const LeaderRows& RowsOf(ReplicaId leader) const;
+  double Rtt(ReplicaId a, ReplicaId b) const { return rtt_[size_t{a} * scheme_.n + b]; }
+
   const WeightScheme scheme_;
+  mutable uint64_t version_ = 0;            // matrix version the cache holds
+  mutable std::vector<double> rtt_;         // n x n: latency.Rtt(a, b)
+  mutable std::vector<LeaderRows> rows_;    // by leader; empty until first use
+  mutable std::vector<double> weight_;      // the scored config's weights
+  mutable std::vector<std::pair<double, double>> accepts_;  // the leader's sort
+  mutable AwareTimeouts table_;             // Score's table
 };
 
 }  // namespace optilog

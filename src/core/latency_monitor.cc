@@ -1,6 +1,15 @@
 #include "src/core/latency_monitor.h"
 
+#include <atomic>
+
 namespace optilog {
+
+uint64_t LatencyMatrix::NextVersion() {
+  // Deployments run on parallel runner threads; relaxed order suffices for
+  // uniqueness.
+  static std::atomic<uint64_t> last{0};
+  return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 void LatencyMonitor::OnLatencyVector(const LatencyVectorRecord& rec) {
   if (rec.reporter >= matrix_.size()) {

@@ -28,7 +28,7 @@ class LatencyMatrix {
     city_rtt_ms_.clear();
     city_stride_ = 0;
     overrides_.clear();
-    ++version_;
+    version_ = NextVersion();
   }
 
   // Complete-probe-round initialization, city-compressed. Every ordered
@@ -46,20 +46,23 @@ class LatencyMatrix {
     city_rtt_ms_ = std::move(city_rtt_ms);
     city_stride_ = stride;
     overrides_.clear();
-    ++version_;
+    version_ = NextVersion();
   }
 
   uint32_t size() const { return n_; }
 
   // Changes on every Reset and every in-range Record, so a value derived
-  // from the matrix can be cached against it.
+  // from the matrix can be cached against it. Versions come from one
+  // process-wide counter: no two matrix states share one, even two
+  // matrices built in turn at one address with the same number of edits.
+  // A copy keeps its source's version, and its contents.
   uint64_t version() const { return version_; }
 
   void Record(ReplicaId reporter, ReplicaId peer, double rtt_ms) {
     if (reporter >= n_ || peer >= n_) {
       return;
     }
-    ++version_;
+    version_ = NextVersion();
     if (city_stride_ != 0) {
       overrides_[Pack(reporter, peer)] = rtt_ms;
       return;
@@ -125,6 +128,8 @@ class LatencyMatrix {
 
  private:
   static constexpr double kUnknown = -1.0;
+
+  static uint64_t NextVersion();
 
   static uint64_t Pack(ReplicaId a, ReplicaId b) {
     return (static_cast<uint64_t>(a) << 32) | b;

@@ -51,6 +51,15 @@ struct PrePrepareMsg : Message {
     }
     w.ZeroPad(kSignatureSize);
   }
+  // The digest Write/Accept quorums form over: the SHA-256 of the canonical
+  // batch section, the exact bytes on the wire, not a parallel ad-hoc
+  // serialization.
+  Digest BatchDigest() const {
+    Bytes section;
+    ByteWriter w(&section);
+    EncodeBatchSection(w);
+    return Sha256::Hash(section);
+  }
   // The instance-identifying prefix (seq + leader + timestamp + batch):
   // what BatchDigest hashes, so the digest replicas agree on covers exactly
   // the canonical bytes of the proposal it certifies.

@@ -6,19 +6,6 @@
 #include "src/util/check.h"
 
 namespace optilog {
-namespace {
-
-Digest BatchDigest(const PrePrepareMsg& msg) {
-  // The digest Write/Accept quorums form over is the SHA-256 of the
-  // Pre-Prepare's canonical batch section — the exact bytes on the wire,
-  // not a parallel ad-hoc serialization.
-  Bytes seed;
-  ByteWriter w(&seed);
-  msg.EncodeBatchSection(w);
-  return Sha256::Hash(seed);
-}
-
-}  // namespace
 
 // --- PbftReplica -------------------------------------------------------------
 
@@ -45,9 +32,51 @@ void PbftReplica::OnMessage(ReplicaId from, const MessagePtr& msg, SimTime at) {
   }
 }
 
+PbftReplica::Instance* PbftReplica::Slot(uint64_t seq, bool preprepare, SimTime at) {
+  if (window_.empty()) {
+    window_.resize(kWindow);
+    for (uint64_t i = 0; i < kWindow; ++i) {
+      window_[i].seq = i;  // an empty instance for seq i
+    }
+  }
+  Instance& inst = window_[seq % kWindow];
+  if (inst.seq == seq) {
+    return &inst;
+  }
+  if (seq > inst.seq) {
+    // A newer seq takes the slot, but never from an instance still in
+    // flight: far-future votes must not evict the live instance.
+    if (Pending(inst, at)) {
+      ++harness_->busy_drops_;
+      return nullptr;
+    }
+  } else if (!preprepare || inst.have_preprepare) {
+    // An older seq never clobbers the newer instance, except that the
+    // leader's Pre-Prepare displaces an instance made of votes alone:
+    // otherwise one sender's far-future votes would shut this replica out
+    // of every later instance.
+    ++harness_->stale_drops_;
+    return nullptr;
+  }
+  inst = Instance{};
+  inst.seq = seq;
+  return &inst;
+}
+
+bool PbftReplica::Pending(const Instance& inst, SimTime now) const {
+  if (!inst.have_preprepare || inst.committed) {
+    return false;
+  }
+  const SimTime crash_at = harness_->net_->faults()->Of(id_).crash_at;
+  return inst.preprepared_at >= crash_at || now < crash_at;
+}
+
 void PbftReplica::HandlePrePrepare(ReplicaId from, const PrePrepareMsg& msg,
                                    SimTime at) {
-  if (from != harness_->config_.leader && from != msg.leader) {
+  // Only the leader whose configuration numbered the seq proposes it: a
+  // deposed leader's in-flight proposals still land, and no replica can
+  // claim a seq another leader numbers.
+  if (from != msg.leader || from != harness_->LeaderOf(msg.seq)) {
     return;
   }
   if (CpuMeter* cpu = harness_->net_->cpu()) {
@@ -55,12 +84,27 @@ void PbftReplica::HandlePrePrepare(ReplicaId from, const PrePrepareMsg& msg,
     cpu->ChargeVerify(id_, at);
     cpu->ChargeHash(id_, at, msg.WireSize());
   }
-  Instance& inst = instances_[msg.seq];
-  inst.proposal_ts = msg.timestamp;
-  inst.leader = msg.leader;
-  inst.digest = BatchDigest(msg);
-  inst.batch = msg.batch;
-  inst.have_preprepare = true;
+  Instance* inst = Slot(msg.seq, /*preprepare=*/true, at);
+  if (inst == nullptr || inst->have_preprepare) {
+    return;  // the first Pre-Prepare for a seq wins
+  }
+  inst->proposal_ts = msg.timestamp;
+  inst->preprepared_at = at;
+  inst->leader = msg.leader;
+  inst->batch = msg.batch;
+  inst->have_preprepare = true;
+  // Keep only the tally for the Pre-Prepare's digest, at index 0; votes
+  // that arrived before it count from here on.
+  const Digest digest = msg.BatchDigest();
+  auto match = std::find_if(inst->tallies.begin(), inst->tallies.end(),
+                            [&](const Tally& t) { return t.digest == digest; });
+  if (match == inst->tallies.end()) {
+    inst->tallies.clear();
+    inst->tallies.push_back(Tally{digest});
+  } else {
+    std::swap(inst->tallies.front(), *match);
+    inst->tallies.resize(1);
+  }
 
   if (sensor_ && harness_->matrix().Known(msg.leader, id_) && id_ != msg.leader) {
     // Condition (b) on the Pre-Prepare itself: d_m = Lr(L, A) (TR1).
@@ -81,34 +125,43 @@ void PbftReplica::HandlePrePrepare(ReplicaId from, const PrePrepareMsg& msg,
   auto write = harness_->sim_->pool().Make<PhaseMsg>();
   write->accept = false;
   write->seq = msg.seq;
-  write->digest = inst.digest;
+  write->digest = digest;
   if (CpuMeter* cpu = harness_->net_->cpu()) {
     cpu->ChargeSign(id_, at);
   }
   harness_->net_->Multicast(id_, harness_->replica_ids_, std::move(write));
-  MaybeAdvance(msg.seq);
+  MaybeAdvance(*inst);
 }
 
 void PbftReplica::HandlePhase(ReplicaId from, const PhaseMsg& msg, SimTime at) {
   if (CpuMeter* cpu = harness_->net_->cpu()) {
     cpu->ChargeVerify(id_, at);  // the sender's phase signature
   }
-  Instance& inst = instances_[msg.seq];
+  Instance* inst = Slot(msg.seq, /*preprepare=*/false, at);
+  if (inst == nullptr) {
+    return;
+  }
+  DenseIdSet& voters = msg.accept ? inst->accepts : inst->writes;
+  if (voters.Contains(from)) {
+    return;  // one vote per sender and phase
+  }
+  auto tally = std::find_if(inst->tallies.begin(), inst->tallies.end(),
+                            [&](const Tally& t) { return t.digest == msg.digest; });
+  if (tally == inst->tallies.end()) {
+    if (inst->have_preprepare) {
+      return;  // a vote for another batch than the Pre-Prepare's
+    }
+    inst->tallies.push_back(Tally{msg.digest});
+    tally = inst->tallies.end() - 1;
+  }
+  voters.Insert(from);
   const double weight =
       harness_->opts_.mode == PbftMode::kPbft
           ? 1.0
           : WeightOf(harness_->config_, harness_->scheme(), from);
-  if (!msg.accept) {
-    if (inst.writes.Insert(from)) {
-      inst.write_weight += weight;
-    }
-  } else {
-    if (inst.accepts.Insert(from)) {
-      inst.accept_weight += weight;
-    }
-  }
+  (msg.accept ? tally->accept_weight : tally->write_weight) += weight;
 
-  if (sensor_ && inst.have_preprepare && from != id_) {
+  if (sensor_ && inst->have_preprepare && from != id_) {
     const LatencyMatrix& matrix = harness_->matrix();
     if (matrix.Known(from, id_) && matrix.Coverage() >= 1.0) {
       // TR2: the sender's Pre-Prepare (Write) or prepared (Accept) deadline
@@ -119,58 +172,59 @@ void PbftReplica::HandlePhase(ReplicaId from, const PhaseMsg& msg, SimTime at) {
       if (std::isfinite(d_m_ms)) {
         sensor_->ObserveArrival(msg.seq, from,
                                 msg.accept ? PhaseTag::kSecondVote : PhaseTag::kFirstVote,
-                                FromMs(d_m_ms), inst.proposal_ts, at);
+                                FromMs(d_m_ms), inst->proposal_ts, at);
       }
     }
   }
-  MaybeAdvance(msg.seq);
+  MaybeAdvance(*inst);
 }
 
-void PbftReplica::MaybeAdvance(uint64_t seq) {
-  Instance& inst = instances_[seq];
+void PbftReplica::MaybeAdvance(Instance& inst) {
   const double quorum = harness_->opts_.mode == PbftMode::kPbft
                             ? std::ceil((harness_->opts_.n + harness_->opts_.f + 1) / 2.0)
                             : harness_->scheme().quorum_weight;
   if (!inst.have_preprepare) {
-    // An accept quorum for an instance this replica never saw the
-    // Pre-Prepare of. On the reliable simulated network a replica that
-    // never crashed cannot have *lost* a Pre-Prepare — at worst it is
+    // An accept quorum, for one digest, for an instance this replica never
+    // saw the Pre-Prepare of. On the reliable simulated network a replica
+    // that never crashed cannot have *lost* a Pre-Prepare — at worst it is
     // still in flight and MaybeAdvance runs again on its arrival — so the
     // repair path is gated on this replica actually having a crash window
     // behind it: then the Pre-Prepare was dropped for good and the decided
     // entry must arrive via a log-suffix fetch from a live peer (same
     // machinery as recovery, no amnesia).
     const ReplicaFaults& own = harness_->net_->faults()->Of(id_);
-    if (harness_->group_ != nullptr && !inst.committed &&
-        inst.accept_weight >= quorum &&
+    const bool decided =
+        std::any_of(inst.tallies.begin(), inst.tallies.end(),
+                    [&](const Tally& t) { return t.accept_weight >= quorum; });
+    if (harness_->group_ != nullptr && !inst.committed && decided &&
         harness_->sim_->now() >= own.crash_at) {
       inst.committed = true;  // decided; execution arrives via the transfer
-      harness_->group_->RequestCatchup(id_, seq);
+      harness_->group_->RequestCatchup(id_, inst.seq);
     }
     return;
   }
-  if (!inst.accepted && inst.write_weight >= quorum) {
+  if (!inst.accepted && inst.tallies[0].write_weight >= quorum) {
     inst.accepted = true;
     if (TraceRecorder* tr = harness_->sim_->trace()) {
-      tr->EmitHere(harness_->sim_->now(), TraceKind::kPbftPhase, 2, id_, seq,
+      tr->EmitHere(harness_->sim_->now(), TraceKind::kPbftPhase, 2, id_, inst.seq,
                    0);
     }
     auto accept = harness_->sim_->pool().Make<PhaseMsg>();
     accept->accept = true;
-    accept->seq = seq;
-    accept->digest = inst.digest;
+    accept->seq = inst.seq;
+    accept->digest = inst.tallies[0].digest;
     if (CpuMeter* cpu = harness_->net_->cpu()) {
       cpu->ChargeSign(id_, harness_->sim_->now());
     }
     harness_->net_->Multicast(id_, harness_->replica_ids_, std::move(accept));
   }
-  if (!inst.committed && inst.accepted && inst.accept_weight >= quorum) {
-    Commit(seq);
+  if (!inst.committed && inst.accepted && inst.tallies[0].accept_weight >= quorum) {
+    Commit(inst);
   }
 }
 
-void PbftReplica::Commit(uint64_t seq) {
-  Instance& inst = instances_[seq];
+void PbftReplica::Commit(Instance& inst) {
+  const uint64_t seq = inst.seq;
   inst.committed = true;
   if (TraceRecorder* tr = harness_->sim_->trace()) {
     tr->EmitHere(harness_->sim_->now(), TraceKind::kPbftPhase, 3, id_, seq, 0);
@@ -217,10 +271,6 @@ void PbftReplica::Commit(uint64_t seq) {
   if (id_ == harness_->config_.leader) {
     harness_->OnCommitAtLeader(seq, static_cast<uint32_t>(inst.batch.size()));
   }
-  // Bound per-replica state.
-  while (instances_.size() > 64) {
-    instances_.erase(instances_.begin());
-  }
 }
 
 // --- PbftHarness -----------------------------------------------------------------
@@ -263,6 +313,7 @@ PbftHarness::PbftHarness(Simulator* sim, Network* net, const KeyStore* keys,
   for (uint32_t i = 0; i < 2 * opts_.f && i < opts_.n; ++i) {
     config_.weight_max[i] = 1;
   }
+  RecordLeader();
 
   // One pipeline carries the deterministic monitor side for all replicas;
   // sensors stay per-replica (below). Its own sensor must not answer
@@ -344,6 +395,7 @@ void PbftHarness::SetTopologyOrConfig(const RoleConfig& config) {
   }
   // Pre-start install: adopt silently (no reconfiguration event).
   config_ = config;
+  RecordLeader();
   if (config_.weight_max.size() != opts_.n) {
     config_.weight_max.assign(opts_.n, 0);
   }
@@ -356,12 +408,22 @@ const AwareTimeouts& PbftHarness::aware_timeouts() {
   const uint32_t u = pipeline_->suspicion_monitor().Current().u;
   if (timeouts_config_stale_ || latency.version() != timeouts_matrix_version_ ||
       u != timeouts_u_) {
-    timeouts_ = ComputeAwareTimeouts(config_, scheme(), latency, u);
+    space_.ComputeTimeouts(config_, latency, u, timeouts_);
     timeouts_config_stale_ = false;
     timeouts_matrix_version_ = latency.version();
     timeouts_u_ = u;
   }
   return timeouts_;
+}
+
+std::optional<PbftHarness::InstanceState> PbftHarness::instance_state(
+    ReplicaId r, uint64_t seq) const {
+  const std::vector<PbftReplica::Instance>& window = replicas_[r]->window_;
+  if (window.empty() || window[seq % window.size()].seq != seq) {
+    return std::nullopt;
+  }
+  const PbftReplica::Instance& inst = window[seq % window.size()];
+  return InstanceState{inst.have_preprepare, inst.accepted, inst.committed};
 }
 
 MetricsReport PbftHarness::Metrics() const {
@@ -609,6 +671,7 @@ void PbftHarness::MaybeReactToSuspicions() {
 
 void PbftHarness::OnReconfigure(const RoleConfig& config, double score) {
   config_ = config;
+  RecordLeader();
   if (config_.weight_max.size() != opts_.n) {
     config_.weight_max.assign(opts_.n, 0);
   }
@@ -619,6 +682,22 @@ void PbftHarness::OnReconfigure(const RoleConfig& config, double score) {
   if (!queue_->empty()) {
     ProposeNext(sim_->now());
   }
+}
+
+void PbftHarness::RecordLeader() {
+  if (!leaders_.empty() && leaders_.back().first == next_seq_) {
+    leaders_.pop_back();  // that leader numbered no seq
+  }
+  if (leaders_.empty() || leaders_.back().second != config_.leader) {
+    leaders_.emplace_back(next_seq_, config_.leader);
+  }
+}
+
+ReplicaId PbftHarness::LeaderOf(uint64_t seq) const {
+  // leaders_ starts at seq 0, so some entry always matches.
+  auto it = std::find_if(leaders_.rbegin(), leaders_.rend(),
+                         [&](const auto& l) { return l.first <= seq; });
+  return it->second;
 }
 
 }  // namespace optilog

@@ -26,10 +26,11 @@
 // dispatched to the monitors at the commit boundary.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "src/api/consensus_engine.h"
 #include "src/aware/aware_score.h"
@@ -73,29 +74,48 @@ class PbftReplica : public Actor {
  private:
   friend class PbftHarness;
 
-  struct Instance {
-    SimTime proposal_ts = 0;
-    ReplicaId leader = kNoReplica;  // the proposer named in the Pre-Prepare
+  // Write and Accept weight voted for one batch digest.
+  struct Tally {
     Digest digest{};
-    std::vector<RequestRef> batch;
     double write_weight = 0.0;
     double accept_weight = 0.0;
+  };
+
+  struct Instance {
+    uint64_t seq = 0;
+    SimTime proposal_ts = 0;
+    SimTime preprepared_at = 0;     // when the Pre-Prepare landed here
+    ReplicaId leader = kNoReplica;  // the proposer named in the Pre-Prepare
+    std::vector<RequestRef> batch;
+    // Senders counted, one vote each per phase, whichever digest it carried.
     DenseIdSet writes;
     DenseIdSet accepts;
-    bool wrote = false;
+    // Until the Pre-Prepare lands, one tally per digest voted for; from then
+    // on only tallies[0], the Pre-Prepare's.
+    std::vector<Tally> tallies;
     bool accepted = false;
     bool committed = false;
     bool have_preprepare = false;
   };
 
+  // Instances live in kWindow slots, seq % kWindow, allocated on the
+  // replica's first PBFT message (see DESIGN.md, "The PBFT instance window").
+  static constexpr uint64_t kWindow = 64;
+
   void HandlePrePrepare(ReplicaId from, const PrePrepareMsg& msg, SimTime at);
   void HandlePhase(ReplicaId from, const PhaseMsg& msg, SimTime at);
-  void MaybeAdvance(uint64_t seq);
-  void Commit(uint64_t seq);
+  // The slot holding `seq`, re-initialized if it held an older instance that
+  // is not pending; nullptr (the message is dropped and counted) otherwise.
+  Instance* Slot(uint64_t seq, bool preprepare, SimTime at);
+  // Holds its Pre-Prepare, has not committed, and this replica has not
+  // crashed since the Pre-Prepare landed (a restarted replica is amnesiac).
+  bool Pending(const Instance& inst, SimTime now) const;
+  void MaybeAdvance(Instance& inst);
+  void Commit(Instance& inst);
 
   const ReplicaId id_;
   PbftHarness* harness_;
-  std::map<uint64_t, Instance> instances_;
+  std::vector<Instance> window_;
   std::unique_ptr<SuspicionSensor> sensor_;  // OptiAware only
 };
 
@@ -139,6 +159,21 @@ class PbftHarness : public ConsensusEngine, public TimerTarget {
   // Rebuilt here when one of the three has changed since the last call.
   const AwareTimeouts& aware_timeouts();
 
+  // Messages the replicas' instance windows dropped: `stale` for a seq older
+  // than the one its slot holds, `busy` for a newer seq while the slot's
+  // instance is still pending. Test hooks, not report fields.
+  uint64_t stale_drops() const { return stale_drops_; }
+  uint64_t busy_drops() const { return busy_drops_; }
+  // Replica r's window: its slot count (0 before its first PBFT message),
+  // and its state for `seq`, or nullopt when no slot holds `seq`.
+  size_t window_slots(ReplicaId r) const { return replicas_[r]->window_.size(); }
+  struct InstanceState {
+    bool preprepared = false;
+    bool accepted = false;
+    bool committed = false;
+  };
+  std::optional<InstanceState> instance_state(ReplicaId r, uint64_t seq) const;
+
  private:
   friend class PbftReplica;
 
@@ -159,6 +194,12 @@ class PbftHarness : public ConsensusEngine, public TimerTarget {
   void OnLogCommit(const LogEntry& entry);
   void OnReconfigure(const RoleConfig& config, double score);
   void MaybeReactToSuspicions();
+  // Records config_.leader in leaders_ as the leader of the seqs from
+  // next_seq_ on.
+  void RecordLeader();
+  // The leader whose configuration numbered `seq`: the one sender whose
+  // Pre-Prepare for it counts.
+  ReplicaId LeaderOf(uint64_t seq) const;
 
   Simulator* sim_;
   Network* net_;
@@ -188,6 +229,9 @@ class PbftHarness : public ConsensusEngine, public TimerTarget {
   std::unique_ptr<Pipeline> pipeline_;
 
   uint64_t next_seq_ = 0;
+  // (first seq, leader) per leader change, oldest first; the last entry is
+  // the active leader's, from the next seq it numbers on.
+  std::vector<std::pair<uint64_t, ReplicaId>> leaders_;
   bool instance_open_ = false;
   bool started_ = false;
   uint64_t committed_instances_ = 0;
@@ -196,6 +240,8 @@ class PbftHarness : public ConsensusEngine, public TimerTarget {
   std::vector<SimTime> suspicion_times_;
   std::set<uint64_t> suspicion_rounds_;
   bool searched_after_invalid_ = false;
+  uint64_t stale_drops_ = 0;
+  uint64_t busy_drops_ = 0;
 };
 
 }  // namespace optilog

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "src/aware/aware_score.h"
 #include "src/net/geo.h"
 
@@ -102,10 +104,10 @@ TEST(WeightedQuorumTime, SkipFastestModelsMisbehavers) {
 TEST(AwareScore, UniformMatrixIsThreePhases) {
   // Uniform RTT r, uniform weights: propose r, prepared 2r, committed 3r.
   const uint32_t n = 13, f = 4;
-  const WeightScheme s = WeightScheme::For(n, f);
+  const AwareConfigSpace space(n, f);
   const LatencyMatrix m = UniformMatrix(n, 10.0);
   const RoleConfig cfg = BasicConfig(n, f, 0);
-  EXPECT_DOUBLE_EQ(AwareRoundDurationMs(cfg, s, m, 0), 30.0);
+  EXPECT_DOUBLE_EQ(space.Score(cfg, m, 0), 30.0);
 }
 
 TEST(AwareScore, LeaderPlacementMatters) {
@@ -114,7 +116,7 @@ TEST(AwareScore, LeaderPlacementMatters) {
   // f = 10 leaves Delta = 12 spare replicas, so weighted quorums can form
   // from well-placed Vmax holders — the regime Aware/WHEAT target.
   const uint32_t f = 10;
-  const WeightScheme s = WeightScheme::For(43, f);
+  const AwareConfigSpace space(43, f);
   double best = 1e18, worst = 0;
   for (ReplicaId leader = 0; leader < 43; ++leader) {
     RoleConfig cfg;
@@ -129,7 +131,7 @@ TEST(AwareScore, LeaderPlacementMatters) {
     for (uint32_t i = 0; i < 2 * f; ++i) {
       cfg.weight_max[near[i].second] = 1;
     }
-    const double d = AwareRoundDurationMs(cfg, s, m, 0);
+    const double d = space.Score(cfg, m, 0);
     best = std::min(best, d);
     worst = std::max(worst, d);
   }
@@ -138,12 +140,12 @@ TEST(AwareScore, LeaderPlacementMatters) {
 
 TEST(AwareScore, UEstimateIncreasesPrediction) {
   const uint32_t n = 21, f = 6;
-  const WeightScheme s = WeightScheme::For(n, f);
+  const AwareConfigSpace space(n, f);
   const LatencyMatrix m = CityMatrix(Europe21());
   const RoleConfig cfg = BasicConfig(n, f, 0);
   double prev = 0;
   for (uint32_t u = 0; u <= 4; ++u) {
-    const double d = AwareRoundDurationMs(cfg, s, m, u);
+    const double d = space.Score(cfg, m, u);
     EXPECT_GE(d, prev) << "u=" << u;
     prev = d;
   }
@@ -163,56 +165,76 @@ TEST(AwareScore, TimeoutRequirementsTr1Tr2) {
 
 TEST(AwareScore, Tr3RoundEqualsLeaderAcceptQuorum) {
   // d_rnd must equal the accept-quorum timeout at the leader (TR3), which is
-  // exactly how AwareRoundDurationMs is built; cross-check on a uniform
-  // matrix against AwareAcceptTimeoutMs.
+  // exactly how the score is built; cross-check on a uniform matrix against
+  // AwareAcceptTimeoutMs.
   const uint32_t n = 13, f = 4;
-  const WeightScheme s = WeightScheme::For(n, f);
+  const AwareConfigSpace space(n, f);
   const LatencyMatrix m = UniformMatrix(n, 10.0);
   const RoleConfig cfg = BasicConfig(n, f, 0);
   // Accept from any non-leader B to the leader: prepared(B) + L(B, L) = 30.
-  EXPECT_DOUBLE_EQ(AwareAcceptTimeoutMs(cfg, s, m, 1, 0, 0), 30.0);
-  EXPECT_DOUBLE_EQ(AwareRoundDurationMs(cfg, s, m, 0), 30.0);
+  EXPECT_DOUBLE_EQ(AwareAcceptTimeoutMs(cfg, space.scheme(), m, 1, 0, 0), 30.0);
+  EXPECT_DOUBLE_EQ(space.Score(cfg, m, 0), 30.0);
 }
 
-// ComputeAwareTimeouts against the per-message reference functions, bit for
-// bit, on random valid configurations and u = 0..3.
-void ExpectTableMatchesReference(const LatencyMatrix& m, uint32_t f, uint64_t seed) {
+// The space's deadline table and Score against the per-message reference
+// functions, bit for bit. `configs` configurations come from annealing
+// mutation chains over shrinking candidate sets, each checked at one u in
+// 0..4; the first chain also checks every Write and Accept deadline.
+// `space` may hold rows cached from an earlier matrix: none may leak in.
+void ExpectTableMatchesReference(const AwareConfigSpace& space,
+                                 const LatencyMatrix& m, uint64_t seed,
+                                 uint32_t configs = 2000) {
+  constexpr uint32_t kChain = 50;
   const uint32_t n = m.size();
-  const AwareConfigSpace space(n, f);
+  ASSERT_EQ(space.scheme().n, n);
   const WeightScheme& s = space.scheme();
   Rng rng(seed);
-  for (uint32_t trial = 0; trial < 3; ++trial) {
-    // Shrinking candidate sets; the last one is smaller than 2f, so fewer
-    // replicas hold Vmax.
-    const CandidateSet k = AllCandidates(n - trial * (n / 3));
+  AwareTimeouts t;
+  for (uint32_t chain = 0; chain * kChain < configs; ++chain) {
+    // The third candidate set is smaller than 2f, so fewer replicas hold
+    // Vmax.
+    const CandidateSet k = AllCandidates(n - (chain % 3) * (n / 3));
     RoleConfig cfg = space.RandomConfig(k, rng);
-    for (uint64_t i = rng.Below(8); i > 0; --i) {
-      cfg = space.Mutate(cfg, k, rng);
-    }
-    ASSERT_TRUE(space.Valid(cfg, k));
-    for (uint32_t u = 0; u <= 3; ++u) {
-      SCOPED_TRACE(testing::Message() << "trial " << trial << " leader "
-                                      << cfg.leader << " u " << u);
-      const AwareTimeouts t = ComputeAwareTimeouts(cfg, s, m, u);
+    for (uint32_t step = 0; step < kChain; ++step) {
+      ASSERT_TRUE(space.Valid(cfg, k));
+      const uint32_t u = static_cast<uint32_t>(rng.Below(5));
+      SCOPED_TRACE(testing::Message() << "chain " << chain << " step " << step
+                                      << " leader " << cfg.leader << " u " << u);
+      space.ComputeTimeouts(cfg, m, u, t);
       ASSERT_EQ(t.propose.size(), n);
       ASSERT_EQ(t.prepared.size(), n);
       std::vector<std::pair<double, double>> accepts_at_leader;
-      for (ReplicaId to = 0; to < n; ++to) {
-        EXPECT_EQ(t.propose[to], AwareProposeTimeoutMs(cfg, m, to));
-        for (ReplicaId from = 0; from < n; ++from) {
-          EXPECT_EQ(t.propose[from] + m.Rtt(from, to),
-                    AwareWriteTimeoutMs(cfg, m, from, to));
-          EXPECT_EQ(t.prepared[from] + m.Rtt(from, to),
-                    AwareAcceptTimeoutMs(cfg, s, m, from, to, u));
-        }
+      for (ReplicaId b = 0; b < n; ++b) {
+        EXPECT_EQ(t.propose[b], AwareProposeTimeoutMs(cfg, m, b));
+        // prepared(B) is B's Accept deadline to itself.
+        EXPECT_EQ(t.prepared[b], AwareAcceptTimeoutMs(cfg, s, m, b, b, u));
         accepts_at_leader.emplace_back(
-            AwareAcceptTimeoutMs(cfg, s, m, to, cfg.leader, u), WeightOf(cfg, s, to));
+            AwareAcceptTimeoutMs(cfg, s, m, b, cfg.leader, u), WeightOf(cfg, s, b));
       }
       // TR3: the round ends at the leader's weighted quorum of Accepts.
-      EXPECT_EQ(t.round_ms,
-                WeightedQuorumTime(accepts_at_leader, s.quorum_weight, u));
+      const double round = WeightedQuorumTime(accepts_at_leader, s.quorum_weight, u);
+      EXPECT_EQ(t.round_ms, round);
+      EXPECT_EQ(space.Score(cfg, m, u), round);
+      if (chain == 0 && step < 4) {
+        for (ReplicaId to = 0; to < n; ++to) {
+          for (ReplicaId from = 0; from < n; ++from) {
+            EXPECT_EQ(t.propose[from] + m.Rtt(from, to),
+                      AwareWriteTimeoutMs(cfg, m, from, to));
+            EXPECT_EQ(t.prepared[from] + m.Rtt(from, to),
+                      AwareAcceptTimeoutMs(cfg, s, m, from, to, u));
+          }
+        }
+      }
+      if (testing::Test::HasFailure()) {
+        return;
+      }
+      cfg = space.Mutate(cfg, k, rng);
     }
   }
+}
+
+void ExpectTableMatchesReference(const LatencyMatrix& m, uint32_t f, uint64_t seed) {
+  ExpectTableMatchesReference(AwareConfigSpace(m.size(), f), m, seed);
 }
 
 TEST(AwareTimeoutTable, MatchesReferenceEurope21) {
@@ -248,6 +270,51 @@ TEST(AwareTimeoutTable, MatchesReferenceWithUnknownPair) {
   }
   ASSERT_TRUE(std::isinf(m.Rtt(0, 1)));
   ExpectTableMatchesReference(m, 6, 14);
+}
+
+TEST(AwareTimeoutTable, MatchesReferenceBeyond64Replicas) {
+  ExpectTableMatchesReference(CityMatrix(GlobalN(70)), 20, 15);
+}
+
+TEST(AwareTimeoutTable, RefreshesAfterRecord) {
+  // One space scores, the matrix changes, the same space scores again.
+  LatencyMatrix m = CityMatrix(Europe21());
+  const AwareConfigSpace space(21, 6);
+  ExpectTableMatchesReference(space, m, 16, 500);
+  const RoleConfig cfg = BasicConfig(21, 6, 0);
+  const double before = space.Score(cfg, m, 0);
+  for (ReplicaId b = 1; b < 21; ++b) {
+    m.Record(0, b, 900.0);  // replica 0 moves far from everyone
+  }
+  ExpectTableMatchesReference(space, m, 17, 500);
+  EXPECT_GT(space.Score(cfg, m, 0), before);
+}
+
+TEST(AwareTimeoutTable, MatricesBuiltInTurnAtOneAddressDoNotAlias) {
+  // Two matrices built in turn in one place, each with one Reset and the
+  // same number of Records: equal edit counts, different contents.
+  const AwareConfigSpace space(21, 6);
+  std::optional<LatencyMatrix> m;
+  auto build = [&](std::vector<City> cities) {
+    const auto rtts = RttMatrixMs(cities);
+    m.emplace(21);
+    for (ReplicaId a = 0; a < 21; ++a) {
+      for (ReplicaId b = 0; b < 21; ++b) {
+        if (a != b) {
+          m->Record(a, b, rtts[a][b]);
+        }
+      }
+    }
+  };
+  build(Europe21());
+  const LatencyMatrix* first = &*m;
+  ExpectTableMatchesReference(space, *m, 18, 500);
+  std::vector<City> reversed = Europe21();
+  std::reverse(reversed.begin(), reversed.end());
+  build(reversed);
+  ASSERT_EQ(&*m, first);
+  ASSERT_NE(m->Rtt(0, 1), CityMatrix(Europe21()).Rtt(0, 1));
+  ExpectTableMatchesReference(space, *m, 19, 500);
 }
 
 TEST(AwareSpace, RandomConfigsValid) {

@@ -253,9 +253,10 @@ TEST(DeploymentBuilder, OptiAwareMatchesHandWiredCounts) {
 
 // The harness's TR1-TR3 table equals one computed from scratch.
 void ExpectDeadlineTableFresh(PbftHarness& h) {
-  const AwareTimeouts fresh =
-      ComputeAwareTimeouts(h.config(), h.scheme(), h.matrix(),
-                           h.pipeline().suspicion_monitor().Current().u);
+  AwareTimeouts fresh;
+  AwareConfigSpace(h.scheme().n, h.scheme().f)
+      .ComputeTimeouts(h.config(), h.matrix(),
+                       h.pipeline().suspicion_monitor().Current().u, fresh);
   const AwareTimeouts& table = h.aware_timeouts();
   EXPECT_EQ(table.propose, fresh.propose);
   EXPECT_EQ(table.prepared, fresh.prepared);

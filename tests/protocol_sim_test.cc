@@ -287,5 +287,229 @@ TEST(PbftSim, NoFalseSuspicionsWithoutAttack) {
   EXPECT_GT(d->pbft().committed_instances(), 50u);
 }
 
+// --- PBFT instance window and per-digest vote tallies -------------------------
+
+// A PBFT group (n = 4, f = 1, quorum 3, replica 0 leads) with no clients:
+// only the messages a test injects through Deployment::net() move it.
+std::unique_ptr<Deployment> QuietPbft() {
+  WorkloadOptions w;
+  w.spawn_fleet = false;
+  auto d = Deployment::Builder()
+               .WithReplicas(4, 1)
+               .WithProtocol(Protocol::kPbft)
+               .WithWorkload(w)
+               .Build();
+  d->Start();
+  return d;
+}
+
+// Leader 0's Pre-Prepare for `seq`, with an empty batch; two timestamps give
+// two proposals for one seq with different digests.
+IntrusivePtr<PrePrepareMsg> Proposal(uint64_t seq, SimTime timestamp = 0) {
+  auto pp = MakeMessage<PrePrepareMsg>();
+  pp->seq = seq;
+  pp->leader = 0;
+  pp->timestamp = timestamp;
+  return pp;
+}
+
+IntrusivePtr<PhaseMsg> Vote(bool accept, uint64_t seq, const Digest& digest) {
+  auto v = MakeMessage<PhaseMsg>();
+  v->accept = accept;
+  v->seq = seq;
+  v->digest = digest;
+  return v;
+}
+
+// Sends each (sender, message) to replica `to` and lets the group settle.
+void Deliver(Deployment& d, ReplicaId to,
+             std::vector<std::pair<ReplicaId, MessagePtr>> msgs) {
+  for (auto& [from, msg] : msgs) {
+    d.net().Send(from, to, std::move(msg));
+  }
+  d.RunFor(1 * kSec);
+}
+
+bool Preprepared(const PbftHarness& h, ReplicaId r, uint64_t seq) {
+  const auto state = h.instance_state(r, seq);
+  return state.has_value() && state->preprepared;
+}
+
+TEST(PbftVotes, QuorumSplitOverTwoDigestsDoesNotCommit) {
+  auto d = QuietPbft();
+  PbftHarness& h = d->pbft();
+  const Digest ours = Proposal(5, 1)->BatchDigest();
+  const Digest other = Proposal(5, 2)->BatchDigest();
+  ASSERT_NE(ours, other);
+  // Replica 1 holds the Pre-Prepare and its own Write and Accept; 0, 2 and
+  // 3 all write for it, so it accepts.
+  Deliver(*d, 1, {{0, Proposal(5, 1)}});
+  Deliver(*d, 1, {{0, Vote(false, 5, ours)}, {2, Vote(false, 5, ours)},
+                  {3, Vote(false, 5, ours)}});
+  ASSERT_TRUE(h.instance_state(1, 5)->accepted);
+  // Four Accepts, a quorum of three only if digests are ignored.
+  Deliver(*d, 1, {{0, Vote(true, 5, ours)}, {2, Vote(true, 5, other)},
+                  {3, Vote(true, 5, other)}});
+  EXPECT_FALSE(h.instance_state(1, 5)->committed);
+  // A Write quorum split the same way does not accept either.
+  Deliver(*d, 2, {{0, Proposal(6, 1)}});
+  const Digest ours6 = Proposal(6, 1)->BatchDigest();
+  Deliver(*d, 2, {{0, Vote(false, 6, ours6)}, {1, Vote(false, 6, other)},
+                  {3, Vote(false, 6, other)}});
+  EXPECT_TRUE(h.instance_state(2, 6)->preprepared);
+  EXPECT_FALSE(h.instance_state(2, 6)->accepted);
+}
+
+TEST(PbftVotes, VotesBeforeThePrePrepareCountOnceItLands) {
+  auto d = QuietPbft();
+  PbftHarness& h = d->pbft();
+  const Digest ours = Proposal(5)->BatchDigest();
+  const Digest other = Proposal(5, 9)->BatchDigest();
+  // Three Writes and two Accepts for the coming proposal, one Accept for
+  // another batch.
+  Deliver(*d, 1, {{0, Vote(false, 5, ours)}, {2, Vote(false, 5, ours)},
+                  {3, Vote(false, 5, ours)}, {0, Vote(true, 5, ours)},
+                  {2, Vote(true, 5, ours)}, {3, Vote(true, 5, other)}});
+  ASSERT_TRUE(h.instance_state(1, 5).has_value());
+  EXPECT_FALSE(h.instance_state(1, 5)->preprepared);
+  // The Pre-Prepare lands: the Writes make 1 accept, and its own Accept is
+  // the third for this digest.
+  Deliver(*d, 1, {{0, Proposal(5)}});
+  EXPECT_TRUE(h.instance_state(1, 5)->accepted);
+  EXPECT_TRUE(h.instance_state(1, 5)->committed);
+}
+
+TEST(PbftWindow, OlderSeqIsDroppedAndCountedNotReset) {
+  auto d = QuietPbft();
+  PbftHarness& h = d->pbft();
+  EXPECT_EQ(h.window_slots(1), 0u);  // allocated on the first PBFT message
+  const Digest d69 = Proposal(69)->BatchDigest();
+  Deliver(*d, 1, {{0, Proposal(69)}});
+  Deliver(*d, 1, {{0, Vote(false, 69, d69)}, {2, Vote(false, 69, d69)},
+                  {0, Vote(true, 69, d69)}, {2, Vote(true, 69, d69)}});
+  EXPECT_EQ(h.window_slots(1), 64u);
+  ASSERT_TRUE(h.instance_state(1, 69)->committed);
+  ASSERT_EQ(h.stale_drops(), 0u);
+  // Seq 5 shares seq 69's slot: its Pre-Prepare and votes are dropped.
+  const Digest d5 = Proposal(5)->BatchDigest();
+  Deliver(*d, 1, {{0, Proposal(5)}, {2, Vote(false, 5, d5)}, {3, Vote(true, 5, d5)}});
+  EXPECT_EQ(h.stale_drops(), 3u);
+  EXPECT_FALSE(h.instance_state(1, 5).has_value());
+  EXPECT_TRUE(h.instance_state(1, 69)->committed);
+}
+
+TEST(PbftWindow, NewerSeqWaitsForThePendingInstance) {
+  auto d = QuietPbft();
+  PbftHarness& h = d->pbft();
+  const Digest d5 = Proposal(5)->BatchDigest();
+  Deliver(*d, 1, {{0, Proposal(5)}});
+  // Seq 69 shares seq 5's slot while 5 is pending: dropped and counted.
+  Deliver(*d, 1, {{3, Vote(false, 69, d5)}, {3, Vote(true, 69, d5)}});
+  EXPECT_EQ(h.busy_drops(), 2u);
+  EXPECT_FALSE(h.instance_state(1, 69).has_value());
+  // Seq 5 still commits; then seq 69 may take the slot.
+  Deliver(*d, 1, {{0, Vote(false, 5, d5)}, {2, Vote(false, 5, d5)},
+                  {0, Vote(true, 5, d5)}, {2, Vote(true, 5, d5)}});
+  EXPECT_TRUE(h.instance_state(1, 5)->committed);
+  Deliver(*d, 1, {{3, Vote(false, 69, d5)}});
+  EXPECT_TRUE(h.instance_state(1, 69).has_value());
+  EXPECT_EQ(h.busy_drops(), 2u);
+}
+
+TEST(PbftWindow, FarFutureFloodKeepsWindowsBoundedAndCommitting) {
+  // One replica floods every other one with Writes and Accepts for 1,280
+  // far-future seqs, 20 per slot.
+  auto d = PbftDeployment(Protocol::kPbft, BaseOptions());
+  PbftHarness& h = d->pbft();
+  const uint32_t n = d->n();
+  const ReplicaId flooder = n - 1;
+  d->Start();
+  d->RunUntil(3 * kSec);
+  EXPECT_EQ(h.stale_drops() + h.busy_drops(), 0u);  // honest runs drop nothing
+  const uint64_t live = h.committed_instances();    // the leader's open instance
+  for (uint64_t seq = live + 100; seq < live + 100 + 20 * 64; ++seq) {
+    for (ReplicaId r = 0; r < flooder; ++r) {
+      d->net().Send(flooder, r, Vote(false, seq, Digest{}));
+      d->net().Send(flooder, r, Vote(true, seq, Digest{}));
+    }
+  }
+  d->RunUntil(8 * kSec);
+  EXPECT_GT(h.busy_drops(), 0u);  // the live instance kept its slots
+  const uint64_t committed = h.committed_instances();
+  // Past the flood's first seqs, whose slots the flood still held.
+  EXPECT_GT(committed, live + 120);
+  for (ReplicaId r = 0; r < flooder; ++r) {
+    EXPECT_EQ(h.window_slots(r), 64u);
+    const auto recent = h.instance_state(r, committed - 5);
+    ASSERT_TRUE(recent.has_value()) << "replica " << r;
+    EXPECT_TRUE(recent->committed) << "replica " << r;
+  }
+}
+
+TEST(PbftWindow, SelfNamedFarFuturePrePrepareDoesNotHaltTheGroup) {
+  // One Pre-Prepare for a seq 70 ahead, from a replica naming itself leader:
+  // had it committed, its slot would drop the live seq 6 ahead everywhere
+  // and execution would stop there. Sent by a replica that never led, and by
+  // the leader deposed just before.
+  for (bool deposed : {false, true}) {
+    auto d = PbftDeployment(Protocol::kPbft, BaseOptions());
+    PbftHarness& h = d->pbft();
+    const uint32_t n = d->n();
+    d->Start();
+    d->RunUntil(3 * kSec);
+    ReplicaId attacker = n - 1;
+    if (deposed) {
+      attacker = h.config().leader;
+      RoleConfig next = h.config();
+      next.leader = attacker + 1;
+      h.SetTopologyOrConfig(next);
+    }
+    const uint64_t far = h.committed_instances() + 70;
+    auto pp = Proposal(far);
+    pp->leader = attacker;
+    for (ReplicaId r = 0; r < n; ++r) {
+      d->net().Send(attacker, r, pp);
+    }
+    d->RunUntil(3500 * kMsec);
+    for (ReplicaId r = 0; r < n; ++r) {
+      EXPECT_FALSE(Preprepared(h, r, far)) << "deposed " << deposed << " replica " << r;
+    }
+    d->RunUntil(8 * kSec);
+    EXPECT_GT(h.committed_instances(), far + 10) << "deposed " << deposed;
+  }
+}
+
+TEST(PbftWindow, DeposedLeaderInFlightProposalStillLands) {
+  auto d = QuietPbft();
+  PbftHarness& h = d->pbft();
+  // Leader 0 numbers seq 0 for one request; its Pre-Prepare is held back
+  // 1 s on the wire.
+  d->faults().Mutable(0).proposal_delay = 1 * kSec;
+  auto req = MakeMessage<ClientRequestMsg>();
+  req->client = 3;
+  d->net().Send(3, 0, req);
+  d->RunFor(300 * kMsec);
+  ASSERT_TRUE(h.instance_state(0, 0)->preprepared);
+  for (ReplicaId r = 1; r < 4; ++r) {
+    ASSERT_FALSE(Preprepared(h, r, 0)) << "replica " << r;
+  }
+  // Replica 1 takes over from seq 1 on; seq 0 is still 0's to propose.
+  RoleConfig next = h.config();
+  next.leader = 1;
+  h.SetTopologyOrConfig(next);
+  d->RunFor(3 * kSec);
+  for (ReplicaId r = 0; r < 4; ++r) {
+    EXPECT_TRUE(h.instance_state(r, 0)->committed) << "replica " << r;
+  }
+  // Seq 1 is the new leader's: the deposed leader's proposal for it is
+  // ignored, and the new leader's lands.
+  Deliver(*d, 2, {{0, Proposal(1)}});
+  EXPECT_FALSE(Preprepared(h, 2, 1));
+  auto ours = Proposal(1);
+  ours->leader = 1;
+  Deliver(*d, 2, {{1, ours}});
+  EXPECT_TRUE(Preprepared(h, 2, 1));
+}
+
 }  // namespace
 }  // namespace optilog

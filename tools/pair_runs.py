@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of one perfbench workload.
+
+    python3 tools/pair_runs.py PARENT_BIN CHANGE_BIN \\
+        --workload aware_attack --seeds 21-32
+
+PARENT_BIN and CHANGE_BIN are two builds of perfbench_workload (for the
+parent, `git archive` it into a temporary directory and build perfbench/
+there). Each seed is one pair: both builds run it once, untraced, through
+perfbench/run.py's run_child, and which side runs first alternates from pair
+to pair, so a slow spell on a shared host does not always land on the same
+side.
+
+Every pair must be correct: no `errors` entry on either side, and the same
+MetricsFingerprint and the same simulated end-to-end metrics (perfbench's
+SIMULATED list) on both. A host-side optimization leaves all of them
+unchanged.
+
+Prints both sides' median and quartiles of run_s and setup_s (a run's setup_s
+is the fastest of its timed builds), the change's wins on run_s (lower is
+better), and whether the gain rule holds: at least 10 pairs, the change wins
+at least 9 of every 10, and the median gap is larger than the parent's
+interquartile range.
+
+Exit status: 0 when every pair is correct and the rule holds, 2 when every
+pair is correct but the rule does not hold, 1 on any error or mismatch.
+"""
+
+import argparse
+import os
+import statistics
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# perfbench/run.py is imported read-only: no __pycache__ is written there.
+sys.dont_write_bytecode = True
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import run as perfbench  # noqa: E402
+
+MIN_PAIRS = 10
+
+
+def parse_seeds(text):
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def run(binary, workload, seed):
+    rep = perfbench.run_child(binary, workload, seed, traced=False)
+    rep["setup_s"] = min(rep["setup_s"])
+    return rep
+
+
+def summary(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return median, q1, q3
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("parent", help="the parent's perfbench_workload")
+    ap.add_argument("change", help="the change's perfbench_workload")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", required=True,
+                    help="seed list, e.g. 21-32 or 1,4,7-9")
+    args = ap.parse_args()
+    seeds = parse_seeds(args.seeds)
+    if len(seeds) < 2:
+        ap.error("need at least two seeds")
+    sides = {"parent": os.path.abspath(args.parent),
+             "change": os.path.abspath(args.change)}
+    checked = ["fingerprint"] + perfbench.SIMULATED
+
+    problems = []
+    reps = {"parent": [], "change": []}
+    print("%6s %-7s %12s %12s  win" % ("seed", "first", "parent", "change"))
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        try:
+            pair = {side: run(sides[side], args.workload, seed)
+                    for side in order}
+        except perfbench.BenchError as e:
+            print("check failed: seed %d: %s" % (seed, e))
+            return 1
+        for side in order:
+            problems += ["seed %d %s: %s" % (seed, side, e)
+                         for e in pair[side].get("errors", [])]
+            reps[side].append(pair[side])
+        for name in checked:
+            if pair["parent"].get(name) != pair["change"].get(name):
+                problems.append("seed %d: %s differs: parent %s, change %s" % (
+                    seed, name, pair["parent"].get(name),
+                    pair["change"].get(name)))
+        print("%6d %-7s %12.6f %12.6f  %s" % (
+            seed, order[0], pair["parent"]["run_s"], pair["change"]["run_s"],
+            "yes" if pair["change"]["run_s"] < pair["parent"]["run_s"]
+            else "no"))
+
+    for name in ("run_s", "setup_s"):
+        for side in ("parent", "change"):
+            median, q1, q3 = summary([r[name] for r in reps[side]])
+            print("%-8s %-7s median %.6g  quartiles %.6g .. %.6g" % (
+                name, side, median, q1, q3))
+
+    wins = sum(c["run_s"] < p["run_s"]
+               for p, c in zip(reps["parent"], reps["change"]))
+    parent_median, q1, q3 = summary([r["run_s"] for r in reps["parent"]])
+    change_median = statistics.median(r["run_s"] for r in reps["change"])
+    gap = parent_median - change_median
+    print("run_s: change wins %d/%d; median gap %.6g vs parent IQR %.6g "
+          "(%+.1f%%)" % (wins, len(seeds), gap, q3 - q1,
+                         -100.0 * gap / parent_median))
+    reasons = []
+    if len(seeds) < MIN_PAIRS:
+        reasons.append("%d pairs, fewer than %d" % (len(seeds), MIN_PAIRS))
+    if wins * 10 < 9 * len(seeds):
+        reasons.append("fewer than 9/10 wins")
+    if gap <= q3 - q1:
+        reasons.append("median gap within the parent's IQR")
+    print("rule (>= %d pairs, >= 9/10 wins, gap > parent IQR): %s" % (
+        MIN_PAIRS, "holds" if not reasons else
+        "does not hold: " + "; ".join(reasons)))
+    for p in problems:
+        print("check failed: %s" % p)
+    if problems:
+        return 1
+    return 0 if not reasons else 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())
