@@ -32,19 +32,18 @@ int main() {
   // here we append directly and notify the pipeline, which is exactly what
   // the sensor app does on commit.
   Log log;
-  std::vector<Bytes> proposals;  // what the sensor side hands to consensus
 
-  Pipeline::Options options;
-  options.suspicion.policy = CandidatePolicy::kTreeDisjointEdges;
-  options.suspicion.min_candidates = BranchFactorFor(kN) + 1;
-  options.annealing = AnnealingParams::ForBudget(5000);
+  // The tree candidate policy: E_d/T with enough candidates for the
+  // internal positions (§6.4).
+  SuspicionMonitorOptions suspicion;
+  suspicion.policy = CandidatePolicy::kTreeDisjointEdges;
+  suspicion.min_candidates = BranchFactorFor(kN) + 1;
 
   RoleConfig active_config;
   double active_score = 0;
   bool reconfigured = false;
   Pipeline pipeline(
-      /*self=*/0, kN, kF, &keys, &space,
-      /*propose=*/[&](Bytes payload) { proposals.push_back(std::move(payload)); },
+      kN, kF, &keys, &space,
       /*reconfigure=*/
       [&](const RoleConfig& cfg, double score) {
         active_config = cfg;
@@ -53,7 +52,7 @@ int main() {
         std::printf("-> reconfigure! new root %u, predicted score %.2f ms\n",
                     cfg.leader, score);
       },
-      options);
+      suspicion);
   log.AddListener([&](const LogEntry& e) { pipeline.OnCommit(e); });
 
   auto commit_measurement = [&](const Bytes& payload) {

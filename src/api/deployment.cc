@@ -147,11 +147,6 @@ Deployment::Builder& Deployment::Builder::WithFaults(
   return *this;
 }
 
-Deployment::Builder& Deployment::Builder::WithPipeline(Pipeline::Options opts) {
-  pipeline_opts_ = std::move(opts);
-  return *this;
-}
-
 Deployment::Builder& Deployment::Builder::WithBandwidth(double bps) {
   bandwidth_bps_ = bps;
   return *this;
@@ -372,26 +367,15 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
     if (optilog_reconfig_) {
       d->tree_space_ =
           std::make_unique<TreeConfigSpace>(d->n_, 2 * d->f_ + 1);
-      Pipeline::Options popts;
-      if (pipeline_opts_.has_value()) {
-        popts = *pipeline_opts_;
-      } else {
-        // Tree defaults: the E_d/T policy with enough candidates for the
-        // internal positions (§6.4).
-        popts.suspicion.policy = CandidatePolicy::kTreeDisjointEdges;
-        popts.suspicion.min_candidates = BranchFactorFor(d->n_) + 1;
-      }
-      popts.rng_seed = seed;
-      // The deployment answers for no replica; reciprocation is protocol
-      // business (crashed replicas must stay silent).
-      popts.auto_reciprocate = false;
+      // The E_d/T policy with enough candidates for the internal positions
+      // (§6.4).
+      SuspicionMonitorOptions suspicion;
+      suspicion.policy = CandidatePolicy::kTreeDisjointEdges;
+      suspicion.min_candidates = BranchFactorFor(d->n_) + 1;
       Deployment* dp = d.get();
       d->pipeline_ = std::make_unique<Pipeline>(
-          /*self=*/0, d->n_, d->f_, d->keys_.get(), d->tree_space_.get(),
-          [dp](Bytes payload) {
-            AppendMeasurement(dp->log_, dp->sim().now(), std::move(payload));
-          },
-          /*reconfigure=*/[](const RoleConfig&, double) {}, popts);
+          d->n_, d->f_, d->keys_.get(), d->tree_space_.get(),
+          /*reconfigure=*/[](const RoleConfig&, double) {}, suspicion);
       d->log_.AddListener([dp](const LogEntry& e) { dp->pipeline_->OnCommit(e); });
       d->search_window_ = search_window_;
       d->tree_->SetReconfigPolicy(
@@ -404,9 +388,6 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
     popts.mode = protocol_ == Protocol::kPbft    ? PbftMode::kPbft
                  : protocol_ == Protocol::kAware ? PbftMode::kAware
                                                  : PbftMode::kOptiAware;
-    if (pipeline_opts_.has_value()) {
-      popts.pipeline = *pipeline_opts_;
-    }
     if (seed_.has_value()) {
       popts.seed = *seed_;  // unset: PbftOptions keeps its own default
     }

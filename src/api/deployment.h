@@ -194,11 +194,6 @@ class Deployment::Builder {
   // topology exist — so the callback can target e.g. tree intermediates.
   Builder& WithFaults(std::function<void(Deployment&)> configure);
 
-  // Monitor-side pipeline knobs (candidate policy, config hysteresis, ...).
-  // Tree protocols default to the E_d/T policy with b + 1 internal slots;
-  // the PBFT family defaults to the MIS policy (§4.2.3).
-  Builder& WithPipeline(Pipeline::Options opts);
-
   // Per-replica uplink bandwidth in bits/s (0 = unlimited).
   Builder& WithBandwidth(double bps);
 
@@ -231,7 +226,7 @@ class Deployment::Builder {
   }
 
   // Seeds everything the builder derives randomness from: the key store,
-  // topology searches, the pipeline RNG, and the PBFT harness seed.
+  // topology searches, and the PBFT harness seed.
   Builder& WithSeed(uint64_t seed);
 
   // Protocol-family knobs. n, f and the PBFT mode are filled in by Build.
@@ -241,8 +236,9 @@ class Deployment::Builder {
   // Client traffic (src/workload/): a ClientFleet drives the engine instead
   // of self-driven proposals (tree family) or the default per-replica closed
   // loop (PBFT family). Clients are colocated with replica cities
-  // round-robin and the latency model is extended to cover them; zeros in
-  // `clients` / `replies_needed` resolve to protocol defaults at Build.
+  // round-robin and the latency model is extended to cover them; zero
+  // `clients` resolves to one per replica at Build, and the engine sets the
+  // reply quorum (1 for the tree root, f + 1 for PBFT).
   // Like every builder knob this is a value — Clone() copies it, so sweeps
   // can stamp out per-point workloads from one base recipe.
   Builder& WithWorkload(WorkloadOptions opts);
@@ -327,7 +323,6 @@ class Deployment::Builder {
   std::vector<City> cities_;
   Protocol protocol_ = Protocol::kOptiTree;
   std::function<void(Deployment&)> faults_;
-  std::optional<Pipeline::Options> pipeline_opts_;
   double bandwidth_bps_ = 0.0;
   std::optional<CryptoCostModel> crypto_model_;
   std::optional<uint64_t> seed_;  // unset: each component keeps its default

@@ -3,6 +3,16 @@
 #include <cmath>
 
 namespace optilog {
+namespace {
+
+// Required relative improvement before replacing a *valid* configuration
+// (hysteresis against churn): the new score must be <= 90% of the current.
+constexpr double kImprovementFactor = 0.9;
+// Tolerance when re-checking a proposer's claimed score (floating-point
+// slack only; a real mismatch marks the proposer as lying).
+constexpr double kScoreTolerance = 1e-6;
+
+}  // namespace
 
 std::optional<ConfigProposalRecord> ConfigSensor::Search(
     const CandidateSet& candidates, const LatencyMatrix& latency,
@@ -34,14 +44,13 @@ std::optional<ConfigProposalRecord> ConfigSensor::Search(
 ConfigMonitor::ConfigMonitor(uint32_t n, uint32_t f, const ConfigSpace* space,
                              const LatencyMonitor* latency,
                              const SuspicionMonitor* suspicion,
-                             ReconfigureFn reconfigure, ConfigMonitorOptions opts)
+                             ReconfigureFn reconfigure)
     : n_(n),
       f_(f),
       space_(space),
       latency_(latency),
       suspicion_(suspicion),
-      reconfigure_(std::move(reconfigure)),
-      opts_(opts) {}
+      reconfigure_(std::move(reconfigure)) {}
 
 void ConfigMonitor::SetActive(const RoleConfig& config, double score) {
   active_ = config;
@@ -82,7 +91,7 @@ void ConfigMonitor::OnConfigProposal(const ConfigProposalRecord& rec,
   // the true score).
   const double actual = space_->Score(rec.config, latency_->matrix(), k.u);
   if (std::abs(actual - rec.predicted_score) >
-      opts_.score_tolerance * std::max(1.0, std::abs(actual))) {
+      kScoreTolerance * std::max(1.0, std::abs(actual))) {
     lying_.insert(rec.proposer);
   }
   ConfigProposalRecord verified = rec;
@@ -114,7 +123,7 @@ void ConfigMonitor::MaybeReconfigure() {
     fire = proposals_.size() >= f_ + 1;
   } else {
     // Voluntary: only for significantly better configurations.
-    fire = best->predicted_score <= opts_.improvement_factor * active_score_;
+    fire = best->predicted_score <= kImprovementFactor * active_score_;
   }
   if (!fire || best == nullptr) {
     return;

@@ -61,22 +61,13 @@ class ConfigSensor {
   Rng rng_;
 };
 
-struct ConfigMonitorOptions {
-  // Required relative improvement before replacing a *valid* configuration
-  // (hysteresis against churn); 0.9 == new score must be <= 90% of current.
-  double improvement_factor = 0.9;
-  // Tolerance when re-checking a proposer's claimed score (floating-point
-  // slack only; a real mismatch marks the proposer as lying).
-  double score_tolerance = 1e-6;
-};
-
 class ConfigMonitor {
  public:
   using ReconfigureFn = std::function<void(const RoleConfig&, double score)>;
 
   ConfigMonitor(uint32_t n, uint32_t f, const ConfigSpace* space,
                 const LatencyMonitor* latency, const SuspicionMonitor* suspicion,
-                ReconfigureFn reconfigure, ConfigMonitorOptions opts = {});
+                ReconfigureFn reconfigure);
 
   // Committed config proposal. Deterministic across replicas.
   void OnConfigProposal(const ConfigProposalRecord& rec, bool sig_valid);
@@ -103,7 +94,6 @@ class ConfigMonitor {
   const LatencyMonitor* latency_;
   const SuspicionMonitor* suspicion_;
   ReconfigureFn reconfigure_;
-  ConfigMonitorOptions opts_;
 
   RoleConfig active_;
   double active_score_ = 0.0;

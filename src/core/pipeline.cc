@@ -2,28 +2,17 @@
 
 namespace optilog {
 
-Pipeline::Pipeline(ReplicaId self, uint32_t n, uint32_t f, const KeyStore* keys,
-                   const ConfigSpace* space, ProposeFn propose,
-                   ConfigMonitor::ReconfigureFn reconfigure, Options opts)
-    : self_(self),
-      n_(n),
-      keys_(keys),
-      propose_(std::move(propose)),
+Pipeline::Pipeline(uint32_t n, uint32_t f, const KeyStore* keys,
+                   const ConfigSpace* space,
+                   ConfigMonitor::ReconfigureFn reconfigure,
+                   SuspicionMonitorOptions suspicion)
+    : keys_(keys),
       latency_monitor_(n),
       misbehavior_monitor_(n, keys),
-      suspicion_monitor_(n, f, &misbehavior_monitor_, opts.suspicion),
+      suspicion_monitor_(n, f, &misbehavior_monitor_, suspicion),
       config_monitor_(n, f, space, &latency_monitor_, &suspicion_monitor_,
-                      std::move(reconfigure), opts.config),
-      config_sensor_(self, space,
-                     Rng(opts.rng_seed ^ (0x9e3779b97f4a7c15ULL * (self + 1)))),
-      annealing_(opts.annealing),
-      auto_reciprocate_(opts.auto_reciprocate) {
-  suspicion_sensor_ = std::make_unique<SuspicionSensor>(
-      self, opts.delta, [this](const SuspicionRecord& rec) {
-        propose_(MakeSuspicionMeasurement(rec, *keys_).Encode());
-      });
-  last_candidate_epoch_ = suspicion_monitor_.Current().epoch;
-}
+                      std::move(reconfigure)),
+      last_candidate_epoch_(suspicion_monitor_.Current().epoch) {}
 
 void Pipeline::OnCommit(const LogEntry& entry) {
   if (entry.kind != EntryKind::kMeasurement) {
@@ -55,9 +44,6 @@ void Pipeline::DispatchMeasurement(const Measurement& m) {
       const SuspicionRecord rec = SuspicionRecord::Deserialize(r);
       if (sig_valid && r.ok() && rec.suspector == m.sig.signer) {
         suspicion_monitor_.OnSuspicion(rec, true);
-        if (auto_reciprocate_) {
-          suspicion_sensor_->OnSuspicionAgainstSelf(rec);
-        }
       }
       break;
     }
@@ -76,50 +62,20 @@ void Pipeline::DispatchMeasurement(const Measurement& m) {
       break;
     }
   }
-  const uint64_t epoch = suspicion_monitor_.Current().epoch;
-  if (epoch != last_candidate_epoch_) {
-    last_candidate_epoch_ = epoch;
-    config_monitor_.OnCandidateUpdate();
-  }
+  NotifyCandidateUpdate();
 }
 
 void Pipeline::OnView(uint64_t view) {
   suspicion_monitor_.OnView(view);
+  NotifyCandidateUpdate();
+}
+
+void Pipeline::NotifyCandidateUpdate() {
   const uint64_t epoch = suspicion_monitor_.Current().epoch;
   if (epoch != last_candidate_epoch_) {
     last_candidate_epoch_ = epoch;
     config_monitor_.OnCandidateUpdate();
   }
-}
-
-void Pipeline::SubmitLatencyVector(const std::vector<double>& rtt_ms,
-                                   uint64_t epoch) {
-  LatencyVectorRecord rec;
-  rec.reporter = self_;
-  rec.epoch = epoch;
-  rec.rtt_units.reserve(rtt_ms.size());
-  for (double ms : rtt_ms) {
-    rec.rtt_units.push_back(EncodeRttMs(ms));
-  }
-  propose_(MakeLatencyMeasurement(rec, *keys_).Encode());
-}
-
-void Pipeline::SubmitComplaint(const ComplaintRecord& complaint) {
-  propose_(MakeComplaintMeasurement(complaint, *keys_).Encode());
-}
-
-std::optional<ConfigProposalRecord> Pipeline::RunConfigSearch() {
-  return RunConfigSearch(annealing_);
-}
-
-std::optional<ConfigProposalRecord> Pipeline::RunConfigSearch(
-    const AnnealingParams& params) {
-  std::optional<ConfigProposalRecord> rec = config_sensor_.Search(
-      suspicion_monitor_.Current(), latency_monitor_.matrix(), params);
-  if (rec.has_value()) {
-    propose_(MakeConfigMeasurement(*rec, *keys_).Encode());
-  }
-  return rec;
 }
 
 }  // namespace optilog

@@ -1,55 +1,29 @@
-// OptiLog pipeline (§4.2, Fig. 3): wires the four sensor/monitor pairs to
-// the replicated log — the per-replica embodiment of Fig. 1's "sensor app"
-// plus monitors.
+// OptiLog pipeline, monitor side (§4.2, Fig. 3, Table 1): OnCommit() decodes
+// measurement entries in log order and dispatches them to the deterministic
+// monitors, so every correct replica derives identical metrics — latency
+// matrix, F, C, G, K, u, and reconfiguration decisions.
 //
-// Sensor side (local, non-deterministic): latency vectors, suspicions, and
-// config-search results are signed and handed to the protocol's propose
-// hook, which gets them committed as measurement entries.
-//
-// Monitor side (global, deterministic): OnCommit() decodes measurement
-// entries in log order and dispatches to the monitors, so every correct
-// replica derives identical metrics — latency matrix, F, C, G, K, u, and
-// reconfiguration decisions.
+// The sensors (local, non-deterministic) live in the engines, one per
+// replica: PbftReplica's SuspicionSensor, PbftHarness's probe rounds and
+// ConfigSensor searches, TreeRsm's aggregation suspicions. Their outputs are
+// signed and reach the monitors only as committed log entries (see
+// DESIGN.md, "The measurement bus and the commit boundary").
 #pragma once
-
-#include <functional>
-#include <memory>
 
 #include "src/core/config_search.h"
 #include "src/core/latency_monitor.h"
 #include "src/core/measurement.h"
 #include "src/core/misbehavior_monitor.h"
 #include "src/core/suspicion_monitor.h"
-#include "src/core/suspicion_sensor.h"
 #include "src/rsm/log.h"
 
 namespace optilog {
 
 class Pipeline {
  public:
-  // Hands an encoded, signed measurement to the consensus engine.
-  using ProposeFn = std::function<void(Bytes payload)>;
-
-  struct Options {
-    double delta = 1.0;  // timing-slack multiplier (§2)
-    SuspicionMonitorOptions suspicion;
-    ConfigMonitorOptions config;
-    AnnealingParams annealing;
-    uint64_t rng_seed = 1;
-    // When false, the pipeline's own suspicion sensor does not reciprocate
-    // committed suspicions against `self`. Embeddings that keep one shared
-    // pipeline for the deterministic monitor side but per-replica sensors on
-    // the protocol side (see DESIGN.md) answer on behalf of the accused
-    // replica themselves — letting the shared pipeline answer for replica
-    // `self` would make a Byzantine `self` look responsive.
-    bool auto_reciprocate = true;
-  };
-
-  Pipeline(ReplicaId self, uint32_t n, uint32_t f, const KeyStore* keys,
-           const ConfigSpace* space, ProposeFn propose,
-           ConfigMonitor::ReconfigureFn reconfigure, Options opts);
-
-  // --- log side (deterministic) ---------------------------------------------
+  Pipeline(uint32_t n, uint32_t f, const KeyStore* keys, const ConfigSpace* space,
+           ConfigMonitor::ReconfigureFn reconfigure,
+           SuspicionMonitorOptions suspicion);
 
   // Hook this into the replica's Log. Measurement entries are decoded and
   // dispatched; command batches are ignored.
@@ -58,45 +32,23 @@ class Pipeline {
   // View / leader-change notification from the protocol.
   void OnView(uint64_t view);
 
-  // --- sensor side (local) ---------------------------------------------------
-
-  // Submits this replica's measured RTT vector (ms; +inf for unreachable).
-  void SubmitLatencyVector(const std::vector<double>& rtt_ms, uint64_t epoch);
-
-  // Submits a complaint with its proof.
-  void SubmitComplaint(const ComplaintRecord& complaint);
-
-  // Runs one configuration search against the current candidate set and
-  // proposes the result. Returns the proposed record, if any.
-  std::optional<ConfigProposalRecord> RunConfigSearch();
-  std::optional<ConfigProposalRecord> RunConfigSearch(const AnnealingParams& params);
-
-  SuspicionSensor& suspicion_sensor() { return *suspicion_sensor_; }
   const LatencyMonitor& latency_monitor() const { return latency_monitor_; }
   const MisbehaviorMonitor& misbehavior_monitor() const { return misbehavior_monitor_; }
   const SuspicionMonitor& suspicion_monitor() const { return suspicion_monitor_; }
-  SuspicionMonitor& suspicion_monitor_mutable() { return suspicion_monitor_; }
   const ConfigMonitor& config_monitor() const { return config_monitor_; }
   ConfigMonitor& config_monitor_mutable() { return config_monitor_; }
 
-  ReplicaId self() const { return self_; }
-
  private:
   void DispatchMeasurement(const Measurement& m);
+  // Tells the config monitor when K or u changed since the last call.
+  void NotifyCandidateUpdate();
 
-  const ReplicaId self_;
-  const uint32_t n_;
   const KeyStore* keys_;
-  ProposeFn propose_;
 
   LatencyMonitor latency_monitor_;
   MisbehaviorMonitor misbehavior_monitor_;
   SuspicionMonitor suspicion_monitor_;
   ConfigMonitor config_monitor_;
-  std::unique_ptr<SuspicionSensor> suspicion_sensor_;
-  ConfigSensor config_sensor_;
-  AnnealingParams annealing_;
-  bool auto_reciprocate_ = true;
   uint64_t last_candidate_epoch_ = 0;
 };
 

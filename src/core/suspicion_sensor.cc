@@ -19,14 +19,12 @@ void SuspicionSensor::Emit(SuspicionType type, ReplicaId suspect, uint64_t round
   rec.suspect = suspect;
   rec.round = round;
   rec.phase = phase;
-  ++emitted_;
   emit_(rec);
 }
 
 void SuspicionSensor::OnProposalTimestamp(uint64_t round, ReplicaId leader,
                                           SimTime timestamp,
                                           SimTime expected_round_duration) {
-  round_leader_[round] = leader;
   proposal_ts_[round] = timestamp;
   if (have_last_ts_ && round == last_ts_round_ + 1) {
     // Condition (a): consecutive proposal timestamps within delta * d_rnd.
@@ -102,7 +100,6 @@ void SuspicionSensor::GarbageCollect(uint64_t round) {
                      [round](const Expectation& e) { return e.round <= round; }),
       expectations_.end());
   proposal_ts_.erase(proposal_ts_.begin(), proposal_ts_.upper_bound(round));
-  round_leader_.erase(round_leader_.begin(), round_leader_.upper_bound(round));
   while (!suspected_.empty() && suspected_.begin()->first <= round) {
     suspected_.erase(suspected_.begin());
   }

@@ -62,9 +62,6 @@ class SuspicionSensor {
   // Drop state for rounds <= `round` (they are decided).
   void GarbageCollect(uint64_t round);
 
-  uint64_t emitted() const { return emitted_; }
-  double delta() const { return delta_; }
-
  private:
   struct Expectation {
     uint64_t round;
@@ -81,15 +78,13 @@ class SuspicionSensor {
   const double delta_;
   EmitFn emit_;
 
-  std::map<uint64_t, SimTime> proposal_ts_;     // round -> timestamp
-  std::map<uint64_t, ReplicaId> round_leader_;  // round -> leader
+  std::map<uint64_t, SimTime> proposal_ts_;  // round -> timestamp
   std::vector<Expectation> expectations_;
   std::set<std::pair<uint64_t, ReplicaId>> suspected_;  // per-round dedup
   std::set<ReplicaId> reciprocated_;
   uint64_t last_ts_round_ = 0;
   bool have_last_ts_ = false;
   SimTime last_ts_ = 0;
-  uint64_t emitted_ = 0;
 };
 
 }  // namespace optilog

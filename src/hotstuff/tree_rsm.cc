@@ -232,13 +232,12 @@ TreeRsm::TreeRsm(Simulator* sim, Network* net, const KeyStore* keys,
     if (w.clients == 0) {
       w.clients = opts_.n;
     }
-    if (w.replies_needed == 0) {
-      w.replies_needed = 1;  // the root's commit-stamped reply
-    }
     queue_ = std::make_unique<RequestQueue>(w.batch);
     if (w.spawn_fleet) {
-      fleet_ = std::make_unique<ClientFleet>(
-          sim_, net_, opts_.n, std::move(w), [this] { return tree_.root(); });
+      // One reply: the root's commit-stamped one.
+      fleet_ = std::make_unique<ClientFleet>(sim_, net_, opts_.n,
+                                             /*reply_quorum=*/1, std::move(w),
+                                             [this] { return tree_.root(); });
     }
   }
 }

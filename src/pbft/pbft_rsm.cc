@@ -282,7 +282,7 @@ constexpr SimTime kDefaultThinkTime = 50 * kMsec;
 
 // The default client fleet: one closed-loop client per replica, one
 // outstanding request, kDefaultThinkTime between requests, the workload
-// layer's default request size, completion on the f + 1-th reply, and a
+// layer's default request size, completion on f + 1 matching replies, and a
 // leader that drains its whole queue into each batch.
 WorkloadOptions DefaultWorkload(const PbftOptions& opts) {
   WorkloadOptions w;
@@ -315,21 +315,12 @@ PbftHarness::PbftHarness(Simulator* sim, Network* net, const KeyStore* keys,
   }
   RecordLeader();
 
-  // One pipeline carries the deterministic monitor side for all replicas;
-  // sensors stay per-replica (below). Its own sensor must not answer
-  // suspicions — the accused replica's sensor does (or stays silent when
-  // Byzantine).
-  Pipeline::Options popts = opts_.pipeline;
-  popts.delta = opts_.delta;
-  popts.rng_seed = opts_.seed;
-  popts.auto_reciprocate = false;
+  // One pipeline carries the deterministic monitor side for all replicas,
+  // with the MIS candidate policy (§4.2.3); sensors stay per-replica (below).
   pipeline_ = std::make_unique<Pipeline>(
-      /*self=*/0, opts_.n, opts_.f, keys_, &space_,
-      [this](Bytes payload) {
-        AppendMeasurement(log_, sim_->now(), std::move(payload));
-      },
+      opts_.n, opts_.f, keys_, &space_,
       [this](const RoleConfig& cfg, double score) { OnReconfigure(cfg, score); },
-      popts);
+      SuspicionMonitorOptions{});
   log_.AddListener([this](const LogEntry& e) { OnLogCommit(e); });
 
   for (ReplicaId id = 0; id < opts_.n; ++id) {
@@ -347,13 +338,11 @@ PbftHarness::PbftHarness(Simulator* sim, Network* net, const KeyStore* keys,
   if (w.clients == 0) {
     w.clients = opts_.n;
   }
-  if (w.replies_needed == 0) {
-    w.replies_needed = opts_.f + 1;
-  }
   queue_ = std::make_unique<RequestQueue>(w.batch);
   if (w.spawn_fleet) {
-    fleet_ = std::make_unique<ClientFleet>(
-        sim_, net_, opts_.n, std::move(w), [this] { return config_.leader; });
+    fleet_ = std::make_unique<ClientFleet>(sim_, net_, opts_.n, opts_.f + 1,
+                                           std::move(w),
+                                           [this] { return config_.leader; });
   }
 
   net_->SetProposalClassifier(
@@ -625,15 +614,13 @@ void PbftHarness::RunAwareOptimization() {
     }
   }
   RoleConfig initial = space_.RandomConfig(candidates, rng_);
-  AnnealingParams params;
-  params.max_iterations = 30'000;
   auto score = [&](const RoleConfig& cfg) {
     return space_.Score(cfg, pipeline_->latency_monitor().matrix(), candidates.u);
   };
   auto mutate = [&](const RoleConfig& cfg, Rng& r) {
     return space_.Mutate(cfg, candidates, r);
   };
-  const auto result = SimulatedAnnealing(std::move(initial), score, mutate, rng_, params);
+  const auto result = SimulatedAnnealing(std::move(initial), score, mutate, rng_);
   OnReconfigure(result.best, result.best_score);
 }
 
@@ -660,9 +647,7 @@ void PbftHarness::MaybeReactToSuspicions() {
   // them.
   for (uint32_t i = 0; i <= opts_.f; ++i) {
     ConfigSensor sensor(i, &space_, rng_.Fork());
-    AnnealingParams params;
-    params.max_iterations = 10'000;
-    auto rec = sensor.Search(k, pipeline_->latency_monitor().matrix(), params);
+    auto rec = sensor.Search(k, pipeline_->latency_monitor().matrix());
     if (rec.has_value()) {
       CommitMeasurement(MakeConfigMeasurement(*rec, *keys_));
     }

@@ -35,6 +35,7 @@
 #include "src/api/consensus_engine.h"
 #include "src/aware/aware_score.h"
 #include "src/core/pipeline.h"
+#include "src/core/suspicion_sensor.h"
 #include "src/net/network.h"
 #include "src/pbft/messages.h"
 #include "src/rsm/log.h"
@@ -54,9 +55,6 @@ struct PbftOptions {
   double delta = 1.2;                  // suspicion timing slack
   SimTime optimize_at = 40 * kSec;     // Aware's scheduled optimization
   uint64_t seed = 7;
-  // Monitor-side knobs for the harness's shared pipeline. delta, rng_seed
-  // and auto_reciprocate are overridden from the options above.
-  Pipeline::Options pipeline;
   // Client fleet override. Unset: the default closed loop — one client per
   // replica, one outstanding request, 50 ms think time, f + 1 replies,
   // unbounded batches (the BFT-SMaRt drain-the-queue behavior).

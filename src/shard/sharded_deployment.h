@@ -52,8 +52,8 @@ class ShardedDeployment {
   ReplicaId coordinator_id(uint32_t s) const { return n_ + s; }
   // Replica currently serving shard `s` (tree root / PBFT leader).
   ReplicaId Route(uint32_t s);
-  // Distinct replies that complete a client-visible record on shard `s`
-  // (1 for the tree family, f+1 for PBFT).
+  // The reply quorum of shard `s`'s engine (1 for the tree family, f + 1
+  // for PBFT): how many replicas must send the same result (ReplyQuorum).
   uint32_t RepliesNeeded(uint32_t s);
 
   // --- lifecycle -------------------------------------------------------------

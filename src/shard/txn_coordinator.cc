@@ -55,8 +55,7 @@ void TxnCoordinator::OnMessage(ReplicaId from, const MessagePtr& msg,
     return;  // completed record, or one wiped by a recovery
   }
   Record& rec = it->second;
-  rec.replies.insert(from);
-  if (rec.replies.size() < owner_->RepliesNeeded(rec.shard)) {
+  if (!rec.replies.Add(from, reply.result, owner_->RepliesNeeded(rec.shard))) {
     return;
   }
   sim_->Cancel(rec.retry);

@@ -31,11 +31,11 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "src/sim/actor.h"
 #include "src/statemachine/state_machine.h"
+#include "src/workload/reply_quorum.h"
 
 namespace optilog {
 
@@ -104,7 +104,7 @@ class TxnCoordinator : public Actor {
     uint64_t txn_id = 0;
     uint32_t shard = 0;
     Bytes op;  // the encoded KvTxnOp, kept for re-sends
-    std::set<ReplicaId> replies;
+    ReplyQuorum replies;
     ReplicaId target = kNoReplica;
     uint32_t attempts = 1;
     EventId retry = kNoEvent;

@@ -1,6 +1,7 @@
 #include "src/shard/txn_fleet.h"
 
 #include <algorithm>
+#include <set>
 #include <utility>
 
 #include "src/shard/sharded_deployment.h"
@@ -178,8 +179,8 @@ void TxnClient::OnMessage(ReplicaId from, const MessagePtr& msg, SimTime at) {
   if (reply.request_id != cur_->request_id) {
     return;
   }
-  cur_->replies.insert(from);
-  if (cur_->replies.size() < fleet_->RepliesNeeded(cur_->home)) {
+  if (!cur_->replies.Add(from, reply.result,
+                         fleet_->RepliesNeeded(cur_->home))) {
     return;
   }
   fleet_->sim().Cancel(cur_->retry);

@@ -20,7 +20,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "src/rsm/metrics.h"
@@ -28,6 +27,7 @@
 #include "src/sim/actor.h"
 #include "src/statemachine/state_machine.h"
 #include "src/util/rng.h"
+#include "src/workload/reply_quorum.h"
 
 namespace optilog {
 
@@ -65,7 +65,7 @@ class TxnClient : public Actor {
     bool cross = false;      // >= 2 distinct shards
     uint32_t home = 0;       // target shard (single) / coordinator's shard
     ReplicaId target = kNoReplica;
-    std::set<ReplicaId> replies;  // single-shard: distinct repliers
+    ReplyQuorum replies;  // single-shard: the shard's replicas' replies
     uint32_t attempts = 1;
     EventId retry = kNoEvent;
   };

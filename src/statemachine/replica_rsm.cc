@@ -18,6 +18,11 @@ std::vector<Bytes> DecodeOps(const Bytes& payload) {
   ByteReader r(payload);
   const uint32_t count = r.U32();
   std::vector<Bytes> ops;
+  // The payload comes from a peer: a count its bytes cannot hold (each op
+  // has at least a 4-byte length) ends decoding before anything is reserved.
+  if (!r.ok() || count > r.remaining() / 4) {
+    return ops;
+  }
   ops.reserve(count);
   for (uint32_t i = 0; i < count && r.ok(); ++i) {
     ops.push_back(r.Blob());

@@ -334,6 +334,11 @@ Bytes KvStateMachine::SnapshotBytes() const {
 void KvStateMachine::Restore(const Bytes& snapshot) {
   Reset();
   ByteReader r(snapshot);
+  // The snapshot comes from a donor replica: a count larger than the bytes
+  // left can hold (`size` bytes per entry) ends decoding before allocating.
+  auto count_fits = [&r](uint32_t count, size_t size) {
+    return r.ok() && count <= r.remaining() / size;
+  };
   const uint64_t count = r.U64();
   for (uint64_t i = 0; i < count && r.ok(); ++i) {
     const uint64_t key = r.U64();
@@ -347,16 +352,21 @@ void KvStateMachine::Restore(const Bytes& snapshot) {
   for (uint64_t i = 0; i < nprepared && r.ok(); ++i) {
     const uint64_t txn_id = r.U64();
     PreparedTxn p;
-    p.ops.resize(r.U32());
+    const uint32_t nops = r.U32();
+    if (!count_fits(nops, 17)) {
+      return;
+    }
+    p.ops.resize(nops);
     for (KvOp& op : p.ops) {
-      if (!r.ok()) {
-        break;
-      }
       op.kind = static_cast<KvOpKind>(r.U8());
       op.key = r.U64();
       op.arg = r.U64();
     }
-    p.participants.resize(r.ok() ? r.U32() : 0);
+    const uint32_t nparts = r.U32();
+    if (!count_fits(nparts, 4)) {
+      return;
+    }
+    p.participants.resize(nparts);
     for (uint32_t& part : p.participants) {
       part = r.U32();
     }
@@ -373,7 +383,11 @@ void KvStateMachine::Restore(const Bytes& snapshot) {
   for (uint64_t i = 0; i < ndecided && r.ok(); ++i) {
     const uint64_t txn_id = r.U64();
     DecidedTxn d;
-    d.participants.resize(r.U32());
+    const uint32_t nparts = r.U32();
+    if (!count_fits(nparts, 4)) {
+      return;
+    }
+    d.participants.resize(nparts);
     for (uint32_t& part : d.participants) {
       part = r.U32();
     }

@@ -208,7 +208,6 @@ void WorkloadClient::OnTimer(uint64_t tag, SimTime at) {
 
 void WorkloadClient::OnMessage(ReplicaId from, const MessagePtr& msg,
                                SimTime at) {
-  (void)from;
   if (msg->type() != kMsgClientReply) {
     return;
   }
@@ -218,7 +217,7 @@ void WorkloadClient::OnMessage(ReplicaId from, const MessagePtr& msg,
     return;  // stale: already completed (extra replies beyond the quorum)
   }
   Outstanding& o = it->second;
-  if (++o.replies < fleet_->opts_.replies_needed) {
+  if (!o.replies.Add(from, reply.result, fleet_->reply_quorum_)) {
     return;
   }
   if (fleet_->opts_.kv.enabled) {
@@ -245,11 +244,12 @@ void WorkloadClient::OnMessage(ReplicaId from, const MessagePtr& msg,
 // --- ClientFleet -------------------------------------------------------------
 
 ClientFleet::ClientFleet(Simulator* sim, Network* net, uint32_t n,
-                         WorkloadOptions opts, std::function<ReplicaId()> route)
-    : sim_(sim), net_(net), n_(n), opts_(std::move(opts)),
-      route_(std::move(route)) {
+                         uint32_t reply_quorum, WorkloadOptions opts,
+                         std::function<ReplicaId()> route)
+    : sim_(sim), net_(net), n_(n), reply_quorum_(reply_quorum),
+      opts_(std::move(opts)), route_(std::move(route)) {
   OL_CHECK(opts_.clients > 0);
-  OL_CHECK(opts_.replies_needed > 0);
+  OL_CHECK(reply_quorum_ > 0);
   SimTime end = 0;
   for (const WorkloadPhase& phase : opts_.phases) {
     OL_CHECK(phase.rate_scale > 0.0);

@@ -19,9 +19,11 @@
 // Scripted phases scale the open-loop rate over time (bursty ramps, diurnal
 // patterns); the last phase's scale persists.
 //
-// Completion: a request is complete when `replies_needed` distinct replies
-// arrive; the client stamps end-to-end latency from its *original* send (a
-// retry does not reset the clock) into the fleet's fixed-size histogram.
+// Completion: a request is complete when the engine's quorum of distinct
+// replicas (1 for the tree root, f + 1 for PBFT) have sent byte-identical
+// results (ReplyQuorum); the client checks that result and stamps
+// end-to-end latency from its *original* send (a retry does not reset the
+// clock) into the fleet's fixed-size histogram.
 // With `retry_timeout` set, an unanswered request is re-sent to the next
 // replica id — how a fleet survives the crash of its target replica; the
 // leader-side RequestQueue deduplicates, so re-routes never double-commit.
@@ -37,6 +39,7 @@
 #include "src/statemachine/state_machine.h"
 #include "src/util/rng.h"
 #include "src/workload/messages.h"
+#include "src/workload/reply_quorum.h"
 #include "src/workload/request_queue.h"
 
 namespace optilog {
@@ -77,7 +80,6 @@ struct WorkloadOptions {
   double rate_per_client = 100.0;  // requests per second
   std::vector<WorkloadPhase> phases;
   size_t request_bytes = 64;
-  uint32_t replies_needed = 0;  // 0 = protocol default (tree: 1, PBFT: f+1)
   SimTime retry_timeout = 0;    // 0 = never re-send
   bool record_samples = true;   // keep the per-client (at, latency) series
   uint64_t seed = 1;
@@ -128,7 +130,7 @@ class WorkloadClient : public Actor {
 
   struct Outstanding {
     SimTime sent_at = 0;
-    uint32_t replies = 0;
+    ReplyQuorum replies;
     uint32_t attempts = 1;
     ReplicaId target = kNoReplica;
     EventId retry = kNoEvent;
@@ -151,8 +153,10 @@ class ClientFleet {
  public:
   // `route` names the replica new requests target (the current leader /
   // tree root); retries cycle through the other replica ids from there.
-  ClientFleet(Simulator* sim, Network* net, uint32_t n, WorkloadOptions opts,
-              std::function<ReplicaId()> route);
+  // `reply_quorum` is the engine's (see ReplyQuorum): 1 for the tree root,
+  // f + 1 for the PBFT family.
+  ClientFleet(Simulator* sim, Network* net, uint32_t n, uint32_t reply_quorum,
+              WorkloadOptions opts, std::function<ReplicaId()> route);
 
   // Issues the initial requests / schedules the first arrivals, in client
   // index order (deterministic).
@@ -178,6 +182,7 @@ class ClientFleet {
   Simulator* sim_;
   Network* net_;
   const uint32_t n_;
+  const uint32_t reply_quorum_;
   WorkloadOptions opts_;
   std::function<ReplicaId()> route_;
   std::vector<std::unique_ptr<WorkloadClient>> clients_;

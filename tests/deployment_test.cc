@@ -114,15 +114,12 @@ TEST(DeploymentBuilder, OptiTreeCrashRecoveryMatchesHandWiredPipeline) {
     faults.Mutable(first.root()).crash_at = crash_at;
 
     TreeConfigSpace space(kN, 2 * kF + 1);
-    Pipeline::Options popts;
-    popts.suspicion.policy = CandidatePolicy::kTreeDisjointEdges;
-    popts.suspicion.min_candidates = BranchFactorFor(kN) + 1;
-    popts.rng_seed = kSeed;
-    popts.auto_reciprocate = false;
+    SuspicionMonitorOptions suspicion;
+    suspicion.policy = CandidatePolicy::kTreeDisjointEdges;
+    suspicion.min_candidates = BranchFactorFor(kN) + 1;
     Log log;
-    Pipeline pipeline(
-        0, kN, kF, &keys, &space, [](Bytes) {},
-        [](const RoleConfig&, double) {}, popts);
+    Pipeline pipeline(kN, kF, &keys, &space, [](const RoleConfig&, double) {},
+                      suspicion);
     log.AddListener([&](const LogEntry& e) { pipeline.OnCommit(e); });
 
     Rng reconfig_rng(kSeed ^ 0x5deece66dull);

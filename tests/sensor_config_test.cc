@@ -286,28 +286,35 @@ TEST_F(ConfigTest, InvalidConfigRejected) {
   EXPECT_EQ(monitor_->pending_proposals(), 0u);
 }
 
-// --- Pipeline determinism (the paper's core consistency claim) ----------------
+// --- Pipeline (the monitor side) ----------------------------------------------
 
+// The tree candidate policy (§6.4), as the deployment configures it.
+SuspicionMonitorOptions TreePolicy(uint32_t n) {
+  SuspicionMonitorOptions opts;
+  opts.policy = CandidatePolicy::kTreeDisjointEdges;
+  opts.min_candidates = BranchFactorFor(n) + 1;
+  return opts;
+}
+
+void CommitMeasurement(Pipeline& pipeline, const Bytes& payload, uint64_t index) {
+  LogEntry e;
+  e.index = index;
+  e.kind = EntryKind::kMeasurement;
+  e.payload = payload;
+  pipeline.OnCommit(e);
+}
+
+// The paper's core consistency claim: monitors are deterministic functions
+// of the committed log.
 TEST(Pipeline, IdenticalCommitOrderYieldsIdenticalState) {
   constexpr uint32_t kN = 13, kF = 4;
   KeyStore keys(kN, 3);
   TreeConfigSpace space(kN, 2 * kF + 1);
 
-  struct Replica {
-    std::unique_ptr<Pipeline> pipeline;
-    std::vector<Bytes> proposed;
-  };
-  std::vector<Replica> replicas(3);
-  for (uint32_t i = 0; i < replicas.size(); ++i) {
-    Pipeline::Options opts;
-    opts.suspicion.policy = CandidatePolicy::kTreeDisjointEdges;
-    opts.suspicion.min_candidates = BranchFactorFor(kN) + 1;
-    opts.rng_seed = 1000 + i;  // different local randomness
-    auto& r = replicas[i];
-    r.pipeline = std::make_unique<Pipeline>(
-        i, kN, kF, &keys, &space,
-        [&r](Bytes payload) { r.proposed.push_back(std::move(payload)); },
-        [](const RoleConfig&, double) {}, opts);
+  std::vector<std::unique_ptr<Pipeline>> replicas;
+  for (uint32_t i = 0; i < 3; ++i) {
+    replicas.push_back(std::make_unique<Pipeline>(
+        kN, kF, &keys, &space, [](const RoleConfig&, double) {}, TreePolicy(kN)));
   }
 
   // A shared committed sequence of measurements, including Byzantine noise.
@@ -336,66 +343,87 @@ TEST(Pipeline, IdenticalCommitOrderYieldsIdenticalState) {
   // Unsigned garbage that must be ignored identically everywhere.
   committed.push_back(Bytes{0x02, 0x01, 0x00, 0x00, 0x00});
 
-  for (auto& r : replicas) {
+  for (auto& pipeline : replicas) {
     uint64_t index = 0;
     for (const Bytes& payload : committed) {
-      LogEntry e;
-      e.index = index++;
-      e.kind = EntryKind::kMeasurement;
-      e.payload = payload;
-      r.pipeline->OnCommit(e);
+      CommitMeasurement(*pipeline, payload, index++);
     }
   }
 
-  const auto& first = replicas[0].pipeline->suspicion_monitor().Current();
-  for (auto& r : replicas) {
-    const auto& cur = r.pipeline->suspicion_monitor().Current();
+  const auto& first = replicas[0]->suspicion_monitor().Current();
+  for (auto& pipeline : replicas) {
+    const auto& cur = pipeline->suspicion_monitor().Current();
     EXPECT_EQ(cur.candidates, first.candidates);
     EXPECT_EQ(cur.u, first.u);
     for (ReplicaId a = 0; a < kN; ++a) {
       for (ReplicaId b = 0; b < kN; ++b) {
-        EXPECT_EQ(r.pipeline->latency_monitor().matrix().Rtt(a, b),
-                  replicas[0].pipeline->latency_monitor().matrix().Rtt(a, b));
+        EXPECT_EQ(pipeline->latency_monitor().matrix().Rtt(a, b),
+                  replicas[0]->latency_monitor().matrix().Rtt(a, b));
       }
     }
   }
 }
 
+// Config searches reach the monitor only as signed, committed proposals: f
+// of them do not force a reconfiguration, a proposal signed by someone other
+// than the proposer it names does not count, and the (f + 1)-th valid one
+// does (§4.2.4).
 TEST(Pipeline, ConfigSearchProposesThroughLog) {
   constexpr uint32_t kN = 13, kF = 4;
   KeyStore keys(kN, 3);
   TreeConfigSpace space(kN, 2 * kF + 1);
-  std::vector<Bytes> proposed;
-  Pipeline::Options opts;
-  opts.suspicion.policy = CandidatePolicy::kTreeDisjointEdges;
-  opts.suspicion.min_candidates = BranchFactorFor(kN) + 1;
-  opts.annealing.max_iterations = 200;
+  std::vector<RoleConfig> adopted;
   Pipeline pipeline(
-      0, kN, kF, &keys, &space,
-      [&](Bytes payload) { proposed.push_back(std::move(payload)); },
-      [](const RoleConfig&, double) {}, opts);
+      kN, kF, &keys, &space,
+      [&](const RoleConfig& cfg, double) { adopted.push_back(cfg); },
+      TreePolicy(kN));
 
-  // Fill the latency matrix through the log.
+  // Fill the latency matrix through the log: RTT = 10 + |a - b| ms.
+  uint64_t index = 0;
   for (ReplicaId a = 0; a < kN; ++a) {
     LatencyVectorRecord rec;
     rec.reporter = a;
     rec.rtt_units.resize(kN);
     for (ReplicaId b = 0; b < kN; ++b) {
-      rec.rtt_units[b] = a == b ? 0 : EncodeRttMs(15.0);
+      rec.rtt_units[b] =
+          a == b ? 0 : EncodeRttMs(10.0 + std::abs(int(a) - int(b)));
     }
-    LogEntry e;
-    e.kind = EntryKind::kMeasurement;
-    e.payload = MakeLatencyMeasurement(rec, keys).Encode();
-    pipeline.OnCommit(e);
+    CommitMeasurement(pipeline, MakeLatencyMeasurement(rec, keys).Encode(), index++);
   }
-  const auto rec = pipeline.RunConfigSearch();
-  ASSERT_TRUE(rec.has_value());
-  ASSERT_FALSE(proposed.empty());
-  const auto decoded = Measurement::Decode(proposed.back());
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(static_cast<int>(decoded->kind),
-            static_cast<int>(MeasurementKind::kConfigProposal));
-  EXPECT_TRUE(decoded->VerifySig(keys));
+  auto search = [&](ReplicaId proposer) {
+    ConfigSensor sensor(proposer, &space, Rng(100 + proposer));
+    auto rec = sensor.Search(pipeline.suspicion_monitor().Current(),
+                             pipeline.latency_monitor().matrix(),
+                             AnnealingParams::ForBudget(200));
+    EXPECT_TRUE(rec.has_value());
+    return *rec;
+  };
+
+  for (ReplicaId proposer = 0; proposer < kF; ++proposer) {
+    CommitMeasurement(pipeline, MakeConfigMeasurement(search(proposer), keys).Encode(),
+                      index++);
+    EXPECT_TRUE(adopted.empty()) << "fired after " << proposer + 1 << " proposals";
+  }
+  EXPECT_EQ(pipeline.config_monitor().pending_proposals(), kF);
+
+  // Names replica kF as proposer but carries replica 0's valid signature.
+  const ConfigProposalRecord last = search(kF);
+  Bytes body;
+  ByteWriter w(&body);
+  last.Serialize(w);
+  CommitMeasurement(pipeline,
+                    Measurement::Make(MeasurementKind::kConfigProposal, body,
+                                      /*reporter=*/0, keys)
+                        .Encode(),
+                    index++);
+  EXPECT_TRUE(adopted.empty());
+  EXPECT_EQ(pipeline.config_monitor().pending_proposals(), kF);
+
+  CommitMeasurement(pipeline, MakeConfigMeasurement(last, keys).Encode(), index++);
+  ASSERT_EQ(adopted.size(), 1u);
+  EXPECT_EQ(pipeline.config_monitor().reconfigurations(), 1u);
+  EXPECT_TRUE(space.Valid(adopted[0], pipeline.suspicion_monitor().Current()));
+  EXPECT_EQ(pipeline.config_monitor().active(), adopted[0]);
 }
 
 }  // namespace

@@ -78,6 +78,37 @@ TEST(KvStateMachine, MalformedOpIsADeterministicNoop) {
   EXPECT_EQ(sm.StateDigest(), before);
 }
 
+// A donor's snapshot is untrusted: a count larger than the bytes left can
+// hold ends decoding instead of sizing a vector from it.
+TEST(KvStateMachine, RestoreRejectsCountsTheSnapshotCannotHold) {
+  Bytes snapshot;
+  ByteWriter w(&snapshot);
+  w.U64(0);            // no keys
+  w.U64(1);            // one prepared transaction
+  w.U64(7);            // its id
+  w.U32(0xffffffffu);  // claims 2^32 - 1 ops
+  w.U32(0);
+  ASSERT_EQ(snapshot.size(), 32u);
+
+  KvStateMachine sm;
+  Apply(sm, KvOpKind::kPut, 1, 10);
+  sm.Restore(snapshot);
+  EXPECT_EQ(sm.size(), 0u);
+  EXPECT_EQ(sm.StateDigest(), KvStateMachine().StateDigest());
+}
+
+// Log-suffix entries come from a donor too: a payload whose op count its
+// bytes cannot hold decodes to no ops.
+TEST(ReplicaRsm, DecodeOpsRejectsCountsThePayloadCannotHold) {
+  EXPECT_TRUE(DecodeOps(Bytes{0xff, 0xff, 0xff, 0xff}).empty());
+
+  RequestRef req;
+  req.op = Op(KvOpKind::kPut, 3, 4);
+  const std::vector<Bytes> ops = DecodeOps(EncodeOps({req, req}));
+  ASSERT_EQ(ops.size(), 2u);
+  EXPECT_EQ(ops[1], req.op);
+}
+
 // --- Log truncation ----------------------------------------------------------
 
 LogEntry CommandEntry(uint32_t batch, uint8_t tag) {

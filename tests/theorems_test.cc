@@ -9,7 +9,6 @@
 
 #include <set>
 
-#include "src/core/delta_tuner.h"
 #include "src/core/misbehavior_monitor.h"
 #include "src/core/suspicion_monitor.h"
 #include "src/tree/kauri.h"
@@ -162,72 +161,6 @@ TEST(Theorems, Ct1EnoughCandidatesUnderSaturation) {
           << "n=" << n << " after " << i;
     }
   }
-}
-
-// --- DeltaTuner (§7.6 future work) -------------------------------------------
-
-TEST(DeltaTuner, StableLinksRecommendMinimum) {
-  DeltaTuner tuner;
-  for (int i = 0; i < 100; ++i) {
-    tuner.Record(0, 1, 20.0);
-    tuner.Record(1, 2, 35.0);
-  }
-  EXPECT_DOUBLE_EQ(tuner.RecommendedDelta(), 1.05);  // clamped to min_delta
-  EXPECT_EQ(tuner.links_tracked(), 2u);
-}
-
-TEST(DeltaTuner, JitteryLinkRaisesDelta) {
-  DeltaTuner tuner;
-  Rng rng(3);
-  for (int i = 0; i < 200; ++i) {
-    // Median ~20 ms with occasional 1.3x spikes.
-    const double rtt = rng.Bernoulli(0.05) ? 26.0 : 20.0 + rng.Uniform(-0.5, 0.5);
-    tuner.Record(0, 1, rtt);
-  }
-  const double delta = tuner.RecommendedDelta();
-  EXPECT_GT(delta, 1.2);
-  EXPECT_LT(delta, 1.5);
-}
-
-TEST(DeltaTuner, ClampedAtMaximum) {
-  DeltaTunerOptions opts;
-  opts.max_delta = 1.6;
-  DeltaTuner tuner(opts);
-  for (int i = 0; i < 50; ++i) {
-    tuner.Record(0, 1, i % 10 == 0 ? 200.0 : 20.0);  // wild spikes
-  }
-  EXPECT_DOUBLE_EQ(tuner.RecommendedDelta(), 1.6);
-}
-
-TEST(DeltaTuner, IgnoresGarbageSamples) {
-  DeltaTuner tuner;
-  tuner.Record(0, 0, 10.0);   // self link
-  tuner.Record(0, 1, -5.0);   // negative
-  tuner.Record(0, 1, 0.0);    // zero
-  tuner.Record(0, 1, std::numeric_limits<double>::infinity());
-  EXPECT_EQ(tuner.samples_recorded(), 0u);
-  EXPECT_DOUBLE_EQ(tuner.RecommendedDelta(), 1.05);
-}
-
-TEST(DeltaTuner, WindowBoundsMemory) {
-  DeltaTunerOptions opts;
-  opts.window = 8;
-  DeltaTuner tuner(opts);
-  // Old spikes age out of the window.
-  for (int i = 0; i < 4; ++i) {
-    tuner.Record(0, 1, 100.0);
-  }
-  for (int i = 0; i < 32; ++i) {
-    tuner.Record(0, 1, 20.0);
-  }
-  EXPECT_DOUBLE_EQ(tuner.LinkInflation(0, 1), 1.0);
-}
-
-TEST(DeltaTuner, DirectionInsensitive) {
-  DeltaTuner tuner;
-  tuner.Record(0, 1, 20.0);
-  tuner.Record(1, 0, 20.0);
-  EXPECT_EQ(tuner.links_tracked(), 1u);
 }
 
 }  // namespace

@@ -410,6 +410,45 @@ TEST(WorkloadPbft, CustomFleetOverridesLegacyClosedLoop) {
   EXPECT_EQ(m.event_core.closure_events, 0u);
 }
 
+// The reply rule (ReplyQuorum): a PBFT request completes once f + 1 = 2
+// distinct replicas have sent byte-identical results. The leader is crashed
+// from t = 0, so the one outstanding request only sees injected replies.
+TEST(WorkloadPbft, RequestCompletesOnFPlusOneMatchingResultsFromDistinctReplicas) {
+  WorkloadOptions w;
+  w.clients = 1;
+  auto d = Deployment::Builder()
+               .WithGeo(Europe21())
+               .WithReplicas(4, 1)
+               .WithProtocol(Protocol::kPbft)
+               .WithWorkload(w)
+               .WithFaults([](Deployment& dep) { dep.faults().Mutable(0).crash_at = 0; })
+               .Build();
+  d->Start();
+  SimTime now = 1 * kSec;
+  d->RunUntil(now);
+  const ReplicaId client = d->pbft().fleet().client(0).id();
+  ASSERT_EQ(d->pbft().fleet().completed(), 0u);
+
+  // Replica `from` replies to request 0 with `result`; returns the fleet's
+  // completions once the reply has landed.
+  auto reply = [&](ReplicaId from, const Bytes& result) {
+    auto msg = d->sim().pool().Make<ClientReplyMsg>();
+    msg->request_id = 0;
+    msg->result = result;
+    d->net().Send(from, client, std::move(msg));
+    now += 1 * kSec;
+    d->RunUntil(now);
+    return d->pbft().fleet().completed();
+  };
+  const Bytes a{1, 2, 3};
+  const Bytes b{1, 2, 4};
+  EXPECT_EQ(reply(1, a), 0u);
+  EXPECT_EQ(reply(1, a), 0u);  // the same replica again
+  EXPECT_EQ(reply(2, b), 0u);  // a second replica, a different result
+  EXPECT_EQ(reply(3, a), 1u);  // a third replica that matches the first
+  EXPECT_EQ(reply(2, a), 1u);  // completed exactly once
+}
+
 // --- Determinism: workload sweeps are thread-count invariant -------------------
 
 Scenario PoissonMiniSweep() {
