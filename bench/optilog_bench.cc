@@ -1,7 +1,7 @@
 // optilog_bench: the one bench CLI. Every figure reproduction and workload
 // is a registered Scenario (bench/scenarios/); this binary lists them,
-// filters by name or tag, runs any subset — sweeping grid points across a
-// work-stealing thread pool — and emits BENCH_<scenario>.json files that
+// filters by name or tag, runs any subset — sweeping grid points across
+// --threads threads (ParallelFor) — and emits BENCH_<scenario>.json files that
 // tools/compare_bench.py can gate CI on.
 //
 //   optilog_bench --list
@@ -10,6 +10,7 @@
 //
 // Determinism contract: identical seeds produce byte-identical JSON
 // (everything but the advisory wall_ms) at any --threads value.
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -276,14 +277,11 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // One pool shared across scenarios; each sweep fans its grid points out.
-  ThreadPool pool(threads == 0 ? 1 : threads);
-  RunOptions opts;
-  opts.pool = &pool;
+  threads = std::max(threads, 1u);  // hardware_concurrency() may report 0
   std::printf("running %zu scenario(s) on %u thread(s)\n", selected.size(),
-              pool.threads());
+              threads);
   for (const Scenario* s : selected) {
-    const ScenarioRunResult result = RunScenario(*s, opts);
+    const ScenarioRunResult result = RunScenario(*s, threads);
     PrintResult(result, quiet);
     if (!json_dir.empty()) {
       const std::string path =

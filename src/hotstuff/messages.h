@@ -6,8 +6,8 @@
 // little-endian fixed-width header fields, raw 32-byte digests and 64-byte
 // signature fields, length-prefixed variable blobs, and zero-filled
 // placeholders for modeled payloads (batch commands) and modeled aggregate
-// signatures. Flags folded into the type tag (forwarded, probe-reply) ride
-// the out-of-band (family, type) frame header, never the body.
+// signatures. The forwarded flag is folded into the type tag and rides the
+// out-of-band (family, type) frame header, never the body.
 //
 // Sizes model the real protocols: a proposal carries the batch (batch_size
 // commands of cmd_bytes each), the parent QC, and any piggybacked OptiLog
@@ -32,8 +32,6 @@ enum HotStuffMsgType {
   kMsgForward = 2,
   kMsgVote = 3,
   kMsgAggregate = 4,
-  kMsgProbe = 5,
-  kMsgProbeReply = 6,
 };
 
 // Body: view u64 | block 32 | timestamp i64 | batch_size u32 | cmd_bytes u32
@@ -88,7 +86,6 @@ struct ProposeMsg : Message {
     }
     return m;
   }
-  std::string Name() const override { return forwarded ? "Forward" : "Propose"; }
 };
 
 // Body: view u64 | block 32 | signer u32 | signature 64. The signature is
@@ -130,7 +127,6 @@ struct VoteMsg : Message {
     m->sig = Signature::Deserialize(r);
     return m;
   }
-  std::string Name() const override { return "Vote"; }
 };
 
 // Body: view u64 | block 32 | voter count u32 | voter ids u32 each |
@@ -192,30 +188,6 @@ struct AggregateMsg : Message {
     }
     return m;
   }
-  std::string Name() const override { return "Aggregate"; }
-};
-
-// Body: nonce u64 | echo slot u64 (zero; kept so probe and reply frames are
-// the same 16 bytes the declared size modeled). Direction rides the type
-// tag.
-struct ProbeMsg : Message {
-  uint64_t nonce = 0;
-  bool reply = false;
-
-  int type() const override { return reply ? kMsgProbeReply : kMsgProbe; }
-  MsgFamily family() const override { return MsgFamily::kHotStuff; }
-  void EncodeTo(ByteWriter& w) const override {
-    w.U64(nonce);
-    w.ZeroPad(8);
-  }
-  static IntrusivePtr<ProbeMsg> Decode(int type, ByteReader& r) {
-    auto m = MakeMessage<ProbeMsg>();
-    m->reply = type == kMsgProbeReply;
-    m->nonce = r.U64();
-    r.Skip(8);
-    return m;
-  }
-  std::string Name() const override { return reply ? "ProbeReply" : "Probe"; }
 };
 
 }  // namespace optilog

@@ -7,7 +7,6 @@
 
 #include <limits>
 #include <unordered_map>
-#include <vector>
 
 #include "src/crypto/signature.h"
 #include "src/sim/time.h"
@@ -33,28 +32,14 @@ struct ReplicaFaults {
   // the Pre-Prepare delay attack of Fig. 7.
   SimTime proposal_delay = 0;
 
-  // Responds to probe messages honestly but delays protocol messages — the
-  // "fast probes, slow protocol" attacker Aware cannot detect (§5).
+  // Responds to probe rounds honestly but delays protocol messages — the
+  // "fast probes, slow protocol" attacker Aware cannot detect (§5). Read by
+  // the analytic probe rounds (PbftHarness::RunProbeRound).
   bool fast_probes = false;
-
-  // Emits signatures that fail verification (provable misbehavior).
-  bool invalid_signatures = false;
-
-  // Sends conflicting proposals to different peers (equivocation).
-  bool equivocate = false;
-
-  // Reports an under-stated latency vector (scaled by this factor, <1).
-  double latency_report_factor = 1.0;
-
-  // Raises false ⟨Slow⟩ suspicions against these replicas (targeted
-  // suspicion attack of §7.5).
-  std::vector<ReplicaId> false_suspicion_targets;
 
   bool IsByzantine() const {
     return crash_at != std::numeric_limits<SimTime>::max() ||
-           outbound_delay_factor != 1.0 || proposal_delay != 0 || fast_probes ||
-           invalid_signatures || equivocate || latency_report_factor != 1.0 ||
-           !false_suspicion_targets.empty();
+           outbound_delay_factor != 1.0 || proposal_delay != 0 || fast_probes;
   }
 };
 
@@ -80,16 +65,6 @@ class FaultModel {
   bool IsCrashedAt(ReplicaId id, SimTime now) const {
     const ReplicaFaults& f = Of(id);
     return now >= f.crash_at && now < f.recover_at;
-  }
-
-  size_t num_byzantine() const {
-    size_t count = 0;
-    for (const auto& [id, f] : faults_) {
-      if (f.IsByzantine()) {
-        ++count;
-      }
-    }
-    return count;
   }
 
  private:

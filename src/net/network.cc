@@ -18,10 +18,7 @@ Network::OutboundProfile Network::ClassifyOutbound(ReplicaId from,
                                                    const Message& msg) const {
   const ReplicaFaults& f = faults_->Of(from);
   OutboundProfile profile;
-  const bool is_probe = is_probe_ && is_probe_(msg);
-  if (f.outbound_delay_factor != 1.0 && !(f.fast_probes && is_probe)) {
-    profile.delay_factor = f.outbound_delay_factor;
-  }
+  profile.delay_factor = f.outbound_delay_factor;
   if (f.proposal_delay > 0 && is_proposal_ && is_proposal_(msg)) {
     profile.proposal_extra = f.proposal_delay;
   }

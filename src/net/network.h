@@ -11,7 +11,7 @@
 // DeliverySink, Send/Multicast schedule {from, to, msg} slab events, and no
 // closure is allocated per message. Multicast shares one immutable message
 // across all recipients, evaluates the sender's fault profile and the
-// message classifiers once, walks the latency row per destination into a
+// proposal classifier once, walks the latency row per destination into a
 // scratch batch, and hands the whole fan-out to the simulator in one
 // ScheduleDeliveryBatch pass (one slab reservation, one refcount bump, no
 // per-recipient heap push). Actor and uplink tables are dense vectors
@@ -72,12 +72,6 @@ class Network : private DeliverySink {
   // Pre-Prepare type.
   void SetProposalClassifier(std::function<bool(const Message&)> fn) {
     is_proposal_ = std::move(fn);
-  }
-
-  // Probe classifier: messages for which this returns true are NOT slowed by
-  // fast_probes attackers (they answer probes promptly to look good).
-  void SetProbeClassifier(std::function<bool(const Message&)> fn) {
-    is_probe_ = std::move(fn);
   }
 
   void Send(ReplicaId from, ReplicaId to, MessagePtr msg);
@@ -147,7 +141,6 @@ class Network : private DeliverySink {
   double bandwidth_bps_ = 0.0;
   std::unique_ptr<CpuMeter> cpu_;  // null = cost model disabled
   std::function<bool(const Message&)> is_proposal_;
-  std::function<bool(const Message&)> is_probe_;
   LoopbackSink loopback_;
   NetworkStats stats_;
 };

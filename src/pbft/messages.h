@@ -22,8 +22,6 @@ enum PbftMsgType {
   kMsgPrePrepare = 11,
   kMsgWrite = 12,
   kMsgAccept = 13,
-  kMsgPbftProbe = 15,
-  kMsgPbftProbeReply = 16,
 };
 
 // Body: seq u64 | leader u32 | timestamp i64 | batch count u32 | per request
@@ -97,7 +95,6 @@ struct PrePrepareMsg : Message {
     r.Skip(kSignatureSize);
     return m;
   }
-  std::string Name() const override { return "PrePrepare"; }
 };
 
 // Body: seq u64 | digest 32 | signature placeholder 64 (104 bytes, matching
@@ -122,29 +119,6 @@ struct PhaseMsg : Message {
     r.Skip(kSignatureSize);
     return m;
   }
-  std::string Name() const override { return accept ? "Accept" : "Write"; }
-};
-
-// Body: nonce u64 | echo slot u64 (zero) — same 16 bytes as the tree
-// family's probe; direction rides the type tag.
-struct PbftProbeMsg : Message {
-  uint64_t nonce = 0;
-  bool reply = false;
-
-  int type() const override { return reply ? kMsgPbftProbeReply : kMsgPbftProbe; }
-  MsgFamily family() const override { return MsgFamily::kPbft; }
-  void EncodeTo(ByteWriter& w) const override {
-    w.U64(nonce);
-    w.ZeroPad(8);
-  }
-  static IntrusivePtr<PbftProbeMsg> Decode(int type, ByteReader& r) {
-    auto m = MakeMessage<PbftProbeMsg>();
-    m->reply = type == kMsgPbftProbeReply;
-    m->nonce = r.U64();
-    r.Skip(8);
-    return m;
-  }
-  std::string Name() const override { return reply ? "ProbeReply" : "Probe"; }
 };
 
 }  // namespace optilog

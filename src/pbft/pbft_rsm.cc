@@ -347,9 +347,6 @@ PbftHarness::PbftHarness(Simulator* sim, Network* net, const KeyStore* keys,
 
   net_->SetProposalClassifier(
       [](const Message& m) { return m.type() == kMsgPrePrepare; });
-  net_->SetProbeClassifier([](const Message& m) {
-    return m.type() == kMsgPbftProbe || m.type() == kMsgPbftProbeReply;
-  });
 }
 
 void PbftHarness::Start() {
@@ -586,15 +583,6 @@ void PbftHarness::RunProbeRound() {
                   (fb.outbound_delay_factor - 1.0);
       }
       rec.rtt_units[b] = EncodeRttMs(rtt_us / kMsec);
-    }
-    // A latency_report_factor < 1 under-states the vector (§4.2.1 attack).
-    if (faults.Of(a).latency_report_factor != 1.0) {
-      for (auto& unit : rec.rtt_units) {
-        if (unit != kRttInfinity) {
-          unit = static_cast<uint16_t>(static_cast<double>(unit) *
-                                       faults.Of(a).latency_report_factor);
-        }
-      }
     }
     CommitMeasurement(MakeLatencyMeasurement(rec, *keys_));
   }

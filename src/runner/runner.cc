@@ -1,6 +1,11 @@
 #include "src/runner/runner.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <exception>
+#include <mutex>
+#include <thread>
 
 #include "src/crypto/sha256.h"
 #include "src/util/check.h"
@@ -105,7 +110,38 @@ std::string BodyJson(const ScenarioRunResult& r) {
 
 }  // namespace
 
-ScenarioRunResult RunScenario(const Scenario& s, const RunOptions& opts) {
+void ParallelFor(unsigned threads, size_t count,
+                 const std::function<void(size_t)>& fn) {
+  std::atomic<size_t> claimed{0};
+  std::mutex mu;
+  std::exception_ptr first_error;
+  auto work = [&] {
+    for (size_t c; (c = claimed.fetch_add(1)) < count;) {
+      try {
+        fn(count - 1 - c);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (!first_error) {
+          first_error = std::current_exception();
+        }
+      }
+    }
+  };
+  {
+    // jthread joins on destruction, so every helper that started has
+    // returned before this scope exits, even when starting one throws.
+    std::vector<std::jthread> helpers;
+    for (size_t i = 1; i < std::min<size_t>(threads, count); ++i) {
+      helpers.emplace_back(work);
+    }
+    work();
+  }
+  if (first_error) {
+    std::rethrow_exception(first_error);
+  }
+}
+
+ScenarioRunResult RunScenario(const Scenario& s, unsigned threads) {
   OL_CHECK_MSG(static_cast<bool>(s.run), s.name.c_str());
   const auto wall_start = std::chrono::steady_clock::now();
 
@@ -122,12 +158,7 @@ ScenarioRunResult RunScenario(const Scenario& s, const RunOptions& opts) {
                                 std::chrono::steady_clock::now() - point_start)
                                 .count();
   };
-  if (opts.pool != nullptr) {
-    opts.pool->ParallelFor(out.params.size(), run_point);
-  } else {
-    ThreadPool pool(opts.threads);
-    pool.ParallelFor(out.params.size(), run_point);
-  }
+  ParallelFor(threads, out.params.size(), run_point);
 
   if (s.finalize) {
     out.summary = s.finalize(out.points);

@@ -1,6 +1,6 @@
-// Executes scenarios: enumerates the grid, runs points across the thread
-// pool (one Deployment per point), and assembles the result in grid order
-// so the JSON is byte-identical at any thread count.
+// Executes scenarios: enumerates the grid, runs points on `threads` threads
+// (one Deployment per point), and assembles the result in grid order so the
+// JSON is byte-identical at any thread count.
 //
 // JSON layout of BENCH_<scenario>.json (see DESIGN.md, "Scenario runner"):
 //
@@ -25,20 +25,26 @@
 // wall_ms as advisory and gates on the rest.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "src/runner/scenario.h"
-#include "src/runner/thread_pool.h"
 
 namespace optilog {
 
-struct RunOptions {
-  unsigned threads = 1;
-  // Optional externally owned pool (reused across scenarios); when null a
-  // pool with `threads` workers is created for the run.
-  ThreadPool* pool = nullptr;
-};
+// Runs fn(0) .. fn(count - 1) on the calling thread plus threads - 1 helper
+// threads (none when threads <= 1), blocking until every call returns. Each
+// thread claims the next index from one shared counter, last index first:
+// grids list sizes and loads in increasing order, so the expensive points
+// start first instead of trailing the sweep. fn must be safe to call
+// concurrently for distinct indices; points share no mutable state and
+// store results by index, which is why the order never leaks into the
+// output. If any call throws, the first exception caught is rethrown after
+// every call has returned.
+void ParallelFor(unsigned threads, size_t count,
+                 const std::function<void(size_t)>& fn);
 
 struct ScenarioRunResult {
   std::string scenario;
@@ -50,7 +56,7 @@ struct ScenarioRunResult {
   double wall_ms = 0.0;              // advisory
 };
 
-ScenarioRunResult RunScenario(const Scenario& s, const RunOptions& opts = {});
+ScenarioRunResult RunScenario(const Scenario& s, unsigned threads = 1);
 
 // The digested portion: everything but wall_ms. Byte-identical across
 // thread counts for identical seeds — the determinism contract tests pin.

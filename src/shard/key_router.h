@@ -3,37 +3,24 @@
 // Every client, coordinator, and test agrees on ShardOf(key) — the router
 // is pure arithmetic, shared by value, and never consulted by the shards
 // themselves (a shard's state machine applies whatever its log commits).
-// Hash mode scatters keys with a splitmix64 finalizer so any key
-// distribution balances across shards; range mode carves the u64 keyspace
-// into `shards` equal contiguous slices for workloads with locality.
+// Keys are scattered with a splitmix64 finalizer so any key distribution
+// balances across shards.
 #pragma once
 
 #include <cstdint>
 
 namespace optilog {
 
-enum class RouterKind : uint8_t { kHash, kRange };
-
 class KeyRouter {
  public:
   KeyRouter() = default;
-  KeyRouter(RouterKind kind, uint32_t shards) : kind_(kind), shards_(shards) {
-    if (shards_ > 1) {
-      // Slice width rounded so slice * shards covers the full u64 range.
-      range_width_ = ~uint64_t{0} / shards_ + 1;
-    }
-  }
+  explicit KeyRouter(uint32_t shards) : shards_(shards) {}
 
   uint32_t shards() const { return shards_; }
-  RouterKind kind() const { return kind_; }
 
   uint32_t ShardOf(uint64_t key) const {
     if (shards_ <= 1) {
       return 0;
-    }
-    if (kind_ == RouterKind::kRange) {
-      const uint32_t s = static_cast<uint32_t>(key / range_width_);
-      return s < shards_ ? s : shards_ - 1;
     }
     // splitmix64 finalizer: full-avalanche mix before the modulo.
     uint64_t x = key + 0x9e3779b97f4a7c15ULL;
@@ -44,9 +31,7 @@ class KeyRouter {
   }
 
  private:
-  RouterKind kind_ = RouterKind::kHash;
   uint32_t shards_ = 1;
-  uint64_t range_width_ = 0;
 };
 
 }  // namespace optilog

@@ -170,7 +170,7 @@ std::unique_ptr<ShardedDeployment> Deployment::Builder::BuildSharded() {
   auto sd = std::unique_ptr<ShardedDeployment>(new ShardedDeployment());
   const uint64_t base_seed = seed_.value_or(1);
   const uint32_t shards = shards_;
-  sd->router_ = KeyRouter(RouterKind::kHash, shards);
+  sd->router_ = KeyRouter(shards);
   sd->cross_pct_ = static_cast<uint32_t>(
       std::llround(cross_shard_ratio_ * 100.0));
   sd->txn_opts_ = txn_workload_;

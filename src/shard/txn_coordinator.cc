@@ -88,7 +88,6 @@ void TxnCoordinator::OnTimer(uint64_t tag, SimTime at) {
   // replicas forward to the live one); records retry until answered — a
   // 2PC decision must eventually reach every participant.
   rec.target = (rec.target + 1) % owner_->replicas_per_shard();
-  ++rec.attempts;
   SendAttempt(tag, at);
 }
 
@@ -401,8 +400,7 @@ void TxnCoordinator::RecoveryRebuild(SimTime at) {
   // list are ours (remote-participant records carry none).
   const RsmGroup* group = owner_->shard(shard_).state_machines();
   OL_CHECK(group != nullptr);
-  const auto& kv =
-      static_cast<const KvStateMachine&>(group->rsm(anchor_).machine());
+  const KvStateMachine& kv = group->rsm(anchor_).machine();
 
   // Decided but not yet ended: the commit record exists, so the decision
   // stands — re-drive commits to every participant (idempotent), re-answer

@@ -106,7 +106,6 @@ class TxnCoordinator : public Actor {
     Bytes op;  // the encoded KvTxnOp, kept for re-sends
     ReplyQuorum replies;
     ReplicaId target = kNoReplica;
-    uint32_t attempts = 1;
     EventId retry = kNoEvent;
   };
 

@@ -56,7 +56,6 @@ void TxnClient::OnTimer(uint64_t tag, SimTime at) {
     return;
   }
   cur_->retry = kNoEvent;
-  ++cur_->attempts;
   ++fleet_->retried_;
   if (!cur_->cross) {
     // The shard leader may have crashed; rotate to the next replica, which

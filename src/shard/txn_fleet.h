@@ -66,7 +66,6 @@ class TxnClient : public Actor {
     uint32_t home = 0;       // target shard (single) / coordinator's shard
     ReplicaId target = kNoReplica;
     ReplyQuorum replies;  // single-shard: the shard's replicas' replies
-    uint32_t attempts = 1;
     EventId retry = kNoEvent;
   };
 

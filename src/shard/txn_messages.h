@@ -64,7 +64,6 @@ struct TxnRequestMsg : Message {
     r.Skip(kSignatureSize);
     return m;
   }
-  std::string Name() const override { return "TxnRequest"; }
 };
 
 // Body: request_id u64 | committed u32 | results blob | signature
@@ -93,7 +92,6 @@ struct TxnReplyMsg : Message {
     r.Skip(kSignatureSize);
     return m;
   }
-  std::string Name() const override { return "TxnReply"; }
 };
 
 }  // namespace optilog

@@ -22,7 +22,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -38,8 +37,8 @@ class MessagePool;
 // start at 40. The (family, type) pair keys the decode registry and rides
 // the wire as a 2-byte frame header (src/wire/codec.h).
 enum class MsgFamily : uint8_t {
-  kHotStuff = 1,  // Propose / Vote / Aggregate / Probe (src/hotstuff/)
-  kPbft = 2,      // PrePrepare / Write / Accept / Probe (src/pbft/)
+  kHotStuff = 1,  // Propose / Vote / Aggregate (src/hotstuff/)
+  kPbft = 2,      // PrePrepare / Write / Accept (src/pbft/)
   kWorkload = 3,  // ClientRequest / ClientReply (src/workload/)
   kState = 4,     // state-transfer fetch/chunk messages (src/statemachine/)
   kShard = 5,     // TxnRequest / TxnReply (src/shard/)
@@ -64,7 +63,7 @@ class Message {
   // Canonical wire encoding of the message body. The (family, type) frame
   // header is out-of-band (written by EncodeMessage / read by
   // DecodeMessage), so flags folded into the type tag — forwarded,
-  // accept, probe-reply — never repeat inside the body.
+  // accept — never repeat inside the body.
   virtual void EncodeTo(ByteWriter& w) const = 0;
 
   // Serialized body size in bytes, computed from the actual encoding (one
@@ -79,9 +78,6 @@ class Message {
     }
     return wire_size_;
   }
-
-  // Human-readable tag for traces.
-  virtual std::string Name() const = 0;
 
   // Live references (for tests asserting fan-out sharing).
   uint32_t ref_count() const { return refs_; }

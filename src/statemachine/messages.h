@@ -65,7 +65,6 @@ struct StateFetchMsg : Message {
     r.Skip(kSignatureSize);
     return m;
   }
-  std::string Name() const override { return "StateFetch"; }
 };
 
 // Body: session u64 | has_checkpoint u8 | through_index u64 | state digest
@@ -109,7 +108,6 @@ struct StateChunkMsg : Message {
     r.Skip(kSignatureSize);
     return m;
   }
-  std::string Name() const override { return "StateChunk"; }
 };
 
 // Body: session u64 | from_index u64 | signature placeholder 64 (80 bytes).
@@ -131,7 +129,6 @@ struct LogSuffixFetchMsg : Message {
     r.Skip(kSignatureSize);
     return m;
   }
-  std::string Name() const override { return "LogSuffixFetch"; }
 };
 
 // Body: session u64 | from_index u64 | truncated_past u8 | head_after 32 |
@@ -185,7 +182,6 @@ struct LogSuffixChunkMsg : Message {
     r.Skip(kSignatureSize);
     return m;
   }
-  std::string Name() const override { return "LogSuffixChunk"; }
 };
 
 }  // namespace optilog

@@ -75,7 +75,7 @@ void ReplicaRsm::ApplyNext(ReplicaId proposer,
   entry.payload = encoded_ops != nullptr ? *encoded_ops : EncodeOps(batch);
   log_.Append(std::move(entry));
   for (const RequestRef& req : batch) {
-    Bytes result = machine_->Apply(req.op);
+    Bytes result = machine_.Apply(req.op);
     if (on_reply) {
       on_reply(req, result);
     }
@@ -89,7 +89,7 @@ void ReplicaRsm::MaybeCheckpoint() {
   }
   Checkpoint cp;
   cp.through_index = applied() - 1;
-  cp.state = machine_->SnapshotBytes();
+  cp.state = machine_.SnapshotBytes();
   cp.state_digest = Sha256::Hash(cp.state);
   cp.log_head = log_.head();
   ++checkpoints_taken_;
@@ -103,7 +103,7 @@ void ReplicaRsm::MaybeCheckpoint() {
 }
 
 void ReplicaRsm::Amnesia() {
-  machine_->Reset();
+  machine_.Reset();
   log_.ResetToBase(0, Digest{});
   pending_.clear();
   latest_checkpoint_.reset();
@@ -112,7 +112,7 @@ void ReplicaRsm::Amnesia() {
 }
 
 void ReplicaRsm::InstallSnapshot(const Checkpoint& cp) {
-  machine_->Restore(cp.state);
+  machine_.Restore(cp.state);
   log_.ResetToBase(cp.through_index + 1, cp.log_head);
   latest_checkpoint_ = cp;
   if (policy_.keep_history) {
@@ -130,7 +130,7 @@ bool ReplicaRsm::ReplayEntry(const LogEntry& entry) {
   LogEntry copy = entry;  // Append re-stamps the index; must match
   log_.Append(std::move(copy));
   for (const Bytes& op : DecodeOps(entry.payload)) {
-    machine_->Apply(op);
+    machine_.Apply(op);
   }
   MaybeCheckpoint();
   // Live commits buffered while this replica caught up may now be

@@ -19,7 +19,6 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -53,8 +52,7 @@ class ReplicaRsm {
   using ReplyFn = std::function<void(const RequestRef&, const Bytes& result)>;
 
   ReplicaRsm(ReplicaId id, const CheckpointPolicy& policy)
-      : id_(id), policy_(policy),
-        machine_(std::make_unique<KvStateMachine>()) {}
+      : id_(id), policy_(policy) {}
 
   // Commit of log index `seq`. Applies immediately when seq is the next
   // index; buffers when a gap is outstanding (drained as soon as it fills);
@@ -84,8 +82,8 @@ class ReplicaRsm {
   const Log& log() const { return log_; }
   // The applied frontier: every entry below this index is executed.
   uint64_t applied() const { return log_.next_index(); }
-  const StateMachine& machine() const { return *machine_; }
-  Digest StateDigest() const { return machine_->StateDigest(); }
+  const KvStateMachine& machine() const { return machine_; }
+  Digest StateDigest() const { return machine_.StateDigest(); }
   const std::optional<Checkpoint>& latest_checkpoint() const {
     return latest_checkpoint_;
   }
@@ -112,7 +110,7 @@ class ReplicaRsm {
 
   const ReplicaId id_;
   CheckpointPolicy policy_;
-  std::unique_ptr<StateMachine> machine_;
+  KvStateMachine machine_;
   Log log_;
   std::map<uint64_t, PendingCommit> pending_;
   std::optional<Checkpoint> latest_checkpoint_;

@@ -1,13 +1,13 @@
 // The deterministic replicated state machine the committed log drives.
 //
 // Consensus orders opaque operation byte strings; every correct replica
-// applies them in log order to its own StateMachine instance, so all
+// applies them in log order to its own KvStateMachine, so all
 // replicas materialize identical state — the property the paper's whole
 // argument rests on (§1) and the one this module makes checkable:
 // StateDigest() is a SHA-256 over the canonical state encoding, compared
 // across replicas at every checkpoint and at run end.
 //
-// KvStateMachine is the concrete machine the workload layer drives: a
+// KvStateMachine is the machine the workload layer drives: a
 // uint64 -> uint64 map with read (Get), blind write (Put), and
 // read-modify-write (Add) operations. Apply returns an encoded KvResult the
 // committing replica sends back in its client reply, which the client
@@ -17,7 +17,6 @@
 #pragma once
 
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "src/crypto/sha256.h"
@@ -99,37 +98,26 @@ struct KvMultiResult {
   static bool Decode(const Bytes& in, KvMultiResult* out);
 };
 
-// What consensus executes at the commit boundary. Implementations must be
-// deterministic: Apply's result and all subsequent state may depend only on
-// the sequence of operations applied since construction (or Restore).
-class StateMachine {
+// What consensus executes at the commit boundary. Deterministic: Apply's
+// result and all subsequent state depend only on the sequence of operations
+// applied since construction (or Restore).
+class KvStateMachine {
  public:
-  virtual ~StateMachine() = default;
-
   // Applies one committed operation and returns the encoded reply.
-  virtual Bytes Apply(const Bytes& op) = 0;
+  Bytes Apply(const Bytes& op);
 
   // Canonical encoding of the full state; Restore(SnapshotBytes()) on a
   // fresh instance reproduces the machine exactly.
-  virtual Bytes SnapshotBytes() const = 0;
-  virtual void Restore(const Bytes& snapshot) = 0;
+  Bytes SnapshotBytes() const;
+  void Restore(const Bytes& snapshot);
 
   // SHA-256 over the canonical state encoding. Equal digests across
   // replicas prove equal state; the fingerprint scenarios pin joins through
   // this (see MetricsFingerprint).
-  virtual Digest StateDigest() const = 0;
+  Digest StateDigest() const;
 
   // Back to the initial (empty) state — what an amnesiac restart holds.
-  virtual void Reset() = 0;
-};
-
-class KvStateMachine : public StateMachine {
- public:
-  Bytes Apply(const Bytes& op) override;
-  Bytes SnapshotBytes() const override;
-  void Restore(const Bytes& snapshot) override;
-  Digest StateDigest() const override;
-  void Reset() override;
+  void Reset();
 
   size_t size() const { return kv_.size(); }
   const std::map<uint64_t, uint64_t>& state() const { return kv_; }

@@ -29,14 +29,7 @@ std::optional<TreeTopology> KauriScheduler::NextTree() {
   }
   std::vector<ReplicaId> internals = bins_[next_bin_++];
   rng_.Shuffle(internals);  // random positions within the bin
-  std::vector<ReplicaId> leaves;
-  for (ReplicaId id = 0; id < n_; ++id) {
-    if (std::find(internals.begin(), internals.end(), id) == internals.end()) {
-      leaves.push_back(id);
-    }
-  }
-  rng_.Shuffle(leaves);
-  return TreeTopology::Build(internals, leaves);
+  return TreeWithInternals(n_, internals, rng_);
 }
 
 TreeTopology KauriScheduler::StarFallback() const {
@@ -59,6 +52,53 @@ TreeTopology RandomTree(uint32_t n, Rng& rng) {
   return TreeTopology::Build(internals, leaves);
 }
 
+TreeTopology TreeWithInternals(uint32_t n, const std::vector<ReplicaId>& internals,
+                               Rng& rng) {
+  std::vector<ReplicaId> leaves;
+  for (ReplicaId id = 0; id < n; ++id) {
+    if (std::find(internals.begin(), internals.end(), id) == internals.end()) {
+      leaves.push_back(id);
+    }
+  }
+  rng.Shuffle(leaves);
+  return TreeTopology::Build(internals, leaves);
+}
+
+TreeTopology MutateTree(const TreeTopology& tree, const std::vector<bool>& eligible,
+                        Rng& rng) {
+  std::vector<ReplicaId> internals = tree.Internals();
+  std::vector<ReplicaId> leaves = tree.Leaves();
+  const uint64_t move = rng.Below(3);
+  if (move == 0) {
+    std::vector<size_t> swappable;
+    for (size_t i = 0; i < leaves.size(); ++i) {
+      if (leaves[i] < eligible.size() && eligible[leaves[i]]) {
+        swappable.push_back(i);
+      }
+    }
+    if (!swappable.empty()) {
+      const size_t li = swappable[rng.Below(swappable.size())];
+      const size_t ii = static_cast<size_t>(rng.Below(internals.size()));
+      std::swap(internals[ii], leaves[li]);
+    }
+  } else if (move == 1 && leaves.size() >= 2) {
+    const size_t a = static_cast<size_t>(rng.Below(leaves.size()));
+    size_t b = static_cast<size_t>(rng.Below(leaves.size() - 1));
+    if (b >= a) {
+      ++b;
+    }
+    std::swap(leaves[a], leaves[b]);
+  } else if (internals.size() >= 2) {
+    const size_t a = static_cast<size_t>(rng.Below(internals.size()));
+    size_t b = static_cast<size_t>(rng.Below(internals.size() - 1));
+    if (b >= a) {
+      ++b;
+    }
+    std::swap(internals[a], internals[b]);
+  }
+  return TreeTopology::Build(internals, leaves);
+}
+
 TreeTopology AnnealTree(uint32_t n, const std::vector<ReplicaId>& internal_candidates,
                         const LatencyMatrix& latency, uint32_t k, Rng& rng,
                         const AnnealingParams& params) {
@@ -69,15 +109,8 @@ TreeTopology AnnealTree(uint32_t n, const std::vector<ReplicaId>& internal_candi
   // Initial tree: random internals from the candidate pool.
   std::vector<ReplicaId> pool = internal_candidates;
   rng.Shuffle(pool);
-  std::vector<ReplicaId> internals(pool.begin(), pool.begin() + internals_needed);
-  std::vector<ReplicaId> leaves;
-  for (ReplicaId id = 0; id < n; ++id) {
-    if (std::find(internals.begin(), internals.end(), id) == internals.end()) {
-      leaves.push_back(id);
-    }
-  }
-  rng.Shuffle(leaves);
-  TreeTopology initial = TreeTopology::Build(internals, leaves);
+  pool.resize(internals_needed);
+  TreeTopology initial = TreeWithInternals(n, pool, rng);
 
   // Candidate membership by replica id: mutate tests every leaf against it.
   std::vector<bool> is_candidate(n, false);
@@ -87,37 +120,7 @@ TreeTopology AnnealTree(uint32_t n, const std::vector<ReplicaId>& internal_candi
   }
   auto score = [&](const TreeTopology& t) { return TreeScore(t, latency, k); };
   auto mutate = [&](const TreeTopology& t, Rng& r) {
-    std::vector<ReplicaId> ints = t.Internals();
-    std::vector<ReplicaId> lvs = t.Leaves();
-    const uint64_t move = r.Below(3);
-    if (move == 0) {
-      std::vector<size_t> eligible;
-      for (size_t i = 0; i < lvs.size(); ++i) {
-        if (is_candidate[lvs[i]]) {
-          eligible.push_back(i);
-        }
-      }
-      if (!eligible.empty()) {
-        const size_t li = eligible[r.Below(eligible.size())];
-        const size_t ii = static_cast<size_t>(r.Below(ints.size()));
-        std::swap(ints[ii], lvs[li]);
-      }
-    } else if (move == 1 && lvs.size() >= 2) {
-      const size_t a = static_cast<size_t>(r.Below(lvs.size()));
-      size_t b = static_cast<size_t>(r.Below(lvs.size() - 1));
-      if (b >= a) {
-        ++b;
-      }
-      std::swap(lvs[a], lvs[b]);
-    } else if (ints.size() >= 2) {
-      const size_t a = static_cast<size_t>(r.Below(ints.size()));
-      size_t b = static_cast<size_t>(r.Below(ints.size() - 1));
-      if (b >= a) {
-        ++b;
-      }
-      std::swap(ints[a], ints[b]);
-    }
-    return TreeTopology::Build(ints, lvs);
+    return MutateTree(t, is_candidate, r);
   };
   return SimulatedAnnealing(std::move(initial), score, mutate, rng, params).best;
 }

@@ -71,6 +71,19 @@ class KauriSaScheduler {
 // plain Kauri effectively deploys for the no-failure baseline, §7.4).
 TreeTopology RandomTree(uint32_t n, Rng& rng);
 
+// The tree with `internals` as its internal nodes, in the given order (the
+// first is the root); every other replica below n becomes a leaf, in
+// shuffled order.
+TreeTopology TreeWithInternals(uint32_t n, const std::vector<ReplicaId>& internals,
+                               Rng& rng);
+
+// One of the three §4.2.4 swaps, chosen at random: an internal with a leaf
+// whose `eligible` bit is set (an id at or beyond eligible.size() is not
+// eligible), two leaves (changes subtree composition), or two internals
+// (changes which one is root).
+TreeTopology MutateTree(const TreeTopology& tree, const std::vector<bool>& eligible,
+                        Rng& rng);
+
 // SA-optimized tree over an explicit candidate set; shared by OptiTree,
 // Kauri-sa and the analytic benchmarks.
 TreeTopology AnnealTree(uint32_t n, const std::vector<ReplicaId>& internal_candidates,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/tree/kauri.h"
+
 namespace optilog {
 
 RoleConfig TreeConfigSpace::RandomConfig(const CandidateSet& candidates,
@@ -19,56 +21,20 @@ RoleConfig TreeConfigSpace::RandomConfig(const CandidateSet& candidates,
       }
     }
   }
-  std::vector<ReplicaId> internals(pool.begin(), pool.begin() + internals_needed);
-  std::vector<ReplicaId> leaves;
-  for (ReplicaId id = 0; id < n_; ++id) {
-    if (std::find(internals.begin(), internals.end(), id) == internals.end()) {
-      leaves.push_back(id);
-    }
-  }
-  rng.Shuffle(leaves);
-  return TreeTopology::Build(internals, leaves).ToConfig();
+  pool.resize(internals_needed);
+  return TreeWithInternals(n_, pool, rng).ToConfig();
 }
 
 RoleConfig TreeConfigSpace::Mutate(const RoleConfig& config,
                                    const CandidateSet& candidates, Rng& rng) const {
-  const TreeTopology tree = TreeTopology::FromConfig(config);
-  std::vector<ReplicaId> internals = tree.Internals();
-  std::vector<ReplicaId> leaves = tree.Leaves();
-  // §4.2.4: randomly swap two replicas; internal positions may only receive
-  // replicas from K.
-  //   move 0: swap an internal with a candidate leaf
-  //   move 1: swap two leaves (changes subtree composition)
-  //   move 2: swap two internals (changes which one is root)
-  const uint64_t move = rng.Below(3);
-  if (move == 0) {
-    std::vector<size_t> leaf_candidates;
-    for (size_t i = 0; i < leaves.size(); ++i) {
-      if (candidates.Contains(leaves[i])) {
-        leaf_candidates.push_back(i);
-      }
+  // §4.2.4: internal positions may only receive replicas from K.
+  std::vector<bool> eligible(n_, false);
+  for (ReplicaId id : candidates.candidates) {
+    if (id < n_) {
+      eligible[id] = true;
     }
-    if (!leaf_candidates.empty()) {
-      const size_t li = leaf_candidates[rng.Below(leaf_candidates.size())];
-      const size_t ii = static_cast<size_t>(rng.Below(internals.size()));
-      std::swap(internals[ii], leaves[li]);
-    }
-  } else if (move == 1 && leaves.size() >= 2) {
-    const size_t a = static_cast<size_t>(rng.Below(leaves.size()));
-    size_t b = static_cast<size_t>(rng.Below(leaves.size() - 1));
-    if (b >= a) {
-      ++b;
-    }
-    std::swap(leaves[a], leaves[b]);
-  } else if (internals.size() >= 2) {
-    const size_t a = static_cast<size_t>(rng.Below(internals.size()));
-    size_t b = static_cast<size_t>(rng.Below(internals.size() - 1));
-    if (b >= a) {
-      ++b;
-    }
-    std::swap(internals[a], internals[b]);
   }
-  return TreeTopology::Build(internals, leaves).ToConfig();
+  return MutateTree(TreeTopology::FromConfig(config), eligible, rng).ToConfig();
 }
 
 double TreeConfigSpace::Score(const RoleConfig& config, const LatencyMatrix& latency,

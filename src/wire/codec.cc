@@ -39,10 +39,6 @@ MessagePtr DecodeMessage(MsgFamily family, int type, ByteReader& r) {
         case kMsgAggregate:
           decoded = AggregateMsg::Decode(type, r);
           break;
-        case kMsgProbe:
-        case kMsgProbeReply:
-          decoded = ProbeMsg::Decode(type, r);
-          break;
         default:
           return nullptr;
       }
@@ -55,10 +51,6 @@ MessagePtr DecodeMessage(MsgFamily family, int type, ByteReader& r) {
         case kMsgWrite:
         case kMsgAccept:
           decoded = PhaseMsg::Decode(type, r);
-          break;
-        case kMsgPbftProbe:
-        case kMsgPbftProbeReply:
-          decoded = PbftProbeMsg::Decode(type, r);
           break;
         default:
           return nullptr;
@@ -132,13 +124,9 @@ std::vector<std::pair<MsgFamily, int>> RegisteredMessageTypes() {
       {MsgFamily::kHotStuff, kMsgForward},
       {MsgFamily::kHotStuff, kMsgVote},
       {MsgFamily::kHotStuff, kMsgAggregate},
-      {MsgFamily::kHotStuff, kMsgProbe},
-      {MsgFamily::kHotStuff, kMsgProbeReply},
       {MsgFamily::kPbft, kMsgPrePrepare},
       {MsgFamily::kPbft, kMsgWrite},
       {MsgFamily::kPbft, kMsgAccept},
-      {MsgFamily::kPbft, kMsgPbftProbe},
-      {MsgFamily::kPbft, kMsgPbftProbeReply},
       {MsgFamily::kWorkload, kMsgClientRequest},
       {MsgFamily::kWorkload, kMsgClientReply},
       {MsgFamily::kState, kMsgStateFetch},

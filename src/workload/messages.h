@@ -75,7 +75,6 @@ struct ClientRequestMsg : Message {
     r.Skip(kSignatureSize);
     return m;
   }
-  std::string Name() const override { return "Request"; }
 };
 
 // Body: request_id u64 | seq u64 | result blob | signature placeholder 64.
@@ -103,7 +102,6 @@ struct ClientReplyMsg : Message {
     r.Skip(kSignatureSize);
     return m;
   }
-  std::string Name() const override { return "Reply"; }
 };
 
 }  // namespace optilog

@@ -29,7 +29,6 @@ struct NullMsg : Message {
   int type() const override { return 0; }
   MsgFamily family() const override { return MsgFamily::kWorkload; }
   void EncodeTo(ByteWriter& w) const override { w.ZeroPad(16); }
-  std::string Name() const override { return "Null"; }
 };
 
 class TagRecorder : public TimerTarget {

@@ -1,9 +1,10 @@
 // Scenario-runner subsystem: registry semantics, grid enumeration, JSON
-// emission, the work-stealing pool, and the determinism contract (identical
-// seeds -> byte-identical ScenarioResult JSON at any thread count).
+// emission, ParallelFor, and the determinism contract (identical seeds ->
+// byte-identical ScenarioResult JSON at any thread count).
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,6 @@
 #include "src/api/deployment.h"
 #include "src/runner/runner.h"
 #include "src/runner/scenario.h"
-#include "src/runner/thread_pool.h"
 
 namespace optilog {
 namespace {
@@ -135,54 +135,51 @@ TEST(ScenarioRegistryTest, AllElevenBenchesPlusWorkloadsRegistered) {
   EXPECT_TRUE(registry.WithTag("no_such_tag").empty());
 }
 
-// --- ThreadPool --------------------------------------------------------------
+// --- ParallelFor -------------------------------------------------------------
 
-TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
-  ThreadPool pool(8);
-  EXPECT_EQ(pool.threads(), 8u);
+TEST(ParallelForTest, RunsEveryIndexExactlyOnce) {
   constexpr size_t kTasks = 500;
   std::vector<std::atomic<int>> hits(kTasks);
-  pool.ParallelFor(kTasks, [&](size_t i) { hits[i].fetch_add(1); });
+  ParallelFor(8, kTasks, [&](size_t i) { hits[i].fetch_add(1); });
   for (size_t i = 0; i < kTasks; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << i;
   }
 }
 
-TEST(ThreadPoolTest, ReusableAcrossBatchesAndFewerTasksThanWorkers) {
-  ThreadPool pool(6);
+TEST(ParallelForTest, FewerTasksThanThreadsAndEmptyBatch) {
   for (int batch = 0; batch < 20; ++batch) {
     std::atomic<size_t> sum{0};
-    pool.ParallelFor(3, [&](size_t i) { sum.fetch_add(i + 1); });
+    ParallelFor(6, 3, [&](size_t i) { sum.fetch_add(i + 1); });
     EXPECT_EQ(sum.load(), 6u);
   }
   std::atomic<int> none{0};
-  pool.ParallelFor(0, [&](size_t) { none.fetch_add(1); });
+  ParallelFor(6, 0, [&](size_t) { none.fetch_add(1); });
   EXPECT_EQ(none.load(), 0);
 }
 
-TEST(ThreadPoolTest, InlineModeWithoutWorkers) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.threads(), 1u);
+TEST(ParallelForTest, OneThreadRunsOnCallerLastIndexFirst) {
+  const std::thread::id caller = std::this_thread::get_id();
   std::vector<size_t> order;
-  pool.ParallelFor(4, [&](size_t i) { order.push_back(i); });
-  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3}));
+  ParallelFor(1, 4, [&](size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<size_t>{3, 2, 1, 0}));
 }
 
-TEST(ThreadPoolTest, PropagatesFirstException) {
-  ThreadPool pool(4);
+TEST(ParallelForTest, PropagatesFirstException) {
   std::atomic<int> completed{0};
-  EXPECT_THROW(
-      pool.ParallelFor(64,
-                       [&](size_t i) {
-                         if (i == 13) {
-                           throw std::runtime_error("boom");
-                         }
-                         completed.fetch_add(1);
-                       }),
-      std::runtime_error);
+  EXPECT_THROW(ParallelFor(4, 64,
+                           [&](size_t i) {
+                             if (i == 13) {
+                               throw std::runtime_error("boom");
+                             }
+                             completed.fetch_add(1);
+                           }),
+               std::runtime_error);
   EXPECT_EQ(completed.load(), 63);
-  // The pool survives a throwing batch.
-  pool.ParallelFor(8, [&](size_t) { completed.fetch_add(1); });
+  // A throwing call leaves nothing behind: the next one runs normally.
+  ParallelFor(4, 8, [&](size_t) { completed.fetch_add(1); });
   EXPECT_EQ(completed.load(), 71);
 }
 
@@ -236,12 +233,8 @@ Scenario MiniSweep() {
 
 TEST(SweepDeterminismTest, ByteIdenticalJsonAcrossThreadCounts) {
   const Scenario s = MiniSweep();
-  RunOptions serial;
-  serial.threads = 1;
-  RunOptions parallel;
-  parallel.threads = 8;
-  const ScenarioRunResult a = RunScenario(s, serial);
-  const ScenarioRunResult b = RunScenario(s, parallel);
+  const ScenarioRunResult a = RunScenario(s, 1);
+  const ScenarioRunResult b = RunScenario(s, 8);
 
   EXPECT_FALSE(a.digest.empty());
   EXPECT_EQ(a.digest, b.digest);
@@ -260,12 +253,8 @@ TEST(SweepDeterminismTest, ByteIdenticalJsonAcrossThreadCounts) {
 TEST(SweepDeterminismTest, RegisteredTier1ChurnSweepIsThreadCountInvariant) {
   const Scenario* churn = ScenarioRegistry::Instance().Find("crash_churn");
   ASSERT_NE(churn, nullptr);
-  RunOptions serial;
-  serial.threads = 1;
-  RunOptions parallel;
-  parallel.threads = 4;
-  const ScenarioRunResult a = RunScenario(*churn, serial);
-  const ScenarioRunResult b = RunScenario(*churn, parallel);
+  const ScenarioRunResult a = RunScenario(*churn, 1);
+  const ScenarioRunResult b = RunScenario(*churn, 4);
   EXPECT_EQ(DeterministicJson(a), DeterministicJson(b));
   // OptiLog deployments pin their measurement bus: the digest must be the
   // log head fingerprint, not empty.
@@ -282,12 +271,8 @@ TEST(SweepDeterminismTest, RegisteredLogBoundSweepIsThreadCountInvariant) {
   // Recovery.RunsAreDeterministic and the committed baseline).
   const Scenario* s = ScenarioRegistry::Instance().Find("log_bound");
   ASSERT_NE(s, nullptr);
-  RunOptions serial;
-  serial.threads = 1;
-  RunOptions parallel;
-  parallel.threads = 4;
-  const ScenarioRunResult a = RunScenario(*s, serial);
-  const ScenarioRunResult b = RunScenario(*s, parallel);
+  const ScenarioRunResult a = RunScenario(*s, 1);
+  const ScenarioRunResult b = RunScenario(*s, 4);
   EXPECT_EQ(DeterministicJson(a), DeterministicJson(b));
   for (const PointResult& p : a.points) {
     EXPECT_EQ(p.digest.size(), 64u);

@@ -193,7 +193,6 @@ struct TestMsg : Message {
   int type() const override { return kind; }
   MsgFamily family() const override { return MsgFamily::kWorkload; }
   void EncodeTo(ByteWriter& w) const override { w.ZeroPad(bytes); }
-  std::string Name() const override { return "Test"; }
 };
 
 TEST(Network, DeliversWithPropagationDelay) {
@@ -247,27 +246,6 @@ TEST(Network, DelayFactorSlowsSender) {
   sim.RunAll();
   ASSERT_EQ(r.deliveries.size(), 1u);
   EXPECT_EQ(r.deliveries[0].second, 14 * kMsec);
-}
-
-TEST(Network, FastProbesExemptProbeMessages) {
-  Simulator sim;
-  MatrixLatencyModel latency(2, 10 * kMsec);
-  FaultModel faults;
-  auto& f = faults.Mutable(0);
-  f.outbound_delay_factor = 2.0;
-  f.fast_probes = true;
-  Network net(&sim, &latency, &faults);
-  net.SetProbeClassifier([](const Message& m) { return m.type() == 99; });
-  Recorder r;
-  net.Register(1, &r);
-  auto probe = MakeMessage<TestMsg>();
-  probe->kind = 99;
-  net.Send(0, 1, probe);
-  net.Send(0, 1, MakeMessage<TestMsg>());  // protocol message
-  sim.RunAll();
-  ASSERT_EQ(r.deliveries.size(), 2u);
-  EXPECT_EQ(r.deliveries[0].second, 10 * kMsec);  // probe: honest
-  EXPECT_EQ(r.deliveries[1].second, 20 * kMsec);  // protocol: delayed
 }
 
 TEST(Network, ProposalDelayAttack) {
@@ -457,9 +435,9 @@ TEST(Network, StatsCountMessagesAndBytes) {
 TEST(FaultModel, DefaultsAreHonest) {
   FaultModel faults;
   EXPECT_FALSE(faults.Of(3).IsByzantine());
-  EXPECT_EQ(faults.num_byzantine(), 0u);
-  faults.Mutable(1).equivocate = true;
-  EXPECT_EQ(faults.num_byzantine(), 1u);
+  faults.Mutable(1).fast_probes = true;
+  EXPECT_TRUE(faults.Of(1).IsByzantine());
+  EXPECT_FALSE(faults.Of(3).IsByzantine());
   EXPECT_FALSE(faults.IsCrashedAt(1, 1000));
 }
 

@@ -22,7 +22,7 @@ Bytes Op(KvOpKind kind, uint64_t key, uint64_t arg = 0) {
   return op.Encode();
 }
 
-KvResult Apply(StateMachine& sm, KvOpKind kind, uint64_t key,
+KvResult Apply(KvStateMachine& sm, KvOpKind kind, uint64_t key,
                uint64_t arg = 0) {
   KvResult res;
   EXPECT_TRUE(KvResult::Decode(sm.Apply(Op(kind, key, arg)), &res));
@@ -210,7 +210,6 @@ struct PingMsg : Message {
   int type() const override { return 99; }
   MsgFamily family() const override { return MsgFamily::kState; }
   void EncodeTo(ByteWriter& w) const override { w.ZeroPad(8); }
-  std::string Name() const override { return "Ping"; }
 };
 
 TEST(FaultWindow, DeliveriesResumeAfterRecovery) {

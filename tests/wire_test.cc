@@ -92,13 +92,6 @@ MessagePtr SampleFor(MsgFamily family, int type) {
           m->missing = {TestSuspicion()};
           return m;
         }
-        case kMsgProbe:
-        case kMsgProbeReply: {
-          auto m = MakeMessage<ProbeMsg>();
-          m->reply = type == kMsgProbeReply;
-          m->nonce = 0xdeadbeef;
-          return m;
-        }
       }
       break;
     case MsgFamily::kPbft:
@@ -124,13 +117,6 @@ MessagePtr SampleFor(MsgFamily family, int type) {
           m->accept = type == kMsgAccept;
           m->seq = 55;
           m->digest = TestDigest(4);
-          return m;
-        }
-        case kMsgPbftProbe:
-        case kMsgPbftProbeReply: {
-          auto m = MakeMessage<PbftProbeMsg>();
-          m->reply = type == kMsgPbftProbeReply;
-          m->nonce = 0xabcd;
           return m;
         }
       }
@@ -232,7 +218,7 @@ MessagePtr SampleFor(MsgFamily family, int type) {
 
 TEST(WireCodec, EveryRegisteredTypeRoundTrips) {
   const auto types = RegisteredMessageTypes();
-  ASSERT_EQ(types.size(), 19u);
+  ASSERT_EQ(types.size(), 15u);
   for (const auto& [family, type] : types) {
     SCOPED_TRACE("family=" + std::to_string(static_cast<int>(family)) +
                  " type=" + std::to_string(type));
@@ -249,7 +235,6 @@ TEST(WireCodec, EveryRegisteredTypeRoundTrips) {
     ASSERT_NE(decoded, nullptr);
     EXPECT_EQ(decoded->family(), family);
     EXPECT_EQ(decoded->type(), type);
-    EXPECT_EQ(decoded->Name(), sample->Name());
     // Canonical codec: re-encoding an accepted frame reproduces it.
     EXPECT_EQ(EncodeMessage(*decoded), frame);
   }
@@ -302,7 +287,7 @@ TEST(WireCodec, CorruptedBytesNeverCrash) {
         // both acceptable outcomes for Byzantine bytes.
         const MessagePtr m = DecodeMessage(corrupted);
         if (m != nullptr) {
-          EXPECT_FALSE(m->Name().empty());
+          EXPECT_GT(m->WireSize(), 0u);
         }
       }
     }
@@ -343,9 +328,6 @@ TEST(WireSizes, TreeFamilyMatchesDeclaredArithmetic) {
   agg.voters = {0, 1, 2, 3, 4};
   agg.missing = {TestSuspicion(), TestSuspicion()};
   EXPECT_EQ(agg.WireSize(), 8u + 32u + 4u + 5u * 4u + 64u + 2u * 20u);
-
-  ProbeMsg probe;
-  EXPECT_EQ(probe.WireSize(), 16u);
 }
 
 TEST(WireSizes, PbftFamilyDocumentedDeltas) {
@@ -360,9 +342,6 @@ TEST(WireSizes, PbftFamilyDocumentedDeltas) {
 
   PhaseMsg phase;
   EXPECT_EQ(phase.WireSize(), 104u);  // exact parity: 8 + 32 + 64
-
-  PbftProbeMsg probe;
-  EXPECT_EQ(probe.WireSize(), 16u);
 }
 
 TEST(WireSizes, WorkloadFamilyDocumentedDeltas) {

@@ -490,12 +490,8 @@ Scenario PoissonMiniSweep() {
 
 TEST(WorkloadDeterminism, OpenLoopPoissonSweepIsThreadCountInvariant) {
   const Scenario s = PoissonMiniSweep();
-  RunOptions serial;
-  serial.threads = 1;
-  RunOptions parallel;
-  parallel.threads = 4;
-  const ScenarioRunResult a = RunScenario(s, serial);
-  const ScenarioRunResult b = RunScenario(s, parallel);
+  const ScenarioRunResult a = RunScenario(s, 1);
+  const ScenarioRunResult b = RunScenario(s, 4);
   EXPECT_EQ(DeterministicJson(a), DeterministicJson(b));
   ASSERT_EQ(a.points.size(), 4u);
   for (size_t i = 0; i < a.points.size(); ++i) {
