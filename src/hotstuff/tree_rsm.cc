@@ -430,8 +430,12 @@ void TreeRsm::OnRootVotes(uint64_t view, Digest block,
   if (block != round.block) {
     return;
   }
+  // An aggregate's voter list comes off the wire: only ids of this group
+  // count (DenseIdSet grows to fit any id it is given).
   for (ReplicaId v : voters) {
-    round.votes.Insert(v);
+    if (v < opts_.n) {
+      round.votes.Insert(v);
+    }
   }
   if (round.votes.size() >= CommitThreshold()) {
     CommitRound(view);

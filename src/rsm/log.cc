@@ -4,33 +4,50 @@
 
 namespace optilog {
 
-void Log::Append(LogEntry entry) {
+void Log::Append(LogEntry entry, ChainStep* step) {
   entry.index = next_index();
   if (entry.kind == EntryKind::kCommandBatch) {
     total_commands_ += entry.batch_size;
   }
 
-  Bytes encoded;
-  ByteWriter w(&encoded);
-  for (uint8_t b : head_) {
-    w.U8(b);
+  if (step != nullptr && step->index == entry.index && step->from == head_) {
+    head_ = step->to;
+  } else {
+    // Chain input: head | index | kind | proposer | batch_size | payload
+    // blob. The payload is streamed into the hash, not copied behind the
+    // fixed fields.
+    Bytes fixed;
+    fixed.reserve(head_.size() + 21);
+    ByteWriter w(&fixed);
+    w.Raw(head_.data(), head_.size());
+    w.U64(entry.index);
+    w.U8(static_cast<uint8_t>(entry.kind));
+    w.U32(entry.proposer);
+    w.U32(entry.batch_size);
+    w.U32(static_cast<uint32_t>(entry.payload.size()));
+    Sha256 sha;
+    sha.Update(fixed);
+    sha.Update(entry.payload);
+    const Digest from = head_;
+    head_ = sha.Finish();
+    if (step != nullptr) {
+      *step = ChainStep{from, entry.index, head_};
+    }
   }
-  w.U64(entry.index);
-  w.U8(static_cast<uint8_t>(entry.kind));
-  w.U32(entry.proposer);
-  w.U32(entry.batch_size);
-  w.Blob(entry.payload);
-  head_ = Sha256::Hash(encoded);
 
-  entries_.push_back(entry);
+  entries_.push_back(std::move(entry));
   heads_.push_back(head_);
   if (entries_.size() > peak_size_) {
     peak_size_ = entries_.size();
   }
-  // Notify from the local copy: a listener may append again (e.g. a sensor
+  if (listeners_.empty()) {
+    return;
+  }
+  // Notify from a local copy: a listener may append again (e.g. a sensor
   // reciprocating a committed suspicion), reallocating entries_ mid-loop.
+  const LogEntry appended = entries_.back();
   for (size_t i = 0; i < listeners_.size(); ++i) {
-    listeners_[i](entry);
+    listeners_[i](appended);
   }
 }
 

@@ -44,14 +44,27 @@ struct LogEntry {
   Bytes payload;            // encoded ops (commands) / encoding (measurements)
 };
 
+// One chain link, memoized: appending an entry at `index` onto head `from`
+// gives head `to`. Replicas appending one committed entry share a step, so
+// it is hashed once. A log takes the step only at its own head and index,
+// so a diverged replica keeps its own chain. A step holds for one entry's
+// content (kind, proposer, batch size, payload) only.
+struct ChainStep {
+  Digest from{};
+  uint64_t index = ~uint64_t{0};  // none recorded yet
+  Digest to{};
+};
+
 class Log {
  public:
   using CommitListener = std::function<void(const LogEntry&)>;
 
   // Appends in commit order (the entry's index is assigned here); notifies
   // listeners synchronously, in registration order, so downstream monitors
-  // see entries identically ordered on every replica.
-  void Append(LogEntry entry);
+  // see entries identically ordered on every replica. With `step`, takes
+  // the memoized chain link when it starts at this log's head and index,
+  // and otherwise hashes and records the link it computed there.
+  void Append(LogEntry entry, ChainStep* step = nullptr);
 
   void AddListener(CommitListener listener) {
     listeners_.push_back(std::move(listener));
@@ -116,7 +129,7 @@ inline void AppendMeasurement(Log& log, SimTime now, Bytes payload) {
   e.kind = EntryKind::kMeasurement;
   e.committed_at = now;
   e.payload = std::move(payload);
-  log.Append(e);
+  log.Append(std::move(e));
 }
 
 }  // namespace optilog

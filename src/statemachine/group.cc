@@ -22,9 +22,10 @@ std::vector<Bytes> RsmGroup::CommitAll(ReplicaId proposer,
                                        const std::vector<RequestRef>& batch,
                                        SimTime now) {
   const uint64_t seq = next_seq_++;
-  // One encode, fanned out to every replica: the entry payload is a pure
-  // function of the batch.
-  const Bytes encoded = EncodeOps(batch);
+  // The batch's payload, decoded ops and chain step are pure functions of
+  // the batch: built once, applied by every replica to its own state. Only
+  // the replica whose results are returned encodes replies.
+  SharedBatch shared = ShareBatch(batch);
   std::vector<Bytes> canonical;
   bool captured = false;
   for (ReplicaId id = 0; id < n_; ++id) {
@@ -33,13 +34,14 @@ std::vector<Bytes> RsmGroup::CommitAll(ReplicaId proposer,
     }
     if (!captured && rsms_[id]->applied() == seq) {
       captured = true;
+      canonical.reserve(batch.size());
       rsms_[id]->Commit(seq, proposer, batch, now,
                         [&canonical](const RequestRef&, const Bytes& result) {
                           canonical.push_back(result);
                         },
-                        &encoded);
+                        &shared);
     } else {
-      rsms_[id]->Commit(seq, proposer, batch, now, nullptr, &encoded);
+      rsms_[id]->Commit(seq, proposer, batch, now, nullptr, &shared);
     }
   }
   return canonical;

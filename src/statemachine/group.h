@@ -50,7 +50,9 @@ class RsmGroup : public TimerTarget {
 
   // Central commit (tree family): applies `batch` to every replica that is
   // live and caught up, and returns the canonical encoded results, one per
-  // request (identical on every replica by determinism).
+  // request (identical on every replica by determinism). The batch's
+  // decode, payload and chain hash are done once for the whole group
+  // (SharedBatch); only the first in-order replica encodes results.
   std::vector<Bytes> CommitAll(ReplicaId proposer,
                                const std::vector<RequestRef>& batch,
                                SimTime now);

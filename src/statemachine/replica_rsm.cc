@@ -5,7 +5,12 @@
 namespace optilog {
 
 Bytes EncodeOps(const std::vector<RequestRef>& batch) {
+  size_t size = 4;
+  for (const RequestRef& req : batch) {
+    size += 4 + req.op.size();
+  }
   Bytes out;
+  out.reserve(size);
   ByteWriter w(&out);
   w.U32(static_cast<uint32_t>(batch.size()));
   for (const RequestRef& req : batch) {
@@ -30,9 +35,19 @@ std::vector<Bytes> DecodeOps(const Bytes& payload) {
   return ops;
 }
 
+SharedBatch ShareBatch(const std::vector<RequestRef>& batch) {
+  SharedBatch shared;
+  shared.payload = EncodeOps(batch);
+  shared.commands.reserve(batch.size());
+  for (const RequestRef& req : batch) {
+    shared.commands.push_back(KvCommand::Decode(req.op));
+  }
+  return shared;
+}
+
 void ReplicaRsm::Commit(uint64_t seq, ReplicaId proposer,
                         const std::vector<RequestRef>& batch, SimTime now,
-                        ReplyFn on_reply, const Bytes* encoded_ops) {
+                        ReplyFn on_reply, SharedBatch* shared) {
   if (seq < applied()) {
     return;  // duplicate: a replayed suffix overlapped this live commit
   }
@@ -47,7 +62,7 @@ void ReplicaRsm::Commit(uint64_t seq, ReplicaId proposer,
     pending_.emplace(seq, std::move(pending));
     return;
   }
-  ApplyNext(proposer, batch, now, on_reply, encoded_ops);
+  ApplyNext(proposer, batch, now, on_reply, shared);
   DrainPending();
 }
 
@@ -66,18 +81,31 @@ void ReplicaRsm::DrainPending() {
 
 void ReplicaRsm::ApplyNext(ReplicaId proposer,
                            const std::vector<RequestRef>& batch, SimTime now,
-                           const ReplyFn& on_reply, const Bytes* encoded_ops) {
+                           const ReplyFn& on_reply, SharedBatch* shared) {
+  SharedBatch own;
+  if (shared == nullptr) {
+    own = ShareBatch(batch);
+    shared = &own;
+  }
   LogEntry entry;
   entry.kind = EntryKind::kCommandBatch;
   entry.proposer = proposer;
   entry.committed_at = now;
   entry.batch_size = static_cast<uint32_t>(batch.size());
-  entry.payload = encoded_ops != nullptr ? *encoded_ops : EncodeOps(batch);
-  log_.Append(std::move(entry));
-  for (const RequestRef& req : batch) {
-    Bytes result = machine_.Apply(req.op);
+  // A batch built for this replica alone is used once: its payload moves.
+  entry.payload = shared == &own ? std::move(own.payload) : shared->payload;
+  Execute(std::move(entry), *shared, batch, on_reply);
+}
+
+void ReplicaRsm::Execute(LogEntry entry, SharedBatch& shared,
+                         const std::vector<RequestRef>& batch,
+                         const ReplyFn& on_reply) {
+  log_.Append(std::move(entry), &shared.chain);
+  Bytes result;
+  for (size_t i = 0; i < shared.commands.size(); ++i) {
+    machine_.Apply(shared.commands[i], on_reply ? &result : nullptr);
     if (on_reply) {
-      on_reply(req, result);
+      on_reply(batch[i], result);
     }
   }
   MaybeCheckpoint();
@@ -127,12 +155,13 @@ bool ReplicaRsm::ReplayEntry(const LogEntry& entry) {
   if (entry.index != applied()) {
     return false;
   }
-  LogEntry copy = entry;  // Append re-stamps the index; must match
-  log_.Append(std::move(copy));
+  SharedBatch replayed;
   for (const Bytes& op : DecodeOps(entry.payload)) {
-    machine_.Apply(op);
+    replayed.commands.push_back(KvCommand::Decode(op));
   }
-  MaybeCheckpoint();
+  // No client replies: clients were answered when the entry first
+  // committed.
+  Execute(entry, replayed, {}, nullptr);
   // Live commits buffered while this replica caught up may now be
   // contiguous with the replayed prefix: apply them (their client replies
   // included) instead of waiting for the next live commit to drain them.

@@ -45,10 +45,22 @@ struct Checkpoint {
 Bytes EncodeOps(const std::vector<RequestRef>& batch);
 std::vector<Bytes> DecodeOps(const Bytes& payload);
 
+// What every replica applying one committed batch would otherwise compute
+// for itself: the entry payload, each op decoded, and the entry's log-chain
+// step (filled by the first replica that appends it). Each replica still
+// applies the commands to its own machine and appends to its own log.
+struct SharedBatch {
+  Bytes payload;                    // EncodeOps(batch)
+  std::vector<KvCommand> commands;  // one per request, in batch order
+  ChainStep chain;
+};
+SharedBatch ShareBatch(const std::vector<RequestRef>& batch);
+
 class ReplicaRsm {
  public:
   // Fired once per applied request, with the encoded state-machine result —
-  // the value the committing replica's client reply carries.
+  // the value the committing replica's client reply carries. Without one,
+  // results are not encoded.
   using ReplyFn = std::function<void(const RequestRef&, const Bytes& result)>;
 
   ReplicaRsm(ReplicaId id, const CheckpointPolicy& policy)
@@ -57,12 +69,13 @@ class ReplicaRsm {
   // Commit of log index `seq`. Applies immediately when seq is the next
   // index; buffers when a gap is outstanding (drained as soon as it fills);
   // ignores duplicates below the frontier (a replayed suffix can overlap
-  // buffered live commits). `encoded_ops`, when non-null, is EncodeOps(batch)
-  // computed once by a caller fanning the same batch out to many replicas;
-  // the rare buffered path re-encodes at apply time instead of copying it.
+  // buffered live commits). `shared`, when non-null, is ShareBatch(batch)
+  // built once by a caller fanning the same batch and proposer out to many
+  // replicas; without it (and on the buffered path) the replica builds its
+  // own.
   void Commit(uint64_t seq, ReplicaId proposer,
               const std::vector<RequestRef>& batch, SimTime now,
-              ReplyFn on_reply, const Bytes* encoded_ops = nullptr);
+              ReplyFn on_reply, SharedBatch* shared = nullptr);
 
   // --- recovery --------------------------------------------------------------
   // Crash restart: the process loses everything volatile.
@@ -104,7 +117,11 @@ class ReplicaRsm {
 
   void ApplyNext(ReplicaId proposer, const std::vector<RequestRef>& batch,
                  SimTime now, const ReplyFn& on_reply,
-                 const Bytes* encoded_ops = nullptr);
+                 SharedBatch* shared = nullptr);
+  // The one apply path: appends `entry`, applies shared.commands (replying
+  // per request of `batch` when on_reply is set) and checkpoints.
+  void Execute(LogEntry entry, SharedBatch& shared,
+               const std::vector<RequestRef>& batch, const ReplyFn& on_reply);
   void DrainPending();
   void MaybeCheckpoint();
 

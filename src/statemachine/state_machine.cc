@@ -1,33 +1,96 @@
 #include "src/statemachine/state_machine.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace optilog {
+namespace {
+
+// Encoded sizes: kind u8 | key u64 | arg u64, and found u8 | value u64.
+constexpr size_t kOpBytes = 17;
+constexpr size_t kResultBytes = 9;
+
+void WriteOp(ByteWriter& w, const KvOp& op) {
+  w.U8(static_cast<uint8_t>(op.kind));
+  w.U64(op.key);
+  w.U64(op.arg);
+}
+
+// The body of a transaction record, after its tag byte. A snapshot's
+// prepared table holds kPrepare records in this layout.
+void WriteTxnBody(ByteWriter& w, const KvTxnOp& txn) {
+  if (txn.tag != TxnTag::kMulti) {
+    w.U64(txn.txn_id);
+  }
+  if (txn.tag == TxnTag::kMulti || txn.tag == TxnTag::kPrepare) {
+    w.U32(static_cast<uint32_t>(txn.ops.size()));
+    for (const KvOp& op : txn.ops) {
+      WriteOp(w, op);
+    }
+  }
+  if (txn.tag == TxnTag::kPrepare) {
+    w.U32(static_cast<uint32_t>(txn.participants.size()));
+    for (uint32_t p : txn.participants) {
+      w.U32(p);
+    }
+    w.U32(txn.client);
+    w.U64(txn.client_req);
+  }
+}
+
+size_t TxnBodyBytes(const KvTxnOp& txn) {
+  ByteWriter counter(nullptr);
+  WriteTxnBody(counter, txn);
+  return counter.size();
+}
+
+// Reads what WriteTxnBody wrote for `txn.tag`. Counts come from a peer: one
+// the remaining bytes cannot hold fails before anything is allocated (the
+// caller checks the reader for truncation).
+bool ReadTxnBody(ByteReader& r, KvTxnOp& txn) {
+  if (txn.tag != TxnTag::kMulti) {
+    txn.txn_id = r.U64();
+  }
+  if (txn.tag == TxnTag::kMulti || txn.tag == TxnTag::kPrepare) {
+    const uint32_t nops = r.U32();
+    if (!r.ok() || nops > r.remaining() / kOpBytes) {
+      return false;
+    }
+    txn.ops.resize(nops);
+    for (KvOp& op : txn.ops) {
+      op.kind = static_cast<KvOpKind>(r.U8());
+      op.key = r.U64();
+      op.arg = r.U64();
+    }
+  }
+  if (txn.tag == TxnTag::kPrepare) {
+    const uint32_t nparts = r.U32();
+    if (!r.ok() || nparts > r.remaining() / 4) {
+      return false;
+    }
+    txn.participants.resize(nparts);
+    for (uint32_t& p : txn.participants) {
+      p = r.U32();
+    }
+    txn.client = r.U32();
+    txn.client_req = r.U64();
+  }
+  return true;
+}
+
+}  // namespace
 
 Bytes KvOp::Encode() const {
   Bytes out;
+  out.reserve(kOpBytes);
   ByteWriter w(&out);
-  w.U8(static_cast<uint8_t>(kind));
-  w.U64(key);
-  w.U64(arg);
+  WriteOp(w, *this);
   return out;
-}
-
-bool KvOp::Decode(const Bytes& in, KvOp* out) {
-  ByteReader r(in);
-  KvOp op;
-  op.kind = static_cast<KvOpKind>(r.U8());
-  op.key = r.U64();
-  op.arg = r.U64();
-  if (!r.ok() || !r.Done() || op.kind > KvOpKind::kAdd) {
-    return false;
-  }
-  *out = op;
-  return true;
 }
 
 Bytes KvResult::Encode() const {
   Bytes out;
+  out.reserve(kResultBytes);
   ByteWriter w(&out);
   w.U8(found ? 1 : 0);
   w.U64(value);
@@ -48,78 +111,16 @@ bool KvResult::Decode(const Bytes& in, KvResult* out) {
 
 Bytes KvTxnOp::Encode() const {
   Bytes out;
+  out.reserve(1 + TxnBodyBytes(*this));
   ByteWriter w(&out);
   w.U8(static_cast<uint8_t>(tag));
-  if (tag != TxnTag::kMulti) {
-    w.U64(txn_id);
-  }
-  if (tag == TxnTag::kMulti || tag == TxnTag::kPrepare) {
-    w.U32(static_cast<uint32_t>(ops.size()));
-    for (const KvOp& op : ops) {
-      w.U8(static_cast<uint8_t>(op.kind));
-      w.U64(op.key);
-      w.U64(op.arg);
-    }
-  }
-  if (tag == TxnTag::kPrepare) {
-    w.U32(static_cast<uint32_t>(participants.size()));
-    for (uint32_t p : participants) {
-      w.U32(p);
-    }
-    w.U32(client);
-    w.U64(client_req);
-  }
+  WriteTxnBody(w, *this);
   return out;
-}
-
-bool KvTxnOp::Decode(const Bytes& in, KvTxnOp* out) {
-  ByteReader r(in);
-  KvTxnOp txn;
-  const uint8_t tag = r.U8();
-  if (tag < static_cast<uint8_t>(TxnTag::kMulti) ||
-      tag > static_cast<uint8_t>(TxnTag::kEnd)) {
-    return false;
-  }
-  txn.tag = static_cast<TxnTag>(tag);
-  if (txn.tag != TxnTag::kMulti) {
-    txn.txn_id = r.U64();
-  }
-  if (txn.tag == TxnTag::kMulti || txn.tag == TxnTag::kPrepare) {
-    const uint32_t nops = r.U32();
-    if (!r.ok() || nops > r.remaining() / 17) {
-      return false;
-    }
-    txn.ops.resize(nops);
-    for (KvOp& op : txn.ops) {
-      op.kind = static_cast<KvOpKind>(r.U8());
-      op.key = r.U64();
-      op.arg = r.U64();
-      if (op.kind > KvOpKind::kAdd) {
-        return false;
-      }
-    }
-  }
-  if (txn.tag == TxnTag::kPrepare) {
-    const uint32_t nparts = r.U32();
-    if (!r.ok() || nparts > r.remaining() / 4) {
-      return false;
-    }
-    txn.participants.resize(nparts);
-    for (uint32_t& p : txn.participants) {
-      p = r.U32();
-    }
-    txn.client = r.U32();
-    txn.client_req = r.U64();
-  }
-  if (!r.ok() || !r.Done()) {
-    return false;
-  }
-  *out = std::move(txn);
-  return true;
 }
 
 Bytes KvMultiResult::Encode() const {
   Bytes out;
+  out.reserve(5 + kResultBytes * results.size());
   ByteWriter w(&out);
   w.U8(ok ? 1 : 0);
   w.U32(static_cast<uint32_t>(results.size()));
@@ -135,7 +136,7 @@ bool KvMultiResult::Decode(const Bytes& in, KvMultiResult* out) {
   KvMultiResult m;
   m.ok = r.U8() != 0;
   const uint32_t count = r.U32();
-  if (!r.ok() || count > r.remaining() / 9) {
+  if (!r.ok() || count > r.remaining() / kResultBytes) {
     return false;
   }
   m.results.resize(count);
@@ -150,21 +151,59 @@ bool KvMultiResult::Decode(const Bytes& in, KvMultiResult* out) {
   return true;
 }
 
+KvCommand KvCommand::Decode(const Bytes& in) {
+  KvCommand cmd;
+  ByteReader r(in);
+  const uint8_t tag = r.U8();
+  switch (tag) {
+    case static_cast<uint8_t>(TxnTag::kMulti):
+    case static_cast<uint8_t>(TxnTag::kPrepare):
+    case static_cast<uint8_t>(TxnTag::kCommit):
+    case static_cast<uint8_t>(TxnTag::kAbort):
+    case static_cast<uint8_t>(TxnTag::kEnd):
+      cmd.is_txn = true;
+      cmd.txn.tag = static_cast<TxnTag>(tag);
+      cmd.ok = ReadTxnBody(r, cmd.txn) &&
+               std::all_of(cmd.txn.ops.begin(), cmd.txn.ops.end(),
+                           [](const KvOp& op) {
+                             return op.kind <= KvOpKind::kAdd;
+                           });
+      break;
+    default:
+      cmd.op.kind = static_cast<KvOpKind>(tag);
+      cmd.op.key = r.U64();
+      cmd.op.arg = r.U64();
+      cmd.ok = cmd.op.kind <= KvOpKind::kAdd;
+      break;
+  }
+  cmd.ok = cmd.ok && r.ok() && r.Done();
+  return cmd;
+}
+
 Bytes KvStateMachine::Apply(const Bytes& op_bytes) {
-  if (KvTxnOp::IsTxn(op_bytes)) {
-    KvTxnOp txn;
-    if (!KvTxnOp::Decode(op_bytes, &txn)) {
-      return KvMultiResult{}.Encode();  // malformed: deterministic vote-no
-    }
-    return ApplyTxn(txn);
-  }
-  KvOp op;
-  if (!KvOp::Decode(op_bytes, &op)) {
+  Bytes reply;
+  Apply(KvCommand::Decode(op_bytes), &reply);
+  return reply;
+}
+
+void KvStateMachine::Apply(const KvCommand& cmd, Bytes* reply) {
+  if (!cmd.ok) {
     // Malformed committed bytes (Byzantine proposer): a deterministic no-op
-    // reply, identical on every replica.
-    return KvResult{}.Encode();
+    // whose reply, identical on every replica, is the family's empty result
+    // (a vote-no for a transaction record).
+    if (reply != nullptr) {
+      *reply = cmd.is_txn ? KvMultiResult{}.Encode() : KvResult{}.Encode();
+    }
+    return;
   }
-  return ApplyOne(op).Encode();
+  if (cmd.is_txn) {
+    ApplyTxn(cmd.txn, reply);
+    return;
+  }
+  const KvResult res = ApplyOne(cmd.op);
+  if (reply != nullptr) {
+    *reply = res.Encode();
+  }
 }
 
 KvResult KvStateMachine::ApplyOne(const KvOp& op) {
@@ -203,21 +242,28 @@ void KvStateMachine::Unlock(uint64_t txn_id, const std::vector<KvOp>& ops) {
   }
 }
 
-Bytes KvStateMachine::ApplyTxn(const KvTxnOp& txn) {
+void KvStateMachine::ApplyTxn(const KvTxnOp& txn, Bytes* reply) {
+  const auto any_locked = [this](const std::vector<KvOp>& ops) {
+    return std::any_of(ops.begin(), ops.end(), [this](const KvOp& op) {
+      return locks_.count(op.key) > 0;
+    });
+  };
   KvMultiResult out;
   switch (txn.tag) {
     case TxnTag::kMulti: {
       // Single-shard fast path: atomic multi-key op, aborted (not blocked)
-      // when any key sits under a prepared transaction's lock.
-      for (const KvOp& op : txn.ops) {
-        if (locks_.count(op.key) > 0) {
-          return KvMultiResult{}.Encode();  // ok = false: client retries
-        }
+      // when any key sits under a prepared transaction's lock; ok = false
+      // tells the client to retry.
+      if (any_locked(txn.ops)) {
+        break;
       }
       out.ok = true;
-      out.results.reserve(txn.ops.size());
+      out.results.reserve(reply != nullptr ? txn.ops.size() : 0);
       for (const KvOp& op : txn.ops) {
-        out.results.push_back(ApplyOne(op));
+        const KvResult res = ApplyOne(op);
+        if (reply != nullptr) {
+          out.results.push_back(res);
+        }
       }
       break;
     }
@@ -226,20 +272,13 @@ Bytes KvStateMachine::ApplyTxn(const KvTxnOp& txn) {
         out.ok = true;  // duplicate prepare (retry): the vote stands
         break;
       }
-      for (const KvOp& op : txn.ops) {
-        if (locks_.count(op.key) > 0) {
-          return KvMultiResult{}.Encode();  // vote no: conflicting prepare
-        }
+      if (any_locked(txn.ops)) {
+        break;  // vote no: conflicting prepare
       }
-      PreparedTxn p;
-      p.ops = txn.ops;
-      p.participants = txn.participants;
-      p.client = txn.client;
-      p.client_req = txn.client_req;
       for (const KvOp& op : txn.ops) {
         locks_[op.key] = txn.txn_id;
       }
-      prepared_.emplace(txn.txn_id, std::move(p));
+      prepared_.emplace(txn.txn_id, txn);
       out.ok = true;
       break;
     }
@@ -247,11 +286,14 @@ Bytes KvStateMachine::ApplyTxn(const KvTxnOp& txn) {
       auto it = prepared_.find(txn.txn_id);
       if (it == prepared_.end()) {
         auto dit = decided_.find(txn.txn_id);
-        if (dit != decided_.end()) {
-          return dit->second.results;  // idempotent re-drive
+        if (dit != decided_.end() && reply != nullptr) {
+          *reply = dit->second.results;  // idempotent re-drive
+          return;
         }
-        return KvMultiResult{}.Encode();  // unknown transaction
+        break;  // unknown transaction (or a re-drive nobody reads)
       }
+      // The results are snapshot state (DecidedTxn), so they are encoded
+      // whether or not this replica's reply is read.
       out.ok = true;
       out.results.reserve(it->second.ops.size());
       for (const KvOp& op : it->second.ops) {
@@ -264,9 +306,11 @@ Bytes KvStateMachine::ApplyTxn(const KvTxnOp& txn) {
       d.client_req = it->second.client_req;
       d.results = out.Encode();
       prepared_.erase(it);
-      Bytes encoded = d.results;
+      if (reply != nullptr) {
+        *reply = d.results;
+      }
       decided_.emplace(txn.txn_id, std::move(d));
-      return encoded;
+      return;
     }
     case TxnTag::kAbort: {
       auto it = prepared_.find(txn.txn_id);
@@ -274,7 +318,7 @@ Bytes KvStateMachine::ApplyTxn(const KvTxnOp& txn) {
         Unlock(txn.txn_id, it->second.ops);
         prepared_.erase(it);
       } else if (decided_.count(txn.txn_id) > 0) {
-        return KvMultiResult{}.Encode();  // decided txns cannot abort
+        break;  // decided txns cannot abort
       }
       out.ok = true;  // idempotent (presumed abort)
       break;
@@ -285,36 +329,36 @@ Bytes KvStateMachine::ApplyTxn(const KvTxnOp& txn) {
       break;
     }
   }
-  return out.Encode();
+  if (reply != nullptr) {
+    *reply = out.Encode();
+  }
 }
 
 Bytes KvStateMachine::SnapshotBytes() const {
+  // Transaction tables ride the snapshot only when present, so machines
+  // that never see a transaction record keep the legacy byte encoding
+  // exactly (single-group snapshots and digests are unchanged).
+  const bool tables = !prepared_.empty() || !decided_.empty();
+  size_t size = 8 + 16 * kv_.size() + (tables ? 16 : 0);
+  for (const auto& [txn_id, p] : prepared_) {
+    size += TxnBodyBytes(p);
+  }
+  for (const auto& [txn_id, d] : decided_) {
+    // id, client, client_req, participant count and results length
+    size += 28 + 4 * d.participants.size() + d.results.size();
+  }
   Bytes out;
+  out.reserve(size);
   ByteWriter w(&out);
   w.U64(kv_.size());
   for (const auto& [key, value] : kv_) {  // std::map: sorted, canonical
     w.U64(key);
     w.U64(value);
   }
-  // Transaction tables ride the snapshot only when present, so machines
-  // that never see a transaction record keep the legacy byte encoding
-  // exactly (single-group snapshots and digests are unchanged).
-  if (!prepared_.empty() || !decided_.empty()) {
+  if (tables) {
     w.U64(prepared_.size());
     for (const auto& [txn_id, p] : prepared_) {
-      w.U64(txn_id);
-      w.U32(static_cast<uint32_t>(p.ops.size()));
-      for (const KvOp& op : p.ops) {
-        w.U8(static_cast<uint8_t>(op.kind));
-        w.U64(op.key);
-        w.U64(op.arg);
-      }
-      w.U32(static_cast<uint32_t>(p.participants.size()));
-      for (uint32_t part : p.participants) {
-        w.U32(part);
-      }
-      w.U32(p.client);
-      w.U64(p.client_req);
+      WriteTxnBody(w, p);
     }
     w.U64(decided_.size());
     for (const auto& [txn_id, d] : decided_) {
@@ -335,10 +379,7 @@ void KvStateMachine::Restore(const Bytes& snapshot) {
   Reset();
   ByteReader r(snapshot);
   // The snapshot comes from a donor replica: a count larger than the bytes
-  // left can hold (`size` bytes per entry) ends decoding before allocating.
-  auto count_fits = [&r](uint32_t count, size_t size) {
-    return r.ok() && count <= r.remaining() / size;
-  };
+  // left can hold ends decoding before allocating.
   const uint64_t count = r.U64();
   for (uint64_t i = 0; i < count && r.ok(); ++i) {
     const uint64_t key = r.U64();
@@ -350,33 +391,16 @@ void KvStateMachine::Restore(const Bytes& snapshot) {
   }
   const uint64_t nprepared = r.U64();
   for (uint64_t i = 0; i < nprepared && r.ok(); ++i) {
-    const uint64_t txn_id = r.U64();
     PreparedTxn p;
-    const uint32_t nops = r.U32();
-    if (!count_fits(nops, 17)) {
+    p.tag = TxnTag::kPrepare;
+    if (!ReadTxnBody(r, p)) {
       return;
     }
-    p.ops.resize(nops);
-    for (KvOp& op : p.ops) {
-      op.kind = static_cast<KvOpKind>(r.U8());
-      op.key = r.U64();
-      op.arg = r.U64();
-    }
-    const uint32_t nparts = r.U32();
-    if (!count_fits(nparts, 4)) {
-      return;
-    }
-    p.participants.resize(nparts);
-    for (uint32_t& part : p.participants) {
-      part = r.U32();
-    }
-    p.client = r.U32();
-    p.client_req = r.U64();
     if (r.ok()) {
       for (const KvOp& op : p.ops) {
-        locks_[op.key] = txn_id;  // derived table: rebuilt, not snapshotted
+        locks_[op.key] = p.txn_id;  // derived table: rebuilt, not snapshotted
       }
-      prepared_.emplace(txn_id, std::move(p));
+      prepared_.emplace(p.txn_id, std::move(p));
     }
   }
   const uint64_t ndecided = r.U64();
@@ -384,7 +408,7 @@ void KvStateMachine::Restore(const Bytes& snapshot) {
     const uint64_t txn_id = r.U64();
     DecidedTxn d;
     const uint32_t nparts = r.U32();
-    if (!count_fits(nparts, 4)) {
+    if (!r.ok() || nparts > r.remaining() / 4) {
       return;
     }
     d.participants.resize(nparts);

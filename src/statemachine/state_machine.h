@@ -37,9 +37,6 @@ struct KvOp {
   uint64_t arg = 0;  // put: value to store; add: delta; get: unused
 
   Bytes Encode() const;
-  // Returns false (leaving *out untouched) on malformed input — committed
-  // bytes can come from a Byzantine proposer.
-  static bool Decode(const Bytes& in, KvOp* out);
 };
 
 struct KvResult {
@@ -79,11 +76,6 @@ struct KvTxnOp {
   uint64_t client_req = 0;
 
   Bytes Encode() const;
-  static bool Decode(const Bytes& in, KvTxnOp* out);
-  // Whether committed bytes hold a transaction record (vs a legacy KvOp).
-  static bool IsTxn(const Bytes& in) {
-    return !in.empty() && in[0] >= 0x10 && in[0] <= 0x14;
-  }
 };
 
 // Reply to any transaction record. `ok` is the vote (kPrepare), decision
@@ -98,12 +90,29 @@ struct KvMultiResult {
   static bool Decode(const Bytes& in, KvMultiResult* out);
 };
 
+// One committed operation, decoded. Tags 0x10..0x14 are transaction
+// records; every other input, empty included, is a plain KvOp. A record
+// that fails a length or count check (Byzantine proposer) has ok = false
+// and applies as a no-op replying its family's empty result.
+struct KvCommand {
+  bool is_txn = false;
+  bool ok = false;
+  KvOp op;      // plain family
+  KvTxnOp txn;  // transaction family
+
+  static KvCommand Decode(const Bytes& in);
+};
+
 // What consensus executes at the commit boundary. Deterministic: Apply's
 // result and all subsequent state depend only on the sequence of operations
 // applied since construction (or Restore).
 class KvStateMachine {
  public:
-  // Applies one committed operation and returns the encoded reply.
+  // Applies one decoded command. The encoded reply goes to *reply; a null
+  // `reply` skips encoding it (replicas whose reply nobody reads). State
+  // changes are the same either way.
+  void Apply(const KvCommand& cmd, Bytes* reply);
+  // Decodes, applies and returns the encoded reply.
   Bytes Apply(const Bytes& op);
 
   // Canonical encoding of the full state; Restore(SnapshotBytes()) on a
@@ -120,15 +129,11 @@ class KvStateMachine {
   void Reset();
 
   size_t size() const { return kv_.size(); }
-  const std::map<uint64_t, uint64_t>& state() const { return kv_; }
 
-  // A prepared (in-doubt) transaction: its ops are locked but not applied.
-  struct PreparedTxn {
-    std::vector<KvOp> ops;
-    std::vector<uint32_t> participants;  // non-empty only at the home shard
-    ReplicaId client = kNoReplica;
-    uint64_t client_req = 0;
-  };
+  // A prepared (in-doubt) transaction, held as its kPrepare record: its ops
+  // are locked but not applied; `participants` is non-empty only at the
+  // home shard.
+  using PreparedTxn = KvTxnOp;
   // A committed transaction whose kEnd has not arrived yet, kept so commit
   // re-drives (coordinator recovery, duplicate deliveries) stay idempotent
   // and return the original results.
@@ -148,7 +153,7 @@ class KvStateMachine {
 
  private:
   KvResult ApplyOne(const KvOp& op);
-  Bytes ApplyTxn(const KvTxnOp& txn);
+  void ApplyTxn(const KvTxnOp& txn, Bytes* reply);
   void Unlock(uint64_t txn_id, const std::vector<KvOp>& ops);
 
   std::map<uint64_t, uint64_t> kv_;

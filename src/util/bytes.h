@@ -75,12 +75,16 @@ class ByteWriter {
   size_t size() const { return counted_; }
 
  private:
+  // One insert per value, not a push_back per byte: one capacity check and
+  // at most one regrowth per field.
   template <typename T>
   void AppendLe(T v) {
     if (out_ != nullptr) {
+      uint8_t le[sizeof(T)] = {};
       for (size_t i = 0; i < sizeof(T); ++i) {
-        out_->push_back(static_cast<uint8_t>(v >> (8 * i)));
+        le[i] = static_cast<uint8_t>(v >> (8 * i));
       }
+      out_->insert(out_->end(), le, le + sizeof(T));
     }
     counted_ += sizeof(T);
   }

@@ -37,7 +37,7 @@ RequestQueue::Admit RequestQueue::Push(const RequestRef& req, SimTime now) {
 
 void RequestQueue::Requeue(std::vector<RequestRef> batch, SimTime now) {
   for (size_t i = batch.size(); i > 0; --i) {
-    queue_.push_front(Entry{batch[i - 1], now});
+    queue_.push_front(Entry{std::move(batch[i - 1]), now});
   }
   peak_depth_ = std::max(peak_depth_, queue_.size());
 }
@@ -49,7 +49,7 @@ std::vector<RequestRef> RequestQueue::PopBatch(SimTime now,
       std::min<size_t>(queue_.size(), policy_.max_batch);
   batch.reserve(take);
   for (size_t i = 0; i < take; ++i) {
-    batch.push_back(queue_.front().req);
+    batch.push_back(std::move(queue_.front().req));
     queue_.pop_front();
   }
   if (take > 0) {

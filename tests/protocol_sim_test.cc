@@ -180,6 +180,38 @@ TEST(TreeRsmSim, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(lat[0], lat[1]);
 }
 
+// An aggregate's voter ids come off the wire. n = 4 HotStuff star with two
+// leaves crashed: the root's own vote and the live leaf's make 2, short of
+// the threshold of 3. An aggregate from the live leaf naming only ids
+// outside the group must not make up the difference.
+TEST(TreeRsmSim, RootCountsOnlyVotersInTheGroup) {
+  auto d = Deployment::Builder()
+               .WithReplicas(4, 1)
+               .WithProtocol(Protocol::kHotStuff)
+               .Build();
+  const TreeTopology& star = d->tree().topology();
+  const std::vector<ReplicaId> leaves = star.ChildrenOf(star.root());
+  ASSERT_EQ(leaves.size(), 3u);
+  d->faults().Mutable(leaves[1]).crash_at = 0;
+  d->faults().Mutable(leaves[2]).crash_at = 0;
+  ASSERT_EQ(d->tree().CommitThreshold(), 3u);
+  d->Start();
+
+  // View 0's block digest, as the root computes it.
+  Bytes seed;
+  ByteWriter w(&seed);
+  w.U64(0);
+  w.Str("block");
+  auto agg = MakeMessage<AggregateMsg>();
+  agg->view = 0;
+  agg->block = Sha256::Hash(seed);
+  agg->voters = {4, 5, 6, ReplicaId{1} << 20};
+  // It lands inside view 0's round timeout, which has 200 ms of slack.
+  d->net().Send(leaves[0], star.root(), std::move(agg));
+  d->RunFor(150 * kMsec);
+  EXPECT_EQ(d->tree().committed_blocks(), 0u);
+}
+
 // --- PBFT family (Fig. 7 machinery) ------------------------------------------
 
 std::unique_ptr<Deployment> PbftDeployment(Protocol protocol, PbftOptions opts) {

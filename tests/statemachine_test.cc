@@ -76,6 +76,64 @@ TEST(KvStateMachine, MalformedOpIsADeterministicNoop) {
   ASSERT_TRUE(KvResult::Decode(sm.Apply(Bytes{0xff, 0x01}), &res));
   EXPECT_FALSE(res.found);
   EXPECT_EQ(sm.StateDigest(), before);
+
+  // The reply bytes of each family's malformed input. Tags 0x10..0x14 are
+  // transaction records: KvMultiResult{} (ok 0, no results). Everything
+  // else, an unknown tag and empty input included, is a plain op:
+  // KvResult{} (found 0, value 0).
+  const Bytes txn_noop(5, 0);
+  const Bytes plain_noop(9, 0);
+  EXPECT_EQ(sm.Apply(Bytes{0x11, 0x01}), txn_noop);  // prepare cut short
+  EXPECT_EQ(sm.Apply(Bytes{0x10, 0xff, 0xff, 0xff, 0xff}), txn_noop);
+  KvTxnOp end_txn;
+  end_txn.tag = TxnTag::kEnd;
+  Bytes end = end_txn.Encode();
+  end.push_back(0);  // trailing byte
+  EXPECT_EQ(sm.Apply(end), txn_noop);
+  EXPECT_EQ(sm.Apply(Bytes{0xff, 0x01}), plain_noop);  // unknown tag
+  EXPECT_EQ(sm.Apply(Bytes{0x15}), plain_noop);        // just past the range
+  EXPECT_EQ(sm.Apply(Bytes{}), plain_noop);
+  EXPECT_EQ(sm.Apply(Bytes{0x01, 0x02}), plain_noop);  // put cut short
+  EXPECT_EQ(sm.StateDigest(), before);
+}
+
+// A replica whose replies nobody reads skips encoding them; its state must
+// be exactly that of one that encodes every reply, transaction tables (and
+// the results a commit records in them) included.
+TEST(KvStateMachine, UnreadRepliesLeaveTheSameState) {
+  auto txn = [](TxnTag tag, uint64_t id, std::vector<KvOp> ops = {}) {
+    KvTxnOp t;
+    t.tag = tag;
+    t.txn_id = id;
+    t.ops = std::move(ops);
+    t.participants = {0, 1};
+    return t.Encode();
+  };
+  const std::vector<Bytes> ops = {
+      Op(KvOpKind::kPut, 1, 10),
+      txn(TxnTag::kMulti, 0, {{KvOpKind::kAdd, 1, 5}, {KvOpKind::kGet, 2, 0}}),
+      txn(TxnTag::kPrepare, 7, {{KvOpKind::kPut, 3, 30}}),
+      txn(TxnTag::kMulti, 0, {{KvOpKind::kPut, 3, 1}}),  // locked: no
+      txn(TxnTag::kCommit, 7),
+      txn(TxnTag::kCommit, 7),  // re-drive
+      txn(TxnTag::kPrepare, 8, {{KvOpKind::kAdd, 4, 2}}),
+      txn(TxnTag::kAbort, 8),
+      txn(TxnTag::kAbort, 7),  // decided: cannot abort
+      txn(TxnTag::kPrepare, 9, {{KvOpKind::kAdd, 1, 1}}),
+      Bytes{0x11, 0x01},
+      Op(KvOpKind::kAdd, 2, 3),
+  };
+  KvStateMachine read, unread;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const KvCommand cmd = KvCommand::Decode(ops[i]);
+    Bytes reply;
+    read.Apply(cmd, &reply);
+    unread.Apply(cmd, nullptr);
+    EXPECT_EQ(read.SnapshotBytes(), unread.SnapshotBytes()) << "op " << i;
+  }
+  EXPECT_EQ(read.prepared().size(), 1u);
+  EXPECT_EQ(read.decided().size(), 1u);
+  EXPECT_EQ(read.decided().at(7).results, unread.decided().at(7).results);
 }
 
 // A donor's snapshot is untrusted: a count larger than the bytes left can
@@ -179,6 +237,89 @@ TEST(LogTruncation, ResetToBaseContinuesTheDonorChain) {
     EXPECT_EQ(recovered.head(), donor.HeadAt(i));
   }
   EXPECT_EQ(recovered.head(), donor.head());
+}
+
+// --- Log chain steps ---------------------------------------------------------
+
+TEST(LogChainStep, TakenOnlyOnItsOwnHeadAndIndex) {
+  // Two logs start with different entries, then append one entry through
+  // one step: each must reach the head hashing alone gives it.
+  Log a, b, a_alone, b_alone;
+  a.Append(CommandEntry(1, 1));
+  a_alone.Append(CommandEntry(1, 1));
+  b.Append(CommandEntry(1, 2));
+  b_alone.Append(CommandEntry(1, 2));
+  ChainStep step;
+  a.Append(CommandEntry(3, 7), &step);
+  b.Append(CommandEntry(3, 7), &step);
+  a_alone.Append(CommandEntry(3, 7));
+  b_alone.Append(CommandEntry(3, 7));
+  EXPECT_EQ(a.head(), a_alone.head());
+  EXPECT_EQ(b.head(), b_alone.head());
+  EXPECT_NE(a.head(), b.head());
+  // b did not match, so it recorded its own link.
+  EXPECT_EQ(step.from, b_alone.HeadAt(0));
+  EXPECT_EQ(step.index, 1u);
+  EXPECT_EQ(step.to, b.head());
+
+  // A log on the step's head at another index hashes for itself.
+  const ChainStep at_one = step;
+  Log c, c_alone;
+  c.ResetToBase(5, at_one.from);
+  c_alone.ResetToBase(5, at_one.from);
+  c.Append(CommandEntry(3, 7), &step);
+  c_alone.Append(CommandEntry(3, 7));
+  EXPECT_EQ(c.head(), c_alone.head());
+  EXPECT_NE(c.head(), at_one.to);
+  EXPECT_EQ(step.index, 5u);
+
+  // A log on the step's head and index takes the recorded link as is.
+  Log d, d_alone;
+  d.Append(CommandEntry(1, 2));
+  d_alone.Append(CommandEntry(1, 2));
+  step = at_one;
+  d.Append(CommandEntry(3, 8), &step);
+  d_alone.Append(CommandEntry(3, 8));
+  EXPECT_EQ(d.head(), at_one.to);
+  EXPECT_NE(d.head(), d_alone.head());  // a step holds for one entry only
+}
+
+// --- RsmGroup ------------------------------------------------------------------
+
+std::vector<RequestRef> PutBatch(uint64_t key, uint64_t value) {
+  RequestRef req;
+  req.client = 9;
+  req.request_id = key;
+  req.op = Op(KvOpKind::kPut, key, value);
+  return {req};
+}
+
+// The group shares each batch's decode and chain step across replicas;
+// that must never make a diverged replica look converged.
+TEST(RsmGroup, OneDivergedReplicaIsReported) {
+  Simulator sim;
+  FaultModel faults;
+  MatrixLatencyModel latency(4, kMsec);
+  Network net(&sim, &latency, &faults);
+  RsmGroup group(&sim, &net, &faults, 4, StateMachineOptions{});
+  // Replica 3 commits a different put at seq 0; the group's own seq 0 then
+  // finds it past that index and skips it there.
+  group.CommitAt(3, 0, /*proposer=*/0, PutBatch(7, 99), 0, nullptr);
+  for (uint64_t i = 0; i < 10; ++i) {
+    group.CommitAll(/*proposer=*/0, PutBatch(100 + i, i), 0);
+  }
+  StateMachineReport report;
+  group.FillReport(report, 0);
+  EXPECT_EQ(report.applied, 10u);
+  EXPECT_EQ(report.digests_equal, 0u);
+  const ReplicaRsm& diverged = group.rsm(3);
+  EXPECT_EQ(diverged.applied(), 10u);
+  EXPECT_NE(diverged.StateDigest(), group.rsm(0).StateDigest());
+  EXPECT_NE(diverged.log().head(), group.rsm(0).log().head());
+  for (ReplicaId id : {1u, 2u}) {
+    EXPECT_EQ(group.rsm(id).StateDigest(), group.rsm(0).StateDigest());
+    EXPECT_EQ(group.rsm(id).log().head(), group.rsm(0).log().head());
+  }
 }
 
 // --- FaultModel recovery window ----------------------------------------------

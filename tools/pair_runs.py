@@ -16,17 +16,25 @@ MetricsFingerprint and the same simulated end-to-end metrics (perfbench's
 SIMULATED list) on both. A host-side optimization leaves all of them
 unchanged.
 
-Prints both sides' median and quartiles of run_s and setup_s (a run's setup_s
-is the fastest of its timed builds), the change's wins on run_s (lower is
-better), and whether the gain rule holds: at least 10 pairs, the change wins
-at least 9 of every 10, and the median gap is larger than the parent's
-interquartile range.
+Prints both sides' median and quartiles of run_s, setup_s (a run's setup_s
+is the fastest of its timed builds) and peak_rss_mb, the change's wins on
+run_s (lower is better), and whether the gain rule holds: at least 10 pairs,
+the change wins at least 9 of every 10, and the median gap is larger than the
+parent's interquartile range.
 
-Exit status: 0 when every pair is correct and the rule holds, 2 when every
-pair is correct but the rule does not hold, 1 on any error or mismatch.
+setup_s and peak_rss_mb are checked against their `bound` in BENCHMARK.json's
+end_to_end table (read, never written): the change's median, relative to the
+parent's, is "within" the bound or "over" it, or "unresolved" when the
+parent's IQR, relative to its median, is wider than the bound and the change
+does not win every pair.
+
+Exit status: 0 when every pair is correct, the rule holds and no bounded
+metric is over; 2 when every pair is correct but the rule does not hold or a
+bounded metric is over; 1 on any error or mismatch.
 """
 
 import argparse
+import json
 import os
 import statistics
 import sys
@@ -38,6 +46,8 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import run as perfbench  # noqa: E402
 
 MIN_PAIRS = 10
+# Host metrics held to their BENCHMARK.json bound rather than the gain rule.
+BOUNDED = ("setup_s", "peak_rss_mb")
 
 
 def parse_seeds(text):
@@ -57,6 +67,30 @@ def run(binary, workload, seed):
 def summary(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return median, q1, q3
+
+
+def load_bounds():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        table = json.load(f)["end_to_end"]
+    return {m["name"]: (m["bound"], m["better"]) for m in table}
+
+
+def bound_check(name, bound, better, parent, change):
+    """One bounded metric over the pairs: prints the change's median delta
+    against the bound and returns "within", "over" or "unresolved"."""
+    sign = 1.0 if better == "lower" else -1.0
+    parent_median, q1, q3 = summary(parent)
+    delta = (statistics.median(change) - parent_median) / parent_median
+    iqr = (q3 - q1) / parent_median
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    if iqr > bound and wins < len(parent):
+        verdict = "unresolved"
+    else:
+        verdict = "over" if sign * delta > bound else "within"
+    print("%s: change median %+.1f%% vs bound %.0f%%; parent IQR %.1f%%; "
+          "change wins %d/%d: %s" % (name, 100.0 * delta, 100.0 * bound,
+                                     100.0 * iqr, wins, len(parent), verdict))
+    return verdict
 
 
 def main():
@@ -99,10 +133,10 @@ def main():
             "yes" if pair["change"]["run_s"] < pair["parent"]["run_s"]
             else "no"))
 
-    for name in ("run_s", "setup_s"):
+    for name in ("run_s",) + BOUNDED:
         for side in ("parent", "change"):
             median, q1, q3 = summary([r[name] for r in reps[side]])
-            print("%-8s %-7s median %.6g  quartiles %.6g .. %.6g" % (
+            print("%-11s %-7s median %.6g  quartiles %.6g .. %.6g" % (
                 name, side, median, q1, q3))
 
     wins = sum(c["run_s"] < p["run_s"]
@@ -123,11 +157,16 @@ def main():
     print("rule (>= %d pairs, >= 9/10 wins, gap > parent IQR): %s" % (
         MIN_PAIRS, "holds" if not reasons else
         "does not hold: " + "; ".join(reasons)))
+    bounds = load_bounds()
+    over = [name for name in BOUNDED
+            if bound_check(name, *bounds[name],
+                           [r[name] for r in reps["parent"]],
+                           [r[name] for r in reps["change"]]) == "over"]
     for p in problems:
         print("check failed: %s" % p)
     if problems:
         return 1
-    return 0 if not reasons else 2
+    return 0 if not reasons and not over else 2
 
 
 if __name__ == "__main__":
