@@ -204,7 +204,7 @@ Scenario MakeCooling() {
   s.description =
       "Budget-scaled vs fixed-rate SA cooling (n=211): the fixed rate wastes "
       "long search budgets";
-  s.tags = {"ablation", "sweep"};
+  s.tags = {"ablation", "sweep", "tier1"};
   s.columns = {"budget", "scaled_s_mean", "scaled_s_ci95", "fixed_s_mean",
                "fixed_s_ci95"};
   s.grid = {{"budget", {"1250", "5000", "20000"}}};

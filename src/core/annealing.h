@@ -11,7 +11,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <utility>
 
 #include "src/util/rng.h"
@@ -37,24 +36,28 @@ struct AnnealingParams {
   }
 };
 
-template <typename State>
-struct AnnealingResult {
-  State best;
+struct AnnealingStats {
   double best_score = 0.0;
   uint64_t iterations = 0;
   bool converged = false;  // stopped on temperature, not budget
 };
 
-// score: State -> double (lower better). mutate: (const State&, Rng&) -> State.
-template <typename State, typename ScoreFn, typename MutateFn>
-AnnealingResult<State> SimulatedAnnealing(State initial, ScoreFn&& score,
-                                          MutateFn&& mutate, Rng& rng,
-                                          const AnnealingParams& params = {}) {
-  AnnealingResult<State> result;
-  State current = initial;
-  double current_score = score(current);
-  result.best = std::move(initial);
-  result.best_score = current_score;
+template <typename State>
+struct AnnealingResult : AnnealingStats {
+  State best;
+};
+
+// The acceptance rule every search shares, over a walk that holds the current
+// state: walk.Propose(rng) draws a neighbor of it and returns the neighbor's
+// score, walk.Accept() makes that neighbor current, and walk.SaveBest()
+// records the current state as the best so far. `score` is the initial
+// state's, which is the first best.
+template <typename Walk>
+AnnealingStats Anneal(Walk& walk, double score, Rng& rng,
+                      const AnnealingParams& params) {
+  AnnealingStats stats;
+  double current_score = score;
+  stats.best_score = score;
 
   // Temperature is scaled by the initial score so acceptance probabilities
   // are invariant to the score's units (milliseconds vs seconds).
@@ -62,27 +65,42 @@ AnnealingResult<State> SimulatedAnnealing(State initial, ScoreFn&& score,
   double temperature = params.initial_temperature * scale;
   const double floor = params.min_temperature * scale;
 
-  uint64_t iter = 0;
-  for (; iter < params.max_iterations; ++iter) {
+  for (; stats.iterations < params.max_iterations; ++stats.iterations) {
     if (temperature < floor) {
-      result.converged = true;
+      stats.converged = true;
       break;
     }
-    State neighbor = mutate(current, rng);
-    const double neighbor_score = score(neighbor);
+    const double neighbor_score = walk.Propose(rng);
     const double delta = neighbor_score - current_score;
     if (delta <= 0 || rng.Uniform() < std::exp(-delta / temperature)) {
-      current = std::move(neighbor);
+      walk.Accept();
       current_score = neighbor_score;
-      if (current_score < result.best_score) {
-        result.best = current;
-        result.best_score = current_score;
+      if (current_score < stats.best_score) {
+        walk.SaveBest();
+        stats.best_score = current_score;
       }
     }
     temperature *= params.cooling_rate;
   }
-  result.iterations = iter;
-  return result;
+  return stats;
+}
+
+// score: State -> double (lower better). mutate: (const State&, Rng&) -> State.
+template <typename State, typename ScoreFn, typename MutateFn>
+AnnealingResult<State> SimulatedAnnealing(State initial, ScoreFn&& score,
+                                          MutateFn&& mutate, Rng& rng,
+                                          const AnnealingParams& params = {}) {
+  struct ValueWalk {
+    ScoreFn& score;
+    MutateFn& mutate;
+    State current, neighbor, best;
+    double Propose(Rng& r) { neighbor = mutate(current, r); return score(neighbor); }
+    void Accept() { current = std::move(neighbor); }
+    void SaveBest() { best = current; }
+  };
+  ValueWalk walk{score, mutate, initial, initial, std::move(initial)};
+  const AnnealingStats stats = Anneal(walk, score(walk.current), rng, params);
+  return {stats, std::move(walk.best)};
 }
 
 }  // namespace optilog

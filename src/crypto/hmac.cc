@@ -1,5 +1,6 @@
 #include "src/crypto/hmac.h"
 
+#include <bit>
 #include <cstring>
 
 namespace optilog {
@@ -58,14 +59,15 @@ HmacKeySchedule HmacPrecompute(const Bytes& key) {
 
 namespace {
 
-// Serializes a compression state as the big-endian digest bytes (what
-// Sha256::Finish emits after its final block).
+// Serializes a compression state as the big-endian digest bytes Sha256::Finish
+// emits, one word store each (the compiler folds the shifts into a bswap).
 inline void StateToDigest(const uint32_t state[8], uint8_t* out) {
   for (int i = 0; i < 8; ++i) {
-    out[4 * i] = static_cast<uint8_t>(state[i] >> 24);
-    out[4 * i + 1] = static_cast<uint8_t>(state[i] >> 16);
-    out[4 * i + 2] = static_cast<uint8_t>(state[i] >> 8);
-    out[4 * i + 3] = static_cast<uint8_t>(state[i]);
+    uint32_t w = state[i];
+    if constexpr (std::endian::native == std::endian::little) {
+      w = (w >> 24) | ((w >> 8) & 0xff00) | ((w << 8) & 0xff0000) | (w << 24);
+    }
+    std::memcpy(out + 4 * i, &w, sizeof(w));
   }
 }
 

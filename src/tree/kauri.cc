@@ -1,8 +1,8 @@
 #include "src/tree/kauri.h"
 
 #include <algorithm>
+#include <numeric>
 
-#include "src/tree/tree_score.h"
 #include "src/util/check.h"
 
 namespace optilog {
@@ -41,62 +41,174 @@ TreeTopology KauriScheduler::StarFallback() const {
 }
 
 TreeTopology RandomTree(uint32_t n, Rng& rng) {
-  const uint32_t internals_needed = BranchFactorFor(n) + 1;
   std::vector<ReplicaId> order(n);
-  for (ReplicaId id = 0; id < n; ++id) {
-    order[id] = id;
-  }
+  std::iota(order.begin(), order.end(), 0);
   rng.Shuffle(order);
-  std::vector<ReplicaId> internals(order.begin(), order.begin() + internals_needed);
-  std::vector<ReplicaId> leaves(order.begin() + internals_needed, order.end());
-  return TreeTopology::Build(internals, leaves);
+  return BuildFlat(order, BranchFactorFor(n) + 1);
 }
+
+namespace {
+
+// `internals`, then every other replica below n in shuffled order.
+std::vector<ReplicaId> FlatTree(uint32_t n, const std::vector<ReplicaId>& internals,
+                                Rng& rng) {
+  std::vector<ReplicaId> ids;
+  for (ReplicaId id = 0; id < n; ++id) {
+    if (std::find(internals.begin(), internals.end(), id) == internals.end()) {
+      ids.push_back(id);
+    }
+  }
+  rng.Shuffle(ids);
+  ids.insert(ids.begin(), internals.begin(), internals.end());
+  return ids;
+}
+
+// Positions of the leaves whose `eligible` bit is set, ascending.
+std::vector<uint32_t> Swappable(const std::vector<ReplicaId>& ids, size_t internals,
+                                const std::vector<bool>& eligible) {
+  std::vector<uint32_t> out;
+  for (size_t i = internals; i < ids.size(); ++i) {
+    if (ids[i] < eligible.size() && eligible[ids[i]]) {
+      out.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  return out;
+}
+
+// Two distinct positions in [first, first + size), size >= 2.
+TreeSwap DrawPair(size_t first, size_t size, Rng& rng) {
+  const size_t a = static_cast<size_t>(rng.Below(size));
+  size_t b = static_cast<size_t>(rng.Below(size - 1));
+  if (b >= a) {
+    ++b;
+  }
+  return {first + a, first + b};
+}
+
+// Draws one of MutateTree's swaps at random and applies it to a flat tree;
+// `swappable` lists the leaf positions that may move up, ascending.
+TreeSwap DrawTreeSwap(std::vector<ReplicaId>& ids, size_t internals,
+                      const std::vector<uint32_t>& swappable, Rng& rng) {
+  TreeSwap drawn;
+  const uint64_t move = rng.Below(3);
+  if (move == 0) {
+    if (!swappable.empty()) {
+      const size_t leaf = swappable[rng.Below(swappable.size())];
+      drawn = {static_cast<size_t>(rng.Below(internals)), leaf};
+    }
+  } else if (move == 1 && ids.size() - internals >= 2) {
+    drawn = DrawPair(internals, ids.size() - internals, rng);
+  } else if (internals >= 2) {
+    drawn = DrawPair(0, internals, rng);
+  }
+  std::swap(ids[drawn.a], ids[drawn.b]);
+  return drawn;
+}
+
+}  // namespace
 
 TreeTopology TreeWithInternals(uint32_t n, const std::vector<ReplicaId>& internals,
                                Rng& rng) {
-  std::vector<ReplicaId> leaves;
-  for (ReplicaId id = 0; id < n; ++id) {
-    if (std::find(internals.begin(), internals.end(), id) == internals.end()) {
-      leaves.push_back(id);
-    }
-  }
-  rng.Shuffle(leaves);
-  return TreeTopology::Build(internals, leaves);
+  return BuildFlat(FlatTree(n, internals, rng), internals.size());
+}
+
+TreeTopology BuildFlat(const std::vector<ReplicaId>& ids, size_t internals) {
+  return TreeTopology::Build(std::vector<ReplicaId>(ids.begin(), ids.begin() + internals),
+                             std::vector<ReplicaId>(ids.begin() + internals, ids.end()));
 }
 
 TreeTopology MutateTree(const TreeTopology& tree, const std::vector<bool>& eligible,
                         Rng& rng) {
-  std::vector<ReplicaId> internals = tree.Internals();
-  std::vector<ReplicaId> leaves = tree.Leaves();
-  const uint64_t move = rng.Below(3);
-  if (move == 0) {
-    std::vector<size_t> swappable;
-    for (size_t i = 0; i < leaves.size(); ++i) {
-      if (leaves[i] < eligible.size() && eligible[leaves[i]]) {
-        swappable.push_back(i);
-      }
-    }
-    if (!swappable.empty()) {
-      const size_t li = swappable[rng.Below(swappable.size())];
-      const size_t ii = static_cast<size_t>(rng.Below(internals.size()));
-      std::swap(internals[ii], leaves[li]);
-    }
-  } else if (move == 1 && leaves.size() >= 2) {
-    const size_t a = static_cast<size_t>(rng.Below(leaves.size()));
-    size_t b = static_cast<size_t>(rng.Below(leaves.size() - 1));
-    if (b >= a) {
-      ++b;
-    }
-    std::swap(leaves[a], leaves[b]);
-  } else if (internals.size() >= 2) {
-    const size_t a = static_cast<size_t>(rng.Below(internals.size()));
-    size_t b = static_cast<size_t>(rng.Below(internals.size() - 1));
-    if (b >= a) {
-      ++b;
-    }
-    std::swap(internals[a], internals[b]);
+  std::vector<ReplicaId> ids = tree.Internals();
+  const size_t internals = ids.size();
+  const std::vector<ReplicaId> leaves = tree.Leaves();
+  ids.insert(ids.end(), leaves.begin(), leaves.end());
+  DrawTreeSwap(ids, internals, Swappable(ids, internals, eligible), rng);
+  return BuildFlat(ids, internals);
+}
+
+TreeWalk::TreeWalk(std::vector<ReplicaId> ids, size_t internals,
+                   const std::vector<bool>& eligible, const LatencyMatrix& latency,
+                   uint32_t k)
+    : eligible_(eligible),
+      latency_(latency),
+      k_(k),
+      internals_(internals),
+      ids_(std::move(ids)),
+      next_(internals - 1) {
+  OL_CHECK(internals_ >= 2 && internals_ <= ids_.size());
+  Rebase();
+  initial_score_ = Reduce();
+  SaveBest();
+  // MutateTree draws from TreeTopology::Leaves(), ascending ids, so a leaf
+  // swap never outlives one draw (DESIGN.md, "SA search-time convention").
+  std::sort(ids_.begin() + internals_, ids_.end());
+  Rebase();
+}
+
+// The base for the current flat tree, rescanned in full.
+void TreeWalk::Rebase() {
+  swappable_ = Swappable(ids_, internals_, eligible_);
+  for (size_t pos = 1; pos < internals_; ++pos) {
+    Rescan(pos);
   }
-  return TreeTopology::Build(internals, leaves);
+  base_ = next_;
+}
+
+double TreeWalk::Propose(Rng& rng) {
+  // Settle the last proposal: undo it if rejected or a leaf↔leaf swap (the
+  // base's leaves ascend), keep an internal↔internal swap's rescanned groups,
+  // and file an internal↔leaf swap's new leaf in order, which shifts the
+  // group of every leaf in between.
+  if (!accepted_ || swap_.a >= internals_) {
+    std::swap(ids_[swap_.a], ids_[swap_.b]);
+  } else if (swap_.b < internals_) {
+    base_.swap(next_);
+  } else {
+    const ReplicaId leaf = ids_[swap_.b];
+    ids_.erase(ids_.begin() + swap_.b);
+    ids_.insert(std::lower_bound(ids_.begin() + internals_, ids_.end(), leaf), leaf);
+    Rebase();
+  }
+  accepted_ = false;
+
+  swap_ = DrawTreeSwap(ids_, internals_, swappable_, rng);
+  next_ = base_;
+  if (swap_.a != swap_.b) {
+    Rescan(swap_.a);
+    Rescan(swap_.b);
+  }
+  return Reduce();
+}
+
+// Rescans what flat position `pos` bears on: the root column, or one group.
+void TreeWalk::Rescan(size_t pos) {
+  const size_t groups = next_.size();
+  if (pos == 0) {
+    for (size_t g = 0; g < groups; ++g) {
+      next_[g].up = latency_.Rtt(ids_[g + 1], ids_[0]);
+    }
+    return;
+  }
+  const size_t g = pos < internals_ ? pos - 1 : (pos - internals_) % groups;
+  const ReplicaId inter = ids_[g + 1];
+  double worst = 0.0;
+  for (size_t i = internals_ + g; i < ids_.size(); i += groups) {
+    worst = std::max(worst, latency_.Rtt(inter, ids_[i]));
+  }
+  next_[g] = {worst, latency_.Rtt(inter, ids_[0])};
+}
+
+double TreeWalk::Reduce() {
+  const size_t groups = next_.size();
+  const size_t leaves = ids_.size() - internals_;
+  subtrees_.clear();
+  for (size_t g = 0; g < groups; ++g) {
+    // Build's round-robin: leaf i hangs under intermediate i mod groups.
+    const size_t children = leaves / groups + (g < leaves % groups ? 1 : 0);
+    subtrees_.push_back({next_[g].worst + next_[g].up, static_cast<uint32_t>(children + 1)});
+  }
+  return QuorumArrival(subtrees_, k_);
 }
 
 TreeTopology AnnealTree(uint32_t n, const std::vector<ReplicaId>& internal_candidates,
@@ -106,23 +218,19 @@ TreeTopology AnnealTree(uint32_t n, const std::vector<ReplicaId>& internal_candi
   const uint32_t internals_needed = BranchFactorFor(n) + 1;
   OL_CHECK(internal_candidates.size() >= internals_needed);
 
-  // Initial tree: random internals from the candidate pool.
-  std::vector<ReplicaId> pool = internal_candidates;
-  rng.Shuffle(pool);
-  pool.resize(internals_needed);
-  TreeTopology initial = TreeWithInternals(n, pool, rng);
-
-  // Candidate membership by replica id: mutate tests every leaf against it.
+  // Candidate membership by replica id: only these leaves may move up.
   std::vector<bool> is_candidate(n, false);
   for (ReplicaId id : internal_candidates) {
     OL_CHECK(id < n);
     is_candidate[id] = true;
   }
-  auto score = [&](const TreeTopology& t) { return TreeScore(t, latency, k); };
-  auto mutate = [&](const TreeTopology& t, Rng& r) {
-    return MutateTree(t, is_candidate, r);
-  };
-  return SimulatedAnnealing(std::move(initial), score, mutate, rng, params).best;
+  // Initial tree: random internals from the candidate pool.
+  std::vector<ReplicaId> pool = internal_candidates;
+  rng.Shuffle(pool);
+  pool.resize(internals_needed);
+  TreeWalk walk(FlatTree(n, pool, rng), internals_needed, is_candidate, latency, k);
+  Anneal(walk, walk.initial_score(), rng, params);
+  return walk.Best();
 }
 
 std::optional<TreeTopology> KauriSaScheduler::NextTree(const LatencyMatrix& latency,

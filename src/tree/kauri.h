@@ -19,6 +19,7 @@
 #include "src/core/annealing.h"
 #include "src/core/latency_monitor.h"
 #include "src/tree/topology.h"
+#include "src/tree/tree_score.h"
 #include "src/util/rng.h"
 
 namespace optilog {
@@ -77,12 +78,62 @@ TreeTopology RandomTree(uint32_t n, Rng& rng);
 TreeTopology TreeWithInternals(uint32_t n, const std::vector<ReplicaId>& internals,
                                Rng& rng);
 
-// One of the three §4.2.4 swaps, chosen at random: an internal with a leaf
-// whose `eligible` bit is set (an id at or beyond eligible.size() is not
-// eligible), two leaves (changes subtree composition), or two internals
-// (changes which one is root).
+// A tree as one flat array: the internals (root first), then the leaves in
+// attachment order, which Build hangs under the intermediates round-robin.
+TreeTopology BuildFlat(const std::vector<ReplicaId>& ids, size_t internals);
+
+// One §4.2.4 swap: the flat-tree positions it exchanged, the internal first
+// when it moved a leaf up (equal when it swapped nothing).
+struct TreeSwap {
+  size_t a = 0, b = 0;
+};
+
+// One of the three §4.2.4 swaps, chosen at random, on `tree` with its leaves
+// in ascending id order: an internal with a leaf whose `eligible` bit is set
+// (an id at or beyond eligible.size() is not eligible), two leaves (changes
+// subtree composition), or two internals (changes which one is root).
 TreeTopology MutateTree(const TreeTopology& tree, const std::vector<bool>& eligible,
                         Rng& rng);
+
+// AnnealTree's Anneal walk over a flat tree, scored in TreeScore's doubles;
+// `eligible` and `latency` must outlive it. A neighbor is one MutateTree swap
+// from the base (current internals, leaves ascending) and rescans only what
+// that swap touches (DESIGN.md, "SA search-time convention").
+class TreeWalk {
+ public:
+  TreeWalk(std::vector<ReplicaId> ids, size_t internals, const std::vector<bool>& eligible,
+           const LatencyMatrix& latency, uint32_t k);
+
+  double initial_score() const { return initial_score_; }
+  double Propose(Rng& rng);
+  void Accept() { accepted_ = true; }
+  void SaveBest() { best_ = ids_; }
+  TreeTopology Best() const { return BuildFlat(best_, internals_); }
+
+  // The flat tree last proposed (at first, the base) and its swap.
+  const std::vector<ReplicaId>& ids() const { return ids_; }
+  const TreeSwap& last_swap() const { return swap_; }
+
+ private:
+  struct Group {
+    double worst, up;  // worst child RTT, RTT to the root
+  };
+  void Rebase();
+  void Rescan(size_t pos);
+  double Reduce();
+
+  const std::vector<bool>& eligible_;
+  const LatencyMatrix& latency_;
+  const uint32_t k_;
+  const size_t internals_;
+  std::vector<ReplicaId> ids_, best_;
+  std::vector<uint32_t> swappable_;  // in the base
+  std::vector<Group> base_, next_;   // per intermediate
+  std::vector<SubtreeArrival> subtrees_;
+  TreeSwap swap_;
+  bool accepted_ = false;
+  double initial_score_ = 0.0;
+};
 
 // SA-optimized tree over an explicit candidate set; shared by OptiTree,
 // Kauri-sa and the analytic benchmarks.

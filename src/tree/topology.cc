@@ -21,13 +21,8 @@ TreeTopology TreeTopology::Build(const std::vector<ReplicaId>& internals,
   t.intermediates_.assign(internals.begin() + 1, internals.end());
   t.n_ = static_cast<uint32_t>(internals.size() + leaves.size());
 
-  ReplicaId max_id = 0;
-  for (ReplicaId id : internals) {
-    max_id = std::max(max_id, id);
-  }
-  for (ReplicaId id : leaves) {
-    max_id = std::max(max_id, id);
-  }
+  const ReplicaId max_id =
+      std::max(std::ranges::max(internals), leaves.empty() ? 0 : std::ranges::max(leaves));
   t.parent_.assign(max_id + 1, kNoReplica);
   t.children_.assign(max_id + 1, {});
 
@@ -36,18 +31,13 @@ TreeTopology TreeTopology::Build(const std::vector<ReplicaId>& internals,
     t.parent_[inter] = t.root_;
     t.children_[t.root_].push_back(inter);
   }
-  if (!t.intermediates_.empty()) {
-    for (size_t i = 0; i < leaves.size(); ++i) {
-      const ReplicaId parent = t.intermediates_[i % t.intermediates_.size()];
-      t.parent_[leaves[i]] = parent;
-      t.children_[parent].push_back(leaves[i]);
-    }
-  } else {
-    // Star topology: all leaves attach to the root directly.
-    for (ReplicaId leaf : leaves) {
-      t.parent_[leaf] = t.root_;
-      t.children_[t.root_].push_back(leaf);
-    }
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    // Round-robin over the intermediates; a star's leaves hang under the root.
+    const ReplicaId parent = t.intermediates_.empty()
+                                 ? t.root_
+                                 : t.intermediates_[i % t.intermediates_.size()];
+    t.parent_[leaves[i]] = parent;
+    t.children_[parent].push_back(leaves[i]);
   }
   return t;
 }
@@ -60,7 +50,7 @@ TreeTopology TreeTopology::FromConfig(const RoleConfig& config) {
   t.children_.assign(size, {});
   for (ReplicaId id = 0; id < size; ++id) {
     const ReplicaId p = config.parent[id];
-    if (p == kNoReplica) {
+    if (p >= size) {  // not a member, or a parent outside the table
       continue;
     }
     ++t.n_;
@@ -69,31 +59,12 @@ TreeTopology TreeTopology::FromConfig(const RoleConfig& config) {
       t.children_[p].push_back(id);
     }
   }
-  for (ReplicaId id = 0; id < size; ++id) {
-    if (t.parent_[id] == t.root_ && id != t.root_ && !t.children_[id].empty()) {
-      t.intermediates_.push_back(id);
-    }
-  }
-  // A star has no intermediates; a height-3 tree's root children that
-  // happen to be childless still count as intermediates if any sibling has
-  // children (they hold an internal *position*).
-  if (!t.intermediates_.empty()) {
-    t.intermediates_.clear();
-    for (ReplicaId id = 0; id < size; ++id) {
-      if (id != t.root_ && t.parent_[id] == t.root_) {
-        bool any_grandchild = false;
-        for (ReplicaId other = 0; other < size; ++other) {
-          if (other != t.root_ && t.parent_[other] == t.root_ &&
-              !t.children_[other].empty()) {
-            any_grandchild = true;
-            break;
-          }
-        }
-        if (any_grandchild) {
-          t.intermediates_.push_back(id);
-        }
-      }
-    }
+  // A height-3 tree's root children all hold internal positions, childless
+  // ones included; a star's are leaves.
+  if (t.root_ < size && std::ranges::any_of(t.children_[t.root_], [&](ReplicaId id) {
+        return !t.children_[id].empty();
+      })) {
+    t.intermediates_ = t.children_[t.root_];
   }
   return t;
 }
@@ -136,16 +107,11 @@ std::vector<ReplicaId> TreeTopology::Internals() const {
 }
 
 std::vector<ReplicaId> TreeTopology::Leaves() const {
-  std::vector<bool> internal(parent_.size(), false);
-  if (root_ < internal.size()) {
-    internal[root_] = true;
-  }
-  for (ReplicaId id : intermediates_) {
-    internal[id] = true;
-  }
   std::vector<ReplicaId> out;
   for (ReplicaId id = 0; id < parent_.size(); ++id) {
-    if (parent_[id] != kNoReplica && !internal[id]) {
+    // The internals: the root and, unless the tree is a star, its children.
+    if (parent_[id] != kNoReplica && id != root_ &&
+        (intermediates_.empty() || parent_[id] != root_)) {
       out.push_back(id);
     }
   }

@@ -50,7 +50,7 @@ class TreeTopology {
   std::vector<ReplicaId> Internals() const;
 
   // Members that are not internal, ascending: one pass over the parent
-  // table instead of an IsInternal scan per member.
+  // table, since the intermediates are exactly the root's children.
   std::vector<ReplicaId> Leaves() const;
 
  private:

@@ -19,48 +19,40 @@ double AggregationLatencyMs(const TreeTopology& tree, const LatencyMatrix& laten
   return worst;
 }
 
-double TreeScore(const TreeTopology& tree, const LatencyMatrix& latency, uint32_t k) {
+double QuorumArrival(std::span<SubtreeArrival> subtrees, uint32_t k) {
   if (k <= 1) {
     return 0.0;  // the root's own vote suffices
   }
-  // Arrival time and coverage (children + the intermediate itself) of each
-  // subtree's aggregate at the root.
-  struct Subtree {
-    double arrival;
-    uint32_t coverage;
-  };
-  std::vector<Subtree> subtrees;
-  subtrees.reserve(tree.intermediates().size());
-  for (ReplicaId inter : tree.intermediates()) {
-    Subtree s;
-    s.arrival = AggregationLatencyMs(tree, latency, inter) +
-                latency.Rtt(inter, tree.root());
-    s.coverage = static_cast<uint32_t>(tree.ChildrenOf(inter).size()) + 1;
-    subtrees.push_back(s);
-  }
-  // Star topology (no intermediates): every child votes directly.
-  if (subtrees.empty()) {
-    std::vector<double> arrivals;
-    for (ReplicaId child : tree.ChildrenOf(tree.root())) {
-      arrivals.push_back(latency.Rtt(tree.root(), child));
-    }
-    if (arrivals.size() + 1 < k) {
-      return kInf;
-    }
-    std::sort(arrivals.begin(), arrivals.end());
-    return arrivals[k - 2];  // root vote + (k-1) fastest children
-  }
-
   std::sort(subtrees.begin(), subtrees.end(),
-            [](const Subtree& a, const Subtree& b) { return a.arrival < b.arrival; });
+            [](const SubtreeArrival& a, const SubtreeArrival& b) {
+              return a.arrival < b.arrival;
+            });
   uint32_t covered = 0;
-  for (const Subtree& s : subtrees) {
-    covered += s.coverage;
+  for (const SubtreeArrival& s : subtrees) {
+    covered += s.votes;
     if (covered >= k - 1) {
       return s.arrival;
     }
   }
   return kInf;
+}
+
+double TreeScore(const TreeTopology& tree, const LatencyMatrix& latency, uint32_t k) {
+  // Each subtree's aggregate carries its children's votes and its
+  // intermediate's; a star's children (no intermediates) vote directly.
+  std::vector<SubtreeArrival> subtrees;
+  subtrees.reserve(tree.ChildrenOf(tree.root()).size());
+  if (tree.intermediates().empty()) {
+    for (ReplicaId child : tree.ChildrenOf(tree.root())) {
+      subtrees.push_back({latency.Rtt(tree.root(), child), 1});
+    }
+  }
+  for (ReplicaId inter : tree.intermediates()) {
+    subtrees.push_back(
+        {AggregationLatencyMs(tree, latency, inter) + latency.Rtt(inter, tree.root()),
+         static_cast<uint32_t>(tree.ChildrenOf(inter).size()) + 1});
+  }
+  return QuorumArrival(subtrees, k);
 }
 
 double TreeRoundDurationMs(const TreeTopology& tree, const LatencyMatrix& latency,

@@ -12,12 +12,24 @@
 // k - 1 nodes — any optimal subset is a prefix of that order.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "src/core/latency_monitor.h"
 #include "src/tree/topology.h"
 
 namespace optilog {
+
+// One subtree's aggregate at the root: when it arrives and how many votes it
+// carries (a star's children are one-vote subtrees).
+struct SubtreeArrival {
+  double arrival;
+  uint32_t votes;
+};
+
+// The reduction above, shared by TreeScore and AnnealTree's walk: sorts
+// `subtrees`, 0 for k <= 1, +inf if they carry fewer than k - 1 votes.
+double QuorumArrival(std::span<SubtreeArrival> subtrees, uint32_t k);
 
 // score(k, tau). Returns +inf if the tree cannot deliver k votes at all
 // (e.g. unknown links or not enough subtree coverage).

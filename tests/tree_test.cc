@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "src/core/measurement.h"
 #include "src/net/geo.h"
 #include "src/tree/kauri.h"
@@ -83,6 +85,38 @@ TEST(TreeTopology, ConfigRoundTrip) {
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   EXPECT_EQ(a, b);
+}
+
+TEST(TreeTopology, ConfigRoundTripKeepsChildlessIntermediate) {
+  // 2 leaves over 3 intermediates: 0 has no children but holds an internal
+  // position, so it decodes as an intermediate, not as a leaf of the root.
+  const TreeTopology t = TreeTopology::Build({5, 9, 2, 0}, {1, 3});
+  ASSERT_TRUE(t.ChildrenOf(0).empty());
+  const TreeTopology back = TreeTopology::FromConfig(t.ToConfig());
+  EXPECT_EQ(back.root(), 5u);
+  EXPECT_EQ(back.intermediates(), (std::vector<ReplicaId>{0, 2, 9}));
+  EXPECT_TRUE(back.IsIntermediate(0));
+  EXPECT_EQ(back.Leaves(), (std::vector<ReplicaId>{1, 3}));
+  for (ReplicaId id = 0; id < 10; ++id) {
+    EXPECT_EQ(back.ParentOf(id), t.ParentOf(id)) << id;
+  }
+  // A star's root children stay leaves.
+  const TreeTopology star = TreeTopology::FromConfig(TreeTopology::Build({2}, {0, 1}).ToConfig());
+  EXPECT_TRUE(star.intermediates().empty());
+}
+
+// A proposal's parent table comes from another replica: an entry naming a
+// replica beyond the table leaves that replica out instead of indexing past
+// the child lists, and the config space rejects the short tree.
+TEST(TreeTopology, FromConfigDropsOutOfRangeParents) {
+  RoleConfig config = TreeTopology::Build({0, 1}, {2, 3}).ToConfig();
+  config.parent[3] = 1'000'000;
+  const TreeTopology t = TreeTopology::FromConfig(config);
+  EXPECT_EQ(t.size(), 3u);
+  EXPECT_FALSE(t.Contains(3));
+  CandidateSet candidates;
+  candidates.candidates = {0, 1, 2, 3};
+  EXPECT_FALSE(TreeConfigSpace(4, 3).Valid(config, candidates));
 }
 
 TEST(TreeTopology, StarHasNoIntermediates) {
@@ -313,6 +347,215 @@ TEST(AnnealTree, BeatsRandomTreeOnGeoMatrix) {
   }
   EXPECT_LT(annealed_score, random_score * 0.8)
       << "SA should find markedly better trees than random selection";
+}
+
+// --- AnnealTree's incremental search -----------------------------------------
+
+// A deployment's matrix: city-pair RTTs, 1 ms between colocated replicas.
+LatencyMatrix CityBaselineMatrix(uint32_t n, uint64_t seed) {
+  CityIndex ci = DedupeCities(GlobalN(n, seed));
+  const size_t u = ci.unique.size();
+  std::vector<double> flat;
+  for (const std::vector<double>& row : RttMatrixMs(ci.unique)) {
+    flat.insert(flat.end(), row.begin(), row.end());
+  }
+  LatencyMatrix m;
+  m.ResetWithCityBaseline(n, std::move(ci.index_of), std::move(flat), u);
+  return m;
+}
+
+// Dense reports with ties: integer RTTs, 1 ms colocated pairs, pairs neither
+// side reported, and one replica nobody reports on (+inf to everyone).
+LatencyMatrix DenseMatrix(uint32_t n, uint64_t seed) {
+  Rng rng(seed);
+  const ReplicaId silent = static_cast<ReplicaId>(seed % n);
+  LatencyMatrix m(n);
+  for (ReplicaId a = 0; a < n; ++a) {
+    for (ReplicaId b = 0; b < n; ++b) {
+      const uint64_t r = rng.Below(8);
+      if (a == b || a == silent || b == silent || r == 0) {
+        continue;
+      }
+      m.Record(a, b, r == 1 ? 1.0 : static_cast<double>(10 + rng.Below(290)));
+    }
+  }
+  return m;
+}
+
+// The search AnnealTree must reproduce: SimulatedAnnealing over whole trees,
+// each neighbor built by MutateTree and scored in full by TreeScore.
+TreeTopology ReferenceAnnealTree(uint32_t n, const std::vector<ReplicaId>& candidates,
+                                 const LatencyMatrix& m, uint32_t k, Rng& rng,
+                                 const AnnealingParams& params) {
+  std::vector<ReplicaId> pool = candidates;
+  rng.Shuffle(pool);
+  pool.resize(BranchFactorFor(n) + 1);
+  TreeTopology initial = TreeWithInternals(n, pool, rng);
+  std::vector<bool> eligible(n, false);
+  for (ReplicaId id : candidates) {
+    eligible[id] = true;
+  }
+  return SimulatedAnnealing(
+             std::move(initial),
+             [&](const TreeTopology& t) { return TreeScore(t, m, k); },
+             [&](const TreeTopology& t, Rng& r) { return MutateTree(t, eligible, r); },
+             rng, params)
+      .best;
+}
+
+void ExpectSameTree(const TreeTopology& got, const TreeTopology& want, uint32_t n) {
+  EXPECT_EQ(got.root(), want.root());
+  EXPECT_EQ(got.intermediates(), want.intermediates());
+  EXPECT_EQ(got.size(), want.size());
+  std::vector<ReplicaId> got_parents, want_parents;
+  for (ReplicaId id = 0; id < n; ++id) {
+    got_parents.push_back(got.ParentOf(id));
+    want_parents.push_back(want.ParentOf(id));
+  }
+  EXPECT_EQ(got_parents, want_parents);
+  for (ReplicaId id : want.Internals()) {
+    EXPECT_EQ(got.ChildrenOf(id), want.ChildrenOf(id)) << "children of " << id;
+  }
+}
+
+class AnnealTreeDifferential : public ::testing::TestWithParam<uint32_t> {};
+
+// The same tree, child order included, and the same Rng state afterwards.
+TEST_P(AnnealTreeDifferential, MatchesWholeTreeSearch) {
+  const uint32_t n = GetParam();
+  const uint32_t b = BranchFactorFor(n);
+  const uint32_t f = (n - 1) / 3;
+  const uint64_t budget = n >= 1000 ? 200 : n >= 211 ? 800 : 1500;
+  struct Named {
+    const char* name;
+    LatencyMatrix m;
+  };
+  std::vector<Named> matrices;
+  matrices.push_back({"city", CityBaselineMatrix(n, 7)});
+  matrices.push_back({"city+override", CityBaselineMatrix(n, 7)});
+  for (ReplicaId a = 0; a < n; a += 3) {
+    matrices.back().m.Record(a, (a * 7 + 1) % n, 350.0 + a);  // wins the max rule
+    matrices.back().m.Record((a * 5 + 2) % n, a, 0.5);        // loses it
+  }
+  matrices.push_back({"dense", DenseMatrix(n, n)});
+
+  // Everyone, every other replica, and exactly b + 1: then every candidate
+  // is internal and no leaf can move up.
+  std::vector<ReplicaId> all(n);
+  std::iota(all.begin(), all.end(), 0);
+  std::vector<ReplicaId> half;
+  for (ReplicaId id = 0; id < n; id += 2) {
+    half.push_back(id);
+  }
+  std::vector<ReplicaId> tight = all;
+  Rng pick(n);
+  pick.Shuffle(tight);
+  tight.resize(b + 1);
+
+  AnnealingParams fixed_rate;
+  fixed_rate.max_iterations = budget;
+  fixed_rate.min_temperature = 0;
+  uint64_t seed = 0;
+  for (const Named& matrix : matrices) {
+    for (const std::vector<ReplicaId>* candidates : {&all, &half, &tight}) {
+      for (uint32_t k : {1u, 2u, 2 * f + 1, n + 1}) {
+        for (const AnnealingParams& params : {AnnealingParams::ForBudget(budget), fixed_rate}) {
+          SCOPED_TRACE(::testing::Message()
+                       << matrix.name << " candidates=" << candidates->size() << " k=" << k
+                       << " min_temperature=" << params.min_temperature);
+          Rng want_rng(++seed), got_rng(seed);
+          const TreeTopology want =
+              ReferenceAnnealTree(n, *candidates, matrix.m, k, want_rng, params);
+          const TreeTopology got = AnnealTree(n, *candidates, matrix.m, k, got_rng, params);
+          ExpectSameTree(got, want, n);
+          EXPECT_EQ(got_rng.Next(), want_rng.Next());
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, AnnealTreeDifferential, ::testing::Values(4, 21, 211, 1000));
+
+// After every kind of swap, accepted or not and moving the root or not, the
+// walk's incremental score is TreeScore of the tree its arrangement builds.
+TEST(TreeWalk, IncrementalScoreEqualsTreeScore) {
+  for (uint32_t n : {21u, 211u}) {
+    const uint32_t b = BranchFactorFor(n);
+    const uint32_t f = (n - 1) / 3;
+    for (const LatencyMatrix& m : {CityBaselineMatrix(n, 3), DenseMatrix(n, 5)}) {
+      for (uint32_t k : {2u, 2 * f + 1, n - f}) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " k=" << k);
+        Rng rng(n * 31 + k);
+        std::vector<ReplicaId> ids(n);
+        std::iota(ids.begin(), ids.end(), 0);
+        rng.Shuffle(ids);
+        std::vector<bool> eligible(n);
+        for (ReplicaId id = 0; id < n; ++id) {
+          eligible[id] = id % 3 != 0;
+        }
+        TreeWalk walk(ids, b + 1, eligible, m, k);
+        EXPECT_EQ(walk.initial_score(), TreeScore(BuildFlat(ids, b + 1), m, k));
+
+        // [internals among the swapped positions][root moved][accepted]
+        int seen[3][2][2] = {};
+        for (int step = 0; step < 3000; ++step) {
+          const double score = walk.Propose(rng);
+          const TreeTopology tree = BuildFlat(walk.ids(), b + 1);
+          const double full = TreeScore(tree, m, k);
+          EXPECT_EQ(score, full) << "step " << step;
+          if (score != full) {
+            break;
+          }
+          const TreeSwap& swap = walk.last_swap();
+          if (swap.a == swap.b) {
+            continue;
+          }
+          const int internal = (swap.a <= b) + (swap.b <= b);
+          const bool root = swap.a == 0 || swap.b == 0;
+          const bool accept = rng.Below(2) == 0;
+          ++seen[internal][root][accept];
+          if (accept) {
+            walk.Accept();
+            walk.SaveBest();
+            EXPECT_EQ(walk.Best().ToConfig().parent, tree.ToConfig().parent);
+          }
+        }
+        for (int accepted = 0; accepted < 2; ++accepted) {
+          EXPECT_GT(seen[0][0][accepted], 0);  // leaf <-> leaf
+          for (int root = 0; root < 2; ++root) {
+            EXPECT_GT(seen[1][root][accepted], 0);  // internal <-> leaf
+            EXPECT_GT(seen[2][root][accepted], 0);  // internal <-> internal
+          }
+        }
+      }
+    }
+  }
+}
+
+// A seeded 200-step TreeConfigSpace::Mutate chain, hashed: pins the §4.2.4
+// draws and the trees they make.
+TEST(TreeConfigSpace, MutateChainIsPinned) {
+  const uint32_t n = 73;
+  TreeConfigSpace space(n, 49);
+  CandidateSet candidates;
+  for (ReplicaId id = 0; id < n; id += 2) {
+    candidates.candidates.push_back(id);
+  }
+  Rng rng(2024);
+  RoleConfig config = space.RandomConfig(candidates, rng);
+  uint64_t hash = 0;
+  for (int step = 0; step < 200; ++step) {
+    config = space.Mutate(config, candidates, rng);
+    uint64_t word = hash ^ config.leader;
+    hash = SplitMix64(word);
+    for (ReplicaId parent : config.parent) {
+      word = hash ^ parent;
+      hash = SplitMix64(word);
+    }
+  }
+  hash ^= rng.Next();
+  EXPECT_EQ(hash, 0xd7ecb6469554a98fULL);
 }
 
 // Leaves() against the member-by-member definition it replaces, on random

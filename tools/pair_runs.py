@@ -2,7 +2,7 @@
 """Alternating parent/change pairs of one perfbench workload.
 
     python3 tools/pair_runs.py PARENT_BIN CHANGE_BIN \\
-        --workload aware_attack --seeds 21-32
+        --workload aware_attack --seeds 21-32 [--metric setup_s]
 
 PARENT_BIN and CHANGE_BIN are two builds of perfbench_workload (for the
 parent, `git archive` it into a temporary directory and build perfbench/
@@ -17,16 +17,17 @@ SIMULATED list) on both. A host-side optimization leaves all of them
 unchanged.
 
 Prints both sides' median and quartiles of run_s, setup_s (a run's setup_s
-is the fastest of its timed builds) and peak_rss_mb, the change's wins on
-run_s (lower is better), and whether the gain rule holds: at least 10 pairs,
-the change wins at least 9 of every 10, and the median gap is larger than the
-parent's interquartile range.
+is the fastest of its timed builds) and peak_rss_mb, the change's wins on the
+claimed metric (--metric, default run_s; all three are lower-is-better), and
+whether the gain rule holds for it: at least 10 pairs, the change wins at
+least 9 of every 10, and the median gap is larger than the parent's
+interquartile range.
 
-setup_s and peak_rss_mb are checked against their `bound` in BENCHMARK.json's
-end_to_end table (read, never written): the change's median, relative to the
-parent's, is "within" the bound or "over" it, or "unresolved" when the
-parent's IQR, relative to its median, is wider than the bound and the change
-does not win every pair.
+The other two host metrics are checked against their `bound` in
+BENCHMARK.json's end_to_end table (read, never written): the change's median,
+relative to the parent's, is "within" the bound or "over" it, or
+"unresolved" when the parent's IQR, relative to its median, is wider than the
+bound and the change does not win every pair.
 
 Exit status: 0 when every pair is correct, the rule holds and no bounded
 metric is over; 2 when every pair is correct but the rule does not hold or a
@@ -46,8 +47,9 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import run as perfbench  # noqa: E402
 
 MIN_PAIRS = 10
-# Host metrics held to their BENCHMARK.json bound rather than the gain rule.
-BOUNDED = ("setup_s", "peak_rss_mb")
+# Host metrics: the claimed one takes the gain rule, the others their
+# BENCHMARK.json bound.
+HOST = ("run_s", "setup_s", "peak_rss_mb")
 
 
 def parse_seeds(text):
@@ -100,7 +102,10 @@ def main():
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True,
                     help="seed list, e.g. 21-32 or 1,4,7-9")
+    ap.add_argument("--metric", choices=HOST, default="run_s",
+                    help="the host metric a gain is claimed on")
     args = ap.parse_args()
+    metric = args.metric
     seeds = parse_seeds(args.seeds)
     if len(seeds) < 2:
         ap.error("need at least two seeds")
@@ -129,23 +134,23 @@ def main():
                     seed, name, pair["parent"].get(name),
                     pair["change"].get(name)))
         print("%6d %-7s %12.6f %12.6f  %s" % (
-            seed, order[0], pair["parent"]["run_s"], pair["change"]["run_s"],
-            "yes" if pair["change"]["run_s"] < pair["parent"]["run_s"]
+            seed, order[0], pair["parent"][metric], pair["change"][metric],
+            "yes" if pair["change"][metric] < pair["parent"][metric]
             else "no"))
 
-    for name in ("run_s",) + BOUNDED:
+    for name in HOST:
         for side in ("parent", "change"):
             median, q1, q3 = summary([r[name] for r in reps[side]])
             print("%-11s %-7s median %.6g  quartiles %.6g .. %.6g" % (
                 name, side, median, q1, q3))
 
-    wins = sum(c["run_s"] < p["run_s"]
+    wins = sum(c[metric] < p[metric]
                for p, c in zip(reps["parent"], reps["change"]))
-    parent_median, q1, q3 = summary([r["run_s"] for r in reps["parent"]])
-    change_median = statistics.median(r["run_s"] for r in reps["change"])
+    parent_median, q1, q3 = summary([r[metric] for r in reps["parent"]])
+    change_median = statistics.median(r[metric] for r in reps["change"])
     gap = parent_median - change_median
-    print("run_s: change wins %d/%d; median gap %.6g vs parent IQR %.6g "
-          "(%+.1f%%)" % (wins, len(seeds), gap, q3 - q1,
+    print("%s: change wins %d/%d; median gap %.6g vs parent IQR %.6g "
+          "(%+.1f%%)" % (metric, wins, len(seeds), gap, q3 - q1,
                          -100.0 * gap / parent_median))
     reasons = []
     if len(seeds) < MIN_PAIRS:
@@ -158,10 +163,9 @@ def main():
         MIN_PAIRS, "holds" if not reasons else
         "does not hold: " + "; ".join(reasons)))
     bounds = load_bounds()
-    over = [name for name in BOUNDED
-            if bound_check(name, *bounds[name],
-                           [r[name] for r in reps["parent"]],
-                           [r[name] for r in reps["change"]]) == "over"]
+    over = [name for name in HOST if name != metric and bound_check(
+        name, *bounds[name], [r[name] for r in reps["parent"]],
+        [r[name] for r in reps["change"]]) == "over"]
     for p in problems:
         print("check failed: %s" % p)
     if problems:
