@@ -52,7 +52,7 @@ PointResult RunPoint(const Params& p) {
   constexpr size_t kBuckets = 36;
   std::vector<double> latency(kBuckets, 0.0);
   std::vector<int> counts(kBuckets, 0);
-  for (const ClientSample& s : d.pbft().client(0).samples()) {
+  for (const ClientSample& s : d.fleet()->client(0).samples()) {
     const size_t bucket = static_cast<size_t>(s.at / (5 * kSec));
     if (bucket < kBuckets) {
       latency[bucket] += s.latency_ms;

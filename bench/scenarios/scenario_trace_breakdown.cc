@@ -1,6 +1,8 @@
-// Flight-recorder breakdown: the observability layer's own tier-1 gate. Two representative points — a pipelined-Kauri open-loop
-// saturation point and a 2-shard 50%-cross 2PC transaction point — each run
-// three times from the same seed:
+// Flight-recorder breakdown: the observability layer's own tier-1 gate.
+// Three representative points — a pipelined-Kauri open-loop saturation
+// point, a 2-shard 50%-cross 2PC transaction point and an OptiAware
+// closed-loop point (the PBFT family's request lifecycle) — each run three
+// times from the same seed:
 //
 //   1. untraced           -> the reference fingerprint F0
 //   2. WithTrace          -> fingerprint must equal F0 byte-for-byte (the
@@ -121,9 +123,42 @@ TracedRun RunShardTxn(TraceMode mode) {
   return run;
 }
 
+// The PBFT-family point: OptiAware behind the default-sized closed-loop
+// fleet. Every replica commits and replies, so the trace carries one commit
+// and one reply record per replica and request.
+TracedRun RunOptiAware(TraceMode mode) {
+  WorkloadOptions w;
+  w.think_time = 50 * kMsec;
+  PbftOptions popts;
+  popts.optimize_at = 5 * kSec;
+  Deployment::Builder b;
+  b.WithGeo(Europe21())
+      .WithProtocol(Protocol::kOptiAware)
+      .WithSeed(23)
+      .WithPbftOptions(popts)
+      .WithWorkload(w)
+      .WithStateMachine();
+  if (mode == TraceMode::kTrace) {
+    b.WithTrace();
+  } else if (mode == TraceMode::kTraceAndGauges) {
+    b.WithGaugeSampling(kGaugeInterval);
+  }
+  auto d = b.Build();
+  d->Start();
+  d->RunUntil(15 * kSec);
+  TracedRun run;
+  run.metrics = d->Metrics();
+  run.fingerprint = MetricsFingerprint(run.metrics);
+  run.records = d->TraceRecords();
+  return run;
+}
+
 TracedRun RunMode(const std::string& point, TraceMode mode) {
   if (point == "kauri_saturation") {
     return RunKauri(mode);
+  }
+  if (point == "optiaware_closed_loop") {
+    return RunOptiAware(mode);
   }
   OL_CHECK_MSG(point == "shard_txn", "trace_breakdown: unknown point");
   return RunShardTxn(mode);
@@ -194,7 +229,9 @@ Scenario Make() {
   s.columns = {"point",  "requests",  "incomplete", "reconstr_pct",
                "net_ms", "queue_ms",  "cons_ms",    "apply_ms",
                "reply_ms", "total_ms"};
-  s.grid = {{"point", {"kauri_saturation", "shard_txn"}}};
+  // The order keeps CI's `--trace trace_breakdown:1` on the sharded point.
+  s.grid = {{"point",
+             {"kauri_saturation", "shard_txn", "optiaware_closed_loop"}}};
   s.run = RunPoint;
   s.trace = [](const Params& p) {
     const TracedRun run = RunMode(p.Get("point"), TraceMode::kTraceAndGauges);

@@ -47,7 +47,7 @@ int main() {
   d.RunUntil(40 * kSec);
 
   std::printf("\nClient latency (Nuremberg), 2 s buckets:\n");
-  const auto& samples = d.pbft().client(0).samples();
+  const auto& samples = d.fleet()->client(0).samples();
   double bucket_sum = 0;
   int bucket_count = 0;
   SimTime bucket_end = 2 * kSec;

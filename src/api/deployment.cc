@@ -27,8 +27,25 @@ PbftHarness& Deployment::pbft() {
   return *pbft_;
 }
 
+void Deployment::Start() {
+  if (fleet_ != nullptr) {
+    fleet_->Start();
+  }
+  engine().Start();
+}
+
 MetricsReport Deployment::Metrics() {
   MetricsReport m = engine().Metrics();
+  if (queue_ != nullptr) {
+    FillQueueReport(*queue_, m.workload);
+  }
+  if (fleet_ != nullptr) {
+    fleet_->FillReport(m.workload);
+    if (pbft_ != nullptr) {
+      // End-to-end client latency — the metric the paper's PBFT figures plot.
+      m.mean_latency_ms = m.workload.latency_mean_ms;
+    }
+  }
   m.event_core = sim_->event_core_stats();
   m.wire_messages = net_->stats().messages_sent;
   m.wire_bytes = net_->stats().bytes_sent;
@@ -231,11 +248,11 @@ Deployment::Builder& Deployment::Builder::WithTxnWorkload(
 }
 
 std::unique_ptr<Deployment> Deployment::Builder::Build() {
-  return BuildInternal(nullptr);
+  return BuildInternal(nullptr, 0);
 }
 
 std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
-    Simulator* external) {
+    Simulator* external, uint32_t owner_clients) {
   auto d = std::unique_ptr<Deployment>(new Deployment());
   const bool standalone = external == nullptr;
   if (standalone) {
@@ -261,19 +278,24 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
   d->f_ = f_.value_or((d->n_ - 1) / 3);
   d->cities_.assign(cities_.begin(), cities_.begin() + d->n_);
 
-  // Latency model. Deployments that serve clients (any WithWorkload, and
-  // the PBFT family's default one-client-per-replica fleet) extend it with
-  // the client locations — colocated with replica cities round-robin — so
-  // client <-> replica deliveries resolve for ids n .. n + clients - 1.
-  size_t client_count = 0;
-  if (workload_.has_value()) {
-    if (workload_->spawn_fleet) {
-      client_count = workload_->clients != 0 ? workload_->clients : d->n_;
-    }
-    client_count += workload_->extra_client_slots;
+  // Client traffic, resolved once. A given fleet seed folds the deployment
+  // seed in, so sweeps that only vary WithSeed draw independent arrival
+  // processes per point; the PBFT default keeps PbftOptions' seed as is.
+  std::optional<WorkloadOptions> workload = workload_;
+  if (workload.has_value()) {
+    workload->seed = workload->seed * 0x9e3779b97f4a7c15ULL ^ seed;
   } else if (!IsTreeProtocol(protocol_)) {
-    client_count = d->n_;
+    workload = PbftDefaultWorkload(d->n_, seed_.value_or(pbft_opts_.seed));
   }
+  if (workload.has_value() && workload->clients == 0) {
+    workload->clients = d->n_;
+  }
+
+  // Latency model, extended with the client locations (colocated with
+  // replica cities round-robin) for ids n .. n + clients - 1: the fleet's,
+  // or a shard's owner's coordinators and clients.
+  const size_t client_count =
+      standalone && workload.has_value() ? workload->clients : owner_clients;
   std::vector<City> model_cities =
       client_count > 0 ? WithColocatedClients(d->cities_, client_count)
                        : d->cities_;
@@ -315,16 +337,10 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
                                      std::move(flat), u);
   }
 
-  // The deployment seed folds into the fleet seed so sweeps that only vary
-  // WithSeed draw independent arrival processes per point.
-  std::optional<WorkloadOptions> workload = workload_;
-  if (workload.has_value()) {
-    workload->seed = workload->seed * 0x9e3779b97f4a7c15ULL ^ seed;
-  }
   if (statemachine_.has_value()) {
     // Execution needs operations to execute: the client fleet generates the
     // KV mix and cross-checks committed results against its model oracle.
-    OL_CHECK_MSG(workload.has_value(),
+    OL_CHECK_MSG(workload_.has_value(),
                  "WithStateMachine requires WithWorkload");
     workload->kv.enabled = true;
     d->rsm_group_ = std::make_unique<RsmGroup>(d->sim_, d->net_.get(),
@@ -336,7 +352,6 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
     TreeRsmOptions topts = tree_opts_;
     topts.n = d->n_;
     topts.f = d->f_;
-    topts.workload = workload;
     d->tree_ = std::make_unique<TreeRsm>(d->sim_, d->net_.get(),
                                          d->keys_.get(), &d->matrix_, topts);
 
@@ -391,20 +406,24 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
     if (seed_.has_value()) {
       popts.seed = *seed_;  // unset: PbftOptions keeps its own default
     }
-    if (workload.has_value()) {
-      popts.workload = workload;
-    }
     d->pbft_ = std::make_unique<PbftHarness>(d->sim_, d->net_.get(),
                                              d->keys_.get(), popts);
   }
 
+  if (workload.has_value()) {
+    d->queue_ = std::make_unique<RequestQueue>(workload->batch);
+    d->engine().BindRequestQueue(d->queue_.get());
+    if (standalone) {
+      Deployment* dp = d.get();
+      d->fleet_ = std::make_unique<ClientFleet>(
+          d->sim_, d->net_.get(), d->n_, d->engine().RepliesNeeded(),
+          std::move(*workload), [dp] { return dp->engine().Leader(); });
+    }
+  }
+
   if (d->rsm_group_ != nullptr) {
     Deployment* dp = d.get();
-    if (d->tree_ != nullptr) {
-      d->tree_->BindStateMachine(d->rsm_group_.get());
-    } else {
-      d->pbft_->BindStateMachine(d->rsm_group_.get());
-    }
+    d->engine().BindStateMachine(d->rsm_group_.get());
     d->rsm_group_->SetOnRecovered([dp](ReplicaId id, SimTime at) {
       if (dp->tree_ != nullptr) {
         dp->tree_->OnReplicaRecovered(id);
@@ -428,10 +447,8 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
       }
     }
     d->gauges_->Add("queue_depth", [dp] {
-      const RequestQueue* q = dp->tree_ != nullptr
-                                  ? dp->tree_->request_queue()
-                                  : dp->pbft_->request_queue();
-      return q != nullptr ? static_cast<double>(q->depth()) : 0.0;
+      return dp->queue_ != nullptr ? static_cast<double>(dp->queue_->depth())
+                                   : 0.0;
     });
     if (standalone) {
       d->gauges_->Add("pending_events", [dp] {

@@ -93,6 +93,10 @@ class Deployment {
   // The replicated-state-machine layer (WithStateMachine); nullptr when the
   // deployment only counts messages.
   const RsmGroup* state_machines() const { return rsm_group_.get(); }
+  // The client fleet: WithWorkload's, or the PBFT family's default one;
+  // nullptr for a self-driven tree deployment and for a shard, whose clients
+  // belong to the sharded owner.
+  const ClientFleet* fleet() const { return fleet_.get(); }
 
   // Runs after a crashed replica recovers to the live frontier, in addition
   // to the engine's own rebinding. The shard layer hooks its transaction
@@ -107,12 +111,15 @@ class Deployment {
   void ScheduleCrash(ReplicaId id, SimTime crash_at, SimTime recover_at);
 
   // --- lifecycle -------------------------------------------------------------
-  void Start() { engine().Start(); }
+  // Starts the fleet, then the engine, so the clients' first sends precede
+  // everything the engine schedules at start.
+  void Start();
   void RunFor(SimTime d) { sim().RunFor(d); }
   void RunUntil(SimTime t) { sim().RunUntil(t); }
-  // The engine's protocol and client metrics plus the substrate fields the
-  // deployment owns: the simulator's event-core counters, the network's wire
-  // and crypto accounting, and the state-machine report. log_head_hex comes
+  // The engine's protocol metrics plus the fields the deployment owns: the
+  // workload report (and, for the PBFT family, the clients' mean latency),
+  // the simulator's event-core counters, the network's wire and crypto
+  // accounting, and the state-machine report. log_head_hex comes
   // from the deployment's measurement bus when the engine doesn't own one
   // (tree protocols under WithOptiLogReconfig commit through the deployment
   // log), and the gauge time-series are folded in when WithGaugeSampling ran.
@@ -161,8 +168,14 @@ class Deployment {
   AnnealingParams search_params_;
   SimTime search_window_ = 0;
 
+  // The engine holds a raw pointer to the queue (BindRequestQueue).
+  std::unique_ptr<RequestQueue> queue_;
+
   std::unique_ptr<TreeRsm> tree_;
   std::unique_ptr<PbftHarness> pbft_;
+
+  // Routes new requests to engine().Leader().
+  std::unique_ptr<ClientFleet> fleet_;
 
   // Replicated-state-machine layer (WithStateMachine): per-replica KV
   // machines executed at the commit boundary, checkpoints, and
@@ -234,11 +247,11 @@ class Deployment::Builder {
   Builder& WithPbftOptions(PbftOptions opts);
 
   // Client traffic (src/workload/): a ClientFleet drives the engine instead
-  // of self-driven proposals (tree family) or the default per-replica closed
-  // loop (PBFT family). Clients are colocated with replica cities
-  // round-robin and the latency model is extended to cover them; zero
-  // `clients` resolves to one per replica at Build, and the engine sets the
-  // reply quorum (1 for the tree root, f + 1 for PBFT).
+  // of self-driven proposals (tree family) or PbftDefaultWorkload (PBFT
+  // family). Clients are colocated with replica cities round-robin and the
+  // latency model is extended to cover them; zero `clients` resolves to one
+  // per replica at Build, the deployment seed folds into the fleet seed, and
+  // the engine sets the reply quorum (RepliesNeeded).
   // Like every builder knob this is a value — Clone() copies it, so sweeps
   // can stamp out per-point workloads from one base recipe.
   Builder& WithWorkload(WorkloadOptions opts);
@@ -313,10 +326,13 @@ class Deployment::Builder {
 
   // Build() with the group's simulator swapped for `external` (the sharded
   // deployment's shared one); nullptr = a standalone deployment with its
-  // own. Only a standalone deployment configures its simulator and samples
-  // the simulator-wide gauges (pending events, pool hit rate); a shard
-  // leaves both to the sharded owner.
-  std::unique_ptr<Deployment> BuildInternal(Simulator* external);
+  // own. Only a standalone deployment configures its simulator, spawns a
+  // client fleet and samples the simulator-wide gauges (pending events, pool
+  // hit rate); a shard leaves all three to the sharded owner and extends its
+  // latency model by `owner_clients` slots for the owner's coordinators and
+  // clients instead.
+  std::unique_ptr<Deployment> BuildInternal(Simulator* external,
+                                            uint32_t owner_clients);
 
   std::optional<uint32_t> n_;
   std::optional<uint32_t> f_;

@@ -69,13 +69,4 @@ size_t SuspicionGraph::Degree(ReplicaId v) const {
   return d;
 }
 
-std::vector<ReplicaId> SuspicionGraph::TouchedVertices() const {
-  std::set<ReplicaId> seen;
-  for (const EdgeKey& e : edges_) {
-    seen.insert(e.a);
-    seen.insert(e.b);
-  }
-  return std::vector<ReplicaId>(seen.begin(), seen.end());
-}
-
 }  // namespace optilog

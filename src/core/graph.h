@@ -52,9 +52,6 @@ class SuspicionGraph {
   std::vector<ReplicaId> Neighbors(ReplicaId v) const;
   size_t Degree(ReplicaId v) const;
 
-  // Vertices incident to at least one edge.
-  std::vector<ReplicaId> TouchedVertices() const;
-
  private:
   std::set<EdgeKey> edges_;
   std::vector<EdgeKey> ordered_;  // insertion order; lazily compacted

@@ -10,9 +10,6 @@ SuspicionMonitor::SuspicionMonitor(uint32_t n, uint32_t f,
                                    const MisbehaviorMonitor* misbehavior,
                                    SuspicionMonitorOptions opts)
     : n_(n), f_(f), misbehavior_(misbehavior), opts_(opts) {
-  if (opts_.reciprocation_window == 0) {
-    opts_.reciprocation_window = f_ + 1;
-  }
   if (opts_.min_candidates == 0) {
     opts_.min_candidates = n_ - f_;
   }
@@ -95,9 +92,10 @@ void SuspicionMonitor::AddTwoWay(ReplicaId a, ReplicaId b, uint64_t current_view
     return;
   }
   // Every new suspicion is provisionally two-way; if the suspect never
-  // reciprocates within the window it is reclassified as crashed.
-  pending_.push_back(PendingEdge{EdgeKey::Make(a, b), b,
-                                 current_view + opts_.reciprocation_window});
+  // reciprocates within f + 1 views (the paper's f + 1 leader changes) it is
+  // reclassified as crashed.
+  pending_.push_back(
+      PendingEdge{EdgeKey::Make(a, b), b, current_view + f_ + 1});
 }
 
 void SuspicionMonitor::DeclareCrashed(ReplicaId id) {

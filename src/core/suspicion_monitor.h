@@ -38,9 +38,6 @@ enum class CandidatePolicy {
 
 struct SuspicionMonitorOptions {
   CandidatePolicy policy = CandidatePolicy::kMaxIndependentSet;
-  // Views a one-way suspicion may stay unreciprocated before the suspect is
-  // declared crashed; the paper uses f + 1 leader changes.
-  uint32_t reciprocation_window = 0;  // 0 -> derive f + 1
   // Stability window w: with no new suspicions for this many views, old
   // suspicions are dropped one per view (pre-GST noise decay).
   uint32_t stability_window = 16;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/util/check.h"
+#include "src/workload/workload.h"
 
 namespace optilog {
 namespace {
@@ -32,13 +33,20 @@ void TreeReplica::OnMessage(ReplicaId from, const MessagePtr& msg, SimTime at) {
       HandleAggregate(from, static_cast<const AggregateMsg&>(*msg));
       break;
     case kMsgClientRequest:
-      harness_->OnClientRequest(id_, msg);
+      // A self-driven run has no client path.
+      if (harness_->queue_ != nullptr &&
+          AdmitRequest(*harness_->net_, *harness_->queue_, id_,
+                       harness_->tree_.root(), msg)) {
+        harness_->PumpWorkload(false);
+      }
       break;
     case kMsgStateFetch:
     case kMsgStateChunk:
     case kMsgLogSuffixFetch:
     case kMsgLogSuffixChunk:
-      harness_->OnStateTransfer(id_, from, msg, at);
+      if (harness_->group_ != nullptr) {
+        harness_->group_->OnStateMessage(id_, from, msg, at);
+      }
       break;
     default:
       break;
@@ -130,8 +138,11 @@ void TreeReplica::HandleVote(ReplicaId from, const VoteMsg& msg) {
     harness_->OnRootVotes(msg.view, msg.block, {from});
     return;
   }
+  // Only this replica's children vote into its aggregate, and only for the
+  // block it is aggregating.
   auto it = aggregating_.find(msg.view);
-  if (it == aggregating_.end()) {
+  if (it == aggregating_.end() || tree.ParentOf(from) != id_ ||
+      msg.block != it->second.block) {
     return;
   }
   it->second.votes.Insert(from);
@@ -227,19 +238,6 @@ TreeRsm::TreeRsm(Simulator* sim, Network* net, const KeyStore* keys,
     replicas_.push_back(std::make_unique<TreeReplica>(id, this));
     net_->Register(id, replicas_.back().get());
   }
-  if (opts_.workload.has_value()) {
-    WorkloadOptions w = *opts_.workload;
-    if (w.clients == 0) {
-      w.clients = opts_.n;
-    }
-    queue_ = std::make_unique<RequestQueue>(w.batch);
-    if (w.spawn_fleet) {
-      // One reply: the root's commit-stamped one.
-      fleet_ = std::make_unique<ClientFleet>(sim_, net_, opts_.n,
-                                             /*reply_quorum=*/1, std::move(w),
-                                             [this] { return tree_.root(); });
-    }
-  }
 }
 
 void TreeRsm::SetTopology(const TreeTopology& tree) {
@@ -291,49 +289,16 @@ MetricsReport TreeRsm::Metrics() const {
   report.throughput_per_sec = throughput_.per_second();
   report.reconfig_times = reconfig_times_;
   report.suspicion_times = suspicion_times_;
-  if (fleet_ != nullptr) {
-    fleet_->FillReport(report.workload);
-  }
-  if (queue_ != nullptr) {
-    report.workload.enabled = true;
-    FillQueueReport(*queue_, report.workload);
-  }
   return report;
 }
 
 void TreeRsm::Start() {
   started_ = true;
   if (queue_ != nullptr) {
-    if (fleet_ != nullptr) {
-      fleet_->Start();
-    }
-    return;  // workload mode: rounds start when requests arrive
+    return;  // rounds start when requests arrive
   }
   for (uint32_t i = 0; i < opts_.pipeline_depth; ++i) {
     StartRound();
-  }
-}
-
-void TreeRsm::OnClientRequest(ReplicaId receiver, const MessagePtr& msg) {
-  if (queue_ == nullptr) {
-    return;  // self-driven run: no client path
-  }
-  const auto& req = static_cast<const ClientRequestMsg&>(*msg);
-  if (receiver != tree_.root()) {
-    // Not the proposer: forward the same immutable message to the root
-    // (stale client knowledge after a reconfiguration, or a retry probing
-    // another replica).
-    net_->Send(receiver, tree_.root(), msg);
-    return;
-  }
-  if (queue_->Push(RequestRef{req.client, req.request_id, req.sent_at, req.op,
-                              req.shard},
-                   sim_->now()) == RequestQueue::Admit::kAccepted) {
-    if (TraceRecorder* tr = sim_->trace()) {
-      tr->EmitHere(sim_->now(), TraceKind::kQueueAdmit, 0, receiver,
-                   req.request_id, req.client);
-    }
-    PumpWorkload(false);
   }
 }
 
@@ -368,7 +333,7 @@ void TreeRsm::StartRound() {
                                  ? BatchTrigger::kSize
                                  : BatchTrigger::kDeadline);
     if (batch.empty()) {
-      return;  // workload mode never proposes empty blocks
+      return;  // a queue-fed run never proposes empty blocks
     }
   }
   const uint64_t view = next_view_++;
@@ -390,15 +355,7 @@ void TreeRsm::StartRound() {
   round.proposer = tree_.root();
   round.batch = std::move(batch);
   round.votes.Insert(tree_.root());  // the root's own vote is free
-
-  if (TraceRecorder* tr = sim_->trace()) {
-    tr->EmitHere(sim_->now(), TraceKind::kPropose, 0, tree_.root(), view,
-                 round.batch.size());
-    for (const RequestRef& req : round.batch) {
-      tr->EmitHere(sim_->now(), TraceKind::kBatchSeal, 0, tree_.root(),
-                   req.request_id, req.client);
-    }
-  }
+  TraceBatch(*sim_, tree_.root(), view, round.batch);
 
   auto propose = sim_->pool().Make<ProposeMsg>();
   propose->view = view;
@@ -461,29 +418,9 @@ void TreeRsm::CommitRound(uint64_t view) {
     }
     throughput_.RecordCommit(sim_->now(),
                              static_cast<uint32_t>(round.batch.size()));
-    TraceRecorder* const tr = sim_->trace();
     for (size_t i = 0; i < round.batch.size(); ++i) {
-      const RequestRef& req = round.batch[i];
-      if (tr != nullptr) {
-        tr->EmitHere(sim_->now(), TraceKind::kCommit, 0, round.proposer,
-                     req.request_id, req.client);
-      }
-      auto reply = sim_->pool().Make<ClientReplyMsg>();
-      reply->request_id = req.request_id;
-      reply->seq = view;
-      if (i < results.size()) {
-        reply->result = std::move(results[i]);
-      }
-      if (CpuMeter* cpu = net_->cpu()) {
-        // Replies are MAC-authenticated per client (hash-cost, not a full
-        // signature) — the BFT-SMaRt reply model.
-        cpu->ChargeHash(round.proposer, sim_->now(), reply->WireSize());
-      }
-      if (tr != nullptr) {
-        tr->EmitHere(sim_->now(), TraceKind::kReplySent, 0, round.proposer,
-                     req.request_id, req.client);
-      }
-      net_->Send(round.proposer, req.client, std::move(reply));
+      SendReply(*net_, round.proposer, view, round.batch[i],
+                i < results.size() ? std::move(results[i]) : Bytes{});
     }
   } else {
     throughput_.RecordCommit(sim_->now(), opts_.batch_size);
@@ -561,8 +498,8 @@ void TreeRsm::AbandonInFlightRounds() {
   }
 }
 
-// Workload mode: a failed or abandoned round's requests go back to the
-// front of the queue — accepted once, committed at most once, never lost.
+// A failed or abandoned round's requests go back to the front of the queue:
+// accepted once, committed at most once, never lost.
 void TreeRsm::ReturnBatchToQueue(Round& round) {
   if (queue_ == nullptr || round.batch.empty()) {
     return;
@@ -628,13 +565,6 @@ void TreeRsm::PumpWorkload(bool deadline_fired) {
 void TreeRsm::RecordSuspicion(const SuspicionRecord& rec) {
   suspicions_.push_back(rec);
   suspicion_times_.push_back(sim_->now());
-}
-
-void TreeRsm::OnStateTransfer(ReplicaId receiver, ReplicaId from,
-                              const MessagePtr& msg, SimTime at) {
-  if (group_ != nullptr) {
-    group_->OnStateMessage(receiver, from, msg, at);
-  }
 }
 
 void TreeRsm::OnReplicaRecovered(ReplicaId id) {

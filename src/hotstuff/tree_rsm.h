@@ -12,11 +12,17 @@
 // (§6.1.1). A round that misses its timeout fails the configuration; the
 // harness then asks its reconfiguration policy for the next tree.
 //
-// OptiLog integration: replicas carry a suspicion sensor fed with the
-// timeout requirements of Lemma 6; emitted suspicions are delivered to
-// every replica's monitor in commit order via the harness's measurement
-// bus (dissemination through the log is abstracted to one commit boundary,
-// see DESIGN.md).
+// Clients: with a request queue bound, requests reach the root through the
+// shared client edge (src/workload/), the root batches them under the
+// queue's size and deadline triggers and replies to each at its commit;
+// without a queue the harness self-drives full blocks.
+//
+// OptiLog integration: suspicions come from the aggregation rule (an
+// intermediate suspects every child missing from its aggregate, §6.3) and
+// from the root's round timeout. The harness only records them
+// (logged_suspicions); under WithOptiLogReconfig the deployment signs them,
+// commits them through its log to the pipeline's monitors and asks the
+// reconfiguration policy for the next tree (see DESIGN.md).
 #pragma once
 
 #include <deque>
@@ -35,7 +41,7 @@
 #include "src/tree/topology.h"
 #include "src/tree/tree_score.h"
 #include "src/util/dense_set.h"
-#include "src/workload/workload.h"
+#include "src/workload/request_queue.h"
 
 namespace optilog {
 
@@ -51,7 +57,7 @@ enum class VoteVerification { kPerVote, kAggregateQc };
 struct TreeRsmOptions {
   uint32_t n = 0;
   uint32_t f = 0;
-  // Commands per block when the harness self-drives (no workload attached;
+  // Commands per block when the harness self-drives (no request queue bound;
   // models §7.3's fixed client population saturating every block).
   uint32_t batch_size = 1000;
   size_t cmd_bytes = 100;      // proposals "without transaction payload"
@@ -65,10 +71,6 @@ struct TreeRsmOptions {
   // Vote-authentication pricing under a CryptoCostModel; ignored without
   // one. Aggregate certificates are the family's default (Kauri/HotStuff).
   VoteVerification vote_verification = VoteVerification::kAggregateQc;
-  // When set, the harness stops self-driving proposals: a ClientFleet sends
-  // requests to the root, which batches them under the workload's
-  // BatchPolicy (size/deadline triggers) and replies at the commit boundary.
-  std::optional<WorkloadOptions> workload;
 };
 
 class TreeRsm;
@@ -124,14 +126,14 @@ class TreeRsm : public ConsensusEngine, public TimerTarget {
   void SetTopologyOrConfig(const RoleConfig& config) override;
   RoleConfig ActiveConfig() const override { return tree_.ToConfig(); }
   MetricsReport Metrics() const override;
+  ReplicaId Leader() const override { return tree_.root(); }
+  uint32_t RepliesNeeded() const override { return 1; }
+  void BindRequestQueue(RequestQueue* queue) override { queue_ = queue; }
+  void BindStateMachine(RsmGroup* group) override { group_ = group; }
 
   void SetTopology(const TreeTopology& tree);
   void SetReconfigPolicy(ReconfigPolicy policy) { reconfig_ = std::move(policy); }
 
-  // Attaches the deployment's replicated-state-machine layer: every commit
-  // executes its batch on all live replicas, and replies carry the
-  // committed results. Must be set before Start.
-  void BindStateMachine(RsmGroup* group) { group_ = group; }
   // A recovered replica reached the live frontier: drop its exclusion and,
   // if it fell out of the active tree, let the reconfiguration policy
   // re-bind it.
@@ -154,9 +156,6 @@ class TreeRsm : public ConsensusEngine, public TimerTarget {
 
   const ThroughputRecorder& throughput() const { return throughput_; }
   const LatencyRecorder& latency_rec() const { return latency_rec_; }
-  // Present only when options().workload is set.
-  const ClientFleet* fleet() const { return fleet_.get(); }
-  const RequestQueue* request_queue() const { return queue_.get(); }
   uint64_t committed_blocks() const { return committed_blocks_; }
   uint64_t failed_rounds() const { return failed_rounds_; }
   uint64_t reconfigurations() const { return reconfigurations_; }
@@ -191,7 +190,7 @@ class TreeRsm : public ConsensusEngine, public TimerTarget {
     SimTime proposed_at = 0;
     ReplicaId proposer = kNoReplica;  // the root that proposed this view
     DenseIdSet votes;
-    std::vector<RequestRef> batch;  // workload mode: the requests on board
+    std::vector<RequestRef> batch;  // the queue's requests on board
     bool committed = false;
     bool failed = false;
     EventId timeout = kNoEvent;
@@ -200,13 +199,10 @@ class TreeRsm : public ConsensusEngine, public TimerTarget {
   void StartRound();
   void AbandonInFlightRounds();
   void RefillPipeline();
-  // Batcher entry point (workload mode): proposes while the size trigger
+  // Batcher entry point (queue bound): proposes while the size trigger
   // (queue >= max_batch) holds — or once, immediately, when the deadline
   // fired — then (re)arms the deadline timer for the oldest waiting request.
   void PumpWorkload(bool deadline_fired);
-  void OnClientRequest(ReplicaId receiver, const MessagePtr& msg);
-  void OnStateTransfer(ReplicaId receiver, ReplicaId from, const MessagePtr& msg,
-                       SimTime at);
   void ReturnBatchToQueue(Round& round);
   void OnRootVotes(uint64_t view, Digest block, const std::vector<ReplicaId>& voters);
   void CommitRound(uint64_t view);
@@ -230,9 +226,9 @@ class TreeRsm : public ConsensusEngine, public TimerTarget {
   bool paused_ = false;
   bool started_ = false;
 
-  // Workload mode (options().workload): client fleet + leader request queue.
-  std::unique_ptr<RequestQueue> queue_;
-  std::unique_ptr<ClientFleet> fleet_;
+  // The deployment's request queue (BindRequestQueue); nullptr when the
+  // harness self-drives.
+  RequestQueue* queue_ = nullptr;
   // Deployment-owned state-machine layer (BindStateMachine); nullptr for
   // message-counting-only runs.
   RsmGroup* group_ = nullptr;

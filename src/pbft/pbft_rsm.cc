@@ -12,7 +12,11 @@ namespace optilog {
 void PbftReplica::OnMessage(ReplicaId from, const MessagePtr& msg, SimTime at) {
   switch (msg->type()) {
     case kMsgClientRequest:
-      harness_->OnClientRequest(id_, msg);
+      if (AdmitRequest(*harness_->net_, *harness_->queue_, id_,
+                       harness_->config_.leader, msg) &&
+          !harness_->instance_open_) {
+        harness_->ProposeNext(harness_->sim_->now());
+      }
       break;
     case kMsgPrePrepare:
       HandlePrePrepare(from, static_cast<const PrePrepareMsg&>(*msg), at);
@@ -25,7 +29,9 @@ void PbftReplica::OnMessage(ReplicaId from, const MessagePtr& msg, SimTime at) {
     case kMsgStateChunk:
     case kMsgLogSuffixFetch:
     case kMsgLogSuffixChunk:
-      harness_->OnStateTransfer(id_, from, msg, at);
+      if (harness_->group_ != nullptr) {
+        harness_->group_->OnStateMessage(id_, from, msg, at);
+      }
       break;
     default:
       break;
@@ -238,23 +244,7 @@ void PbftReplica::Commit(Instance& inst) {
   // wins), which is the earliest replica to decide. Without a state machine
   // every reply carries an empty result.
   auto reply_to = [this, seq](const RequestRef& req, const Bytes& result) {
-    if (TraceRecorder* tr = harness_->sim_->trace()) {
-      tr->EmitHere(harness_->sim_->now(), TraceKind::kCommit, 0, id_,
-                   req.request_id, req.client);
-    }
-    auto reply = harness_->sim_->pool().Make<ClientReplyMsg>();
-    reply->request_id = req.request_id;
-    reply->seq = seq;
-    reply->result = result;
-    if (CpuMeter* cpu = harness_->net_->cpu()) {
-      // Per-client reply MACs (hash-cost, not full signatures).
-      cpu->ChargeHash(id_, harness_->sim_->now(), reply->WireSize());
-    }
-    if (TraceRecorder* tr = harness_->sim_->trace()) {
-      tr->EmitHere(harness_->sim_->now(), TraceKind::kReplySent, 0, id_,
-                   req.request_id, req.client);
-    }
-    harness_->net_->Send(id_, req.client, std::move(reply));
+    SendReply(*harness_->net_, id_, seq, req, result);
   };
   if (harness_->group_ != nullptr) {
     harness_->group_->CommitAt(id_, seq, inst.leader, inst.batch,
@@ -275,29 +265,21 @@ void PbftReplica::Commit(Instance& inst) {
 
 // --- PbftHarness -----------------------------------------------------------------
 
-namespace {
-
 // Client think time of the default fleet.
 constexpr SimTime kDefaultThinkTime = 50 * kMsec;
 
-// The default client fleet: one closed-loop client per replica, one
-// outstanding request, kDefaultThinkTime between requests, the workload
-// layer's default request size, completion on f + 1 matching replies, and a
-// leader that drains its whole queue into each batch.
-WorkloadOptions DefaultWorkload(const PbftOptions& opts) {
+WorkloadOptions PbftDefaultWorkload(uint32_t n, uint64_t seed) {
   WorkloadOptions w;
-  w.clients = opts.n;
+  w.clients = n;
   w.arrival = ArrivalProcess::kClosedLoop;
   w.outstanding = 1;
   w.think_time = kDefaultThinkTime;
-  w.seed = opts.seed;
+  w.seed = seed;
   w.batch.max_batch = ~0u;
   w.batch.max_delay = 0;
   w.batch.max_queue = ~size_t{0};
   return w;
 }
-
-}  // namespace
 
 PbftHarness::PbftHarness(Simulator* sim, Network* net, const KeyStore* keys,
                          PbftOptions opts)
@@ -334,26 +316,13 @@ PbftHarness::PbftHarness(Simulator* sim, Network* net, const KeyStore* keys,
           });
     }
   }
-  WorkloadOptions w = opts_.workload.value_or(DefaultWorkload(opts_));
-  if (w.clients == 0) {
-    w.clients = opts_.n;
-  }
-  queue_ = std::make_unique<RequestQueue>(w.batch);
-  if (w.spawn_fleet) {
-    fleet_ = std::make_unique<ClientFleet>(sim_, net_, opts_.n, opts_.f + 1,
-                                           std::move(w),
-                                           [this] { return config_.leader; });
-  }
-
   net_->SetProposalClassifier(
       [](const Message& m) { return m.type() == kMsgPrePrepare; });
 }
 
 void PbftHarness::Start() {
+  OL_CHECK(queue_ != nullptr);
   started_ = true;
-  if (fleet_ != nullptr) {
-    fleet_->Start();
-  }
   if (opts_.mode != PbftMode::kPbft) {
     RunProbeRound();
     sim_->ScheduleTimerAt(opts_.optimize_at, this, kTimerAwareOptimize);
@@ -423,43 +392,7 @@ MetricsReport PbftHarness::Metrics() const {
   report.reconfig_times = reconfig_times_;
   report.suspicion_times = suspicion_times_;
   report.log_head_hex = DigestHex(log_.head());
-  if (fleet_ != nullptr) {
-    fleet_->FillReport(report.workload);
-  }
-  report.workload.enabled = true;
-  FillQueueReport(*queue_, report.workload);
-  // End-to-end client latency — the metric the paper's PBFT figures plot.
-  report.mean_latency_ms = report.workload.latency_mean_ms;
   return report;
-}
-
-void PbftHarness::OnStateTransfer(ReplicaId receiver, ReplicaId from,
-                                  const MessagePtr& msg, SimTime at) {
-  if (group_ != nullptr) {
-    group_->OnStateMessage(receiver, from, msg, at);
-  }
-}
-
-void PbftHarness::OnClientRequest(ReplicaId receiver, const MessagePtr& msg) {
-  const auto& req = static_cast<const ClientRequestMsg&>(*msg);
-  if (receiver != config_.leader) {
-    // A retry probing another replica, or a request that raced a
-    // reconfiguration: forward the same immutable message to the leader.
-    net_->Send(receiver, config_.leader, msg);
-    return;
-  }
-  if (queue_->Push(RequestRef{req.client, req.request_id, req.sent_at, req.op,
-                              req.shard},
-                   sim_->now()) != RequestQueue::Admit::kAccepted) {
-    return;
-  }
-  if (TraceRecorder* tr = sim_->trace()) {
-    tr->EmitHere(sim_->now(), TraceKind::kQueueAdmit, 0, receiver,
-                 req.request_id, req.client);
-  }
-  if (!instance_open_) {
-    ProposeNext(sim_->now());
-  }
 }
 
 void PbftHarness::ProposeNext(SimTime now) {
@@ -477,14 +410,7 @@ void PbftHarness::ProposeNext(SimTime now) {
   msg->batch = queue_->PopBatch(
       now, queue_->depth() >= queue_->policy().max_batch ? BatchTrigger::kSize
                                                          : BatchTrigger::kIdle);
-  if (TraceRecorder* tr = sim_->trace()) {
-    tr->EmitHere(now, TraceKind::kPropose, 0, config_.leader, seq,
-                 msg->batch.size());
-    for (const RequestRef& req : msg->batch) {
-      tr->EmitHere(now, TraceKind::kBatchSeal, 0, config_.leader,
-                   req.request_id, req.client);
-    }
-  }
+  TraceBatch(*sim_, config_.leader, seq, msg->batch);
   if (CpuMeter* cpu = net_->cpu()) {
     // Proposing: digest the batch, sign the Pre-Prepare.
     cpu->ChargeHash(config_.leader, now, msg->WireSize());

@@ -11,12 +11,13 @@
 //                when the candidate set excludes the leader, the config
 //                monitor waits for f + 1 search proposals and reconfigures.
 //
-// Clients: the shared workload layer (src/workload/). By default one
-// closed-loop client per replica, colocated in the replica's city (client
-// id = n + replica id), issuing requests to the current leader and stamping
-// end-to-end latency on the f + 1-th reply — the metric Fig. 7 plots over
-// time. PbftOptions::workload swaps in any other fleet (open-loop rates,
-// Poisson arrivals, scripted phases, retries).
+// Clients: the deployment's fleet and request queue, through the shared
+// client edge (src/workload/). Requests reach the leader, which proposes
+// whenever no instance is open; every replica replies at its commit, and a
+// client stamps end-to-end latency on the f + 1-th matching reply — the
+// metric Fig. 7 plots over time. A deployment given no workload runs
+// PbftDefaultWorkload: one closed-loop client per replica, colocated in the
+// replica's city (client id = n + replica id).
 //
 // OptiLog integration: the harness owns a shared Log and one Pipeline
 // instance — the monitor side is deterministic (Table 1), so the per-replica
@@ -55,11 +56,13 @@ struct PbftOptions {
   double delta = 1.2;                  // suspicion timing slack
   SimTime optimize_at = 40 * kSec;     // Aware's scheduled optimization
   uint64_t seed = 7;
-  // Client fleet override. Unset: the default closed loop — one client per
-  // replica, one outstanding request, 50 ms think time, f + 1 replies,
-  // unbounded batches (the BFT-SMaRt drain-the-queue behavior).
-  std::optional<WorkloadOptions> workload;
 };
+
+// The client fleet of a PBFT-family deployment given no workload: `n`
+// closed-loop clients, one outstanding request each, 50 ms think time,
+// seeded with `seed` as given, and a leader that drains its whole queue into
+// each batch (the BFT-SMaRt behavior).
+WorkloadOptions PbftDefaultWorkload(uint32_t n, uint64_t seed);
 
 class PbftHarness;
 
@@ -126,25 +129,23 @@ class PbftHarness : public ConsensusEngine, public TimerTarget {
   void SetTopologyOrConfig(const RoleConfig& config) override;
   RoleConfig ActiveConfig() const override { return config_; }
   MetricsReport Metrics() const override;
+  ReplicaId Leader() const override { return config_.leader; }
+  uint32_t RepliesNeeded() const override { return opts_.f + 1; }
+  // Required: every proposal drains the queue.
+  void BindRequestQueue(RequestQueue* queue) override { queue_ = queue; }
+  // Every replica executes committed instances in sequence order.
+  void BindStateMachine(RsmGroup* group) override { group_ = group; }
 
   // Typed harness timers: the periodic probe round and Aware's scheduled
   // optimization.
   void OnTimer(uint64_t tag, SimTime at) override;
 
-  // Attaches the deployment's replicated-state-machine layer: every replica
-  // executes committed instances in sequence order and replies carry the
-  // committed results. Must be set before Start.
-  void BindStateMachine(RsmGroup* group) { group_ = group; }
-
   const RoleConfig& config() const { return config_; }
   const WeightScheme& scheme() const { return space_.scheme(); }
   const PbftOptions& options() const { return opts_; }
-  const WorkloadClient& client(uint32_t i) const { return fleet_->client(i); }
-  const ClientFleet& fleet() const { return *fleet_; }
   Simulator* sim() { return sim_; }
 
   uint64_t committed_instances() const { return committed_instances_; }
-  const RequestQueue* request_queue() const { return queue_.get(); }
   const std::vector<SimTime>& reconfigure_times() const { return reconfig_times_; }
   const std::vector<SimTime>& suspicion_times() const { return suspicion_times_; }
   const LatencyMatrix& matrix() const { return pipeline_->latency_monitor().matrix(); }
@@ -180,9 +181,6 @@ class PbftHarness : public ConsensusEngine, public TimerTarget {
 
   void ProposeNext(SimTime now);
   void OnCommitAtLeader(uint64_t seq, uint32_t batch_size);
-  void OnClientRequest(ReplicaId receiver, const MessagePtr& msg);
-  void OnStateTransfer(ReplicaId receiver, ReplicaId from, const MessagePtr& msg,
-                       SimTime at);
   void RunProbeRound();
   void RunAwareOptimization();
   // Commit-order measurement bus: sensor emissions are signed, appended to
@@ -215,10 +213,9 @@ class PbftHarness : public ConsensusEngine, public TimerTarget {
   bool timeouts_config_stale_ = true;
   uint64_t timeouts_matrix_version_ = 0;
   uint32_t timeouts_u_ = 0;
-  // The client side and the leader's request queue come from the shared
-  // workload layer; only the propose-on-idle trigger below is PBFT's own.
-  std::unique_ptr<RequestQueue> queue_;
-  std::unique_ptr<ClientFleet> fleet_;
+  // The deployment's request queue (BindRequestQueue); only the
+  // propose-on-idle trigger below is PBFT's own.
+  RequestQueue* queue_ = nullptr;
   // Deployment-owned state-machine layer (BindStateMachine); nullptr for
   // message-counting-only runs.
   RsmGroup* group_ = nullptr;

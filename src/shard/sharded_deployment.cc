@@ -11,21 +11,6 @@ namespace optilog {
 
 ShardedDeployment::~ShardedDeployment() = default;
 
-ReplicaId ShardedDeployment::Route(uint32_t s) {
-  Deployment& d = shard(s);
-  if (IsTreeProtocol(d.protocol())) {
-    return d.tree().topology().root();
-  }
-  return d.pbft().config().leader;
-}
-
-uint32_t ShardedDeployment::RepliesNeeded(uint32_t s) {
-  Deployment& d = shard(s);
-  // Tree protocols reply once from the root at the commit boundary; the
-  // PBFT family needs f + 1 matching replies.
-  return IsTreeProtocol(d.protocol()) ? 1 : d.f() + 1;
-}
-
 void ShardedDeployment::Start() {
   for (auto& d : shards_) {
     d->Start();
@@ -188,9 +173,8 @@ std::unique_ptr<ShardedDeployment> Deployment::Builder::BuildSharded() {
     // The transaction fleet replaces the per-shard client fleets; the shard
     // still needs latency-model slots for the coordinators and clients
     // registered on its network (ids n .. n+shards+clients-1).
-    b.workload_->spawn_fleet = false;
-    b.workload_->extra_client_slots = shards + total_clients;
-    sd->shards_.push_back(b.BuildInternal(&sd->sim_));
+    sd->shards_.push_back(
+        b.BuildInternal(&sd->sim_, shards + total_clients));
   }
   sd->n_ = sd->shards_[0]->n();
   for (auto& d : sd->shards_) {

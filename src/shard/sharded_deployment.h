@@ -51,10 +51,12 @@ class ShardedDeployment {
   TxnFleet* txn_fleet() { return fleet_.get(); }
   ReplicaId coordinator_id(uint32_t s) const { return n_ + s; }
   // Replica currently serving shard `s` (tree root / PBFT leader).
-  ReplicaId Route(uint32_t s);
+  ReplicaId Route(uint32_t s) { return shard(s).engine().Leader(); }
   // The reply quorum of shard `s`'s engine (1 for the tree family, f + 1
   // for PBFT): how many replicas must send the same result (ReplyQuorum).
-  uint32_t RepliesNeeded(uint32_t s);
+  uint32_t RepliesNeeded(uint32_t s) {
+    return shard(s).engine().RepliesNeeded();
+  }
 
   // --- lifecycle -------------------------------------------------------------
   void Start();
@@ -64,7 +66,6 @@ class ShardedDeployment {
   // Aggregate metrics: per-shard sums, element-wise throughput, the shared
   // event core, AND-of-shards digest agreement, and the transaction report.
   MetricsReport Metrics();
-  MetricsReport ShardMetrics(uint32_t s) { return shards_.at(s)->Metrics(); }
 
   // The shared simulator's flight-recorder records in emission (t, id)
   // order; empty without WithTrace / WithGaugeSampling.

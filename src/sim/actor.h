@@ -14,9 +14,6 @@ class Actor : public TimerTarget {
  public:
   ~Actor() override = default;
 
-  // Called once when the simulation starts (after all actors registered).
-  virtual void OnStart() {}
-
   // Delivery of a message sent by `from`. `at` is the delivery time (equal
   // to Simulator::now() during the call).
   virtual void OnMessage(ReplicaId from, const MessagePtr& msg, SimTime at) = 0;

@@ -1,10 +1,12 @@
 // Leader-side request queue with admission control and batch accounting —
 // the piece both protocol harnesses share instead of a hard-coded batch
-// size.
+// size. The deployment owns one per consensus group and binds it into the
+// engine (ConsensusEngine::BindRequestQueue).
 //
-// Requests enter through Push (dropping on overflow, deduplicating retries
-// and forwards per client) and leave in FIFO order through PopBatch, at most
-// `max_batch` at a time. The two batch triggers live in the harnesses —
+// Requests enter through Push, which the leader calls from AdmitRequest
+// (src/workload/workload.h), dropping on overflow and deduplicating retries
+// and forwards per client; they leave in FIFO order through PopBatch, at
+// most `max_batch` at a time. The batch triggers live in the engines —
 // TreeRsm proposes when the queue reaches `max_batch` (size trigger) or when
 // the oldest waiting request has aged `max_delay` (deadline trigger);
 // PbftHarness proposes whenever no instance is open — but the queue is the

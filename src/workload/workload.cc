@@ -151,13 +151,16 @@ void WorkloadClient::StartNewRequest(SimTime now) {
   SendAttempt(id);
 }
 
+// Payload bytes every request carries.
+constexpr size_t kRequestBytes = 64;
+
 void WorkloadClient::SendAttempt(uint64_t request_id) {
   Outstanding& o = outstanding_.at(request_id);
   auto req = fleet_->sim_->pool().Make<ClientRequestMsg>();
   req->client = id_;
   req->request_id = request_id;
   req->sent_at = o.sent_at;
-  req->payload_bytes = fleet_->opts_.request_bytes;
+  req->payload_bytes = kRequestBytes;
   if (fleet_->opts_.kv.enabled) {
     req->op = o.op.Encode();
   }
@@ -303,6 +306,63 @@ void ClientFleet::FillReport(WorkloadReport& report) const {
   report.latency_p50_ms = latency_hist_.PercentileMs(50.0);
   report.latency_p95_ms = latency_hist_.PercentileMs(95.0);
   report.latency_p99_ms = latency_hist_.PercentileMs(99.0);
+}
+
+// --- The leader side of the client edge --------------------------------------
+
+bool AdmitRequest(Network& net, RequestQueue& queue, ReplicaId receiver,
+                  ReplicaId leader, const MessagePtr& msg) {
+  if (receiver != leader) {
+    net.Send(receiver, leader, msg);
+    return false;
+  }
+  const auto& req = static_cast<const ClientRequestMsg&>(*msg);
+  Simulator& sim = *net.sim();
+  if (queue.Push(RequestRef{req.client, req.request_id, req.sent_at, req.op,
+                            req.shard},
+                 sim.now()) != RequestQueue::Admit::kAccepted) {
+    return false;
+  }
+  if (TraceRecorder* tr = sim.trace()) {
+    tr->EmitHere(sim.now(), TraceKind::kQueueAdmit, 0, receiver,
+                 req.request_id, req.client);
+  }
+  return true;
+}
+
+void TraceBatch(Simulator& sim, ReplicaId proposer, uint64_t seq,
+                const std::vector<RequestRef>& batch) {
+  TraceRecorder* tr = sim.trace();
+  if (tr == nullptr) {
+    return;
+  }
+  tr->EmitHere(sim.now(), TraceKind::kPropose, 0, proposer, seq, batch.size());
+  for (const RequestRef& req : batch) {
+    tr->EmitHere(sim.now(), TraceKind::kBatchSeal, 0, proposer,
+                 req.request_id, req.client);
+  }
+}
+
+void SendReply(Network& net, ReplicaId replica, uint64_t seq,
+               const RequestRef& req, Bytes result) {
+  Simulator& sim = *net.sim();
+  TraceRecorder* tr = sim.trace();
+  if (tr != nullptr) {
+    tr->EmitHere(sim.now(), TraceKind::kCommit, 0, replica, req.request_id,
+                 req.client);
+  }
+  auto reply = sim.pool().Make<ClientReplyMsg>();
+  reply->request_id = req.request_id;
+  reply->seq = seq;
+  reply->result = std::move(result);
+  if (CpuMeter* cpu = net.cpu()) {
+    cpu->ChargeHash(replica, sim.now(), reply->WireSize());
+  }
+  if (tr != nullptr) {
+    tr->EmitHere(sim.now(), TraceKind::kReplySent, 0, replica, req.request_id,
+                 req.client);
+  }
+  net.Send(replica, req.client, std::move(reply));
 }
 
 }  // namespace optilog

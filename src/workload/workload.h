@@ -79,19 +79,11 @@ struct WorkloadOptions {
   // Open loop (per client, at phase scale 1):
   double rate_per_client = 100.0;  // requests per second
   std::vector<WorkloadPhase> phases;
-  size_t request_bytes = 64;
   SimTime retry_timeout = 0;    // 0 = never re-send
   bool record_samples = true;   // keep the per-client (at, latency) series
   uint64_t seed = 1;
   BatchPolicy batch;  // leader-side batching (see request_queue.h)
   KvWorkloadOptions kv;  // real KV operations + oracle (WithStateMachine)
-  // Sharded deployments drive every group from one transaction fleet
-  // (src/shard/) instead of a per-group ClientFleet: the harness still owns
-  // its RequestQueue (batching, dedup) but spawns no clients of its own.
-  bool spawn_fleet = true;
-  // Extra client slots appended to the latency model beyond the fleet's own
-  // (coordinators and transaction clients registered by ShardedDeployment).
-  uint32_t extra_client_slots = 0;
 };
 
 struct ClientSample {
@@ -167,7 +159,7 @@ class ClientFleet {
   const WorkloadOptions& options() const { return opts_; }
 
   // Client-side half of the report (sent/completed/retried/abandoned plus
-  // the latency percentiles); the harness adds its RequestQueue's half.
+  // the latency percentiles); FillQueueReport adds the RequestQueue's half.
   void FillReport(WorkloadReport& report) const;
 
   uint64_t completed() const { return completed_; }
@@ -201,6 +193,7 @@ class ClientFleet {
 // Folds a leader-side queue's accounting into the report next to the
 // fleet's client-side half.
 inline void FillQueueReport(const RequestQueue& queue, WorkloadReport& report) {
+  report.enabled = true;
   report.requests_accepted = queue.accepted();
   report.requests_dropped = queue.dropped();
   report.requests_deduped = queue.duplicates();
@@ -209,5 +202,28 @@ inline void FillQueueReport(const RequestQueue& queue, WorkloadReport& report) {
   report.batches_deadline_triggered = queue.batches_deadline_triggered();
   report.batches_idle_triggered = queue.batches_idle_triggered();
 }
+
+// --- The leader side of the client edge --------------------------------------
+// Both engine families admit, trace and reply through these three functions;
+// an engine keeps only the decision of when to propose.
+
+// A client request delivered to `receiver`. A replica other than `leader`
+// forwards the same immutable message to it (a client that has not seen a
+// reconfiguration, or a retry probing another replica). The leader pushes it
+// into `queue` and emits kQueueAdmit when the queue accepts it. Returns true
+// exactly then: the engine's cue to consider proposing.
+bool AdmitRequest(Network& net, RequestQueue& queue, ReplicaId receiver,
+                  ReplicaId leader, const MessagePtr& msg);
+
+// The trace records of a proposal: kPropose for (`proposer`, `seq`, batch
+// size), then one kBatchSeal per request on board.
+void TraceBatch(Simulator& sim, ReplicaId proposer, uint64_t seq,
+                const std::vector<RequestRef>& batch);
+
+// `replica`'s reply to `req`, committed at `seq` with `result`: emits
+// kCommit, charges the reply's MAC hash (per-client MACs rather than
+// signatures, the BFT-SMaRt reply model), emits kReplySent and sends.
+void SendReply(Network& net, ReplicaId replica, uint64_t seq,
+               const RequestRef& req, Bytes result);
 
 }  // namespace optilog

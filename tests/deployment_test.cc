@@ -198,7 +198,8 @@ TEST(DeploymentBuilder, OptiAwareMatchesHandWiredCounts) {
   opts.delta = 1.5;
   opts.optimize_at = 5 * kSec;
 
-  // Hand-wired: replicas and clients colocated (doubled city list).
+  // Hand-wired: replicas and clients colocated (doubled city list), and the
+  // default fleet routing to the engine's leader through its request queue.
   uint64_t wired_instances = 0, wired_suspicions = 0, wired_reconfigs = 0;
   Digest wired_head{};
   {
@@ -211,11 +212,17 @@ TEST(DeploymentBuilder, OptiAwareMatchesHandWiredCounts) {
     Network net(&sim, &latency, &faults);
     KeyStore keys(21, 1);
     PbftHarness harness(&sim, &net, &keys, opts);
+    const WorkloadOptions w = PbftDefaultWorkload(21, opts.seed);
+    RequestQueue queue(w.batch);
+    harness.BindRequestQueue(&queue);
+    ClientFleet fleet(&sim, &net, 21, harness.RepliesNeeded(), w,
+                      [&] { return harness.Leader(); });
     sim.ScheduleAt(15 * kSec, [&] {
       auto& f = faults.Mutable(harness.config().leader);
       f.proposal_delay = 600 * kMsec;
       f.fast_probes = true;
     });
+    fleet.Start();
     harness.Start();
     sim.RunUntil(run_time);
     wired_instances = harness.committed_instances();

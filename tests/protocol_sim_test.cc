@@ -180,6 +180,15 @@ TEST(TreeRsmSim, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(lat[0], lat[1]);
 }
 
+// View `view`'s block digest, as the root computes it.
+Digest BlockOf(uint64_t view) {
+  Bytes seed;
+  ByteWriter w(&seed);
+  w.U64(view);
+  w.Str("block");
+  return Sha256::Hash(seed);
+}
+
 // An aggregate's voter ids come off the wire. n = 4 HotStuff star with two
 // leaves crashed: the root's own vote and the live leaf's make 2, short of
 // the threshold of 3. An aggregate from the live leaf naming only ids
@@ -197,19 +206,101 @@ TEST(TreeRsmSim, RootCountsOnlyVotersInTheGroup) {
   ASSERT_EQ(d->tree().CommitThreshold(), 3u);
   d->Start();
 
-  // View 0's block digest, as the root computes it.
-  Bytes seed;
-  ByteWriter w(&seed);
-  w.U64(0);
-  w.Str("block");
   auto agg = MakeMessage<AggregateMsg>();
   agg->view = 0;
-  agg->block = Sha256::Hash(seed);
+  agg->block = BlockOf(0);
   agg->voters = {4, 5, 6, ReplicaId{1} << 20};
   // It lands inside view 0's round timeout, which has 200 ms of slack.
   d->net().Send(leaves[0], star.root(), std::move(agg));
   d->RunFor(150 * kMsec);
   EXPECT_EQ(d->tree().committed_blocks(), 0u);
+}
+
+// Stands in for the root: keeps what every aggregate sent to it carried.
+class AggregateSink : public Actor {
+ public:
+  struct Received {
+    ReplicaId from = kNoReplica;
+    uint64_t view = 0;
+    Digest block{};
+    std::vector<ReplicaId> voters;
+    std::vector<ReplicaId> suspected;
+  };
+
+  void OnMessage(ReplicaId from, const MessagePtr& msg, SimTime at) override {
+    (void)at;
+    if (msg->type() != kMsgAggregate) {
+      return;
+    }
+    const auto& agg = static_cast<const AggregateMsg&>(*msg);
+    Received r{from, agg.view, agg.block, agg.voters, {}};
+    for (const SuspicionRecord& rec : agg.missing) {
+      r.suspected.push_back(rec.suspect);
+    }
+    received.push_back(std::move(r));
+  }
+
+  std::vector<Received> received;
+};
+
+// An intermediate counts a vote only from its own child and only for the
+// block it aggregates. Kauri over seven European replicas: root 0,
+// intermediates 1 and 2 with two leaves each.
+TEST(TreeRsmSim, IntermediateCountsOnlyItsChildrensVotesForItsBlock) {
+  AggregateSink root;
+  auto d = Deployment::Builder()
+               .WithGeo(Europe21())
+               .WithReplicas(7, 2)
+               .WithProtocol(Protocol::kKauri)
+               .WithTopology(TreeTopology::Build({0, 1, 2}, {3, 4, 5, 6}))
+               .Build();
+  const TreeTopology& tree = d->tree().topology();
+  const ReplicaId inter = tree.intermediates()[0];
+  const std::vector<ReplicaId> children = tree.ChildrenOf(inter);
+  ASSERT_EQ(children.size(), 2u);
+  const ReplicaId outsider = tree.ChildrenOf(tree.intermediates()[1])[0];
+  d->faults().Mutable(children[0]).crash_at = 0;
+  d->net().Register(tree.root(), &root);
+  d->Start();  // self-driven: the root proposes view 0
+  while (d->tree().PendingAggregations(inter) == 0) {
+    ASSERT_TRUE(d->sim().Step());
+  }
+
+  // The intermediate now aggregates view 0 and has forwarded the proposal.
+  // Its live child votes for another block and crashes before the proposal
+  // reaches it; a leaf of the other intermediate votes for view 0's block.
+  const SimTime at = d->sim().now();
+  auto other_block = MakeMessage<VoteMsg>();
+  other_block->view = 0;
+  other_block->block = BlockOf(1);
+  d->net().Send(children[1], inter, std::move(other_block));
+  d->faults().Mutable(children[1]).crash_at = at + 1;
+  auto non_child = MakeMessage<VoteMsg>();
+  non_child->view = 0;
+  non_child->block = BlockOf(0);
+  d->net().Send(outsider, inter, std::move(non_child));
+
+  // Both land inside the aggregation window (its slack alone is 50 ms);
+  // counted with the intermediate's own vote they would make the three
+  // votes that send the aggregate early.
+  ASSERT_LT(d->net().latency()->OneWay(children[1], inter), 40 * kMsec);
+  ASSERT_LT(d->net().latency()->OneWay(outsider, inter), 40 * kMsec);
+  d->RunUntil(at + 40 * kMsec);
+  EXPECT_EQ(d->tree().PendingAggregations(inter), 1u);
+
+  d->RunUntil(at + 1 * kSec);
+  const AggregateSink::Received* aggregate = nullptr;
+  for (const AggregateSink::Received& r : root.received) {
+    if (r.view == 0) {
+      EXPECT_EQ(r.block, BlockOf(0));
+      if (r.from == inter) {
+        aggregate = &r;
+      }
+    }
+  }
+  ASSERT_NE(aggregate, nullptr);
+  EXPECT_EQ(aggregate->voters, std::vector<ReplicaId>{inter});
+  EXPECT_EQ(aggregate->suspected, children);
 }
 
 // --- PBFT family (Fig. 7 machinery) ------------------------------------------
@@ -233,7 +324,7 @@ TEST(PbftSim, CommitsAndServesClients) {
   d->Start();
   d->RunUntil(10 * kSec);
   EXPECT_GT(d->pbft().committed_instances(), 20u);
-  const auto& samples = d->pbft().client(0).samples();
+  const auto& samples = d->fleet()->client(0).samples();
   ASSERT_GT(samples.size(), 10u);
   for (const ClientSample& s : samples) {
     EXPECT_GT(s.latency_ms, 1.0);
@@ -245,7 +336,7 @@ TEST(PbftSim, AwareOptimizationReducesLatency) {
   auto d = PbftDeployment(Protocol::kAware, BaseOptions());
   d->Start();
   d->RunUntil(30 * kSec);
-  const auto& samples = d->pbft().client(0).samples();
+  const auto& samples = d->fleet()->client(0).samples();
   ASSERT_FALSE(d->pbft().reconfigure_times().empty());
   const SimTime opt_at = d->pbft().reconfigure_times().front();
   RunningStat before, after;
@@ -286,7 +377,7 @@ TEST(PbftSim, DelayAttackDetectedOnlyByOptiAware) {
           << "OptiAware must reassign the leader role";
       EXPECT_FALSE(d->pbft().suspicion_times().empty());
       // Latency recovered: recent samples far below the attack latency.
-      const auto& samples = d->pbft().client(0).samples();
+      const auto& samples = d->fleet()->client(0).samples();
       ASSERT_GT(samples.size(), 10u);
       double tail = 0;
       int count = 0;
@@ -300,7 +391,7 @@ TEST(PbftSim, DelayAttackDetectedOnlyByOptiAware) {
       // and the system stays degraded.
       EXPECT_EQ(d->pbft().config().leader, attacker);
       EXPECT_TRUE(d->pbft().suspicion_times().empty());
-      const auto& samples = d->pbft().client(0).samples();
+      const auto& samples = d->fleet()->client(0).samples();
       ASSERT_GT(samples.size(), 10u);
       EXPECT_GT(samples.back().latency_ms, 400.0);
     }
@@ -321,17 +412,14 @@ TEST(PbftSim, NoFalseSuspicionsWithoutAttack) {
 
 // --- PBFT instance window and per-digest vote tallies -------------------------
 
-// A PBFT group (n = 4, f = 1, quorum 3, replica 0 leads) with no clients:
-// only the messages a test injects through Deployment::net() move it.
+// A PBFT group (n = 4, f = 1, quorum 3, replica 0 leads) whose fleet never
+// starts: only the messages a test injects through Deployment::net() move it.
 std::unique_ptr<Deployment> QuietPbft() {
-  WorkloadOptions w;
-  w.spawn_fleet = false;
   auto d = Deployment::Builder()
                .WithReplicas(4, 1)
                .WithProtocol(Protocol::kPbft)
-               .WithWorkload(w)
                .Build();
-  d->Start();
+  d->engine().Start();
   return d;
 }
 

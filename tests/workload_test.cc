@@ -1,7 +1,8 @@
 // The workload layer (src/workload/): leader-side request queue admission,
 // open/closed-loop client fleets on the typed event lanes, adaptive
-// batching in TreeRsm, re-routing after a target-replica crash, and the
-// thread-count determinism of workload-driven sweeps.
+// batching in TreeRsm, re-routing after a target-replica crash, the client
+// edge both engine families share, and the thread-count determinism of
+// workload-driven sweeps.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -9,6 +10,7 @@
 
 #include "src/api/deployment.h"
 #include "src/runner/runner.h"
+#include "src/shard/sharded_deployment.h"
 #include "src/workload/request_queue.h"
 
 namespace optilog {
@@ -328,7 +330,7 @@ TEST(WorkloadTree, CrashedTargetReplicaReroutesWithoutDoubleCounting) {
   // Service resumed on the new root: completions recorded after recovery.
   uint64_t completed_after_crash = 0;
   for (uint32_t c = 0; c < w.clients; ++c) {
-    for (const ClientSample& s : d->tree().fleet()->client(c).samples()) {
+    for (const ClientSample& s : d->fleet()->client(c).samples()) {
       if (s.at > 15 * kSec) {
         ++completed_after_crash;
       }
@@ -399,7 +401,7 @@ TEST(WorkloadPbft, CustomFleetOverridesLegacyClosedLoop) {
   d->Start();
   d->RunUntil(10 * kSec);
   const MetricsReport m = d->Metrics();
-  EXPECT_EQ(d->pbft().fleet().size(), 6u);
+  EXPECT_EQ(d->fleet()->size(), 6u);
   // ~6 clients x 10 req/s x 10 s, minus the tail in flight.
   EXPECT_GT(m.workload.requests_sent, 500u);
   EXPECT_GT(m.workload.requests_completed, 450u);
@@ -426,8 +428,8 @@ TEST(WorkloadPbft, RequestCompletesOnFPlusOneMatchingResultsFromDistinctReplicas
   d->Start();
   SimTime now = 1 * kSec;
   d->RunUntil(now);
-  const ReplicaId client = d->pbft().fleet().client(0).id();
-  ASSERT_EQ(d->pbft().fleet().completed(), 0u);
+  const ReplicaId client = d->fleet()->client(0).id();
+  ASSERT_EQ(d->fleet()->completed(), 0u);
 
   // Replica `from` replies to request 0 with `result`; returns the fleet's
   // completions once the reply has landed.
@@ -438,7 +440,7 @@ TEST(WorkloadPbft, RequestCompletesOnFPlusOneMatchingResultsFromDistinctReplicas
     d->net().Send(from, client, std::move(msg));
     now += 1 * kSec;
     d->RunUntil(now);
-    return d->pbft().fleet().completed();
+    return d->fleet()->completed();
   };
   const Bytes a{1, 2, 3};
   const Bytes b{1, 2, 4};
@@ -448,6 +450,86 @@ TEST(WorkloadPbft, RequestCompletesOnFPlusOneMatchingResultsFromDistinctReplicas
   EXPECT_EQ(reply(3, a), 1u);  // a third replica that matches the first
   EXPECT_EQ(reply(2, a), 1u);  // completed exactly once
 }
+
+// --- The client edge, per family ----------------------------------------------
+
+class ClientEdge : public ::testing::TestWithParam<Protocol> {
+ protected:
+  bool tree() const { return GetParam() == Protocol::kHotStuff; }
+};
+
+TEST_P(ClientEdge, LeaderAdmitsForwardedRequestsOnceAndShardsOwnNoFleet) {
+  auto d = Deployment::Builder()
+               .WithReplicas(4, 1)
+               .WithProtocol(GetParam())
+               .WithWorkload(WorkloadOptions{})
+               .WithTrace()
+               .Build();
+  ConsensusEngine& engine = d->engine();
+  EXPECT_EQ(engine.Leader(), 0u);  // HotStuff's star root, PBFT's leader
+  EXPECT_EQ(engine.RepliesNeeded(), tree() ? 1u : d->f() + 1);
+
+  // The leader follows an installed configuration.
+  RoleConfig moved = engine.ActiveConfig();
+  if (tree()) {
+    moved = TreeTopology::Build({2}, {0, 1, 3}).ToConfig();
+  } else {
+    moved.leader = 2;
+  }
+  engine.SetTopologyOrConfig(moved);
+  EXPECT_EQ(engine.Leader(), 2u);
+
+  // The engine alone: the fleet never sends. A request injected at replica
+  // 1 is forwarded to the leader and admitted there once; a second copy is
+  // a duplicate.
+  engine.Start();
+  auto req = MakeMessage<ClientRequestMsg>();
+  req->client = d->n();  // the fleet's first client id
+  req->request_id = 0;
+  d->net().Send(d->n(), 1, req);
+  d->RunUntil(1 * kSec);
+  d->net().Send(d->n(), 1, req);
+  d->RunUntil(2 * kSec);
+  const MetricsReport m = d->Metrics();
+  EXPECT_EQ(m.workload.requests_sent, 0u);
+  EXPECT_EQ(m.workload.requests_accepted, 1u);
+  EXPECT_EQ(m.workload.requests_deduped, 1u);
+  EXPECT_EQ(m.total_commands, 1u);
+  std::vector<uint32_t> admitted_at;
+  for (const TraceRecord& r : d->TraceRecords()) {
+    if (r.kind == static_cast<uint16_t>(TraceKind::kQueueAdmit)) {
+      admitted_at.push_back(r.actor);
+    }
+  }
+  EXPECT_EQ(admitted_at, std::vector<uint32_t>{2});
+
+  // A shard owns a queue but no fleet: its clients belong to the sharded
+  // owner, whose transaction fleet's requests the shard's queue admits.
+  TxnWorkloadOptions txn;
+  txn.clients_per_shard = 2;
+  auto sd = Deployment::Builder()
+                .WithReplicas(4, 1)
+                .WithProtocol(GetParam())
+                .WithWorkload(WorkloadOptions{})
+                .WithStateMachine()
+                .WithShards(2)
+                .WithTxnWorkload(txn)
+                .BuildSharded();
+  sd->Start();
+  sd->RunUntil(3 * kSec);
+  for (uint32_t s = 0; s < sd->shards(); ++s) {
+    EXPECT_EQ(sd->shard(s).fleet(), nullptr);
+    EXPECT_GT(sd->shard(s).Metrics().workload.requests_accepted, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, ClientEdge,
+                         ::testing::Values(Protocol::kHotStuff, Protocol::kPbft),
+                         [](const ::testing::TestParamInfo<Protocol>& info) {
+                           return info.param == Protocol::kHotStuff
+                                      ? std::string("HotStuff")
+                                      : std::string("Pbft");
+                         });
 
 // --- Determinism: workload sweeps are thread-count invariant -------------------
 

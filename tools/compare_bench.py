@@ -14,6 +14,10 @@ Options:
     --default-float-tol REL fallback relative tolerance for non-integer
                             values without an explicit --tol (default 0:
                             exact)
+    --same-point-digests    gate every point digest as well: a point whose
+                            digest moved is a failure. For comparing a
+                            change against its parent commit's own output,
+                            when no simulated behaviour may move.
 
 The gate, per the determinism contract (DESIGN.md, "Scenario runner"):
 
@@ -28,9 +32,17 @@ The gate, per the determinism contract (DESIGN.md, "Scenario runner"):
     digest is its run's MetricsFingerprint (or measurement-log head), which
     also covers counters the gate never sees (wire and message-pool counts,
     the crypto, transaction and gauge sections); the notes name every point
-    whose digest moved. The scenario digest hashes the deterministic body,
-    point digests included, so it moves with any of them, with a tolerated
-    float, or with a host-timed metric.
+    whose digest moved (with --same-point-digests, each is a failure). The
+    scenario digest hashes the deterministic body, point digests included,
+    so it moves with any of them, with a tolerated float, or with a
+    host-timed metric; it stays advisory under every flag, because
+    crypto_bench's host-timed metrics move it on every run.
+
+Comparing a change with its parent commit (both trees built the same way):
+
+    parent/build/bench/optilog_bench --tag tier1 --threads 1 --json p/
+    build/bench/optilog_bench --tag tier1 --threads 4 --json c/
+    compare_bench.py p c --same-point-digests
 
 Exit status: 0 clean, 1 on any gated difference, 2 on usage errors.
 """
@@ -50,6 +62,7 @@ def parse_args(argv):
     ap.add_argument("candidate", type=Path)
     ap.add_argument("--tol", action="append", default=[], metavar="NAME=REL")
     ap.add_argument("--default-float-tol", type=float, default=0.0, metavar="REL")
+    ap.add_argument("--same-point-digests", action="store_true")
     args = ap.parse_args(argv)
     # Built-in tolerances for values whose exact number is deterministic but
     # sensitive to cross-toolchain float headroom in upstream latencies: the
@@ -116,9 +129,10 @@ def is_integral(value):
 
 
 class Comparator:
-    def __init__(self, tols, default_float_tol):
+    def __init__(self, tols, default_float_tol, same_point_digests=False):
         self.tols = tols
         self.default_float_tol = default_float_tol
+        self.same_point_digests = same_point_digests
         self.failures = []
         self.notes = []
         # (scenario, params, base ev/s, cand ev/s) — advisory throughput rows.
@@ -234,7 +248,10 @@ class Comparator:
             else:
                 self.check_table(f"{name}.summary", bsum.get("columns", []),
                                  bsum.get("rows", []), csum.get("rows", []))
-        if moved:
+        if moved and self.same_point_digests:
+            self.fail(name, f"point digest moved at {len(moved)} of "
+                            f"{len(bpoints)} point(s): {'; '.join(moved)}")
+        elif moved:
             self.note(f"{name}: point digest moved at {len(moved)} of "
                       f"{len(bpoints)} point(s): {'; '.join(moved)} (advisory; "
                       f"the run's fingerprint or log head changed)")
@@ -277,7 +294,7 @@ class Comparator:
 
 def main(argv):
     args, tols = parse_args(argv)
-    cmp = Comparator(tols, args.default_float_tol)
+    cmp = Comparator(tols, args.default_float_tol, args.same_point_digests)
 
     base_files = sorted(args.baseline.glob("BENCH_*.json"))
     if not base_files:
