@@ -7,10 +7,11 @@
 // tree's latency advantage over the star erodes as bandwidth limits bite the
 // star leader.
 //
-// Grid: geo x series, 20 independent deployments. Every point re-derives
-// its trees from Rng(99) in the same draw order the standalone bench used
-// (SA tree first, random tree second), so the numbers match the pre-runner
-// output bit for bit regardless of which points run concurrently.
+// Grid: geo x series, 20 independent deployments. Each point derives the one
+// tree it runs from a stream of its own: OptiTree's search from Rng(99),
+// Kauri's random tree from Rng(100). A change to the search's draw count
+// therefore cannot move Kauri's points, and no point depends on which
+// points run concurrently.
 #include "bench/scenarios/common.h"
 #include "src/api/deployment.h"
 #include "src/tree/kauri.h"
@@ -49,26 +50,23 @@ PointResult RunPoint(const Params& p) {
   if (series == "HotStuff-rr" || series == "HotStuff-fixed") {
     opts.rotate_root = series == "HotStuff-rr";
     base.WithProtocol(Protocol::kHotStuff);
+  } else if (series == "Kauri-pipe") {
+    // Kauri: a random tree.
+    Rng rng(100);
+    opts.pipeline_depth = 3;
+    base.WithProtocol(Protocol::kKauri).WithTopology(RandomTree(n, rng));
   } else {
-    // OptiTree: 1 s simulated-annealing search (§7.4); Kauri: random tree.
-    const LatencyMatrix matrix = MatrixFromCities(cities);
+    // OptiTree: 1 s simulated-annealing search (§7.4).
+    OL_CHECK_MSG(series == "OptiTree" || series == "OptiTree-nopipe", series.c_str());
     Rng rng(99);
     std::vector<ReplicaId> all(n);
     for (ReplicaId id = 0; id < n; ++id) {
       all[id] = id;
     }
-    const TreeTopology opti_tree = AnnealTree(n, all, matrix, 2 * f + 1, rng,
-                                              ParamsForSearchSeconds(1.0));
-    const TreeTopology kauri_tree = RandomTree(n, rng);
-    if (series == "Kauri-pipe") {
-      opts.pipeline_depth = 3;
-      base.WithProtocol(Protocol::kKauri).WithTopology(kauri_tree);
-    } else {
-      opts.pipeline_depth = series == "OptiTree" ? 3 : 1;
-      OL_CHECK_MSG(series == "OptiTree" || series == "OptiTree-nopipe",
-                   series.c_str());
-      base.WithProtocol(Protocol::kOptiTree).WithTopology(opti_tree);
-    }
+    opts.pipeline_depth = series == "OptiTree" ? 3 : 1;
+    base.WithProtocol(Protocol::kOptiTree)
+        .WithTopology(AnnealTree(n, all, MatrixFromCities(cities), 2 * f + 1, rng,
+                                 ParamsForSearchSeconds(1.0)));
   }
 
   auto d = base.WithTreeOptions(opts).Build();

@@ -53,12 +53,6 @@ void TreeReplica::OnMessage(ReplicaId from, const MessagePtr& msg, SimTime at) {
   }
 }
 
-// Extra slack on intermediates' aggregation timers beyond delta * Lagg. The
-// latency matrix records pure propagation, but real rounds also pay
-// serialization; without slack the slowest child's vote always misses the
-// aggregate by a hair.
-constexpr SimTime kAggregationSlack = 50 * kMsec;
-
 void TreeReplica::HandlePropose(ReplicaId from, const ProposeMsg& msg, SimTime at) {
   (void)from;
   const TreeTopology& tree = harness_->tree_;
@@ -86,8 +80,8 @@ void TreeReplica::HandlePropose(ReplicaId from, const ProposeMsg& msg, SimTime a
     harness_->net_->Send(id_, tree.ParentOf(id_), std::move(vote));
     return;
   }
-  // Intermediate: forward down, start aggregating with own vote, and arm
-  // the aggregation timer (Lagg per Lemma 6, scaled by delta).
+  // Intermediate: forward down in one multicast, start aggregating with own
+  // vote, and arm the aggregation timer.
   // Field-wise init rather than copy-construction: measurements ride only
   // the first hop, and at scale copying the root's piggybacked vector just
   // to clear it dominates the forwarding path.
@@ -98,24 +92,12 @@ void TreeReplica::HandlePropose(ReplicaId from, const ProposeMsg& msg, SimTime a
   fwd->batch_size = msg.batch_size;
   fwd->cmd_bytes = msg.cmd_bytes;
   fwd->forwarded = true;
-  for (ReplicaId child : children) {
-    harness_->net_->Send(id_, child, fwd);
-  }
+  harness_->net_->Multicast(id_, children, std::move(fwd));
   PendingAggregation& agg = aggregating_[msg.view];
   agg.block = msg.block;
   agg.votes.Insert(id_);
-  // Aggregation latency only waits for children expected to respond.
-  double lagg_ms = 0.0;
-  for (ReplicaId child : children) {
-    if (harness_->excluded_.count(child) == 0) {
-      lagg_ms = std::max(lagg_ms, harness_->latency_->Rtt(id_, child));
-    }
-  }
-  const SimTime deadline =
-      static_cast<SimTime>(harness_->opts_.delta *
-                           static_cast<double>(FromMs(lagg_ms))) +
-      kAggregationSlack;
-  agg.timer = harness_->sim_->ScheduleTimer(this, msg.view, deadline);
+  agg.timer = harness_->sim_->ScheduleTimer(this, msg.view,
+                                            harness_->AggregationDeadline(id_));
 }
 
 void TreeReplica::OnTimer(uint64_t tag, SimTime at) {
@@ -238,10 +220,12 @@ TreeRsm::TreeRsm(Simulator* sim, Network* net, const KeyStore* keys,
     replicas_.push_back(std::make_unique<TreeReplica>(id, this));
     net_->Register(id, replicas_.back().get());
   }
+  InvalidateDeadlines();
 }
 
 void TreeRsm::SetTopology(const TreeTopology& tree) {
   tree_ = tree;
+  InvalidateDeadlines();
   for (auto& replica : replicas_) {
     replica->aggregating_.clear();
   }
@@ -251,17 +235,57 @@ uint32_t TreeRsm::CommitThreshold() const {
   return opts_.votes_required != 0 ? opts_.votes_required : opts_.n - opts_.f;
 }
 
+void TreeRsm::InvalidateDeadlines() {
+  round_timeout_ = kNoDeadline;
+  aggregation_deadlines_.assign(opts_.n, kNoDeadline);
+}
+
+// A new matrix version invalidates every cached deadline; the tree and the
+// exclusion set invalidate them where they change.
+void TreeRsm::SyncDeadlines() {
+  if (deadlines_version_ != latency_->version()) {
+    deadlines_version_ = latency_->version();
+    InvalidateDeadlines();
+  }
+}
+
+// Extra slack on intermediates' aggregation timers beyond delta * Lagg. The
+// latency matrix records pure propagation, but real rounds also pay
+// serialization; without slack the slowest child's vote always misses the
+// aggregate by a hair.
+constexpr SimTime kAggregationSlack = 50 * kMsec;
+
+SimTime TreeRsm::AggregationDeadline(ReplicaId intermediate) {
+  SyncDeadlines();
+  SimTime& deadline = aggregation_deadlines_[intermediate];
+  if (deadline == kNoDeadline) {
+    // Lagg (Lemma 6) over the children expected to respond, scaled by delta.
+    double lagg_ms = 0.0;
+    for (ReplicaId child : tree_.ChildrenOf(intermediate)) {
+      if (excluded_.count(child) == 0) {
+        lagg_ms = std::max(lagg_ms, latency_->Rtt(intermediate, child));
+      }
+    }
+    deadline = static_cast<SimTime>(opts_.delta * static_cast<double>(FromMs(lagg_ms))) +
+               kAggregationSlack;
+  }
+  return deadline;
+}
+
 // Extra slack on the root's round-failure timer, beyond delta * d_rnd.
 constexpr SimTime kRoundTimeoutSlack = 200 * kMsec;
 
-SimTime TreeRsm::RoundTimeout() const {
-  const double d_rnd_ms =
-      TreeScore(tree_, *latency_, CommitThreshold());
-  if (!std::isfinite(d_rnd_ms)) {
-    return 2 * kSec + kRoundTimeoutSlack;
+SimTime TreeRsm::RoundTimeout() {
+  SyncDeadlines();
+  if (round_timeout_ == kNoDeadline) {
+    const double d_rnd_ms = TreeScore(tree_, *latency_, CommitThreshold());
+    round_timeout_ =
+        std::isfinite(d_rnd_ms)
+            ? static_cast<SimTime>(opts_.delta * static_cast<double>(FromMs(d_rnd_ms))) +
+                  kRoundTimeoutSlack
+            : 2 * kSec + kRoundTimeoutSlack;
   }
-  return static_cast<SimTime>(opts_.delta * static_cast<double>(FromMs(d_rnd_ms))) +
-         kRoundTimeoutSlack;
+  return round_timeout_;
 }
 
 void TreeRsm::SetTopologyOrConfig(const RoleConfig& config) {
@@ -346,6 +370,7 @@ void TreeRsm::StartRound() {
       }
     }
     tree_ = TreeTopology::Build({static_cast<ReplicaId>(view % opts_.n)}, leaves);
+    InvalidateDeadlines();
   }
   ++in_flight_;
 
@@ -370,9 +395,7 @@ void TreeRsm::StartRound() {
     cpu->ChargeHash(tree_.root(), sim_->now(), propose->WireSize());
     cpu->ChargeSign(tree_.root(), sim_->now());
   }
-  for (ReplicaId child : tree_.ChildrenOf(tree_.root())) {
-    net_->Send(tree_.root(), child, propose);
-  }
+  net_->Multicast(tree_.root(), tree_.ChildrenOf(tree_.root()), std::move(propose));
 
   round.timeout = sim_->ScheduleTimer(this, view, RoundTimeout());
 }
@@ -568,7 +591,9 @@ void TreeRsm::RecordSuspicion(const SuspicionRecord& rec) {
 }
 
 void TreeRsm::OnReplicaRecovered(ReplicaId id) {
-  excluded_.erase(id);
+  if (excluded_.erase(id) > 0) {
+    InvalidateDeadlines();
+  }
   if (!started_ || tree_.Contains(id) || !reconfig_) {
     return;
   }

@@ -143,7 +143,10 @@ class TreeRsm : public ConsensusEngine, public TimerTarget {
   // plus non-candidates): intermediates stop waiting for their votes and
   // suspect them silently — the protocol-level effect of OptiLog's u
   // estimate (§6.2).
-  void SetExcluded(std::set<ReplicaId> excluded) { excluded_ = std::move(excluded); }
+  void SetExcluded(std::set<ReplicaId> excluded) {
+    excluded_ = std::move(excluded);
+    InvalidateDeadlines();
+  }
   const std::set<ReplicaId>& excluded() const { return excluded_; }
 
   // Pauses proposals for `duration` (models the search window of Fig. 15).
@@ -164,7 +167,7 @@ class TreeRsm : public ConsensusEngine, public TimerTarget {
     return suspicions_;
   }
 
-  // Votes needed to commit a block under the current settings.
+  // Votes needed to commit a block: fixed per engine.
   uint32_t CommitThreshold() const;
 
   // Views replica `id` is still aggregating: bounded by the views in
@@ -208,7 +211,16 @@ class TreeRsm : public ConsensusEngine, public TimerTarget {
   void CommitRound(uint64_t view);
   void OnRoundTimeout(uint64_t view);
   void RecordSuspicion(const SuspicionRecord& rec);
-  SimTime RoundTimeout() const;
+
+  // The root's round-failure timeout, delta * d_rnd plus slack (d_rnd =
+  // TreeScore at CommitThreshold()), and an intermediate's aggregation
+  // timeout, delta * Lagg over its children not excluded plus slack. Both
+  // are cached until the tree, the exclusion set or the matrix version
+  // changes.
+  SimTime RoundTimeout();
+  SimTime AggregationDeadline(ReplicaId intermediate);
+  void InvalidateDeadlines();
+  void SyncDeadlines();
 
   Simulator* sim_;
   Network* net_;
@@ -220,6 +232,14 @@ class TreeRsm : public ConsensusEngine, public TimerTarget {
 
   std::vector<std::unique_ptr<TreeReplica>> replicas_;
   std::set<ReplicaId> excluded_;
+
+  // Deadline caches (RoundTimeout, AggregationDeadline), derived for matrix
+  // version deadlines_version_; kNoDeadline = not derived yet.
+  static constexpr SimTime kNoDeadline = -1;
+  uint64_t deadlines_version_ = 0;
+  SimTime round_timeout_ = kNoDeadline;
+  std::vector<SimTime> aggregation_deadlines_;  // by replica id
+
   std::map<uint64_t, Round> rounds_;
   uint64_t next_view_ = 0;
   uint32_t in_flight_ = 0;

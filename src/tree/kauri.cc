@@ -47,9 +47,6 @@ TreeTopology RandomTree(uint32_t n, Rng& rng) {
   return BuildFlat(order, BranchFactorFor(n) + 1);
 }
 
-namespace {
-
-// `internals`, then every other replica below n in shuffled order.
 std::vector<ReplicaId> FlatTree(uint32_t n, const std::vector<ReplicaId>& internals,
                                 Rng& rng) {
   std::vector<ReplicaId> ids;
@@ -63,12 +60,18 @@ std::vector<ReplicaId> FlatTree(uint32_t n, const std::vector<ReplicaId>& intern
   return ids;
 }
 
+namespace {
+
+bool Eligible(const std::vector<bool>& eligible, ReplicaId id) {
+  return id < eligible.size() && eligible[id];
+}
+
 // Positions of the leaves whose `eligible` bit is set, ascending.
 std::vector<uint32_t> Swappable(const std::vector<ReplicaId>& ids, size_t internals,
                                 const std::vector<bool>& eligible) {
   std::vector<uint32_t> out;
   for (size_t i = internals; i < ids.size(); ++i) {
-    if (ids[i] < eligible.size() && eligible[ids[i]]) {
+    if (Eligible(eligible, ids[i])) {
       out.push_back(static_cast<uint32_t>(i));
     }
   }
@@ -85,7 +88,7 @@ TreeSwap DrawPair(size_t first, size_t size, Rng& rng) {
   return {first + a, first + b};
 }
 
-// Draws one of MutateTree's swaps at random and applies it to a flat tree;
+// Draws one of MutateFlat's swaps at random and applies it to a flat tree;
 // `swappable` lists the leaf positions that may move up, ascending.
 TreeSwap DrawTreeSwap(std::vector<ReplicaId>& ids, size_t internals,
                       const std::vector<uint32_t>& swappable, Rng& rng) {
@@ -117,13 +120,18 @@ TreeTopology BuildFlat(const std::vector<ReplicaId>& ids, size_t internals) {
                              std::vector<ReplicaId>(ids.begin() + internals, ids.end()));
 }
 
+void MutateFlat(std::vector<ReplicaId>& ids, size_t internals,
+                const std::vector<bool>& eligible, Rng& rng) {
+  DrawTreeSwap(ids, internals, Swappable(ids, internals, eligible), rng);
+}
+
 TreeTopology MutateTree(const TreeTopology& tree, const std::vector<bool>& eligible,
                         Rng& rng) {
   std::vector<ReplicaId> ids = tree.Internals();
   const size_t internals = ids.size();
   const std::vector<ReplicaId> leaves = tree.Leaves();
   ids.insert(ids.end(), leaves.begin(), leaves.end());
-  DrawTreeSwap(ids, internals, Swappable(ids, internals, eligible), rng);
+  MutateFlat(ids, internals, eligible, rng);
   return BuildFlat(ids, internals);
 }
 
@@ -137,38 +145,27 @@ TreeWalk::TreeWalk(std::vector<ReplicaId> ids, size_t internals,
       ids_(std::move(ids)),
       next_(internals - 1) {
   OL_CHECK(internals_ >= 2 && internals_ <= ids_.size());
-  Rebase();
-  initial_score_ = Reduce();
-  SaveBest();
-  // MutateTree draws from TreeTopology::Leaves(), ascending ids, so a leaf
-  // swap never outlives one draw (DESIGN.md, "SA search-time convention").
-  std::sort(ids_.begin() + internals_, ids_.end());
-  Rebase();
-}
-
-// The base for the current flat tree, rescanned in full.
-void TreeWalk::Rebase() {
   swappable_ = Swappable(ids_, internals_, eligible_);
   for (size_t pos = 1; pos < internals_; ++pos) {
     Rescan(pos);
   }
   base_ = next_;
+  initial_score_ = Reduce();
+  SaveBest();
 }
 
 double TreeWalk::Propose(Rng& rng) {
-  // Settle the last proposal: undo it if rejected or a leaf↔leaf swap (the
-  // base's leaves ascend), keep an internal↔internal swap's rescanned groups,
-  // and file an internal↔leaf swap's new leaf in order, which shifts the
-  // group of every leaf in between.
-  if (!accepted_ || swap_.a >= internals_) {
+  // Settle the last proposal: undo it if rejected; if accepted, it is the
+  // new base with its rescanned groups, and a swap of a candidate with a
+  // non-candidate refiles its leaf positions in the swappable list.
+  if (!accepted_) {
     std::swap(ids_[swap_.a], ids_[swap_.b]);
-  } else if (swap_.b < internals_) {
-    base_.swap(next_);
   } else {
-    const ReplicaId leaf = ids_[swap_.b];
-    ids_.erase(ids_.begin() + swap_.b);
-    ids_.insert(std::lower_bound(ids_.begin() + internals_, ids_.end(), leaf), leaf);
-    Rebase();
+    base_.swap(next_);
+    if (Eligible(eligible_, ids_[swap_.a]) != Eligible(eligible_, ids_[swap_.b])) {
+      Refile(swap_.a);
+      Refile(swap_.b);
+    }
   }
   accepted_ = false;
 
@@ -179,6 +176,20 @@ double TreeWalk::Propose(Rng& rng) {
     Rescan(swap_.b);
   }
   return Reduce();
+}
+
+// Flat position `pos` now holds a candidate iff it held none before: a leaf
+// position joins or leaves the swappable list, which stays ascending.
+void TreeWalk::Refile(size_t pos) {
+  if (pos < internals_) {
+    return;
+  }
+  const auto it = std::lower_bound(swappable_.begin(), swappable_.end(), pos);
+  if (Eligible(eligible_, ids_[pos])) {
+    swappable_.insert(it, static_cast<uint32_t>(pos));
+  } else {
+    swappable_.erase(it);
+  }
 }
 
 // Rescans what flat position `pos` bears on: the root column, or one group.

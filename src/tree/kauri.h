@@ -72,15 +72,18 @@ class KauriSaScheduler {
 // plain Kauri effectively deploys for the no-failure baseline, §7.4).
 TreeTopology RandomTree(uint32_t n, Rng& rng);
 
-// The tree with `internals` as its internal nodes, in the given order (the
-// first is the root); every other replica below n becomes a leaf, in
-// shuffled order.
-TreeTopology TreeWithInternals(uint32_t n, const std::vector<ReplicaId>& internals,
-                               Rng& rng);
-
 // A tree as one flat array: the internals (root first), then the leaves in
 // attachment order, which Build hangs under the intermediates round-robin.
 TreeTopology BuildFlat(const std::vector<ReplicaId>& ids, size_t internals);
+
+// The flat tree with `internals` in the given order (the first is the root)
+// and every other replica below n as a leaf, in shuffled order.
+std::vector<ReplicaId> FlatTree(uint32_t n, const std::vector<ReplicaId>& internals,
+                                Rng& rng);
+
+// The tree FlatTree's array builds.
+TreeTopology TreeWithInternals(uint32_t n, const std::vector<ReplicaId>& internals,
+                               Rng& rng);
 
 // One §4.2.4 swap: the flat-tree positions it exchanged, the internal first
 // when it moved a leaf up (equal when it swapped nothing).
@@ -88,17 +91,22 @@ struct TreeSwap {
   size_t a = 0, b = 0;
 };
 
-// One of the three §4.2.4 swaps, chosen at random, on `tree` with its leaves
-// in ascending id order: an internal with a leaf whose `eligible` bit is set
-// (an id at or beyond eligible.size() is not eligible), two leaves (changes
-// subtree composition), or two internals (changes which one is root).
+// One of the three §4.2.4 swaps, chosen at random and applied to the flat
+// tree `ids`: an internal with a leaf whose `eligible` bit is set (an id at or
+// beyond eligible.size() is not eligible), two leaves (changes subtree
+// composition), or two internals (changes which one is root).
+void MutateFlat(std::vector<ReplicaId>& ids, size_t internals,
+                const std::vector<bool>& eligible, Rng& rng);
+
+// MutateFlat on `tree` with its leaves in ascending id order: a RoleConfig
+// carries no attachment order.
 TreeTopology MutateTree(const TreeTopology& tree, const std::vector<bool>& eligible,
                         Rng& rng);
 
 // AnnealTree's Anneal walk over a flat tree, scored in TreeScore's doubles;
-// `eligible` and `latency` must outlive it. A neighbor is one MutateTree swap
-// from the base (current internals, leaves ascending) and rescans only what
-// that swap touches (DESIGN.md, "SA search-time convention").
+// `eligible` and `latency` must outlive it. A neighbor is one MutateFlat swap
+// of the current flat tree (the base) and rescans only what that swap touches
+// (DESIGN.md, "SA search-time convention").
 class TreeWalk {
  public:
   TreeWalk(std::vector<ReplicaId> ids, size_t internals, const std::vector<bool>& eligible,
@@ -118,7 +126,7 @@ class TreeWalk {
   struct Group {
     double worst, up;  // worst child RTT, RTT to the root
   };
-  void Rebase();
+  void Refile(size_t pos);
   void Rescan(size_t pos);
   double Reduce();
 
@@ -127,7 +135,7 @@ class TreeWalk {
   const uint32_t k_;
   const size_t internals_;
   std::vector<ReplicaId> ids_, best_;
-  std::vector<uint32_t> swappable_;  // in the base
+  std::vector<uint32_t> swappable_;  // in the base, ascending
   std::vector<Group> base_, next_;   // per intermediate
   std::vector<SubtreeArrival> subtrees_;
   TreeSwap swap_;

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <set>
+
 #include "src/api/deployment.h"
 #include "src/tree/kauri.h"
 
@@ -301,6 +306,131 @@ TEST(TreeRsmSim, IntermediateCountsOnlyItsChildrensVotesForItsBlock) {
   ASSERT_NE(aggregate, nullptr);
   EXPECT_EQ(aggregate->voters, std::vector<ReplicaId>{inter});
   EXPECT_EQ(aggregate->suspected, children);
+}
+
+// The deadlines a tree engine arms, by their formulas evaluated afresh: the
+// root's round timeout is delta * TreeScore at the commit threshold plus
+// 200 ms (2 s plus 200 ms when the score is infinite); an intermediate's
+// aggregation timeout is delta * the worst RTT to a child not excluded plus
+// 50 ms.
+SimTime UncachedRoundTimeout(const TreeTopology& tree, const LatencyMatrix& m, uint32_t k,
+                             double delta) {
+  const double d_rnd_ms = TreeScore(tree, m, k);
+  if (!std::isfinite(d_rnd_ms)) {
+    return 2 * kSec + 200 * kMsec;
+  }
+  return static_cast<SimTime>(delta * static_cast<double>(FromMs(d_rnd_ms))) + 200 * kMsec;
+}
+
+SimTime UncachedAggregationDeadline(const TreeTopology& tree, const LatencyMatrix& m,
+                                    const std::set<ReplicaId>& excluded, ReplicaId inter,
+                                    double delta) {
+  double lagg_ms = 0.0;
+  for (ReplicaId child : tree.ChildrenOf(inter)) {
+    if (excluded.count(child) == 0) {
+      lagg_ms = std::max(lagg_ms, m.Rtt(inter, child));
+    }
+  }
+  return static_cast<SimTime>(delta * static_cast<double>(FromMs(lagg_ms))) + 50 * kMsec;
+}
+
+// Each input of the cached deadlines changes in turn: the exclusion set (both
+// ways), the tree, the matrix version, and the star that rotate_root rebuilds
+// every view. After each change, the timers the engine arms equal the
+// formulas. n = 14: replicas 0..12 form the tree, and replica 13, 1 ms from
+// everyone, stands outside it to hand proposals to intermediates. Every other
+// link is 1000 s long, so no vote or aggregate arrives in time: every round
+// fails on its timer and the next starts at that instant, and every
+// aggregation timer fires.
+TEST(TreeRsmSim, CachedDeadlinesFollowTheirInputs) {
+  const uint32_t n = 14;
+  const ReplicaId courier = 13;
+  for (bool rotate : {false, true}) {
+    SCOPED_TRACE(rotate ? "rotate_root" : "fixed root");
+    Simulator sim;
+    MatrixLatencyModel model(n, 1000 * kSec);
+    for (ReplicaId id = 0; id < courier; ++id) {
+      model.Set(courier, id, 1 * kMsec);
+    }
+    FaultModel faults;
+    Network net(&sim, &model, &faults);
+    const KeyStore keys(n, 1);
+    LatencyMatrix matrix(n);
+    for (ReplicaId a = 0; a < n; ++a) {
+      for (ReplicaId b = 0; b < n; ++b) {
+        if (a != b) {
+          matrix.Record(a, b, 10.0 + (a * 7 + b * 13) % 90);
+        }
+      }
+    }
+    TreeRsmOptions opts;
+    opts.n = n;
+    opts.f = 4;
+    opts.delta = 1.5;
+    opts.rotate_root = rotate;
+    TreeRsm rsm(&sim, &net, &keys, &matrix, opts);
+    rsm.SetTopology(TreeTopology::Build({0, 1, 2, 3}, {4, 5, 6, 7, 8, 9, 10, 11, 12}));
+    rsm.Start();
+
+    auto step_until = [&](const std::function<bool()>& done) {
+      while (!done()) {
+        if (!sim.Step()) {
+          ADD_FAILURE() << "no event left";
+          break;
+        }
+      }
+      return sim.now();
+    };
+    uint64_t view = 1'000'000;  // proposal views the engine never reaches
+    auto check = [&](const char* after) {
+      SCOPED_TRACE(after);
+      // The round in flight may predate the change; the next one cannot.
+      const uint64_t failed = rsm.failed_rounds();
+      const SimTime started = step_until([&] { return rsm.failed_rounds() > failed; });
+      const TreeTopology tree = rsm.topology();  // the round now in flight
+      const SimTime fired = step_until([&] { return rsm.failed_rounds() > failed + 1; });
+      EXPECT_EQ(fired - started,
+                UncachedRoundTimeout(tree, matrix, rsm.CommitThreshold(), opts.delta));
+      for (ReplicaId inter : rsm.topology().intermediates()) {
+        auto propose = MakeMessage<ProposeMsg>();
+        propose->view = view++;
+        net.Send(courier, inter, std::move(propose));
+        const SimTime armed =
+            step_until([&] { return rsm.PendingAggregations(inter) == 1; });
+        const TreeTopology now_tree = rsm.topology();
+        const SimTime due = step_until([&] { return rsm.PendingAggregations(inter) == 0; });
+        EXPECT_EQ(due - armed, UncachedAggregationDeadline(now_tree, matrix, rsm.excluded(),
+                                                           inter, opts.delta))
+            << "intermediate " << inter;
+      }
+    };
+
+    check("start");
+    if (rotate) {
+      for (int round = 0; round < 4; ++round) {
+        check("rotation");  // a star rooted at the next replica each view
+      }
+      continue;
+    }
+    // Intermediate 1's slowest child, so excluding it moves 1's deadline.
+    const std::vector<ReplicaId>& children = rsm.topology().ChildrenOf(1);
+    const ReplicaId slowest = *std::max_element(
+        children.begin(), children.end(),
+        [&](ReplicaId a, ReplicaId b) { return matrix.Rtt(1, a) < matrix.Rtt(1, b); });
+    ASSERT_NE(UncachedAggregationDeadline(rsm.topology(), matrix, {slowest}, 1, opts.delta),
+              UncachedAggregationDeadline(rsm.topology(), matrix, {}, 1, opts.delta));
+    rsm.SetExcluded({slowest});
+    check("SetExcluded");
+    rsm.OnReplicaRecovered(slowest);
+    check("OnReplicaRecovered");
+    // A new root; intermediates 2 and 3 keep their place with other children.
+    rsm.SetTopologyOrConfig(
+        TreeTopology::Build({1, 2, 3, 0}, {12, 11, 10, 9, 8, 7, 6, 5, 4}).ToConfig());
+    check("SetTopologyOrConfig");
+    // Intermediate 2's subtree becomes the slowest: both deadlines move.
+    matrix.Record(2, rsm.topology().ChildrenOf(2)[0], 400.0);
+    check("Record");
+  }
 }
 
 // --- PBFT family (Fig. 7 machinery) ------------------------------------------

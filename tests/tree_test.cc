@@ -382,25 +382,35 @@ LatencyMatrix DenseMatrix(uint32_t n, uint64_t seed) {
   return m;
 }
 
-// The search AnnealTree must reproduce: SimulatedAnnealing over whole trees,
-// each neighbor built by MutateTree and scored in full by TreeScore.
+// The search AnnealTree must reproduce: SimulatedAnnealing over flat trees
+// held by value, each neighbor one MutateFlat swap of the current array (so
+// an accepted swap of any kind is where the next draw starts), scored in
+// full by TreeScore of the tree it builds.
 TreeTopology ReferenceAnnealTree(uint32_t n, const std::vector<ReplicaId>& candidates,
                                  const LatencyMatrix& m, uint32_t k, Rng& rng,
                                  const AnnealingParams& params) {
+  const size_t internals = BranchFactorFor(n) + 1;
   std::vector<ReplicaId> pool = candidates;
   rng.Shuffle(pool);
-  pool.resize(BranchFactorFor(n) + 1);
-  TreeTopology initial = TreeWithInternals(n, pool, rng);
+  pool.resize(internals);
+  std::vector<ReplicaId> initial = FlatTree(n, pool, rng);
   std::vector<bool> eligible(n, false);
   for (ReplicaId id : candidates) {
     eligible[id] = true;
   }
-  return SimulatedAnnealing(
-             std::move(initial),
-             [&](const TreeTopology& t) { return TreeScore(t, m, k); },
-             [&](const TreeTopology& t, Rng& r) { return MutateTree(t, eligible, r); },
-             rng, params)
-      .best;
+  const std::vector<ReplicaId> best =
+      SimulatedAnnealing(
+          std::move(initial),
+          [&](const std::vector<ReplicaId>& ids) {
+            return TreeScore(BuildFlat(ids, internals), m, k);
+          },
+          [&](std::vector<ReplicaId> ids, Rng& r) {
+            MutateFlat(ids, internals, eligible, r);
+            return ids;
+          },
+          rng, params)
+          .best;
+  return BuildFlat(best, internals);
 }
 
 void ExpectSameTree(const TreeTopology& got, const TreeTopology& want, uint32_t n) {
@@ -478,7 +488,11 @@ TEST_P(AnnealTreeDifferential, MatchesWholeTreeSearch) {
 INSTANTIATE_TEST_SUITE_P(Sizes, AnnealTreeDifferential, ::testing::Values(4, 21, 211, 1000));
 
 // After every kind of swap, accepted or not and moving the root or not, the
-// walk's incremental score is TreeScore of the tree its arrangement builds.
+// walk's proposal is one MutateFlat draw from the flat tree it stands at, and
+// its incremental score is TreeScore of the tree the proposal builds. Runs of
+// 500 accepted proposals alternate with runs that accept half at random, and
+// ineligible ids start among the internals, so the swappable list gains and
+// loses positions.
 TEST(TreeWalk, IncrementalScoreEqualsTreeScore) {
   for (uint32_t n : {21u, 211u}) {
     const uint32_t b = BranchFactorFor(n);
@@ -487,37 +501,39 @@ TEST(TreeWalk, IncrementalScoreEqualsTreeScore) {
       for (uint32_t k : {2u, 2 * f + 1, n - f}) {
         SCOPED_TRACE(::testing::Message() << "n=" << n << " k=" << k);
         Rng rng(n * 31 + k);
-        std::vector<ReplicaId> ids(n);
-        std::iota(ids.begin(), ids.end(), 0);
-        rng.Shuffle(ids);
+        std::vector<ReplicaId> current(n);
+        std::iota(current.begin(), current.end(), 0);
+        rng.Shuffle(current);
         std::vector<bool> eligible(n);
         for (ReplicaId id = 0; id < n; ++id) {
           eligible[id] = id % 3 != 0;
         }
-        TreeWalk walk(ids, b + 1, eligible, m, k);
-        EXPECT_EQ(walk.initial_score(), TreeScore(BuildFlat(ids, b + 1), m, k));
+        TreeWalk walk(current, b + 1, eligible, m, k);
+        EXPECT_EQ(walk.initial_score(), TreeScore(BuildFlat(current, b + 1), m, k));
 
         // [internals among the swapped positions][root moved][accepted]
         int seen[3][2][2] = {};
         for (int step = 0; step < 3000; ++step) {
+          std::vector<ReplicaId> want = current;
+          Rng want_rng = rng;
+          MutateFlat(want, b + 1, eligible, want_rng);
           const double score = walk.Propose(rng);
+          ASSERT_EQ(walk.ids(), want) << "step " << step;
+          ASSERT_EQ(rng.Next(), want_rng.Next()) << "step " << step;
           const TreeTopology tree = BuildFlat(walk.ids(), b + 1);
-          const double full = TreeScore(tree, m, k);
-          EXPECT_EQ(score, full) << "step " << step;
-          if (score != full) {
-            break;
-          }
+          ASSERT_EQ(score, TreeScore(tree, m, k)) << "step " << step;
           const TreeSwap& swap = walk.last_swap();
           if (swap.a == swap.b) {
             continue;
           }
           const int internal = (swap.a <= b) + (swap.b <= b);
           const bool root = swap.a == 0 || swap.b == 0;
-          const bool accept = rng.Below(2) == 0;
+          const bool accept = (step / 500) % 2 == 0 || rng.Below(2) == 0;
           ++seen[internal][root][accept];
           if (accept) {
             walk.Accept();
             walk.SaveBest();
+            current = walk.ids();
             EXPECT_EQ(walk.Best().ToConfig().parent, tree.ToConfig().parent);
           }
         }
@@ -531,6 +547,36 @@ TEST(TreeWalk, IncrementalScoreEqualsTreeScore) {
       }
     }
   }
+}
+
+// An accepted leaf↔leaf swap is the flat tree the next proposal is drawn
+// from: undoing that proposal's swap gives the accepted array back.
+TEST(TreeWalk, AcceptedLeafSwapPersists) {
+  const uint32_t n = 73;
+  const size_t internals = BranchFactorFor(n) + 1;
+  const LatencyMatrix m = CityBaselineMatrix(n, 9);
+  Rng rng(41);
+  std::vector<ReplicaId> ids(n);
+  std::iota(ids.begin(), ids.end(), 0);
+  rng.Shuffle(ids);
+  const std::vector<bool> eligible(n, true);
+  TreeWalk walk(ids, internals, eligible, m, 2 * ((n - 1) / 3) + 1);
+  int checked = 0;
+  for (int step = 0; step < 2000 && checked < 50; ++step) {
+    walk.Propose(rng);
+    const TreeSwap swap = walk.last_swap();
+    if (swap.a == swap.b || swap.a < internals || swap.b < internals) {
+      continue;  // not a leaf↔leaf swap: rejected, so undone
+    }
+    walk.Accept();
+    const std::vector<ReplicaId> accepted = walk.ids();
+    walk.Propose(rng);
+    std::vector<ReplicaId> from = walk.ids();
+    std::swap(from[walk.last_swap().a], from[walk.last_swap().b]);
+    ASSERT_EQ(from, accepted) << "leaf swap " << checked;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 50);
 }
 
 // A seeded 200-step TreeConfigSpace::Mutate chain, hashed: pins the §4.2.4
