@@ -7,9 +7,11 @@
 //   optilog_bench --list
 //   optilog_bench fig09_baselines fig15_reconfig_timeline
 //   optilog_bench --tag tier1 --threads 8 --json out/
+//   optilog_bench --tag tier1 --repeat 5 --quiet
 //
 // Determinism contract: identical seeds produce byte-identical JSON
-// (everything but the advisory wall_ms) at any --threads value.
+// (everything but the advisory wall fields) at any --threads value, and
+// every --repeat repetition reproduces the first's point digests.
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
@@ -17,6 +19,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,6 +45,10 @@ int Usage(FILE* out) {
       "  --all           run every registered scenario\n"
       "  --threads N     worker threads for grid sweeps (default: hardware\n"
       "                  concurrency; results are identical at any N)\n"
+      "  --repeat N      run each scenario N times (default 1) and report the\n"
+      "                  median wall as wall_ms and the fastest as\n"
+      "                  wall_ms_min; a point digest that differs from the\n"
+      "                  first run's is a failure\n"
       "  --json DIR      write BENCH_<scenario>.json files into DIR\n"
       "  --trace SPEC    flight-recorder export: SPEC is\n"
       "                  <scenario>:<point index>:<output path>. Re-runs the\n"
@@ -74,7 +81,7 @@ void ListScenarios() {
   std::fputs(report.ToTable().c_str(), stdout);
 }
 
-void PrintResult(const ScenarioRunResult& r, bool quiet) {
+void PrintResult(const ScenarioRunResult& r, bool quiet, unsigned repeat) {
   PrintHeader(r.scenario.c_str());
   if (!quiet) {
     BenchReporter rows(r.scenario, r.columns);
@@ -93,7 +100,72 @@ void PrintResult(const ScenarioRunResult& r, bool quiet) {
     }
     summary.Print();
   }
-  std::printf("digest %s  wall %.1f ms\n", r.digest.c_str(), r.wall_ms);
+  if (r.wall_ms_min.has_value()) {
+    std::printf("digest %s  wall %.1f ms median of %u, %.1f ms min\n",
+                r.digest.c_str(), r.wall_ms, repeat, *r.wall_ms_min);
+  } else {
+    std::printf("digest %s  wall %.1f ms\n", r.digest.c_str(), r.wall_ms);
+  }
+}
+
+// The median (the mean of the middle two for an even count) and the
+// minimum of a non-empty sample of walls.
+void SummarizeWalls(std::vector<double> walls, double* median,
+                    std::optional<double>* min) {
+  std::sort(walls.begin(), walls.end());
+  const size_t mid = walls.size() / 2;
+  *median = walls.size() % 2 == 1 ? walls[mid]
+                                   : (walls[mid - 1] + walls[mid]) / 2;
+  *min = walls.front();
+}
+
+// --repeat: runs `s` repeat - 1 more times after `first`. Each point's and
+// the scenario's wall become the median over all runs, and wall_ms_min the
+// fastest. The scenario digest is not compared: crypto_bench's host-timed
+// metrics move it on every run. Returns false, naming the point, when a
+// repetition's point digest differs from the first run's.
+bool Repeat(const Scenario& s, unsigned threads, unsigned repeat,
+            ScenarioRunResult& first) {
+  std::vector<std::vector<double>> point_walls(first.points.size());
+  for (size_t i = 0; i < first.points.size(); ++i) {
+    point_walls[i].push_back(first.points[i].wall_ms);
+  }
+  std::vector<double> walls = {first.wall_ms};
+  for (unsigned run = 2; run <= repeat; ++run) {
+    const ScenarioRunResult again = RunScenario(s, threads);
+    for (size_t i = 0; i < first.points.size(); ++i) {
+      if (again.points[i].digest != first.points[i].digest) {
+        std::fprintf(stderr,
+                     "optilog_bench: %s point %zu (%s): run %u digest %s, "
+                     "run 1 digest %s\n",
+                     s.name.c_str(), i, first.params[i].Label().c_str(), run,
+                     again.points[i].digest.c_str(),
+                     first.points[i].digest.c_str());
+        return false;
+      }
+      point_walls[i].push_back(again.points[i].wall_ms);
+    }
+    walls.push_back(again.wall_ms);
+  }
+  for (size_t i = 0; i < first.points.size(); ++i) {
+    SummarizeWalls(point_walls[i], &first.points[i].wall_ms,
+                   &first.points[i].wall_ms_min);
+  }
+  SummarizeWalls(walls, &first.wall_ms, &first.wall_ms_min);
+  return true;
+}
+
+// A count flag's value: plain digits in [1, max]. strtoul alone would
+// happily wrap "-2".
+bool ParseCount(const std::string& v, unsigned long max, unsigned* out) {
+  char* end = nullptr;
+  const unsigned long parsed = std::strtoul(v.c_str(), &end, 10);
+  if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0])) ||
+      *end != '\0' || parsed < 1 || parsed > max) {
+    return false;
+  }
+  *out = static_cast<unsigned>(parsed);
+  return true;
 }
 
 // --trace <scenario>:<point index>:<path>: re-run one grid point with the
@@ -165,6 +237,7 @@ int Main(int argc, char** argv) {
   std::vector<std::string> tags;
   bool list = false, all = false, quiet = false;
   unsigned threads = std::thread::hardware_concurrency();
+  unsigned repeat = 1;
   std::string json_dir;
   std::string trace_spec;
 
@@ -189,16 +262,18 @@ int Main(int argc, char** argv) {
       tags.push_back(value("--tag"));
     } else if (arg == "--threads") {
       const std::string v = value("--threads");
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(v.c_str(), &end, 10);
-      // strtoul would happily wrap "-2"; demand plain digits and a sane cap.
-      if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0])) ||
-          *end != '\0' || parsed < 1 || parsed > 1024) {
+      if (!ParseCount(v, 1024, &threads)) {
         std::fprintf(stderr, "optilog_bench: --threads wants a number in "
                              "1..1024, got '%s'\n\n", v.c_str());
         return Usage(stderr);
       }
-      threads = static_cast<unsigned>(parsed);
+    } else if (arg == "--repeat") {
+      const std::string v = value("--repeat");
+      if (!ParseCount(v, 1000, &repeat)) {
+        std::fprintf(stderr, "optilog_bench: --repeat wants a number in "
+                             "1..1000, got '%s'\n\n", v.c_str());
+        return Usage(stderr);
+      }
     } else if (arg == "--json") {
       json_dir = value("--json");
     } else if (arg == "--trace") {
@@ -281,8 +356,11 @@ int Main(int argc, char** argv) {
   std::printf("running %zu scenario(s) on %u thread(s)\n", selected.size(),
               threads);
   for (const Scenario* s : selected) {
-    const ScenarioRunResult result = RunScenario(*s, threads);
-    PrintResult(result, quiet);
+    ScenarioRunResult result = RunScenario(*s, threads);
+    if (repeat > 1 && !Repeat(*s, threads, repeat, result)) {
+      return 1;
+    }
+    PrintResult(result, quiet, repeat);
     if (!json_dir.empty()) {
       const std::string path =
           (std::filesystem::path(json_dir) / ("BENCH_" + s->name + ".json"))

@@ -352,8 +352,7 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
     TreeRsmOptions topts = tree_opts_;
     topts.n = d->n_;
     topts.f = d->f_;
-    d->tree_ = std::make_unique<TreeRsm>(d->sim_, d->net_.get(),
-                                         d->keys_.get(), &d->matrix_, topts);
+    d->tree_ = std::make_unique<TreeRsm>(d->sim_, d->net_.get(), &d->matrix_, topts);
 
     d->search_params_ = search_params_.value_or(AnnealingParams::ForBudget(5000));
     d->reconfig_rng_ = Rng(seed ^ 0x5deece66dull);

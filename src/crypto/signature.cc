@@ -41,7 +41,7 @@ SigBytes KeyStore::ComputeSig(ReplicaId signer, const uint8_t* msg,
   SigBytes out;
   if (len <= 54) {
     // The dominant case — protocol signatures cover 32-byte digests and
-    // 40-byte vote prefixes. Both halves fit a single final block, msg ||
+    // 40-byte signed headers. Both halves fit a single final block, msg ||
     // 0x01 included, and are independent, so they run as one pair.
     uint8_t ext[55];
     if (len > 0) {  // an empty Bytes may hand us a null pointer
@@ -70,12 +70,7 @@ SigBytes KeyStore::ComputeSig(ReplicaId signer, const uint8_t* msg,
 }
 
 Signature KeyStore::Sign(ReplicaId signer, const Bytes& message) const {
-  return Sign(signer, message.data(), message.size());
-}
-
-Signature KeyStore::Sign(ReplicaId signer, const uint8_t* message,
-                         size_t len) const {
-  return Signature{signer, ComputeSig(signer, message, len)};
+  return Signature{signer, ComputeSig(signer, message.data(), message.size())};
 }
 
 Signature KeyStore::Sign(ReplicaId signer, const Digest& digest) const {

@@ -52,9 +52,6 @@ class KeyStore {
 
   Signature Sign(ReplicaId signer, const Bytes& message) const;
   Signature Sign(ReplicaId signer, const Digest& digest) const;
-  // Signs the `len` bytes at `message`: for callers that lay out the signed
-  // bytes in a stack buffer instead of a Bytes.
-  Signature Sign(ReplicaId signer, const uint8_t* message, size_t len) const;
 
   bool Verify(const Signature& sig, const Bytes& message) const;
   bool Verify(const Signature& sig, const Digest& digest) const;
@@ -67,10 +64,9 @@ class KeyStore {
   SigBytes ComputeSig(ReplicaId signer, const uint8_t* msg, size_t len) const;
 
   std::vector<Bytes> secrets_;
-  // Cached HMAC key schedules, one per secret: signing and verifying are
-  // the hottest crypto in the simulator (every vote on every view), and the
-  // midstate cache halves their compression count without changing a byte
-  // of output.
+  // Cached HMAC key schedules, one per secret: the midstate cache halves
+  // the compression count of every signature and verification without
+  // changing a byte of output.
   std::vector<HmacKeySchedule> schedules_;
 };
 

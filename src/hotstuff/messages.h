@@ -5,19 +5,19 @@
 // and DESIGN.md "Wire format and cost model" for the layout conventions:
 // little-endian fixed-width header fields, raw 32-byte digests and 64-byte
 // signature fields, length-prefixed variable blobs, and zero-filled
-// placeholders for modeled payloads (batch commands) and modeled aggregate
-// signatures. The forwarded flag is folded into the type tag and rides the
-// out-of-band (family, type) frame header, never the body.
+// placeholders for modeled payloads (batch commands) and modeled signatures.
+// The forwarded flag is folded into the type tag and rides the out-of-band
+// (family, type) frame header, never the body.
 //
 // Sizes model the real protocols: a proposal carries the batch (batch_size
 // commands of cmd_bytes each), the parent QC, and any piggybacked OptiLog
 // measurements; votes are a digest plus one signature; aggregates carry a
 // partial certificate (bitmap + aggregate signature) plus suspicions for
-// missing children (the §6.3 b+1 rule).
+// missing children (the §6.3 b+1 rule). All their signatures are modeled, as
+// PBFT's are: zero bytes on the wire and CPU charged by the CryptoCostModel;
+// receivers authenticate votes and aggregates by their network sender.
 #pragma once
 
-#include <array>
-#include <cstring>
 #include <vector>
 
 #include "src/core/measurement.h"
@@ -89,11 +89,9 @@ struct ProposeMsg : Message {
 };
 
 // Body: view u64 | block 32 | signer u32 | signature 64. The signature is
-// real (KeyStore HMAC scheme) over the body prefix before the signer id
-// (SignedPrefix), so signed bytes == wire bytes.
+// modeled (the signer's id, 64 zero bytes); SigningBytes() is the body before
+// the signer id, the bytes a checked vote signature would cover.
 struct VoteMsg : Message {
-  static constexpr size_t kSignedPrefixSize = 8 + sizeof(Digest);
-
   uint64_t view = 0;
   Digest block{};
   Signature sig;
@@ -101,24 +99,16 @@ struct VoteMsg : Message {
   int type() const override { return kMsgVote; }
   MsgFamily family() const override { return MsgFamily::kHotStuff; }
   void EncodeTo(ByteWriter& w) const override {
-    const std::array<uint8_t, kSignedPrefixSize> prefix = SignedPrefix();
-    w.Raw(prefix.data(), prefix.size());
+    w.U64(view);
+    w.Raw(block.data(), block.size());
     sig.Serialize(w);
   }
-  // The canonical bytes the vote signature covers, laid out on the stack:
-  // view (little-endian) then block — everything before the signer id.
-  std::array<uint8_t, kSignedPrefixSize> SignedPrefix() const {
-    std::array<uint8_t, kSignedPrefixSize> out;
-    for (size_t i = 0; i < 8; ++i) {
-      out[i] = static_cast<uint8_t>(view >> (8 * i));
-    }
-    std::memcpy(out.data() + 8, block.data(), block.size());
-    return out;
-  }
-  // SignedPrefix as a Bytes.
   Bytes SigningBytes() const {
-    const std::array<uint8_t, kSignedPrefixSize> prefix = SignedPrefix();
-    return Bytes(prefix.begin(), prefix.end());
+    Bytes out;
+    ByteWriter w(&out);
+    EncodeTo(w);
+    out.resize(out.size() - Signature::kWireSize);
+    return out;
   }
   static IntrusivePtr<VoteMsg> Decode(int /*type*/, ByteReader& r) {
     auto m = MakeMessage<VoteMsg>();

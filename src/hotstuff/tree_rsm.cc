@@ -67,13 +67,12 @@ void TreeReplica::HandlePropose(ReplicaId from, const ProposeMsg& msg, SimTime a
   }
   const std::vector<ReplicaId>& children = tree.ChildrenOf(id_);
   if (children.empty()) {
-    // Leaf: vote straight to the parent. The vote is signed over its
-    // canonical prefix — the exact bytes that go on the wire.
+    // Leaf: vote straight to the parent. The signature is modeled: the
+    // signer id and zero bytes on the wire, its CPU charged here.
     auto vote = harness_->sim_->pool().Make<VoteMsg>();
     vote->view = msg.view;
     vote->block = msg.block;
-    const auto prefix = vote->SignedPrefix();
-    vote->sig = harness_->keys_->Sign(id_, prefix.data(), prefix.size());
+    vote->sig.signer = id_;
     if (CpuMeter* cpu = harness_->net_->cpu()) {
       cpu->ChargeSign(id_, at);
     }
@@ -117,7 +116,9 @@ void TreeReplica::HandleVote(ReplicaId from, const VoteMsg& msg) {
     }
   }
   if (tree.IsRoot(id_)) {
-    harness_->OnRootVotes(msg.view, msg.block, {from});
+    if (tree.ParentOf(from) == id_) {
+      harness_->OnRootVotes(from, msg.view, msg.block, {&from, 1});
+    }
     return;
   }
   // Only this replica's children vote into its aggregate, and only for the
@@ -189,7 +190,6 @@ void TreeReplica::MaybeSendAggregate(uint64_t view) {
 }
 
 void TreeReplica::HandleAggregate(ReplicaId from, const AggregateMsg& msg) {
-  (void)from;
   const TreeTopology& tree = harness_->tree_;
   if (!tree.IsRoot(id_)) {
     return;
@@ -203,17 +203,24 @@ void TreeReplica::HandleAggregate(ReplicaId from, const AggregateMsg& msg) {
       cpu->ChargeQcVerify(id_, harness_->sim_->now(), msg.voters.size());
     }
   }
-  harness_->OnRootVotes(msg.view, msg.block, msg.voters);
+  // An aggregate counts only from the root's own child, and speaks only for
+  // that child's subtree: its votes and its suspicions of its own children.
+  if (tree.ParentOf(from) != id_) {
+    return;
+  }
+  harness_->OnRootVotes(from, msg.view, msg.block, msg.voters);
   for (const SuspicionRecord& rec : msg.missing) {
-    harness_->RecordSuspicion(rec);
+    if (rec.suspector == from && tree.ParentOf(rec.suspect) == from) {
+      harness_->RecordSuspicion(rec);
+    }
   }
 }
 
 // --- TreeRsm -----------------------------------------------------------------
 
-TreeRsm::TreeRsm(Simulator* sim, Network* net, const KeyStore* keys,
-                 const LatencyMatrix* latency, TreeRsmOptions opts)
-    : sim_(sim), net_(net), keys_(keys), latency_(latency), opts_(opts) {
+TreeRsm::TreeRsm(Simulator* sim, Network* net, const LatencyMatrix* latency,
+                 TreeRsmOptions opts)
+    : sim_(sim), net_(net), latency_(latency), opts_(opts) {
   OL_CHECK(opts_.n >= 4);
   replicas_.reserve(opts_.n);
   for (ReplicaId id = 0; id < opts_.n; ++id) {
@@ -400,8 +407,8 @@ void TreeRsm::StartRound() {
   round.timeout = sim_->ScheduleTimer(this, view, RoundTimeout());
 }
 
-void TreeRsm::OnRootVotes(uint64_t view, Digest block,
-                          const std::vector<ReplicaId>& voters) {
+void TreeRsm::OnRootVotes(ReplicaId from, uint64_t view, Digest block,
+                          std::span<const ReplicaId> voters) {
   auto it = rounds_.find(view);
   if (it == rounds_.end() || it->second.committed || it->second.failed) {
     return;
@@ -410,10 +417,10 @@ void TreeRsm::OnRootVotes(uint64_t view, Digest block,
   if (block != round.block) {
     return;
   }
-  // An aggregate's voter list comes off the wire: only ids of this group
-  // count (DenseIdSet grows to fit any id it is given).
+  // Voter ids come off the wire. Only the sender's and its children's count,
+  // so DenseIdSet, which grows to fit any id it is given, stays group-sized.
   for (ReplicaId v : voters) {
-    if (v < opts_.n) {
+    if (v == from || tree_.ParentOf(v) == from) {
       round.votes.Insert(v);
     }
   }

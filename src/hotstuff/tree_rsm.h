@@ -25,12 +25,12 @@
 // reconfiguration policy for the next tree (see DESIGN.md).
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 
 #include "src/api/consensus_engine.h"
 #include "src/core/pipeline.h"
@@ -116,8 +116,7 @@ class TreeRsm : public ConsensusEngine, public TimerTarget {
   // nullopt to keep the current one (e.g. star fallback already active).
   using ReconfigPolicy = std::function<std::optional<TreeTopology>(TreeRsm&)>;
 
-  TreeRsm(Simulator* sim, Network* net, const KeyStore* keys,
-          const LatencyMatrix* latency, TreeRsmOptions opts);
+  TreeRsm(Simulator* sim, Network* net, const LatencyMatrix* latency, TreeRsmOptions opts);
 
   // --- ConsensusEngine -------------------------------------------------------
   void Start() override;
@@ -207,7 +206,9 @@ class TreeRsm : public ConsensusEngine, public TimerTarget {
   // fired — then (re)arms the deadline timer for the oldest waiting request.
   void PumpWorkload(bool deadline_fired);
   void ReturnBatchToQueue(Round& round);
-  void OnRootVotes(uint64_t view, Digest block, const std::vector<ReplicaId>& voters);
+  // Counts the `voters` that are the root's child `from` or its children.
+  void OnRootVotes(ReplicaId from, uint64_t view, Digest block,
+                   std::span<const ReplicaId> voters);
   void CommitRound(uint64_t view);
   void OnRoundTimeout(uint64_t view);
   void RecordSuspicion(const SuspicionRecord& rec);
@@ -224,7 +225,6 @@ class TreeRsm : public ConsensusEngine, public TimerTarget {
 
   Simulator* sim_;
   Network* net_;
-  const KeyStore* keys_;
   const LatencyMatrix* latency_;
   TreeRsmOptions opts_;
   TreeTopology tree_;

@@ -83,6 +83,9 @@ void WriteBody(JsonWriter& w, const ScenarioRunResult& r, bool include_wall) {
     w.Key("digest").String(p.digest);
     if (include_wall) {
       w.Key("wall_ms").Double(p.wall_ms);
+      if (p.wall_ms_min.has_value()) {
+        w.Key("wall_ms_min").Double(*p.wall_ms_min);
+      }
     }
     w.EndObject();
   }
@@ -185,6 +188,9 @@ std::string FullJson(const ScenarioRunResult& r) {
   WriteBody(w, r, /*include_wall=*/true);
   w.Key("digest").String(r.digest);
   w.Key("wall_ms").Double(r.wall_ms);
+  if (r.wall_ms_min.has_value()) {
+    w.Key("wall_ms_min").Double(*r.wall_ms_min);
+  }
   w.EndObject();
   return w.str() + "\n";
 }

@@ -13,16 +13,19 @@
 //        "metrics": {"ops_per_sec": 812.0, ...},
 //        "event_core": {"events_executed": 123, ...},
 //        "digest": "<hex>",
-//        "wall_ms": 87.2},                            // advisory, undigested
+//        "wall_ms": 87.2,                             // advisory, undigested
+//        "wall_ms_min": 80.1},                        // only when repeated
 //       ...
 //     ],
 //     "summary": {"columns": [...], "rows": [...]},   // only with finalize
-//     "digest": "<sha256 hex over the above minus wall_ms fields>",
-//     "wall_ms": 1234.5                               // advisory, undigested
+//     "digest": "<sha256 hex over the above minus wall fields>",
+//     "wall_ms": 1234.5,                              // advisory, undigested
+//     "wall_ms_min": 1201.7                           // only when repeated
 //   }
 //
-// Everything except wall_ms is deterministic; tools/compare_bench.py treats
-// wall_ms as advisory and gates on the rest.
+// Repeated runs report their median as wall_ms. Everything except the wall
+// fields is deterministic; tools/compare_bench.py treats them as advisory
+// and gates on the rest.
 #pragma once
 
 #include <cstddef>
@@ -54,6 +57,7 @@ struct ScenarioRunResult {
   SummaryTable summary;              // empty without a finalize hook
   std::string digest;                // SHA-256 hex of the deterministic JSON
   double wall_ms = 0.0;              // advisory
+  std::optional<double> wall_ms_min;  // advisory, set only when repeated
 };
 
 ScenarioRunResult RunScenario(const Scenario& s, unsigned threads = 1);
@@ -62,7 +66,7 @@ ScenarioRunResult RunScenario(const Scenario& s, unsigned threads = 1);
 // thread counts for identical seeds — the determinism contract tests pin.
 std::string DeterministicJson(const ScenarioRunResult& r);
 
-// DeterministicJson plus the advisory wall_ms — the BENCH_<name>.json body.
+// DeterministicJson plus the advisory wall fields: BENCH_<name>.json.
 std::string FullJson(const ScenarioRunResult& r);
 
 }  // namespace optilog

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,6 +80,8 @@ struct PointResult {
   // e.g. fig08's MIS-time-vs-n curve — stays observable without breaking
   // the byte-identical contract.
   double wall_ms = 0.0;
+  // Set only for repeated runs: the fastest wall, with wall_ms the median.
+  std::optional<double> wall_ms_min;
 };
 
 // Optional deterministic reduction across all points (e.g. mean/CI over the

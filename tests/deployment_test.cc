@@ -41,13 +41,12 @@ TEST(DeploymentBuilder, OptiTreeMatchesHandWiredCounts) {
     Simulator sim;
     FaultModel faults;
     Network net(&sim, &latency, &faults);
-    KeyStore keys(kN, kSeed);
     const LatencyMatrix matrix = MatrixFor(cities);
 
     TreeRsmOptions opts;
     opts.n = kN;
     opts.f = kF;
-    TreeRsm rsm(&sim, &net, &keys, &matrix, opts);
+    TreeRsm rsm(&sim, &net, &matrix, opts);
     Rng rng(kSeed);
     std::vector<ReplicaId> all(kN);
     for (ReplicaId id = 0; id < kN; ++id) {
@@ -103,7 +102,7 @@ TEST(DeploymentBuilder, OptiTreeCrashRecoveryMatchesHandWiredPipeline) {
     TreeRsmOptions opts;
     opts.n = kN;
     opts.f = kF;
-    TreeRsm rsm(&sim, &net, &keys, &matrix, opts);
+    TreeRsm rsm(&sim, &net, &matrix, opts);
     Rng rng(kSeed);
     std::vector<ReplicaId> all(kN);
     for (ReplicaId id = 0; id < kN; ++id) {

@@ -248,17 +248,42 @@ class AggregateSink : public Actor {
   std::vector<Received> received;
 };
 
+// Stands in for a replica: keeps every vote sent to it, and nothing else.
+class VoteSink : public Actor {
+ public:
+  struct Received {
+    ReplicaId from = kNoReplica;
+    Signature sig;
+    size_t wire_size = 0;
+  };
+
+  void OnMessage(ReplicaId from, const MessagePtr& msg, SimTime at) override {
+    (void)at;
+    if (msg->type() == kMsgVote) {
+      received.push_back({from, static_cast<const VoteMsg&>(*msg).sig, msg->WireSize()});
+    }
+  }
+
+  std::vector<Received> received;
+};
+
+// Kauri over seven European replicas: root 0, intermediate 1 with leaves 3
+// and 5, intermediate 2 with leaves 4 and 6. Self-driven, one view in flight;
+// 5 votes commit.
+std::unique_ptr<Deployment> SevenReplicaKauri() {
+  return Deployment::Builder()
+      .WithGeo(Europe21())
+      .WithReplicas(7, 2)
+      .WithProtocol(Protocol::kKauri)
+      .WithTopology(TreeTopology::Build({0, 1, 2}, {3, 4, 5, 6}))
+      .Build();
+}
+
 // An intermediate counts a vote only from its own child and only for the
-// block it aggregates. Kauri over seven European replicas: root 0,
-// intermediates 1 and 2 with two leaves each.
+// block it aggregates.
 TEST(TreeRsmSim, IntermediateCountsOnlyItsChildrensVotesForItsBlock) {
   AggregateSink root;
-  auto d = Deployment::Builder()
-               .WithGeo(Europe21())
-               .WithReplicas(7, 2)
-               .WithProtocol(Protocol::kKauri)
-               .WithTopology(TreeTopology::Build({0, 1, 2}, {3, 4, 5, 6}))
-               .Build();
+  auto d = SevenReplicaKauri();
   const TreeTopology& tree = d->tree().topology();
   const ReplicaId inter = tree.intermediates()[0];
   const std::vector<ReplicaId> children = tree.ChildrenOf(inter);
@@ -308,6 +333,147 @@ TEST(TreeRsmSim, IntermediateCountsOnlyItsChildrensVotesForItsBlock) {
   EXPECT_EQ(aggregate->suspected, children);
 }
 
+// The root counts a direct vote only from its own child, and from an
+// aggregate only if the sender is its child and only the sender's and the
+// sender's children's votes. Leaves 3 and 6 are crashed and a sink stands in
+// for leaf 5, which stays alive but never votes, so view 0 gathers the root,
+// both intermediates and leaf 4: one vote short of the 5 it needs. No forged
+// message may supply the fifth; the aggregate naming 1's own child 5 then
+// does.
+TEST(TreeRsmSim, RootCountsOnlyItsChildrenAndTheirSubtrees) {
+  const ReplicaId root = 0, inter = 1, other = 2, silent_leaf = 5;
+  auto aggregate = [](std::vector<ReplicaId> voters) {
+    auto agg = MakeMessage<AggregateMsg>();
+    agg->view = 0;
+    agg->block = BlockOf(0);
+    agg->voters = std::move(voters);
+    return MessagePtr(std::move(agg));
+  };
+  auto vote = [] {
+    auto v = MakeMessage<VoteMsg>();
+    v->view = 0;
+    v->block = BlockOf(0);
+    return MessagePtr(std::move(v));
+  };
+  struct Forged {
+    const char* what;
+    ReplicaId from;
+    MessagePtr msg;
+  };
+  const Forged cases[] = {
+      {"aggregate naming the other intermediate's children", inter, aggregate({inter, 4, 6})},
+      {"direct vote from a leaf", silent_leaf, vote()},
+      {"aggregate from a leaf", silent_leaf, aggregate({silent_leaf})},
+  };
+  for (const Forged& forged : cases) {
+    SCOPED_TRACE(forged.what);
+    VoteSink silent;
+    auto d = SevenReplicaKauri();
+    ASSERT_EQ(d->tree().CommitThreshold(), 5u);
+    d->faults().Mutable(3).crash_at = 0;
+    d->faults().Mutable(6).crash_at = 0;
+    d->net().Register(silent_leaf, &silent);
+    d->Start();
+    // Both intermediates open view 0, then send its aggregate on their Lagg
+    // timers.
+    while (d->tree().PendingAggregations(inter) + d->tree().PendingAggregations(other) < 2) {
+      ASSERT_TRUE(d->sim().Step());
+    }
+    while (d->tree().PendingAggregations(inter) + d->tree().PendingAggregations(other) > 0) {
+      ASSERT_TRUE(d->sim().Step());
+    }
+    const auto* latency = d->net().latency();
+    const SimTime hop = std::max({latency->OneWay(inter, root), latency->OneWay(other, root),
+                                  latency->OneWay(silent_leaf, root)}) +
+                        1 * kMsec;
+    d->net().Send(forged.from, root, forged.msg);
+    d->RunFor(hop);
+    ASSERT_EQ(d->tree().failed_rounds(), 0u);  // view 0 is still open
+    EXPECT_EQ(d->tree().committed_blocks(), 0u);
+
+    d->net().Send(inter, root, aggregate({inter, silent_leaf}));
+    d->RunFor(hop);
+    EXPECT_EQ(d->tree().committed_blocks(), 1u);
+  }
+}
+
+// The root records an aggregate's missing-child suspicion only in the
+// sender's own name and only against the sender's own child.
+TEST(TreeRsmSim, RootRecordsOnlyTheSendersOwnSuspicions) {
+  const uint64_t kForgedRound = 1000;  // a view the run does not reach
+  auto suspicion = [&](ReplicaId suspector, ReplicaId suspect) {
+    SuspicionRecord rec;
+    rec.suspector = suspector;
+    rec.suspect = suspect;
+    rec.round = kForgedRound;
+    rec.phase = PhaseTag::kFirstVote;
+    return rec;
+  };
+  auto d = SevenReplicaKauri();
+  d->Start();
+  auto agg = MakeMessage<AggregateMsg>();
+  agg->view = 0;
+  agg->block = BlockOf(0);
+  agg->voters = {1};
+  agg->missing = {
+      suspicion(2, 4),  // in the other intermediate's name
+      suspicion(3, 5),  // in a leaf's name
+      suspicion(1, 4),  // against the other intermediate's child
+      suspicion(1, 2),  // against the other intermediate
+      suspicion(1, 0),  // against the root
+      suspicion(1, 3),  // against the sender's own child: recorded
+  };
+  d->net().Send(1, 0, std::move(agg));
+  d->RunFor(d->net().latency()->OneWay(1, 0) + 1 * kMsec);
+
+  std::vector<std::pair<ReplicaId, ReplicaId>> recorded;
+  for (const SuspicionRecord& rec : d->tree().logged_suspicions()) {
+    if (rec.round == kForgedRound) {
+      recorded.emplace_back(rec.suspector, rec.suspect);
+    }
+  }
+  const std::vector<std::pair<ReplicaId, ReplicaId>> expected = {{1, 3}};
+  EXPECT_EQ(recorded, expected);
+}
+
+// A leaf's vote carries a modeled signature: its own id as the signer and 64
+// zero bytes, in the 108 wire bytes of a signed vote. A sink takes each
+// intermediate's place as soon as it has forwarded view 0's proposal.
+TEST(TreeRsmSim, LeafVotesCarryModeledSignatures) {
+  auto d = SevenReplicaKauri();
+  const TreeTopology tree = d->tree().topology();
+  const std::vector<ReplicaId> inters = tree.intermediates();
+  ASSERT_EQ(inters.size(), 2u);
+  VoteSink sinks[2];
+  bool swapped[2] = {false, false};
+  d->Start();
+  while (!swapped[0] || !swapped[1]) {
+    ASSERT_TRUE(d->sim().Step());
+    for (size_t i = 0; i < 2; ++i) {
+      if (!swapped[i] && d->tree().PendingAggregations(inters[i]) > 0) {
+        d->net().Register(inters[i], &sinks[i]);
+        swapped[i] = true;
+      }
+    }
+  }
+  d->RunFor(500 * kMsec);
+
+  for (size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(inters[i]);
+    std::vector<ReplicaId> voters;
+    for (const VoteSink::Received& r : sinks[i].received) {
+      voters.push_back(r.from);
+      EXPECT_EQ(r.sig.signer, r.from);
+      EXPECT_EQ(r.sig.bytes, SigBytes{});
+      EXPECT_EQ(r.wire_size, 108u);
+    }
+    std::vector<ReplicaId> children = tree.ChildrenOf(inters[i]);
+    std::sort(voters.begin(), voters.end());
+    std::sort(children.begin(), children.end());
+    EXPECT_EQ(voters, children);
+  }
+}
+
 // The deadlines a tree engine arms, by their formulas evaluated afresh: the
 // root's round timeout is delta * TreeScore at the commit threshold plus
 // 200 ms (2 s plus 200 ms when the score is infinite); an intermediate's
@@ -354,7 +520,6 @@ TEST(TreeRsmSim, CachedDeadlinesFollowTheirInputs) {
     }
     FaultModel faults;
     Network net(&sim, &model, &faults);
-    const KeyStore keys(n, 1);
     LatencyMatrix matrix(n);
     for (ReplicaId a = 0; a < n; ++a) {
       for (ReplicaId b = 0; b < n; ++b) {
@@ -368,7 +533,7 @@ TEST(TreeRsmSim, CachedDeadlinesFollowTheirInputs) {
     opts.f = 4;
     opts.delta = 1.5;
     opts.rotate_root = rotate;
-    TreeRsm rsm(&sim, &net, &keys, &matrix, opts);
+    TreeRsm rsm(&sim, &net, &matrix, opts);
     rsm.SetTopology(TreeTopology::Build({0, 1, 2, 3}, {4, 5, 6, 7, 8, 9, 10, 11, 12}));
     rsm.Start();
 
