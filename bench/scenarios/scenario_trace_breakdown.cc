@@ -16,8 +16,9 @@
 //                            (sampling schedules real timers, so it is a
 //                            different — but still deterministic — schedule)
 //
-// The stage sums are exact-gated metrics; reconstructed_pct pins that the
-// six-record lifecycle chains cover >= 99% of committed requests. The
+// The stage sums, and the queue and end-to-end p50/p99 (the spread a
+// pipeline's cadence sets), are exact-gated metrics; reconstructed_pct pins
+// that the six-record lifecycle chains cover >= 99% of committed requests. The
 // scenario also registers the --trace hook, so
 //   optilog_bench --trace trace_breakdown:0:out.json
 // exports the Chrome trace-event JSON that tools/trace_stats.py recomputes
@@ -196,7 +197,9 @@ PointResult RunPoint(const Params& p) {
        Fixed(reconstructed, 1), Fixed(sb.client_net_ms / n, 2),
        Fixed(sb.queue_ms / n, 2), Fixed(sb.consensus_ms / n, 2),
        Fixed(sb.apply_ms / n, 2), Fixed(sb.reply_ms / n, 2),
-       Fixed(sb.total_ms / n, 2)});
+       Fixed(sb.total_ms / n, 2), Fixed(sb.queue.p50_ms, 2),
+       Fixed(sb.queue.p99_ms, 2), Fixed(sb.total.p50_ms, 2),
+       Fixed(sb.total.p99_ms, 2)});
   pr.metrics = {
       {"requests", static_cast<double>(sb.requests)},
       {"incomplete", static_cast<double>(sb.incomplete)},
@@ -210,6 +213,10 @@ PointResult RunPoint(const Params& p) {
       {"stage_apply_ms", sb.apply_ms},
       {"stage_reply_ms", sb.reply_ms},
       {"stage_total_ms", sb.total_ms},
+      {"stage_queue_p50_ms", sb.queue.p50_ms},
+      {"stage_queue_p99_ms", sb.queue.p99_ms},
+      {"stage_total_p50_ms", sb.total.p50_ms},
+      {"stage_total_p99_ms", sb.total.p99_ms},
   };
   for (const TimeseriesReport::Series& s : sampled.metrics.timeseries.series) {
     pr.timeseries.emplace_back(s.name, s.values);
@@ -223,12 +230,14 @@ Scenario Make() {
   s.name = "trace_breakdown";
   s.description =
       "flight recorder: per-request stage breakdown (client_net/queue/"
-      "consensus/apply/reply) + gauge time-series; pins tracing-off "
-      "fingerprint stability and >= 99% chain reconstruction";
+      "consensus/apply/reply, queue and total p50/p99) + gauge "
+      "time-series; pins tracing-off fingerprint stability and >= 99% "
+      "chain reconstruction";
   s.tags = {"obs", "tier1"};
-  s.columns = {"point",  "requests",  "incomplete", "reconstr_pct",
-               "net_ms", "queue_ms",  "cons_ms",    "apply_ms",
-               "reply_ms", "total_ms"};
+  s.columns = {"point",     "requests",  "incomplete", "reconstr_pct",
+               "net_ms",    "queue_ms",  "cons_ms",    "apply_ms",
+               "reply_ms",  "total_ms",  "queue_p50",  "queue_p99",
+               "total_p50", "total_p99"};
   // The order keeps CI's `--trace trace_breakdown:1` on the sharded point.
   s.grid = {{"point",
              {"kauri_saturation", "shard_txn", "optiaware_closed_loop"}}};

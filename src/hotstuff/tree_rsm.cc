@@ -232,6 +232,7 @@ TreeRsm::TreeRsm(Simulator* sim, Network* net, const LatencyMatrix* latency,
 
 void TreeRsm::SetTopology(const TreeTopology& tree) {
   tree_ = tree;
+  round_time_ = 0;  // a new tree is not paced until it commits a round
   InvalidateDeadlines();
   for (auto& replica : replicas_) {
     replica->aggregating_.clear();
@@ -434,6 +435,7 @@ void TreeRsm::CommitRound(uint64_t view) {
   round.committed = true;
   sim_->Cancel(round.timeout);
   ++committed_blocks_;
+  round_time_ = sim_->now() - round.proposed_at;
   latency_rec_.Record(round.proposed_at, sim_->now());
   if (queue_ != nullptr) {
     // Commit boundary: every live replica executes the batch on its state
@@ -559,8 +561,9 @@ void TreeRsm::PumpWorkload(bool deadline_fired) {
   const BatchPolicy& policy = queue_->policy();
   while (in_flight_ < opts_.pipeline_depth && !queue_->empty()) {
     const bool due =
-        deadline_fired ||
-        sim_->now() >= queue_->front_enqueued_at() + policy.max_delay;
+        (deadline_fired ||
+         sim_->now() >= queue_->front_enqueued_at() + policy.max_delay) &&
+        sim_->now() >= PacingNotBefore();
     if (!due && queue_->depth() < policy.max_batch) {
       break;
     }
@@ -581,7 +584,8 @@ void TreeRsm::PumpWorkload(bool deadline_fired) {
     }
     return;
   }
-  const SimTime due_at = queue_->front_enqueued_at() + policy.max_delay;
+  const SimTime due_at =
+      std::max(queue_->front_enqueued_at() + policy.max_delay, PacingNotBefore());
   if (batch_timer_ != kNoEvent && batch_timer_due_ == due_at) {
     return;
   }
@@ -590,6 +594,22 @@ void TreeRsm::PumpWorkload(bool deadline_fired) {
   }
   batch_timer_due_ = due_at;
   batch_timer_ = sim_->ScheduleTimerAt(due_at, this, kTimerBatchDeadline);
+}
+
+// Rounds that take the same time D and restart as they commit stay bunched:
+// with every slot refilled as soon as it frees, the root proposes nothing for
+// most of D while requests pile up. Holding the start that would fill the
+// last free slot until D / depth after the previous one spreads the starts
+// over the round. With two or more slots free the pipeline is not the
+// bottleneck, so nothing waits; PumpWorkload's size trigger ignores the hold,
+// so a full batch goes at once (DESIGN.md, "Tree pipeline pacing").
+SimTime TreeRsm::PacingNotBefore() const {
+  if (opts_.pipeline_depth < 2 || in_flight_ + 1 != opts_.pipeline_depth ||
+      round_time_ == 0) {
+    return 0;
+  }
+  // Views start in order, so the newest round is the last one started.
+  return rounds_.rbegin()->second.proposed_at + round_time_ / opts_.pipeline_depth;
 }
 
 void TreeRsm::RecordSuspicion(const SuspicionRecord& rec) {

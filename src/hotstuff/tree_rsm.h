@@ -205,6 +205,11 @@ class TreeRsm : public ConsensusEngine, public TimerTarget {
   // (queue >= max_batch) holds — or once, immediately, when the deadline
   // fired — then (re)arms the deadline timer for the oldest waiting request.
   void PumpWorkload(bool deadline_fired);
+  // Pipeline pacing: the earliest instant a deadline-triggered start may
+  // take the pipeline's last free slot, the last start + D / pipeline_depth
+  // with D = round_time_; 0 (no hold) with two or more slots free, a
+  // depth-1 pipeline, or no round committed on this tree yet.
+  SimTime PacingNotBefore() const;
   void ReturnBatchToQueue(Round& round);
   // Counts the `voters` that are the root's child `from` or its children.
   void OnRootVotes(ReplicaId from, uint64_t view, Digest block,
@@ -254,6 +259,9 @@ class TreeRsm : public ConsensusEngine, public TimerTarget {
   RsmGroup* group_ = nullptr;
   EventId batch_timer_ = kNoEvent;
   SimTime batch_timer_due_ = 0;
+  // D for PacingNotBefore: the proposal-to-commit time of the last round
+  // committed on this tree (0 = none yet; SetTopology forgets it).
+  SimTime round_time_ = 0;
 
   ThroughputRecorder throughput_;
   LatencyRecorder latency_rec_;

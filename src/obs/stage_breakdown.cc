@@ -1,7 +1,10 @@
 #include "src/obs/stage_breakdown.h"
 
+#include <algorithm>
 #include <map>
 #include <utility>
+
+#include "src/util/stats.h"
 
 namespace optilog {
 namespace {
@@ -14,6 +17,16 @@ struct Chain {
   SimTime reply = -1;
   SimTime complete = -1;
 };
+
+// Adds one stage's values to its sum in chain order, then sorts them for its
+// percentiles.
+void Fold(std::vector<double>& ms, double& sum_ms, StagePercentiles& pct) {
+  for (double x : ms) {
+    sum_ms += x;
+  }
+  std::sort(ms.begin(), ms.end());
+  pct = {SortedPercentile(ms, 50.0), SortedPercentile(ms, 99.0)};
+}
 
 }  // namespace
 
@@ -53,6 +66,7 @@ StageBreakdown ComputeStageBreakdown(const std::vector<TraceRecord>& records) {
     }
   }
   StageBreakdown out;
+  std::vector<double> client_net, queue, consensus, apply, reply, total;
   for (const auto& [key, c] : chains) {
     if (c.send < 0) {
       // Not rooted at a client: a coordinator's internal 2PC record, whose
@@ -68,13 +82,19 @@ StageBreakdown ComputeStageBreakdown(const std::vector<TraceRecord>& records) {
       continue;
     }
     ++out.requests;
-    out.client_net_ms += ToMs(c.admit - c.send);
-    out.queue_ms += ToMs(c.seal - c.admit);
-    out.consensus_ms += ToMs(c.commit - c.seal);
-    out.apply_ms += ToMs(c.reply - c.commit);
-    out.reply_ms += ToMs(c.complete - c.reply);
-    out.total_ms += ToMs(c.complete - c.send);
+    client_net.push_back(ToMs(c.admit - c.send));
+    queue.push_back(ToMs(c.seal - c.admit));
+    consensus.push_back(ToMs(c.commit - c.seal));
+    apply.push_back(ToMs(c.reply - c.commit));
+    reply.push_back(ToMs(c.complete - c.reply));
+    total.push_back(ToMs(c.complete - c.send));
   }
+  Fold(client_net, out.client_net_ms, out.client_net);
+  Fold(queue, out.queue_ms, out.queue);
+  Fold(consensus, out.consensus_ms, out.consensus);
+  Fold(apply, out.apply_ms, out.apply);
+  Fold(reply, out.reply_ms, out.reply);
+  Fold(total, out.total_ms, out.total);
   return out;
 }
 

@@ -17,9 +17,9 @@
 //
 // The sums are exact-gated metrics in the trace_breakdown scenario; the
 // offline twin (tools/trace_stats.py) recomputes the same decomposition from
-// the exported Chrome JSON. Retries reuse the first client_send and the
-// records of the attempt that committed (first record of each kind wins,
-// matching dedup semantics at the leader).
+// the exported Chrome JSON, percentiles included. Retries reuse the first
+// client_send and the records of the attempt that committed (first record of
+// each kind wins, matching dedup semantics at the leader).
 #pragma once
 
 #include <cstdint>
@@ -28,6 +28,14 @@
 #include "src/obs/trace.h"
 
 namespace optilog {
+
+// One stage's p50 and p99 in milliseconds over the complete chains, by
+// linear interpolation over the exact sorted values (SortedPercentile, the
+// rule tools/trace_stats.py applies).
+struct StagePercentiles {
+  double p50_ms = 0.0;
+  double p99_ms = 0.0;
+};
 
 struct StageBreakdown {
   uint64_t requests = 0;    // requests with the full six-record chain
@@ -40,6 +48,13 @@ struct StageBreakdown {
   double apply_ms = 0.0;
   double reply_ms = 0.0;
   double total_ms = 0.0;  // telescoped end-to-end sum (== stage sum)
+  // Per-stage spread (batch is 0 by construction and has none).
+  StagePercentiles client_net;
+  StagePercentiles queue;
+  StagePercentiles consensus;
+  StagePercentiles apply;
+  StagePercentiles reply;
+  StagePercentiles total;
 };
 
 StageBreakdown ComputeStageBreakdown(const std::vector<TraceRecord>& records);

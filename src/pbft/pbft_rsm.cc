@@ -259,7 +259,8 @@ void PbftReplica::Commit(Instance& inst) {
     sensor_->GarbageCollect(seq >= 2 ? seq - 2 : 0);
   }
   if (id_ == harness_->config_.leader) {
-    harness_->OnCommitAtLeader(seq, static_cast<uint32_t>(inst.batch.size()));
+    harness_->OnCommitAtLeader(seq, static_cast<uint32_t>(inst.batch.size()),
+                               inst.proposal_ts);
   }
 }
 
@@ -388,6 +389,7 @@ MetricsReport PbftHarness::Metrics() const {
   report.failed_rounds = 0;  // view changes are out of model (§7.1)
   report.reconfigurations = reconfig_times_.size();
   report.suspicions = suspicion_times_.size();
+  report.mean_latency_ms = latency_rec_.stat().mean();
   report.throughput_per_sec = throughput_.per_second();
   report.reconfig_times = reconfig_times_;
   report.suspicion_times = suspicion_times_;
@@ -419,9 +421,11 @@ void PbftHarness::ProposeNext(SimTime now) {
   net_->Multicast(config_.leader, replica_ids_, std::move(msg));
 }
 
-void PbftHarness::OnCommitAtLeader(uint64_t seq, uint32_t batch_size) {
+void PbftHarness::OnCommitAtLeader(uint64_t seq, uint32_t batch_size,
+                                   SimTime proposed_at) {
   (void)seq;
   ++committed_instances_;
+  latency_rec_.Record(proposed_at, sim_->now());
   throughput_.RecordCommit(sim_->now(), batch_size);
   // The committed command batch is a log entry like any other; the pipeline
   // skips it, but the chain head covers it (determinism evidence).

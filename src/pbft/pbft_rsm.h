@@ -180,7 +180,9 @@ class PbftHarness : public ConsensusEngine, public TimerTarget {
   static constexpr uint64_t kTimerAwareOptimize = 2;
 
   void ProposeNext(SimTime now);
-  void OnCommitAtLeader(uint64_t seq, uint32_t batch_size);
+  // The leader's commit of `seq`, whose Pre-Prepare was stamped
+  // `proposed_at`: the instance latency Metrics() reports.
+  void OnCommitAtLeader(uint64_t seq, uint32_t batch_size, SimTime proposed_at);
   void RunProbeRound();
   void RunAwareOptimization();
   // Commit-order measurement bus: sensor emissions are signed, appended to
@@ -231,6 +233,7 @@ class PbftHarness : public ConsensusEngine, public TimerTarget {
   bool started_ = false;
   uint64_t committed_instances_ = 0;
   ThroughputRecorder throughput_;
+  LatencyRecorder latency_rec_;
   std::vector<SimTime> reconfig_times_;
   std::vector<SimTime> suspicion_times_;
   std::set<uint64_t> suspicion_rounds_;

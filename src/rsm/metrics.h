@@ -197,8 +197,10 @@ struct MetricsReport {
   uint64_t failed_rounds = 0;      // rounds lost to timeouts
   uint64_t reconfigurations = 0;   // configuration changes (any cause)
   uint64_t suspicions = 0;         // suspicion records raised
-  // Consensus latency for tree protocols; end-to-end client latency for the
-  // PBFT family (the metric each paper figure plots).
+  // Consensus latency, proposal to the proposer's commit, as the engine
+  // measures it. A PBFT-family Deployment with a client fleet replaces it
+  // with end-to-end client latency (the metric the paper's PBFT figures
+  // plot).
   double mean_latency_ms = 0.0;
   std::vector<uint64_t> throughput_per_sec;  // commands per second of sim time
   std::vector<SimTime> reconfig_times;

@@ -7,6 +7,7 @@
 //  * Causality: record ids are unique, every nonzero parent resolves to an
 //    earlier record, and on a sharded deployment (one shared simulator)
 //    parent edges run from a 2PC coordinator into another shard's replicas.
+//  * Stage breakdown: per-stage sums and p50/p99 over the lifecycle chains.
 //  * Gauge sampling: reads on sim-time timers, in registration order.
 // Rerun determinism of sharded traces and gauge series is pinned in
 // shard_determinism_test.cc.
@@ -111,6 +112,38 @@ TEST(Obs, StageBreakdownCoversCommittedRequests) {
   EXPECT_GE(100.0 * static_cast<double>(sb.requests) /
                 static_cast<double>(sb.requests + sb.incomplete),
             99.0);
+}
+
+// Per-stage p50/p99 interpolate linearly between the exact sorted values,
+// as tools/trace_stats.py does. Three chains whose queue stage is 1, 2 and
+// 10 ms (client_net, consensus and reply 1 ms, apply 0): the queue p50 is
+// the middle value and its p99 sits 98% of the way from 2 to 10.
+TEST(Obs, StagePercentilesInterpolateTheSortedStages) {
+  std::vector<TraceRecord> records;
+  uint64_t request = 0;
+  for (SimTime queue : {10 * kMsec, 1 * kMsec, 2 * kMsec}) {
+    const SimTime steps[] = {0, 1 * kMsec, queue, 1 * kMsec, 0, 1 * kMsec};
+    SimTime t = 0;
+    for (uint16_t k = 0; k < 6; ++k) {
+      t += steps[k];
+      TraceRecord r;
+      r.t = t;
+      r.kind = static_cast<uint16_t>(TraceKind::kClientSend) + k;
+      r.a = request;
+      r.b = 7;  // client id
+      records.push_back(r);
+    }
+    ++request;
+  }
+  const StageBreakdown sb = ComputeStageBreakdown(records);
+  ASSERT_EQ(sb.requests, 3u);
+  EXPECT_DOUBLE_EQ(sb.queue_ms, 13.0);
+  EXPECT_DOUBLE_EQ(sb.queue.p50_ms, 2.0);
+  EXPECT_DOUBLE_EQ(sb.queue.p99_ms, 2.0 + 0.98 * 8.0);
+  EXPECT_DOUBLE_EQ(sb.total.p50_ms, 5.0);
+  EXPECT_DOUBLE_EQ(sb.total.p99_ms, 5.0 + 0.98 * 8.0);
+  EXPECT_DOUBLE_EQ(sb.consensus.p50_ms, 1.0);
+  EXPECT_DOUBLE_EQ(sb.apply.p99_ms, 0.0);
 }
 
 TEST(Obs, CausalForestIsConnectedAcrossShards) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <set>
+#include <utility>
 
 #include "src/api/deployment.h"
 #include "src/tree/kauri.h"
@@ -596,6 +597,207 @@ TEST(TreeRsmSim, CachedDeadlinesFollowTheirInputs) {
     matrix.Record(2, rsm.topology().ChildrenOf(2)[0], 400.0);
     check("Record");
   }
+}
+
+// --- Pipeline pacing -----------------------------------------------------------
+
+// Every round takes the same time D, so rounds that restart as they commit
+// stay bunched. Under a load that always keeps requests waiting, the hold on
+// the last free slot spreads them within a few rounds: from two round times
+// after the first commit on, no start (kPropose) follows the previous one by
+// more than D / depth plus the batch deadline. Without the hold the gaps
+// alternate between ~max_delay and ~D - 2 * max_delay.
+TEST(TreeRsmSim, PipelineRoundsSpreadOverTheRound) {
+  WorkloadOptions w;
+  w.clients = 20;
+  w.arrival = ArrivalProcess::kOpenPoisson;
+  w.rate_per_client = 100.0;  // 2,000 req/s
+  w.record_samples = false;
+  w.batch.max_batch = 100'000;  // never the size trigger
+  w.batch.max_delay = 5 * kMsec;
+  TreeRsmOptions topts;
+  topts.pipeline_depth = 3;
+  auto d = Deployment::Builder()
+               .WithGeo(Europe21())
+               .WithProtocol(Protocol::kKauri)
+               .WithSeed(9)
+               .WithTreeOptions(topts)
+               .WithWorkload(w)
+               .WithTrace()
+               .Build();
+  d->Start();
+  d->RunUntil(5 * kSec);
+
+  const TreeRsm& tree = d->tree();
+  ASSERT_EQ(tree.failed_rounds(), 0u);
+  const SimTime round_max = FromMs(tree.latency_rec().stat().max());
+  std::vector<SimTime> starts;
+  SimTime first_commit = -1;
+  for (const TraceRecord& r : d->TraceRecords()) {
+    if (r.kind == static_cast<uint16_t>(TraceKind::kPropose)) {
+      starts.push_back(r.t);
+    } else if (r.kind == static_cast<uint16_t>(TraceKind::kCommit) && first_commit < 0) {
+      first_commit = r.t;
+    }
+  }
+  ASSERT_GE(first_commit, 0);
+  size_t gaps = 0;
+  for (size_t i = 1; i < starts.size(); ++i) {
+    if (starts[i - 1] < first_commit + 2 * round_max) {
+      continue;
+    }
+    ++gaps;
+    EXPECT_LE(starts[i] - starts[i - 1], round_max / topts.pipeline_depth + w.batch.max_delay)
+        << "start " << i << " of " << starts.size();
+  }
+  EXPECT_GT(gaps, 100u);
+}
+
+// Stands in for a client: drops every reply.
+class ReplySink : public Actor {
+ public:
+  void OnMessage(ReplicaId from, const MessagePtr& msg, SimTime at) override {
+    (void)from;
+    (void)msg;
+    (void)at;
+  }
+};
+
+// Four replicas 50 ms apart run a depth-3 star, so every round commits
+// exactly D = 100 ms after its start. Client 4, 1 ms from root 0, sends
+// requests at chosen instants; a round not held starts max_delay = 2 ms
+// after the admission of its oldest request.
+class PacedStar {
+ public:
+  static constexpr ReplicaId kClient = 4;
+
+  explicit PacedStar(uint32_t max_batch)
+      : model_(kClient + 1, 50 * kMsec),
+        net_(&sim_, &model_, &faults_),
+        matrix_(kClient),
+        rsm_(&sim_, &net_, &matrix_, Options()),
+        queue_(Policy(max_batch)) {
+    sim_.EnableTrace();
+    model_.Set(kClient, 0, 1 * kMsec);
+    net_.Register(kClient, &sink_);
+    rsm_.BindRequestQueue(&queue_);
+    rsm_.SetTopology(TreeTopology::Build({0}, {1, 2, 3}));
+    rsm_.Start();
+  }
+
+  void RunUntil(SimTime t) { sim_.RunUntil(t); }
+
+  // Runs to `at`, then sends `count` requests.
+  void SendAt(SimTime at, int count) {
+    sim_.RunUntil(at);
+    for (int i = 0; i < count; ++i) {
+      auto req = MakeMessage<ClientRequestMsg>();
+      req->client = kClient;
+      req->request_id = next_id_++;
+      req->sent_at = at;
+      net_.Send(kClient, 0, std::move(req));
+    }
+  }
+
+  // Every round start so far, with its batch size.
+  std::vector<std::pair<SimTime, uint64_t>> Starts() const {
+    std::vector<std::pair<SimTime, uint64_t>> starts;
+    for (const TraceRecord& r : sim_.trace()->records()) {
+      if (r.kind == static_cast<uint16_t>(TraceKind::kPropose)) {
+        starts.emplace_back(r.t, r.b);
+      }
+    }
+    return starts;
+  }
+
+  TreeRsm& rsm() { return rsm_; }
+  const RequestQueue& queue() const { return queue_; }
+
+ private:
+  static TreeRsmOptions Options() {
+    TreeRsmOptions opts;
+    opts.n = kClient;
+    opts.f = 1;
+    opts.pipeline_depth = 3;
+    return opts;
+  }
+
+  static BatchPolicy Policy(uint32_t max_batch) {
+    BatchPolicy policy;
+    policy.max_batch = max_batch;
+    policy.max_delay = 2 * kMsec;
+    return policy;
+  }
+
+  Simulator sim_;
+  MatrixLatencyModel model_;
+  FaultModel faults_;
+  Network net_;
+  ReplySink sink_;
+  LatencyMatrix matrix_;
+  TreeRsm rsm_;
+  RequestQueue queue_;
+  uint64_t next_id_ = 0;
+};
+
+// With two slots free the pipeline is not the bottleneck, so nothing is
+// held: rounds start within D / 3 of the previous start, each exactly
+// max_delay after its request's admission. (A closed-loop client cannot
+// show this: its next request arrives after its round commits, more than
+// D / 3 after the last start.)
+TEST(TreeRsmSim, PacingNeverDelaysAFreePipeline) {
+  PacedStar star(/*max_batch=*/1000);
+  star.SendAt(0, 1);            // starts at 3, commits at 103: D = 100 ms
+  star.SendAt(110 * kMsec, 1);  // starts at 113
+  star.SendAt(120 * kMsec, 1);  // one round in flight: starts at 123
+  star.SendAt(215 * kMsec, 1);  // 113's round is done: starts at 218
+  star.SendAt(222 * kMsec, 1);  // 123's round commits at 223: starts at 225
+  star.RunUntil(400 * kMsec);
+  const std::vector<std::pair<SimTime, uint64_t>> expected = {
+      {3 * kMsec, 1}, {113 * kMsec, 1}, {123 * kMsec, 1}, {218 * kMsec, 1}, {225 * kMsec, 1}};
+  EXPECT_EQ(star.Starts(), expected);
+  EXPECT_EQ(star.rsm().committed_blocks(), 5u);
+}
+
+// The start that would take the last free slot is held until D / 3 after
+// the previous start, but max_batch requests arriving inside a hold start a
+// round the instant the last of them is admitted.
+TEST(TreeRsmSim, FullBatchOverridesPacing) {
+  PacedStar star(/*max_batch=*/4);
+  star.SendAt(0, 1);            // starts at 3, commits at 103: D = 100 ms
+  star.SendAt(110 * kMsec, 1);  // starts at 113
+  star.SendAt(120 * kMsec, 1);  // starts at 123: two rounds in flight
+  star.SendAt(130 * kMsec, 1);  // the last free slot: held until 123 + D / 3
+  star.SendAt(215 * kMsec, 1);  // 113's round is done: starts at 218
+  star.SendAt(225 * kMsec, 4);  // 123's round is done: held until 218 + D / 3,
+                                // but a full batch goes at once
+  star.RunUntil(400 * kMsec);
+  const SimTime third = 100 * kMsec / 3;
+  const std::vector<std::pair<SimTime, uint64_t>> expected = {
+      {3 * kMsec, 1},           {113 * kMsec, 1}, {123 * kMsec, 1},
+      {123 * kMsec + third, 1}, {218 * kMsec, 1}, {226 * kMsec, 4}};
+  EXPECT_EQ(star.Starts(), expected);
+  EXPECT_EQ(star.rsm().committed_blocks(), 6u);
+  EXPECT_EQ(star.queue().batches_size_triggered(), 1u);
+}
+
+// A new tree's round time is unknown, so it is not paced until it commits a
+// round: after a forced reconfiguration, the start that fills the last free
+// slot goes at its deadline.
+TEST(TreeRsmSim, NewTreeIsNotPacedUntilItCommits) {
+  PacedStar star(/*max_batch=*/1000);
+  star.SendAt(0, 1);  // starts at 3, commits at 103: D = 100 ms
+  star.RunUntil(150 * kMsec);
+  star.rsm().SetTopologyOrConfig(TreeTopology::Build({0}, {3, 2, 1}).ToConfig());
+  star.SendAt(200 * kMsec, 1);  // starts at 203
+  star.SendAt(210 * kMsec, 1);  // starts at 213: two rounds in flight
+  star.SendAt(220 * kMsec, 1);  // the last free slot, not held: starts at 223
+  star.RunUntil(400 * kMsec);
+  const std::vector<std::pair<SimTime, uint64_t>> expected = {
+      {3 * kMsec, 1}, {203 * kMsec, 1}, {213 * kMsec, 1}, {223 * kMsec, 1}};
+  EXPECT_EQ(star.Starts(), expected);
+  EXPECT_EQ(star.rsm().reconfigurations(), 1u);
+  EXPECT_EQ(star.rsm().committed_blocks(), 4u);
 }
 
 // --- PBFT family (Fig. 7 machinery) ------------------------------------------

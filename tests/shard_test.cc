@@ -1,7 +1,7 @@
 // The sharding subsystem (src/shard/): key routing, the transactional KV
 // state-machine extension, per-(client, shard) request dedup, cross-shard
-// 2PC atomicity and drain, coordinator crash recovery, and thread-count
-// invariance of the shard_scaling sweep.
+// 2PC atomicity and drain, coordinator crash recovery, every family's shard
+// latency, and thread-count invariance of the shard_scaling sweep.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -274,6 +274,30 @@ TEST(ShardedDeployment, CoordinatorCrashRecoversInFlightTransactions) {
   EXPECT_EQ(m.txn.kv_mismatches, 0u);
   EXPECT_EQ(m.statemachine.digests_equal, 1u);
   ExpectTxnTablesDrained(*sd);
+}
+
+// A shard has no client fleet, so each reports its engine's own consensus
+// latency: for the PBFT family, Pre-Prepare timestamp to the leader's
+// commit. The deployment's commit-weighted mean is then a real latency for
+// both families, not 0 for PBFT shards.
+TEST(ShardedDeployment, EveryFamilyReportsShardConsensusLatency) {
+  TxnWorkloadOptions txn;
+  txn.clients_per_shard = 4;
+  for (Protocol protocol : {Protocol::kHotStuff, Protocol::kPbft}) {
+    SCOPED_TRACE(protocol == Protocol::kPbft ? "PBFT" : "HotStuff");
+    auto sd = BaseBuilder(13)
+                  .WithProtocol(protocol)
+                  .WithShards(2)
+                  .WithTxnWorkload(txn)
+                  .BuildSharded();
+    sd->Start();
+    sd->RunUntil(5 * kSec);
+    const MetricsReport m = sd->Metrics();
+    EXPECT_GT(m.committed, 100u);
+    // Europe-wide quorum rounds: tens of milliseconds.
+    EXPECT_GT(m.mean_latency_ms, 5.0);
+    EXPECT_LT(m.mean_latency_ms, 200.0);
+  }
 }
 
 TEST(ShardedDeployment, ShardScalingSweepIsThreadCountInvariant) {
