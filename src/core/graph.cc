@@ -34,11 +34,6 @@ void SuspicionGraph::RemoveVertex(ReplicaId v) {
   }
 }
 
-void SuspicionGraph::Clear() {
-  edges_.clear();
-  ordered_.clear();
-}
-
 bool SuspicionGraph::OldestEdge(EdgeKey* out) const {
   if (ordered_.empty()) {
     return false;

@@ -35,7 +35,6 @@ class SuspicionGraph {
 
   bool RemoveEdge(ReplicaId x, ReplicaId y);
   void RemoveVertex(ReplicaId v);  // drops all incident edges
-  void Clear();
 
   bool HasEdge(ReplicaId x, ReplicaId y) const {
     return edges_.count(EdgeKey::Make(x, y)) > 0;

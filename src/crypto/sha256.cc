@@ -32,38 +32,21 @@ inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 // scalar path below remains both the portable fallback and the reference.
 // The schedule follows the canonical Intel code: state is carried as
 // ABEF/CDGH lane pairs, each _mm_sha256rnds2_epu32 retires two rounds, and
-// four message registers roll through the schedule. It is written once per
-// lane so that CompressShaNi2 can interleave two independent compressions
-// group by group: each rnds2 waits on the one before it in its own lane, so
-// a second lane fills the pipeline slots one lane leaves idle.
+// four message registers roll through the schedule.
 #define OPTILOG_SHA_NI_TARGET \
   __attribute__((target("sha,sse4.1,ssse3"), always_inline)) inline
 
-struct ShaNiLane {
+struct ShaNiState {
   const uint8_t* block;
-  __m128i abef, cdgh;    // working state
-  __m128i abef0, cdgh0;  // state at entry, added back at the end
-  __m128i w[4];          // rolling message schedule, four words each
+  __m128i abef, cdgh;  // working state
+  __m128i w[4];        // rolling message schedule, four words each
 };
 
-OPTILOG_SHA_NI_TARGET void LaneBegin(ShaNiLane& s, const uint32_t* state,
-                                     const uint8_t* block) {
-  const __m128i dcba =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
-  const __m128i hgfe =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
-  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
-  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
-  s.block = block;
-  s.abef = s.abef0 = _mm_alignr_epi8(cdab, efgh, 8);
-  s.cdgh = s.cdgh0 = _mm_blend_epi16(efgh, cdab, 0xF0);
-}
-
-// Rounds 4G..4G+3 of one lane. Groups 0-3 load their schedule words from
-// the block; groups 1-12 start the words of group G+3 (msg1) and groups
-// 3-14 finish those of group G+1 (msg2).
+// Rounds 4G..4G+3. Groups 0-3 load their schedule words from the block;
+// groups 1-12 start the words of group G+3 (msg1) and groups 3-14 finish
+// those of group G+1 (msg2).
 template <int G>
-OPTILOG_SHA_NI_TARGET void LaneRounds(ShaNiLane& s) {
+OPTILOG_SHA_NI_TARGET void Rounds(ShaNiState& s) {
   constexpr int kCur = G % 4;
   if constexpr (G < 4) {
     const __m128i kShuffle =
@@ -89,49 +72,32 @@ OPTILOG_SHA_NI_TARGET void LaneRounds(ShaNiLane& s) {
   }
 }
 
-OPTILOG_SHA_NI_TARGET void LaneEnd(ShaNiLane& s, uint32_t* state) {
-  const __m128i abef = _mm_add_epi32(s.abef, s.abef0);
-  const __m128i cdgh = _mm_add_epi32(s.cdgh, s.cdgh0);
-  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
-  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+template <int... G>
+OPTILOG_SHA_NI_TARGET void AllRounds(ShaNiState& s,
+                                     std::integer_sequence<int, G...>) {
+  (Rounds<G>(s), ...);
+}
+#undef OPTILOG_SHA_NI_TARGET
+
+__attribute__((target("sha,sse4.1,ssse3"))) void CompressShaNi(
+    uint32_t* state, const uint8_t* block) {
+  const __m128i dcba =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  const __m128i hgfe =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  const __m128i abef0 = _mm_alignr_epi8(cdab, efgh, 8);
+  const __m128i cdgh0 = _mm_blend_epi16(efgh, cdab, 0xF0);
+  ShaNiState s{block, abef0, cdgh0, {}};
+  AllRounds(s, std::make_integer_sequence<int, 16>{});
+  const __m128i feba = _mm_shuffle_epi32(_mm_add_epi32(s.abef, abef0), 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(_mm_add_epi32(s.cdgh, cdgh0), 0xB1);
   _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
                    _mm_blend_epi16(feba, dchg, 0xF0));  // DCBA
   _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
                    _mm_alignr_epi8(dchg, feba, 8));  // HGFE
 }
-
-template <int G, typename... Lanes>
-OPTILOG_SHA_NI_TARGET void GroupRounds(Lanes&... lanes) {
-  (LaneRounds<G>(lanes), ...);
-}
-
-// All 64 rounds over every lane, lanes interleaved within each group.
-template <typename... Lanes, int... G>
-OPTILOG_SHA_NI_TARGET void AllRounds(std::integer_sequence<int, G...>,
-                                     Lanes&... lanes) {
-  (GroupRounds<G>(lanes...), ...);
-}
-
-__attribute__((target("sha,sse4.1,ssse3"))) void CompressShaNi(
-    uint32_t* state, const uint8_t* block) {
-  ShaNiLane a;
-  LaneBegin(a, state, block);
-  AllRounds(std::make_integer_sequence<int, 16>{}, a);
-  LaneEnd(a, state);
-}
-
-__attribute__((target("sha,sse4.1,ssse3"))) void CompressShaNi2(
-    uint32_t* state_a, const uint8_t* block_a, uint32_t* state_b,
-    const uint8_t* block_b) {
-  ShaNiLane a;
-  ShaNiLane b;
-  LaneBegin(a, state_a, block_a);
-  LaneBegin(b, state_b, block_b);
-  AllRounds(std::make_integer_sequence<int, 16>{}, a, b);
-  LaneEnd(a, state_a);
-  LaneEnd(b, state_b);
-}
-#undef OPTILOG_SHA_NI_TARGET
 
 bool HasShaNi() {
   static const bool has = __builtin_cpu_supports("sha") != 0;
@@ -200,18 +166,6 @@ void Sha256::CompressBlock(uint32_t state[8], const uint8_t block[64]) {
   state[5] += f;
   state[6] += g;
   state[7] += h;
-}
-
-void Sha256::CompressBlock2(uint32_t state_a[8], const uint8_t block_a[64],
-                            uint32_t state_b[8], const uint8_t block_b[64]) {
-#ifdef OPTILOG_SHA_NI_DISPATCH
-  if (HasShaNi()) {
-    CompressShaNi2(state_a, block_a, state_b, block_b);
-    return;
-  }
-#endif
-  CompressBlock(state_a, block_a);
-  CompressBlock(state_b, block_b);
 }
 
 void Sha256::Update(const uint8_t* data, size_t len) {

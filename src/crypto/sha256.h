@@ -47,18 +47,10 @@ class Sha256 {
   static Digest Hash(const Bytes& data);
   static Digest Hash(const std::string& s);
 
-  // One raw FIPS 180-4 compression of `block` applied to `state` — the
-  // transform behind Update/Finish, exposed for the fixed-size HMAC fast
-  // path (hmac.cc), which assembles final padded blocks on the stack and
-  // skips the streaming buffer entirely.
+  // One raw FIPS 180-4 compression of `block` applied to `state`: the
+  // transform behind Update/Finish, exposed so a test can run a hand-laid
+  // padding through it.
   static void CompressBlock(uint32_t state[8], const uint8_t block[64]);
-
-  // Two independent compressions, state_a by block_a and state_b by
-  // block_b: equal to two CompressBlock calls. The SHA-NI path interleaves
-  // them so one core runs both dependency chains at once; the scalar
-  // fallback is the two calls.
-  static void CompressBlock2(uint32_t state_a[8], const uint8_t block_a[64],
-                             uint32_t state_b[8], const uint8_t block_b[64]);
 
  private:
   void Compress(const uint8_t block[64]) { CompressBlock(h_, block); }

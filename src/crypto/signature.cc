@@ -38,19 +38,6 @@ SigBytes KeyStore::ComputeSig(ReplicaId signer, const uint8_t* msg,
                               size_t len) const {
   OL_CHECK(signer < secrets_.size());
   const HmacKeySchedule& ks = schedules_[signer];
-  SigBytes out;
-  if (len <= 54) {
-    // The dominant case — protocol signatures cover 32-byte digests and
-    // 40-byte signed headers. Both halves fit a single final block, msg ||
-    // 0x01 included, and are independent, so they run as one pair.
-    uint8_t ext[55];
-    if (len > 0) {  // an empty Bytes may hand us a null pointer
-      std::memcpy(ext, msg, len);
-    }
-    ext[len] = 0x01;
-    HmacSha256ShortPair(ks, msg, len, ext, len + 1, out.data());
-    return out;
-  }
   const Digest first = HmacSha256(ks, msg, len);
   // Second half covers msg || 0x01 — streamed through the same schedule
   // instead of materializing the extended buffer.
@@ -64,6 +51,7 @@ SigBytes KeyStore::ComputeSig(ReplicaId signer, const uint8_t* msg,
   outer.Resume(ks.outer);
   outer.Update(inner_digest.data(), inner_digest.size());
   const Digest second = outer.Finish();
+  SigBytes out;
   std::memcpy(out.data(), first.data(), 32);
   std::memcpy(out.data() + 32, second.data(), 32);
   return out;

@@ -130,7 +130,6 @@ struct AggregateMsg : Message {
   Digest block{};
   std::vector<ReplicaId> voters;         // children (and self) that voted
   std::vector<SuspicionRecord> missing;  // suspicions for absent children
-  bool corrupt = false;                  // Byzantine aggregator artifact
 
   int type() const override { return kMsgAggregate; }
   MsgFamily family() const override { return MsgFamily::kHotStuff; }

@@ -19,23 +19,14 @@ class LatencyModel {
   virtual ~LatencyModel() = default;
   virtual SimTime OneWay(ReplicaId from, ReplicaId to) const = 0;
   SimTime Rtt(ReplicaId a, ReplicaId b) const { return OneWay(a, b) + OneWay(b, a); }
-
-  // Multicast fast path: the dense one-way row out of `from`, indexable by
-  // destination id, or nullptr when the model has no row storage (callers
-  // then fall back to per-destination OneWay).
-  virtual const std::vector<SimTime>* OneWayRow(ReplicaId from) const {
-    (void)from;
-    return nullptr;
-  }
 };
 
 // Latencies derived from a city assignment (replica i lives in cities[i]).
 // Internally city-deduplicated: actors far outnumber distinct cities (the
 // dataset has 220 locations), so the delay table is u×u over unique cities
 // — a few hundred KB that stays cache-resident at n = 5000, where a
-// per-actor matrix would be hundreds of MB of redundant trig. No
-// OneWayRow override: the base-class nullptr sends Multicast down its
-// per-destination OneWay path, which is now two indexed loads.
+// per-actor matrix would be hundreds of MB of redundant trig. A lookup,
+// Multicast's per destination included, is two indexed loads.
 class GeoLatencyModel : public LatencyModel {
  public:
   explicit GeoLatencyModel(std::vector<City> cities);
@@ -72,11 +63,6 @@ class MatrixLatencyModel : public LatencyModel {
   SimTime OneWay(ReplicaId from, ReplicaId to) const override {
     OL_CHECK(from < one_way_.size() && to < one_way_.size());
     return one_way_[from][to];
-  }
-
-  const std::vector<SimTime>* OneWayRow(ReplicaId from) const override {
-    OL_CHECK(from < one_way_.size());
-    return &one_way_[from];
   }
 
   void Set(ReplicaId a, ReplicaId b, SimTime one_way) {

@@ -98,7 +98,7 @@ void Network::Multicast(ReplicaId from, const std::vector<ReplicaId>& to,
     return;
   }
   // Sender-side fault profile and message classification are per-message
-  // facts: evaluate them once, then walk the latency row per destination
+  // facts: evaluate them once, then look up each destination's latency
   // into a scratch batch. The batch preserves recipient order, so the
   // simulator assigns the same (time, seq) keys an equivalent loop of
   // ScheduleDelivery calls would — digests are unchanged. The one shared
@@ -107,7 +107,6 @@ void Network::Multicast(ReplicaId from, const std::vector<ReplicaId>& to,
   const OutboundProfile profile = ClassifyOutbound(from, *msg);
   const size_t wire = msg->WireSize();
   const SimTime base = SendBase(from);
-  const std::vector<SimTime>* row = latency_->OneWayRow(from);
   if (TraceRecorder* tr = sim_->trace()) {
     // One record per multicast; a = fan-out size (per-recipient flow is in
     // the delivery dispatch records, which parent back here).
@@ -123,10 +122,9 @@ void Network::Multicast(ReplicaId from, const std::vector<ReplicaId>& to,
     ++stats_.messages_sent;
     stats_.bytes_sent += wire;
     const SimTime sent_at = OccupyUplink(from, wire, base);
-    const SimTime prop =
-        row != nullptr ? row->at(dest) : latency_->OneWay(from, dest);
     const SimTime delay =
-        (sent_at - sim_->now()) + PerturbPropagation(profile, prop);
+        (sent_at - sim_->now()) +
+        PerturbPropagation(profile, latency_->OneWay(from, dest));
     scratch_.push_back({this, dest, delay});
   }
   sim_->ScheduleDeliveryBatch(from, scratch_.data(), scratch_.size(),

@@ -11,7 +11,7 @@
 // DeliverySink, Send/Multicast schedule {from, to, msg} slab events, and no
 // closure is allocated per message. Multicast shares one immutable message
 // across all recipients, evaluates the sender's fault profile and the
-// proposal classifier once, walks the latency row per destination into a
+// proposal classifier once, looks up each destination's latency into a
 // scratch batch, and hands the whole fan-out to the simulator in one
 // ScheduleDeliveryBatch pass (one slab reservation, one refcount bump, no
 // per-recipient heap push). Actor and uplink tables are dense vectors

@@ -335,11 +335,9 @@ void KvStateMachine::ApplyTxn(const KvTxnOp& txn, Bytes* reply) {
 }
 
 Bytes KvStateMachine::SnapshotBytes() const {
-  // Transaction tables ride the snapshot only when present, so machines
-  // that never see a transaction record keep the legacy byte encoding
-  // exactly (single-group snapshots and digests are unchanged).
-  const bool tables = !prepared_.empty() || !decided_.empty();
-  size_t size = 8 + 16 * kv_.size() + (tables ? 16 : 0);
+  // The store, then the prepared and decided tables (two zero counts on a
+  // machine that never saw a transaction record).
+  size_t size = 8 + 16 * kv_.size() + 16;
   for (const auto& [txn_id, p] : prepared_) {
     size += TxnBodyBytes(p);
   }
@@ -355,22 +353,20 @@ Bytes KvStateMachine::SnapshotBytes() const {
     w.U64(key);
     w.U64(value);
   }
-  if (tables) {
-    w.U64(prepared_.size());
-    for (const auto& [txn_id, p] : prepared_) {
-      WriteTxnBody(w, p);
+  w.U64(prepared_.size());
+  for (const auto& [txn_id, p] : prepared_) {
+    WriteTxnBody(w, p);
+  }
+  w.U64(decided_.size());
+  for (const auto& [txn_id, d] : decided_) {
+    w.U64(txn_id);
+    w.U32(static_cast<uint32_t>(d.participants.size()));
+    for (uint32_t part : d.participants) {
+      w.U32(part);
     }
-    w.U64(decided_.size());
-    for (const auto& [txn_id, d] : decided_) {
-      w.U64(txn_id);
-      w.U32(static_cast<uint32_t>(d.participants.size()));
-      for (uint32_t part : d.participants) {
-        w.U32(part);
-      }
-      w.U32(d.client);
-      w.U64(d.client_req);
-      w.Blob(d.results);
-    }
+    w.U32(d.client);
+    w.U64(d.client_req);
+    w.Blob(d.results);
   }
   return out;
 }
@@ -385,9 +381,6 @@ void KvStateMachine::Restore(const Bytes& snapshot) {
     const uint64_t key = r.U64();
     const uint64_t value = r.U64();
     kv_.emplace_hint(kv_.end(), key, value);
-  }
-  if (r.Done()) {
-    return;  // legacy snapshot: no transaction tables
   }
   const uint64_t nprepared = r.U64();
   for (uint64_t i = 0; i < nprepared && r.ok(); ++i) {

@@ -91,36 +91,6 @@ TEST(Sha256, FinishPaddingMatchesManualPadding) {
   }
 }
 
-// The two-lane compression is two independent CompressBlock calls: seeded
-// random states and blocks, distinct and shared blocks.
-TEST(Sha256, CompressBlock2MatchesTwoCompressBlockCalls) {
-  Rng rng(2024);
-  for (int trial = 0; trial < 200; ++trial) {
-    uint32_t a[8];
-    uint32_t b[8];
-    uint8_t block_a[64];
-    uint8_t block_b[64];
-    for (int i = 0; i < 8; ++i) {
-      a[i] = static_cast<uint32_t>(rng.Next());
-      b[i] = static_cast<uint32_t>(rng.Next());
-    }
-    for (int i = 0; i < 64; ++i) {
-      block_a[i] = static_cast<uint8_t>(rng.Next());
-      block_b[i] = static_cast<uint8_t>(rng.Next());
-    }
-    const uint8_t* second = trial % 4 == 0 ? block_a : block_b;
-    uint32_t ref_a[8];
-    uint32_t ref_b[8];
-    std::memcpy(ref_a, a, sizeof(a));
-    std::memcpy(ref_b, b, sizeof(b));
-    Sha256::CompressBlock(ref_a, block_a);
-    Sha256::CompressBlock(ref_b, second);
-    Sha256::CompressBlock2(a, block_a, b, second);
-    EXPECT_EQ(0, std::memcmp(a, ref_a, sizeof(a))) << "trial " << trial;
-    EXPECT_EQ(0, std::memcmp(b, ref_b, sizeof(b))) << "trial " << trial;
-  }
-}
-
 TEST(Sha256, Prefix64Deterministic) {
   const Digest d = Sha256::Hash(std::string("x"));
   EXPECT_EQ(DigestPrefix64(d), DigestPrefix64(d));
@@ -294,9 +264,8 @@ TEST_P(QuorumSizes, VerifiesAtAllSizes) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, QuorumSizes, ::testing::Values(1, 4, 7, 22, 73));
 
-// The layered HMAC fast paths — precomputed key schedule, single-block
-// short-message form — must be byte-identical to the plain streaming HMAC
-// at every length they claim to cover.
+// The cached key schedule must be byte-identical to the plain streaming HMAC
+// at every length, short messages that fit one final block included.
 TEST(Hmac, ScheduleAndShortPathsMatchStreaming) {
   const Bytes key(32, 0x42);
   const HmacKeySchedule ks = HmacPrecompute(key);
@@ -308,23 +277,6 @@ TEST(Hmac, ScheduleAndShortPathsMatchStreaming) {
     }
     const Digest ref = HmacSha256(key, msg);
     EXPECT_EQ(HmacSha256(ks, msg.data(), msg.size()), ref) << "len=" << len;
-    if (len <= 55) {
-      EXPECT_EQ(HmacSha256Short(ks, msg.data(), msg.size()), ref)
-          << "len=" << len;
-      // Paired with a message of another length, in either lane.
-      const Bytes other(55 - len, 0x17);
-      const Digest other_ref = HmacSha256(key, other);
-      uint8_t pair[64];
-      HmacSha256ShortPair(ks, msg.data(), msg.size(), other.data(),
-                          other.size(), pair);
-      EXPECT_TRUE(std::equal(ref.begin(), ref.end(), pair)) << "len=" << len;
-      EXPECT_TRUE(std::equal(other_ref.begin(), other_ref.end(), pair + 32))
-          << "len=" << len;
-      HmacSha256ShortPair(ks, other.data(), other.size(), msg.data(),
-                          msg.size(), pair);
-      EXPECT_TRUE(std::equal(ref.begin(), ref.end(), pair + 32))
-          << "len=" << len;
-    }
   }
 }
 
@@ -343,10 +295,10 @@ Bytes KeyStoreSecret(uint64_t seed, ReplicaId id) {
 }
 
 TEST(Signature, ShortPathMatchesLongMessagePath) {
-  // Sign() over up to 54 bytes takes the paired single-block path, 55+ the
-  // streaming path; every length must equal a from-scratch HMAC(m) ||
-  // HMAC(m || 0x01) under the signer's secret, an empty Bytes (null data)
-  // included.
+  // Sign() streams both halves through the signer's cached key schedule;
+  // every length, across the one- and two-block final padding, must equal a
+  // from-scratch HMAC(m) || HMAC(m || 0x01) under the signer's secret, an
+  // empty Bytes (null data) included.
   KeyStore keys(2, 9);
   const Bytes secret = KeyStoreSecret(9, 1);
   for (size_t len = 0; len <= 120; ++len) {

@@ -69,6 +69,27 @@ TEST(KvStateMachine, SnapshotRestoreRoundTripAndDigest) {
   EXPECT_EQ(b.size(), 0u);
 }
 
+// Every snapshot has one layout: the store, then the prepared and decided
+// tables, which a machine that applied only plain ops writes as two zero
+// counts.
+TEST(KvStateMachine, SnapshotAlwaysCarriesTransactionTables) {
+  EXPECT_EQ(KvStateMachine().SnapshotBytes(), Bytes(24, 0));
+
+  KvStateMachine a;
+  Apply(a, KvOpKind::kPut, 1, 10);
+  Apply(a, KvOpKind::kPut, 2, 20);
+  Apply(a, KvOpKind::kAdd, 3, 5);
+  const Bytes snapshot = a.SnapshotBytes();
+  ASSERT_EQ(snapshot.size(), 8 + 16 * a.size() + 16);
+  EXPECT_EQ(Bytes(snapshot.end() - 16, snapshot.end()), Bytes(16, 0));
+
+  KvStateMachine b;
+  b.Restore(snapshot);
+  EXPECT_EQ(b.size(), 3u);
+  EXPECT_EQ(b.SnapshotBytes(), snapshot);
+  EXPECT_EQ(Apply(b, KvOpKind::kGet, 3).value, 5u);
+}
+
 TEST(KvStateMachine, MalformedOpIsADeterministicNoop) {
   KvStateMachine sm;
   const Digest before = sm.StateDigest();
