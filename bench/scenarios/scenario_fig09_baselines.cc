@@ -56,7 +56,8 @@ PointResult RunPoint(const Params& p) {
     opts.pipeline_depth = 3;
     base.WithProtocol(Protocol::kKauri).WithTopology(RandomTree(n, rng));
   } else {
-    // OptiTree: 1 s simulated-annealing search (§7.4).
+    // OptiTree: 1 s simulated-annealing search (§7.4), scored at the engine's
+    // CommitThreshold(): n - f, as opts sets no votes_required.
     OL_CHECK_MSG(series == "OptiTree" || series == "OptiTree-nopipe", series.c_str());
     Rng rng(99);
     std::vector<ReplicaId> all(n);
@@ -65,7 +66,7 @@ PointResult RunPoint(const Params& p) {
     }
     opts.pipeline_depth = series == "OptiTree" ? 3 : 1;
     base.WithProtocol(Protocol::kOptiTree)
-        .WithTopology(AnnealTree(n, all, MatrixFromCities(cities), 2 * f + 1, rng,
+        .WithTopology(AnnealTree(n, all, MatrixFromCities(cities), n - f, rng,
                                  ParamsForSearchSeconds(1.0)));
   }
 

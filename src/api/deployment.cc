@@ -91,16 +91,6 @@ void Deployment::ScheduleCrash(ReplicaId id, SimTime crash_at,
   rsm_group_->ScheduleRecovery(id, recover_at);
 }
 
-const Pipeline* Deployment::pipeline() const {
-  if (pipeline_ != nullptr) {
-    return pipeline_.get();
-  }
-  if (pbft_ != nullptr) {
-    return &pbft_->pipeline();
-  }
-  return nullptr;
-}
-
 std::optional<TreeTopology> Deployment::OptiLogReconfig(TreeRsm& rsm) {
   // Commit every suspicion the protocol recorded since the last failure:
   // signed by the suspector, appended as a measurement entry, dispatched to
@@ -136,7 +126,7 @@ std::optional<TreeTopology> Deployment::OptiLogReconfig(TreeRsm& rsm) {
   if (search_window_ > 0) {
     rsm.PauseProposals(search_window_);  // the SA search window (Fig. 15)
   }
-  return AnnealTree(n_, pool, matrix_, 2 * f_ + 1 + k.u, reconfig_rng_,
+  return AnnealTree(n_, pool, matrix_, rsm.CommitThreshold() + k.u, reconfig_rng_,
                     search_params_);
 }
 
@@ -368,19 +358,19 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
       initial = TreeTopology::Build({0}, leaves);
     } else if (protocol_ == Protocol::kKauri) {
       initial = RandomTree(d->n_, rng);
-    } else {  // kOptiTree: SA over all replicas, k = 2f + 1 (§7.3)
+    } else {  // kOptiTree: SA over all replicas at the commit threshold
       std::vector<ReplicaId> all(d->n_);
       for (ReplicaId id = 0; id < d->n_; ++id) {
         all[id] = id;
       }
-      initial = AnnealTree(d->n_, all, d->matrix_, 2 * d->f_ + 1, rng,
+      initial = AnnealTree(d->n_, all, d->matrix_, d->tree_->CommitThreshold(), rng,
                            d->search_params_);
     }
     d->tree_->SetTopology(initial);
 
     if (optilog_reconfig_) {
       d->tree_space_ =
-          std::make_unique<TreeConfigSpace>(d->n_, 2 * d->f_ + 1);
+          std::make_unique<TreeConfigSpace>(d->n_, d->tree_->CommitThreshold());
       // The E_d/T policy with enough candidates for the internal positions
       // (§6.4).
       SuspicionMonitorOptions suspicion;

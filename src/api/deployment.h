@@ -86,10 +86,6 @@ class Deployment {
   // behind the builder). Aborts when the deployment runs the other family.
   TreeRsm& tree();
   PbftHarness& pbft();
-  // The OptiLog pipeline: the deployment-owned one for tree protocols with
-  // WithOptiLogReconfig, the harness-owned one for the PBFT family, nullptr
-  // otherwise.
-  const Pipeline* pipeline() const;
   // The replicated-state-machine layer (WithStateMachine); nullptr when the
   // deployment only counts messages.
   const RsmGroup* state_machines() const { return rsm_group_.get(); }

@@ -42,26 +42,4 @@ bool SuspicionGraph::OldestEdge(EdgeKey* out) const {
   return true;
 }
 
-std::vector<ReplicaId> SuspicionGraph::Neighbors(ReplicaId v) const {
-  std::vector<ReplicaId> out;
-  for (const EdgeKey& e : edges_) {
-    if (e.a == v) {
-      out.push_back(e.b);
-    } else if (e.b == v) {
-      out.push_back(e.a);
-    }
-  }
-  return out;
-}
-
-size_t SuspicionGraph::Degree(ReplicaId v) const {
-  size_t d = 0;
-  for (const EdgeKey& e : edges_) {
-    if (e.a == v || e.b == v) {
-      ++d;
-    }
-  }
-  return d;
-}
-
 }  // namespace optilog

@@ -48,9 +48,6 @@ class SuspicionGraph {
   // Oldest edge, if any; used by the sliding-window eviction.
   bool OldestEdge(EdgeKey* out) const;
 
-  std::vector<ReplicaId> Neighbors(ReplicaId v) const;
-  size_t Degree(ReplicaId v) const;
-
  private:
   std::set<EdgeKey> edges_;
   std::vector<EdgeKey> ordered_;  // insertion order; lazily compacted

@@ -1,14 +1,17 @@
 // SuspicionSensor (§4.2.3): raises timing suspicions.
 //
-// The underlying protocol feeds the sensor with (1) proposal timestamps at
-// round start, (2) per-message expectations — "message of phase P from B
-// should arrive within d_m of the round's proposal timestamp" — and (3)
-// actual arrivals. The sensor raises:
+// The underlying protocol feeds the sensor at two points: each round's
+// proposal timestamp, and the arrival of a message that carries (or follows)
+// its round's proposal timestamp, with that message's timeout d_m. The
+// sensor raises:
 //   (a) <Slow, A d L> if consecutive proposal timestamps differ by more
-//       than delta * d_rnd,
-//   (b) <Slow, A d B> if an expected message is not seen within
-//       delta * d_m after the proposal timestamp,
+//       than delta * d_rnd (OnProposalTimestamp),
+//   (b) <Slow, A d B> if B's message arrives later than delta * d_m after
+//       the proposal timestamp (ObserveArrival),
 //   (c) <False, A d B> reciprocating any committed suspicion B d A.
+//
+// Condition (b) is checked only when a message arrives, so a message that
+// never arrives raises no suspicion.
 //
 // Sensors are non-deterministic by design (Table 1): they observe local
 // arrival times. Their output is emitted via a callback that the sensor app
@@ -17,9 +20,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <set>
-#include <vector>
 
 #include "src/core/measurement.h"
 #include "src/sim/time.h"
@@ -39,47 +40,24 @@ class SuspicionSensor {
   void OnProposalTimestamp(uint64_t round, ReplicaId leader, SimTime timestamp,
                            SimTime expected_round_duration);
 
-  // Registers an expectation: a message of `phase` from `from` must arrive
-  // within delta * d_m of the round's proposal timestamp.
-  void ExpectMessage(uint64_t round, ReplicaId from, PhaseTag phase, SimTime d_m);
-
-  // Marks the expectation met (arrival before the deadline also cancels a
-  // later CheckDeadlines sweep for it).
-  void OnMessageArrived(uint64_t round, ReplicaId from, PhaseTag phase);
-
-  // Retrospective variant of condition (b) for messages that carry their
-  // round's proposal timestamp (e.g. the Pre-Prepare itself): suspects
+  // Condition (b) for a message of `phase` from `from` in `round`: suspects
   // `from` if arrival > proposal_ts + delta * d_m.
   void ObserveArrival(uint64_t round, ReplicaId from, PhaseTag phase, SimTime d_m,
                       SimTime proposal_ts, SimTime arrival);
 
-  // Sweeps expired expectations; protocols call this from their round timer.
-  void CheckDeadlines(SimTime now);
-
   // A committed suspicion names us as suspect: reciprocate (condition (c)).
   void OnSuspicionAgainstSelf(const SuspicionRecord& rec);
 
-  // Drop state for rounds <= `round` (they are decided).
+  // Drop the per-round dedup state for rounds <= `round` (they are decided).
   void GarbageCollect(uint64_t round);
 
  private:
-  struct Expectation {
-    uint64_t round;
-    ReplicaId from;
-    PhaseTag phase;
-    SimTime deadline;
-    bool met = false;
-    bool suspected = false;
-  };
-
   void Emit(SuspicionType type, ReplicaId suspect, uint64_t round, PhaseTag phase);
 
   const ReplicaId self_;
   const double delta_;
   EmitFn emit_;
 
-  std::map<uint64_t, SimTime> proposal_ts_;  // round -> timestamp
-  std::vector<Expectation> expectations_;
   std::set<std::pair<uint64_t, ReplicaId>> suspected_;  // per-round dedup
   std::set<ReplicaId> reciprocated_;
   uint64_t last_ts_round_ = 0;

@@ -47,10 +47,6 @@ QuorumCert QuorumCert::Aggregate(const Digest& digest,
   return qc;
 }
 
-bool QuorumCert::Contains(ReplicaId id) const {
-  return std::binary_search(signers_.begin(), signers_.end(), id);
-}
-
 bool QuorumCert::Verify(const KeyStore& keys) const {
   for (ReplicaId id : signers_) {
     if (id >= keys.size()) {

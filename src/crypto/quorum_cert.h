@@ -29,7 +29,6 @@ class QuorumCert {
   const Digest& digest() const { return digest_; }
   const std::vector<ReplicaId>& signers() const { return signers_; }
   size_t num_signers() const { return signers_.size(); }
-  bool Contains(ReplicaId id) const;
 
   // True iff the aggregate matches the fold of genuine signatures of all
   // listed signers over digest().

@@ -127,6 +127,10 @@ void Sha256::CompressBlock(uint32_t state[8], const uint8_t block[64]) {
     return;
   }
 #endif
+  CompressBlockScalar(state, block);
+}
+
+void Sha256::CompressBlockScalar(uint32_t state[8], const uint8_t block[64]) {
   uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = static_cast<uint32_t>(block[4 * i]) << 24 |
@@ -254,14 +258,6 @@ std::string DigestHex(const Digest& d) {
     out.push_back(kHex[byte & 0xf]);
   }
   return out;
-}
-
-uint64_t DigestPrefix64(const Digest& d) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(d[i]) << (8 * i);
-  }
-  return v;
 }
 
 }  // namespace optilog

@@ -49,8 +49,13 @@ class Sha256 {
 
   // One raw FIPS 180-4 compression of `block` applied to `state`: the
   // transform behind Update/Finish, exposed so a test can run a hand-laid
-  // padding through it.
+  // padding through it. It runs the SHA-NI rounds when the CPU has them,
+  // else CompressBlockScalar.
   static void CompressBlock(uint32_t state[8], const uint8_t block[64]);
+
+  // The portable scalar rounds: the fallback and the reference that tests
+  // hold the SHA-NI rounds to.
+  static void CompressBlockScalar(uint32_t state[8], const uint8_t block[64]);
 
  private:
   void Compress(const uint8_t block[64]) { CompressBlock(h_, block); }
@@ -63,9 +68,5 @@ class Sha256 {
 
 // Hex encoding for logs and test expectations.
 std::string DigestHex(const Digest& d);
-
-// First 8 bytes of the digest as a little-endian integer; handy as a
-// deterministic hash-map key / state fingerprint.
-uint64_t DigestPrefix64(const Digest& d);
 
 }  // namespace optilog

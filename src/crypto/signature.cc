@@ -79,14 +79,4 @@ bool KeyStore::Verify(const Signature& sig, const Digest& digest) const {
   return sig.bytes == ComputeSig(sig.signer, digest.data(), digest.size());
 }
 
-Signature KeyStore::Forge(ReplicaId signer) const {
-  Signature sig;
-  sig.signer = signer;
-  // Any constant pattern fails verification with overwhelming probability;
-  // flipping the top bit of an otherwise-zero signature is recognizable in
-  // hex dumps while debugging.
-  sig.bytes.fill(0xde);
-  return sig;
-}
-
 }  // namespace optilog

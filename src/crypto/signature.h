@@ -56,10 +56,6 @@ class KeyStore {
   bool Verify(const Signature& sig, const Bytes& message) const;
   bool Verify(const Signature& sig, const Digest& digest) const;
 
-  // Produces a signature that claims `signer` but will NOT verify. Used by
-  // the fault model to exercise misbehavior detection.
-  Signature Forge(ReplicaId signer) const;
-
  private:
   SigBytes ComputeSig(ReplicaId signer, const uint8_t* msg, size_t len) const;
 

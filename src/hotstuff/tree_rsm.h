@@ -63,7 +63,8 @@ struct TreeRsmOptions {
   size_t cmd_bytes = 100;      // proposals "without transaction payload"
   uint32_t pipeline_depth = 1; // concurrent instances (3 with pipelining)
   double delta = 1.0;          // timing slack multiplier
-  // Votes required to commit: 0 -> q = n - f. OptiTree adds u dynamically.
+  // Votes required to commit: 0 -> q = n - f. OptiTree's tree searches score
+  // at this threshold (+u when reconfiguring).
   uint32_t votes_required = 0;
   // Round-robin leader rotation (HotStuff-rr baseline). Only meaningful for
   // star topologies.

@@ -19,11 +19,4 @@ GeoLatencyModel::GeoLatencyModel(std::vector<City> cities)
   }
 }
 
-MatrixLatencyModel::MatrixLatencyModel(size_t n, SimTime one_way) {
-  one_way_.assign(n, std::vector<SimTime>(n, one_way));
-  for (size_t i = 0; i < n; ++i) {
-    one_way_[i][i] = 0;
-  }
-}
-
 }  // namespace optilog

@@ -50,28 +50,4 @@ class GeoLatencyModel : public LatencyModel {
   size_t stride_ = 0;
 };
 
-// Explicit one-way latency matrix (microseconds); used by unit tests and by
-// scenario builders that need full control.
-class MatrixLatencyModel : public LatencyModel {
- public:
-  explicit MatrixLatencyModel(std::vector<std::vector<SimTime>> one_way)
-      : one_way_(std::move(one_way)) {}
-
-  // Uniform all-pairs latency.
-  MatrixLatencyModel(size_t n, SimTime one_way);
-
-  SimTime OneWay(ReplicaId from, ReplicaId to) const override {
-    OL_CHECK(from < one_way_.size() && to < one_way_.size());
-    return one_way_[from][to];
-  }
-
-  void Set(ReplicaId a, ReplicaId b, SimTime one_way) {
-    one_way_[a][b] = one_way;
-    one_way_[b][a] = one_way;
-  }
-
- private:
-  std::vector<std::vector<SimTime>> one_way_;
-};
-
 }  // namespace optilog

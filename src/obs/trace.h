@@ -20,9 +20,9 @@
 // groups freely.
 //
 // Determinism contract: a run's record stream is a pure function of the
-// deployment and its seed, and records are emitted in (t, id) order, so
-// TraceBytes is byte-identical across reruns and --threads values (pinned by
-// obs_test and the trace_breakdown scenario).
+// deployment and its seed, and records are emitted in (t, id) order, so the
+// stream is byte-identical across reruns and --threads values (pinned by
+// shard_determinism_test, which compares the records' fixed-width bytes).
 #pragma once
 
 #include <cstdint>
@@ -58,8 +58,7 @@ enum class TraceKind : uint16_t {
   kRecoveryChunk = 36,  // actor=recovering replica, a=chunk seq, b=bytes
 };
 
-// One fixed-width trace record (48 bytes; see TraceBytes for the canonical
-// serialization the determinism pins compare).
+// One fixed-width trace record (48 bytes).
 struct TraceRecord {
   SimTime t = 0;        // sim time of emission
   uint64_t id = 0;      // emission counter, 1-based
@@ -113,10 +112,6 @@ class TraceRecorder {
   uint64_t current_ = 0;
   std::vector<TraceRecord> records_;
 };
-
-// Canonical fixed-width little-endian serialization (48 bytes per record),
-// the byte string the determinism pins compare across reruns.
-std::string TraceBytes(const std::vector<TraceRecord>& records);
 
 // Human-readable kind name for exporters ("dispatch_delivery", "commit"...).
 const char* TraceKindName(uint16_t kind);

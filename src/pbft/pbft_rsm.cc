@@ -255,7 +255,6 @@ void PbftReplica::Commit(Instance& inst) {
     }
   }
   if (sensor_) {
-    sensor_->CheckDeadlines(harness_->sim_->now());
     sensor_->GarbageCollect(seq >= 2 ? seq - 2 : 0);
   }
   if (id_ == harness_->config_.leader) {

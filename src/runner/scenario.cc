@@ -20,15 +20,6 @@ Params& Params::Set(std::string name, std::string value) {
   return *this;
 }
 
-bool Params::Has(const std::string& name) const {
-  for (const auto& [k, v] : entries_) {
-    if (k == name) {
-      return true;
-    }
-  }
-  return false;
-}
-
 const std::string& Params::Get(const std::string& name) const {
   for (const auto& [k, v] : entries_) {
     if (k == name) {

@@ -32,7 +32,6 @@ class Params {
   Params() = default;
 
   Params& Set(std::string name, std::string value);
-  bool Has(const std::string& name) const;
   const std::string& Get(const std::string& name) const;
   int64_t GetInt(const std::string& name) const;
   double GetDouble(const std::string& name) const;

@@ -7,39 +7,6 @@
 
 namespace optilog {
 
-KauriScheduler::KauriScheduler(uint32_t n, uint64_t seed) : n_(n), rng_(seed) {
-  const uint32_t internals = BranchFactorFor(n) + 1;  // i = b + 1
-  const uint32_t t = n / internals;                   // number of bins
-  std::vector<ReplicaId> order(n);
-  for (ReplicaId id = 0; id < n; ++id) {
-    order[id] = id;
-  }
-  rng_.Shuffle(order);
-  bins_.resize(t);
-  for (uint32_t bin = 0; bin < t; ++bin) {
-    for (uint32_t j = 0; j < internals; ++j) {
-      bins_[bin].push_back(order[bin * internals + j]);
-    }
-  }
-}
-
-std::optional<TreeTopology> KauriScheduler::NextTree() {
-  if (next_bin_ >= bins_.size()) {
-    return std::nullopt;
-  }
-  std::vector<ReplicaId> internals = bins_[next_bin_++];
-  rng_.Shuffle(internals);  // random positions within the bin
-  return TreeWithInternals(n_, internals, rng_);
-}
-
-TreeTopology KauriScheduler::StarFallback() const {
-  std::vector<ReplicaId> leaves;
-  for (ReplicaId id = 1; id < n_; ++id) {
-    leaves.push_back(id);
-  }
-  return TreeTopology::Build({0}, leaves);
-}
-
 TreeTopology RandomTree(uint32_t n, Rng& rng) {
   std::vector<ReplicaId> order(n);
   std::iota(order.begin(), order.end(), 0);

@@ -1,10 +1,5 @@
-// Kauri's reconfiguration schemes (§6.1.1) and the Kauri-sa variant used as
-// a baseline in §7.5.
-//
-//   Kauri: t-Bounded Conformity — replicas are split into t = n / i
-//   disjoint bins of i internal nodes; tree j uses bin j as internals with
-//   random positions. If f < t one bin is fault-free. After the bins are
-//   exhausted (at most ~sqrt(n) trees), Kauri falls back to a star.
+// Tree construction shared by the tree family: Kauri's random tree (§6.1.1),
+// the Kauri-sa baseline of §7.5, and OptiTree's annealing search (§4.2.4).
 //
 //   Kauri-sa: trees are found with simulated annealing over the latency
 //   matrix, but without OptiLog's candidate set or u estimate: after each
@@ -23,27 +18,6 @@
 #include "src/util/rng.h"
 
 namespace optilog {
-
-class KauriScheduler {
- public:
-  KauriScheduler(uint32_t n, uint64_t seed);
-
-  // Next tree in the bin schedule, or nullopt when bins are exhausted and
-  // the protocol must fall back to a star.
-  std::optional<TreeTopology> NextTree();
-
-  // Star fallback rooted at a deterministic replica.
-  TreeTopology StarFallback() const;
-
-  uint32_t num_bins() const { return static_cast<uint32_t>(bins_.size()); }
-  uint32_t trees_used() const { return next_bin_; }
-
- private:
-  const uint32_t n_;
-  Rng rng_;
-  std::vector<std::vector<ReplicaId>> bins_;
-  uint32_t next_bin_ = 0;
-};
 
 class KauriSaScheduler {
  public:

@@ -55,33 +55,4 @@ double TreeScore(const TreeTopology& tree, const LatencyMatrix& latency, uint32_
   return QuorumArrival(subtrees, k);
 }
 
-double TreeRoundDurationMs(const TreeTopology& tree, const LatencyMatrix& latency,
-                           uint32_t q, uint32_t u) {
-  return TreeScore(tree, latency, q + u);
-}
-
-double TreeProposeTimeoutMs(const TreeTopology& tree, const LatencyMatrix& latency,
-                            ReplicaId intermediate) {
-  return latency.Rtt(tree.root(), intermediate);
-}
-
-double TreeForwardTimeoutMs(const TreeTopology& tree, const LatencyMatrix& latency,
-                            ReplicaId leaf) {
-  const ReplicaId parent = tree.ParentOf(leaf);
-  return latency.Rtt(tree.root(), parent) + latency.Rtt(parent, leaf);
-}
-
-double TreeVoteTimeoutMs(const TreeTopology& tree, const LatencyMatrix& latency,
-                         ReplicaId leaf) {
-  const ReplicaId parent = tree.ParentOf(leaf);
-  return latency.Rtt(tree.root(), parent) + 2.0 * latency.Rtt(parent, leaf);
-}
-
-double TreeAggregateTimeoutMs(const TreeTopology& tree, const LatencyMatrix& latency,
-                              ReplicaId intermediate) {
-  return latency.Rtt(tree.root(), intermediate) +
-         AggregationLatencyMs(tree, latency, intermediate) +
-         latency.Rtt(intermediate, tree.root());
-}
-
 }  // namespace optilog

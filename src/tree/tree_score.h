@@ -1,5 +1,6 @@
-// Tree scoring (Definition 1, §6.3) and OptiTree timeout derivation
-// (Appendix D, Lemma 6 / TR1-TR3).
+// Tree scoring (Definition 1, §6.3). TreeRsm's round timeout is TreeScore at
+// its commit threshold; its aggregation deadline is Lagg (Lemma 6) over the
+// children not excluded, which TreeRsm computes itself.
 //
 // score(k, tau) = minimum latency for the root to collect votes from k
 // nodes. Following the paper, all quantities are in the units of the
@@ -34,25 +35,6 @@ double QuorumArrival(std::span<SubtreeArrival> subtrees, uint32_t k);
 // score(k, tau). Returns +inf if the tree cannot deliver k votes at all
 // (e.g. unknown links or not enough subtree coverage).
 double TreeScore(const TreeTopology& tree, const LatencyMatrix& latency, uint32_t k);
-
-// Expected round duration for the suspicion sensor: the paper uses the same
-// score function (d_rnd = score(q + u, tau)).
-double TreeRoundDurationMs(const TreeTopology& tree, const LatencyMatrix& latency,
-                           uint32_t q, uint32_t u);
-
-// Per-message timeouts d_m relative to the proposal timestamp (Lemma 6):
-//   Propose (root -> intermediate I):      L(R, I)
-//   Forwarded propose (I -> leaf V):       L(R, I) + L(I, V)
-//   Vote (leaf V -> I):                    L(R, I) + 2 * L(I, V)
-//   Aggregated vote (I -> root):           L(R, I) + Lagg(I) + L(I, R)
-double TreeProposeTimeoutMs(const TreeTopology& tree, const LatencyMatrix& latency,
-                            ReplicaId intermediate);
-double TreeForwardTimeoutMs(const TreeTopology& tree, const LatencyMatrix& latency,
-                            ReplicaId leaf);
-double TreeVoteTimeoutMs(const TreeTopology& tree, const LatencyMatrix& latency,
-                         ReplicaId leaf);
-double TreeAggregateTimeoutMs(const TreeTopology& tree, const LatencyMatrix& latency,
-                              ReplicaId intermediate);
 
 // Aggregation latency Lagg(I) = max over children of L(I, V).
 double AggregationLatencyMs(const TreeTopology& tree, const LatencyMatrix& latency,

@@ -11,8 +11,8 @@ namespace optilog {
 
 class TreeConfigSpace : public ConfigSpace {
  public:
-  // `k_base` is the vote target without the fault estimate (the paper uses
-  // q = n - f, and ranks trees with k = 2f + 1 by default, §7.3).
+  // `k_base` is the vote target without the fault estimate: the engine's
+  // CommitThreshold(), q = n - f unless votes_required sets it.
   TreeConfigSpace(uint32_t n, uint32_t k_base) : n_(n), k_base_(k_base) {}
 
   RoleConfig RandomConfig(const CandidateSet& candidates, Rng& rng) const override;

@@ -52,7 +52,7 @@ TEST(DeploymentBuilder, OptiTreeMatchesHandWiredCounts) {
     for (ReplicaId id = 0; id < kN; ++id) {
       all[id] = id;
     }
-    rsm.SetTopology(AnnealTree(kN, all, matrix, 2 * kF + 1, rng, params));
+    rsm.SetTopology(AnnealTree(kN, all, matrix, kN - kF, rng, params));
     rsm.Start();
     sim.RunUntil(run_time);
     wired_blocks = rsm.committed_blocks();
@@ -108,11 +108,11 @@ TEST(DeploymentBuilder, OptiTreeCrashRecoveryMatchesHandWiredPipeline) {
     for (ReplicaId id = 0; id < kN; ++id) {
       all[id] = id;
     }
-    const TreeTopology first = AnnealTree(kN, all, matrix, 2 * kF + 1, rng, params);
+    const TreeTopology first = AnnealTree(kN, all, matrix, kN - kF, rng, params);
     rsm.SetTopology(first);
     faults.Mutable(first.root()).crash_at = crash_at;
 
-    TreeConfigSpace space(kN, 2 * kF + 1);
+    TreeConfigSpace space(kN, kN - kF);
     SuspicionMonitorOptions suspicion;
     suspicion.policy = CandidatePolicy::kTreeDisjointEdges;
     suspicion.min_candidates = BranchFactorFor(kN) + 1;
@@ -151,7 +151,7 @@ TEST(DeploymentBuilder, OptiTreeCrashRecoveryMatchesHandWiredPipeline) {
       }
       r.SetExcluded(std::move(excluded));
       r.PauseProposals(1 * kSec);
-      return AnnealTree(kN, pool, matrix, 2 * kF + 1 + k.u, reconfig_rng, params);
+      return AnnealTree(kN, pool, matrix, kN - kF + k.u, reconfig_rng, params);
     });
 
     rsm.Start();

@@ -21,6 +21,7 @@
 #include "src/runner/scenario.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
+#include "tests/test_support.h"
 
 namespace optilog {
 namespace {

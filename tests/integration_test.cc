@@ -43,70 +43,8 @@ TEST(TreeTopology, StarConfigRoundTrip) {
   EXPECT_EQ(back.size(), 8u);
 }
 
-TEST(Kauri, BinsWithNonDivisibleN) {
-  // n = 43, i = b + 1 = 7 internals -> t = 6 bins; one replica left over.
-  KauriScheduler sched(43, 5);
-  EXPECT_EQ(sched.num_bins(), 6u);
-  int trees = 0;
-  while (sched.NextTree().has_value()) {
-    ++trees;
-  }
-  EXPECT_EQ(trees, 6);
-  EXPECT_EQ(sched.trees_used(), 6u);
-}
-
-// Full Kauri reconfiguration schedule on the message-level sim: every bin
-// tree whose internals include a crashed replica fails; the scheduler walks
-// the bins and falls back to a star once they are exhausted.
-TEST(Integration, KauriBinScheduleWithStarFallback) {
-  const uint32_t n = 21, f = 6;
-  auto d = Deployment::Builder()
-               .WithGeo(Europe21())
-               .WithReplicas(n, f)
-               .WithProtocol(Protocol::kKauri)
-               .Build();
-
-  KauriScheduler sched(n, 77);
-  // Crash one replica from every bin's internals, so all bin trees fail and
-  // the star fallback is the first configuration that makes progress
-  // (the star's root is replica 0, which we keep alive).
-  KauriScheduler probe(n, 77);  // same seed -> same bins
-  std::set<ReplicaId> crashed;
-  while (auto tree = probe.NextTree()) {
-    for (ReplicaId id : tree->Internals()) {
-      if (id != 0 && crashed.size() < f) {
-        d->faults().Mutable(id).crash_at = 0;
-        crashed.insert(id);
-        break;
-      }
-    }
-  }
-  ASSERT_GE(crashed.size(), 4u);
-
-  bool on_star = false;
-  d->tree().SetReconfigPolicy([&](TreeRsm&) -> std::optional<TreeTopology> {
-    if (auto tree = sched.NextTree()) {
-      return tree;
-    }
-    on_star = true;
-    return sched.StarFallback();
-  });
-  auto first = sched.NextTree();
-  ASSERT_TRUE(first.has_value());
-  d->tree().SetTopology(*first);
-  d->tree().SetExcluded(crashed);
-  d->Start();
-  d->RunUntil(60 * kSec);
-
-  // With a crashed internal in every bin, Kauri must have reached the star.
-  EXPECT_TRUE(on_star);
-  EXPECT_TRUE(d->tree().topology().intermediates().empty());
-  EXPECT_GT(d->tree().committed_blocks(), 10u);
-  EXPECT_LE(d->tree().reconfigurations(), sched.num_bins() + 1);
-}
-
-// OptiTree beats the Kauri bin schedule in failures-to-recovery: with the
-// E_d/T candidate set, a single reconfiguration avoids the crashed replica.
+// With the E_d/T candidate set, a single OptiTree reconfiguration avoids the
+// crashed replica.
 TEST(Integration, OptiTreeRecoversInOneReconfig) {
   const uint32_t n = 21, f = 6;
   const AnnealingParams params = AnnealingParams::ForBudget(2000);
@@ -121,7 +59,8 @@ TEST(Integration, OptiTreeRecoversInOneReconfig) {
   for (ReplicaId id = 0; id < n; ++id) {
     all[id] = id;
   }
-  const TreeTopology tree = AnnealTree(n, all, d->matrix(), 2 * f + 1, rng, params);
+  const uint32_t k = d->tree().CommitThreshold();
+  const TreeTopology tree = AnnealTree(n, all, d->matrix(), k, rng, params);
   d->tree().SetTopology(tree);
   const ReplicaId victim = tree.root();
   d->faults().Mutable(victim).crash_at = 3 * kSec;
@@ -140,7 +79,7 @@ TEST(Integration, OptiTreeRecoversInOneReconfig) {
       }
     }
     r.SetExcluded({victim});
-    return AnnealTree(n, pool, d->matrix(), 2 * f + 1, rng, params);
+    return AnnealTree(n, pool, d->matrix(), k, rng, params);
   });
   d->Start();
   d->RunUntil(30 * kSec);

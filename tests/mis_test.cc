@@ -60,15 +60,6 @@ TEST(Graph, OldestEdgeFollowsInsertionOrder) {
   EXPECT_EQ(oldest, EdgeKey::Make(1, 2));
 }
 
-TEST(Graph, NeighborsAndDegree) {
-  SuspicionGraph g;
-  g.AddEdge(0, 1);
-  g.AddEdge(0, 2);
-  EXPECT_EQ(g.Degree(0), 2u);
-  EXPECT_EQ(g.Degree(1), 1u);
-  EXPECT_EQ(g.Neighbors(0), (std::vector<ReplicaId>{1, 2}));
-}
-
 TEST(Mis, EmptyGraphReturnsAllVertices) {
   SuspicionGraph g;
   EXPECT_EQ(MaximumIndependentSet(g, Vertices(5)).size(), 5u);

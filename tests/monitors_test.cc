@@ -9,6 +9,7 @@
 #include "src/util/rng.h"
 #include "src/core/misbehavior_monitor.h"
 #include "src/core/suspicion_monitor.h"
+#include "tests/test_support.h"
 
 namespace optilog {
 namespace {
@@ -205,7 +206,7 @@ TEST_F(MisbehaviorTest, InvalidSignatureProof) {
   SignedHeader bad;
   bad.view = 3;
   bad.digest = Sha256::Hash(std::string("x"));
-  bad.sig = keys_.Forge(1);
+  bad.sig = ForgedSignature(1);
   ComplaintRecord rec;
   rec.accuser = 0;
   rec.accused = 1;
@@ -428,7 +429,7 @@ TEST_F(SuspicionMonitorTest, ProvablyFaultyExcludedFromCandidates) {
   SignedHeader bad;
   bad.view = 1;
   bad.digest = Sha256::Hash(std::string("z"));
-  bad.sig = keys_.Forge(5);
+  bad.sig = ForgedSignature(5);
   rec.headers = {bad};
   misbehavior_.OnComplaint(rec, true);
 

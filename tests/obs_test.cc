@@ -24,6 +24,7 @@
 #include "src/rsm/metrics.h"
 #include "src/runner/scenario.h"
 #include "src/shard/sharded_deployment.h"
+#include "tests/test_support.h"
 
 namespace optilog {
 namespace {

@@ -8,6 +8,7 @@
 
 #include "src/api/deployment.h"
 #include "src/tree/kauri.h"
+#include "tests/test_support.h"
 
 namespace optilog {
 namespace {

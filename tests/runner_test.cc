@@ -64,8 +64,6 @@ TEST(RunnerCsv, EscapesDelimitersQuotesAndNewlines) {
 TEST(RunnerParams, TypedGetters) {
   Params p;
   p.Set("geo", "Europe21").Set("n", "21").Set("delta", "1.5");
-  EXPECT_TRUE(p.Has("geo"));
-  EXPECT_FALSE(p.Has("nope"));
   EXPECT_EQ(p.Get("geo"), "Europe21");
   EXPECT_EQ(p.GetInt("n"), 21);
   EXPECT_DOUBLE_EQ(p.GetDouble("delta"), 1.5);

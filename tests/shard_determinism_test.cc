@@ -14,6 +14,7 @@
 #include "src/runner/scenario.h"
 #include "src/shard/sharded_deployment.h"
 #include "src/statemachine/state_machine.h"
+#include "tests/test_support.h"
 
 namespace optilog {
 namespace {

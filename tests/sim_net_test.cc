@@ -5,6 +5,7 @@
 #include "src/net/latency_model.h"
 #include "src/net/network.h"
 #include "src/sim/simulator.h"
+#include "tests/test_support.h"
 
 namespace optilog {
 namespace {

@@ -8,6 +8,7 @@
 #include "src/statemachine/group.h"
 #include "src/statemachine/replica_rsm.h"
 #include "src/statemachine/state_machine.h"
+#include "tests/test_support.h"
 
 namespace optilog {
 namespace {

@@ -194,34 +194,6 @@ TEST(TreeScore, MonotoneInK) {
   }
 }
 
-TEST(TreeScore, TimeoutsSatisfyLemma6Ordering) {
-  // TR2 chain: propose <= forward <= vote <= (aggregate covers its children).
-  const LatencyMatrix m = GeoMatrix(Europe21());
-  Rng rng(4);
-  const TreeTopology t = RandomTree(21, rng);
-  for (ReplicaId inter : t.intermediates()) {
-    const double d_prop = TreeProposeTimeoutMs(t, m, inter);
-    EXPECT_GT(d_prop, 0.0);
-    const double d_agg = TreeAggregateTimeoutMs(t, m, inter);
-    for (ReplicaId leaf : t.ChildrenOf(inter)) {
-      const double d_fwd = TreeForwardTimeoutMs(t, m, leaf);
-      const double d_vote = TreeVoteTimeoutMs(t, m, leaf);
-      EXPECT_GE(d_fwd, d_prop);
-      EXPECT_GE(d_vote, d_fwd);
-      // The aggregate waits for the slowest child vote round-trip.
-      EXPECT_GE(d_agg + 1e-9,
-                d_prop + AggregationLatencyMs(t, m, inter));
-    }
-  }
-}
-
-TEST(TreeScore, DRndEqualsScoreAtQPlusU) {
-  const LatencyMatrix m = GeoMatrix(Europe21());
-  Rng rng(4);
-  const TreeTopology t = RandomTree(21, rng);
-  EXPECT_DOUBLE_EQ(TreeRoundDurationMs(t, m, 15, 2), TreeScore(t, m, 17));
-}
-
 TEST(TreeSpace, RandomConfigsValidAndComplete) {
   TreeConfigSpace space(21, 15);
   CandidateSet k;
@@ -261,48 +233,6 @@ TEST(TreeSpace, RejectsInternalOutsideK) {
   const TreeTopology t =
       TreeTopology::Build({12, 1, 2, 3}, {0, 4, 5, 6, 7, 8, 9, 10, 11});
   EXPECT_FALSE(space.Valid(t.ToConfig(), k));
-}
-
-TEST(Kauri, BinsAreDisjointAndCoverInternals) {
-  KauriScheduler sched(21, 3);
-  // i = b + 1 = 5 internals, t = 21 / 5 = 4 bins.
-  EXPECT_EQ(sched.num_bins(), 4u);
-  std::set<ReplicaId> seen;
-  for (uint32_t bin = 0; bin < 4; ++bin) {
-    auto tree = sched.NextTree();
-    ASSERT_TRUE(tree.has_value());
-    const auto internals = tree->Internals();
-    EXPECT_EQ(internals.size(), 5u);
-    for (ReplicaId id : internals) {
-      EXPECT_TRUE(seen.insert(id).second) << "replica " << id << " in two bins";
-    }
-    EXPECT_EQ(tree->size(), 21u);
-  }
-  EXPECT_FALSE(sched.NextTree().has_value());  // bins exhausted
-}
-
-TEST(Kauri, StarFallbackIsFullStar) {
-  KauriScheduler sched(21, 3);
-  const TreeTopology star = sched.StarFallback();
-  EXPECT_TRUE(star.intermediates().empty());
-  EXPECT_EQ(star.ChildrenOf(star.root()).size(), 20u);
-}
-
-TEST(Kauri, FaultFreeBinExistsWhenFLessThanT) {
-  // t-Bounded Conformity: with f < t faults, at least one bin is clean.
-  KauriScheduler sched(21, 9);
-  const std::set<ReplicaId> faulty{0, 1, 2};  // f = 3 < t = 4
-  int clean_bins = 0;
-  while (auto tree = sched.NextTree()) {
-    bool clean = true;
-    for (ReplicaId id : tree->Internals()) {
-      if (faulty.count(id) > 0) {
-        clean = false;
-      }
-    }
-    clean_bins += clean;
-  }
-  EXPECT_GE(clean_bins, 1);
 }
 
 TEST(KauriSa, BurnsFailedInternals) {
