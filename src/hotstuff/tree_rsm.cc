@@ -297,17 +297,21 @@ SimTime TreeRsm::RoundTimeout() {
 }
 
 void TreeRsm::SetTopologyOrConfig(const RoleConfig& config) {
-  SetTopology(TreeTopology::FromConfig(config));
   if (!started_) {
-    return;  // initial installation
+    SetTopology(TreeTopology::FromConfig(config));  // initial installation
+    return;
   }
-  // Forced mid-run reconfiguration: count it and abandon rounds that are
-  // still waiting on the old tree's parents, mirroring the internal
-  // reconfiguration path.
+  InstallTree(TreeTopology::FromConfig(config));  // forced mid-run
+  RefillPipeline();
+}
+
+// A mid-run reconfiguration, whichever path asked for it: count it, install
+// the tree, and abandon rounds still waiting on the old tree's parents.
+void TreeRsm::InstallTree(const TreeTopology& tree) {
   ++reconfigurations_;
   reconfig_times_.push_back(sim_->now());
+  SetTopology(tree);
   AbandonInFlightRounds();
-  RefillPipeline();
 }
 
 MetricsReport TreeRsm::Metrics() const {
@@ -506,10 +510,7 @@ void TreeRsm::OnRoundTimeout(uint64_t view) {
   if (reconfig_) {
     std::optional<TreeTopology> next = reconfig_(*this);
     if (next.has_value()) {
-      ++reconfigurations_;
-      reconfig_times_.push_back(sim_->now());
-      SetTopology(*next);
-      AbandonInFlightRounds();
+      InstallTree(*next);
     }
   }
   RefillPipeline();
@@ -628,10 +629,7 @@ void TreeRsm::OnReplicaRecovered(ReplicaId id) {
   // reconfiguration policy for a tree over the (now larger) live set.
   std::optional<TreeTopology> next = reconfig_(*this);
   if (next.has_value()) {
-    ++reconfigurations_;
-    reconfig_times_.push_back(sim_->now());
-    SetTopology(*next);
-    AbandonInFlightRounds();
+    InstallTree(*next);
   }
   RefillPipeline();
 }

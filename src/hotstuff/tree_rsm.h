@@ -200,6 +200,7 @@ class TreeRsm : public ConsensusEngine, public TimerTarget {
   };
 
   void StartRound();
+  void InstallTree(const TreeTopology& tree);
   void AbandonInFlightRounds();
   void RefillPipeline();
   // Batcher entry point (queue bound): proposes while the size trigger

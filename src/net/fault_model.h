@@ -59,7 +59,7 @@ class FaultModel {
   ReplicaFaults& Mutable(ReplicaId id) { return faults_[id]; }
 
   // True inside the crash window [crash_at, recover_at). Every consumer —
-  // Network drop-at-delivery, Multicast skip, loopback (SendSelf), probe
+  // Network drop-at-delivery, Multicast skip, Multicast's loopback, probe
   // rounds, state-machine execution — shares this one predicate, so recovery
   // semantics stay consistent across layers.
   bool IsCrashedAt(ReplicaId id, SimTime now) const {

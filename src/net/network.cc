@@ -131,14 +131,4 @@ void Network::Multicast(ReplicaId from, const std::vector<ReplicaId>& to,
                               std::move(msg));
 }
 
-void Network::SendSelf(ReplicaId id, MessagePtr msg) {
-  if (faults_->IsCrashedAt(id, sim_->now())) {
-    return;
-  }
-  // Loopback skips the wire but not the CPU: a crypto-saturated replica
-  // processes its own messages late too. Zero without a cost model.
-  const SimTime delay = SendBase(id) - sim_->now();
-  sim_->ScheduleDelivery(delay, &loopback_, id, id, std::move(msg));
-}
-
 }  // namespace optilog

@@ -75,13 +75,11 @@ class Network : private DeliverySink {
   }
 
   void Send(ReplicaId from, ReplicaId to, MessagePtr msg);
+  // A recipient equal to `from` gets its copy through a zero-delay loopback
+  // that, like Send, honors a receiver crash landing between scheduling and
+  // delivery. Loopback traffic never touches the wire, so it is excluded
+  // from NetworkStats.
   void Multicast(ReplicaId from, const std::vector<ReplicaId>& to, MessagePtr msg);
-
-  // Loopback with zero delay; used by protocols that treat self-messages
-  // uniformly. Like Send, honors a receiver crash that lands between
-  // scheduling and delivery. Loopback traffic never touches the wire, so it
-  // is excluded from NetworkStats.
-  void SendSelf(ReplicaId id, MessagePtr msg);
 
   const NetworkStats& stats() const { return stats_; }
   Simulator* sim() { return sim_; }

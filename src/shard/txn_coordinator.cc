@@ -106,7 +106,6 @@ void TxnCoordinator::StartTxn(const TxnRequestMsg& req, SimTime at) {
   Txn txn;
   txn.client = req.client;
   txn.client_req = req.request_id;
-  txn.sent_at = req.sent_at;
   txn.ops = req.ops;
   txn.op_shard.reserve(req.ops.size());
   for (const KvOp& op : req.ops) {
@@ -118,9 +117,9 @@ void TxnCoordinator::StartTxn(const TxnRequestMsg& req, SimTime at) {
   txn.participants.erase(
       std::unique(txn.participants.begin(), txn.participants.end()),
       txn.participants.end());
+  txn.results.resize(txn.ops.size());
 
   by_client_.emplace(key, txn_id);
-  ++stats_.txns;
   auto [it, inserted] = txns_.emplace(txn_id, std::move(txn));
   OL_CHECK(inserted);
   if (TraceRecorder* tr = sim_->trace()) {
@@ -187,8 +186,7 @@ void TxnCoordinator::BeginPhase(uint64_t txn_id, Txn& txn, Phase phase,
       break;
     case Phase::kCommitRest:
       // Normal path: the home shard already committed in kDecideHome.
-      // Recovery re-drive: hit every participant — commits are idempotent
-      // and the home's decided record echoes its original results.
+      // Recovery re-drive: hit every participant — commits are idempotent.
       for (uint32_t p : txn.participants) {
         if (txn.recovered || p != shard_) {
           targets.push_back(p);
@@ -254,16 +252,26 @@ void TxnCoordinator::OnRecordDone(uint64_t txn_id, uint32_t shard,
   }
   switch (txn.phase) {
     case Phase::kPrepareHome:
-    case Phase::kPrepareRest:
+    case Phase::kPrepareRest: {
       if (!m.ok) {
         txn.vote_no = true;
         ++stats_.votes_no;
+        break;
       }
+      // A yes vote carries the shard's results in its op order: scatter
+      // them to the transaction's op positions.
+      size_t next = 0;
+      for (size_t i = 0; i < txn.ops.size(); ++i) {
+        if (txn.op_shard[i] == shard) {
+          OL_CHECK(next < m.results.size());
+          txn.results[i] = m.results[next++];
+        }
+      }
+      OL_CHECK(next == m.results.size());
       break;
+    }
     case Phase::kDecideHome:
     case Phase::kCommitRest:
-      txn.shard_results[shard] = result;
-      break;
     case Phase::kAbortAll:
     case Phase::kEndAll:
       break;  // acknowledgements only
@@ -295,24 +303,25 @@ void TxnCoordinator::AdvanceTxn(uint64_t txn_id, Txn& txn, SimTime at) {
       return;
     }
     case Phase::kDecideHome: {
-      if (txn.participants.size() > 1) {
-        BeginPhase(txn_id, txn, Phase::kCommitRest, at);
-        return;
-      }
-      // Single-participant transaction: decided and done.
-      ++stats_.committed;
+      // The decision is durable and the prepares fixed the results: answer
+      // now, and let the remotes commit off the client's latency path.
       ReplyToClient(txn, /*committed=*/true, at);
-      BeginPhase(txn_id, txn, Phase::kEndAll, at);
+      BeginPhase(txn_id, txn,
+                 txn.participants.size() > 1 ? Phase::kCommitRest
+                                             : Phase::kEndAll,
+                 at);
       return;
     }
     case Phase::kCommitRest: {
-      ++stats_.committed;
-      ReplyToClient(txn, /*committed=*/true, at);
+      if (txn.recovered) {
+        // A recovery re-drive answers (again, if the client already has
+        // its results) once every participant holds the decision.
+        ReplyToClient(txn, /*committed=*/true, at);
+      }
       BeginPhase(txn_id, txn, Phase::kEndAll, at);
       return;
     }
     case Phase::kAbortAll: {
-      ++stats_.aborted;
       ReplyToClient(txn, /*committed=*/false, at);
       txns_.erase(txn_id);
       return;
@@ -341,27 +350,9 @@ void TxnCoordinator::ReplyToClient(const Txn& txn, bool committed,
   reply->request_id = txn.client_req;
   reply->committed = committed;
   if (committed && !txn.recovered) {
-    // Assemble per-op results in the transaction's op order from the
-    // per-shard result vectors (each shard applied its ops in op order).
-    std::map<uint32_t, KvMultiResult> per_shard;
-    std::map<uint32_t, size_t> cursor;
-    for (const auto& [shard, bytes] : txn.shard_results) {
-      KvMultiResult m;
-      OL_CHECK(KvMultiResult::Decode(bytes, &m));
-      OL_CHECK(m.ok);
-      per_shard.emplace(shard, std::move(m));
-    }
     KvMultiResult all;
     all.ok = true;
-    all.results.reserve(txn.ops.size());
-    for (size_t i = 0; i < txn.ops.size(); ++i) {
-      const uint32_t s = txn.op_shard[i];
-      auto it = per_shard.find(s);
-      OL_CHECK(it != per_shard.end());
-      size_t& c = cursor[s];
-      OL_CHECK(c < it->second.results.size());
-      all.results.push_back(it->second.results[c++]);
-    }
+    all.results = txn.results;
     reply->results = all.Encode();
   }
   owner_->shard(shard_).net().Send(id_, txn.client, std::move(reply));
@@ -404,7 +395,8 @@ void TxnCoordinator::RecoveryRebuild(SimTime at) {
 
   // Decided but not yet ended: the commit record exists, so the decision
   // stands — re-drive commits to every participant (idempotent), re-answer
-  // the client (no values: the client's oracle adopts its own ops), GC.
+  // the client (no values: a client still waiting adopts its own ops; one
+  // answered before the crash has moved on and ignores it), GC.
   for (const auto& [txn_id, d] : kv.decided()) {
     if (d.participants.empty()) {
       continue;
@@ -412,7 +404,6 @@ void TxnCoordinator::RecoveryRebuild(SimTime at) {
     Txn txn;
     txn.client = d.client;
     txn.client_req = d.client_req;
-    txn.sent_at = at;
     txn.participants = d.participants;
     txn.recovered = true;
     by_client_[{d.client, d.client_req}] = txn_id;
@@ -432,7 +423,6 @@ void TxnCoordinator::RecoveryRebuild(SimTime at) {
     Txn txn;
     txn.client = p.client;
     txn.client_req = p.client_req;
-    txn.sent_at = at;
     txn.participants = p.participants;
     txn.recovered = true;
     by_client_[{p.client, p.client_req}] = txn_id;

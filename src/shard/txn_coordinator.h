@@ -11,13 +11,14 @@
 //      durable: a coordinator crash can always be resolved from the home
 //      shard's materialized prepared/decided tables.
 //   2. kPrepare to the remote participants in parallel (ops only).
+//      Every yes vote carries its shard's per-op results: the values the
+//      shard's commit will apply, fixed by the prepare's locks.
 //   3. All yes votes: kCommit to the home shard — the commit record IS the
-//      durable decision, and its committed reply carries the home ops'
-//      results. Any no vote: kAbort everywhere, reply abort, client retries.
-//   4. kCommit to the remotes in parallel; assemble per-op results in op
-//      order and reply to the client.
-//   5. kEnd to every participant (off the latency path) garbage-collects
-//      the decided record.
+//      durable decision. Once it commits, the client is answered with the
+//      prepares' results in op order. Any no vote: kAbort everywhere, reply
+//      abort, client retries.
+//   4. kCommit to the remotes in parallel, off the latency path.
+//   5. kEnd to every participant garbage-collects the decided record.
 //
 // Each record rides an ordinary ClientRequestMsg (the coordinator is just
 // another client of each shard: monotonic request ids, the shard leader's
@@ -62,12 +63,9 @@ class TxnCoordinator : public Actor {
   ReplicaId anchor() const { return anchor_; }
 
   struct Stats {
-    uint64_t txns = 0;              // distinct transactions accepted
-    uint64_t committed = 0;
-    uint64_t aborted = 0;
     uint64_t prepares_sent = 0;
     uint64_t votes_no = 0;
-    uint64_t duplicates = 0;        // client retries deduped
+    uint64_t duplicates = 0;  // client retries deduped
     uint64_t recovered_commits = 0;
     uint64_t recovered_aborts = 0;
   };
@@ -88,7 +86,6 @@ class TxnCoordinator : public Actor {
   struct Txn {
     ReplicaId client = kNoReplica;
     uint64_t client_req = 0;
-    SimTime sent_at = 0;
     std::vector<KvOp> ops;
     std::vector<uint32_t> op_shard;      // ShardOf(ops[i].key)
     std::vector<uint32_t> participants;  // ascending, home included
@@ -96,7 +93,7 @@ class TxnCoordinator : public Actor {
     bool vote_no = false;
     bool recovered = false;  // re-driven after a crash: results are gone
     uint32_t awaiting = 0;   // outstanding records in this phase
-    std::map<uint32_t, Bytes> shard_results;  // shard -> KvMultiResult bytes
+    std::vector<KvResult> results;  // per op, from the prepares' yes votes
   };
 
   // One replicated record in flight against one shard.

@@ -38,6 +38,26 @@ void WriteTxnBody(ByteWriter& w, const KvTxnOp& txn) {
   }
 }
 
+// The result of `op` on a key that holds `value` (0 when !found). It is
+// also the key's state after the op: a get leaves it as it was, a put or
+// an add leaves it present, holding the result's value.
+KvResult Step(const KvOp& op, bool found, uint64_t value) {
+  KvResult res;
+  res.found = found;
+  switch (op.kind) {
+    case KvOpKind::kGet:
+      res.value = value;
+      break;
+    case KvOpKind::kPut:
+      res.value = op.arg;
+      break;
+    case KvOpKind::kAdd:
+      res.value = value + op.arg;
+      break;
+  }
+  return res;
+}
+
 size_t TxnBodyBytes(const KvTxnOp& txn) {
   ByteWriter counter(nullptr);
   WriteTxnBody(counter, txn);
@@ -207,30 +227,43 @@ void KvStateMachine::Apply(const KvCommand& cmd, Bytes* reply) {
 }
 
 KvResult KvStateMachine::ApplyOne(const KvOp& op) {
-  KvResult res;
-  switch (op.kind) {
-    case KvOpKind::kGet: {
-      auto it = kv_.find(op.key);
-      res.found = it != kv_.end();
-      res.value = res.found ? it->second : 0;
-      break;
-    }
-    case KvOpKind::kPut: {
-      auto [it, inserted] = kv_.insert_or_assign(op.key, op.arg);
-      (void)it;
-      res.found = !inserted;
-      res.value = op.arg;
-      break;
-    }
-    case KvOpKind::kAdd: {
-      auto [it, inserted] = kv_.try_emplace(op.key, 0);
-      res.found = !inserted;
-      it->second += op.arg;
-      res.value = it->second;
-      break;
+  auto it = kv_.lower_bound(op.key);
+  const bool found = it != kv_.end() && it->first == op.key;
+  const KvResult res = Step(op, found, found ? it->second : 0);
+  if (op.kind != KvOpKind::kGet) {
+    if (found) {
+      it->second = res.value;
+    } else {
+      kv_.emplace_hint(it, op.key, res.value);
     }
   }
   return res;
+}
+
+std::vector<KvResult> KvStateMachine::EvaluateOps(
+    const std::vector<KvOp>& ops) const {
+  std::vector<KvResult> out;
+  out.reserve(ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    // The key as the record's last earlier op on it left it, else as the
+    // store holds it. Records are a few ops long: a backward scan, no map.
+    size_t j = i;
+    while (j > 0 && ops[j - 1].key != ops[i].key) {
+      --j;
+    }
+    bool found = false;
+    uint64_t value = 0;
+    if (j > 0) {
+      const KvResult& prev = out[j - 1];
+      found = prev.found || ops[j - 1].kind != KvOpKind::kGet;
+      value = prev.value;
+    } else if (auto it = kv_.find(ops[i].key); it != kv_.end()) {
+      found = true;
+      value = it->second;
+    }
+    out.push_back(Step(ops[i], found, value));
+  }
+  return out;
 }
 
 void KvStateMachine::Unlock(uint64_t txn_id, const std::vector<KvOp>& ops) {
@@ -268,49 +301,50 @@ void KvStateMachine::ApplyTxn(const KvTxnOp& txn, Bytes* reply) {
       break;
     }
     case TxnTag::kPrepare: {
-      if (decided_.count(txn.txn_id) > 0 || prepared_.count(txn.txn_id) > 0) {
+      if (decided_.count(txn.txn_id) > 0) {
         out.ok = true;  // duplicate prepare (retry): the vote stands
         break;
       }
-      if (any_locked(txn.ops)) {
-        break;  // vote no: conflicting prepare
+      auto it = prepared_.find(txn.txn_id);
+      if (it == prepared_.end()) {
+        if (any_locked(txn.ops)) {
+          break;  // vote no: conflicting prepare
+        }
+        for (const KvOp& op : txn.ops) {
+          locks_[op.key] = txn.txn_id;
+        }
+        it = prepared_.emplace(txn.txn_id, txn).first;
       }
-      for (const KvOp& op : txn.ops) {
-        locks_[op.key] = txn.txn_id;
-      }
-      prepared_.emplace(txn.txn_id, txn);
+      // A yes vote carries the results the commit will apply. The locks
+      // refuse every other write to these keys until the commit or abort,
+      // so the values cannot change in between, and a duplicate prepare
+      // evaluates the recorded ops to the same bytes.
       out.ok = true;
+      if (reply != nullptr) {
+        out.results = EvaluateOps(it->second.ops);
+      }
       break;
     }
     case TxnTag::kCommit: {
       auto it = prepared_.find(txn.txn_id);
       if (it == prepared_.end()) {
-        auto dit = decided_.find(txn.txn_id);
-        if (dit != decided_.end() && reply != nullptr) {
-          *reply = dit->second.results;  // idempotent re-drive
-          return;
-        }
-        break;  // unknown transaction (or a re-drive nobody reads)
+        // A re-drive of a decided transaction is an idempotent yes; an
+        // unknown transaction is refused.
+        out.ok = decided_.count(txn.txn_id) > 0;
+        break;
       }
-      // The results are snapshot state (DecidedTxn), so they are encoded
-      // whether or not this replica's reply is read.
-      out.ok = true;
-      out.results.reserve(it->second.ops.size());
       for (const KvOp& op : it->second.ops) {
-        out.results.push_back(ApplyOne(op));
+        ApplyOne(op);
       }
       Unlock(txn.txn_id, it->second.ops);
       DecidedTxn d;
-      d.participants = it->second.participants;
+      d.participants = std::move(it->second.participants);
       d.client = it->second.client;
       d.client_req = it->second.client_req;
-      d.results = out.Encode();
       prepared_.erase(it);
-      if (reply != nullptr) {
-        *reply = d.results;
-      }
       decided_.emplace(txn.txn_id, std::move(d));
-      return;
+      out.ok = true;
+      break;
     }
     case TxnTag::kAbort: {
       auto it = prepared_.find(txn.txn_id);
@@ -342,8 +376,8 @@ Bytes KvStateMachine::SnapshotBytes() const {
     size += TxnBodyBytes(p);
   }
   for (const auto& [txn_id, d] : decided_) {
-    // id, client, client_req, participant count and results length
-    size += 28 + 4 * d.participants.size() + d.results.size();
+    // id, client, client_req and participant count
+    size += 24 + 4 * d.participants.size();
   }
   Bytes out;
   out.reserve(size);
@@ -366,7 +400,6 @@ Bytes KvStateMachine::SnapshotBytes() const {
     }
     w.U32(d.client);
     w.U64(d.client_req);
-    w.Blob(d.results);
   }
   return out;
 }
@@ -410,7 +443,6 @@ void KvStateMachine::Restore(const Bytes& snapshot) {
     }
     d.client = r.U32();
     d.client_req = r.U64();
-    d.results = r.Blob();
     if (r.ok()) {
       decided_.emplace(txn_id, std::move(d));
     }

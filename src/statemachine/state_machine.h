@@ -58,7 +58,7 @@ struct KvResult {
 // durable state.
 enum class TxnTag : uint8_t {
   kMulti = 0x10,    // single-shard multi-key op: atomic, aborts on any lock
-  kPrepare = 0x11,  // phase 1: conflict-check, lock keys, record intent
+  kPrepare = 0x11,  // phase 1: lock keys, record intent, reply the results
   kCommit = 0x12,   // phase 2: apply the prepared ops, record the decision
   kAbort = 0x13,    // phase 2: drop the prepared intent and its locks
   kEnd = 0x14,      // post-reply GC: forget the decided-transaction record
@@ -80,8 +80,10 @@ struct KvTxnOp {
 
 // Reply to any transaction record. `ok` is the vote (kPrepare), decision
 // applicability (kCommit: false = unknown transaction), or a no-op for the
-// idempotent tags; `results` carries per-op KvResults for kMulti and
-// kCommit, in op order.
+// idempotent tags; `results` carries per-op KvResults, in op order, for
+// kMulti and for a yes-voting kPrepare. A prepare's results are the ones
+// its kCommit will apply: evaluated without applying, and fixed by the
+// prepare's locks until the commit.
 struct KvMultiResult {
   bool ok = false;
   std::vector<KvResult> results;
@@ -135,13 +137,12 @@ class KvStateMachine {
   // home shard.
   using PreparedTxn = KvTxnOp;
   // A committed transaction whose kEnd has not arrived yet, kept so commit
-  // re-drives (coordinator recovery, duplicate deliveries) stay idempotent
-  // and return the original results.
+  // re-drives (coordinator recovery, duplicate deliveries) stay idempotent,
+  // and so a recovered coordinator knows whom to re-answer.
   struct DecidedTxn {
     std::vector<uint32_t> participants;
     ReplicaId client = kNoReplica;
     uint64_t client_req = 0;
-    Bytes results;  // the encoded KvMultiResult the commit produced
   };
 
   // Recovery surface: a restarted coordinator reads its home shard's
@@ -153,6 +154,9 @@ class KvStateMachine {
 
  private:
   KvResult ApplyOne(const KvOp& op);
+  // The results ApplyOne would return for `ops` applied in order, computed
+  // without applying them: each op sees the earlier ops of the record.
+  std::vector<KvResult> EvaluateOps(const std::vector<KvOp>& ops) const;
   void ApplyTxn(const KvTxnOp& txn, Bytes* reply);
   void Unlock(uint64_t txn_id, const std::vector<KvOp>& ops);
 

@@ -269,35 +269,46 @@ TEST(Network, ProposalDelayAttack) {
   EXPECT_EQ(r.deliveries[1].second, 510 * kMsec);
 }
 
-TEST(Network, SendSelfHonorsCrashBetweenScheduleAndDelivery) {
+// A multicast whose recipients include the sender delivers the sender's own
+// copy through the zero-delay loopback.
+TEST(Network, MulticastLoopbackHonorsCrashBetweenScheduleAndDelivery) {
   Simulator sim;
   MatrixLatencyModel latency(2, kMsec);
   FaultModel faults;
   Network net(&sim, &latency, &faults);
-  Recorder r;
-  net.Register(1, &r);
-  // At t = 10: the loopback is scheduled first, then a same-instant event
-  // crashes the replica before the zero-delay delivery runs. Loopback must
-  // drop the message exactly like Send's receiver-side check.
-  sim.ScheduleAt(10, [&] { net.SendSelf(1, MakeMessage<TestMsg>()); });
+  Recorder r0, r1;
+  net.Register(0, &r0);
+  net.Register(1, &r1);
+  // At t = 10: the multicast is scheduled first, then a same-instant event
+  // crashes the sender before its zero-delay loopback copy runs. Loopback
+  // must drop that copy exactly like Send's receiver-side check; the copy
+  // already on the wire to replica 0 still lands.
+  sim.ScheduleAt(10, [&] { net.Multicast(1, {0, 1}, MakeMessage<TestMsg>()); });
   sim.ScheduleAt(10, [&] { faults.Mutable(1).crash_at = 10; });
   sim.RunAll();
-  EXPECT_TRUE(r.deliveries.empty());
+  EXPECT_TRUE(r1.deliveries.empty());
+  ASSERT_EQ(r0.deliveries.size(), 1u);
+  EXPECT_EQ(r0.deliveries[0].second, 10 + kMsec);
 }
 
-TEST(Network, SendSelfDeliversAtSameInstant) {
+TEST(Network, MulticastLoopbackDeliversAtSameInstant) {
   Simulator sim;
   MatrixLatencyModel latency(2, kMsec);
   FaultModel faults;
   Network net(&sim, &latency, &faults);
-  Recorder r;
-  net.Register(1, &r);
+  Recorder r0, r1;
+  net.Register(0, &r0);
+  net.Register(1, &r1);
   sim.RunUntil(25);
-  net.SendSelf(1, MakeMessage<TestMsg>());
+  net.Multicast(1, {0, 1}, MakeMessage<TestMsg>());
   sim.RunAll();
-  ASSERT_EQ(r.deliveries.size(), 1u);
-  EXPECT_EQ(r.deliveries[0].first, 1u);
-  EXPECT_EQ(r.deliveries[0].second, 25);
+  ASSERT_EQ(r1.deliveries.size(), 1u);
+  EXPECT_EQ(r1.deliveries[0].first, 1u);
+  EXPECT_EQ(r1.deliveries[0].second, 25);
+  ASSERT_EQ(r0.deliveries.size(), 1u);
+  EXPECT_EQ(r0.deliveries[0].second, 25 + kMsec);
+  // Loopback traffic never touches the wire.
+  EXPECT_EQ(net.stats().messages_sent, 1u);
 }
 
 TEST(Network, BandwidthSerializesMulticast) {

@@ -119,9 +119,9 @@ TEST(KvStateMachine, MalformedOpIsADeterministicNoop) {
   EXPECT_EQ(sm.StateDigest(), before);
 }
 
-// A replica whose replies nobody reads skips encoding them; its state must
-// be exactly that of one that encodes every reply, transaction tables (and
-// the results a commit records in them) included.
+// A replica whose replies nobody reads skips encoding them (a prepare's
+// results included); its state must be exactly that of one that encodes
+// every reply, transaction tables included.
 TEST(KvStateMachine, UnreadRepliesLeaveTheSameState) {
   auto txn = [](TxnTag tag, uint64_t id, std::vector<KvOp> ops = {}) {
     KvTxnOp t;
@@ -155,7 +155,7 @@ TEST(KvStateMachine, UnreadRepliesLeaveTheSameState) {
   }
   EXPECT_EQ(read.prepared().size(), 1u);
   EXPECT_EQ(read.decided().size(), 1u);
-  EXPECT_EQ(read.decided().at(7).results, unread.decided().at(7).results);
+  EXPECT_EQ(read.StateDigest(), unread.StateDigest());
 }
 
 // A donor's snapshot is untrusted: a count larger than the bytes left can
@@ -360,8 +360,8 @@ TEST(FaultWindow, IsCrashedHonorsCrashRecoverWindow) {
   EXPECT_TRUE(faults.IsCrashedAt(2, 1'000'000'000));
 }
 
-// Delivery semantics across the window, loopback included (the PR-2
-// SendSelf crash-at-delivery contract extended to recovery).
+// Delivery semantics across the window, loopback included (the loopback's
+// crash-at-delivery contract extended to recovery).
 struct RecordingActor : Actor {
   void OnMessage(ReplicaId, const MessagePtr&, SimTime at) override {
     deliveries.push_back(at);
@@ -389,22 +389,25 @@ TEST(FaultWindow, DeliveriesResumeAfterRecovery) {
   // Lands at 100: before the window — delivered.
   net.Send(0, 1, MakeMessage<PingMsg>());
   sim.RunUntil(900);
-  // Sent at 900, lands at 1000: inside the window — dropped.
+  // Sent at 900, lands at 1000: inside the window — dropped. Replica 1's
+  // own multicast at 900 is dropped at source, loopback copy included.
   net.Send(0, 1, MakeMessage<PingMsg>());
+  net.Multicast(1, {0, 1}, MakeMessage<PingMsg>());
   sim.RunUntil(1600);
   // Sent at 1600 (after recovery), lands at 1700 — delivered.
   net.Send(0, 1, MakeMessage<PingMsg>());
-  // Loopback honors the same window: self-send at 1700 delivered, and the
-  // crashed replica's own loopback inside the window would have been
-  // dropped at source.
+  // Loopback honors the same window: replica 1's multicast at 1700 delivers
+  // its own copy at 1700 and replica 0's at 1800.
   sim.RunUntil(1700);
-  net.SendSelf(1, MakeMessage<PingMsg>());
+  net.Multicast(1, {0, 1}, MakeMessage<PingMsg>());
   sim.RunUntil(2000);
 
   ASSERT_EQ(a1.deliveries.size(), 3u);
   EXPECT_EQ(a1.deliveries[0], 100u);
   EXPECT_EQ(a1.deliveries[1], 1700u);
   EXPECT_EQ(a1.deliveries[2], 1700u);
+  ASSERT_EQ(a0.deliveries.size(), 1u);
+  EXPECT_EQ(a0.deliveries[0], 1800u);
 }
 
 // --- checkpoint determinism across replicas ----------------------------------

@@ -16,7 +16,11 @@ wins) and reports:
   * chain reconstruction: committed requests with the full chain vs
     committed requests missing a lifecycle record;
   * per-stage latency (mean / p50 / p99) across complete chains:
-    client_net, queue, consensus, apply, reply — plus end-to-end total;
+    client_net, queue, consensus, apply, reply — plus end-to-end total,
+    once for all chains, once for single-shard chains and once for
+    cross-shard chains (a chain's client_send record has type 1 for a
+    cross-shard transaction, 0 otherwise; --csv names them in its `chains`
+    column);
   * the causal forest shape: record count, root count, and dangling-parent
     count (must be 0).
 
@@ -40,6 +44,8 @@ CLIENT_COMPLETE = 21
 LIFECYCLE = range(CLIENT_SEND, CLIENT_COMPLETE + 1)
 
 STAGE_NAMES = ["client_net", "queue", "consensus", "apply", "reply", "total"]
+# Chain populations, by the client_send record's type.
+POPULATIONS = [("all", (0, 1)), ("single", (0,)), ("cross", (1,))]
 # (stage, from-kind, to-kind): each stage telescopes between two lifecycle
 # records; "batch" is 0 by construction (seal and propose share a handler).
 STAGE_EDGES = [
@@ -78,16 +84,15 @@ def main(argv):
         print(f"error: cannot read '{args.trace}': {e}", file=sys.stderr)
         return 2
 
-    records = []  # (t_ns, id, parent, kind, a, b)
+    records = []  # (t_ns, id, parent, kind, type, a, b)
     for ev in doc.get("traceEvents", []):
         if ev.get("ph") != "i":
             continue
         a = ev.get("args", {})
         if "kind" not in a:
             continue
-        records.append(
-            (ev["ts"], a["id"], a["parent"], a["kind"], a["a"], a["b"])
-        )
+        records.append((ev["ts"], a["id"], a["parent"], a["kind"],
+                        a.get("type", 0), a["a"], a["b"]))
 
     if not records:
         print("error: no flight-recorder instant events in the trace",
@@ -99,7 +104,7 @@ def main(argv):
     ids = set()
     roots = 0
     dangling = 0
-    for _, rid, parent, _, _, _ in records:
+    for _, rid, parent, _, _, _, _ in records:
         ids.add(rid)
         if parent == 0:
             roots += 1
@@ -109,50 +114,59 @@ def main(argv):
     # Lifecycle chains keyed (client id, request id); first record of each
     # kind wins — records are in (t, id) order in the file.
     chains = {}
-    for t, _, _, kind, a, b in records:
+    chain_type = {}  # chain key -> its client_send record's type
+    for t, _, _, kind, rtype, a, b in records:
         if kind not in LIFECYCLE:
             continue
         chain = chains.setdefault((b, a), {})
         chain.setdefault(kind, t)
+        if kind == CLIENT_SEND:
+            chain_type.setdefault((b, a), rtype)
 
-    complete = []
+    complete = []  # (client_send type, chain)
     incomplete = 0
-    for chain in chains.values():
+    for key, chain in chains.items():
         if CLIENT_SEND not in chain:
             continue  # coordinator-internal record, not a client request
         if COMMIT not in chain:
             continue  # never committed
         if all(k in chain for k in LIFECYCLE):
-            complete.append(chain)
+            complete.append((chain_type[key], chain))
         else:
             incomplete += 1
 
-    stages = {name: [] for name in STAGE_NAMES}
-    for chain in complete:
+    # (population, stage) -> sorted stage values in ms
+    stages = {}
+    for population, types in POPULATIONS:
         for name, lo, hi in STAGE_EDGES:
-            stages[name].append((chain[hi] - chain[lo]) / 1e3)
+            stages[population, name] = sorted(
+                (chain[hi] - chain[lo]) / 1e3
+                for rtype, chain in complete if rtype in types)
 
     committed = len(complete) + incomplete
     pct = 100.0 * len(complete) / committed if committed else 0.0
 
     if args.csv:
-        print("stage,count,mean_ms,p50_ms,p99_ms")
-        for name in STAGE_NAMES:
-            vals = sorted(stages[name])
-            mean = sum(vals) / len(vals) if vals else 0.0
-            print(f"{name},{len(vals)},{mean:.3f},"
-                  f"{percentile(vals, 0.5):.3f},{percentile(vals, 0.99):.3f}")
+        print("chains,stage,count,mean_ms,p50_ms,p99_ms")
     else:
         print(f"records: {len(records)}  roots: {roots}  "
               f"dangling parents: {dangling}")
         print(f"committed requests: {committed}  complete chains: "
               f"{len(complete)} ({pct:.1f}%)  incomplete: {incomplete}")
-        print(f"{'stage':<12} {'mean_ms':>9} {'p50_ms':>9} {'p99_ms':>9}")
+    for population, _ in POPULATIONS:
+        if not args.csv:
+            count = len(stages[population, "total"])
+            print(f"\n{population} chains: {count}")
+            print(f"{'stage':<12} {'mean_ms':>9} {'p50_ms':>9} {'p99_ms':>9}")
         for name in STAGE_NAMES:
-            vals = sorted(stages[name])
+            vals = stages[population, name]
             mean = sum(vals) / len(vals) if vals else 0.0
-            print(f"{name:<12} {mean:>9.2f} {percentile(vals, 0.5):>9.2f} "
-                  f"{percentile(vals, 0.99):>9.2f}")
+            p50, p99 = percentile(vals, 0.5), percentile(vals, 0.99)
+            if args.csv:
+                print(f"{population},{name},{len(vals)},{mean:.3f},"
+                      f"{p50:.3f},{p99:.3f}")
+            else:
+                print(f"{name:<12} {mean:>9.2f} {p50:>9.2f} {p99:>9.2f}")
 
     if dangling or not complete:
         print("FAIL: broken trace (dangling parents or no complete chains)",
