@@ -6,8 +6,9 @@
 // and aggregate committed-transaction throughput should scale near-linearly
 // with the shard count (the baseline pins >= 3.2x at 4 shards). Raising the
 // ratio routes transactions through the home shard's 2PC coordinator
-// (prepare home -> prepare rest -> commit home -> commit rest), a 3-4x
-// consensus-round cost that visibly bends the curve and shows up in the
+// (every participant prepared at once, the client answered at the votes,
+// then commits everywhere): the extra coordinator hop, the slowest of the
+// parallel prepares and lock conflicts bend the curve and show up in the
 // cross-shard latency percentiles. kv_mismatches pins the cross-shard
 // oracle; digests_eq pins per-shard replica agreement.
 #include "bench/scenarios/common.h"

@@ -45,9 +45,6 @@ class ShardedDeployment {
   Simulator& sim() { return sim_; }
 
   // --- transaction layer -----------------------------------------------------
-  TxnCoordinator* coordinator(uint32_t s) {
-    return s < coordinators_.size() ? coordinators_[s].get() : nullptr;
-  }
   TxnFleet* txn_fleet() { return fleet_.get(); }
   ReplicaId coordinator_id(uint32_t s) const { return n_ + s; }
   // Replica currently serving shard `s` (tree root / PBFT leader).

@@ -9,6 +9,13 @@
 #include "src/workload/messages.h"
 
 namespace optilog {
+namespace {
+
+// The txn_id of a kScan record in flight. No transaction has it: every id
+// carries its coordinator's shard + 1 in the high bits.
+constexpr uint64_t kScanTxn = 0;
+
+}  // namespace
 
 TxnCoordinator::TxnCoordinator(ShardedDeployment* owner, uint32_t shard,
                                ReplicaId id, ReplicaId anchor)
@@ -20,8 +27,8 @@ TxnCoordinator::TxnCoordinator(ShardedDeployment* owner, uint32_t shard,
 
 bool TxnCoordinator::IsDown(SimTime at) const {
   // The coordinator shares its anchor replica's fate: down while the anchor
-  // is crashed, and still down while the anchor's state transfer runs (its
-  // volatile state is only rebuilt once the recovered tables exist).
+  // is crashed, and still down while the anchor's state transfer runs (it
+  // restarts at the recovered hook, which fires when the transfer ends).
   Deployment& home = owner_->shard(shard_);
   if (home.faults().IsCrashedAt(anchor_, at)) {
     return true;
@@ -59,16 +66,12 @@ void TxnCoordinator::OnMessage(ReplicaId from, const MessagePtr& msg,
     return;
   }
   sim_->Cancel(rec.retry);
-  const uint64_t record_id = it->first;
   const uint64_t txn_id = rec.txn_id;
   const uint32_t shard = rec.shard;
   const Bytes result = reply.result;
   records_.erase(it);
-  if (fencing_ && record_id == fence_record_) {
-    // The fence committed: every pre-crash record of ours has drained out of
-    // the home shard's queue, so the tables are now complete. Resolve.
-    fencing_ = false;
-    RecoveryRebuild(at);
+  if (txn_id == kScanTxn) {
+    OnScanDone(shard, result, at);
     return;
   }
   OnRecordDone(txn_id, shard, result, at);
@@ -92,7 +95,7 @@ void TxnCoordinator::OnTimer(uint64_t tag, SimTime at) {
 }
 
 void TxnCoordinator::StartTxn(const TxnRequestMsg& req, SimTime at) {
-  if (fencing_) {
+  if (scans_pending_ > 0) {
     return;  // dedup table not rebuilt yet; the client's retry comes back
   }
   const auto key = std::make_pair(req.client, req.request_id);
@@ -133,7 +136,8 @@ void TxnCoordinator::StartTxn(const TxnRequestMsg& req, SimTime at) {
     tr->EmitHere(at, TraceKind::kBatchSeal, 0, id_, req.request_id,
                  req.client);
   }
-  BeginPhase(txn_id, it->second, Phase::kPrepareHome, at);
+  BeginPhase(txn_id, it->second, TxnTag::kPrepare, it->second.participants,
+             at);
 }
 
 void TxnCoordinator::SendRecord(uint64_t txn_id, uint32_t shard, Bytes op,
@@ -161,67 +165,20 @@ void TxnCoordinator::SendAttempt(uint64_t record_id, SimTime now) {
       this, record_id, owner_->txn_options().retry_timeout);
 }
 
-void TxnCoordinator::BeginPhase(uint64_t txn_id, Txn& txn, Phase phase,
+void TxnCoordinator::BeginPhase(uint64_t txn_id, Txn& txn, TxnTag phase,
+                                const std::vector<uint32_t>& targets,
                                 SimTime now) {
-  txn.phase = phase;
-  // Which shards this phase's record goes to.
-  std::vector<uint32_t> targets;
-  TxnTag tag = TxnTag::kEnd;
-  switch (phase) {
-    case Phase::kPrepareHome:
-      targets = {shard_};
-      tag = TxnTag::kPrepare;
-      break;
-    case Phase::kPrepareRest:
-      for (uint32_t p : txn.participants) {
-        if (p != shard_) {
-          targets.push_back(p);
-        }
-      }
-      tag = TxnTag::kPrepare;
-      break;
-    case Phase::kDecideHome:
-      targets = {shard_};
-      tag = TxnTag::kCommit;
-      break;
-    case Phase::kCommitRest:
-      // Normal path: the home shard already committed in kDecideHome.
-      // Recovery re-drive: hit every participant — commits are idempotent.
-      for (uint32_t p : txn.participants) {
-        if (txn.recovered || p != shard_) {
-          targets.push_back(p);
-        }
-      }
-      tag = TxnTag::kCommit;
-      break;
-    case Phase::kAbortAll:
-      targets = txn.participants;
-      tag = TxnTag::kAbort;
-      break;
-    case Phase::kEndAll:
-      targets = txn.participants;
-      tag = TxnTag::kEnd;
-      break;
-  }
   OL_CHECK(!targets.empty());
+  txn.phase = phase;
   txn.awaiting = static_cast<uint32_t>(targets.size());
-  if (TraceRecorder* tr = sim_->trace()) {
-    if (phase == Phase::kDecideHome) {
-      tr->EmitHere(now, TraceKind::kTxnDecide, 0, id_, txn_id, 1);
-    } else if (phase == Phase::kAbortAll) {
-      tr->EmitHere(now, TraceKind::kTxnDecide, 0, id_, txn_id, 0);
-    }
-    if (tag == TxnTag::kPrepare) {
-      for (uint32_t shard : targets) {
-        tr->EmitHere(now, TraceKind::kTxnPrepare, 0, id_, txn_id, shard);
-      }
-    }
-  }
   for (uint32_t shard : targets) {
     KvTxnOp record;
-    record.tag = tag;
+    record.tag = phase;
     record.txn_id = txn_id;
-    if (tag == TxnTag::kPrepare) {
+    if (phase == TxnTag::kPrepare) {
+      if (TraceRecorder* tr = sim_->trace()) {
+        tr->EmitHere(now, TraceKind::kTxnPrepare, 0, id_, txn_id, shard);
+      }
       for (size_t i = 0; i < txn.ops.size(); ++i) {
         if (txn.op_shard[i] == shard) {
           record.ops.push_back(txn.ops[i]);
@@ -250,31 +207,21 @@ void TxnCoordinator::OnRecordDone(uint64_t txn_id, uint32_t shard,
   if (!KvMultiResult::Decode(result, &m)) {
     m = KvMultiResult{};
   }
-  switch (txn.phase) {
-    case Phase::kPrepareHome:
-    case Phase::kPrepareRest: {
-      if (!m.ok) {
-        txn.vote_no = true;
-        ++stats_.votes_no;
-        break;
+  if (txn.phase == TxnTag::kPrepare && !m.ok) {
+    txn.vote_no = true;
+    ++stats_.votes_no;
+  } else if (txn.phase == TxnTag::kPrepare) {
+    // A yes vote carries the shard's results in its op order: scatter them
+    // to the transaction's op positions. Other phases' replies are
+    // acknowledgements only.
+    size_t next = 0;
+    for (size_t i = 0; i < txn.ops.size(); ++i) {
+      if (txn.op_shard[i] == shard) {
+        OL_CHECK(next < m.results.size());
+        txn.results[i] = m.results[next++];
       }
-      // A yes vote carries the shard's results in its op order: scatter
-      // them to the transaction's op positions.
-      size_t next = 0;
-      for (size_t i = 0; i < txn.ops.size(); ++i) {
-        if (txn.op_shard[i] == shard) {
-          OL_CHECK(next < m.results.size());
-          txn.results[i] = m.results[next++];
-        }
-      }
-      OL_CHECK(next == m.results.size());
-      break;
     }
-    case Phase::kDecideHome:
-    case Phase::kCommitRest:
-    case Phase::kAbortAll:
-    case Phase::kEndAll:
-      break;  // acknowledgements only
+    OL_CHECK(next == m.results.size());
   }
   OL_CHECK(txn.awaiting > 0);
   if (--txn.awaiting > 0) {
@@ -285,51 +232,48 @@ void TxnCoordinator::OnRecordDone(uint64_t txn_id, uint32_t shard,
 
 void TxnCoordinator::AdvanceTxn(uint64_t txn_id, Txn& txn, SimTime at) {
   switch (txn.phase) {
-    case Phase::kPrepareHome: {
+    case TxnTag::kPrepare: {
+      // The last vote: the outcome is decided.
+      EmitDecide(txn_id, !txn.vote_no, at);
       if (txn.vote_no) {
-        BeginPhase(txn_id, txn, Phase::kAbortAll, at);
+        BeginPhase(txn_id, txn, TxnTag::kAbort, txn.participants, at);
         return;
       }
-      if (txn.participants.size() > 1) {
-        BeginPhase(txn_id, txn, Phase::kPrepareRest, at);
-      } else {
-        BeginPhase(txn_id, txn, Phase::kDecideHome, at);
-      }
-      return;
-    }
-    case Phase::kPrepareRest: {
-      BeginPhase(txn_id, txn,
-                 txn.vote_no ? Phase::kAbortAll : Phase::kDecideHome, at);
-      return;
-    }
-    case Phase::kDecideHome: {
-      // The decision is durable and the prepares fixed the results: answer
-      // now, and let the remotes commit off the client's latency path.
+      // Every participant holds a durable yes row that only this
+      // coordinator's commit or abort removes, and recovery commits such a
+      // transaction. Answer now, with the prepares' results, and let the
+      // commits run off the client's latency path.
       ReplyToClient(txn, /*committed=*/true, at);
-      BeginPhase(txn_id, txn,
-                 txn.participants.size() > 1 ? Phase::kCommitRest
-                                             : Phase::kEndAll,
-                 at);
+      BeginPhase(txn_id, txn, TxnTag::kCommit, txn.participants, at);
       return;
     }
-    case Phase::kCommitRest: {
+    case TxnTag::kCommit: {
       if (txn.recovered) {
         // A recovery re-drive answers (again, if the client already has
         // its results) once every participant holds the decision.
         ReplyToClient(txn, /*committed=*/true, at);
       }
-      BeginPhase(txn_id, txn, Phase::kEndAll, at);
+      BeginPhase(txn_id, txn, TxnTag::kEnd, txn.participants, at);
       return;
     }
-    case Phase::kAbortAll: {
+    case TxnTag::kAbort: {
       ReplyToClient(txn, /*committed=*/false, at);
       txns_.erase(txn_id);
       return;
     }
-    case Phase::kEndAll: {
+    case TxnTag::kEnd: {
       txns_.erase(txn_id);
       return;
     }
+    case TxnTag::kMulti:
+    case TxnTag::kScan:
+      OL_CHECK(false);  // never a transaction's phase
+  }
+}
+
+void TxnCoordinator::EmitDecide(uint64_t txn_id, bool commit, SimTime at) {
+  if (TraceRecorder* tr = sim_->trace()) {
+    tr->EmitHere(at, TraceKind::kTxnDecide, 0, id_, txn_id, commit ? 1 : 0);
   }
 }
 
@@ -372,65 +316,102 @@ void TxnCoordinator::OnAnchorRecovered(SimTime at) {
   next_txn_ = epoch_ << 32;
   next_record_ = epoch_ << 32;
 
-  // Pre-crash records already admitted to the home shard's queue survive
-  // the crash and commit after recovery — reading the tables NOW would miss
-  // them (and leak their locks forever). Fence first: an idempotent no-op
-  // record (abort of the never-issued txn 0) enqueued behind everything
-  // pre-crash; its commit certifies the tables are complete.
-  fencing_ = true;
-  KvTxnOp fence;
-  fence.tag = TxnTag::kAbort;
-  fence.txn_id = 0;
-  fence_record_ = next_record_;
-  SendRecord(/*txn_id=*/0, shard_, fence.Encode(), at);
+  // What survives is in the participants' tables, and pre-crash records
+  // already admitted to a shard's queue still commit after recovery:
+  // reading a table NOW would miss them (and leak their locks forever).
+  // Ask every shard through its log instead: the queue is FIFO, so a scan
+  // commits behind everything of ours admitted before it.
+  scans_.assign(owner_->shards(), KvScanResult{});
+  scans_pending_ = owner_->shards();
+  for (uint32_t s = 0; s < owner_->shards(); ++s) {
+    SendScan(s, at);
+  }
 }
 
-void TxnCoordinator::RecoveryRebuild(SimTime at) {
-  // The durable half: the home shard's replicated tables, materialized by
-  // the anchor's just-completed state transfer. Entries with a participant
-  // list are ours (remote-participant records carry none).
-  const RsmGroup* group = owner_->shard(shard_).state_machines();
-  OL_CHECK(group != nullptr);
-  const KvStateMachine& kv = group->rsm(anchor_).machine();
+void TxnCoordinator::SendScan(uint32_t shard, SimTime now) {
+  KvTxnOp scan;
+  scan.tag = TxnTag::kScan;
+  scan.txn_id = uint64_t{shard_} + 1;  // the id prefix NewTxnId writes
+  SendRecord(kScanTxn, shard, scan.Encode(), now);
+}
 
-  // Decided but not yet ended: the commit record exists, so the decision
-  // stands — re-drive commits to every participant (idempotent), re-answer
-  // the client (no values: a client still waiting adopts its own ops; one
-  // answered before the crash has moved on and ignores it), GC.
-  for (const auto& [txn_id, d] : kv.decided()) {
-    if (d.participants.empty()) {
-      continue;
+void TxnCoordinator::OnScanDone(uint32_t shard, const Bytes& result,
+                                SimTime at) {
+  KvScanResult scan;
+  if (!KvScanResult::Decode(result, &scan) || !scan.ok) {
+    // A scan a Byzantine proposer garbled commits as a no-op. Resolving
+    // without this shard's rows could abort a transaction whose client was
+    // answered commit: ask again.
+    SendScan(shard, at);
+    return;
+  }
+  scans_[shard] = std::move(scan);
+  if (--scans_pending_ == 0) {
+    Resolve(at);
+  }
+}
+
+void TxnCoordinator::Resolve(SimTime at) {
+  // Every row of ours, by transaction, with the shards holding it in
+  // ascending order.
+  struct Seen {
+    std::vector<uint32_t> held;      // shards holding a row
+    std::vector<uint32_t> prepared;  // shards holding it prepared
+    bool decided = false;            // some shard committed it
+    const KvScanRow* home = nullptr;  // the row naming the participants
+  };
+  std::map<uint64_t, Seen> seen;
+  for (uint32_t s = 0; s < scans_.size(); ++s) {
+    for (const KvScanRow& row : scans_[s].rows) {
+      Seen& t = seen[row.txn_id];
+      t.held.push_back(s);
+      if (row.decided) {
+        t.decided = true;
+      } else {
+        t.prepared.push_back(s);
+      }
+      if (!row.participants.empty()) {
+        t.home = &row;
+      }
     }
-    Txn txn;
-    txn.client = d.client;
-    txn.client_req = d.client_req;
-    txn.participants = d.participants;
-    txn.recovered = true;
-    by_client_[{d.client, d.client_req}] = txn_id;
-    ++stats_.recovered_commits;
-    auto [it, inserted] = txns_.emplace(txn_id, std::move(txn));
-    OL_CHECK(inserted);
-    BeginPhase(txn_id, it->second, Phase::kCommitRest, at);
   }
 
-  // Prepared but undecided (in-doubt): presumed abort — no commit record
-  // exists, so no participant can have applied; abort everywhere and let
-  // the client retry as a fresh transaction.
-  for (const auto& [txn_id, p] : kv.prepared()) {
-    if (p.participants.empty()) {
-      continue;
-    }
+  for (const auto& [txn_id, t] : seen) {
+    // Committed if some shard decided it, or if every participant the home
+    // row names holds a row (rows exist only at participants, and both
+    // lists ascend): the client may have been answered commit at those yes
+    // votes. Otherwise no client was answered commit (that answer needs
+    // every yes row, and the rows stay until this coordinator commits or
+    // aborts them), so the transaction aborts.
+    const bool commit =
+        t.decided || (t.home != nullptr && t.held == t.home->participants);
     Txn txn;
-    txn.client = p.client;
-    txn.client_req = p.client_req;
-    txn.participants = p.participants;
+    txn.participants = t.held;
     txn.recovered = true;
-    by_client_[{p.client, p.client_req}] = txn_id;
-    ++stats_.recovered_aborts;
+    if (t.home != nullptr) {
+      txn.client = t.home->client;
+      txn.client_req = t.home->client_req;
+      by_client_[{txn.client, txn.client_req}] = txn_id;
+    }
     auto [it, inserted] = txns_.emplace(txn_id, std::move(txn));
     OL_CHECK(inserted);
-    BeginPhase(txn_id, it->second, Phase::kAbortAll, at);
+    Txn& resolved = it->second;
+    EmitDecide(txn_id, commit, at);
+    if (!commit) {
+      // Nothing is decided anywhere, so every row is a prepare.
+      ++stats_.recovered_aborts;
+      BeginPhase(txn_id, resolved, TxnTag::kAbort, t.prepared, at);
+    } else if (!t.prepared.empty()) {
+      ++stats_.recovered_commits;
+      BeginPhase(txn_id, resolved, TxnTag::kCommit, t.prepared, at);
+    } else {
+      // Decided wherever it is held: re-answer and collect.
+      ++stats_.recovered_commits;
+      ReplyToClient(resolved, /*committed=*/true, at);
+      BeginPhase(txn_id, resolved, TxnTag::kEnd, resolved.participants, at);
+    }
   }
+  scans_.clear();
 }
 
 }  // namespace optilog

@@ -3,31 +3,31 @@
 // One coordinator per shard, colocated with the shard's anchor replica (the
 // initial leader/root). Clients send a cross-shard transaction to the
 // coordinator of its home shard — the shard of the first op — which drives
-// classic presumed-abort 2PC where every protocol action is a record
-// committed through a participant group's log:
+// 2PC in one consensus round, every protocol action a record committed
+// through a participant group's log:
 //
-//   1. kPrepare to the HOME shard first, carrying the participant list and
-//      the client identity. Once this record commits, the transaction is
-//      durable: a coordinator crash can always be resolved from the home
-//      shard's materialized prepared/decided tables.
-//   2. kPrepare to the remote participants in parallel (ops only).
-//      Every yes vote carries its shard's per-op results: the values the
-//      shard's commit will apply, fixed by the prepare's locks.
-//   3. All yes votes: kCommit to the home shard — the commit record IS the
-//      durable decision. Once it commits, the client is answered with the
-//      prepares' results in op order. Any no vote: kAbort everywhere, reply
-//      abort, client retries.
-//   4. kCommit to the remotes in parallel, off the latency path.
-//   5. kEnd to every participant garbage-collects the decided record.
+//   1. kPrepare to every participant at once. The home record carries the
+//      participant list and the client identity; the remote ones carry ops
+//      only. Every yes vote carries its shard's per-op results: the values
+//      the shard's commit will apply, fixed by the prepare's locks.
+//   2. All yes votes: the transaction is decided. Durable yes votes at every
+//      participant imply the commit, so the client is answered at once with
+//      the prepares' results in op order, and kCommit goes to every
+//      participant off the latency path. Any no vote: kAbort everywhere,
+//      and the client is answered abort once every abort has committed.
+//   3. kEnd to every participant garbage-collects the decided rows.
 //
 // Each record rides an ordinary ClientRequestMsg (the coordinator is just
 // another client of each shard: monotonic request ids, the shard leader's
 // RequestQueue dedups retries) and is answered by the shard's normal client
 // replies. Crash model: the coordinator is down exactly while its anchor
 // replica is crashed — deliveries and timers are dropped — and recovers
-// through the deployment's recovery hook: volatile state is rebuilt from the
-// anchor's recovered KvStateMachine, decided transactions are re-driven
-// (idempotent commits), and in-doubt prepares are aborted.
+// through the deployment's recovery hook. It assumes no record it sent
+// before the crash is still in flight when it recovers: each has reached
+// its shard's queue, or was lost with a crashed receiver.
+// Recovery sends a kScan through every shard's log and resolves what the
+// scans report: a transaction some shard holds decided, or whose home row
+// names participants that all hold it, commits; anything else aborts.
 #pragma once
 
 #include <cstdint>
@@ -52,15 +52,12 @@ class TxnCoordinator : public Actor {
   void OnMessage(ReplicaId from, const MessagePtr& msg, SimTime at) override;
   void OnTimer(uint64_t tag, SimTime at) override;
 
-  // Recovery hook: wipe volatile state, commit a fence record through the
-  // home shard's log (every pre-crash record sits ahead of it in the FIFO
-  // queue, so the tables are complete once it commits), then re-drive from
-  // the anchor's rebuilt state machine (decided -> commit re-drive,
-  // prepared -> abort).
+  // Recovery hook: wipe volatile state, then send a kScan through every
+  // shard's log (each commits behind every pre-crash record of ours in that
+  // shard's FIFO queue) and resolve from the scans' replies.
   void OnAnchorRecovered(SimTime at);
 
   ReplicaId id() const { return id_; }
-  ReplicaId anchor() const { return anchor_; }
 
   struct Stats {
     uint64_t prepares_sent = 0;
@@ -72,26 +69,19 @@ class TxnCoordinator : public Actor {
   const Stats& stats() const { return stats_; }
 
  private:
-  // Which 2PC step a transaction is in; doubles as the meaning of its
-  // outstanding records.
-  enum class Phase : uint8_t {
-    kPrepareHome,   // waiting on the home shard's prepare
-    kPrepareRest,   // waiting on the remote prepares
-    kDecideHome,    // waiting on the home commit (the durable decision)
-    kCommitRest,    // waiting on the remote commits
-    kAbortAll,      // waiting on aborts everywhere
-    kEndAll,        // waiting on the GC records
-  };
-
   struct Txn {
     ReplicaId client = kNoReplica;
     uint64_t client_req = 0;
     std::vector<KvOp> ops;
-    std::vector<uint32_t> op_shard;      // ShardOf(ops[i].key)
-    std::vector<uint32_t> participants;  // ascending, home included
-    Phase phase = Phase::kPrepareHome;
+    std::vector<uint32_t> op_shard;  // ShardOf(ops[i].key)
+    // Ascending, home included. After a recovery: the shards holding a row.
+    std::vector<uint32_t> participants;
+    // The tag of its outstanding records: kPrepare, kCommit (the client
+    // already has its answer), kAbort (the client is answered after them)
+    // or kEnd.
+    TxnTag phase = TxnTag::kPrepare;
     bool vote_no = false;
-    bool recovered = false;  // re-driven after a crash: results are gone
+    bool recovered = false;  // resolved after a crash: results are gone
     uint32_t awaiting = 0;   // outstanding records in this phase
     std::vector<KvResult> results;  // per op, from the prepares' yes votes
   };
@@ -112,10 +102,14 @@ class TxnCoordinator : public Actor {
   void SendAttempt(uint64_t record_id, SimTime now);
   void OnRecordDone(uint64_t txn_id, uint32_t shard, const Bytes& result,
                     SimTime at);
-  void BeginPhase(uint64_t txn_id, Txn& txn, Phase phase, SimTime now);
+  void BeginPhase(uint64_t txn_id, Txn& txn, TxnTag phase,
+                  const std::vector<uint32_t>& targets, SimTime now);
   void AdvanceTxn(uint64_t txn_id, Txn& txn, SimTime at);
+  void EmitDecide(uint64_t txn_id, bool commit, SimTime at);
   void ReplyToClient(const Txn& txn, bool committed, SimTime at);
-  void RecoveryRebuild(SimTime at);
+  void SendScan(uint32_t shard, SimTime now);
+  void OnScanDone(uint32_t shard, const Bytes& result, SimTime at);
+  void Resolve(SimTime at);
   uint64_t NewTxnId();
 
   ShardedDeployment* owner_;
@@ -126,9 +120,9 @@ class TxnCoordinator : public Actor {
 
   std::map<uint64_t, Txn> txns_;
   std::map<uint64_t, Record> records_;  // record id = request id sent
-  // Client dedup: (client, client request id) -> txn. Entries survive
-  // until the transaction fully ends so late retries are answered, and are
-  // rebuilt from the home shard's tables on recovery.
+  // Client dedup: (client, client request id) -> txn. Entries outlive
+  // their transaction, so a late retry is not run twice, and are rebuilt
+  // from the home rows the scans report on recovery.
   std::map<std::pair<ReplicaId, uint64_t>, uint64_t> by_client_;
 
   // Ids restart from a bumped epoch after each recovery so post-crash
@@ -138,11 +132,10 @@ class TxnCoordinator : public Actor {
   uint64_t next_txn_ = 0;
   uint64_t next_record_ = 0;
 
-  // Recovery fence: between the anchor's recovery and the fence record's
-  // commit, the tables may still be growing from pre-crash records draining
-  // out of the home shard's queue — new transactions wait.
-  bool fencing_ = false;
-  uint64_t fence_record_ = 0;
+  // Recovery: between the anchor's recovery and the last scan's reply, the
+  // coordinator does not know what it holds — new transactions wait.
+  uint32_t scans_pending_ = 0;
+  std::vector<KvScanResult> scans_;  // per shard
 
   Stats stats_;
 };

@@ -13,7 +13,7 @@
 // Aborted transactions (lock conflicts) back off and retry as fresh
 // transactions; recovery-path commits return no values, so the oracle
 // blind-adopts its own ops' effects (exactly-once is guaranteed by the
-// home shard's durable decision record).
+// participants' durable rows, which the recovered coordinator scans).
 #pragma once
 
 #include <cstdint>

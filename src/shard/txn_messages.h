@@ -72,8 +72,8 @@ struct TxnReplyMsg : Message {
   uint64_t request_id = 0;
   bool committed = false;
   // Per-op results in op order for a commit decided on the normal path;
-  // empty for a commit re-driven after coordinator recovery (the durable
-  // decision record proves the outcome, not the values).
+  // empty for a commit resolved after coordinator recovery (the scanned
+  // rows prove the outcome, not the values).
   Bytes results;
 
   int type() const override { return kMsgTxnReply; }

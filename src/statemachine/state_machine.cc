@@ -16,6 +16,37 @@ void WriteOp(ByteWriter& w, const KvOp& op) {
   w.U64(op.arg);
 }
 
+// What a home prepare records beside its ops — the participant list and
+// the client identity — in every layout that carries it: a kPrepare body, a
+// snapshot's decided row and a kScan row.
+void WriteHome(ByteWriter& w, const std::vector<uint32_t>& participants,
+               ReplicaId client, uint64_t client_req) {
+  w.U32(static_cast<uint32_t>(participants.size()));
+  for (uint32_t p : participants) {
+    w.U32(p);
+  }
+  w.U32(client);
+  w.U64(client_req);
+}
+
+// Reads what WriteHome wrote. The count comes from a peer: one the
+// remaining bytes cannot hold fails before anything is allocated (the
+// caller checks the reader for truncation).
+bool ReadHome(ByteReader& r, std::vector<uint32_t>& participants,
+              ReplicaId& client, uint64_t& client_req) {
+  const uint32_t count = r.U32();
+  if (!r.ok() || count > r.remaining() / 4) {
+    return false;
+  }
+  participants.resize(count);
+  for (uint32_t& p : participants) {
+    p = r.U32();
+  }
+  client = r.U32();
+  client_req = r.U64();
+  return true;
+}
+
 // The body of a transaction record, after its tag byte. A snapshot's
 // prepared table holds kPrepare records in this layout.
 void WriteTxnBody(ByteWriter& w, const KvTxnOp& txn) {
@@ -29,12 +60,7 @@ void WriteTxnBody(ByteWriter& w, const KvTxnOp& txn) {
     }
   }
   if (txn.tag == TxnTag::kPrepare) {
-    w.U32(static_cast<uint32_t>(txn.participants.size()));
-    for (uint32_t p : txn.participants) {
-      w.U32(p);
-    }
-    w.U32(txn.client);
-    w.U64(txn.client_req);
+    WriteHome(w, txn.participants, txn.client, txn.client_req);
   }
 }
 
@@ -83,19 +109,8 @@ bool ReadTxnBody(ByteReader& r, KvTxnOp& txn) {
       op.arg = r.U64();
     }
   }
-  if (txn.tag == TxnTag::kPrepare) {
-    const uint32_t nparts = r.U32();
-    if (!r.ok() || nparts > r.remaining() / 4) {
-      return false;
-    }
-    txn.participants.resize(nparts);
-    for (uint32_t& p : txn.participants) {
-      p = r.U32();
-    }
-    txn.client = r.U32();
-    txn.client_req = r.U64();
-  }
-  return true;
+  return txn.tag != TxnTag::kPrepare ||
+         ReadHome(r, txn.participants, txn.client, txn.client_req);
 }
 
 }  // namespace
@@ -171,6 +186,45 @@ bool KvMultiResult::Decode(const Bytes& in, KvMultiResult* out) {
   return true;
 }
 
+Bytes KvScanResult::Encode() const {
+  Bytes out;
+  ByteWriter w(&out);
+  w.U8(ok ? 1 : 0);
+  w.U32(static_cast<uint32_t>(rows.size()));
+  for (const KvScanRow& row : rows) {
+    w.U64(row.txn_id);
+    w.U8(row.decided ? 1 : 0);
+    WriteHome(w, row.participants, row.client, row.client_req);
+  }
+  return out;
+}
+
+bool KvScanResult::Decode(const Bytes& in, KvScanResult* out) {
+  // A row's fixed bytes: txn id u64, decided u8, participant count u32,
+  // client u32 and client_req u64.
+  constexpr size_t kRowBytes = 25;
+  ByteReader r(in);
+  KvScanResult scan;
+  scan.ok = r.U8() != 0;
+  const uint32_t count = r.U32();
+  if (!r.ok() || count > r.remaining() / kRowBytes) {
+    return false;
+  }
+  scan.rows.resize(count);
+  for (KvScanRow& row : scan.rows) {
+    row.txn_id = r.U64();
+    row.decided = r.U8() != 0;
+    if (!ReadHome(r, row.participants, row.client, row.client_req)) {
+      return false;
+    }
+  }
+  if (!r.ok() || !r.Done()) {
+    return false;
+  }
+  *out = std::move(scan);
+  return true;
+}
+
 KvCommand KvCommand::Decode(const Bytes& in) {
   KvCommand cmd;
   ByteReader r(in);
@@ -181,6 +235,7 @@ KvCommand KvCommand::Decode(const Bytes& in) {
     case static_cast<uint8_t>(TxnTag::kCommit):
     case static_cast<uint8_t>(TxnTag::kAbort):
     case static_cast<uint8_t>(TxnTag::kEnd):
+    case static_cast<uint8_t>(TxnTag::kScan):
       cmd.is_txn = true;
       cmd.txn.tag = static_cast<TxnTag>(tag);
       cmd.ok = ReadTxnBody(r, cmd.txn) &&
@@ -362,9 +417,44 @@ void KvStateMachine::ApplyTxn(const KvTxnOp& txn, Bytes* reply) {
       out.ok = true;
       break;
     }
+    case TxnTag::kScan: {
+      // A read through the log: it commits behind every record admitted
+      // before it and changes nothing.
+      if (reply != nullptr) {
+        *reply = Scan(txn.txn_id).Encode();
+      }
+      return;
+    }
   }
   if (reply != nullptr) {
     *reply = out.Encode();
+  }
+}
+
+KvScanResult KvStateMachine::Scan(uint64_t prefix) const {
+  // The two tables are disjoint (a commit moves a row from one to the
+  // other): merge their `prefix` ranges in id order.
+  const auto ours = [prefix](uint64_t txn_id) {
+    return txn_id >> 40 == prefix;
+  };
+  auto p = prepared_.lower_bound(prefix << 40);
+  auto d = decided_.lower_bound(prefix << 40);
+  KvScanResult out;
+  out.ok = true;
+  while (true) {
+    const bool more_p = p != prepared_.end() && ours(p->first);
+    const bool more_d = d != decided_.end() && ours(d->first);
+    if (more_p && (!more_d || p->first < d->first)) {
+      out.rows.push_back({p->first, false, p->second.participants,
+                          p->second.client, p->second.client_req});
+      ++p;
+    } else if (more_d) {
+      out.rows.push_back({d->first, true, d->second.participants,
+                          d->second.client, d->second.client_req});
+      ++d;
+    } else {
+      return out;
+    }
   }
 }
 
@@ -394,12 +484,7 @@ Bytes KvStateMachine::SnapshotBytes() const {
   w.U64(decided_.size());
   for (const auto& [txn_id, d] : decided_) {
     w.U64(txn_id);
-    w.U32(static_cast<uint32_t>(d.participants.size()));
-    for (uint32_t part : d.participants) {
-      w.U32(part);
-    }
-    w.U32(d.client);
-    w.U64(d.client_req);
+    WriteHome(w, d.participants, d.client, d.client_req);
   }
   return out;
 }
@@ -433,16 +518,9 @@ void KvStateMachine::Restore(const Bytes& snapshot) {
   for (uint64_t i = 0; i < ndecided && r.ok(); ++i) {
     const uint64_t txn_id = r.U64();
     DecidedTxn d;
-    const uint32_t nparts = r.U32();
-    if (!r.ok() || nparts > r.remaining() / 4) {
+    if (!ReadHome(r, d.participants, d.client, d.client_req)) {
       return;
     }
-    d.participants.resize(nparts);
-    for (uint32_t& part : d.participants) {
-      part = r.U32();
-    }
-    d.client = r.U32();
-    d.client_req = r.U64();
     if (r.ok()) {
       decided_.emplace(txn_id, std::move(d));
     }

@@ -54,19 +54,31 @@ struct KvResult {
 // so legacy operations decode exactly as before. Each record is an ordinary
 // log entry — replicated, snapshotted, and replayed by the existing
 // machinery — which is what makes coordinator crash recovery possible: the
-// home shard's committed prepare/commit records ARE the coordinator's
-// durable state.
+// participants' committed prepare/commit records ARE the coordinator's
+// durable state, and a kScan reads them back through the log.
+//
+//   tag   record    body after the tag      effect
+//   0x10  kMulti    ops                     apply atomically, abort on a lock
+//   0x11  kPrepare  id, ops, participants,  lock, record the row, vote and
+//                   client, client_req      reply the commit's results
+//   0x12  kCommit   id                      apply the prepared ops, decide
+//   0x13  kAbort    id                      drop the prepared row and locks
+//   0x14  kEnd      id                      forget the decided row
+//   0x15  kScan     id prefix               reply one coordinator's rows
 enum class TxnTag : uint8_t {
-  kMulti = 0x10,    // single-shard multi-key op: atomic, aborts on any lock
-  kPrepare = 0x11,  // phase 1: lock keys, record intent, reply the results
-  kCommit = 0x12,   // phase 2: apply the prepared ops, record the decision
-  kAbort = 0x13,    // phase 2: drop the prepared intent and its locks
-  kEnd = 0x14,      // post-reply GC: forget the decided-transaction record
+  kMulti = 0x10,
+  kPrepare = 0x11,
+  kCommit = 0x12,
+  kAbort = 0x13,
+  kEnd = 0x14,
+  kScan = 0x15,
 };
 
 struct KvTxnOp {
   TxnTag tag = TxnTag::kMulti;
-  uint64_t txn_id = 0;           // all tags except kMulti
+  // All tags except kMulti. A kScan carries a coordinator's id prefix, the
+  // high bits of its transaction ids (txn_id >> 40).
+  uint64_t txn_id = 0;
   std::vector<KvOp> ops;         // kMulti / kPrepare
   // Home-shard prepare records carry the coordinator's durable state: the
   // participant shard list and the originating client request identity
@@ -78,12 +90,12 @@ struct KvTxnOp {
   Bytes Encode() const;
 };
 
-// Reply to any transaction record. `ok` is the vote (kPrepare), decision
-// applicability (kCommit: false = unknown transaction), or a no-op for the
-// idempotent tags; `results` carries per-op KvResults, in op order, for
-// kMulti and for a yes-voting kPrepare. A prepare's results are the ones
-// its kCommit will apply: evaluated without applying, and fixed by the
-// prepare's locks until the commit.
+// Reply to every transaction record but kScan. `ok` is the vote
+// (kPrepare), decision applicability (kCommit: false = unknown
+// transaction), or a no-op for the idempotent tags; `results` carries
+// per-op KvResults, in op order, for kMulti and for a yes-voting kPrepare.
+// A prepare's results are the ones its kCommit will apply: evaluated
+// without applying, and fixed by the prepare's locks until the commit.
 struct KvMultiResult {
   bool ok = false;
   std::vector<KvResult> results;
@@ -92,7 +104,27 @@ struct KvMultiResult {
   static bool Decode(const Bytes& in, KvMultiResult* out);
 };
 
-// One committed operation, decoded. Tags 0x10..0x14 are transaction
+// Reply to a kScan: every prepared and decided row whose id carries the
+// scanned prefix, in id order. A row holds the participants and client
+// identity its prepare recorded, both empty at a remote participant.
+struct KvScanRow {
+  uint64_t txn_id = 0;
+  bool decided = false;  // committed here; otherwise prepared
+  std::vector<uint32_t> participants;
+  ReplicaId client = kNoReplica;
+  uint64_t client_req = 0;
+};
+
+// A malformed kScan replies KvMultiResult{}, which decodes as ok = false.
+struct KvScanResult {
+  bool ok = false;
+  std::vector<KvScanRow> rows;
+
+  Bytes Encode() const;
+  static bool Decode(const Bytes& in, KvScanResult* out);
+};
+
+// One committed operation, decoded. Tags 0x10..0x15 are transaction
 // records; every other input, empty included, is a plain KvOp. A record
 // that fails a length or count check (Byzantine proposer) has ok = false
 // and applies as a no-op replying its family's empty result.
@@ -145,9 +177,10 @@ class KvStateMachine {
     uint64_t client_req = 0;
   };
 
-  // Recovery surface: a restarted coordinator reads its home shard's
-  // materialized tables to re-drive decided transactions and abort in-doubt
-  // ones (src/shard/txn_coordinator.cc).
+  // The tables a kScan reads, for tests and invariant checks. A restarted
+  // coordinator learns them only through replicated kScan records, which
+  // commit behind every record admitted before them
+  // (src/shard/txn_coordinator.cc).
   const std::map<uint64_t, PreparedTxn>& prepared() const { return prepared_; }
   const std::map<uint64_t, DecidedTxn>& decided() const { return decided_; }
   const std::map<uint64_t, uint64_t>& locks() const { return locks_; }
@@ -158,6 +191,7 @@ class KvStateMachine {
   // without applying them: each op sees the earlier ops of the record.
   std::vector<KvResult> EvaluateOps(const std::vector<KvOp>& ops) const;
   void ApplyTxn(const KvTxnOp& txn, Bytes* reply);
+  KvScanResult Scan(uint64_t prefix) const;
   void Unlock(uint64_t txn_id, const std::vector<KvOp>& ops);
 
   std::map<uint64_t, uint64_t> kv_;

@@ -166,7 +166,7 @@ TEST(Obs, CausalForestIsConnectedAcrossShards) {
   }
 
   std::map<uint64_t, const TraceRecord*> by_id;
-  size_t cross_shard_edges = 0;
+  std::map<uint64_t, size_t> replica_deliveries;  // per prepare dispatch
   for (const TraceRecord& r : records) {
     EXPECT_TRUE(by_id.emplace(r.id, &r).second)
         << "duplicate record id " << r.id;
@@ -178,19 +178,24 @@ TEST(Obs, CausalForestIsConnectedAcrossShards) {
     const auto parent = by_id.find(r.parent);
     ASSERT_NE(parent, by_id.end())
         << "dangling parent " << r.parent << " of " << r.id;
-    // A coordinator (id n + s) delivery whose handler prepared only on
-    // shards other than s, parenting a delivery it sent to a replica: the
-    // edge joins coordinator s to another shard group's replica.
+    // A coordinator (id n + s) delivery whose handler prepared, parenting
+    // a delivery it sent to a replica.
     const TraceRecord& p = *parent->second;
     const auto delivery = static_cast<uint16_t>(TraceKind::kDispatchDelivery);
-    if (p.kind != delivery || r.kind != delivery || p.actor < n ||
-        p.actor >= n + shards || r.actor >= n || r.a != p.actor) {
-      continue;
+    if (p.kind == delivery && r.kind == delivery && p.actor >= n &&
+        p.actor < n + shards && r.actor < n && r.a == p.actor &&
+        prepare_targets.count(p.id) > 0) {
+      ++replica_deliveries[p.id];
     }
-    const auto targets = prepare_targets.find(p.id);
-    if (targets != prepare_targets.end() &&
-        targets->second.count(p.actor - n) == 0) {
-      ++cross_shard_edges;
+  }
+  // A handler prepares each shard once, so one that prepared k >= 2 shards
+  // and whose k prepares all reached a replica sent k - 1 of them to
+  // replicas of shard groups other than its coordinator's own.
+  size_t cross_shard_edges = 0;
+  for (const auto& [dispatch, targets] : prepare_targets) {
+    const size_t reached = replica_deliveries[dispatch];
+    if (targets.size() >= 2 && reached == targets.size()) {
+      cross_shard_edges += reached - 1;
     }
   }
   EXPECT_GT(cross_shard_edges, 0u);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 
@@ -258,6 +259,89 @@ TEST(KvTxn, LegacySnapshotBytesUnchangedWhenTablesAreEmpty) {
   EXPECT_EQ(never.StateDigest(), drained.StateDigest());
 }
 
+// A kScan lists exactly the prepared and decided rows whose ids carry its
+// prefix, in id order, each with the participants and client identity its
+// prepare recorded (empty at a remote), and changes nothing.
+TEST(KvTxn, ScanListsOneCoordinatorsRowsAndChangesNothing) {
+  const uint64_t ours = uint64_t{2} << 40;  // the coordinator of shard 1
+  KvStateMachine sm;
+  KvTxnOp home;
+  home.tag = TxnTag::kPrepare;
+  home.txn_id = ours | 5;
+  home.ops = {Put(1, 10)};
+  home.participants = {0, 1};
+  home.client = 42;
+  home.client_req = 9;
+  ASSERT_TRUE(ApplyTxnRecord(sm, home.Encode()).ok);
+  ApplyTxnRecord(sm, TxnRecord(TxnTag::kPrepare, ours | 3, {Put(2, 20)}));
+  ApplyTxnRecord(sm, TxnRecord(TxnTag::kCommit, ours | 3));
+  ApplyTxnRecord(sm, TxnRecord(TxnTag::kPrepare, ours | 7, {Put(3, 30)}));
+  ApplyTxnRecord(sm, TxnRecord(TxnTag::kPrepare, ours | 8, {Put(4, 40)}));
+  ApplyTxnRecord(sm, TxnRecord(TxnTag::kAbort, ours | 8));
+  // Other coordinators' rows, on either side of the prefix.
+  ApplyTxnRecord(sm, TxnRecord(TxnTag::kPrepare, uint64_t{1} << 40 | 4,
+                               {Put(5, 50)}, {0, 1}));
+  const uint64_t after = uint64_t{3} << 40;
+  ApplyTxnRecord(sm, TxnRecord(TxnTag::kPrepare, after, {Put(6, 60)}));
+  ApplyTxnRecord(sm, TxnRecord(TxnTag::kCommit, after));
+
+  const auto scan = [&sm](uint64_t prefix) {
+    const Bytes before = sm.SnapshotBytes();
+    KvScanResult out;
+    EXPECT_TRUE(KvScanResult::Decode(
+        sm.Apply(TxnRecord(TxnTag::kScan, prefix)), &out));
+    EXPECT_TRUE(out.ok);
+    EXPECT_EQ(sm.SnapshotBytes(), before);
+    return out;
+  };
+  KvScanResult listed = scan(2);
+  ASSERT_EQ(listed.rows.size(), 3u);
+  EXPECT_EQ(listed.rows[0].txn_id, ours | 3);
+  EXPECT_TRUE(listed.rows[0].decided);
+  EXPECT_EQ(listed.rows[1].txn_id, ours | 5);
+  EXPECT_FALSE(listed.rows[1].decided);
+  EXPECT_EQ(listed.rows[2].txn_id, ours | 7);
+  EXPECT_FALSE(listed.rows[2].decided);
+  for (size_t i : {0, 2}) {
+    EXPECT_TRUE(listed.rows[i].participants.empty()) << i;
+    EXPECT_EQ(listed.rows[i].client, kNoReplica) << i;
+  }
+  EXPECT_EQ(listed.rows[1].participants, (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(listed.rows[1].client, 42u);
+  EXPECT_EQ(listed.rows[1].client_req, 9u);
+
+  // The home row keeps the participants and client once it is decided.
+  ApplyTxnRecord(sm, TxnRecord(TxnTag::kCommit, ours | 5));
+  listed = scan(2);
+  ASSERT_EQ(listed.rows.size(), 3u);
+  EXPECT_TRUE(listed.rows[1].decided);
+  EXPECT_EQ(listed.rows[1].participants, (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(listed.rows[1].client, 42u);
+  EXPECT_EQ(listed.rows[1].client_req, 9u);
+
+  ASSERT_EQ(scan(1).rows.size(), 1u);
+  EXPECT_TRUE(scan(4).rows.empty());
+  EXPECT_TRUE(scan(~uint64_t{0}).rows.empty());  // no id can carry it
+}
+
+// A truncated scan is the transaction family's no-op reply, which decodes
+// as a refused scan.
+TEST(KvTxn, TruncatedScanIsTheNoOpReply) {
+  KvStateMachine sm;
+  ApplyTxnRecord(sm, TxnRecord(TxnTag::kPrepare, uint64_t{1} << 40 | 1,
+                               {Put(1, 1)}, {0, 1}));
+  const Bytes before = sm.SnapshotBytes();
+  Bytes cut = TxnRecord(TxnTag::kScan, 1);
+  cut.pop_back();
+  const Bytes reply = sm.Apply(cut);
+  EXPECT_EQ(reply, KvMultiResult{}.Encode());
+  KvScanResult scan;
+  ASSERT_TRUE(KvScanResult::Decode(reply, &scan));
+  EXPECT_FALSE(scan.ok);
+  EXPECT_TRUE(scan.rows.empty());
+  EXPECT_EQ(sm.SnapshotBytes(), before);
+}
+
 // --- RequestQueue (client, shard) dedup --------------------------------------
 
 TEST(RequestQueueShard, SameIdOnDifferentShardsIsNotADuplicate) {
@@ -314,8 +398,8 @@ void ExpectTxnTablesDrained(ShardedDeployment& sd) {
 
 // Stands in for every transaction client on every shard's network and
 // forwards each delivery to the client. At each committed cross-shard reply
-// it checks where the transaction's remote half stands, and it counts the
-// re-answers of transactions a client already had an answer for.
+// it checks where the transaction's home and remote halves stand, and it
+// counts the committed answers each (client, request) receives.
 class ReplyTaps {
  public:
   explicit ReplyTaps(ShardedDeployment& sd) : sd_(sd) {
@@ -328,11 +412,19 @@ class ReplyTaps {
     }
   }
 
-  // Committed replies that arrived while every replica of some remote
-  // shard still held the transaction's prepare: its commit had landed
-  // nowhere yet.
+  // First committed replies that arrived while every replica of the home
+  // shard still held the transaction's home prepare, and those that arrived
+  // while every replica of some remote shard still held its remote
+  // prepare: the commit had landed on no replica of that shard yet.
+  uint64_t before_home_commit() const { return before_home_commit_; }
   uint64_t before_remote_commit() const { return before_remote_commit_; }
+  // Committed answers beyond the first, over every (client, request).
   uint64_t re_answered() const { return re_answered_; }
+  // Committed answers client `client` received for `request`.
+  uint32_t answers(ReplicaId client, uint64_t request) const {
+    const auto it = answers_.find({client, request});
+    return it == answers_.end() ? 0 : it->second;
+  }
 
  private:
   struct Tap : Actor {
@@ -355,9 +447,13 @@ class ReplyTaps {
   };
 
   void OnCommittedReply(const Tap& tap, const TxnReplyMsg& reply) {
-    if (!answered_.insert({tap.index, reply.request_id}).second) {
+    if (++answers_[{tap.client->id(), reply.request_id}] > 1) {
       ++re_answered_;
       return;
+    }
+    if (AllReplicasHoldHomePrepare(tap.home, tap.client->id(),
+                                   reply.request_id)) {
+      ++before_home_commit_;
     }
     for (uint32_t s = 0; s < sd_.shards(); ++s) {
       if (s != tap.home && AllReplicasHoldPrepare(s, tap.index)) {
@@ -365,6 +461,24 @@ class ReplyTaps {
         return;
       }
     }
+  }
+
+  // True when every replica of `shard` holds the home prepare of
+  // `client`'s `request`.
+  bool AllReplicasHoldHomePrepare(uint32_t shard, ReplicaId client,
+                                  uint64_t request) const {
+    const RsmGroup* group = sd_.shard(shard).state_machines();
+    for (ReplicaId r = 0; r < sd_.replicas_per_shard(); ++r) {
+      const auto& prepared = group->rsm(r).machine().prepared();
+      if (std::none_of(prepared.begin(), prepared.end(),
+                       [&](const auto& row) {
+                         return row.second.client == client &&
+                                row.second.client_req == request;
+                       })) {
+        return false;
+      }
+    }
+    return true;
   }
 
   // True when every replica of `shard` holds a remote prepare (no
@@ -389,10 +503,16 @@ class ReplyTaps {
 
   ShardedDeployment& sd_;
   std::vector<std::unique_ptr<Tap>> taps_;
-  std::set<std::pair<uint32_t, uint64_t>> answered_;  // (client, request)
+  // (client, request) -> committed answers received
+  std::map<std::pair<ReplicaId, uint64_t>, uint32_t> answers_;
+  uint64_t before_home_commit_ = 0;
   uint64_t before_remote_commit_ = 0;
   uint64_t re_answered_ = 0;
 };
+
+// The id prefix of shard `s`'s coordinator: the high bits of its
+// transaction ids.
+uint64_t CoordinatorPrefix(uint32_t s) { return s + 1; }
 
 TEST(ShardedDeployment, CrossShardTransactionsAreAtomicAndDrain) {
   TxnWorkloadOptions txn;
@@ -421,9 +541,9 @@ TEST(ShardedDeployment, CrossShardTransactionsAreAtomicAndDrain) {
   ExpectTxnTablesDrained(*sd);
 }
 
-// A cross-shard client is answered once the home shard's commit record (the
-// durable decision) commits, before any remote replica has applied its
-// commit: the prepares carried the results.
+// A cross-shard client is answered at the last yes vote, before any replica
+// of the home shard or of a remote shard has applied the commit: the
+// prepares carried the results.
 TEST(ShardedDeployment, CrossShardReplyPrecedesRemoteCommits) {
   TxnWorkloadOptions txn;
   txn.clients_per_shard = 4;
@@ -442,6 +562,7 @@ TEST(ShardedDeployment, CrossShardReplyPrecedesRemoteCommits) {
 
   const MetricsReport m = sd->Metrics();
   EXPECT_GT(m.txn.committed_cross, 10u);
+  EXPECT_EQ(taps.before_home_commit(), m.txn.committed_cross);
   EXPECT_EQ(taps.before_remote_commit(), m.txn.committed_cross);
   EXPECT_EQ(taps.re_answered(), 0u);
   EXPECT_EQ(m.txn.kv_mismatches, 0u);
@@ -490,6 +611,232 @@ TEST(ShardedDeployment, CoordinatorCrashRecoversInFlightTransactions) {
     ExpectTxnTablesDrained(*sd);
   }
   EXPECT_TRUE(answered_then_recovered);
+}
+
+// Transactions of shard 0's coordinator whose client already holds the
+// commit answer while no replica of any shard has applied their commit, as
+// (client, request) pairs.
+std::vector<std::pair<ReplicaId, uint64_t>> AnsweredButCommittedNowhere(
+    ShardedDeployment& sd, const ReplyTaps& taps) {
+  std::set<uint64_t> decided;
+  std::map<uint64_t, std::pair<ReplicaId, uint64_t>> home_rows;
+  for (uint32_t s = 0; s < sd.shards(); ++s) {
+    const RsmGroup* group = sd.shard(s).state_machines();
+    for (ReplicaId r = 0; r < sd.replicas_per_shard(); ++r) {
+      const KvStateMachine& kv = group->rsm(r).machine();
+      for (const auto& [txn_id, d] : kv.decided()) {
+        decided.insert(txn_id);
+      }
+      for (const auto& [txn_id, p] : kv.prepared()) {
+        if (txn_id >> 40 == CoordinatorPrefix(0) &&
+            !p.participants.empty()) {
+          home_rows[txn_id] = {p.client, p.client_req};
+        }
+      }
+    }
+  }
+  std::vector<std::pair<ReplicaId, uint64_t>> out;
+  for (const auto& [txn_id, client] : home_rows) {
+    if (decided.count(txn_id) == 0 &&
+        taps.answers(client.first, client.second) > 0) {
+      out.push_back(client);
+    }
+  }
+  return out;
+}
+
+// A crash after a transaction's answer and before its commit has applied
+// anywhere: the commit records already sent may still land while the
+// coordinator is down, or may not, and recovery must commit the
+// transaction from what the scans report either way. The sweep over crash
+// instants stops at the first run that catches such a transaction. Its
+// client was answered at the votes and is answered once more, without
+// values, by the recovered coordinator.
+TEST(ShardedDeployment, CrashAfterTheAnswerCommitsFromTheScans) {
+  TxnWorkloadOptions txn;
+  txn.clients_per_shard = 6;
+  txn.keys_per_txn = 2;
+  txn.think_time = 0;
+  txn.stop_at = 10 * kSec;
+
+  bool caught = false;
+  for (SimTime crash = 3 * kSec; crash < 4 * kSec && !caught;
+       crash += 10 * kMsec) {
+    SCOPED_TRACE(crash);
+    auto sd = BaseBuilder(17)
+                  .WithShards(2)
+                  .WithCrossShardRatio(0.5)
+                  .WithTxnWorkload(txn)
+                  .BuildSharded();
+    sd->shard(0).ScheduleCrash(sd->Route(0), crash, 6 * kSec);
+    ReplyTaps taps(*sd);
+    sd->Start();
+    sd->RunUntil(crash);
+    const auto window = AnsweredButCommittedNowhere(*sd, taps);
+    sd->RunUntil(20 * kSec);
+
+    const MetricsReport m = sd->Metrics();
+    for (const auto& [client, request] : window) {
+      EXPECT_EQ(taps.answers(client, request), 2u)
+          << "client " << client << " request " << request;
+    }
+    caught = !window.empty();
+    EXPECT_EQ(m.statemachine.recoveries_completed, 1u);
+    EXPECT_GE(m.txn.recovered_commits, window.size());
+    EXPECT_GT(m.txn.committed, 100u);
+    EXPECT_EQ(m.txn.kv_mismatches, 0u);
+    EXPECT_EQ(m.statemachine.digests_equal, 1u);
+    ExpectTxnTablesDrained(*sd);
+  }
+  EXPECT_TRUE(caught);
+}
+
+// Stands in for transaction client 0 on every shard's network, so a test
+// can script what shard 0's coordinator receives, and records the
+// coordinator's answers.
+struct ScriptedClient : Actor {
+  explicit ScriptedClient(ShardedDeployment& sd)
+      : sd(sd), id(sd.txn_fleet()->client(0).id()) {
+    for (uint32_t s = 0; s < sd.shards(); ++s) {
+      sd.shard(s).net().Register(id, this);
+    }
+  }
+  void Send(uint64_t request, std::vector<KvOp> ops) {
+    auto msg = MakeMessage<TxnRequestMsg>();
+    msg->client = id;
+    msg->request_id = request;
+    msg->sent_at = sd.sim().now();
+    msg->ops = std::move(ops);
+    sd.shard(0).net().Send(id, sd.coordinator_id(0), std::move(msg));
+  }
+  void OnMessage(ReplicaId, const MessagePtr& msg, SimTime) override {
+    if (msg->type() == kMsgTxnReply) {
+      const auto& reply = static_cast<const TxnReplyMsg&>(*msg);
+      answers[reply.request_id].push_back(
+          {reply.committed, !reply.results.empty()});
+    }
+  }
+  struct Answer {
+    bool committed = false;
+    bool with_values = false;
+  };
+  ShardedDeployment& sd;
+  const ReplicaId id;
+  std::map<uint64_t, std::vector<Answer>> answers;  // by request id
+};
+
+// Three transactions of one client reach shard 0's coordinator back to
+// back. The first locks a home key and a remote key. The second shares the
+// home key, so its home prepare votes no while its remote prepare votes
+// yes; the third shares the remote key, so its remote prepare votes no
+// while its home prepare votes yes. Shard 0's anchor crashes as soon as a
+// replica of the remote shard applies them, before any remote vote can
+// reach the coordinator (a one-way delay is at least 0.5 ms). Recovery
+// learns all three from the scans alone:
+//   - the first has a yes row at every participant its home row names, so
+//     it commits and its client is answered;
+//   - the second has a remote yes row and no home row, so it aborts, which
+//     releases the remote lock, and no client is named to answer;
+//   - the third has a home row that names a participant holding no row,
+//     so it aborts and its client is answered abort.
+TEST(ShardedDeployment, RecoveryResolvesVotesTheCoordinatorNeverSaw) {
+  TxnWorkloadOptions txn;
+  txn.clients_per_shard = 1;
+  txn.stop_at = 1;  // the fleet stays idle: the test scripts the traffic
+  auto sd = BaseBuilder(23)
+                .WithShards(2)
+                .WithCrossShardRatio(0.5)
+                .WithTxnWorkload(txn)
+                .BuildSharded();
+  const ReplicaId anchor = sd->Route(0);
+  ScriptedClient client(*sd);
+  const auto key_on = [&sd](uint32_t shard, uint64_t from) {
+    while (sd->router().ShardOf(from) != shard) {
+      ++from;
+    }
+    return from;
+  };
+  const uint64_t home_key = key_on(0, 1000);
+  const uint64_t first_remote = key_on(1, 1000);
+  const uint64_t second_remote = key_on(1, first_remote + 1);
+  const uint64_t third_home = key_on(0, home_key + 1);
+  sd->Start();
+  sd->RunUntil(100 * kMsec);
+  client.Send(0, {Put(home_key, 1), Put(first_remote, 2)});
+  client.Send(1, {Put(home_key, 3), Put(second_remote, 4)});
+  client.Send(2, {Put(third_home, 5), Put(first_remote, 6)});
+
+  const auto machine = [&sd](uint32_t shard,
+                             ReplicaId r) -> const KvStateMachine& {
+    return sd->shard(shard).state_machines()->rsm(r).machine();
+  };
+  // Shard 0's coordinator's prepared rows at one replica, in id order.
+  const auto prepared = [&machine](uint32_t shard, ReplicaId r) {
+    std::vector<KvTxnOp> out;
+    for (const auto& [txn_id, p] : machine(shard, r).prepared()) {
+      if (txn_id >> 40 == CoordinatorPrefix(0)) {
+        out.push_back(p);
+      }
+    }
+    return out;
+  };
+  const uint32_t n = sd->replicas_per_shard();
+  const auto remote_applied = [&] {
+    for (ReplicaId r = 0; r < n; ++r) {
+      if (!prepared(1, r).empty()) {
+        return true;
+      }
+    }
+    return false;
+  };
+  while (!remote_applied()) {
+    ASSERT_LT(sd->sim().now(), kSec);
+    sd->RunUntil(sd->sim().now() + 100 * kUsec);
+  }
+  const SimTime crash = sd->sim().now();
+  sd->shard(0).ScheduleCrash(anchor, crash, crash + 3 * kSec);
+
+  // Every pre-crash record has landed before the anchor recovers: this is
+  // what the scans will find.
+  sd->RunUntil(crash + 2 * kSec);
+  EXPECT_TRUE(client.answers.empty());
+  for (ReplicaId r = 0; r < n; ++r) {
+    SCOPED_TRACE(r);
+    EXPECT_TRUE(machine(0, r).decided().empty());
+    EXPECT_TRUE(machine(1, r).decided().empty());
+    const std::vector<KvTxnOp> remote = prepared(1, r);
+    ASSERT_EQ(remote.size(), 2u);
+    EXPECT_EQ(remote[1].ops[0].key, second_remote);
+    const auto& locks = machine(1, r).locks();
+    ASSERT_EQ(locks.count(second_remote), 1u);
+    EXPECT_EQ(locks.at(second_remote), remote[1].txn_id);
+    if (r == anchor) {
+      continue;  // crashed: its tables return through state transfer
+    }
+    const std::vector<KvTxnOp> home = prepared(0, r);
+    ASSERT_EQ(home.size(), 2u);
+    EXPECT_EQ(home[0].txn_id, remote[0].txn_id);
+    EXPECT_GT(home[1].txn_id, remote[1].txn_id);
+    for (uint64_t i : {0, 1}) {
+      EXPECT_EQ(home[i].participants, (std::vector<uint32_t>{0, 1}));
+      EXPECT_EQ(home[i].client, client.id);
+      EXPECT_EQ(home[i].client_req, 2 * i);
+    }
+  }
+
+  sd->RunUntil(crash + 10 * kSec);
+  const MetricsReport m = sd->Metrics();
+  EXPECT_EQ(m.statemachine.recoveries_completed, 1u);
+  EXPECT_EQ(m.txn.recovered_commits, 1u);
+  EXPECT_EQ(m.txn.recovered_aborts, 2u);
+  ASSERT_EQ(client.answers.size(), 2u);
+  ASSERT_EQ(client.answers[0].size(), 1u);
+  EXPECT_TRUE(client.answers[0][0].committed);
+  EXPECT_FALSE(client.answers[0][0].with_values);
+  ASSERT_EQ(client.answers[2].size(), 1u);
+  EXPECT_FALSE(client.answers[2][0].committed);
+  EXPECT_EQ(m.statemachine.digests_equal, 1u);
+  ExpectTxnTablesDrained(*sd);
 }
 
 // A shard has no client fleet, so each reports its engine's own consensus

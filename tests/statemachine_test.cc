@@ -99,7 +99,7 @@ TEST(KvStateMachine, MalformedOpIsADeterministicNoop) {
   EXPECT_FALSE(res.found);
   EXPECT_EQ(sm.StateDigest(), before);
 
-  // The reply bytes of each family's malformed input. Tags 0x10..0x14 are
+  // The reply bytes of each family's malformed input. Tags 0x10..0x15 are
   // transaction records: KvMultiResult{} (ok 0, no results). Everything
   // else, an unknown tag and empty input included, is a plain op:
   // KvResult{} (found 0, value 0).
@@ -112,16 +112,17 @@ TEST(KvStateMachine, MalformedOpIsADeterministicNoop) {
   Bytes end = end_txn.Encode();
   end.push_back(0);  // trailing byte
   EXPECT_EQ(sm.Apply(end), txn_noop);
+  EXPECT_EQ(sm.Apply(Bytes{0x15}), txn_noop);          // scan cut short
   EXPECT_EQ(sm.Apply(Bytes{0xff, 0x01}), plain_noop);  // unknown tag
-  EXPECT_EQ(sm.Apply(Bytes{0x15}), plain_noop);        // just past the range
+  EXPECT_EQ(sm.Apply(Bytes{0x16}), plain_noop);        // just past the range
   EXPECT_EQ(sm.Apply(Bytes{}), plain_noop);
   EXPECT_EQ(sm.Apply(Bytes{0x01, 0x02}), plain_noop);  // put cut short
   EXPECT_EQ(sm.StateDigest(), before);
 }
 
 // A replica whose replies nobody reads skips encoding them (a prepare's
-// results included); its state must be exactly that of one that encodes
-// every reply, transaction tables included.
+// results and a scan's rows included); its state must be exactly that of
+// one that encodes every reply, transaction tables included.
 TEST(KvStateMachine, UnreadRepliesLeaveTheSameState) {
   auto txn = [](TxnTag tag, uint64_t id, std::vector<KvOp> ops = {}) {
     KvTxnOp t;
@@ -142,6 +143,7 @@ TEST(KvStateMachine, UnreadRepliesLeaveTheSameState) {
       txn(TxnTag::kAbort, 8),
       txn(TxnTag::kAbort, 7),  // decided: cannot abort
       txn(TxnTag::kPrepare, 9, {{KvOpKind::kAdd, 1, 1}}),
+      txn(TxnTag::kScan, 0),  // lists 7 (decided) and 9 (prepared)
       Bytes{0x11, 0x01},
       Op(KvOpKind::kAdd, 2, 3),
   };

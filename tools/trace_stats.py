@@ -22,7 +22,12 @@ wins) and reports:
     cross-shard transaction, 0 otherwise; --csv names them in its `chains`
     column);
   * the causal forest shape: record count, root count, and dangling-parent
-    count (must be 0).
+    count (must be 0);
+  * a 2PC table from the coordinators' txn_prepare and txn_decide records
+    (keyed by transaction id): transactions, prepare waves per transaction
+    (distinct txn_prepare instants: 1 when every participant is prepared at
+    once), and the first prepare -> decide latency. Text output only, and
+    only when the trace holds transactions.
 
 Timestamps in the trace are microseconds of sim time (Chrome's native `ts`
 unit); stages print in ms.
@@ -42,6 +47,8 @@ COMMIT = 19
 REPLY_SENT = 20
 CLIENT_COMPLETE = 21
 LIFECYCLE = range(CLIENT_SEND, CLIENT_COMPLETE + 1)
+TXN_PREPARE = 34  # a = txn id, b = participant shard
+TXN_DECIDE = 35   # a = txn id, b = 1 commit / 0 abort
 
 STAGE_NAMES = ["client_net", "queue", "consensus", "apply", "reply", "total"]
 # Chain populations, by the client_send record's type.
@@ -167,6 +174,28 @@ def main(argv):
                       f"{p50:.3f},{p99:.3f}")
             else:
                 print(f"{name:<12} {mean:>9.2f} {p50:>9.2f} {p99:>9.2f}")
+
+    # 2PC: every wave of prepares a coordinator sends shares one instant.
+    waves = {}    # txn id -> its txn_prepare instants
+    decided = {}  # txn id -> its first txn_decide instant
+    for t, _, _, kind, _, a, _ in records:
+        if kind == TXN_PREPARE:
+            waves.setdefault(a, set()).add(t)
+        elif kind == TXN_DECIDE:
+            decided.setdefault(a, t)
+    if waves and not args.csv:
+        counts = [len(instants) for instants in waves.values()]
+        to_decide = sorted((decided[txn] - min(instants)) / 1e3
+                           for txn, instants in waves.items()
+                           if txn in decided)
+        mean = sum(to_decide) / len(to_decide) if to_decide else 0.0
+        print(f"\n2pc transactions: {len(waves)} ({len(to_decide)} decided)")
+        print(f"prepare waves per transaction: mean "
+              f"{sum(counts) / len(counts):.2f}, max {max(counts)}")
+        print(f"{'stage':<16} {'mean_ms':>9} {'p50_ms':>9} {'p99_ms':>9}")
+        print(f"{'prepare_decide':<16} {mean:>9.2f} "
+              f"{percentile(to_decide, 0.5):>9.2f} "
+              f"{percentile(to_decide, 0.99):>9.2f}")
 
     if dangling or not complete:
         print("FAIL: broken trace (dangling parents or no complete chains)",
