@@ -24,12 +24,14 @@ namespace optilog {
 // Latency matrix filled from the geographic RTTs of `cities` — the state of
 // the LatencyMonitor after one complete probe round.
 inline LatencyMatrix MatrixFromCities(const std::vector<City>& cities) {
-  const auto rtts = RttMatrixMs(cities);
+  const CityIndex ci = DedupeCities(cities);
+  const size_t u = ci.unique.size();
+  const std::vector<double> rtts = CityRttTableMs(ci.unique);
   LatencyMatrix m(static_cast<uint32_t>(cities.size()));
   for (ReplicaId a = 0; a < cities.size(); ++a) {
     for (ReplicaId b = 0; b < cities.size(); ++b) {
       if (a != b) {
-        m.Record(a, b, rtts[a][b]);
+        m.Record(a, b, rtts[ci.index_of[a] * u + ci.index_of[b]]);
       }
     }
   }
@@ -125,9 +127,11 @@ class BenchReporter {
   std::string ToCsv() const {
     std::string out;
     auto append_row = [&](const std::vector<std::string>& cells) {
-      out += "csv," + CsvEscape(name_);
+      out += "csv,";
+      out += CsvEscape(name_);
       for (const auto& cell : cells) {
-        out += "," + CsvEscape(cell);
+        out += ',';
+        out += CsvEscape(cell);
       }
       out += "\n";
     };

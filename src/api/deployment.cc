@@ -293,7 +293,13 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
   // in-flight deliveries per round plus a timer, and each client one
   // outstanding request — sized so steady state never grows the slab.
   d->sim_->ReserveHint(4 * (static_cast<size_t>(d->n_) + client_count) + 64);
-  d->latency_model_ = std::make_unique<GeoLatencyModel>(model_cities);
+  // One RTT table over the unique cities serves the network's delays and
+  // the measured latency matrix below: the trig runs once per unique-city
+  // pair.
+  CityIndex ci = DedupeCities(model_cities);
+  const size_t u = ci.unique.size();
+  std::vector<double> city_rtt_ms = CityRttTableMs(ci.unique);
+  d->latency_model_ = std::make_unique<GeoLatencyModel>(ci.index_of, city_rtt_ms, u);
   d->net_ = std::make_unique<Network>(d->sim_, d->latency_model_.get(),
                                       &d->faults_);
   if (bandwidth_bps_ > 0) {
@@ -307,25 +313,13 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
   }
   d->keys_ = std::make_unique<KeyStore>(d->n_, seed);
 
-  // The measured latency matrix after one complete probe round. Probe RTTs
-  // are a function of the city pair only, so compute the trig once per
-  // unique-city pair and hand the matrix the compressed form; distinct
-  // replicas sharing a city get the same 1 ms colocated RTT CityRttMs
-  // reports for a same-name pair.
-  {
-    CityIndex ci = DedupeCities(d->cities_);
-    const size_t u = ci.unique.size();
-    const auto city_rtts = RttMatrixMs(ci.unique);
-    std::vector<double> flat(u * u, 0.0);
-    for (size_t i = 0; i < u; ++i) {
-      for (size_t j = 0; j < u; ++j) {
-        flat[i * u + j] = city_rtts[i][j];
-      }
-    }
-    ci.index_of.resize(d->n_);  // replicas only; clients are not probed
-    d->matrix_.ResetWithCityBaseline(d->n_, std::move(ci.index_of),
-                                     std::move(flat), u);
-  }
+  // The measured latency matrix after one complete probe round: probe RTTs
+  // are a function of the city pair only. Replicas come first in
+  // `model_cities` and clients colocate with them, so the replica prefix of
+  // the index and the same table describe the replicas alone.
+  ci.index_of.resize(d->n_);  // replicas only; clients are not probed
+  d->matrix_.ResetWithCityBaseline(d->n_, std::move(ci.index_of),
+                                   std::move(city_rtt_ms), u);
 
   if (statemachine_.has_value()) {
     // Execution needs operations to execute: the client fleet generates the

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/core/measurement.h"
+#include "src/util/check.h"
 
 namespace optilog {
 
@@ -31,14 +32,28 @@ class LatencyMatrix {
     version_ = NextVersion();
   }
 
-  // Complete-probe-round initialization, city-compressed. Every ordered
-  // pair (a != b) becomes known with the city-pair RTT (colocated replicas:
-  // 1 ms, the datacenter base delay); later Records land in a sparse
-  // override map. Equivalent to Reset(n) + n² Record calls but O(u²)
-  // storage — at n = 5000 the dense matrix is 200 MB of redundant doubles,
-  // the city form a few hundred KB.
+  // Complete-probe-round initialization, city-compressed: replica r lives in
+  // city index_of[r], and `city_rtt_ms` is a u×u table (u = stride) of
+  // known RTTs. Every ordered pair (a != b) becomes known: in both
+  // directions, the max rule over its cities' two entries, and 1 ms between
+  // colocated replicas (the datacenter base delay). The table is stored with
+  // that applied, so a lookup before any Record is one indexed load; later
+  // Records land in a sparse override map. Equivalent to Reset(n) + n²
+  // Record calls but O(u²) storage — at n = 5000 the dense matrix is 200 MB
+  // of redundant doubles, the city form a few hundred KB.
   void ResetWithCityBaseline(uint32_t n, std::vector<uint32_t> index_of,
                              std::vector<double> city_rtt_ms, size_t stride) {
+    OL_CHECK(index_of.size() == n && city_rtt_ms.size() == stride * stride);
+    for (size_t i = 0; i < stride; ++i) {
+      city_rtt_ms[i * stride + i] = kColocatedRttMs;
+      for (size_t j = i + 1; j < stride; ++j) {
+        const double ij = city_rtt_ms[i * stride + j];
+        const double ji = city_rtt_ms[j * stride + i];
+        OL_CHECK(ij != kUnknown && ji != kUnknown);
+        city_rtt_ms[i * stride + j] = ij > ji ? ij : ji;  // as Rtt(a, b) would
+        city_rtt_ms[j * stride + i] = ji > ij ? ji : ij;  // and Rtt(b, a)
+      }
+    }
     n_ = n;
     recorded_.clear();
     known_pairs_ = 0;
@@ -89,6 +104,9 @@ class LatencyMatrix {
     if (a >= n_ || b >= n_ || NothingRecorded()) {
       return std::numeric_limits<double>::infinity();
     }
+    if (city_stride_ != 0 && overrides_.empty()) {
+      return Baseline(a, b);  // the max rule is applied already
+    }
     const double ab = RecordedAt(a, b);
     const double ba = RecordedAt(b, a);
     if (ab == kUnknown && ba == kUnknown) {
@@ -128,6 +146,7 @@ class LatencyMatrix {
 
  private:
   static constexpr double kUnknown = -1.0;
+  static constexpr double kColocatedRttMs = 1.0;
 
   static uint64_t NextVersion();
 
@@ -151,17 +170,20 @@ class LatencyMatrix {
         return it->second;
       }
     }
-    const uint32_t ca = city_index_[a];
-    const uint32_t cb = city_index_[b];
-    return ca == cb ? 1.0 : city_rtt_ms_[ca * city_stride_ + cb];
+    return Baseline(a, b);
+  }
+
+  // City-baseline mode: the probe round's RTT between a's and b's cities.
+  double Baseline(ReplicaId a, ReplicaId b) const {
+    return city_rtt_ms_[city_index_[a] * city_stride_ + city_index_[b]];
   }
 
   uint32_t n_ = 0;
   // Dense mode (tests, incremental monitors): every ordered pair, row-major,
   // empty until the first Record.
   std::vector<double> recorded_;
-  // City-baseline mode (deployments): replica -> city, u×u RTTs, sparse
-  // post-baseline reports.
+  // City-baseline mode (deployments): replica -> city, u×u RTTs under the
+  // max rule, sparse post-baseline reports.
   std::vector<uint32_t> city_index_;
   std::vector<double> city_rtt_ms_;
   size_t city_stride_ = 0;

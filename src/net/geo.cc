@@ -153,26 +153,37 @@ const City kAnchors[] = {
 constexpr size_t kNumAnchors = sizeof(kAnchors) / sizeof(kAnchors[0]);
 constexpr size_t kDatasetSize = 220;
 
+// The cosine of a latitude, which HaversineKm needs once per end.
+double CosLat(double lat) { return std::cos(lat * kPi / 180.0); }
+
+// HaversineKm given each end's CosLat.
+double HaversineKmCos(double lat1, double lon1, double cos1, double lat2, double lon2,
+                      double cos2) {
+  const double dphi = (lat2 - lat1) * kPi / 180.0;
+  const double dlam = (lon2 - lon1) * kPi / 180.0;
+  const double sin_dphi = std::sin(dphi / 2);
+  const double sin_dlam = std::sin(dlam / 2);
+  const double a = sin_dphi * sin_dphi + cos1 * cos2 * sin_dlam * sin_dlam;
+  return 2.0 * kEarthRadiusKm * std::asin(std::sqrt(std::min(1.0, a)));
+}
+
+// Colocated replicas still pay the 1 ms base (the paper's emulator adds the
+// actual 1 ms datacenter delay to every message).
+constexpr double kColocatedRttMs = 1.0;
+
+double RttOfKm(double km) { return 1.0 + 0.015 * km; }
+
 }  // namespace
 
 double HaversineKm(double lat1, double lon1, double lat2, double lon2) {
-  const double phi1 = lat1 * kPi / 180.0;
-  const double phi2 = lat2 * kPi / 180.0;
-  const double dphi = (lat2 - lat1) * kPi / 180.0;
-  const double dlam = (lon2 - lon1) * kPi / 180.0;
-  const double a = std::sin(dphi / 2) * std::sin(dphi / 2) +
-                   std::cos(phi1) * std::cos(phi2) * std::sin(dlam / 2) * std::sin(dlam / 2);
-  return 2.0 * kEarthRadiusKm * std::asin(std::sqrt(std::min(1.0, a)));
+  return HaversineKmCos(lat1, lon1, CosLat(lat1), lat2, lon2, CosLat(lat2));
 }
 
 double CityRttMs(const City& a, const City& b) {
   if (a.name == b.name) {
-    // Colocated replicas still pay the 1 ms base (the paper's emulator adds
-    // the actual 1 ms datacenter delay to every message).
-    return 1.0;
+    return kColocatedRttMs;
   }
-  const double km = HaversineKm(a.lat, a.lon, b.lat, b.lon);
-  return 1.0 + 0.015 * km;
+  return RttOfKm(HaversineKm(a.lat, a.lon, b.lat, b.lon));
 }
 
 const std::vector<City>& WorldCities() {
@@ -296,17 +307,25 @@ CityIndex DedupeCities(const std::vector<City>& cities) {
   return out;
 }
 
-std::vector<std::vector<double>> RttMatrixMs(const std::vector<City>& cities) {
-  const size_t n = cities.size();
-  std::vector<std::vector<double>> m(n, std::vector<double>(n, 0.0));
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      const double rtt = CityRttMs(cities[i], cities[j]);
-      m[i][j] = rtt;
-      m[j][i] = rtt;
+std::vector<double> CityRttTableMs(const std::vector<City>& cities) {
+  const size_t u = cities.size();
+  std::vector<double> cos_lat(u);
+  for (size_t i = 0; i < u; ++i) {
+    cos_lat[i] = CosLat(cities[i].lat);
+  }
+  std::vector<double> table(u * u);
+  for (size_t i = 0; i < u; ++i) {
+    const City& a = cities[i];
+    table[i * u + i] = kColocatedRttMs;
+    for (size_t j = i + 1; j < u; ++j) {
+      const City& b = cities[j];
+      const double rtt =
+          RttOfKm(HaversineKmCos(a.lat, a.lon, cos_lat[i], b.lat, b.lon, cos_lat[j]));
+      table[i * u + j] = rtt;
+      table[j * u + i] = rtt;
     }
   }
-  return m;
+  return table;
 }
 
 }  // namespace optilog

@@ -57,8 +57,11 @@ std::vector<City> Stellar56();
 // sweeps (Figs. 10, 12, 14 use "randomly distributed across the world").
 std::vector<City> GlobalN(size_t n, uint64_t seed = 42);
 
-// Symmetric RTT matrix (ms) for a set of cities.
-std::vector<std::vector<double>> RttMatrixMs(const std::vector<City>& cities);
+// CityRttMs between every ordered pair of `cities`, row-major u×u, the
+// colocated RTT on the diagonal. The names must be distinct (DedupeCities's
+// `unique`): then only the diagonal is a same-name pair, and since
+// CityRttMs is bitwise symmetric each unordered pair is computed once.
+std::vector<double> CityRttTableMs(const std::vector<City>& cities);
 
 // Deduplicated view of a city assignment. Replica lists are drawn from the
 // 220-location dataset with wrap-around (and clients colocate with their

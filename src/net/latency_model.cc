@@ -2,20 +2,16 @@
 
 namespace optilog {
 
-GeoLatencyModel::GeoLatencyModel(std::vector<City> cities)
-    : cities_(std::move(cities)) {
-  CityIndex ci = DedupeCities(cities_);
-  city_index_ = std::move(ci.index_of);
-  const size_t u = ci.unique.size();
-  stride_ = u;
-  city_one_way_.assign(u * u, 0);
-  for (size_t i = 0; i < u; ++i) {
-    for (size_t j = 0; j < u; ++j) {
-      // One-way is half the modeled RTT. The diagonal is the colocated
-      // (same city, distinct actor) delay; OneWay() special-cases from==to
-      // to 0, so the i==j entry is never read for a self-pair.
-      city_one_way_[i * u + j] = FromMs(CityRttMs(ci.unique[i], ci.unique[j]) / 2.0);
-    }
+GeoLatencyModel::GeoLatencyModel(std::vector<uint32_t> city_index,
+                                 const std::vector<double>& city_rtt_ms, size_t stride)
+    : city_index_(std::move(city_index)), stride_(stride) {
+  OL_CHECK(city_rtt_ms.size() == stride * stride);
+  // The diagonal is the colocated (same city, distinct actor) delay;
+  // OneWay() special-cases from == to to 0, so it is never read for a
+  // self-pair.
+  city_one_way_.reserve(city_rtt_ms.size());
+  for (const double rtt : city_rtt_ms) {
+    city_one_way_.push_back(FromMs(rtt / 2.0));
   }
 }
 

@@ -233,7 +233,8 @@ std::string MetricsFingerprint(const MetricsReport& m) {
   for (uint64_t t : m.txn.committed_per_sec) {
     u(t);
   }
-  blob += "|" + FormatDouble(m.txn.single_mean_ms) + "|";
+  blob += "|";
+  blob += FormatDouble(m.txn.single_mean_ms) + "|";
   blob += FormatDouble(m.txn.single_p50_ms) + "|";
   blob += FormatDouble(m.txn.single_p95_ms) + "|";
   blob += FormatDouble(m.txn.single_p99_ms) + "|";

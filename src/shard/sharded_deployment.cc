@@ -107,7 +107,9 @@ MetricsReport ShardedDeployment::Metrics() {
       // series order); the simulator-wide gauges follow, unprefixed.
       agg.timeseries.enabled = true;
       agg.timeseries.interval = m.timeseries.interval;
-      const std::string prefix = "s" + std::to_string(si) + ".";
+      std::string prefix = "s";
+      prefix += std::to_string(si);
+      prefix += '.';
       for (TimeseriesReport::Series& ts : m.timeseries.series) {
         agg.timeseries.series.push_back(
             {prefix + ts.name, std::move(ts.values)});

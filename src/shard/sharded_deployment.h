@@ -47,6 +47,7 @@ class ShardedDeployment {
   // --- transaction layer -----------------------------------------------------
   TxnFleet* txn_fleet() { return fleet_.get(); }
   ReplicaId coordinator_id(uint32_t s) const { return n_ + s; }
+  const TxnCoordinator& coordinator(uint32_t s) const { return *coordinators_.at(s); }
   // Replica currently serving shard `s` (tree root / PBFT leader).
   ReplicaId Route(uint32_t s) { return shard(s).engine().Leader(); }
   // The reply quorum of shard `s`'s engine (1 for the tree family, f + 1

@@ -98,8 +98,8 @@ void TxnCoordinator::StartTxn(const TxnRequestMsg& req, SimTime at) {
   if (scans_pending_ > 0) {
     return;  // dedup table not rebuilt yet; the client's retry comes back
   }
-  const auto key = std::make_pair(req.client, req.request_id);
-  if (by_client_.count(key) > 0) {
+  const auto newest = newest_request_.find(req.client);
+  if (newest != newest_request_.end() && req.request_id <= newest->second) {
     ++stats_.duplicates;  // retry of a known transaction: already in flight
     return;               // (or already answered; replies are reliable)
   }
@@ -122,7 +122,7 @@ void TxnCoordinator::StartTxn(const TxnRequestMsg& req, SimTime at) {
       txn.participants.end());
   txn.results.resize(txn.ops.size());
 
-  by_client_.emplace(key, txn_id);
+  newest_request_[req.client] = req.request_id;
   auto [it, inserted] = txns_.emplace(txn_id, std::move(txn));
   OL_CHECK(inserted);
   if (TraceRecorder* tr = sim_->trace()) {
@@ -310,7 +310,7 @@ void TxnCoordinator::OnAnchorRecovered(SimTime at) {
   }
   records_.clear();
   txns_.clear();
-  by_client_.clear();
+  newest_request_.clear();
   ++epoch_;
   OL_CHECK_MSG(epoch_ < 256, "coordinator id space exhausted");
   next_txn_ = epoch_ << 32;
@@ -391,7 +391,8 @@ void TxnCoordinator::Resolve(SimTime at) {
     if (t.home != nullptr) {
       txn.client = t.home->client;
       txn.client_req = t.home->client_req;
-      by_client_[{txn.client, txn.client_req}] = txn_id;
+      uint64_t& newest = newest_request_[txn.client];
+      newest = std::max(newest, txn.client_req);
     }
     auto [it, inserted] = txns_.emplace(txn_id, std::move(txn));
     OL_CHECK(inserted);

@@ -58,6 +58,8 @@ class TxnCoordinator : public Actor {
   void OnAnchorRecovered(SimTime at);
 
   ReplicaId id() const { return id_; }
+  // Clients in the dedup table: at most one entry each.
+  size_t clients_tracked() const { return newest_request_.size(); }
 
   struct Stats {
     uint64_t prepares_sent = 0;
@@ -120,10 +122,12 @@ class TxnCoordinator : public Actor {
 
   std::map<uint64_t, Txn> txns_;
   std::map<uint64_t, Record> records_;  // record id = request id sent
-  // Client dedup: (client, client request id) -> txn. Entries outlive
-  // their transaction, so a late retry is not run twice, and are rebuilt
-  // from the home rows the scans report on recovery.
-  std::map<std::pair<ReplicaId, uint64_t>, uint64_t> by_client_;
+  // Client dedup: each client's newest request id. A client has one
+  // transaction outstanding and its request ids only grow, so a request at
+  // or below the newest is a retry of one already started (in flight or
+  // answered) and is not run twice. One entry per client, rebuilt from the
+  // home rows the scans report on recovery.
+  std::map<ReplicaId, uint64_t> newest_request_;
 
   // Ids restart from a bumped epoch after each recovery so post-crash
   // transactions and records never collide with pre-crash ones still

@@ -113,22 +113,29 @@ TreeWalk::TreeWalk(std::vector<ReplicaId> ids, size_t internals,
       next_(internals - 1) {
   OL_CHECK(internals_ >= 2 && internals_ <= ids_.size());
   swappable_ = Swappable(ids_, internals_, eligible_);
-  for (size_t pos = 1; pos < internals_; ++pos) {
-    Rescan(pos);
+  const size_t groups = next_.size();
+  const size_t leaves = ids_.size() - internals_;
+  for (size_t g = 0; g < groups; ++g) {
+    // Build's round-robin: leaf i hangs under intermediate i mod groups.
+    votes_.push_back(static_cast<uint32_t>(leaves / groups + (g < leaves % groups ? 1 : 0) + 1));
+    Rescan(g);
   }
+  SortGroups();
   base_ = next_;
-  initial_score_ = Reduce();
+  order_ = next_order_;
+  initial_score_ = QuorumPrefix(order_, k_);
   SaveBest();
 }
 
 double TreeWalk::Propose(Rng& rng) {
   // Settle the last proposal: undo it if rejected; if accepted, it is the
-  // new base with its rescanned groups, and a swap of a candidate with a
-  // non-candidate refiles its leaf positions in the swappable list.
+  // new base with its groups and their order, and a swap of a candidate
+  // with a non-candidate refiles its leaf positions in the swappable list.
   if (!accepted_) {
     std::swap(ids_[swap_.a], ids_[swap_.b]);
   } else {
     base_.swap(next_);
+    order_.swap(next_order_);
     if (Eligible(eligible_, ids_[swap_.a]) != Eligible(eligible_, ids_[swap_.b])) {
       Refile(swap_.a);
       Refile(swap_.b);
@@ -138,11 +145,43 @@ double TreeWalk::Propose(Rng& rng) {
 
   swap_ = DrawTreeSwap(ids_, internals_, swappable_, rng);
   next_ = base_;
-  if (swap_.a != swap_.b) {
-    Rescan(swap_.a);
-    Rescan(swap_.b);
+  next_order_ = order_;
+  const auto [a, b] = swap_;
+  if (a == b) {
+    return QuorumPrefix(next_order_, k_);
   }
-  return Reduce();
+  // Positions a and b now hold each other's former ids. A moved
+  // intermediate rescans its group; a moved leaf updates its group unless
+  // the other position is in the same group too (its intermediate, which
+  // rescans it, or a leaf, which leaves its members as they were).
+  size_t changed[2];
+  size_t count = 0;
+  for (const auto& [pos, other] : {std::pair{a, b}, std::pair{b, a}}) {
+    if (pos == 0) {
+      continue;
+    }
+    const size_t g = GroupAt(pos);
+    if (pos < internals_) {
+      Rescan(g);
+    } else if (other != 0 && GroupAt(other) == g) {
+      continue;
+    } else {
+      MoveLeaf(g, /*lost=*/ids_[other], /*gained=*/ids_[pos]);
+    }
+    changed[count++] = g;
+  }
+  if (a == 0 || b == 0) {
+    // The root moved: every group's RTT to it changes.
+    for (size_t g = 0; g < next_.size(); ++g) {
+      next_[g].up = latency_.Rtt(ids_[g + 1], ids_[0]);
+    }
+    SortGroups();
+  } else {
+    for (size_t i = 0; i < count; ++i) {
+      Reorder(changed[i]);
+    }
+  }
+  return QuorumPrefix(next_order_, k_);
 }
 
 // Flat position `pos` now holds a candidate iff it held none before: a leaf
@@ -159,34 +198,75 @@ void TreeWalk::Refile(size_t pos) {
   }
 }
 
-// Rescans what flat position `pos` bears on: the root column, or one group.
-void TreeWalk::Rescan(size_t pos) {
+// The group flat position `pos` (not the root's) belongs to: an
+// intermediate's own, or a leaf's by Build's round-robin.
+size_t TreeWalk::GroupAt(size_t pos) const {
+  return pos < internals_ ? pos - 1 : (pos - internals_) % next_.size();
+}
+
+// Group g's worst child RTT, scanned over its leaves.
+double TreeWalk::Worst(size_t g) const {
   const size_t groups = next_.size();
-  if (pos == 0) {
-    for (size_t g = 0; g < groups; ++g) {
-      next_[g].up = latency_.Rtt(ids_[g + 1], ids_[0]);
-    }
-    return;
-  }
-  const size_t g = pos < internals_ ? pos - 1 : (pos - internals_) % groups;
   const ReplicaId inter = ids_[g + 1];
   double worst = 0.0;
   for (size_t i = internals_ + g; i < ids_.size(); i += groups) {
     worst = std::max(worst, latency_.Rtt(inter, ids_[i]));
   }
-  next_[g] = {worst, latency_.Rtt(inter, ids_[0])};
+  return worst;
 }
 
-double TreeWalk::Reduce() {
-  const size_t groups = next_.size();
-  const size_t leaves = ids_.size() - internals_;
-  subtrees_.clear();
-  for (size_t g = 0; g < groups; ++g) {
-    // Build's round-robin: leaf i hangs under intermediate i mod groups.
-    const size_t children = leaves / groups + (g < leaves % groups ? 1 : 0);
-    subtrees_.push_back({next_[g].worst + next_[g].up, static_cast<uint32_t>(children + 1)});
+// Group g in full: its worst child RTT and its RTT to the root.
+void TreeWalk::Rescan(size_t g) {
+  next_[g] = {Worst(g), latency_.Rtt(ids_[g + 1], ids_[0])};
+}
+
+// Group g kept its intermediate and swapped leaf `lost` for `gained`. Its
+// worst RTT w stands when `lost` was faster than w (another leaf attains
+// it), and the new worst is then max(w, RTT to `gained`); otherwise the
+// group is rescanned.
+void TreeWalk::MoveLeaf(size_t g, ReplicaId lost, ReplicaId gained) {
+  const ReplicaId inter = ids_[g + 1];
+  double& worst = next_[g].worst;
+  if (latency_.Rtt(inter, lost) < worst) {
+    worst = std::max(worst, latency_.Rtt(inter, gained));
+  } else {
+    worst = Worst(g);
   }
-  return QuorumArrival(subtrees_, k_);
+}
+
+// Moves group g's entry in the proposal's arrival order from its base
+// arrival to its proposed one, one insertion-sort step. Entries of equal
+// arrival and votes are interchangeable, so any one of them is g's.
+void TreeWalk::Reorder(size_t g) {
+  const double from = base_[g].arrival();
+  const double to = next_[g].arrival();
+  if (to == from) {
+    return;
+  }
+  std::vector<SubtreeArrival>& order = next_order_;
+  size_t i = static_cast<size_t>(
+      std::lower_bound(order.begin(), order.end(), from,
+                       [](const SubtreeArrival& s, double t) { return s.arrival < t; }) -
+      order.begin());
+  while (order[i].votes != votes_[g]) {
+    ++i;
+  }
+  for (; i + 1 < order.size() && order[i + 1].arrival < to; ++i) {
+    order[i] = order[i + 1];
+  }
+  for (; i > 0 && order[i - 1].arrival > to; --i) {
+    order[i] = order[i - 1];
+  }
+  order[i] = {to, votes_[g]};
+}
+
+// The proposal's arrival order, rebuilt from every group and sorted.
+void TreeWalk::SortGroups() {
+  next_order_.clear();
+  for (size_t g = 0; g < next_.size(); ++g) {
+    next_order_.push_back({next_[g].arrival(), votes_[g]});
+  }
+  SortByArrival(next_order_);
 }
 
 TreeTopology AnnealTree(uint32_t n, const std::vector<ReplicaId>& internal_candidates,

@@ -79,8 +79,10 @@ TreeTopology MutateTree(const TreeTopology& tree, const std::vector<bool>& eligi
 
 // AnnealTree's Anneal walk over a flat tree, scored in TreeScore's doubles;
 // `eligible` and `latency` must outlive it. A neighbor is one MutateFlat swap
-// of the current flat tree (the base) and rescans only what that swap touches
-// (DESIGN.md, "SA search-time convention").
+// of the current flat tree (the base). It rescans a group only when the swap
+// changes its intermediate or removes its slowest leaf, and re-files only
+// the groups it changed in the base's arrival order (DESIGN.md, "SA
+// search-time convention").
 class TreeWalk {
  public:
   TreeWalk(std::vector<ReplicaId> ids, size_t internals, const std::vector<bool>& eligible,
@@ -99,10 +101,15 @@ class TreeWalk {
  private:
   struct Group {
     double worst, up;  // worst child RTT, RTT to the root
+    double arrival() const { return worst + up; }
   };
   void Refile(size_t pos);
-  void Rescan(size_t pos);
-  double Reduce();
+  size_t GroupAt(size_t pos) const;
+  double Worst(size_t g) const;
+  void Rescan(size_t g);
+  void MoveLeaf(size_t g, ReplicaId lost, ReplicaId gained);
+  void Reorder(size_t g);
+  void SortGroups();
 
   const std::vector<bool>& eligible_;
   const LatencyMatrix& latency_;
@@ -110,8 +117,10 @@ class TreeWalk {
   const size_t internals_;
   std::vector<ReplicaId> ids_, best_;
   std::vector<uint32_t> swappable_;  // in the base, ascending
+  std::vector<uint32_t> votes_;      // per group: its leaves and intermediate
   std::vector<Group> base_, next_;   // per intermediate
-  std::vector<SubtreeArrival> subtrees_;
+  // The groups of the base and of the proposal in arrival order.
+  std::vector<SubtreeArrival> order_, next_order_;
   TreeSwap swap_;
   bool accepted_ = false;
   double initial_score_ = 0.0;

@@ -19,16 +19,19 @@ double AggregationLatencyMs(const TreeTopology& tree, const LatencyMatrix& laten
   return worst;
 }
 
-double QuorumArrival(std::span<SubtreeArrival> subtrees, uint32_t k) {
-  if (k <= 1) {
-    return 0.0;  // the root's own vote suffices
-  }
+void SortByArrival(std::span<SubtreeArrival> subtrees) {
   std::sort(subtrees.begin(), subtrees.end(),
             [](const SubtreeArrival& a, const SubtreeArrival& b) {
               return a.arrival < b.arrival;
             });
+}
+
+double QuorumPrefix(std::span<const SubtreeArrival> sorted, uint32_t k) {
+  if (k <= 1) {
+    return 0.0;  // the root's own vote suffices
+  }
   uint32_t covered = 0;
-  for (const SubtreeArrival& s : subtrees) {
+  for (const SubtreeArrival& s : sorted) {
     covered += s.votes;
     if (covered >= k - 1) {
       return s.arrival;
@@ -52,7 +55,8 @@ double TreeScore(const TreeTopology& tree, const LatencyMatrix& latency, uint32_
         {AggregationLatencyMs(tree, latency, inter) + latency.Rtt(inter, tree.root()),
          static_cast<uint32_t>(tree.ChildrenOf(inter).size()) + 1});
   }
-  return QuorumArrival(subtrees, k);
+  SortByArrival(subtrees);
+  return QuorumPrefix(subtrees, k);
 }
 
 }  // namespace optilog

@@ -28,9 +28,13 @@ struct SubtreeArrival {
   uint32_t votes;
 };
 
-// The reduction above, shared by TreeScore and AnnealTree's walk: sorts
-// `subtrees`, 0 for k <= 1, +inf if they carry fewer than k - 1 votes.
-double QuorumArrival(std::span<SubtreeArrival> subtrees, uint32_t k);
+// The reduction above in two steps, shared by TreeScore and AnnealTree's
+// walk. SortByArrival puts subtrees in arrival order; QuorumPrefix then
+// returns the arrival at which a prefix first carries k - 1 votes: 0 for
+// k <= 1, +inf if they carry fewer. Any order of equal arrivals gives the
+// same result, so a caller may keep the order by other means.
+void SortByArrival(std::span<SubtreeArrival> subtrees);
+double QuorumPrefix(std::span<const SubtreeArrival> sorted, uint32_t k);
 
 // score(k, tau). Returns +inf if the tree cannot deliver k votes at all
 // (e.g. unknown links or not enough subtree coverage).

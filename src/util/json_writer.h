@@ -66,7 +66,7 @@ class JsonWriter {
     Comma();
     char buf[64];
     const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    out_.append(buf, res.ptr);
+    out_.append(buf, static_cast<size_t>(res.ptr - buf));
     return *this;
   }
   JsonWriter& Bool(bool v) {
@@ -88,7 +88,7 @@ class JsonWriter {
     Comma();
     char buf[32];
     const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    out_.append(buf, res.ptr);
+    out_.append(buf, static_cast<size_t>(res.ptr - buf));
     return *this;
   }
 

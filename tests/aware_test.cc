@@ -2,6 +2,7 @@
 
 #include <optional>
 
+#include "bench/bench_util.h"
 #include "src/aware/aware_score.h"
 #include "src/net/geo.h"
 
@@ -14,21 +15,6 @@ LatencyMatrix UniformMatrix(uint32_t n, double rtt_ms) {
     for (ReplicaId b = 0; b < n; ++b) {
       if (a != b) {
         m.Record(a, b, rtt_ms);
-      }
-    }
-  }
-  return m;
-}
-
-// Every ordered pair recorded with the cities' RTT.
-LatencyMatrix CityMatrix(const std::vector<City>& cities) {
-  const uint32_t n = static_cast<uint32_t>(cities.size());
-  const auto rtts = RttMatrixMs(cities);
-  LatencyMatrix m(n);
-  for (ReplicaId a = 0; a < n; ++a) {
-    for (ReplicaId b = 0; b < n; ++b) {
-      if (a != b) {
-        m.Record(a, b, rtts[a][b]);
       }
     }
   }
@@ -112,7 +98,7 @@ TEST(AwareScore, UniformMatrixIsThreePhases) {
 
 TEST(AwareScore, LeaderPlacementMatters) {
   // Leader in the EU cluster beats a leader in an outlier city.
-  const LatencyMatrix m = CityMatrix(NaEu43());
+  const LatencyMatrix m = MatrixFromCities(NaEu43());
   // f = 10 leaves Delta = 12 spare replicas, so weighted quorums can form
   // from well-placed Vmax holders — the regime Aware/WHEAT target.
   const uint32_t f = 10;
@@ -141,7 +127,7 @@ TEST(AwareScore, LeaderPlacementMatters) {
 TEST(AwareScore, UEstimateIncreasesPrediction) {
   const uint32_t n = 21, f = 6;
   const AwareConfigSpace space(n, f);
-  const LatencyMatrix m = CityMatrix(Europe21());
+  const LatencyMatrix m = MatrixFromCities(Europe21());
   const RoleConfig cfg = BasicConfig(n, f, 0);
   double prev = 0;
   for (uint32_t u = 0; u <= 4; ++u) {
@@ -238,11 +224,11 @@ void ExpectTableMatchesReference(const LatencyMatrix& m, uint32_t f, uint64_t se
 }
 
 TEST(AwareTimeoutTable, MatchesReferenceEurope21) {
-  ExpectTableMatchesReference(CityMatrix(Europe21()), 6, 11);
+  ExpectTableMatchesReference(MatrixFromCities(Europe21()), 6, 11);
 }
 
 TEST(AwareTimeoutTable, MatchesReferenceNaEu43) {
-  ExpectTableMatchesReference(CityMatrix(NaEu43()), 10, 12);
+  ExpectTableMatchesReference(MatrixFromCities(NaEu43()), 10, 12);
 }
 
 TEST(AwareTimeoutTable, MatchesReferenceWithColocatedReplicas) {
@@ -252,14 +238,14 @@ TEST(AwareTimeoutTable, MatchesReferenceWithColocatedReplicas) {
   for (size_t i = 0; i < 21; ++i) {
     cities.push_back(europe[i / 3]);
   }
-  const LatencyMatrix m = CityMatrix(cities);
+  const LatencyMatrix m = MatrixFromCities(cities);
   ASSERT_EQ(m.Rtt(0, 5), m.Rtt(1, 5));
   ExpectTableMatchesReference(m, 6, 13);
 }
 
 TEST(AwareTimeoutTable, MatchesReferenceWithUnknownPair) {
   // Every pair but {0, 1} recorded: that one stays unknown, L = +inf.
-  const LatencyMatrix full = CityMatrix(Europe21());
+  const LatencyMatrix full = MatrixFromCities(Europe21());
   LatencyMatrix m(21);
   for (ReplicaId a = 0; a < 21; ++a) {
     for (ReplicaId b = 0; b < 21; ++b) {
@@ -273,12 +259,12 @@ TEST(AwareTimeoutTable, MatchesReferenceWithUnknownPair) {
 }
 
 TEST(AwareTimeoutTable, MatchesReferenceBeyond64Replicas) {
-  ExpectTableMatchesReference(CityMatrix(GlobalN(70)), 20, 15);
+  ExpectTableMatchesReference(MatrixFromCities(GlobalN(70)), 20, 15);
 }
 
 TEST(AwareTimeoutTable, RefreshesAfterRecord) {
   // One space scores, the matrix changes, the same space scores again.
-  LatencyMatrix m = CityMatrix(Europe21());
+  LatencyMatrix m = MatrixFromCities(Europe21());
   const AwareConfigSpace space(21, 6);
   ExpectTableMatchesReference(space, m, 16, 500);
   const RoleConfig cfg = BasicConfig(21, 6, 0);
@@ -296,12 +282,12 @@ TEST(AwareTimeoutTable, MatricesBuiltInTurnAtOneAddressDoNotAlias) {
   const AwareConfigSpace space(21, 6);
   std::optional<LatencyMatrix> m;
   auto build = [&](std::vector<City> cities) {
-    const auto rtts = RttMatrixMs(cities);
+    const std::vector<double> rtts = CityRttTableMs(cities);
     m.emplace(21);
     for (ReplicaId a = 0; a < 21; ++a) {
       for (ReplicaId b = 0; b < 21; ++b) {
         if (a != b) {
-          m->Record(a, b, rtts[a][b]);
+          m->Record(a, b, rtts[a * 21 + b]);
         }
       }
     }
@@ -313,7 +299,7 @@ TEST(AwareTimeoutTable, MatricesBuiltInTurnAtOneAddressDoNotAlias) {
   std::reverse(reversed.begin(), reversed.end());
   build(reversed);
   ASSERT_EQ(&*m, first);
-  ASSERT_NE(m->Rtt(0, 1), CityMatrix(Europe21()).Rtt(0, 1));
+  ASSERT_NE(m->Rtt(0, 1), MatrixFromCities(Europe21()).Rtt(0, 1));
   ExpectTableMatchesReference(space, *m, 19, 500);
 }
 

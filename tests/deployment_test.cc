@@ -5,24 +5,14 @@
 // the API is measured against.
 #include <gtest/gtest.h>
 
+#include "bench/bench_util.h"
 #include "src/api/deployment.h"
+#include "src/shard/sharded_deployment.h"
 #include "src/tree/kauri.h"
+#include "tests/test_support.h"
 
 namespace optilog {
 namespace {
-
-LatencyMatrix MatrixFor(const std::vector<City>& cities) {
-  const auto rtts = RttMatrixMs(cities);
-  LatencyMatrix m(static_cast<uint32_t>(cities.size()));
-  for (ReplicaId a = 0; a < cities.size(); ++a) {
-    for (ReplicaId b = 0; b < cities.size(); ++b) {
-      if (a != b) {
-        m.Record(a, b, rtts[a][b]);
-      }
-    }
-  }
-  return m;
-}
 
 // --- OptiTree: healthy run ---------------------------------------------------
 
@@ -37,11 +27,11 @@ TEST(DeploymentBuilder, OptiTreeMatchesHandWiredCounts) {
   double wired_latency = 0.0;
   {
     const auto cities = Europe21();
-    GeoLatencyModel latency(cities);
+    const GeoLatencyModel latency = GeoModel(cities);
     Simulator sim;
     FaultModel faults;
     Network net(&sim, &latency, &faults);
-    const LatencyMatrix matrix = MatrixFor(cities);
+    const LatencyMatrix matrix = MatrixFromCities(cities);
 
     TreeRsmOptions opts;
     opts.n = kN;
@@ -92,12 +82,12 @@ TEST(DeploymentBuilder, OptiTreeCrashRecoveryMatchesHandWiredPipeline) {
   uint64_t wired_blocks = 0, wired_reconfigs = 0, wired_failed = 0;
   {
     const auto cities = Europe21();
-    GeoLatencyModel latency(cities);
+    const GeoLatencyModel latency = GeoModel(cities);
     Simulator sim;
     FaultModel faults;
     Network net(&sim, &latency, &faults);
     KeyStore keys(kN, kSeed);
-    const LatencyMatrix matrix = MatrixFor(cities);
+    const LatencyMatrix matrix = MatrixFromCities(cities);
 
     TreeRsmOptions opts;
     opts.n = kN;
@@ -205,7 +195,7 @@ TEST(DeploymentBuilder, OptiAwareMatchesHandWiredCounts) {
     auto cities = Europe21();
     auto both = cities;
     both.insert(both.end(), cities.begin(), cities.end());
-    GeoLatencyModel latency(both);
+    const GeoLatencyModel latency = GeoModel(both);
     Simulator sim;
     FaultModel faults;
     Network net(&sim, &latency, &faults);
@@ -352,6 +342,62 @@ TEST(DeploymentBuilder, GeoDerivesSizeAndFaults) {
   // HotStuff default topology: a star rooted at 0.
   EXPECT_EQ(d->tree().topology().root(), 0u);
   EXPECT_TRUE(d->tree().topology().intermediates().empty());
+}
+
+// Every actor pair's one-way delay and every replica pair's matrix RTT
+// equal CityRttMs of their cities, computed pair by pair: the deployment
+// derives both from one table over its unique cities. Actors after the
+// replicas (a fleet's clients, or a shard owner's coordinators and clients)
+// sit in replica (id - n) mod n's city.
+void ExpectPairwiseCityRtts(Deployment& d, size_t actors) {
+  const std::vector<City>& cities = d.cities();
+  const uint32_t n = d.n();
+  const auto city = [&](ReplicaId id) -> const City& {
+    return cities[id < n ? id : (id - n) % n];
+  };
+  const LatencyModel& latency = *d.net().latency();
+  for (ReplicaId a = 0; a < actors; ++a) {
+    for (ReplicaId b = 0; b < actors; ++b) {
+      const double rtt = CityRttMs(city(a), city(b));
+      ASSERT_EQ(latency.OneWay(a, b), a == b ? 0 : FromMs(rtt / 2.0)) << a << " -> " << b;
+      if (a < n && b < n) {
+        ASSERT_EQ(d.matrix().Rtt(a, b), a == b ? 0.0 : rtt) << a << " <-> " << b;
+      }
+    }
+  }
+}
+
+TEST(DeploymentBuilder, OneCityTableGivesEveryPairItsCityRtt) {
+  {
+    SCOPED_TRACE("GlobalN(1000), 64 clients");
+    WorkloadOptions w;
+    w.clients = 64;
+    auto d = Deployment::Builder()
+                 .WithGeo(GlobalN(1000))
+                 .WithProtocol(Protocol::kHotStuff)
+                 .WithWorkload(w)
+                 .Build();
+    ExpectPairwiseCityRtts(*d, 1000 + 64);
+  }
+  {
+    SCOPED_TRACE("sharded Europe21");
+    TxnWorkloadOptions txn;
+    txn.clients_per_shard = 3;
+    auto sd = Deployment::Builder()
+                  .WithGeo(Europe21())
+                  .WithReplicas(7, 2)
+                  .WithProtocol(Protocol::kHotStuff)
+                  .WithWorkload(WorkloadOptions{})
+                  .WithStateMachine()
+                  .WithShards(3)
+                  .WithTxnWorkload(txn)
+                  .BuildSharded();
+    for (uint32_t s = 0; s < sd->shards(); ++s) {
+      SCOPED_TRACE(s);
+      // 7 replicas, then 3 coordinators, then 9 clients.
+      ExpectPairwiseCityRtts(sd->shard(s), 7 + 3 + 9);
+    }
+  }
 }
 
 TEST(ConsensusEngine, SetTopologyOrConfigRoundTrips) {

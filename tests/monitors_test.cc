@@ -113,6 +113,66 @@ TEST(LatencyMatrix, CityBaselineIsCompleteAndVersioned) {
   EXPECT_EQ(m.Coverage(), 1.0);
 }
 
+// A city baseline stores each city pair under the max rule, so an
+// asymmetric table reads as its symmetrized form; Records then apply the
+// max rule on top, one direction at a time. Every answer equals a dense
+// matrix that recorded the symmetrized baseline for every ordered pair and
+// then the same Records, before and after the first of them.
+TEST(LatencyMatrix, CityBaselineMatchesDenseMaxRuleReference) {
+  constexpr uint32_t kN = 12;
+  constexpr size_t kCities = 5;
+  constexpr double kUnknownReport = -1.0;  // Record's "no report"
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(77);
+  std::vector<uint32_t> index_of(kN);
+  for (uint32_t& c : index_of) {
+    c = static_cast<uint32_t>(rng.Below(kCities));
+  }
+  std::vector<double> table(kCities * kCities);
+  for (double& rtt : table) {
+    rtt = 5.0 + static_cast<double>(rng.Below(40));  // asymmetric, with ties
+  }
+  table[1 * kCities + 3] = inf;  // one direction unreachable
+
+  LatencyMatrix city;
+  city.ResetWithCityBaseline(kN, index_of, table, kCities);
+  LatencyMatrix dense(kN);
+  for (ReplicaId a = 0; a < kN; ++a) {
+    for (ReplicaId b = 0; b < kN; ++b) {
+      const size_t ca = index_of[a], cb = index_of[b];
+      if (a != b) {
+        dense.Record(a, b,
+                     ca == cb ? 1.0
+                              : std::max(table[ca * kCities + cb], table[cb * kCities + ca]));
+      }
+    }
+  }
+  const auto expect_same = [&](const char* when) {
+    for (ReplicaId a = 0; a < kN; ++a) {
+      for (ReplicaId b = 0; b < kN; ++b) {
+        ASSERT_EQ(city.Rtt(a, b), dense.Rtt(a, b)) << when << ": " << a << " <-> " << b;
+      }
+    }
+  };
+  expect_same("baseline");
+  // Reports in both directions: values that win and lose the max rule, the
+  // unknown report and +inf.
+  for (int i = 0; i < 80; ++i) {
+    const ReplicaId a = static_cast<ReplicaId>(rng.Below(kN));
+    const ReplicaId b = static_cast<ReplicaId>(rng.Below(kN));
+    const uint64_t kind = rng.Below(4);
+    const double rtt = kind == 0   ? kUnknownReport
+                       : kind == 1 ? inf
+                                   : 0.5 + static_cast<double>(rng.Below(80));
+    city.Record(a, b, rtt);
+    dense.Record(a, b, rtt);
+    if (i == 0) {
+      expect_same("first override");
+    }
+  }
+  expect_same("every override");
+}
+
 TEST(LatencyMonitor, AppliesVectors) {
   LatencyMonitor mon(3);
   LatencyVectorRecord rec;

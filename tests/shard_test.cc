@@ -839,6 +839,81 @@ TEST(ShardedDeployment, RecoveryResolvesVotesTheCoordinatorNeverSaw) {
   ExpectTxnTablesDrained(*sd);
 }
 
+// Every cross-shard transaction passes its home coordinator's dedup table,
+// which keeps one entry per client however many transactions run: here
+// about a hundred per client.
+TEST(ShardedDeployment, CoordinatorDedupHoldsOneEntryPerClient) {
+  TxnWorkloadOptions txn;
+  txn.clients_per_shard = 3;
+  txn.keys_per_txn = 2;
+  txn.think_time = 0;
+  auto sd = BaseBuilder(29)
+                .WithShards(4)
+                .WithCrossShardRatio(0.5)
+                .WithTxnWorkload(txn)
+                .BuildSharded();
+  sd->Start();
+  sd->RunUntil(60 * kSec);
+
+  const MetricsReport m = sd->Metrics();
+  const uint32_t clients = sd->txn_fleet()->size();
+  EXPECT_GT(m.txn.committed_cross, 100u * clients);
+  for (uint32_t s = 0; s < sd->shards(); ++s) {
+    EXPECT_LE(sd->coordinator(s).clients_tracked(), clients) << "shard " << s;
+    EXPECT_GT(sd->coordinator(s).clients_tracked(), 0u) << "shard " << s;
+  }
+  EXPECT_EQ(m.txn.kv_mismatches, 0u);
+  EXPECT_EQ(m.statemachine.digests_equal, 1u);
+}
+
+// A retry of an answered request, and a late retry of an older one after
+// a newer request was answered, are dropped: no prepare is sent and no
+// second answer comes back.
+TEST(ShardedDeployment, AnsweredRetryIsNotRunTwice) {
+  TxnWorkloadOptions txn;
+  txn.clients_per_shard = 1;
+  txn.stop_at = 1;  // the fleet stays idle: the test scripts the traffic
+  auto sd = BaseBuilder(31)
+                .WithShards(2)
+                .WithCrossShardRatio(0.5)
+                .WithTxnWorkload(txn)
+                .BuildSharded();
+  ScriptedClient client(*sd);
+  const auto key_on = [&sd](uint32_t shard, uint64_t from) {
+    while (sd->router().ShardOf(from) != shard) {
+      ++from;
+    }
+    return from;
+  };
+  const std::vector<KvOp> first = {Put(key_on(0, 100), 1), Put(key_on(1, 100), 2)};
+  const std::vector<KvOp> second = {Put(key_on(0, 200), 3), Put(key_on(1, 200), 4)};
+  sd->Start();
+  sd->RunUntil(100 * kMsec);
+  client.Send(0, first);
+  sd->RunUntil(kSec);
+  ASSERT_EQ(client.answers[0].size(), 1u);
+  EXPECT_TRUE(client.answers[0][0].committed);
+  const uint64_t prepares = sd->Metrics().txn.prepares_sent;
+  EXPECT_EQ(prepares, 2u);
+
+  client.Send(0, first);  // the answered request again
+  sd->RunUntil(2 * kSec);
+  client.Send(1, second);
+  sd->RunUntil(3 * kSec);
+  client.Send(0, first);  // a late retry behind a newer answered request
+  sd->RunUntil(4 * kSec);
+
+  const MetricsReport m = sd->Metrics();
+  EXPECT_EQ(client.answers[0].size(), 1u);
+  ASSERT_EQ(client.answers[1].size(), 1u);
+  EXPECT_TRUE(client.answers[1][0].committed);
+  EXPECT_EQ(m.txn.coord_duplicates, 2u);
+  EXPECT_EQ(m.txn.prepares_sent, prepares + 2);
+  EXPECT_EQ(sd->coordinator(0).clients_tracked(), 1u);
+  EXPECT_EQ(m.statemachine.digests_equal, 1u);
+  ExpectTxnTablesDrained(*sd);
+}
+
 // A shard has no client fleet, so each reports its engine's own consensus
 // latency: for the PBFT family, Pre-Prepare timestamp to the leader's
 // commit. The deployment's commit-weighted mean is then a real latency for

@@ -130,22 +130,24 @@ TEST(Geo, IntercontinentalRttInPaperBand) {
 
 TEST(Geo, IntraEuropeRttSmall) {
   const auto eu = Europe21();
-  const auto m = RttMatrixMs(eu);
-  for (size_t i = 0; i < eu.size(); ++i) {
-    for (size_t j = i + 1; j < eu.size(); ++j) {
-      EXPECT_LT(m[i][j], 80.0) << eu[i].name << "<->" << eu[j].name;
-      EXPECT_GE(m[i][j], 1.0);
+  const size_t u = eu.size();
+  const std::vector<double> m = CityRttTableMs(eu);
+  for (size_t i = 0; i < u; ++i) {
+    for (size_t j = i + 1; j < u; ++j) {
+      EXPECT_LT(m[i * u + j], 80.0) << eu[i].name << "<->" << eu[j].name;
+      EXPECT_GE(m[i * u + j], 1.0);
     }
   }
 }
 
 TEST(Geo, RttMatrixSymmetric) {
   const auto cities = Global73();
-  const auto m = RttMatrixMs(cities);
-  for (size_t i = 0; i < cities.size(); ++i) {
-    EXPECT_EQ(m[i][i], 0.0);
-    for (size_t j = 0; j < cities.size(); ++j) {
-      EXPECT_EQ(m[i][j], m[j][i]);
+  const size_t u = cities.size();
+  const std::vector<double> m = CityRttTableMs(cities);
+  for (size_t i = 0; i < u; ++i) {
+    EXPECT_EQ(m[i * u + i], 1.0);  // colocated: the datacenter base delay
+    for (size_t j = 0; j < u; ++j) {
+      EXPECT_EQ(m[i * u + j], m[j * u + i]);
     }
   }
 }
@@ -161,7 +163,7 @@ TEST(Geo, GlobalNDeterministicAndSized) {
 }
 
 TEST(LatencyModel, GeoModelSymmetricOneWay) {
-  GeoLatencyModel model(Europe21());
+  const GeoLatencyModel model = GeoModel(Europe21());
   for (ReplicaId a = 0; a < 21; ++a) {
     for (ReplicaId b = 0; b < 21; ++b) {
       EXPECT_EQ(model.OneWay(a, b), model.OneWay(b, a));

@@ -1,11 +1,13 @@
-// Fixtures shared by the unit tests: a hand-set latency model, a signature
-// that does not verify, and a trace's canonical bytes.
+// Fixtures shared by the unit tests: a hand-set latency model, the
+// deployment's geographic one, a signature that does not verify, and a
+// trace's canonical bytes.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "src/crypto/signature.h"
+#include "src/net/geo.h"
 #include "src/net/latency_model.h"
 #include "src/obs/trace.h"
 
@@ -35,6 +37,12 @@ class MatrixLatencyModel : public LatencyModel {
  private:
   std::vector<std::vector<SimTime>> one_way_;
 };
+
+// The latency model a deployment builds for actors placed in `cities`.
+inline GeoLatencyModel GeoModel(const std::vector<City>& cities) {
+  const CityIndex ci = DedupeCities(cities);
+  return GeoLatencyModel(ci.index_of, CityRttTableMs(ci.unique), ci.unique.size());
+}
 
 // A signature that claims `signer` but does not verify: a constant pattern
 // fails verification with overwhelming probability.

@@ -2,6 +2,7 @@
 
 #include <numeric>
 
+#include "bench/bench_util.h"
 #include "src/core/measurement.h"
 #include "src/net/geo.h"
 #include "src/tree/kauri.h"
@@ -18,19 +19,6 @@ LatencyMatrix UniformMatrix(uint32_t n, double rtt_ms) {
     for (ReplicaId b = 0; b < n; ++b) {
       if (a != b) {
         m.Record(a, b, rtt_ms);
-      }
-    }
-  }
-  return m;
-}
-
-LatencyMatrix GeoMatrix(const std::vector<City>& cities) {
-  const auto rtts = RttMatrixMs(cities);
-  LatencyMatrix m(static_cast<uint32_t>(cities.size()));
-  for (ReplicaId a = 0; a < cities.size(); ++a) {
-    for (ReplicaId b = 0; b < cities.size(); ++b) {
-      if (a != b) {
-        m.Record(a, b, rtts[a][b]);
       }
     }
   }
@@ -183,7 +171,7 @@ TEST(TreeScore, StarUsesDirectVotes) {
 }
 
 TEST(TreeScore, MonotoneInK) {
-  const LatencyMatrix m = GeoMatrix(Europe21());
+  const LatencyMatrix m = MatrixFromCities(Europe21());
   Rng rng(4);
   const TreeTopology t = RandomTree(21, rng);
   double prev = 0.0;
@@ -236,7 +224,7 @@ TEST(TreeSpace, RejectsInternalOutsideK) {
 }
 
 TEST(KauriSa, BurnsFailedInternals) {
-  const LatencyMatrix m = GeoMatrix(Europe21());
+  const LatencyMatrix m = MatrixFromCities(Europe21());
   KauriSaScheduler sched(21, 5, 16, 77);
   AnnealingParams params;
   params.max_iterations = 300;
@@ -261,7 +249,7 @@ TEST(KauriSa, BurnsFailedInternals) {
 }
 
 TEST(AnnealTree, BeatsRandomTreeOnGeoMatrix) {
-  const LatencyMatrix m = GeoMatrix(Global73());
+  const LatencyMatrix m = MatrixFromCities(Global73());
   std::vector<ReplicaId> all(73);
   for (ReplicaId id = 0; id < 73; ++id) {
     all[id] = id;
@@ -285,12 +273,8 @@ TEST(AnnealTree, BeatsRandomTreeOnGeoMatrix) {
 LatencyMatrix CityBaselineMatrix(uint32_t n, uint64_t seed) {
   CityIndex ci = DedupeCities(GlobalN(n, seed));
   const size_t u = ci.unique.size();
-  std::vector<double> flat;
-  for (const std::vector<double>& row : RttMatrixMs(ci.unique)) {
-    flat.insert(flat.end(), row.begin(), row.end());
-  }
   LatencyMatrix m;
-  m.ResetWithCityBaseline(n, std::move(ci.index_of), std::move(flat), u);
+  m.ResetWithCityBaseline(n, std::move(ci.index_of), CityRttTableMs(ci.unique), u);
   return m;
 }
 
@@ -422,9 +406,10 @@ INSTANTIATE_TEST_SUITE_P(Sizes, AnnealTreeDifferential, ::testing::Values(4, 21,
 // its incremental score is TreeScore of the tree the proposal builds. Runs of
 // 500 accepted proposals alternate with runs that accept half at random, and
 // ineligible ids start among the internals, so the swappable list gains and
-// loses positions.
+// loses positions. At n = 1000 about 4.5 replicas share each of the 220
+// cities, so a group's worst leaf is often tied, and often the one removed.
 TEST(TreeWalk, IncrementalScoreEqualsTreeScore) {
-  for (uint32_t n : {21u, 211u}) {
+  for (uint32_t n : {21u, 211u, 1000u}) {
     const uint32_t b = BranchFactorFor(n);
     const uint32_t f = (n - 1) / 3;
     for (const LatencyMatrix& m : {CityBaselineMatrix(n, 3), DenseMatrix(n, 5)}) {
