@@ -1,6 +1,7 @@
 #include "src/aware/aware_score.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "src/util/check.h"
@@ -46,6 +47,32 @@ double WeightedQuorumTime(std::span<std::pair<double, double>> arrivals_weights,
     }
   }
   return kInf;
+}
+
+void AwareVoteDeadlines::Build(const AwareTimeouts& t, const LatencyMatrix& latency) {
+  n_ = static_cast<uint32_t>(t.propose.size());
+  const size_t pairs = size_t{n_} * n_;
+  deadline_.assign(2 * pairs, kUnobserved);
+  if (latency.Coverage() < 1.0) {
+    return;
+  }
+  for (ReplicaId from = 0; from < n_; ++from) {
+    for (ReplicaId to = 0; to < n_; ++to) {
+      if (from == to || !latency.Known(from, to)) {
+        continue;
+      }
+      const double rtt = latency.Rtt(from, to);
+      const double write = t.propose[from] + rtt;
+      const double accept = t.prepared[from] + rtt;
+      const size_t at = size_t{from} * n_ + to;
+      if (std::isfinite(write)) {
+        deadline_[at] = FromMs(write);
+      }
+      if (std::isfinite(accept)) {
+        deadline_[pairs + at] = FromMs(accept);
+      }
+    }
+  }
 }
 
 double AwareProposeTimeoutMs(const RoleConfig& config, const LatencyMatrix& latency,
@@ -95,19 +122,33 @@ RoleConfig AwareConfigSpace::RandomConfig(const CandidateSet& candidates,
 RoleConfig AwareConfigSpace::Mutate(const RoleConfig& config,
                                     const CandidateSet& candidates, Rng& rng) const {
   RoleConfig cfg = config;
-  std::vector<ReplicaId> vmax, vmin_candidates;
+  const auto is_vmax = [&](ReplicaId id) {
+    return id < cfg.weight_max.size() && cfg.weight_max[id] != 0;
+  };
+  const auto is_vmin_candidate = [&](ReplicaId id) {
+    return !is_vmax(id) && candidates.Contains(id);
+  };
+  // A draw picks the i-th Vmax holder or candidate Vmin replica by
+  // ascending id: counted here, found by a second scan, so neither list is
+  // built.
+  uint64_t vmax = 0;
+  uint64_t vmin_candidates = 0;
   for (ReplicaId id = 0; id < scheme_.n; ++id) {
-    if (id < cfg.weight_max.size() && cfg.weight_max[id] != 0) {
-      vmax.push_back(id);
-    } else if (candidates.Contains(id)) {
-      vmin_candidates.push_back(id);
-    }
+    vmax += is_vmax(id);
+    vmin_candidates += is_vmin_candidate(id);
   }
+  const auto nth = [&](const auto& member, uint64_t rank) {
+    ReplicaId id = 0;
+    while (!member(id) || rank-- > 0) {
+      ++id;
+    }
+    return id;
+  };
   const uint64_t move = rng.Below(2);
-  if (move == 0 && !vmax.empty() && !vmin_candidates.empty()) {
+  if (move == 0 && vmax > 0 && vmin_candidates > 0) {
     // Swap a Vmax holder with a candidate Vmin replica.
-    const ReplicaId out = vmax[rng.Below(vmax.size())];
-    const ReplicaId in = vmin_candidates[rng.Below(vmin_candidates.size())];
+    const ReplicaId out = nth(is_vmax, rng.Below(vmax));
+    const ReplicaId in = nth(is_vmin_candidate, rng.Below(vmin_candidates));
     cfg.weight_max[out] = 0;
     cfg.weight_max[in] = 1;
     if (cfg.leader == out) {

@@ -20,12 +20,14 @@
 // assuming the u fastest non-leader contributions never arrive.
 #pragma once
 
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "src/core/config_search.h"
 #include "src/core/latency_monitor.h"
+#include "src/sim/time.h"
 
 namespace optilog {
 
@@ -61,6 +63,36 @@ struct AwareTimeouts {
   std::vector<double> propose;   // d_propose, by receiver
   std::vector<double> prepared;  // fastest weighted Write quorum, by replica
   double round_ms = 0.0;         // d_rnd: fastest weighted Accept quorum at the leader
+};
+
+// The TR2 deadline d_m of every Write and Accept, per (phase, sender,
+// receiver), as SimTime relative to the proposal timestamp: what a
+// receiver's sensor checks a vote's arrival against (condition (b)). Built
+// from one AwareTimeouts and the matrix it was computed from, so a vote
+// reads one entry instead of recomputing its sum.
+class AwareVoteDeadlines {
+ public:
+  // A vote the sensor does not check.
+  static constexpr SimTime kUnobserved = std::numeric_limits<SimTime>::min();
+
+  // Write A -> B: FromMs(propose[A] + L(A, B)); Accept B -> C:
+  // FromMs(prepared[B] + L(B, C)). kUnobserved where the sender is the
+  // receiver, the pair is not Known, the matrix is incomplete
+  // (Coverage() < 1), or the sum is not finite.
+  void Build(const AwareTimeouts& t, const LatencyMatrix& latency);
+
+  // The Write (accept = false) or Accept deadline of `from`'s vote at `to`.
+  // Sender ids come off the wire: one at or above n reads kUnobserved.
+  SimTime Of(bool accept, ReplicaId from, ReplicaId to) const {
+    if (from >= n_) {
+      return kUnobserved;
+    }
+    return deadline_[(accept ? size_t{n_} * n_ : 0) + size_t{from} * n_ + to];
+  }
+
+ private:
+  uint32_t n_ = 0;
+  std::vector<SimTime> deadline_;  // the Writes' n x n, then the Accepts'
 };
 
 // Per-message timeouts d_m relative to the proposal timestamp (TR1-TR3), one

@@ -56,7 +56,7 @@ class LatencyMatrix {
     }
     n_ = n;
     recorded_.clear();
-    known_pairs_ = 0;
+    known_pairs_ = n < 2 ? 0 : size_t{n} * (n - 1) / 2;  // the baseline knows all
     city_index_ = std::move(index_of);
     city_rtt_ms_ = std::move(city_rtt_ms);
     city_stride_ = stride;
@@ -78,21 +78,20 @@ class LatencyMatrix {
       return;
     }
     version_ = NextVersion();
-    if (city_stride_ != 0) {
-      overrides_[Pack(reporter, peer)] = rtt_ms;
-      return;
-    }
-    if (recorded_.empty()) {
+    if (NothingRecorded()) {
       recorded_.assign(size_t{n_} * n_, kUnknown);
     }
-    double& slot = recorded_[Index(reporter, peer)];
     // The unordered pair is known while either direction is; only a change
     // of this direction with the other one unknown moves the count.
-    if (reporter != peer && recorded_[Index(peer, reporter)] == kUnknown) {
+    if (reporter != peer && RecordedAt(peer, reporter) == kUnknown) {
       known_pairs_ += rtt_ms != kUnknown;
-      known_pairs_ -= slot != kUnknown;
+      known_pairs_ -= RecordedAt(reporter, peer) != kUnknown;
     }
-    slot = rtt_ms;
+    if (city_stride_ != 0) {
+      overrides_[Pack(reporter, peer)] = rtt_ms;
+    } else {
+      recorded_[Index(reporter, peer)] = rtt_ms;
+    }
   }
 
   // Symmetric matrix entry per the paper's max rule. Unknown pairs return
@@ -128,16 +127,17 @@ class LatencyMatrix {
     if (a >= n_ || b >= n_ || NothingRecorded()) {
       return false;
     }
-    if (city_stride_ != 0) {
+    if (city_stride_ != 0 && overrides_.empty()) {
       return true;  // the baseline covers every pair
     }
-    return recorded_[Index(a, b)] != kUnknown || recorded_[Index(b, a)] != kUnknown;
+    return RecordedAt(a, b) != kUnknown || RecordedAt(b, a) != kUnknown;
   }
 
-  // Fraction of unordered pairs {a, b}, a != b, with at least one report;
-  // 1.0 = complete. O(1): Record keeps the count of known pairs.
+  // Fraction of unordered pairs {a, b}, a != b, with at least one report
+  // (a city baseline reports every pair); 1.0 = complete. O(1): Record
+  // keeps the count of known pairs.
   double Coverage() const {
-    if (n_ < 2 || city_stride_ != 0) {
+    if (n_ < 2) {
       return 1.0;
     }
     const size_t total = size_t{n_} * (n_ - 1) / 2;

@@ -71,11 +71,10 @@ void SuspicionMonitor::OnSuspicion(const SuspicionRecord& rec, bool sig_valid) {
         ++it;
       }
     }
-    if (!matched) {
-      // Unsolicited False: still a mutual-distrust signal; record the edge.
-      AddTwoWay(rec.suspector, rec.suspect, view_);
+    // Unsolicited False: still a mutual-distrust signal; record the edge.
+    if (!matched && AddTwoWay(rec.suspector, rec.suspect, view_)) {
+      Recompute();
     }
-    Recompute();
     return;
   }
 
@@ -83,19 +82,21 @@ void SuspicionMonitor::OnSuspicion(const SuspicionRecord& rec, bool sig_valid) {
   if (crashed_.count(rec.suspect) > 0 || misbehavior_->IsFaulty(rec.suspect)) {
     return;
   }
-  AddTwoWay(rec.suspector, rec.suspect, view_);
-  Recompute();
+  if (AddTwoWay(rec.suspector, rec.suspect, view_)) {
+    Recompute();
+  }
 }
 
-void SuspicionMonitor::AddTwoWay(ReplicaId a, ReplicaId b, uint64_t current_view) {
+bool SuspicionMonitor::AddTwoWay(ReplicaId a, ReplicaId b, uint64_t current_view) {
   if (!graph_.AddEdge(a, b)) {
-    return;
+    return false;
   }
   // Every new suspicion is provisionally two-way; if the suspect never
   // reciprocates within f + 1 views (the paper's f + 1 leader changes) it is
   // reclassified as crashed.
   pending_.push_back(
       PendingEdge{EdgeKey::Make(a, b), b, current_view + f_ + 1});
+  return true;
 }
 
 void SuspicionMonitor::DeclareCrashed(ReplicaId id) {

@@ -81,7 +81,11 @@ class SuspicionMonitor {
   uint64_t suspicions_retained() const { return retained_; }
   uint64_t suspicions_filtered() const { return filtered_; }
 
-  // Forces recomputation of K/u; normally automatic.
+  // Forces recomputation of K/u; normally automatic. K and u depend only on
+  // G, C and the misbehavior monitor's F, so a suspicion that adds no edge
+  // leaves them as they are and recomputes nothing. Every other change to
+  // the three recomputes on its own: OnView's crash verdicts and decay
+  // here, and a complaint's verdict in the Pipeline.
   void Recompute();
 
  private:
@@ -92,7 +96,8 @@ class SuspicionMonitor {
   };
 
   bool ShouldFilter(const SuspicionRecord& rec);
-  void AddTwoWay(ReplicaId a, ReplicaId b, uint64_t current_view);
+  // Adds edge (a, b) and its reciprocation deadline; false if G held it.
+  bool AddTwoWay(ReplicaId a, ReplicaId b, uint64_t current_view);
   void DeclareCrashed(ReplicaId id);
   void DropOldestSuspicion();
   std::vector<ReplicaId> LiveVertices() const;

@@ -14,6 +14,7 @@
 #include "src/crypto/signature.h"
 #include "src/sim/message.h"
 #include "src/sim/time.h"
+#include "src/statemachine/replica_rsm.h"
 #include "src/workload/messages.h"
 
 namespace optilog {
@@ -34,6 +35,12 @@ enum PbftMsgType {
 // (sent_at, shard, and the op length prefix were free). fig13's proposal
 // rows move accordingly; see EXPERIMENTS.md.
 struct PrePrepareMsg : Message {
+  // Not copyable: a copy changed before it is sent would keep the
+  // original's Record().
+  PrePrepareMsg() = default;
+  PrePrepareMsg(const PrePrepareMsg&) = delete;
+  PrePrepareMsg& operator=(const PrePrepareMsg&) = delete;
+
   uint64_t seq = 0;
   ReplicaId leader = kNoReplica;
   SimTime timestamp = 0;  // leader's proposal timestamp (§4.2.3)
@@ -57,6 +64,17 @@ struct PrePrepareMsg : Message {
     ByteWriter w(&section);
     EncodeBatchSection(w);
     return Sha256::Hash(section);
+  }
+  // This proposal's batch record: its requests, BatchDigest() and the
+  // state machine's SharedBatch, one for every replica that accepts the
+  // proposal. Built by the first and kept like WireSize()'s cache: the
+  // record is a pure function of the message, which is immutable once
+  // sent.
+  const BatchRecordPtr& Record() const {
+    if (record_ == nullptr) {
+      record_ = BatchRecordPtr(new BatchRecord(batch, BatchDigest()));
+    }
+    return record_;
   }
   // The instance-identifying prefix (seq + leader + timestamp + batch):
   // what BatchDigest hashes, so the digest replicas agree on covers exactly
@@ -95,7 +113,13 @@ struct PrePrepareMsg : Message {
     r.Skip(kSignatureSize);
     return m;
   }
+
+ private:
+  mutable BatchRecordPtr record_;  // Record()'s memo
 };
+// MessagePool's 128-byte class: a message that moved class would move
+// message_pool_hits and misses, which MetricsFingerprint reads.
+static_assert(sizeof(PrePrepareMsg) > 64 && sizeof(PrePrepareMsg) <= 128);
 
 // Body: seq u64 | digest 32 | signature placeholder 64 (104 bytes, matching
 // the old declared size). Write vs Accept rides the type tag.

@@ -56,7 +56,7 @@ PbftReplica::Instance* PbftReplica::Slot(uint64_t seq, bool preprepare, SimTime 
       ++harness_->busy_drops_;
       return nullptr;
     }
-  } else if (!preprepare || inst.have_preprepare) {
+  } else if (!preprepare || inst.record != nullptr) {
     // An older seq never clobbers the newer instance, except that the
     // leader's Pre-Prepare displaces an instance made of votes alone:
     // otherwise one sender's far-future votes would shut this replica out
@@ -70,7 +70,7 @@ PbftReplica::Instance* PbftReplica::Slot(uint64_t seq, bool preprepare, SimTime 
 }
 
 bool PbftReplica::Pending(const Instance& inst, SimTime now) const {
-  if (!inst.have_preprepare || inst.committed) {
+  if (inst.record == nullptr || inst.committed) {
     return false;
   }
   const SimTime crash_at = harness_->net_->faults()->Of(id_).crash_at;
@@ -91,17 +91,16 @@ void PbftReplica::HandlePrePrepare(ReplicaId from, const PrePrepareMsg& msg,
     cpu->ChargeHash(id_, at, msg.WireSize());
   }
   Instance* inst = Slot(msg.seq, /*preprepare=*/true, at);
-  if (inst == nullptr || inst->have_preprepare) {
+  if (inst == nullptr || inst->record != nullptr) {
     return;  // the first Pre-Prepare for a seq wins
   }
   inst->proposal_ts = msg.timestamp;
   inst->preprepared_at = at;
   inst->leader = msg.leader;
-  inst->batch = msg.batch;
-  inst->have_preprepare = true;
+  inst->record = msg.Record();
   // Keep only the tally for the Pre-Prepare's digest, at index 0; votes
   // that arrived before it count from here on.
-  const Digest digest = msg.BatchDigest();
+  const Digest& digest = inst->record->digest();
   auto match = std::find_if(inst->tallies.begin(), inst->tallies.end(),
                             [&](const Tally& t) { return t.digest == digest; });
   if (match == inst->tallies.end()) {
@@ -154,7 +153,7 @@ void PbftReplica::HandlePhase(ReplicaId from, const PhaseMsg& msg, SimTime at) {
   auto tally = std::find_if(inst->tallies.begin(), inst->tallies.end(),
                             [&](const Tally& t) { return t.digest == msg.digest; });
   if (tally == inst->tallies.end()) {
-    if (inst->have_preprepare) {
+    if (inst->record != nullptr) {
       return;  // a vote for another batch than the Pre-Prepare's
     }
     inst->tallies.push_back(Tally{msg.digest});
@@ -167,19 +166,14 @@ void PbftReplica::HandlePhase(ReplicaId from, const PhaseMsg& msg, SimTime at) {
           : WeightOf(harness_->config_, harness_->scheme(), from);
   (msg.accept ? tally->accept_weight : tally->write_weight) += weight;
 
-  if (sensor_ && inst->have_preprepare && from != id_) {
-    const LatencyMatrix& matrix = harness_->matrix();
-    if (matrix.Known(from, id_) && matrix.Coverage() >= 1.0) {
-      // TR2: the sender's Pre-Prepare (Write) or prepared (Accept) deadline
-      // plus the sender-to-receiver latency.
-      const AwareTimeouts& t = harness_->aware_timeouts();
-      const double d_m_ms =
-          (msg.accept ? t.prepared[from] : t.propose[from]) + matrix.Rtt(from, id_);
-      if (std::isfinite(d_m_ms)) {
-        sensor_->ObserveArrival(msg.seq, from,
-                                msg.accept ? PhaseTag::kSecondVote : PhaseTag::kFirstVote,
-                                FromMs(d_m_ms), inst->proposal_ts, at);
-      }
+  if (sensor_ && inst->record != nullptr) {
+    // TR2: the sender's Pre-Prepare (Write) or prepared (Accept) deadline
+    // plus the sender-to-receiver latency.
+    const SimTime d_m = harness_->vote_deadlines().Of(msg.accept, from, id_);
+    if (d_m != AwareVoteDeadlines::kUnobserved) {
+      sensor_->ObserveArrival(msg.seq, from,
+                              msg.accept ? PhaseTag::kSecondVote : PhaseTag::kFirstVote,
+                              d_m, inst->proposal_ts, at);
     }
   }
   MaybeAdvance(*inst);
@@ -189,7 +183,7 @@ void PbftReplica::MaybeAdvance(Instance& inst) {
   const double quorum = harness_->opts_.mode == PbftMode::kPbft
                             ? std::ceil((harness_->opts_.n + harness_->opts_.f + 1) / 2.0)
                             : harness_->scheme().quorum_weight;
-  if (!inst.have_preprepare) {
+  if (inst.record == nullptr) {
     // An accept quorum, for one digest, for an instance this replica never
     // saw the Pre-Prepare of. On the reliable simulated network a replica
     // that never crashed cannot have *lost* a Pre-Prepare — at worst it is
@@ -246,11 +240,12 @@ void PbftReplica::Commit(Instance& inst) {
   auto reply_to = [this, seq](const RequestRef& req, const Bytes& result) {
     SendReply(*harness_->net_, id_, seq, req, result);
   };
+  const std::vector<RequestRef>& batch = inst.record->requests();
   if (harness_->group_ != nullptr) {
-    harness_->group_->CommitAt(id_, seq, inst.leader, inst.batch,
+    harness_->group_->CommitAt(id_, seq, inst.leader, inst.record,
                                harness_->sim_->now(), reply_to);
   } else {
-    for (const RequestRef& req : inst.batch) {
+    for (const RequestRef& req : batch) {
       reply_to(req, Bytes{});
     }
   }
@@ -258,7 +253,7 @@ void PbftReplica::Commit(Instance& inst) {
     sensor_->GarbageCollect(seq >= 2 ? seq - 2 : 0);
   }
   if (id_ == harness_->config_.leader) {
-    harness_->OnCommitAtLeader(seq, static_cast<uint32_t>(inst.batch.size()),
+    harness_->OnCommitAtLeader(seq, static_cast<uint32_t>(batch.size()),
                                inst.proposal_ts);
   }
 }
@@ -364,6 +359,7 @@ const AwareTimeouts& PbftHarness::aware_timeouts() {
   if (timeouts_config_stale_ || latency.version() != timeouts_matrix_version_ ||
       u != timeouts_u_) {
     space_.ComputeTimeouts(config_, latency, u, timeouts_);
+    vote_deadlines_.Build(timeouts_, latency);
     timeouts_config_stale_ = false;
     timeouts_matrix_version_ = latency.version();
     timeouts_u_ = u;
@@ -378,7 +374,7 @@ std::optional<PbftHarness::InstanceState> PbftHarness::instance_state(
     return std::nullopt;
   }
   const PbftReplica::Instance& inst = window[seq % window.size()];
-  return InstanceState{inst.have_preprepare, inst.accepted, inst.committed};
+  return InstanceState{inst.record != nullptr, inst.accepted, inst.committed};
 }
 
 MetricsReport PbftHarness::Metrics() const {

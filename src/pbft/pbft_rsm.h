@@ -87,7 +87,9 @@ class PbftReplica : public Actor {
     SimTime proposal_ts = 0;
     SimTime preprepared_at = 0;     // when the Pre-Prepare landed here
     ReplicaId leader = kNoReplica;  // the proposer named in the Pre-Prepare
-    std::vector<RequestRef> batch;
+    // The Pre-Prepare's batch record (PrePrepareMsg::Record), shared with
+    // every replica that accepted the same message; null until it lands.
+    BatchRecordPtr record;
     // Senders counted, one vote each per phase, whichever digest it carried.
     DenseIdSet writes;
     DenseIdSet accepts;
@@ -96,7 +98,6 @@ class PbftReplica : public Actor {
     std::vector<Tally> tallies;
     bool accepted = false;
     bool committed = false;
-    bool have_preprepare = false;
   };
 
   // Instances live in kWindow slots, seq % kWindow, allocated on the
@@ -157,6 +158,13 @@ class PbftHarness : public ConsensusEngine, public TimerTarget {
   // shared deterministic monitor state — so one table serves every replica.
   // Rebuilt here when one of the three has changed since the last call.
   const AwareTimeouts& aware_timeouts();
+  // The TR2 deadline of every Write and Accept under aware_timeouts(),
+  // rebuilt with it. Only OptiAware's sensors read either, so no other
+  // harness builds them.
+  const AwareVoteDeadlines& vote_deadlines() {
+    aware_timeouts();
+    return vote_deadlines_;
+  }
 
   // Messages the replicas' instance windows dropped: `stale` for a seq older
   // than the one its slot holds, `busy` for a newer seq while the slot's
@@ -210,8 +218,9 @@ class PbftHarness : public ConsensusEngine, public TimerTarget {
   std::vector<std::unique_ptr<PbftReplica>> replicas_;
   std::vector<ReplicaId> replica_ids_;  // 0..n-1: every multicast's recipients
 
-  // aware_timeouts() and the inputs it was built from.
+  // aware_timeouts(), vote_deadlines() and the inputs they were built from.
   AwareTimeouts timeouts_;
+  AwareVoteDeadlines vote_deadlines_;
   bool timeouts_config_stale_ = true;
   uint64_t timeouts_matrix_version_ = 0;
   uint32_t timeouts_u_ = 0;

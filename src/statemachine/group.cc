@@ -35,23 +35,21 @@ std::vector<Bytes> RsmGroup::CommitAll(ReplicaId proposer,
     if (!captured && rsms_[id]->applied() == seq) {
       captured = true;
       canonical.reserve(batch.size());
-      rsms_[id]->Commit(seq, proposer, batch, now,
+      rsms_[id]->Commit(seq, proposer, batch, shared, now,
                         [&canonical](const RequestRef&, const Bytes& result) {
                           canonical.push_back(result);
-                        },
-                        &shared);
+                        });
     } else {
-      rsms_[id]->Commit(seq, proposer, batch, now, nullptr, &shared);
+      rsms_[id]->Commit(seq, proposer, batch, shared, now, nullptr);
     }
   }
   return canonical;
 }
 
 void RsmGroup::CommitAt(ReplicaId id, uint64_t seq, ReplicaId proposer,
-                        const std::vector<RequestRef>& batch, SimTime now,
-                        ReplyFn on_reply) {
+                        BatchRecordPtr record, SimTime now, ReplyFn on_reply) {
   OL_CHECK(id < n_);
-  rsms_[id]->Commit(seq, proposer, batch, now, std::move(on_reply));
+  rsms_[id]->Commit(seq, proposer, std::move(record), now, std::move(on_reply));
 }
 
 void RsmGroup::ScheduleRecovery(ReplicaId id, SimTime recover_at) {

@@ -6,8 +6,9 @@
 //   Execution — the tree family commits centrally, so CommitAll applies a
 //   decided batch to every live replica at the commit boundary and returns
 //   the canonical replies; PBFT replicas commit independently, so each calls
-//   CommitAt with its own protocol sequence number and the per-replica
-//   ReplicaRsm buffers any out-of-order arrivals.
+//   CommitAt with its own protocol sequence number and the proposal's shared
+//   BatchRecord, and the per-replica ReplicaRsm buffers any out-of-order
+//   arrivals.
 //
 //   Recovery — FaultProfile::recover_at arms a typed timer; when it fires
 //   the replica restarts amnesiac and the group drives a transfer session
@@ -58,11 +59,12 @@ class RsmGroup : public TimerTarget {
                                SimTime now);
 
   // Per-replica commit (PBFT family): `seq` is the protocol's instance
-  // number, which doubles as the log index. on_reply fires per request when
-  // the entry actually applies (immediately in order, later if buffered).
+  // number, which doubles as the log index, and `record` the proposal's
+  // batch record, whose decode, payload and chain step every replica
+  // shares. on_reply fires per request when the entry actually applies
+  // (immediately in order, later if buffered).
   void CommitAt(ReplicaId id, uint64_t seq, ReplicaId proposer,
-                const std::vector<RequestRef>& batch, SimTime now,
-                ReplyFn on_reply);
+                BatchRecordPtr record, SimTime now, ReplyFn on_reply);
 
   // Arms the restart timer for a replica whose FaultProfile carries a
   // recovery window.

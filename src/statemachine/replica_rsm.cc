@@ -45,9 +45,8 @@ SharedBatch ShareBatch(const std::vector<RequestRef>& batch) {
   return shared;
 }
 
-void ReplicaRsm::Commit(uint64_t seq, ReplicaId proposer,
-                        const std::vector<RequestRef>& batch, SimTime now,
-                        ReplyFn on_reply, SharedBatch* shared) {
+void ReplicaRsm::Commit(uint64_t seq, ReplicaId proposer, BatchRecordPtr record,
+                        SimTime now, ReplyFn on_reply) {
   if (seq < applied()) {
     return;  // duplicate: a replayed suffix overlapped this live commit
   }
@@ -56,13 +55,31 @@ void ReplicaRsm::Commit(uint64_t seq, ReplicaId proposer,
     // is mid-recovery): park the commit until the gap fills.
     PendingCommit pending;
     pending.proposer = proposer;
-    pending.batch = batch;
+    pending.record = std::move(record);
     pending.now = now;
     pending.on_reply = std::move(on_reply);
     pending_.emplace(seq, std::move(pending));
     return;
   }
-  ApplyNext(proposer, batch, now, on_reply, shared);
+  ApplyNext(proposer, record->requests(), record->shared(), now, on_reply);
+  DrainPending();
+}
+
+void ReplicaRsm::Commit(uint64_t seq, ReplicaId proposer,
+                        const std::vector<RequestRef>& batch, SharedBatch& shared,
+                        SimTime now, ReplyFn on_reply) {
+  if (seq < applied()) {
+    return;  // duplicate
+  }
+  if (seq > applied()) {
+    // Rare for a central commit (a replica at its recovery instant, before
+    // its restart timer runs). The batch lives on the caller's stack, so
+    // the buffered commit keeps a copy of its own.
+    Commit(seq, proposer, BatchRecordPtr(new BatchRecord(batch, Digest{})), now,
+           std::move(on_reply));
+    return;
+  }
+  ApplyNext(proposer, batch, shared, now, on_reply);
   DrainPending();
 }
 
@@ -72,29 +89,25 @@ void ReplicaRsm::DrainPending() {
   for (auto it = pending_.begin();
        it != pending_.end() && it->first <= applied();) {
     if (it->first == applied()) {
-      ApplyNext(it->second.proposer, it->second.batch, it->second.now,
-                it->second.on_reply);
+      PendingCommit& p = it->second;
+      ApplyNext(p.proposer, p.record->requests(), p.record->shared(), p.now,
+                p.on_reply);
     }
     it = pending_.erase(it);
   }
 }
 
 void ReplicaRsm::ApplyNext(ReplicaId proposer,
-                           const std::vector<RequestRef>& batch, SimTime now,
-                           const ReplyFn& on_reply, SharedBatch* shared) {
-  SharedBatch own;
-  if (shared == nullptr) {
-    own = ShareBatch(batch);
-    shared = &own;
-  }
+                           const std::vector<RequestRef>& batch,
+                           SharedBatch& shared, SimTime now,
+                           const ReplyFn& on_reply) {
   LogEntry entry;
   entry.kind = EntryKind::kCommandBatch;
   entry.proposer = proposer;
   entry.committed_at = now;
   entry.batch_size = static_cast<uint32_t>(batch.size());
-  // A batch built for this replica alone is used once: its payload moves.
-  entry.payload = shared == &own ? std::move(own.payload) : shared->payload;
-  Execute(std::move(entry), *shared, batch, on_reply);
+  entry.payload = shared.payload;
+  Execute(std::move(entry), shared, batch, on_reply);
 }
 
 void ReplicaRsm::Execute(LogEntry entry, SharedBatch& shared,

@@ -20,9 +20,11 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/rsm/log.h"
+#include "src/sim/message.h"
 #include "src/statemachine/state_machine.h"
 #include "src/workload/messages.h"
 
@@ -56,6 +58,48 @@ struct SharedBatch {
 };
 SharedBatch ShareBatch(const std::vector<RequestRef>& batch);
 
+// One proposal's batch, shared by the replicas that commit it at different
+// instants (the PBFT family): the requests on board, the digest replicas
+// vote on, and their SharedBatch. A commit buffered above a replica's
+// frontier holds a reference too, since it may apply after the replica's
+// instance is gone. Counted without atomics, like a message: a record stays
+// on the thread that drives its simulator (src/sim/message.h).
+class BatchRecord {
+ public:
+  BatchRecord(std::vector<RequestRef> requests, const Digest& digest)
+      : requests_(std::move(requests)), digest_(digest) {}
+  BatchRecord(const BatchRecord&) = delete;
+  BatchRecord& operator=(const BatchRecord&) = delete;
+
+  const std::vector<RequestRef>& requests() const { return requests_; }
+  const Digest& digest() const { return digest_; }
+  // ShareBatch(requests()), built on first use: a deployment without a
+  // state machine never applies a batch.
+  SharedBatch& shared() {
+    if (!shared_.has_value()) {
+      shared_ = ShareBatch(requests_);
+    }
+    return *shared_;
+  }
+
+ private:
+  template <typename T>
+  friend class IntrusivePtr;
+
+  void AddRef(uint32_t k = 1) const { refs_ += k; }
+  void Release() const {
+    if (--refs_ == 0) {
+      delete this;
+    }
+  }
+
+  const std::vector<RequestRef> requests_;
+  const Digest digest_;
+  std::optional<SharedBatch> shared_;
+  mutable uint32_t refs_ = 0;
+};
+using BatchRecordPtr = IntrusivePtr<BatchRecord>;
+
 class ReplicaRsm {
  public:
   // Fired once per applied request, with the encoded state-machine result —
@@ -66,16 +110,19 @@ class ReplicaRsm {
   ReplicaRsm(ReplicaId id, const CheckpointPolicy& policy)
       : id_(id), policy_(policy) {}
 
-  // Commit of log index `seq`. Applies immediately when seq is the next
-  // index; buffers when a gap is outstanding (drained as soon as it fills);
-  // ignores duplicates below the frontier (a replayed suffix can overlap
-  // buffered live commits). `shared`, when non-null, is ShareBatch(batch)
-  // built once by a caller fanning the same batch and proposer out to many
-  // replicas; without it (and on the buffered path) the replica builds its
-  // own.
+  // Commit of log index `seq` (the PBFT family). Applies immediately when
+  // seq is the next index; buffers, holding the record, when a gap is
+  // outstanding (drained as soon as it fills); ignores duplicates below the
+  // frontier (a replayed suffix can overlap buffered live commits).
+  void Commit(uint64_t seq, ReplicaId proposer, BatchRecordPtr record,
+              SimTime now, ReplyFn on_reply);
+  // The same for a batch the caller fans out to many replicas at once, with
+  // `shared` = ShareBatch(batch) built once for all of them
+  // (RsmGroup::CommitAll). A commit that must wait for a gap keeps a record
+  // of its own.
   void Commit(uint64_t seq, ReplicaId proposer,
-              const std::vector<RequestRef>& batch, SimTime now,
-              ReplyFn on_reply, SharedBatch* shared = nullptr);
+              const std::vector<RequestRef>& batch, SharedBatch& shared,
+              SimTime now, ReplyFn on_reply);
 
   // --- recovery --------------------------------------------------------------
   // Crash restart: the process loses everything volatile.
@@ -110,14 +157,13 @@ class ReplicaRsm {
  private:
   struct PendingCommit {
     ReplicaId proposer = kNoReplica;
-    std::vector<RequestRef> batch;
+    BatchRecordPtr record;
     SimTime now = 0;
     ReplyFn on_reply;
   };
 
   void ApplyNext(ReplicaId proposer, const std::vector<RequestRef>& batch,
-                 SimTime now, const ReplyFn& on_reply,
-                 SharedBatch* shared = nullptr);
+                 SharedBatch& shared, SimTime now, const ReplyFn& on_reply);
   // The one apply path: appends `entry`, applies shared.commands (replying
   // per request of `batch` when on_reply is set) and checkpoints.
   void Execute(LogEntry entry, SharedBatch& shared,

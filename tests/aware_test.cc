@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <optional>
 
 #include "bench/bench_util.h"
 #include "src/aware/aware_score.h"
 #include "src/net/geo.h"
+#include "src/util/rng.h"
 
 namespace optilog {
 namespace {
@@ -357,6 +360,102 @@ TEST(AwareSpace, RejectsNonCandidateLeader) {
   cfg.leader = 0;
   cfg.weight_max.assign(13, 0);
   EXPECT_FALSE(space.Valid(cfg, k));
+}
+
+// Mutate's draws, pinned: a seeded 200-step chain, hashed step by step, over
+// four candidate sets of 50 steps each (every replica, every third left out,
+// fewer than 2f, and nine that leave most Vmax holders behind). Any change
+// to which replica a draw picks, or to how many draws a step takes, moves
+// the hash.
+TEST(AwareSpace, MutateChainIsPinned) {
+  const uint32_t n = 21;
+  const AwareConfigSpace space(n, 6);
+  std::vector<CandidateSet> sets(4);
+  for (ReplicaId id = 0; id < n; ++id) {
+    sets[0].candidates.push_back(id);
+    if (id % 3 != 1) {
+      sets[1].candidates.push_back(id);
+    }
+    if (id >= 11) {
+      sets[2].candidates.push_back(id);
+    }
+    if (id < 9) {
+      sets[3].candidates.push_back(id);
+    }
+  }
+  Rng rng(2024);
+  RoleConfig config = space.RandomConfig(sets[0], rng);
+  uint64_t hash = 0;
+  for (int step = 0; step < 200; ++step) {
+    config = space.Mutate(config, sets[step / 50], rng);
+    uint64_t word = hash ^ config.leader;
+    hash = SplitMix64(word);
+    for (uint8_t w : config.weight_max) {
+      word = hash ^ w;
+      hash = SplitMix64(word);
+    }
+  }
+  hash ^= rng.Next();
+  EXPECT_EQ(hash, 0xacae68c35dff266cULL);
+}
+
+// The vote deadline table against the per-vote formula HandlePhase applied
+// before the table existed: ComputeTimeouts' propose[from] (Write) or
+// prepared[from] (Accept) plus Rtt(from, to), checked only between distinct
+// Known replicas of a complete matrix when the sum is finite. Seeded
+// matrices with one-sided and +inf reports, the last with one pair never
+// reported (Coverage() < 1), configurations from a mutation chain at u in
+// 0..4, and sender ids at and above n.
+TEST(AwareVoteDeadlines, EqualsThePerVoteFormula) {
+  constexpr uint32_t n = 21;
+  const double inf = std::numeric_limits<double>::infinity();
+  const AwareConfigSpace space(n, 6);
+  const LatencyMatrix geo = MatrixFromCities(Europe21());
+  const CandidateSet k = AllCandidates(n);
+  Rng rng(31);
+  uint64_t observed = 0;
+  uint64_t unobserved = 0;
+  for (int trial = 0; trial < 6; ++trial) {
+    const bool incomplete = trial == 5;
+    LatencyMatrix m(n);
+    for (ReplicaId a = 0; a < n; ++a) {
+      for (ReplicaId b = 0; b < n; ++b) {
+        if (a == b || (incomplete && a + b == 1) || (a > b && rng.Below(3) == 0)) {
+          continue;  // one-sided pairs, and {0, 1} unknown in the last trial
+        }
+        m.Record(a, b, rng.Below(25) == 0 ? inf : geo.Rtt(a, b) * rng.Uniform(1.0, 1.5));
+      }
+    }
+    ASSERT_EQ(m.Coverage() < 1.0, incomplete);
+    RoleConfig cfg = space.RandomConfig(k, rng);
+    AwareTimeouts t;
+    AwareVoteDeadlines table;
+    for (int step = 0; step < 20; ++step) {
+      const uint32_t u = static_cast<uint32_t>(rng.Below(5));
+      space.ComputeTimeouts(cfg, m, u, t);
+      table.Build(t, m);
+      for (bool accept : {false, true}) {
+        for (ReplicaId from = 0; from < n + 2; ++from) {
+          for (ReplicaId to = 0; to < n; ++to) {
+            SimTime expected = AwareVoteDeadlines::kUnobserved;
+            if (from < n && from != to && m.Known(from, to) && m.Coverage() >= 1.0) {
+              const double d_m =
+                  (accept ? t.prepared[from] : t.propose[from]) + m.Rtt(from, to);
+              if (std::isfinite(d_m)) {
+                expected = FromMs(d_m);
+              }
+            }
+            ASSERT_EQ(table.Of(accept, from, to), expected)
+                << "trial " << trial << " step " << step << " accept " << accept
+                << " " << from << " -> " << to;
+            ++(expected == AwareVoteDeadlines::kUnobserved ? unobserved : observed);
+          }
+        }
+      }
+      cfg = space.Mutate(cfg, k, rng);
+    }
+  }
+  EXPECT_GT(observed, unobserved);  // most votes are checked, not all
 }
 
 }  // namespace

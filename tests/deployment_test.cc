@@ -244,7 +244,8 @@ TEST(DeploymentBuilder, OptiAwareMatchesHandWiredCounts) {
   EXPECT_EQ(d->pbft().log().head(), wired_head);
 }
 
-// The harness's TR1-TR3 table equals one computed from scratch.
+// The harness's TR1-TR3 table, and the vote deadlines built from it, equal
+// ones computed from scratch.
 void ExpectDeadlineTableFresh(PbftHarness& h) {
   AwareTimeouts fresh;
   AwareConfigSpace(h.scheme().n, h.scheme().f)
@@ -254,6 +255,17 @@ void ExpectDeadlineTableFresh(PbftHarness& h) {
   EXPECT_EQ(table.propose, fresh.propose);
   EXPECT_EQ(table.prepared, fresh.prepared);
   EXPECT_EQ(table.round_ms, fresh.round_ms);
+  AwareVoteDeadlines fresh_votes;
+  fresh_votes.Build(fresh, h.matrix());
+  const AwareVoteDeadlines& votes = h.vote_deadlines();
+  for (bool accept : {false, true}) {
+    for (ReplicaId from = 0; from < h.scheme().n; ++from) {
+      for (ReplicaId to = 0; to < h.scheme().n; ++to) {
+        ASSERT_EQ(votes.Of(accept, from, to), fresh_votes.Of(accept, from, to))
+            << "accept " << accept << " " << from << " -> " << to;
+      }
+    }
+  }
 }
 
 TEST(DeploymentBuilder, OptiAwareDeadlineTableFollowsItsInputs) {

@@ -115,9 +115,11 @@ TEST(LatencyMatrix, CityBaselineIsCompleteAndVersioned) {
 
 // A city baseline stores each city pair under the max rule, so an
 // asymmetric table reads as its symmetrized form; Records then apply the
-// max rule on top, one direction at a time. Every answer equals a dense
-// matrix that recorded the symmetrized baseline for every ordered pair and
-// then the same Records, before and after the first of them.
+// max rule on top, one direction at a time. Every Rtt and Known answer
+// equals a dense matrix's that recorded the symmetrized baseline for every
+// ordered pair and then the same Records, before and after the first of
+// them, and so does Coverage after every Record. The first two Records
+// report pair {0, 2} unknown in both directions, which leaves it unknown.
 TEST(LatencyMatrix, CityBaselineMatchesDenseMaxRuleReference) {
   constexpr uint32_t kN = 12;
   constexpr size_t kCities = 5;
@@ -151,10 +153,23 @@ TEST(LatencyMatrix, CityBaselineMatchesDenseMaxRuleReference) {
     for (ReplicaId a = 0; a < kN; ++a) {
       for (ReplicaId b = 0; b < kN; ++b) {
         ASSERT_EQ(city.Rtt(a, b), dense.Rtt(a, b)) << when << ": " << a << " <-> " << b;
+        ASSERT_EQ(city.Known(a, b), dense.Known(a, b)) << when << ": " << a << " <-> " << b;
       }
     }
   };
+  const auto record = [&](ReplicaId a, ReplicaId b, double rtt) {
+    city.Record(a, b, rtt);
+    dense.Record(a, b, rtt);
+    ASSERT_EQ(city.Coverage(), dense.Coverage()) << a << " -> " << b << ": " << rtt;
+  };
   expect_same("baseline");
+  ASSERT_EQ(city.Coverage(), 1.0);
+  ASSERT_EQ(dense.Coverage(), 1.0);
+  record(0, 2, kUnknownReport);
+  expect_same("first override");
+  record(2, 0, kUnknownReport);
+  EXPECT_FALSE(city.Known(0, 2));
+  expect_same("pair {0, 2} unknown");
   // Reports in both directions: values that win and lose the max rule, the
   // unknown report and +inf.
   for (int i = 0; i < 80; ++i) {
@@ -164,11 +179,7 @@ TEST(LatencyMatrix, CityBaselineMatchesDenseMaxRuleReference) {
     const double rtt = kind == 0   ? kUnknownReport
                        : kind == 1 ? inf
                                    : 0.5 + static_cast<double>(rng.Below(80));
-    city.Record(a, b, rtt);
-    dense.Record(a, b, rtt);
-    if (i == 0) {
-      expect_same("first override");
-    }
+    record(a, b, rtt);
   }
   expect_same("every override");
 }
@@ -503,6 +514,67 @@ TEST_F(SuspicionMonitorTest, EpochBumpsOnChange) {
   const uint64_t e0 = mon.Current().epoch;
   mon.OnSuspicion(Slow(1, 2), true);
   EXPECT_GT(mon.Current().epoch, e0);
+}
+
+// Recompute reads only G, C and F, so a suspicion that adds no edge skips
+// it. A seeded stream of Slow suspicions over few pairs (most edges repeat),
+// matched and unsolicited False reciprocations, views (crash verdicts and
+// decay) and complaints (recomputed as the Pipeline does): after every
+// OnSuspicion, a forced Recompute must change neither K, u nor the epoch.
+TEST_F(SuspicionMonitorTest, SuspicionsThatAddNoEdgeChangeNothing) {
+  for (CandidatePolicy policy :
+       {CandidatePolicy::kMaxIndependentSet, CandidatePolicy::kTreeDisjointEdges}) {
+    MisbehaviorMonitor misbehavior(13, &keys_);
+    SuspicionMonitorOptions opts;
+    opts.policy = policy;
+    opts.stability_window = 6;
+    SuspicionMonitor mon(13, 4, &misbehavior, opts);
+    Rng rng(policy == CandidatePolicy::kMaxIndependentSet ? 41 : 42);
+    uint64_t view = 0;
+    uint64_t round = 1;
+    uint64_t added = 0;
+    uint64_t repeated = 0;
+    for (int step = 0; step < 600; ++step) {
+      const uint64_t kind = rng.Below(100);
+      if (kind < 10) {
+        mon.OnView(++view);
+        continue;
+      }
+      if (kind == 10) {
+        ComplaintRecord rec;
+        rec.accuser = 0;
+        rec.accused = static_cast<ReplicaId>(1 + rng.Below(12));
+        rec.kind = MisbehaviorKind::kInvalidSignature;
+        SignedHeader bad;
+        bad.view = step;
+        bad.digest = Sha256::Hash(std::string("z"));
+        bad.sig = ForgedSignature(rec.accused);
+        rec.headers = {bad};
+        misbehavior.OnComplaint(rec, true);
+        mon.Recompute();
+        continue;
+      }
+      // Suspicions among replicas 0-6, so most pairs come back.
+      const auto a = static_cast<ReplicaId>(rng.Below(7));
+      const auto b = static_cast<ReplicaId>(rng.Below(7));
+      round += rng.Below(3) == 0 ? 0 : 1;
+      const size_t edges = mon.graph().num_edges();
+      if (kind < 40) {
+        mon.OnSuspicion(False(a, b, round), true);
+      } else {
+        mon.OnSuspicion(Slow(a, b, round, PhaseTag::kProposal), true);
+      }
+      ++(mon.graph().num_edges() > edges ? added : repeated);
+      const CandidateSet before = mon.Current();
+      mon.Recompute();
+      ASSERT_EQ(mon.Current().candidates, before.candidates) << "step " << step;
+      ASSERT_EQ(mon.Current().u, before.u) << "step " << step;
+      ASSERT_EQ(mon.Current().epoch, before.epoch) << "step " << step;
+    }
+    EXPECT_GT(added, 20u);
+    EXPECT_GT(repeated, added);
+    EXPECT_FALSE(misbehavior.faulty().empty());
+  }
 }
 
 // --- Tree candidate policy (§6.4) ------------------------------------------------

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "src/api/deployment.h"
+#include "src/statemachine/state_machine.h"
 #include "src/tree/kauri.h"
 #include "tests/test_support.h"
 
@@ -1127,6 +1128,130 @@ TEST(PbftWindow, DeposedLeaderInFlightProposalStillLands) {
   ours->leader = 1;
   Deliver(*d, 2, {{1, ours}});
   EXPECT_TRUE(Preprepared(h, 2, 1));
+}
+
+// --- PBFT batch records -------------------------------------------------------
+
+// Leader 0's Pre-Prepare for seq 0 holding one put of `value` to key 1 from
+// client 4, stamped `value`: two values give two proposals for one seq with
+// different digests and batches.
+IntrusivePtr<PrePrepareMsg> PutProposal(uint64_t value) {
+  auto pp = Proposal(0, static_cast<SimTime>(value));
+  KvOp op;
+  op.kind = KvOpKind::kPut;
+  op.key = 1;
+  op.arg = value;
+  RequestRef req;
+  req.client = 4;
+  req.request_id = value;
+  req.op = op.Encode();
+  pp->batch.push_back(req);
+  return pp;
+}
+
+// A state machine that applied only `pp`'s batch.
+Digest StateAfter(const PrePrepareMsg& pp) {
+  KvStateMachine sm;
+  for (const RequestRef& req : pp.batch) {
+    sm.Apply(req.op);
+  }
+  return sm.StateDigest();
+}
+
+// An equivocating leader's two Pre-Prepares for one seq are two messages,
+// so two batch records: each replica tallies and applies the digest and
+// batch of the message it accepted. Replicas 0-2 take one proposal and
+// commit it on their own votes; replica 3 takes the other, which forged
+// votes then commit there.
+TEST(PbftRecord, TwoProposalsForOneSeqKeepTheirOwnRecords) {
+  auto d = Deployment::Builder()
+               .WithReplicas(4, 1)
+               .WithProtocol(Protocol::kPbft)
+               .WithWorkload(PbftDefaultWorkload(4, 1))
+               .WithStateMachine()
+               .Build();
+  d->engine().Start();  // the fleet never starts: only injected messages move
+  PbftHarness& h = d->pbft();
+  const RsmGroup& group = *d->state_machines();
+  const auto ours = PutProposal(10);
+  const auto other = PutProposal(20);
+  ASSERT_NE(ours->BatchDigest(), other->BatchDigest());
+  for (ReplicaId r = 0; r < 3; ++r) {
+    d->net().Send(0, r, ours);
+  }
+  d->net().Send(0, 3, other);
+  d->RunFor(1 * kSec);
+  for (ReplicaId r = 0; r < 3; ++r) {
+    EXPECT_TRUE(h.instance_state(r, 0)->committed) << "replica " << r;
+  }
+  EXPECT_TRUE(h.instance_state(3, 0)->preprepared);
+  EXPECT_FALSE(h.instance_state(3, 0)->accepted);  // its peers voted for ours
+  Deliver(*d, 3, {{0, Vote(false, 0, other->BatchDigest())},
+                  {1, Vote(false, 0, other->BatchDigest())},
+                  {0, Vote(true, 0, other->BatchDigest())},
+                  {1, Vote(true, 0, other->BatchDigest())}});
+  EXPECT_TRUE(h.instance_state(3, 0)->committed);
+  for (ReplicaId r = 0; r < 4; ++r) {
+    const PrePrepareMsg& mine = r < 3 ? *ours : *other;
+    ASSERT_EQ(group.rsm(r).applied(), 1u) << "replica " << r;
+    EXPECT_EQ(group.rsm(r).log().EntryAt(0).payload, EncodeOps(mine.batch))
+        << "replica " << r;
+    EXPECT_EQ(group.rsm(r).StateDigest(), StateAfter(mine)) << "replica " << r;
+  }
+}
+
+// PBFT replicas share each Pre-Prepare's batch record, and with it the
+// SharedBatch and chain step of its log entry; that must never hand a
+// replica whose log diverged the others' chain. A forged Pre-Prepare for a
+// coming seq, committed at one replica by forged votes, makes that
+// replica's entry there differ from everyone else's; every later entry it
+// shares with them. Each replica's head must still equal its own entries
+// hashed one by one. The PBFT twin of RsmGroup.OneDivergedReplicaIsReported.
+TEST(PbftRecord, OneDivergedReplicaKeepsItsOwnChain) {
+  auto d = Deployment::Builder()
+               .WithGeo(Europe21())
+               .WithProtocol(Protocol::kOptiAware)
+               .WithPbftOptions(BaseOptions())
+               .WithWorkload(PbftDefaultWorkload(21, 3))
+               .WithStateMachine()
+               .Build();
+  PbftHarness& h = d->pbft();
+  const uint32_t n = d->n();
+  const ReplicaId diverged = n - 1;
+  d->Start();
+  d->RunUntil(3 * kSec);
+  // The leader proposes one instance at a time, so this seq is two commits
+  // away: the forged proposal lands first.
+  const uint64_t seq = h.committed_instances() + 3;
+  auto forged = Proposal(seq, d->sim().now());
+  forged->leader = h.config().leader;
+  const Digest digest = forged->BatchDigest();
+  d->net().Send(forged->leader, diverged, forged);
+  for (ReplicaId r = 0; r < n; ++r) {
+    if (r != diverged) {
+      d->net().Send(r, diverged, Vote(false, seq, digest));
+      d->net().Send(r, diverged, Vote(true, seq, digest));
+    }
+  }
+  d->RunUntil(8 * kSec);
+  const RsmGroup& group = *d->state_machines();
+  ASSERT_GT(group.rsm(diverged).applied(), seq + 10);
+  ASSERT_GT(group.rsm(0).applied(), seq + 10);
+  EXPECT_NE(group.rsm(diverged).log().EntryAt(seq).payload,
+            group.rsm(0).log().EntryAt(seq).payload);
+  for (ReplicaId r = 0; r < n; ++r) {
+    const Log& log = group.rsm(r).log();
+    ASSERT_EQ(log.base_index(), 0u);  // no checkpoint truncated it
+    Log rehashed;
+    for (uint64_t i = 0; i < log.next_index(); ++i) {
+      rehashed.Append(log.EntryAt(i));
+    }
+    EXPECT_EQ(rehashed.head(), log.head()) << "replica " << r;
+    if (r != diverged && log.next_index() > seq) {
+      EXPECT_NE(log.HeadAt(seq), group.rsm(diverged).log().HeadAt(seq))
+          << "replica " << r;
+    }
+  }
 }
 
 }  // namespace

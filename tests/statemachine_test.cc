@@ -328,7 +328,9 @@ TEST(RsmGroup, OneDivergedReplicaIsReported) {
   RsmGroup group(&sim, &net, &faults, 4, StateMachineOptions{});
   // Replica 3 commits a different put at seq 0; the group's own seq 0 then
   // finds it past that index and skips it there.
-  group.CommitAt(3, 0, /*proposer=*/0, PutBatch(7, 99), 0, nullptr);
+  group.CommitAt(3, 0, /*proposer=*/0,
+                 BatchRecordPtr(new BatchRecord(PutBatch(7, 99), Digest{})), 0,
+                 nullptr);
   for (uint64_t i = 0; i < 10; ++i) {
     group.CommitAll(/*proposer=*/0, PutBatch(100 + i, i), 0);
   }
