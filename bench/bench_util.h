@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/annealing.h"
@@ -21,20 +22,15 @@
 
 namespace optilog {
 
-// Latency matrix filled from the geographic RTTs of `cities` — the state of
-// the LatencyMonitor after one complete probe round.
+// Latency matrix holding the geographic RTTs of `cities` — the state of
+// the LatencyMonitor after one complete probe round, in the city-baseline
+// form a deployment builds.
 inline LatencyMatrix MatrixFromCities(const std::vector<City>& cities) {
-  const CityIndex ci = DedupeCities(cities);
+  CityIndex ci = DedupeCities(cities);
   const size_t u = ci.unique.size();
-  const std::vector<double> rtts = CityRttTableMs(ci.unique);
-  LatencyMatrix m(static_cast<uint32_t>(cities.size()));
-  for (ReplicaId a = 0; a < cities.size(); ++a) {
-    for (ReplicaId b = 0; b < cities.size(); ++b) {
-      if (a != b) {
-        m.Record(a, b, rtts[ci.index_of[a] * u + ci.index_of[b]]);
-      }
-    }
-  }
+  LatencyMatrix m;
+  m.ResetWithCityBaseline(static_cast<uint32_t>(cities.size()),
+                          std::move(ci.index_of), CityRttTableMs(ci.unique), u);
   return m;
 }
 

@@ -17,20 +17,20 @@
 
 namespace optilog {
 
+// Temperatures are relative to the initial score: the search starts at 1.
 struct AnnealingParams {
   uint64_t max_iterations = 20'000;
-  double initial_temperature = 1.0;  // relative to the initial score
-  double cooling_rate = 0.995;       // geometric cooling per iteration
-  double min_temperature = 1e-4;     // convergence threshold
+  double cooling_rate = 0.995;    // geometric cooling per iteration
+  double min_temperature = 1e-4;  // convergence threshold
 
-  // Schedule whose temperature decays from initial to min over exactly
+  // Schedule whose temperature decays from 1 to min over exactly
   // `iterations` steps — this is what makes a longer search time explore
   // more (Fig. 12); a fixed cooling rate would go greedy early and waste
   // the extra budget.
   static AnnealingParams ForBudget(uint64_t iterations) {
     AnnealingParams p;
     p.max_iterations = iterations;
-    p.cooling_rate = std::exp(std::log(p.min_temperature / p.initial_temperature) /
+    p.cooling_rate = std::exp(std::log(p.min_temperature) /
                               static_cast<double>(iterations));
     return p;
   }
@@ -62,7 +62,7 @@ AnnealingStats Anneal(Walk& walk, double score, Rng& rng,
   // Temperature is scaled by the initial score so acceptance probabilities
   // are invariant to the score's units (milliseconds vs seconds).
   const double scale = current_score > 0 ? current_score : 1.0;
-  double temperature = params.initial_temperature * scale;
+  double temperature = scale;
   const double floor = params.min_temperature * scale;
 
   for (; stats.iterations < params.max_iterations; ++stats.iterations) {

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/measurement.h"
@@ -28,7 +27,6 @@ class LatencyMatrix {
     city_index_.clear();
     city_rtt_ms_.clear();
     city_stride_ = 0;
-    overrides_.clear();
     version_ = NextVersion();
   }
 
@@ -37,10 +35,11 @@ class LatencyMatrix {
   // known RTTs. Every ordered pair (a != b) becomes known: in both
   // directions, the max rule over its cities' two entries, and 1 ms between
   // colocated replicas (the datacenter base delay). The table is stored with
-  // that applied, so a lookup before any Record is one indexed load; later
-  // Records land in a sparse override map. Equivalent to Reset(n) + n²
-  // Record calls but O(u²) storage — at n = 5000 the dense matrix is 200 MB
-  // of redundant doubles, the city form a few hundred KB.
+  // that applied, so a lookup is one indexed load. Equivalent to Reset(n) +
+  // n² Record calls but O(u²) storage — at n = 5000 the dense matrix is
+  // 200 MB of redundant doubles, the city form a few hundred KB. The first
+  // Record converts the matrix to the dense form, every ordered pair filled
+  // from its baseline.
   void ResetWithCityBaseline(uint32_t n, std::vector<uint32_t> index_of,
                              std::vector<double> city_rtt_ms, size_t stride) {
     OL_CHECK(index_of.size() == n && city_rtt_ms.size() == stride * stride);
@@ -60,7 +59,6 @@ class LatencyMatrix {
     city_index_ = std::move(index_of);
     city_rtt_ms_ = std::move(city_rtt_ms);
     city_stride_ = stride;
-    overrides_.clear();
     version_ = NextVersion();
   }
 
@@ -78,8 +76,8 @@ class LatencyMatrix {
       return;
     }
     version_ = NextVersion();
-    if (NothingRecorded()) {
-      recorded_.assign(size_t{n_} * n_, kUnknown);
+    if (recorded_.empty()) {
+      Densify();
     }
     // The unordered pair is known while either direction is; only a change
     // of this direction with the other one unknown moves the count.
@@ -87,11 +85,7 @@ class LatencyMatrix {
       known_pairs_ += rtt_ms != kUnknown;
       known_pairs_ -= RecordedAt(reporter, peer) != kUnknown;
     }
-    if (city_stride_ != 0) {
-      overrides_[Pack(reporter, peer)] = rtt_ms;
-    } else {
-      recorded_[Index(reporter, peer)] = rtt_ms;
-    }
+    recorded_[Index(reporter, peer)] = rtt_ms;
   }
 
   // Symmetric matrix entry per the paper's max rule. Unknown pairs return
@@ -103,7 +97,7 @@ class LatencyMatrix {
     if (a >= n_ || b >= n_ || NothingRecorded()) {
       return std::numeric_limits<double>::infinity();
     }
-    if (city_stride_ != 0 && overrides_.empty()) {
+    if (city_stride_ != 0) {
       return Baseline(a, b);  // the max rule is applied already
     }
     const double ab = RecordedAt(a, b);
@@ -127,7 +121,7 @@ class LatencyMatrix {
     if (a >= n_ || b >= n_ || NothingRecorded()) {
       return false;
     }
-    if (city_stride_ != 0 && overrides_.empty()) {
+    if (city_stride_ != 0) {
       return true;  // the baseline covers every pair
     }
     return RecordedAt(a, b) != kUnknown || RecordedAt(b, a) != kUnknown;
@@ -150,44 +144,47 @@ class LatencyMatrix {
 
   static uint64_t NextVersion();
 
-  static uint64_t Pack(ReplicaId a, ReplicaId b) {
-    return (static_cast<uint64_t>(a) << 32) | b;
-  }
-
   size_t Index(ReplicaId a, ReplicaId b) const { return size_t{a} * n_ + b; }
 
   // Dense mode before its storage exists: every pair is unknown.
   bool NothingRecorded() const { return city_stride_ == 0 && recorded_.empty(); }
 
-  // Requires !NothingRecorded().
+  // Requires the dense form's storage.
   double RecordedAt(ReplicaId a, ReplicaId b) const {
-    if (city_stride_ == 0) {
-      return recorded_[Index(a, b)];
-    }
-    if (!overrides_.empty()) {
-      auto it = overrides_.find(Pack(a, b));
-      if (it != overrides_.end()) {
-        return it->second;
-      }
-    }
-    return Baseline(a, b);
+    return recorded_[Index(a, b)];
   }
 
-  // City-baseline mode: the probe round's RTT between a's and b's cities.
+  // The first Record's storage: every pair unknown, or, over a city
+  // baseline, every pair its baseline value, after which the baseline goes.
+  void Densify() {
+    recorded_.assign(size_t{n_} * n_, kUnknown);
+    if (city_stride_ == 0) {
+      return;
+    }
+    for (ReplicaId a = 0; a < n_; ++a) {
+      for (ReplicaId b = 0; b < n_; ++b) {
+        recorded_[Index(a, b)] = Baseline(a, b);
+      }
+    }
+    city_index_ = {};
+    city_rtt_ms_ = {};
+    city_stride_ = 0;
+  }
+
+  // City-baseline form: the probe round's RTT between a's and b's cities.
   double Baseline(ReplicaId a, ReplicaId b) const {
     return city_rtt_ms_[city_index_[a] * city_stride_ + city_index_[b]];
   }
 
   uint32_t n_ = 0;
-  // Dense mode (tests, incremental monitors): every ordered pair, row-major,
-  // empty until the first Record.
+  // Dense form (incremental monitors, and any matrix after its first
+  // Record): every ordered pair, row-major, empty until the first Record.
   std::vector<double> recorded_;
-  // City-baseline mode (deployments): replica -> city, u×u RTTs under the
-  // max rule, sparse post-baseline reports.
+  // City-baseline form (deployments, until a Record): replica -> city, u×u
+  // RTTs under the max rule.
   std::vector<uint32_t> city_index_;
   std::vector<double> city_rtt_ms_;
   size_t city_stride_ = 0;
-  std::unordered_map<uint64_t, double> overrides_;
   size_t known_pairs_ = 0;  // unordered pairs with a report in either direction
   uint64_t version_ = 0;
 };

@@ -321,7 +321,7 @@ MetricsReport TreeRsm::Metrics() const {
   report.failed_rounds = failed_rounds_;
   report.reconfigurations = reconfigurations_;
   report.suspicions = suspicions_.size();
-  report.mean_latency_ms = latency_rec_.stat().mean();
+  report.mean_latency_ms = latency_stat_.mean();
   report.throughput_per_sec = throughput_.per_second();
   report.reconfig_times = reconfig_times_;
   report.suspicion_times = suspicion_times_;
@@ -440,23 +440,30 @@ void TreeRsm::CommitRound(uint64_t view) {
   sim_->Cancel(round.timeout);
   ++committed_blocks_;
   round_time_ = sim_->now() - round.proposed_at;
-  latency_rec_.Record(round.proposed_at, sim_->now());
+  latency_stat_.Add(ToMs(sim_->now() - round.proposed_at));
   if (queue_ != nullptr) {
     // Commit boundary: every live replica executes the batch on its state
-    // machine, then the proposing root replies to every request on board
-    // with the committed result — the stamp the client's end-to-end
-    // latency (and its model oracle) measures against. (Under rotate_root
+    // machine, and the proposing root replies to every request on board
+    // with the committed result, as the first replica at this index applies
+    // it — the stamp the client's end-to-end latency (and its model oracle)
+    // measures against. (Under rotate_root
     // the current tree_.root() is already a later view's root; the batch
     // lives at this round's proposer.)
-    std::vector<Bytes> results;
-    if (group_ != nullptr) {
-      results = group_->CommitAll(round.proposer, round.batch, sim_->now());
-    }
     throughput_.RecordCommit(sim_->now(),
                              static_cast<uint32_t>(round.batch.size()));
-    for (size_t i = 0; i < round.batch.size(); ++i) {
-      SendReply(*net_, round.proposer, view, round.batch[i],
-                i < results.size() ? std::move(results[i]) : Bytes{});
+    auto reply_to = [this, view, proposer = round.proposer](
+                        const RequestRef& req, const Bytes& result) {
+      SendReply(*net_, proposer, view, req, result);
+    };
+    if (group_ != nullptr) {
+      group_->CommitAll(
+          round.proposer,
+          BatchRecordPtr(new BatchRecord(std::move(round.batch), round.block)),
+          sim_->now(), reply_to);
+    } else {
+      for (const RequestRef& req : round.batch) {
+        reply_to(req, Bytes{});
+      }
     }
   } else {
     throughput_.RecordCommit(sim_->now(), opts_.batch_size);

@@ -158,7 +158,8 @@ class TreeRsm : public ConsensusEngine, public TimerTarget {
   Network* net() { return net_; }
 
   const ThroughputRecorder& throughput() const { return throughput_; }
-  const LatencyRecorder& latency_rec() const { return latency_rec_; }
+  // Proposal -> commit latency of every committed round, in ms.
+  const RunningStat& latency_stat() const { return latency_stat_; }
   uint64_t committed_blocks() const { return committed_blocks_; }
   uint64_t failed_rounds() const { return failed_rounds_; }
   uint64_t reconfigurations() const { return reconfigurations_; }
@@ -266,7 +267,7 @@ class TreeRsm : public ConsensusEngine, public TimerTarget {
   SimTime round_time_ = 0;
 
   ThroughputRecorder throughput_;
-  LatencyRecorder latency_rec_;
+  RunningStat latency_stat_;  // proposal -> commit, ms
   uint64_t committed_blocks_ = 0;
   uint64_t failed_rounds_ = 0;
   uint64_t reconfigurations_ = 0;

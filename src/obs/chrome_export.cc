@@ -1,24 +1,10 @@
 #include "src/obs/chrome_export.h"
 
-#include <map>
-#include <utility>
-
+#include "src/obs/stage_breakdown.h"
 #include "src/util/json_writer.h"
 
 namespace optilog {
 namespace {
-
-// Stage bars per request, assembled with the same first-record-wins fold as
-// ComputeStageBreakdown (stage_breakdown.cc).
-struct Chain {
-  SimTime send = -1;
-  SimTime admit = -1;
-  SimTime seal = -1;
-  SimTime commit = -1;
-  SimTime reply = -1;
-  SimTime complete = -1;
-  uint32_t client = 0;
-};
 
 void StageBar(JsonWriter& w, const char* name, uint32_t client, SimTime from,
               SimTime to, uint64_t request) {
@@ -45,7 +31,6 @@ std::string ChromeTraceJson(const std::vector<TraceRecord>& records) {
   w.BeginObject();
   w.Key("displayTimeUnit").String("ms");
   w.Key("traceEvents").BeginArray();
-  std::map<std::pair<uint64_t, uint64_t>, Chain> chains;
   for (const TraceRecord& r : records) {
     w.BeginObject();
     w.Key("name").String(TraceKindName(r.kind));
@@ -63,44 +48,19 @@ std::string ChromeTraceJson(const std::vector<TraceRecord>& records) {
     w.Key("b").Uint(r.b);
     w.EndObject();
     w.EndObject();
-    if (r.kind >= static_cast<uint16_t>(TraceKind::kClientSend) &&
-        r.kind <= static_cast<uint16_t>(TraceKind::kClientComplete)) {
-      Chain& c = chains[{r.b, r.a}];
-      c.client = static_cast<uint32_t>(r.b);
-      switch (static_cast<TraceKind>(r.kind)) {
-        case TraceKind::kClientSend:
-          if (c.send < 0) c.send = r.t;
-          break;
-        case TraceKind::kQueueAdmit:
-          if (c.admit < 0) c.admit = r.t;
-          break;
-        case TraceKind::kBatchSeal:
-          if (c.seal < 0) c.seal = r.t;
-          break;
-        case TraceKind::kCommit:
-          if (c.commit < 0) c.commit = r.t;
-          break;
-        case TraceKind::kReplySent:
-          if (c.reply < 0) c.reply = r.t;
-          break;
-        case TraceKind::kClientComplete:
-          if (c.complete < 0) c.complete = r.t;
-          break;
-        default:
-          break;
-      }
-    }
   }
-  for (const auto& [key, c] : chains) {
+  // Stage bars per request, on the chains ComputeStageBreakdown folds.
+  for (const auto& [key, c] : FoldRequestChains(records)) {
     if (c.send < 0 || c.commit < 0) {
       continue;  // same population rule as ComputeStageBreakdown
     }
+    const auto client = static_cast<uint32_t>(key.first);
     const uint64_t request = key.second;
-    StageBar(w, "client_net", c.client, c.send, c.admit, request);
-    StageBar(w, "queue", c.client, c.admit, c.seal, request);
-    StageBar(w, "consensus", c.client, c.seal, c.commit, request);
-    StageBar(w, "apply", c.client, c.commit, c.reply, request);
-    StageBar(w, "reply", c.client, c.reply, c.complete, request);
+    StageBar(w, "client_net", client, c.send, c.admit, request);
+    StageBar(w, "queue", client, c.admit, c.seal, request);
+    StageBar(w, "consensus", client, c.seal, c.commit, request);
+    StageBar(w, "apply", client, c.commit, c.reply, request);
+    StageBar(w, "reply", client, c.reply, c.complete, request);
   }
   w.EndArray();
   w.EndObject();

@@ -1,22 +1,11 @@
 #include "src/obs/stage_breakdown.h"
 
 #include <algorithm>
-#include <map>
-#include <utility>
 
 #include "src/util/stats.h"
 
 namespace optilog {
 namespace {
-
-struct Chain {
-  SimTime send = -1;
-  SimTime admit = -1;
-  SimTime seal = -1;
-  SimTime commit = -1;
-  SimTime reply = -1;
-  SimTime complete = -1;
-};
 
 // Adds one stage's values to its sum in chain order, then sorts them for its
 // percentiles.
@@ -30,18 +19,14 @@ void Fold(std::vector<double>& ms, double& sum_ms, StagePercentiles& pct) {
 
 }  // namespace
 
-StageBreakdown ComputeStageBreakdown(const std::vector<TraceRecord>& records) {
-  // Keyed by (client id, request id). std::map keeps the fold order
-  // deterministic; first record of each kind wins (records arrive in trace
-  // order, so "first" is the earliest — retries and duplicate
-  // deliveries fold away exactly as the leader's dedup folds them).
-  std::map<std::pair<uint64_t, uint64_t>, Chain> chains;
+RequestChains FoldRequestChains(const std::vector<TraceRecord>& records) {
+  RequestChains chains;
   for (const TraceRecord& r : records) {
     if (r.kind < static_cast<uint16_t>(TraceKind::kClientSend) ||
         r.kind > static_cast<uint16_t>(TraceKind::kClientComplete)) {
       continue;
     }
-    Chain& c = chains[{r.b, r.a}];
+    RequestChain& c = chains[{r.b, r.a}];
     switch (static_cast<TraceKind>(r.kind)) {
       case TraceKind::kClientSend:
         if (c.send < 0) c.send = r.t;
@@ -65,9 +50,13 @@ StageBreakdown ComputeStageBreakdown(const std::vector<TraceRecord>& records) {
         break;
     }
   }
+  return chains;
+}
+
+StageBreakdown ComputeStageBreakdown(const std::vector<TraceRecord>& records) {
   StageBreakdown out;
   std::vector<double> client_net, queue, consensus, apply, reply, total;
-  for (const auto& [key, c] : chains) {
+  for (const auto& [key, c] : FoldRequestChains(records)) {
     if (c.send < 0) {
       // Not rooted at a client: a coordinator's internal 2PC record, whose
       // per-shard commits ride the transaction's own chain via the

@@ -23,6 +23,8 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "src/obs/trace.h"
@@ -56,6 +58,24 @@ struct StageBreakdown {
   StagePercentiles reply;
   StagePercentiles total;
 };
+
+// One request's six lifecycle instants; -1 where no record of that kind
+// was seen.
+struct RequestChain {
+  SimTime send = -1;
+  SimTime admit = -1;
+  SimTime seal = -1;
+  SimTime commit = -1;
+  SimTime reply = -1;
+  SimTime complete = -1;
+};
+
+// Every request's chain, keyed by (client id, request id). std::map keeps
+// the fold order deterministic; the first record of each kind wins (records
+// arrive in trace order, so "first" is the earliest — retries and duplicate
+// deliveries fold away exactly as the leader's dedup folds them).
+using RequestChains = std::map<std::pair<uint64_t, uint64_t>, RequestChain>;
+RequestChains FoldRequestChains(const std::vector<TraceRecord>& records);
 
 StageBreakdown ComputeStageBreakdown(const std::vector<TraceRecord>& records);
 

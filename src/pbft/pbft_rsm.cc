@@ -384,7 +384,7 @@ MetricsReport PbftHarness::Metrics() const {
   report.failed_rounds = 0;  // view changes are out of model (§7.1)
   report.reconfigurations = reconfig_times_.size();
   report.suspicions = suspicion_times_.size();
-  report.mean_latency_ms = latency_rec_.stat().mean();
+  report.mean_latency_ms = latency_stat_.mean();
   report.throughput_per_sec = throughput_.per_second();
   report.reconfig_times = reconfig_times_;
   report.suspicion_times = suspicion_times_;
@@ -420,7 +420,7 @@ void PbftHarness::OnCommitAtLeader(uint64_t seq, uint32_t batch_size,
                                    SimTime proposed_at) {
   (void)seq;
   ++committed_instances_;
-  latency_rec_.Record(proposed_at, sim_->now());
+  latency_stat_.Add(ToMs(sim_->now() - proposed_at));
   throughput_.RecordCommit(sim_->now(), batch_size);
   // The committed command batch is a log entry like any other; the pipeline
   // skips it, but the chain head covers it (determinism evidence).

@@ -242,7 +242,7 @@ class PbftHarness : public ConsensusEngine, public TimerTarget {
   bool started_ = false;
   uint64_t committed_instances_ = 0;
   ThroughputRecorder throughput_;
-  LatencyRecorder latency_rec_;
+  RunningStat latency_stat_;  // proposal -> commit at the leader, ms
   std::vector<SimTime> reconfig_times_;
   std::vector<SimTime> suspicion_times_;
   std::set<uint64_t> suspicion_rounds_;

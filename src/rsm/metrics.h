@@ -239,25 +239,4 @@ struct MetricsReport {
   }
 };
 
-// Consensus latency accumulator (proposal sent -> block committed). A
-// Welford accumulator carries the exact mean/CI; the fixed log-bucket
-// histogram carries percentiles at O(1) record cost and bounded memory, so
-// recording millions of commits costs the same as recording a hundred.
-class LatencyRecorder {
- public:
-  void Record(SimTime proposed_at, SimTime committed_at) {
-    const SimTime delta = committed_at - proposed_at;
-    stat_.Add(ToMs(delta));
-    hist_.RecordUs(delta > 0 ? static_cast<uint64_t>(delta) : 0);
-  }
-
-  const RunningStat& stat() const { return stat_; }
-  const LatencyHistogram& histogram() const { return hist_; }
-  double Percentile(double pct) const { return hist_.PercentileMs(pct); }
-
- private:
-  LatencyHistogram hist_;
-  RunningStat stat_;
-};
-
 }  // namespace optilog

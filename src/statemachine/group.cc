@@ -18,32 +18,28 @@ RsmGroup::RsmGroup(Simulator* sim, Network* net, const FaultModel* faults,
   sessions_.resize(n_);
 }
 
-std::vector<Bytes> RsmGroup::CommitAll(ReplicaId proposer,
-                                       const std::vector<RequestRef>& batch,
-                                       SimTime now) {
+void RsmGroup::CommitAll(ReplicaId proposer, const BatchRecordPtr& record,
+                         SimTime now, ReplyFn reply) {
   const uint64_t seq = next_seq_++;
-  // The batch's payload, decoded ops and chain step are pure functions of
+  // The record's payload, decoded ops and chain step are pure functions of
   // the batch: built once, applied by every replica to its own state. Only
-  // the replica whose results are returned encodes replies.
-  SharedBatch shared = ShareBatch(batch);
-  std::vector<Bytes> canonical;
-  bool captured = false;
+  // the first replica at this index encodes results and replies.
   for (ReplicaId id = 0; id < n_; ++id) {
     if (faults_->IsCrashedAt(id, now) || sessions_[id].active) {
       continue;  // missed entries arrive later via snapshot + suffix
     }
-    if (!captured && rsms_[id]->applied() == seq) {
-      captured = true;
-      canonical.reserve(batch.size());
-      rsms_[id]->Commit(seq, proposer, batch, shared, now,
-                        [&canonical](const RequestRef&, const Bytes& result) {
-                          canonical.push_back(result);
-                        });
+    if (reply && rsms_[id]->applied() == seq) {
+      rsms_[id]->Commit(seq, proposer, record, now, std::move(reply));
+      reply = nullptr;
     } else {
-      rsms_[id]->Commit(seq, proposer, batch, shared, now, nullptr);
+      rsms_[id]->Commit(seq, proposer, record, now, nullptr);
     }
   }
-  return canonical;
+  if (reply) {
+    for (const RequestRef& req : record->requests()) {
+      reply(req, Bytes{});  // no replica executed this index
+    }
+  }
 }
 
 void RsmGroup::CommitAt(ReplicaId id, uint64_t seq, ReplicaId proposer,

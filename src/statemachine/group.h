@@ -3,12 +3,13 @@
 // One group owns a ReplicaRsm (command log + KV machine + checkpoints) per
 // replica and the crash-recovery machinery that keeps them converged:
 //
-//   Execution — the tree family commits centrally, so CommitAll applies a
-//   decided batch to every live replica at the commit boundary and returns
-//   the canonical replies; PBFT replicas commit independently, so each calls
-//   CommitAt with its own protocol sequence number and the proposal's shared
-//   BatchRecord, and the per-replica ReplicaRsm buffers any out-of-order
-//   arrivals.
+//   Execution — every replica commits a decided batch through one
+//   ReplicaRsm::Commit, holding the batch's shared BatchRecord. The tree
+//   family commits centrally, so CommitAll hands one record to every live
+//   replica at the commit boundary and replies from the first at its index;
+//   PBFT replicas commit independently, so each calls CommitAt with its own
+//   protocol sequence number and the proposal's record. The per-replica
+//   ReplicaRsm buffers any out-of-order arrivals.
 //
 //   Recovery — FaultProfile::recover_at arms a typed timer; when it fires
 //   the replica restarts amnesiac and the group drives a transfer session
@@ -49,14 +50,15 @@ class RsmGroup : public TimerTarget {
   RsmGroup(Simulator* sim, Network* net, const FaultModel* faults, uint32_t n,
            StateMachineOptions opts);
 
-  // Central commit (tree family): applies `batch` to every replica that is
-  // live and caught up, and returns the canonical encoded results, one per
-  // request (identical on every replica by determinism). The batch's
-  // decode, payload and chain hash are done once for the whole group
-  // (SharedBatch); only the first in-order replica encodes results.
-  std::vector<Bytes> CommitAll(ReplicaId proposer,
-                               const std::vector<RequestRef>& batch,
-                               SimTime now);
+  // Central commit (tree family): hands `record` to every live replica, which
+  // applies it at the group's next index or, when behind, buffers it. The
+  // batch's decode, payload and chain step are done once for the whole
+  // group (the record's SharedBatch). `reply` fires once per request, in
+  // batch order, with the results of the first replica whose log is at this
+  // index (identical on every replica by determinism), or with empty
+  // results when no replica is.
+  void CommitAll(ReplicaId proposer, const BatchRecordPtr& record, SimTime now,
+                 ReplyFn reply);
 
   // Per-replica commit (PBFT family): `seq` is the protocol's instance
   // number, which doubles as the log index, and `record` the proposal's

@@ -52,7 +52,8 @@ void ReplicaRsm::Commit(uint64_t seq, ReplicaId proposer, BatchRecordPtr record,
   }
   if (seq > applied()) {
     // Gap outstanding (PBFT quorums complete out of order, or this replica
-    // is mid-recovery): park the commit until the gap fills.
+    // is live again after a crash window and not yet caught up): park the
+    // commit until the gap fills.
     PendingCommit pending;
     pending.proposer = proposer;
     pending.record = std::move(record);
@@ -61,25 +62,7 @@ void ReplicaRsm::Commit(uint64_t seq, ReplicaId proposer, BatchRecordPtr record,
     pending_.emplace(seq, std::move(pending));
     return;
   }
-  ApplyNext(proposer, record->requests(), record->shared(), now, on_reply);
-  DrainPending();
-}
-
-void ReplicaRsm::Commit(uint64_t seq, ReplicaId proposer,
-                        const std::vector<RequestRef>& batch, SharedBatch& shared,
-                        SimTime now, ReplyFn on_reply) {
-  if (seq < applied()) {
-    return;  // duplicate
-  }
-  if (seq > applied()) {
-    // Rare for a central commit (a replica at its recovery instant, before
-    // its restart timer runs). The batch lives on the caller's stack, so
-    // the buffered commit keeps a copy of its own.
-    Commit(seq, proposer, BatchRecordPtr(new BatchRecord(batch, Digest{})), now,
-           std::move(on_reply));
-    return;
-  }
-  ApplyNext(proposer, batch, shared, now, on_reply);
+  ApplyNext(proposer, *record, now, on_reply);
   DrainPending();
 }
 
@@ -90,24 +73,22 @@ void ReplicaRsm::DrainPending() {
        it != pending_.end() && it->first <= applied();) {
     if (it->first == applied()) {
       PendingCommit& p = it->second;
-      ApplyNext(p.proposer, p.record->requests(), p.record->shared(), p.now,
-                p.on_reply);
+      ApplyNext(p.proposer, *p.record, p.now, p.on_reply);
     }
     it = pending_.erase(it);
   }
 }
 
-void ReplicaRsm::ApplyNext(ReplicaId proposer,
-                           const std::vector<RequestRef>& batch,
-                           SharedBatch& shared, SimTime now,
-                           const ReplyFn& on_reply) {
+void ReplicaRsm::ApplyNext(ReplicaId proposer, BatchRecord& record,
+                           SimTime now, const ReplyFn& on_reply) {
+  SharedBatch& shared = record.shared();
   LogEntry entry;
   entry.kind = EntryKind::kCommandBatch;
   entry.proposer = proposer;
   entry.committed_at = now;
-  entry.batch_size = static_cast<uint32_t>(batch.size());
+  entry.batch_size = static_cast<uint32_t>(record.requests().size());
   entry.payload = shared.payload;
-  Execute(std::move(entry), shared, batch, on_reply);
+  Execute(std::move(entry), shared, record.requests(), on_reply);
 }
 
 void ReplicaRsm::Execute(LogEntry entry, SharedBatch& shared,

@@ -58,12 +58,14 @@ struct SharedBatch {
 };
 SharedBatch ShareBatch(const std::vector<RequestRef>& batch);
 
-// One proposal's batch, shared by the replicas that commit it at different
-// instants (the PBFT family): the requests on board, the digest replicas
-// vote on, and their SharedBatch. A commit buffered above a replica's
-// frontier holds a reference too, since it may apply after the replica's
-// instance is gone. Counted without atomics, like a message: a record stays
-// on the thread that drives its simulator (src/sim/message.h).
+// One proposal's batch, shared by the replicas that commit it: the requests
+// on board, the digest replicas vote on, and their SharedBatch. PBFT-family
+// replicas commit it at different instants; the tree family hands one record
+// to every replica at its commit boundary (RsmGroup::CommitAll). A commit
+// buffered above a replica's frontier holds a reference too, since it may
+// apply after the replica's instance is gone. Counted without atomics, like
+// a message: a record stays on the thread that drives its simulator
+// (src/sim/message.h).
 class BatchRecord {
  public:
   BatchRecord(std::vector<RequestRef> requests, const Digest& digest)
@@ -110,18 +112,12 @@ class ReplicaRsm {
   ReplicaRsm(ReplicaId id, const CheckpointPolicy& policy)
       : id_(id), policy_(policy) {}
 
-  // Commit of log index `seq` (the PBFT family). Applies immediately when
-  // seq is the next index; buffers, holding the record, when a gap is
-  // outstanding (drained as soon as it fills); ignores duplicates below the
-  // frontier (a replayed suffix can overlap buffered live commits).
+  // Commit of log index `seq`, whose batch is `record` (shared with every
+  // replica that commits it). Applies immediately when seq is the next
+  // index; buffers, holding the record, when a gap is outstanding (drained
+  // as soon as it fills); ignores duplicates below the frontier (a replayed
+  // suffix can overlap buffered live commits).
   void Commit(uint64_t seq, ReplicaId proposer, BatchRecordPtr record,
-              SimTime now, ReplyFn on_reply);
-  // The same for a batch the caller fans out to many replicas at once, with
-  // `shared` = ShareBatch(batch) built once for all of them
-  // (RsmGroup::CommitAll). A commit that must wait for a gap keeps a record
-  // of its own.
-  void Commit(uint64_t seq, ReplicaId proposer,
-              const std::vector<RequestRef>& batch, SharedBatch& shared,
               SimTime now, ReplyFn on_reply);
 
   // --- recovery --------------------------------------------------------------
@@ -162,8 +158,8 @@ class ReplicaRsm {
     ReplyFn on_reply;
   };
 
-  void ApplyNext(ReplicaId proposer, const std::vector<RequestRef>& batch,
-                 SharedBatch& shared, SimTime now, const ReplyFn& on_reply);
+  void ApplyNext(ReplicaId proposer, BatchRecord& record, SimTime now,
+                 const ReplyFn& on_reply);
   // The one apply path: appends `entry`, applies shared.commands (replying
   // per request of `batch` when on_reply is set) and checkpoints.
   void Execute(LogEntry entry, SharedBatch& shared,

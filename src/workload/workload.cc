@@ -48,31 +48,14 @@ void WorkloadClient::Start(SimTime now) {
   }
 }
 
-SimTime WorkloadClient::Interarrival(SimTime now) {
+void WorkloadClient::ScheduleNextArrival(SimTime now) {
   const double rate =
       fleet_->opts_.rate_per_client * fleet_->RateScaleAt(now);
   OL_CHECK(rate > 0.0);
-  double sec;
-  if (fleet_->opts_.arrival == ArrivalProcess::kOpenPoisson) {
-    // Exponential via inverse CDF; 1 - U in (0, 1], so the log is finite.
-    sec = -DeterministicLog(1.0 - rng_.Uniform()) / rate;
-  } else {
-    sec = 1.0 / rate;
-  }
-  return std::max<SimTime>(1, FromSec(sec));
-}
-
-void WorkloadClient::ScheduleNextArrival(SimTime now) {
-  SimTime delay = Interarrival(now);
-  if (fleet_->opts_.arrival == ArrivalProcess::kOpenRate &&
-      next_request_ == 0) {
-    // First constant-rate arrival: stagger the fleet evenly across one
-    // interval instead of synchronizing every client on the same instant.
-    delay = std::max<SimTime>(
-        1, delay * static_cast<SimTime>(index_ + 1) /
-               static_cast<SimTime>(fleet_->size()));
-  }
-  fleet_->sim_->ScheduleTimer(this, kTagArrival, delay);
+  // Exponential via inverse CDF; 1 - U in (0, 1], so the log is finite.
+  const double sec = -DeterministicLog(1.0 - rng_.Uniform()) / rate;
+  fleet_->sim_->ScheduleTimer(this, kTagArrival,
+                              std::max<SimTime>(1, FromSec(sec)));
 }
 
 KvOp WorkloadClient::DrawOp() {

@@ -11,8 +11,6 @@
 // Arrival processes:
 //   - kClosedLoop: each client keeps `outstanding` requests in flight and
 //     thinks for `think_time` after each completion (BFT-SMaRt-style).
-//   - kOpenRate: constant-rate arrivals at `rate_per_client` req/s,
-//     staggered evenly across the fleet.
 //   - kOpenPoisson: exponential interarrivals drawn from the seeded Rng
 //     (deterministic log implementation — no libm, so schedules are
 //     bit-identical across toolchains).
@@ -44,7 +42,7 @@
 
 namespace optilog {
 
-enum class ArrivalProcess { kClosedLoop, kOpenRate, kOpenPoisson };
+enum class ArrivalProcess { kClosedLoop, kOpenPoisson };
 
 // KV operation generation for deployments that execute a state machine
 // (Deployment::Builder::WithStateMachine flips `enabled`). Each request
@@ -113,8 +111,8 @@ class WorkloadClient : public Actor {
   void Start(SimTime now);
   void StartNewRequest(SimTime now);
   void SendAttempt(uint64_t request_id);
+  // Poisson arrivals: the next one after an exponential interarrival.
   void ScheduleNextArrival(SimTime now);
-  SimTime Interarrival(SimTime now);
   // Draws this request's KV operation from the client's private key range.
   KvOp DrawOp();
   // Model-oracle cross-check of a completed request's committed result.

@@ -46,7 +46,7 @@ TEST(DeploymentBuilder, OptiTreeMatchesHandWiredCounts) {
     rsm.Start();
     sim.RunUntil(run_time);
     wired_blocks = rsm.committed_blocks();
-    wired_latency = rsm.latency_rec().stat().mean();
+    wired_latency = rsm.latency_stat().mean();
     ASSERT_GT(wired_blocks, 50u);
   }
 

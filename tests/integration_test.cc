@@ -21,19 +21,6 @@ TEST(ThroughputRecorder, BucketsBySecond) {
   EXPECT_DOUBLE_EQ(rec.MeanOps(5, 3), 0.0);
 }
 
-TEST(LatencyRecorder, ConvertsToMsAndServesPercentiles) {
-  LatencyRecorder rec;
-  rec.Record(0, 250 * kMsec);
-  rec.Record(100 * kMsec, 150 * kMsec);
-  EXPECT_EQ(rec.histogram().count(), 2u);
-  EXPECT_DOUBLE_EQ(rec.stat().mean(), 150.0);
-  EXPECT_DOUBLE_EQ(rec.stat().min(), 50.0);
-  EXPECT_DOUBLE_EQ(rec.stat().max(), 250.0);
-  // Histogram-backed percentiles: exact up to the ~3% bucket resolution.
-  EXPECT_NEAR(rec.Percentile(0), 50.0, 50.0 * 0.04);
-  EXPECT_NEAR(rec.Percentile(100), 250.0, 250.0 * 0.04);
-}
-
 TEST(TreeTopology, StarConfigRoundTrip) {
   const TreeTopology star = TreeTopology::Build({7}, {0, 1, 2, 3, 4, 5, 6});
   const TreeTopology back = TreeTopology::FromConfig(star.ToConfig());
@@ -118,9 +105,9 @@ TEST(Integration, ExcludedLeavesDoNotStallAggregation) {
     d->RunUntil(10 * kSec);
     EXPECT_GT(d->tree().committed_blocks(), 20u) << "run " << run;
     if (run == 0) {
-      healthy_latency = d->tree().latency_rec().stat().mean();
+      healthy_latency = d->tree().latency_stat().mean();
     } else {
-      EXPECT_NEAR(d->tree().latency_rec().stat().mean(), healthy_latency,
+      EXPECT_NEAR(d->tree().latency_stat().mean(), healthy_latency,
                   healthy_latency * 0.5);
     }
   }

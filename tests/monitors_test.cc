@@ -166,7 +166,7 @@ TEST(LatencyMatrix, CityBaselineMatchesDenseMaxRuleReference) {
   ASSERT_EQ(city.Coverage(), 1.0);
   ASSERT_EQ(dense.Coverage(), 1.0);
   record(0, 2, kUnknownReport);
-  expect_same("first override");
+  expect_same("first record");
   record(2, 0, kUnknownReport);
   EXPECT_FALSE(city.Known(0, 2));
   expect_same("pair {0, 2} unknown");
@@ -181,7 +181,7 @@ TEST(LatencyMatrix, CityBaselineMatchesDenseMaxRuleReference) {
                                    : 0.5 + static_cast<double>(rng.Below(80));
     record(a, b, rtt);
   }
-  expect_same("every override");
+  expect_same("every record");
 }
 
 TEST(LatencyMonitor, AppliesVectors) {

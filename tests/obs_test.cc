@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/api/deployment.h"
+#include "src/obs/chrome_export.h"
 #include "src/obs/stage_breakdown.h"
 #include "src/obs/trace.h"
 #include "src/rsm/metrics.h"
@@ -145,6 +146,48 @@ TEST(Obs, StagePercentilesInterpolateTheSortedStages) {
   EXPECT_DOUBLE_EQ(sb.total.p99_ms, 5.0 + 0.98 * 8.0);
   EXPECT_DOUBLE_EQ(sb.consensus.p50_ms, 1.0);
   EXPECT_DOUBLE_EQ(sb.apply.p99_ms, 0.0);
+}
+
+// Both readers of a trace fold request chains alike: the first record of
+// each kind wins (a retry's second send, a slower replica's commit and
+// reply), and the Chrome export's stage bars span the breakdown's stages.
+TEST(Obs, BreakdownAndChromeExportKeepTheFirstRecordOfEachKind) {
+  std::vector<TraceRecord> records;
+  const auto add = [&records](TraceKind kind, SimTime t) {
+    TraceRecord r;
+    r.t = t;
+    r.kind = static_cast<uint16_t>(kind);
+    r.a = 1;  // request id
+    r.b = 7;  // client id
+    records.push_back(r);
+  };
+  add(TraceKind::kClientSend, 0);
+  add(TraceKind::kQueueAdmit, 2 * kMsec);
+  add(TraceKind::kClientSend, 3 * kMsec);  // a retry
+  add(TraceKind::kBatchSeal, 5 * kMsec);
+  add(TraceKind::kCommit, 20 * kMsec);
+  add(TraceKind::kReplySent, 20 * kMsec);
+  add(TraceKind::kCommit, 30 * kMsec);  // a slower replica
+  add(TraceKind::kReplySent, 30 * kMsec);
+  add(TraceKind::kClientComplete, 40 * kMsec);
+
+  const RequestChains chains = FoldRequestChains(records);
+  ASSERT_EQ(chains.size(), 1u);
+  const RequestChain& c = chains.at({7, 1});
+  EXPECT_EQ(c.send, 0);
+  EXPECT_EQ(c.commit, 20 * kMsec);
+  EXPECT_EQ(c.reply, 20 * kMsec);
+  const StageBreakdown sb = ComputeStageBreakdown(records);
+  ASSERT_EQ(sb.requests, 1u);
+  EXPECT_DOUBLE_EQ(sb.consensus_ms, 15.0);
+  EXPECT_DOUBLE_EQ(sb.reply_ms, 20.0);
+  EXPECT_DOUBLE_EQ(sb.total_ms, 40.0);
+  const std::string json = ChromeTraceJson(records);
+  EXPECT_NE(json.find(R"({"name":"consensus","ph":"X","ts":5000,"dur":15000,)"
+                      R"("pid":"requests","tid":7,"args":{"request":1}})"),
+            std::string::npos);
+  EXPECT_NE(json.find(R"({"name":"reply","ph":"X","ts":20000,"dur":20000,)"),
+            std::string::npos);
 }
 
 TEST(Obs, CausalForestIsConnectedAcrossShards) {

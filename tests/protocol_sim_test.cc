@@ -35,8 +35,8 @@ TEST(TreeRsmSim, StarCommitsBlocks) {
   d->RunUntil(20 * kSec);
   EXPECT_GT(d->tree().committed_blocks(), 50u);
   EXPECT_EQ(d->tree().failed_rounds(), 0u);
-  EXPECT_GT(d->tree().latency_rec().stat().mean(), 1.0);   // > 1 ms
-  EXPECT_LT(d->tree().latency_rec().stat().mean(), 200.0);  // intra-EU
+  EXPECT_GT(d->tree().latency_stat().mean(), 1.0);   // > 1 ms
+  EXPECT_LT(d->tree().latency_stat().mean(), 200.0);  // intra-EU
 }
 
 TEST(TreeRsmSim, TreeCommitsBlocks) {
@@ -182,7 +182,7 @@ TEST(TreeRsmSim, DeterministicAcrossRuns) {
     d->Start();
     d->RunUntil(10 * kSec);
     blocks[run] = d->tree().committed_blocks();
-    lat[run] = d->tree().latency_rec().stat().mean();
+    lat[run] = d->tree().latency_stat().mean();
   }
   EXPECT_EQ(blocks[0], blocks[1]);
   EXPECT_DOUBLE_EQ(lat[0], lat[1]);
@@ -632,7 +632,7 @@ TEST(TreeRsmSim, PipelineRoundsSpreadOverTheRound) {
 
   const TreeRsm& tree = d->tree();
   ASSERT_EQ(tree.failed_rounds(), 0u);
-  const SimTime round_max = FromMs(tree.latency_rec().stat().max());
+  const SimTime round_max = FromMs(tree.latency_stat().max());
   std::vector<SimTime> starts;
   SimTime first_commit = -1;
   for (const TraceRecord& r : d->TraceRecords()) {

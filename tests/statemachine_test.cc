@@ -318,6 +318,10 @@ std::vector<RequestRef> PutBatch(uint64_t key, uint64_t value) {
   return {req};
 }
 
+BatchRecordPtr PutRecord(uint64_t key, uint64_t value) {
+  return BatchRecordPtr(new BatchRecord(PutBatch(key, value), Digest{}));
+}
+
 // The group shares each batch's decode and chain step across replicas;
 // that must never make a diverged replica look converged.
 TEST(RsmGroup, OneDivergedReplicaIsReported) {
@@ -328,11 +332,9 @@ TEST(RsmGroup, OneDivergedReplicaIsReported) {
   RsmGroup group(&sim, &net, &faults, 4, StateMachineOptions{});
   // Replica 3 commits a different put at seq 0; the group's own seq 0 then
   // finds it past that index and skips it there.
-  group.CommitAt(3, 0, /*proposer=*/0,
-                 BatchRecordPtr(new BatchRecord(PutBatch(7, 99), Digest{})), 0,
-                 nullptr);
+  group.CommitAt(3, 0, /*proposer=*/0, PutRecord(7, 99), 0, nullptr);
   for (uint64_t i = 0; i < 10; ++i) {
-    group.CommitAll(/*proposer=*/0, PutBatch(100 + i, i), 0);
+    group.CommitAll(/*proposer=*/0, PutRecord(100 + i, i), 0, nullptr);
   }
   StateMachineReport report;
   group.FillReport(report, 0);
@@ -346,6 +348,129 @@ TEST(RsmGroup, OneDivergedReplicaIsReported) {
     EXPECT_EQ(group.rsm(id).StateDigest(), group.rsm(0).StateDigest());
     EXPECT_EQ(group.rsm(id).log().head(), group.rsm(0).log().head());
   }
+}
+
+// CommitAll replies once per request, in batch order, from the first live
+// replica whose log is at the commit's index: here replica 1 at seq 0 (the
+// diverged replica 0 is already past it) and replica 0 at seq 1, whose
+// state the reply then reads. With no replica at the index, every request
+// still gets its reply, with an empty result.
+TEST(RsmGroup, CommitAllRepliesFromTheFirstReplicaAtItsIndex) {
+  Simulator sim;
+  FaultModel faults;
+  MatrixLatencyModel latency(4, kMsec);
+  Network net(&sim, &latency, &faults);
+  RsmGroup group(&sim, &net, &faults, 4, StateMachineOptions{});
+  group.CommitAt(0, 0, /*proposer=*/0, PutRecord(5, 99), 0, nullptr);
+
+  std::vector<std::pair<uint64_t, Bytes>> replies;
+  const auto record_reply = [&replies](const RequestRef& req,
+                                       const Bytes& result) {
+    replies.emplace_back(req.request_id, result);
+  };
+  const auto batch = [](std::vector<Bytes> ops) {
+    std::vector<RequestRef> reqs(ops.size());
+    for (size_t i = 0; i < ops.size(); ++i) {
+      reqs[i].client = 9;
+      reqs[i].request_id = 10 + i;
+      reqs[i].op = std::move(ops[i]);
+    }
+    return BatchRecordPtr(new BatchRecord(std::move(reqs), Digest{}));
+  };
+  const auto expect_replies = [&replies](const std::vector<Bytes>& results) {
+    ASSERT_EQ(replies.size(), results.size());
+    for (size_t i = 0; i < results.size(); ++i) {
+      EXPECT_EQ(replies[i].first, 10 + i) << "reply " << i;
+      EXPECT_EQ(replies[i].second, results[i]) << "reply " << i;
+    }
+    replies.clear();
+  };
+
+  // Replica 1's machine, as a reference: the three ops on an empty store.
+  KvStateMachine reference;
+  const std::vector<Bytes> ops = {Op(KvOpKind::kPut, 5, 7),
+                                  Op(KvOpKind::kGet, 5),
+                                  Op(KvOpKind::kAdd, 5, 3)};
+  std::vector<Bytes> expected;
+  for (const Bytes& op : ops) {
+    expected.push_back(reference.Apply(op));
+  }
+  group.CommitAll(/*proposer=*/0, batch(ops), 0, record_reply);
+  expect_replies(expected);
+
+  // Seq 1: replica 0 is the first at the index, and its key 5 holds 99.
+  KvStateMachine diverged;
+  diverged.Apply(Op(KvOpKind::kPut, 5, 99));
+  group.CommitAll(/*proposer=*/0, batch({Op(KvOpKind::kGet, 5)}), 0,
+                  record_reply);
+  expect_replies({diverged.Apply(Op(KvOpKind::kGet, 5))});
+
+  for (ReplicaId id = 0; id < 4; ++id) {
+    faults.Mutable(id).crash_at = 0;
+  }
+  group.CommitAll(/*proposer=*/0,
+                  batch({Op(KvOpKind::kGet, 5), Op(KvOpKind::kGet, 6)}), 0,
+                  record_reply);
+  expect_replies({Bytes{}, Bytes{}});
+}
+
+// Routes a replica's deliveries to the group, as a protocol replica does.
+struct StateRouter : Actor {
+  RsmGroup* group = nullptr;
+  ReplicaId id = 0;
+  void OnMessage(ReplicaId from, const MessagePtr& msg, SimTime at) override {
+    group->OnStateMessage(id, from, msg, at);
+  }
+};
+
+// A tree-family replica live again after a crash window, with no restart
+// timer armed, is behind at CommitAll: it buffers each shared record above
+// its frontier. A catch-up session then replays the gap from a donor and
+// drains the buffer, which leaves it at its peers' state and log head.
+TEST(RsmGroup, BehindReplicaBuffersCommitsUntilCatchupDrainsThem) {
+  Simulator sim;
+  FaultModel faults;
+  MatrixLatencyModel latency(4, kMsec);
+  Network net(&sim, &latency, &faults);
+  RsmGroup group(&sim, &net, &faults, 4, StateMachineOptions{});
+  std::vector<StateRouter> routers(4);
+  for (ReplicaId id = 0; id < 4; ++id) {
+    routers[id].group = &group;
+    routers[id].id = id;
+    net.Register(id, &routers[id]);
+  }
+  faults.Mutable(3).crash_at = 10 * kMsec;
+  faults.Mutable(3).recover_at = 20 * kMsec;
+  uint64_t key = 100;
+  const auto commit = [&](int count) {
+    for (int i = 0; i < count; ++i, ++key) {
+      group.CommitAll(/*proposer=*/0, PutRecord(key, key), sim.now(), nullptr);
+    }
+  };
+  commit(3);  // seqs 0-2 everywhere
+  sim.RunUntil(15 * kMsec);
+  commit(4);  // seqs 3-6: replica 3 is crashed
+  sim.RunUntil(25 * kMsec);
+  commit(5);  // seqs 7-11: replica 3 is live but behind
+
+  const ReplicaRsm& behind = group.rsm(3);
+  EXPECT_EQ(behind.applied(), 3u);
+  EXPECT_EQ(behind.pending_commits(), 5u);
+  EXPECT_FALSE(group.IsRecovering(3));
+
+  group.RequestCatchup(3, /*decided_seq=*/11);
+  EXPECT_TRUE(group.IsRecovering(3));
+  sim.RunUntil(5 * kSec);
+  EXPECT_FALSE(group.IsRecovering(3));
+  EXPECT_EQ(behind.pending_commits(), 0u);
+  EXPECT_EQ(behind.applied(), 12u);
+  EXPECT_EQ(behind.StateDigest(), group.rsm(0).StateDigest());
+  EXPECT_EQ(behind.log().head(), group.rsm(0).log().head());
+  StateMachineReport report;
+  group.FillReport(report, sim.now());
+  EXPECT_EQ(report.catchups_started, 1u);
+  EXPECT_EQ(report.applied, 12u);
+  EXPECT_EQ(report.digests_equal, 1u);
 }
 
 // --- FaultModel recovery window ----------------------------------------------

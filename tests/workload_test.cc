@@ -390,7 +390,7 @@ TEST(WorkloadPbft, CustomFleetOverridesLegacyClosedLoop) {
   popts.optimize_at = 5 * kSec;
   WorkloadOptions w;
   w.clients = 6;  // fewer clients than replicas
-  w.arrival = ArrivalProcess::kOpenRate;
+  w.arrival = ArrivalProcess::kOpenPoisson;
   w.rate_per_client = 10.0;
   auto d = Deployment::Builder()
                .WithGeo(Europe21())
