@@ -99,6 +99,22 @@ double AwareAcceptTimeoutMs(const RoleConfig& config, const WeightScheme& scheme
   return prepared + (from == to ? 0.0 : latency.Rtt(from, to));
 }
 
+std::optional<ScoredConfig> AwareConfigSpace::Search(const CandidateSet& candidates,
+                                                     const LatencyMatrix& latency,
+                                                     Rng& rng,
+                                                     const AnnealingParams& params) const {
+  RoleConfig start = RandomConfig(candidates, rng);
+  if (!Valid(start, candidates)) {
+    return std::nullopt;
+  }
+  AnnealingResult<RoleConfig> result = SimulatedAnnealing(
+      std::move(start),
+      [&](const RoleConfig& cfg) { return Score(cfg, latency, candidates.u); },
+      [&](const RoleConfig& cfg, Rng& r) { return Mutate(cfg, candidates, r); }, rng,
+      params);
+  return ScoredConfig{std::move(result.best), result.best_score};
+}
+
 RoleConfig AwareConfigSpace::RandomConfig(const CandidateSet& candidates,
                                           Rng& rng) const {
   RoleConfig cfg;

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <limits>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -118,9 +119,18 @@ class AwareConfigSpace : public ConfigSpace {
  public:
   AwareConfigSpace(uint32_t n, uint32_t f) : scheme_(WeightScheme::For(n, f)) {}
 
-  RoleConfig RandomConfig(const CandidateSet& candidates, Rng& rng) const override;
+  // RandomConfig, then SimulatedAnnealing over Mutate, scored at
+  // candidates.u; nullopt when the random start is not Valid (an empty K).
+  std::optional<ScoredConfig> Search(const CandidateSet& candidates,
+                                     const LatencyMatrix& latency, Rng& rng,
+                                     const AnnealingParams& params) const override;
+  // The search's start: a shuffled K's first replica leads, and its first
+  // 2f hold Vmax.
+  RoleConfig RandomConfig(const CandidateSet& candidates, Rng& rng) const;
+  // One swap that keeps the special roles inside K: a Vmax holder with a
+  // candidate Vmin replica, or the leader role to another candidate.
   RoleConfig Mutate(const RoleConfig& config, const CandidateSet& candidates,
-                    Rng& rng) const override;
+                    Rng& rng) const;
   // Predicted round duration: the round_ms of ComputeTimeouts.
   double Score(const RoleConfig& config, const LatencyMatrix& latency,
                uint32_t u) const override;

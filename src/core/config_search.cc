@@ -20,24 +20,15 @@ std::optional<ConfigProposalRecord> ConfigSensor::Search(
   if (candidates.candidates.empty()) {
     return std::nullopt;
   }
-  RoleConfig initial = space_->RandomConfig(candidates, rng_);
-  if (!space_->Valid(initial, candidates)) {
+  std::optional<ScoredConfig> best = space_->Search(candidates, latency, rng_, params);
+  if (!best.has_value()) {
     return std::nullopt;
   }
-  auto score = [&](const RoleConfig& cfg) {
-    return space_->Score(cfg, latency, candidates.u);
-  };
-  auto mutate = [&](const RoleConfig& cfg, Rng& rng) {
-    return space_->Mutate(cfg, candidates, rng);
-  };
-  const AnnealingResult<RoleConfig> result =
-      SimulatedAnnealing(std::move(initial), score, mutate, rng_, params);
-
   ConfigProposalRecord rec;
   rec.proposer = self_;
   rec.epoch = candidates.epoch;
-  rec.predicted_score = result.best_score;
-  rec.config = result.best;
+  rec.predicted_score = best->score;
+  rec.config = std::move(best->config);
   return rec;
 }
 

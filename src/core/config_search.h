@@ -1,13 +1,14 @@
 // ConfigSensor and ConfigMonitor (§4.2.4).
 //
-// The ConfigSensor *searches* — non-deterministically, via simulated
-// annealing over a protocol-provided ConfigSpace — and proposes its best
-// configuration to the log. The ConfigMonitor *decides* — deterministically,
-// from committed proposals: it validates each proposal against the current
-// candidate set, re-computes its score (accountability: a lying proposer is
-// caught because metrics are consistent across replicas), waits for f + 1
-// distinct proposers when a reconfiguration is forced, and triggers the
-// reconfigure callback with the best-scoring valid configuration.
+// The ConfigSensor *searches* — non-deterministically, with the
+// protocol-provided ConfigSpace's simulated-annealing Search — and proposes
+// its best configuration to the log. The ConfigMonitor *decides* —
+// deterministically, from committed proposals: it validates each proposal
+// against the current candidate set, re-computes its score (accountability:
+// a lying proposer is caught because metrics are consistent across
+// replicas), waits for f + 1 distinct proposers when a reconfiguration is
+// forced, and triggers the reconfigure callback with the best-scoring valid
+// configuration.
 #pragma once
 
 #include <functional>
@@ -22,20 +23,27 @@
 
 namespace optilog {
 
-// Protocol-specific search space: how configurations are generated, mutated,
-// validated and scored. Score units are milliseconds of predicted round
+// A configuration and its Score.
+struct ScoredConfig {
+  RoleConfig config;
+  double score = 0.0;
+};
+
+// Protocol-specific search space: how the best configuration is searched
+// for, validated and scored. Score units are milliseconds of predicted round
 // duration (lower is better).
 class ConfigSpace {
  public:
   virtual ~ConfigSpace() = default;
 
-  virtual RoleConfig RandomConfig(const CandidateSet& candidates, Rng& rng) const = 0;
-
-  // Mutation must keep special roles inside the candidate set (§4.2.4: "our
-  // mutate function ensures that replicas with special roles are only
-  // swapped with other replicas from K").
-  virtual RoleConfig Mutate(const RoleConfig& config, const CandidateSet& candidates,
-                            Rng& rng) const = 0;
+  // One search: the best valid configuration found over the candidate set,
+  // scored at its fault estimate u, with its Score; nullopt when none
+  // exists. Special roles stay inside K (§4.2.4: "our mutate function
+  // ensures that replicas with special roles are only swapped with other
+  // replicas from K").
+  virtual std::optional<ScoredConfig> Search(const CandidateSet& candidates,
+                                             const LatencyMatrix& latency, Rng& rng,
+                                             const AnnealingParams& params) const = 0;
 
   virtual double Score(const RoleConfig& config, const LatencyMatrix& latency,
                        uint32_t u) const = 0;

@@ -10,12 +10,12 @@
 // (family, type) frame header, never the body.
 //
 // Sizes model the real protocols: a proposal carries the batch (batch_size
-// commands of cmd_bytes each), the parent QC, and any piggybacked OptiLog
-// measurements; votes are a digest plus one signature; aggregates carry a
-// partial certificate (bitmap + aggregate signature) plus suspicions for
-// missing children (the §6.3 b+1 rule). All their signatures are modeled, as
-// PBFT's are: zero bytes on the wire and CPU charged by the CryptoCostModel;
-// receivers authenticate votes and aggregates by their network sender.
+// commands of cmd_bytes each) and the parent QC; votes are a digest plus one
+// signature; aggregates carry a partial certificate (bitmap + aggregate
+// signature) plus suspicions for missing children (the §6.3 b+1 rule). All
+// their signatures are modeled, as PBFT's are: zero bytes on the wire and CPU
+// charged by the CryptoCostModel; receivers authenticate votes and
+// aggregates by their network sender.
 #pragma once
 
 #include <vector>
@@ -37,17 +37,17 @@ enum HotStuffMsgType {
 // Body: view u64 | block 32 | timestamp i64 | batch_size u32 | cmd_bytes u32
 //       | parent-QC placeholder (digest 32, signer count u32 = 0, aggregate
 //       64; an empty QuorumCert serialization) | batch_size * cmd_bytes zero
-//       payload | measurements as length-prefixed blobs to end of body.
-// Byte-compatible with the pre-encoding declared size (156 + payload +
-// per-measurement 4 + len): the old "104-byte parent QC" constant was
-// exactly an empty QC plus the cmd_bytes field now on the wire.
+//       payload.
+// Byte-compatible with the pre-encoding declared size (156 + payload): the
+// old "104-byte parent QC" constant was exactly an empty QC plus the
+// cmd_bytes field now on the wire. OptiLog measurements commit through the
+// measurement bus, not in proposals.
 struct ProposeMsg : Message {
   uint64_t view = 0;
   Digest block{};
   SimTime timestamp = 0;  // leader's proposal timestamp (§4.2.3)
   uint32_t batch_size = 0;
   size_t cmd_bytes = 0;
-  std::vector<Bytes> measurements;  // piggybacked OptiLog records
 
   bool forwarded = false;  // true on the intermediate -> leaf hop
 
@@ -65,9 +65,6 @@ struct ProposeMsg : Message {
     w.U32(0);       // signer count
     w.ZeroPad(kSignatureSize);
     w.ZeroPad(static_cast<size_t>(batch_size) * cmd_bytes);
-    for (const Bytes& m : measurements) {
-      w.Blob(m);
-    }
   }
   static IntrusivePtr<ProposeMsg> Decode(int type, ByteReader& r) {
     auto m = MakeMessage<ProposeMsg>();
@@ -81,12 +78,12 @@ struct ProposeMsg : Message {
     const uint32_t qc_signers = r.U32();
     r.Skip(4ull * qc_signers + kSignatureSize);
     r.Skip(static_cast<uint64_t>(m->batch_size) * m->cmd_bytes);
-    while (r.ok() && !r.Done()) {
-      m->measurements.push_back(r.Blob());
-    }
     return m;
   }
 };
+// MessagePool's 128-byte class: a message that moved class would move
+// message_pool_hits and misses, which MetricsFingerprint reads.
+static_assert(sizeof(ProposeMsg) > 64 && sizeof(ProposeMsg) <= 128);
 
 // Body: view u64 | block 32 | signer u32 | signature 64. The signature is
 // modeled (the signer's id, 64 zero bytes); SigningBytes() is the body before

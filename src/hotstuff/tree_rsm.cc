@@ -81,15 +81,7 @@ void TreeReplica::HandlePropose(ReplicaId from, const ProposeMsg& msg, SimTime a
   }
   // Intermediate: forward down in one multicast, start aggregating with own
   // vote, and arm the aggregation timer.
-  // Field-wise init rather than copy-construction: measurements ride only
-  // the first hop, and at scale copying the root's piggybacked vector just
-  // to clear it dominates the forwarding path.
-  auto fwd = harness_->sim_->pool().Make<ProposeMsg>();
-  fwd->view = msg.view;
-  fwd->block = msg.block;
-  fwd->timestamp = msg.timestamp;
-  fwd->batch_size = msg.batch_size;
-  fwd->cmd_bytes = msg.cmd_bytes;
+  auto fwd = harness_->sim_->pool().Make<ProposeMsg>(msg);
   fwd->forwarded = true;
   harness_->net_->Multicast(id_, children, std::move(fwd));
   PendingAggregation& agg = aggregating_[msg.view];

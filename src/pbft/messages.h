@@ -26,14 +26,15 @@ enum PbftMsgType {
 };
 
 // Body: seq u64 | leader u32 | timestamp i64 | batch count u32 | per request
-// (client u32, request_id u64, sent_at i64, shard u32, op blob) |
-// measurements as length-prefixed blobs | signature placeholder 64.
+// (client u32, request_id u64, sent_at i64, shard u32, op blob) | signature
+// placeholder 64. OptiLog measurements commit through the measurement bus,
+// not in proposals.
 //
 // Intentional delta vs the old declared size (8 + 4 + 8 + 16/request +
-// op bytes + measurements + 64): +4 for the explicit batch count and
-// +12/request — the old arithmetic under-counted the per-request header
-// (sent_at, shard, and the op length prefix were free). fig13's proposal
-// rows move accordingly; see EXPERIMENTS.md.
+// op bytes + 64): +4 for the explicit batch count and +12/request — the old
+// arithmetic under-counted the per-request header (sent_at, shard, and the
+// op length prefix were free). fig13's proposal rows move accordingly; see
+// EXPERIMENTS.md.
 struct PrePrepareMsg : Message {
   // Not copyable: a copy changed before it is sent would keep the
   // original's Record().
@@ -45,15 +46,11 @@ struct PrePrepareMsg : Message {
   ReplicaId leader = kNoReplica;
   SimTime timestamp = 0;  // leader's proposal timestamp (§4.2.3)
   std::vector<RequestRef> batch;
-  std::vector<Bytes> measurements;  // piggybacked OptiLog records
 
   int type() const override { return kMsgPrePrepare; }
   MsgFamily family() const override { return MsgFamily::kPbft; }
   void EncodeTo(ByteWriter& w) const override {
     EncodeBatchSection(w);
-    for (const Bytes& m : measurements) {
-      w.Blob(m);
-    }
     w.ZeroPad(kSignatureSize);
   }
   // The digest Write/Accept quorums form over: the SHA-256 of the canonical
@@ -106,9 +103,6 @@ struct PrePrepareMsg : Message {
       req.shard = r.U32();
       req.op = r.Blob();
       m->batch.push_back(std::move(req));
-    }
-    while (r.ok() && r.remaining() > kSignatureSize) {
-      m->measurements.push_back(r.Blob());
     }
     r.Skip(kSignatureSize);
     return m;

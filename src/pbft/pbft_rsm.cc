@@ -526,15 +526,10 @@ void PbftHarness::RunAwareOptimization() {
       candidates.candidates.push_back(id);
     }
   }
-  RoleConfig initial = space_.RandomConfig(candidates, rng_);
-  auto score = [&](const RoleConfig& cfg) {
-    return space_.Score(cfg, pipeline_->latency_monitor().matrix(), candidates.u);
-  };
-  auto mutate = [&](const RoleConfig& cfg, Rng& r) {
-    return space_.Mutate(cfg, candidates, r);
-  };
-  const auto result = SimulatedAnnealing(std::move(initial), score, mutate, rng_);
-  OnReconfigure(result.best, result.best_score);
+  if (const auto best = space_.Search(candidates, pipeline_->latency_monitor().matrix(),
+                                      rng_, AnnealingParams{})) {
+    OnReconfigure(best->config, best->score);
+  }
 }
 
 // Suspicions must accumulate in this many distinct instances before the

@@ -115,9 +115,6 @@ void ReplicaRsm::MaybeCheckpoint() {
   cp.state_digest = Sha256::Hash(cp.state);
   cp.log_head = log_.head();
   ++checkpoints_taken_;
-  if (policy_.keep_history) {
-    history_.push_back(cp);
-  }
   latest_checkpoint_ = std::move(cp);
   if (policy_.truncate) {
     log_.TruncateTo(latest_checkpoint_->through_index + 1);
@@ -129,7 +126,6 @@ void ReplicaRsm::Amnesia() {
   log_.ResetToBase(0, Digest{});
   pending_.clear();
   latest_checkpoint_.reset();
-  history_.clear();
   checkpoints_taken_ = 0;
 }
 
@@ -137,9 +133,6 @@ void ReplicaRsm::InstallSnapshot(const Checkpoint& cp) {
   machine_.Restore(cp.state);
   log_.ResetToBase(cp.through_index + 1, cp.log_head);
   latest_checkpoint_ = cp;
-  if (policy_.keep_history) {
-    history_.push_back(cp);
-  }
   // The snapshot may have jumped the frontier past (or onto) commits that
   // were buffered live during the transfer.
   DrainPending();

@@ -33,7 +33,6 @@ namespace optilog {
 struct CheckpointPolicy {
   uint64_t interval = 0;   // applied entries per checkpoint; 0 disables
   bool truncate = true;    // drop the snapshotted log prefix
-  bool keep_history = false;  // retain every checkpoint (tests only)
 };
 
 struct Checkpoint {
@@ -143,10 +142,6 @@ class ReplicaRsm {
   const std::optional<Checkpoint>& latest_checkpoint() const {
     return latest_checkpoint_;
   }
-  // Non-empty only under policy.keep_history.
-  const std::vector<Checkpoint>& checkpoint_history() const {
-    return history_;
-  }
   uint64_t checkpoints_taken() const { return checkpoints_taken_; }
   size_t pending_commits() const { return pending_.size(); }
 
@@ -173,7 +168,6 @@ class ReplicaRsm {
   Log log_;
   std::map<uint64_t, PendingCommit> pending_;
   std::optional<Checkpoint> latest_checkpoint_;
-  std::vector<Checkpoint> history_;
   uint64_t checkpoints_taken_ = 0;
 };
 

@@ -77,11 +77,6 @@ TreeSwap DrawTreeSwap(std::vector<ReplicaId>& ids, size_t internals,
 
 }  // namespace
 
-TreeTopology TreeWithInternals(uint32_t n, const std::vector<ReplicaId>& internals,
-                               Rng& rng) {
-  return BuildFlat(FlatTree(n, internals, rng), internals.size());
-}
-
 TreeTopology BuildFlat(const std::vector<ReplicaId>& ids, size_t internals) {
   return TreeTopology::Build(std::vector<ReplicaId>(ids.begin(), ids.begin() + internals),
                              std::vector<ReplicaId>(ids.begin() + internals, ids.end()));
@@ -90,16 +85,6 @@ TreeTopology BuildFlat(const std::vector<ReplicaId>& ids, size_t internals) {
 void MutateFlat(std::vector<ReplicaId>& ids, size_t internals,
                 const std::vector<bool>& eligible, Rng& rng) {
   DrawTreeSwap(ids, internals, Swappable(ids, internals, eligible), rng);
-}
-
-TreeTopology MutateTree(const TreeTopology& tree, const std::vector<bool>& eligible,
-                        Rng& rng) {
-  std::vector<ReplicaId> ids = tree.Internals();
-  const size_t internals = ids.size();
-  const std::vector<ReplicaId> leaves = tree.Leaves();
-  ids.insert(ids.end(), leaves.begin(), leaves.end());
-  MutateFlat(ids, internals, eligible, rng);
-  return BuildFlat(ids, internals);
 }
 
 TreeWalk::TreeWalk(std::vector<ReplicaId> ids, size_t internals,

@@ -55,10 +55,6 @@ TreeTopology BuildFlat(const std::vector<ReplicaId>& ids, size_t internals);
 std::vector<ReplicaId> FlatTree(uint32_t n, const std::vector<ReplicaId>& internals,
                                 Rng& rng);
 
-// The tree FlatTree's array builds.
-TreeTopology TreeWithInternals(uint32_t n, const std::vector<ReplicaId>& internals,
-                               Rng& rng);
-
 // One §4.2.4 swap: the flat-tree positions it exchanged, the internal first
 // when it moved a leaf up (equal when it swapped nothing).
 struct TreeSwap {
@@ -71,11 +67,6 @@ struct TreeSwap {
 // composition), or two internals (changes which one is root).
 void MutateFlat(std::vector<ReplicaId>& ids, size_t internals,
                 const std::vector<bool>& eligible, Rng& rng);
-
-// MutateFlat on `tree` with its leaves in ascending id order: a RoleConfig
-// carries no attachment order.
-TreeTopology MutateTree(const TreeTopology& tree, const std::vector<bool>& eligible,
-                        Rng& rng);
 
 // AnnealTree's Anneal walk over a flat tree, scored in TreeScore's doubles;
 // `eligible` and `latency` must outlive it. A neighbor is one MutateFlat swap
@@ -126,8 +117,9 @@ class TreeWalk {
   double initial_score_ = 0.0;
 };
 
-// SA-optimized tree over an explicit candidate set; shared by OptiTree,
-// Kauri-sa and the analytic benchmarks.
+// SA-optimized tree over an explicit candidate set; shared by OptiTree's
+// deployments and config sensors (TreeConfigSpace::Search), Kauri-sa and the
+// analytic benchmarks.
 TreeTopology AnnealTree(uint32_t n, const std::vector<ReplicaId>& internal_candidates,
                         const LatencyMatrix& latency, uint32_t k, Rng& rng,
                         const AnnealingParams& params);

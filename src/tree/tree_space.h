@@ -1,6 +1,6 @@
-// ConfigSpace implementation for tree topologies (OptiTree, §6.3): random
-// trees with internal positions drawn from the candidate set, the paper's
-// swap-mutation, and score(q + u, tau) as the objective.
+// ConfigSpace implementation for tree topologies (OptiTree, §6.3): AnnealTree
+// over the candidate set, with internal positions drawn from it, and
+// score(q + u, tau) as the objective.
 #pragma once
 
 #include "src/core/config_search.h"
@@ -15,9 +15,11 @@ class TreeConfigSpace : public ConfigSpace {
   // CommitThreshold(), q = n - f unless votes_required sets it.
   TreeConfigSpace(uint32_t n, uint32_t k_base) : n_(n), k_base_(k_base) {}
 
-  RoleConfig RandomConfig(const CandidateSet& candidates, Rng& rng) const override;
-  RoleConfig Mutate(const RoleConfig& config, const CandidateSet& candidates,
-                    Rng& rng) const override;
+  // AnnealTree over K at k_base + u, as a RoleConfig with its Score; nullopt
+  // below num_internals() candidates.
+  std::optional<ScoredConfig> Search(const CandidateSet& candidates,
+                                     const LatencyMatrix& latency, Rng& rng,
+                                     const AnnealingParams& params) const override;
   double Score(const RoleConfig& config, const LatencyMatrix& latency,
                uint32_t u) const override;
   bool Valid(const RoleConfig& config, const CandidateSet& candidates) const override;

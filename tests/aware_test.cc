@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "src/aware/aware_score.h"
@@ -360,6 +361,51 @@ TEST(AwareSpace, RejectsNonCandidateLeader) {
   cfg.leader = 0;
   cfg.weight_max.assign(13, 0);
   EXPECT_FALSE(space.Valid(cfg, k));
+}
+
+// AwareConfigSpace::Search against the sequence it replaces, written out:
+// RandomConfig, then SimulatedAnnealing over Mutate and Score at
+// candidates.u, all from one Rng. Seeded candidate sets, fault estimates u in
+// [0, f] and per-pair scaled matrices; the Rng must end in the same state.
+TEST(AwareSpace, SearchIsRandomStartThenAnnealing) {
+  constexpr uint32_t n = 21, f = 6;
+  const AwareConfigSpace space(n, f);
+  const LatencyMatrix geo = MatrixFromCities(Europe21());
+  const AnnealingParams params = AnnealingParams::ForBudget(300);
+  Rng draw(41);
+  for (int trial = 0; trial < 8; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    LatencyMatrix m(n);
+    for (ReplicaId a = 0; a < n; ++a) {
+      for (ReplicaId b = 0; b < n; ++b) {
+        if (a != b) {
+          m.Record(a, b, geo.Rtt(a, b) * draw.Uniform(1.0, 1.5));
+        }
+      }
+    }
+    CandidateSet k;
+    k.u = static_cast<uint32_t>(draw.Below(f + 1));
+    for (ReplicaId id = 0; id < n; ++id) {
+      if (trial == 0 || draw.Below(3) != 0) {
+        k.candidates.push_back(id);
+      }
+    }
+    const uint64_t seed = draw.Next();
+    Rng got_rng(seed), want_rng(seed);
+    const std::optional<ScoredConfig> got = space.Search(k, m, got_rng, params);
+    const AnnealingResult<RoleConfig> want = SimulatedAnnealing(
+        space.RandomConfig(k, want_rng),
+        [&](const RoleConfig& cfg) { return space.Score(cfg, m, k.u); },
+        [&](const RoleConfig& cfg, Rng& r) { return space.Mutate(cfg, k, r); }, want_rng,
+        params);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->config, want.best);
+    EXPECT_EQ(got->score, want.best_score);
+    EXPECT_EQ(got_rng.Next(), want_rng.Next());
+  }
+  // An empty K has no valid start.
+  Rng rng(1);
+  EXPECT_FALSE(space.Search(CandidateSet{}, geo, rng, params).has_value());
 }
 
 // Mutate's draws, pinned: a seeded 200-step chain, hashed step by step, over

@@ -193,9 +193,9 @@ class ConfigTest : public ::testing::Test {
 TEST_F(ConfigTest, SensorProducesValidProposals) {
   const auto rec = MakeProposal(1, 11);
   EXPECT_TRUE(space_.Valid(rec.config, suspicion_->Current()));
-  const double actual =
-      space_.Score(rec.config, latency_->matrix(), suspicion_->Current().u);
-  EXPECT_NEAR(rec.predicted_score, actual, 1e-9);
+  // Exactly the score the monitor recomputes.
+  EXPECT_EQ(rec.predicted_score,
+            space_.Score(rec.config, latency_->matrix(), suspicion_->Current().u));
 }
 
 TEST_F(ConfigTest, ForcedReconfigWaitsForFPlusOneProposers) {
@@ -216,16 +216,30 @@ TEST_F(ConfigTest, DuplicateProposerDoesNotCount) {
   EXPECT_TRUE(adopted_.empty());
 }
 
+// A valid active tree other than the proposal's, its score set relative to
+// the proposal's true score: at 95% of the active score the proposal must
+// not fire; at 85% it must.
 TEST_F(ConfigTest, VoluntaryReconfigNeedsBigImprovement) {
-  // Adopt an initial config; a marginally better proposal must NOT fire.
-  const auto first = MakeProposal(0, 1);
-  monitor_->SetActive(first.config, first.predicted_score);
-  ConfigProposalRecord marginal = MakeProposal(1, 2);
-  if (marginal.predicted_score <= 0.9 * first.predicted_score) {
-    GTEST_SKIP() << "random search happened to find a >10% better tree";
-  }
-  monitor_->OnConfigProposal(marginal, true);
+  const ConfigProposalRecord proposal = MakeProposal(1, 2);
+  const CandidateSet& k = suspicion_->Current();
+  const double score = space_.Score(proposal.config, latency_->matrix(), k.u);
+  const TreeTopology tree = TreeTopology::FromConfig(proposal.config);
+  std::vector<ReplicaId> internals = tree.Internals();
+  std::swap(internals[0], internals[1]);  // another root
+  const RoleConfig active = TreeTopology::Build(internals, tree.Leaves()).ToConfig();
+  ASSERT_NE(active, proposal.config);
+  ASSERT_TRUE(space_.Valid(active, k));
+
+  monitor_->SetActive(active, score / 0.95);
+  monitor_->OnConfigProposal(proposal, true);
   EXPECT_TRUE(adopted_.empty());
+
+  monitor_->SetActive(active, score / 0.85);
+  monitor_->OnConfigProposal(proposal, true);
+  ASSERT_EQ(adopted_.size(), 1u);
+  EXPECT_EQ(adopted_[0].first, proposal.config);
+  EXPECT_EQ(adopted_[0].second, score);
+  EXPECT_TRUE(monitor_->lying_proposers().empty());
 }
 
 TEST_F(ConfigTest, LyingProposerDetected) {

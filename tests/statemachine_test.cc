@@ -3,6 +3,10 @@
 // families, log truncation invariants, and crash-recovery state transfer.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <vector>
+
 #include "src/api/deployment.h"
 #include "src/runner/scenario.h"
 #include "src/statemachine/group.h"
@@ -552,35 +556,59 @@ WorkloadOptions ClosedLoopKv() {
   return w;
 }
 
-StateMachineOptions CheckpointedEvery(uint64_t interval, bool truncate,
-                                      bool history) {
+StateMachineOptions CheckpointedEvery(uint64_t interval, bool truncate) {
   StateMachineOptions opts;
   opts.checkpoint.interval = interval;
   opts.checkpoint.truncate = truncate;
-  opts.checkpoint.keep_history = history;
   return opts;
 }
 
-// Every replica that stayed live must hold byte-identical checkpoints at
-// every checkpoint index, and matching state digests at the frontier.
-void ExpectCheckpointsIdentical(Deployment& d) {
+// Each replica's checkpoints, keyed by the last log index they cover.
+using CheckpointsByIndex = std::map<uint64_t, Checkpoint>;
+
+// Runs a started deployment to `until` in 1 ms steps and collects the
+// checkpoint each replica holds after every step.
+std::vector<CheckpointsByIndex> RunCollectingCheckpoints(Deployment& d, SimTime until) {
   const RsmGroup* group = d.state_machines();
-  ASSERT_NE(group, nullptr);
-  const auto& reference = group->rsm(0).checkpoint_history();
-  ASSERT_FALSE(reference.empty()) << "run too short: no checkpoints taken";
-  for (ReplicaId id = 1; id < d.n(); ++id) {
-    const auto& mine = group->rsm(id).checkpoint_history();
-    // PBFT replicas may lag by in-flight instances; compare the shared
-    // prefix of checkpoint histories.
-    const size_t common = std::min(reference.size(), mine.size());
-    ASSERT_GE(common, 1u);
-    for (size_t k = 0; k < common; ++k) {
-      EXPECT_EQ(mine[k].through_index, reference[k].through_index);
-      EXPECT_EQ(mine[k].state_digest, reference[k].state_digest);
-      EXPECT_EQ(mine[k].log_head, reference[k].log_head);
-      EXPECT_EQ(mine[k].state, reference[k].state)
-          << "snapshot bytes diverge at checkpoint " << k;
+  std::vector<CheckpointsByIndex> seen(d.n());
+  for (SimTime t = kMsec; t <= until; t += kMsec) {
+    d.RunUntil(t);
+    for (ReplicaId id = 0; id < d.n(); ++id) {
+      const std::optional<Checkpoint>& cp = group->rsm(id).latest_checkpoint();
+      if (cp.has_value()) {
+        seen[id].try_emplace(cp->through_index, *cp);
+      }
     }
+  }
+  return seen;
+}
+
+// Every replica that stayed live must checkpoint at the same indices (each
+// through_index one short of a multiple of the interval) and hold
+// byte-identical checkpoints at every index it shares with replica 0.
+void ExpectCheckpointsIdentical(const std::vector<CheckpointsByIndex>& seen,
+                                uint64_t interval) {
+  const CheckpointsByIndex& reference = seen[0];
+  ASSERT_FALSE(reference.empty()) << "run too short: no checkpoints taken";
+  for (ReplicaId id = 0; id < seen.size(); ++id) {
+    // PBFT replicas may lag by in-flight instances, and a step may pass
+    // over a checkpoint: compare the indices both replicas were seen at.
+    size_t shared = 0;
+    for (const auto& [index, mine] : seen[id]) {
+      EXPECT_EQ(mine.through_index % interval, interval - 1)
+          << "replica " << id << " checkpointed off the interval at " << index;
+      const auto it = reference.find(index);
+      if (it == reference.end()) {
+        continue;
+      }
+      ++shared;
+      const Checkpoint& ref = it->second;
+      EXPECT_EQ(mine.state_digest, ref.state_digest) << "replica " << id << " at " << index;
+      EXPECT_EQ(mine.log_head, ref.log_head) << "replica " << id << " at " << index;
+      EXPECT_EQ(mine.state, ref.state)
+          << "replica " << id << ": snapshot bytes diverge at " << index;
+    }
+    ASSERT_GE(shared, 1u) << "replica " << id << " shares no checkpoint with replica 0";
   }
 }
 
@@ -590,12 +618,10 @@ TEST(CheckpointDeterminism, MiniKauriIdenticalSnapshotsEverywhere) {
                .WithProtocol(Protocol::kKauri)
                .WithSeed(11)
                .WithWorkload(ClosedLoopKv())
-               .WithStateMachine(CheckpointedEvery(4, /*truncate=*/true,
-                                                   /*history=*/true))
+               .WithStateMachine(CheckpointedEvery(4, /*truncate=*/true))
                .Build();
   d->Start();
-  d->RunUntil(8 * kSec);
-  ExpectCheckpointsIdentical(*d);
+  ExpectCheckpointsIdentical(RunCollectingCheckpoints(*d, 8 * kSec), 4);
 
   const MetricsReport m = d->Metrics();
   EXPECT_TRUE(m.statemachine.enabled);
@@ -613,12 +639,10 @@ TEST(CheckpointDeterminism, MiniPbftIdenticalSnapshotsEverywhere) {
                .WithProtocol(Protocol::kPbft)
                .WithSeed(12)
                .WithWorkload(ClosedLoopKv())
-               .WithStateMachine(CheckpointedEvery(4, /*truncate=*/true,
-                                                   /*history=*/true))
+               .WithStateMachine(CheckpointedEvery(4, /*truncate=*/true))
                .Build();
   d->Start();
-  d->RunUntil(8 * kSec);
-  ExpectCheckpointsIdentical(*d);
+  ExpectCheckpointsIdentical(RunCollectingCheckpoints(*d, 8 * kSec), 4);
 
   const MetricsReport m = d->Metrics();
   EXPECT_GT(m.statemachine.applied, 0u);
@@ -634,10 +658,10 @@ TEST(CheckpointDeterminism, TruncationBoundsPeakLogMemory) {
                   .WithSeed(13)
                   .WithWorkload(ClosedLoopKv());
   auto bounded = base.Clone()
-                     .WithStateMachine(CheckpointedEvery(8, true, false))
+                     .WithStateMachine(CheckpointedEvery(8, true))
                      .Build();
   auto unbounded = base.Clone()
-                       .WithStateMachine(CheckpointedEvery(8, false, false))
+                       .WithStateMachine(CheckpointedEvery(8, false))
                        .Build();
   for (auto* d : {bounded.get(), unbounded.get()}) {
     d->Start();
@@ -671,7 +695,7 @@ TEST(Recovery, TreeReplicaRejoinsViaSnapshotAndSuffix) {
                .WithInitialSearch(AnnealingParams::ForBudget(2000))
                .WithOptiLogReconfig(/*search_window=*/500 * kMsec)
                .WithWorkload(ClosedLoopKv())
-               .WithStateMachine(CheckpointedEvery(8, true, false))
+               .WithStateMachine(CheckpointedEvery(8, true))
                .WithFaults([&](Deployment& dep) {
                  victim = dep.tree().topology().root();
                  dep.faults().Mutable(victim).crash_at = crash_at;
@@ -700,7 +724,7 @@ TEST(Recovery, PbftReplicaRejoinsAndCatchesUp) {
                .WithProtocol(Protocol::kPbft)
                .WithSeed(22)
                .WithWorkload(ClosedLoopKv())
-               .WithStateMachine(CheckpointedEvery(8, true, false))
+               .WithStateMachine(CheckpointedEvery(8, true))
                .WithFaults([](Deployment& dep) {
                  dep.faults().Mutable(3).crash_at = 3 * kSec;
                  dep.faults().Mutable(3).recover_at = 8 * kSec;
@@ -728,7 +752,7 @@ TEST(Recovery, RunsAreDeterministic) {
                  .WithProtocol(Protocol::kPbft)
                  .WithSeed(33)
                  .WithWorkload(ClosedLoopKv())
-                 .WithStateMachine(CheckpointedEvery(8, true, false))
+                 .WithStateMachine(CheckpointedEvery(8, true))
                  .WithFaults([](Deployment& dep) {
                    dep.faults().Mutable(2).crash_at = 3 * kSec;
                    dep.faults().Mutable(2).recover_at = 7 * kSec;

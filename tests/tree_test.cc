@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <optional>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "src/core/measurement.h"
@@ -179,36 +181,6 @@ TEST(TreeScore, MonotoneInK) {
     const double s = TreeScore(t, m, k);
     EXPECT_GE(s, prev) << "k=" << k;
     prev = s;
-  }
-}
-
-TEST(TreeSpace, RandomConfigsValidAndComplete) {
-  TreeConfigSpace space(21, 15);
-  CandidateSet k;
-  for (ReplicaId id = 0; id < 21; ++id) {
-    k.candidates.push_back(id);
-  }
-  Rng rng(8);
-  for (int i = 0; i < 20; ++i) {
-    const RoleConfig cfg = space.RandomConfig(k, rng);
-    EXPECT_TRUE(space.Valid(cfg, k));
-    const TreeTopology t = TreeTopology::FromConfig(cfg);
-    EXPECT_EQ(t.size(), 21u);
-    EXPECT_EQ(t.Internals().size(), 5u);  // b + 1 = 5
-  }
-}
-
-TEST(TreeSpace, MutateKeepsInternalsInCandidateSet) {
-  TreeConfigSpace space(21, 15);
-  CandidateSet k;
-  for (ReplicaId id = 0; id < 15; ++id) {  // only 0..14 are candidates
-    k.candidates.push_back(id);
-  }
-  Rng rng(8);
-  RoleConfig cfg = space.RandomConfig(k, rng);
-  for (int i = 0; i < 200; ++i) {
-    cfg = space.Mutate(cfg, k, rng);
-    ASSERT_TRUE(space.Valid(cfg, k)) << "iteration " << i;
   }
 }
 
@@ -494,29 +466,110 @@ TEST(TreeWalk, AcceptedLeafSwapPersists) {
   EXPECT_EQ(checked, 50);
 }
 
-// A seeded 200-step TreeConfigSpace::Mutate chain, hashed: pins the §4.2.4
-// draws and the trees they make.
-TEST(TreeConfigSpace, MutateChainIsPinned) {
+// A seeded 200-step MutateFlat chain on a flat tree, hashed: pins the
+// §4.2.4 draws and the trees they make.
+TEST(MutateFlat, ChainIsPinned) {
   const uint32_t n = 73;
-  TreeConfigSpace space(n, 49);
-  CandidateSet candidates;
+  const size_t internals = BranchFactorFor(n) + 1;
+  std::vector<bool> eligible(n, false);
+  std::vector<ReplicaId> pool;
   for (ReplicaId id = 0; id < n; id += 2) {
-    candidates.candidates.push_back(id);
+    eligible[id] = true;
+    pool.push_back(id);
   }
   Rng rng(2024);
-  RoleConfig config = space.RandomConfig(candidates, rng);
+  rng.Shuffle(pool);
+  pool.resize(internals);
+  std::vector<ReplicaId> ids = FlatTree(n, pool, rng);
   uint64_t hash = 0;
   for (int step = 0; step < 200; ++step) {
-    config = space.Mutate(config, candidates, rng);
-    uint64_t word = hash ^ config.leader;
-    hash = SplitMix64(word);
-    for (ReplicaId parent : config.parent) {
-      word = hash ^ parent;
+    MutateFlat(ids, internals, eligible, rng);
+    for (ReplicaId id : ids) {
+      uint64_t word = hash ^ id;
       hash = SplitMix64(word);
     }
   }
   hash ^= rng.Next();
-  EXPECT_EQ(hash, 0xd7ecb6469554a98fULL);
+  EXPECT_EQ(hash, 0xbe403a773942f57aULL);
+}
+
+// --- TreeConfigSpace::Search --------------------------------------------------
+
+// TreeConfigSpace::Search is AnnealTree over K at k_base + u: the same tree
+// from the same draws, reported with the Score the monitor recomputes.
+// Seeded candidate sets (every replica, and subsets down to b + 1), fault
+// estimates u in [0, f], city and dense matrices.
+TEST(TreeSpace, SearchIsAnnealTreeAtKBasePlusU) {
+  const AnnealingParams params = AnnealingParams::ForBudget(400);
+  Rng draw(17);
+  for (const uint32_t n : {13u, 21u, 73u}) {
+    const uint32_t f = (n - 1) / 3;
+    const uint32_t k_base = n - f;
+    const TreeConfigSpace space(n, k_base);
+    for (uint64_t trial = 0; trial < 6; ++trial) {
+      SCOPED_TRACE("n " + std::to_string(n) + " trial " + std::to_string(trial));
+      const LatencyMatrix m =
+          trial % 2 == 0 ? CityBaselineMatrix(n, trial) : DenseMatrix(n, trial);
+      CandidateSet k;
+      k.u = static_cast<uint32_t>(draw.Below(f + 1));
+      for (ReplicaId id = 0; id < n; ++id) {
+        if (trial == 0 || k.candidates.size() + (n - id) <= space.num_internals() ||
+            draw.Below(3) != 0) {
+          k.candidates.push_back(id);
+        }
+      }
+      const uint64_t seed = draw.Next();
+      Rng got_rng(seed), want_rng(seed);
+      const std::optional<ScoredConfig> got = space.Search(k, m, got_rng, params);
+      const RoleConfig want =
+          AnnealTree(n, k.candidates, m, k_base + k.u, want_rng, params).ToConfig();
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(got->config, want);
+      EXPECT_EQ(got->score, space.Score(want, m, k.u));
+      EXPECT_EQ(got_rng.Next(), want_rng.Next());
+      EXPECT_TRUE(space.Valid(got->config, k));
+      EXPECT_EQ(TreeTopology::FromConfig(got->config).size(), n);
+    }
+  }
+}
+
+// Only candidates take internal positions: K is 0..14 of 21, and at exactly
+// b + 1 candidates the internals are K.
+TEST(TreeSpace, SearchKeepsInternalsInCandidateSet) {
+  const TreeConfigSpace space(21, 15);
+  const LatencyMatrix m = MatrixFromCities(Europe21());
+  for (const ReplicaId size : {15u, 5u}) {
+    CandidateSet k;
+    for (ReplicaId id = 0; id < size; ++id) {
+      k.candidates.push_back(id);
+    }
+    for (uint64_t seed = 1; seed <= 10; ++seed) {
+      Rng rng(seed);
+      const auto got = space.Search(k, m, rng, AnnealingParams::ForBudget(300));
+      ASSERT_TRUE(got.has_value());
+      ASSERT_TRUE(space.Valid(got->config, k)) << "seed " << seed;
+      const std::vector<ReplicaId> internals =
+          TreeTopology::FromConfig(got->config).Internals();
+      ASSERT_EQ(internals.size(), 5u);  // b + 1
+      for (ReplicaId id : internals) {
+        EXPECT_LT(id, size) << "seed " << seed;
+      }
+    }
+  }
+}
+
+// Below b + 1 candidates no tree exists: Search returns nothing and draws
+// nothing.
+TEST(TreeSpace, SearchNeedsBPlusOneCandidates) {
+  const TreeConfigSpace space(21, 15);
+  const LatencyMatrix m = MatrixFromCities(Europe21());
+  CandidateSet k;
+  k.candidates = {3, 7, 11, 19};  // b = 4
+  Rng rng(5), untouched(5);
+  EXPECT_FALSE(space.Search(k, m, rng, AnnealingParams::ForBudget(300)).has_value());
+  EXPECT_EQ(rng.Next(), untouched.Next());
+  k.candidates.push_back(20);
+  EXPECT_TRUE(space.Search(k, m, rng, AnnealingParams::ForBudget(300)).has_value());
 }
 
 // Leaves() against the member-by-member definition it replaces, on random

@@ -73,7 +73,6 @@ MessagePtr SampleFor(MsgFamily family, int type) {
           m->timestamp = 123456;
           m->batch_size = 5;
           m->cmd_bytes = 32;
-          m->measurements = {TestBlob(9, 0x11), TestBlob(17, 0x22)};
           return m;
         }
         case kMsgVote: {
@@ -108,7 +107,6 @@ MessagePtr SampleFor(MsgFamily family, int type) {
           req.shard = 1;
           req.op = TestBlob(6, 0x33);
           m->batch = {req, req};
-          m->measurements = {TestBlob(11, 0x44)};
           return m;
         }
         case kMsgWrite:
@@ -249,8 +247,8 @@ TEST(WireCodec, TruncatedFramesFailCleanly) {
       const Bytes prefix(frame.begin(), frame.begin() + static_cast<long>(len));
       const MessagePtr m = DecodeMessage(prefix);
       if (m != nullptr) {
-        // Variable-tail bodies (measurement lists, suspicion lists) may
-        // accept a shorter frame. The decode must then have consumed the
+        // Variable-tail bodies (suspicion lists) may accept a shorter
+        // frame. The decode must then have consumed the
         // prefix under a consistent structure: the re-encoding has the
         // prefix's exact length (no over- or under-read) and is a codec
         // fixed point. Byte equality is deliberately not required — the
@@ -272,6 +270,24 @@ TEST(WireCodec, TrailingByteRejected) {
     frame.push_back(0x00);
     EXPECT_EQ(DecodeMessage(frame), nullptr)
         << "family=" << static_cast<int>(family) << " type=" << type;
+  }
+}
+
+// Proposals carry no measurements: a length-prefixed blob where the
+// piggybacked measurement list once was (the end of a Propose or Forward
+// body, before a PrePrepare's signature) is trailing bytes.
+TEST(WireCodec, ProposalsRejectTrailingBlob) {
+  Bytes blob;
+  ByteWriter(&blob).Blob(TestBlob(11, 0x44));
+  for (const auto& [family, type] :
+       {std::pair{MsgFamily::kHotStuff, int{kMsgPropose}},
+        std::pair{MsgFamily::kHotStuff, int{kMsgForward}},
+        std::pair{MsgFamily::kPbft, int{kMsgPrePrepare}}}) {
+    Bytes frame = EncodeMessage(*SampleFor(family, type));
+    ASSERT_NE(DecodeMessage(frame), nullptr);
+    const size_t at = frame.size() - (family == MsgFamily::kPbft ? kSignatureSize : 0);
+    frame.insert(frame.begin() + static_cast<long>(at), blob.begin(), blob.end());
+    EXPECT_EQ(DecodeMessage(frame), nullptr) << "type=" << type;
   }
 }
 
@@ -315,11 +331,9 @@ TEST(WireSizes, TreeFamilyMatchesDeclaredArithmetic) {
   ProposeMsg propose;
   propose.batch_size = 250;
   propose.cmd_bytes = 100;
-  propose.measurements = {TestBlob(40, 1), TestBlob(7, 2)};
-  // 156-byte header/QC frame + payload + (4 + len) per measurement — the
-  // exact pre-encoding formula ("104-byte parent QC" = empty QC + cmd_bytes
-  // field).
-  EXPECT_EQ(propose.WireSize(), 156u + 250u * 100u + (4 + 40) + (4 + 7));
+  // 156-byte header/QC frame + payload — the exact pre-encoding formula
+  // ("104-byte parent QC" = empty QC + cmd_bytes field).
+  EXPECT_EQ(propose.WireSize(), 156u + 250u * 100u);
 
   VoteMsg vote;
   EXPECT_EQ(vote.WireSize(), 8u + 32u + Signature::kWireSize);  // 108
@@ -437,7 +451,6 @@ TEST(WireSigning, PrePrepareDigestCoversCanonicalBatchSection) {
   req.sent_at = 700;
   req.op = TestBlob(5, 10);
   pp.batch = {req};
-  pp.measurements = {TestBlob(6, 11)};
 
   Bytes section;
   {
